@@ -13,8 +13,6 @@
 //! Where the paper's model assigns arbitrarily nested privileges to
 //! ordinary roles, ARBAC97's authority is *flat* (no privileges about
 //! privileges) and *range-shaped* (contiguous intervals of the hierarchy).
-//! The benches compare the per-check cost of the two styles on the same
-//! hierarchies.
 
 use adminref_core::closure::RoleClosure;
 use adminref_core::ids::{Perm, RoleId, UserId};

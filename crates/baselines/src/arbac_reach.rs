@@ -11,9 +11,8 @@
 //! * [`role_reachable_bounded`] — the general case, explored on the
 //!   shared compact-state engine ([`adminref_core::search`]): membership
 //!   states are role bitsets interned in the state arena, frontier
-//!   expansion optionally fans out over worker threads, and the
-//!   paper-vs-ARBAC comparison benches therefore measure the same
-//!   machinery on both sides.
+//!   expansion optionally fans out over worker threads, so a
+//!   paper-vs-ARBAC comparison runs the same machinery on both sides.
 //!
 //! Both make ARBAC's *separate administration* assumption: administrative
 //! memberships are fixed, so some administrator is always available to

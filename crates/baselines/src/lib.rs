@@ -2,7 +2,7 @@
 //!
 //! From-scratch implementations of the administrative-RBAC baselines the
 //! paper discusses (§1, §5), all driven by the `adminref-core` policy
-//! substrate so that benchmark comparisons run on identical hierarchies:
+//! substrate so that comparisons run on identical hierarchies:
 //!
 //! * [`arbac`] — ARBAC97 (URA97/PRA97 rules with prerequisite conditions
 //!   and role ranges), Sandhu–Bhamidipati–Munawer 1999;

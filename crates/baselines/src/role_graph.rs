@@ -6,7 +6,7 @@
 //! exactly the edges whose endpoints both lie in its domain. Compared to
 //! the paper's model this is coarse (no per-edge privileges, no nesting)
 //! but checks are a constant-time partition lookup — the cheap end of the
-//! baseline spectrum in the benches.
+//! baseline spectrum.
 
 use adminref_core::ids::RoleId;
 use adminref_core::universe::Edge;

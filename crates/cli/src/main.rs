@@ -22,10 +22,6 @@
 //!                   [--max-states N] [--no-slice]
 //! adminref verify   <policy.rbac> --oracle <queue.rbacq> [--ordered]
 //! adminref verify   --oracle-churn [--ordered]
-//! adminref bench-monitor [--quick] [--json] [--readers 1,4,16] [--secs S]
-//!                   [--roles N] [--trickle-roles N] [--baseline BENCH_BASELINE.json]
-//! adminref bench-service [--quick] [--json] [--writers 1,2,4] [--secs S]
-//!                   [--roles N] [--tenants T] [--baseline BENCH_BASELINE.json]
 //! adminref serve    <store-dir> (--listen HOST:PORT | --unix PATH)
 //!                   [--init policy.rbac] [--ordered] [--stop-file PATH] [--workers N]
 //!                   [--replicate]
@@ -50,12 +46,8 @@
 //! audit trace against the declarative invariant suite. `compact`
 //! folds a durable store's command log into a fresh
 //! snapshot (reporting what recovery replayed first), so reopening the
-//! store replays nothing. `bench-service` (alias `serve-bench`)
-//! measures multi-writer group-commit throughput against per-call
-//! writer locking; `bench-monitor` additionally measures incremental
-//! vs full-rebuild publish latency on the wide-universe trickle
-//! workload. `serve` runs the `adminrefd` network daemon over a
-//! durable store (TCP or Unix socket, wire protocol in
+//! store replays nothing. `serve` runs the `adminrefd` network daemon
+//! over a durable store (TCP or Unix socket, wire protocol in
 //! `specs/wire_protocol.md`), and `client` drives a running daemon
 //! with remote twins of the local verbs — see [`remote`] for the
 //! name-resolution model. `serve --replicate` makes the daemon a
@@ -79,8 +71,6 @@
 
 #![forbid(unsafe_code)]
 
-mod bench_monitor;
-mod bench_service;
 mod remote;
 
 use std::process::ExitCode;
@@ -136,10 +126,6 @@ const USAGE: &str = "usage:
                     [--max-states N] [--no-slice]
   adminref verify   <policy.rbac> --oracle <queue.rbacq> [--ordered]
   adminref verify   --oracle-churn [--ordered]
-  adminref bench-monitor [--quick] [--json] [--readers 1,4,16] [--secs S]
-                    [--roles N] [--trickle-roles N] [--baseline BENCH_BASELINE.json]
-  adminref bench-service [--quick] [--json] [--writers 1,2,4] [--secs S]
-                    [--roles N] [--tenants T] [--baseline BENCH_BASELINE.json]
   adminref serve    <store-dir> (--listen HOST:PORT | --unix PATH)
                     [--init policy.rbac] [--ordered] [--stop-file PATH] [--workers N]
                     [--replicate]
@@ -157,9 +143,8 @@ const USAGE: &str = "usage:
                     compact | stats | version | promote";
 
 /// Dispatches to a subcommand. `Ok(code)` is a completed run (possibly
-/// a scriptable nonzero exit, e.g. `refines` on a failed refinement or
-/// a bench whose perf gate tripped); `Err` is a usage error and prints
-/// the help text.
+/// a scriptable nonzero exit, e.g. `refines` on a failed refinement);
+/// `Err` is a usage error and prints the help text.
 fn dispatch(args: &[String]) -> Result<ExitCode, String> {
     let mut it = args.iter();
     let cmd = it.next().ok_or("missing subcommand")?;
@@ -179,8 +164,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
         "refines" => cmd_refines(&rest),
         "reach" => done(cmd_reach(&rest)),
         "verify" => cmd_verify(&rest),
-        "bench-monitor" => cmd_bench_monitor(&rest),
-        "bench-service" | "serve-bench" => cmd_bench_service(&rest),
         "serve" => remote::cmd_serve(&rest),
         "client" => remote::cmd_client(&rest),
         other => Err(format!("unknown subcommand `{other}`")),
@@ -758,99 +741,6 @@ fn cmd_refines(rest: &[&String]) -> Result<ExitCode, String> {
     } else {
         ExitCode::FAILURE
     })
-}
-
-fn cmd_bench_monitor(rest: &[&String]) -> Result<ExitCode, String> {
-    let mut opts = if flag(rest, "--quick") {
-        bench_monitor::BenchOptions::quick()
-    } else {
-        bench_monitor::BenchOptions::full()
-    };
-    opts.json = flag(rest, "--json");
-    if let Some(readers) = flag_value(rest, "--readers") {
-        opts.readers = readers
-            .split(',')
-            .map(|r| {
-                r.trim()
-                    .parse::<usize>()
-                    .map_err(|e| format!("--readers: {e}"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        if opts.readers.is_empty() || opts.readers.contains(&0) {
-            return Err("--readers needs a comma-separated list of positive counts".into());
-        }
-    }
-    if let Some(secs) = flag_value(rest, "--secs") {
-        opts.secs = secs.parse::<f64>().map_err(|e| format!("--secs: {e}"))?;
-        if opts.secs.is_nan() || opts.secs <= 0.0 {
-            return Err("--secs must be positive".into());
-        }
-    }
-    if let Some(roles) = flag_value(rest, "--roles") {
-        opts.roles = roles
-            .parse::<usize>()
-            .map_err(|e| format!("--roles: {e}"))?;
-    }
-    if let Some(roles) = flag_value(rest, "--trickle-roles") {
-        opts.trickle_roles = roles
-            .parse::<usize>()
-            .map_err(|e| format!("--trickle-roles: {e}"))?;
-    }
-    opts.baseline = flag_value(rest, "--baseline");
-    finish_bench(bench_monitor::run(&opts))
-}
-
-/// A bench that measured and then failed its gate (or couldn't read
-/// its baseline) is a completed run, not a usage error: report the
-/// failure and exit nonzero without the help text.
-fn finish_bench(run: Result<(), String>) -> Result<ExitCode, String> {
-    Ok(match run {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
-    })
-}
-
-fn cmd_bench_service(rest: &[&String]) -> Result<ExitCode, String> {
-    let mut opts = if flag(rest, "--quick") {
-        bench_service::BenchOptions::quick()
-    } else {
-        bench_service::BenchOptions::full()
-    };
-    opts.json = flag(rest, "--json");
-    if let Some(writers) = flag_value(rest, "--writers") {
-        opts.writers = writers
-            .split(',')
-            .map(|w| {
-                w.trim()
-                    .parse::<usize>()
-                    .map_err(|e| format!("--writers: {e}"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        if opts.writers.is_empty() || opts.writers.contains(&0) {
-            return Err("--writers needs a comma-separated list of positive counts".into());
-        }
-    }
-    if let Some(secs) = flag_value(rest, "--secs") {
-        opts.secs = secs.parse::<f64>().map_err(|e| format!("--secs: {e}"))?;
-        if opts.secs.is_nan() || opts.secs <= 0.0 {
-            return Err("--secs must be positive".into());
-        }
-    }
-    if let Some(roles) = flag_value(rest, "--roles") {
-        opts.roles = roles
-            .parse::<usize>()
-            .map_err(|e| format!("--roles: {e}"))?;
-    }
-    if let Some(tenants) = flag_value(rest, "--tenants") {
-        opts.tenants = tenants
-            .parse::<usize>()
-            .map_err(|e| format!("--tenants: {e}"))?;
-    }
-    opts.baseline = flag_value(rest, "--baseline");
-    finish_bench(bench_service::run(&opts))
 }
 
 /// Prints the alphabet before/after line when cone-of-influence slicing

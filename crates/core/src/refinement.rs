@@ -123,7 +123,7 @@ pub fn weaken_assignment(
 }
 
 /// Counts, per entity, how many user privileges each policy authorizes —
-/// a quick "safety mass" summary used by examples and benches.
+/// a quick "safety mass" summary.
 pub fn authorized_perm_count(universe: &Universe, policy: &Policy) -> usize {
     let idx = ReachIndex::build(universe, policy);
     universe

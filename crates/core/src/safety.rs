@@ -53,7 +53,7 @@
 //!
 //! The clone-based breadth-first search the engine replaced is kept as
 //! [`find_reachable_clone`] — same answers, same witnesses, no
-//! escalation — as the differential-testing and benchmarking baseline.
+//! escalation — as the differential-testing baseline.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -284,7 +284,7 @@ pub fn prepare_alphabet(
 /// graph walks, no escalation. Returns the same answers (and equally
 /// long witnesses) as the compact-state engine run with
 /// `escalate: false` — a property test enforces that — at a much higher
-/// per-candidate cost. Benchmarked in `benches/safety_search.rs`.
+/// per-candidate cost.
 pub fn find_reachable_clone(
     universe: &mut Universe,
     policy: &Policy,

@@ -37,12 +37,11 @@
 //!   oversized fan-outs fall back to a full [`ReachIndex::build`].
 //!
 //! The fallback is also available wholesale as
-//! [`PublishMode::FullRebuild`], so differential tests (and the
-//! `ADMINREF_PUBLISH_MODE=full` CI lane) can pin every publish to the
-//! from-scratch path and assert the two chains are index-identical.
+//! [`PublishMode::FullRebuild`], so differential tests can pin every
+//! publish to the from-scratch path and assert the two chains are
+//! index-identical.
 
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 use crate::checksum::{policy_checksum, toggle_edge};
 use crate::command::{Command, CommandKind};
@@ -54,35 +53,16 @@ use crate::transition::StepOutcome;
 use crate::universe::{PrivTerm, Universe};
 
 /// How a monitor derives each published snapshot from its parent.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PublishMode {
     /// Delta-maintain the read index from the parent epoch, falling
     /// back to a rebuild only when the batch's structure demands it
     /// (the default).
+    #[default]
     Incremental,
     /// Rebuild the index from scratch on every publish — the
     /// pre-incremental behavior, kept for differential testing.
     FullRebuild,
-}
-
-impl PublishMode {
-    /// The process-wide default: [`PublishMode::Incremental`], unless
-    /// the `ADMINREF_PUBLISH_MODE` environment variable is set to
-    /// `full` — the knob CI's forced-full-rebuild lane uses to run the
-    /// whole suite over the fallback path.
-    pub fn from_env() -> Self {
-        static MODE: OnceLock<PublishMode> = OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("ADMINREF_PUBLISH_MODE") {
-            Ok(v) if v.eq_ignore_ascii_case("full") => PublishMode::FullRebuild,
-            _ => PublishMode::Incremental,
-        })
-    }
-}
-
-impl Default for PublishMode {
-    fn default() -> Self {
-        PublishMode::from_env()
-    }
 }
 
 /// Which derivation [`PolicySnapshot::next`] actually took — exposed so

@@ -10,7 +10,7 @@
 //! [`PolicySnapshot`](adminref_core::snapshot::PolicySnapshot)s while a
 //! batched single writer applies admin commands (see [`monitor`]); the
 //! pre-epoch single-lock design survives as [`locked::LockedMonitor`]
-//! for differential testing and benchmarking.
+//! for differential testing.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

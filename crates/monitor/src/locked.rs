@@ -5,16 +5,10 @@
 //! sessions, and audit live behind a single reader-writer lock, access
 //! checks BFS the policy graph under the read lock, and every
 //! administrative command takes the write lock. It is preserved —
-//! unchanged in behavior — for two jobs:
-//!
-//! * **differential testing**: property tests drive the same command
-//!   sequences through both monitors and assert identical
-//!   [`StepOutcome`] and audit sequences (the epoch rebuild must not
-//!   change Definition-5 semantics);
-//! * **benchmarking**: `benches/monitor_throughput.rs` and
-//!   `adminref bench-monitor` measure the read-throughput gap between
-//!   this design and the lock-free read path under concurrent admin
-//!   writes.
+//! unchanged in behavior — for differential testing: property tests
+//! drive the same command sequences through both monitors and assert
+//! identical [`StepOutcome`] and audit sequences (the epoch rebuild
+//! must not change Definition-5 semantics).
 //!
 //! New code should use [`ReferenceMonitor`](crate::ReferenceMonitor).
 

@@ -45,8 +45,7 @@
 //!
 //! The previous single-`RwLock` design is preserved as
 //! [`LockedMonitor`](crate::locked::LockedMonitor) for differential
-//! testing and as the baseline of the `monitor_throughput` benchmark and
-//! `adminref bench-monitor`.
+//! testing.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,7 +78,7 @@ pub struct MonitorConfig {
     /// Audit log retention.
     pub audit_capacity: usize,
     /// How published snapshots are derived from their parent epoch
-    /// (defaults to the process-wide [`PublishMode::from_env`]).
+    /// (defaults to [`PublishMode::Incremental`]).
     pub publish_mode: PublishMode,
     /// Auto-compaction threshold for durable backends: after a batch,
     /// if the WAL holds at least this many entries it is folded into a

@@ -43,10 +43,9 @@
 //!   that itself implements [`PolicyService`], so local and remote
 //!   services are interchangeable behind one trait.
 //!
-//! `adminref bench-service` measures the group-commit write path
-//! against per-call writer locking, locally and over a socket
-//! transport; the CI perf-smoke job gates the multi-writer speedups
-//! against checked-in floors.
+//! The `wire_write` workload of `benchmark/` measures the group-commit
+//! write path over a socket (`group_commit.cmds_per_epoch`,
+//! `group_commit.solo_overhead_us`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -9,8 +9,7 @@
 //!   published epoch per drain.
 //! * `impl PolicyService for ReferenceMonitor` — the per-call baseline:
 //!   every `Submit` takes the writer mutex for itself and pays a full
-//!   publication. This is the path `adminref bench-service` measures
-//!   group commit against, and the drop-in adapter when a single caller
+//!   publication. It is the drop-in adapter when a single caller
 //!   already owns a monitor.
 
 use adminref_core::ids::Entity;

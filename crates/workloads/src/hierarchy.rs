@@ -100,27 +100,6 @@ pub fn chain(n: usize) -> Hierarchy {
     }
 }
 
-/// A random DAG over `n` roles with `edges` forward edges (ids only ever
-/// point to higher-numbered roles, so it is acyclic by construction).
-pub fn random_dag(n: usize, edges: usize, seed: u64) -> Hierarchy {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut universe = Universe::new();
-    let roles: Vec<RoleId> = (0..n).map(|i| universe.role(&format!("d{i}"))).collect();
-    let mut policy = Policy::new(&universe);
-    if n >= 2 {
-        for _ in 0..edges {
-            let a = rng.random_range(0..n - 1);
-            let b = rng.random_range(a + 1..n);
-            policy.add_edge(Edge::RoleRole(roles[a], roles[b]));
-        }
-    }
-    Hierarchy {
-        universe,
-        policy,
-        layers: vec![roles],
-    }
-}
-
 /// Adds `users` users, each explicitly assigned to `roles_per_user`
 /// random roles. Returns the user ids.
 pub fn populate_users(
@@ -205,17 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn random_dag_is_acyclic() {
-        let h = random_dag(30, 80, 42);
-        let idx = ReachIndex::build(&h.universe, &h.policy);
-        assert_eq!(
-            idx.role_closure().scc_count(),
-            30,
-            "forward edges only: every SCC is a singleton"
-        );
-    }
-
-    #[test]
     fn populate_users_assigns_memberships() {
         let mut h = chain(5);
         let users = populate_users(&mut h, 10, 2, 1);
@@ -241,14 +209,12 @@ mod tests {
     fn tiny_inputs_are_fine() {
         let h = chain(1);
         assert_eq!(h.policy.rh_len(), 0);
-        let h2 = random_dag(1, 5, 0);
-        assert_eq!(h2.policy.rh_len(), 0);
-        let h3 = layered(LayeredSpec {
+        let h2 = layered(LayeredSpec {
             layers: 1,
             width: 2,
             edge_prob: 0.5,
             seed: 0,
         });
-        assert_eq!(h3.policy.rh_len(), 0);
+        assert_eq!(h2.policy.rh_len(), 0);
     }
 }

@@ -15,26 +15,17 @@
 //! [`churn`] builds the mixed read/write monitor workload: a sized
 //! hierarchy, a population of reader sessions (each a user with an
 //! activatable role and a perm to probe), and a stream of pregenerated
-//! administrative command batches for a concurrent writer. It is the
-//! input of `adminref bench-monitor` and the `monitor_throughput`
-//! bench, which measure `check_access` throughput while the admin
-//! writer churns.
-//!
-//! [`multi_tenant_churn`] stamps out several *independent* churn
-//! workloads — distinct universes, policies, reader populations, and
-//! writer batches per tenant, derived from per-tenant seeds — and is
-//! the input of the multi-tenant cells of `adminref bench-service` and
-//! the `service_throughput` bench, which drive a `ServiceRouter`
-//! hosting every tenant in one process.
+//! administrative command batches for a concurrent writer. The monitor
+//! and service differential tests and `adminref verify --oracle-churn`
+//! replay it.
 //!
 //! [`write_storm`] builds the write-path stress: per-writer
 //! grant/revoke *toggle* streams over disjoint edges of one sized
 //! policy, where — unlike `churn`'s mixed stream, which converges to
 //! no-ops — **every** command is authorized and changes the policy, so
-//! every command forces the full write cost (WAL, `ReachIndex` rebuild,
-//! epoch publication). This is the input of `adminref bench-service`
-//! and the `service_throughput` bench, which compare group-commit
-//! against per-call writer locking.
+//! every command forces the full write cost (WAL, `ReachIndex` update,
+//! epoch publication). It is the input of the benchmark's `wire_write`
+//! workload.
 
 use adminref_core::ids::{Entity, Perm, RoleId, UserId};
 use adminref_core::policy::Policy;
@@ -686,9 +677,8 @@ pub struct TrickleWorkload {
 /// a thousands-of-roles layered hierarchy whose write traffic is a
 /// stream of **single-edge batches** — the worst case for a publisher
 /// that re-derives the whole read index per batch, and the showcase for
-/// delta-maintained publication (`adminref bench-monitor`'s
-/// publish-latency cells and the `snapshot_delta` criterion bench both
-/// run it).
+/// delta-maintained publication (the benchmark's `admission_trickle`
+/// workload and `tests/snapshot_delta.rs` both run it).
 ///
 /// UA toggles flip a dedicated `(trickle_user, role)` membership; RH
 /// toggles flip an extra cross-layer role edge that always points to a
@@ -763,68 +753,6 @@ pub fn wide_universe_trickle(spec: TrickleSpec) -> TrickleWorkload {
         admin,
         batches,
     }
-}
-
-/// Shape of a [`multi_tenant_churn`] scenario.
-#[derive(Clone, Copy, Debug)]
-pub struct MultiTenantSpec {
-    /// Number of tenants to stamp out.
-    pub tenants: usize,
-    /// The per-tenant churn shape (each tenant gets a distinct seed
-    /// derived from `churn.seed` and its index).
-    pub churn: ChurnSpec,
-}
-
-impl Default for MultiTenantSpec {
-    fn default() -> Self {
-        MultiTenantSpec {
-            tenants: 4,
-            churn: ChurnSpec::default(),
-        }
-    }
-}
-
-/// One tenant of a [`multi_tenant_churn`] workload.
-#[derive(Debug)]
-pub struct TenantWorkload {
-    /// The tenant id (valid for `ServiceRouter` routing: `tenant0`,
-    /// `tenant1`, …).
-    pub id: String,
-    /// The tenant's own churn workload (independent universe/policy).
-    pub workload: ChurnWorkload,
-}
-
-/// A generated multi-tenant workload: `tenants` fully independent
-/// churn workloads, deterministic in `spec`.
-#[derive(Debug)]
-pub struct MultiTenantWorkload {
-    /// The tenants, in id order.
-    pub tenants: Vec<TenantWorkload>,
-}
-
-/// Derives tenant `index`'s seed from a base seed — the shared mixing
-/// rule for every multi-tenant workload (scenario generators and
-/// benches must agree on it, or "tenant i" means different workloads
-/// in different tools).
-pub fn tenant_seed(base: u64, index: usize) -> u64 {
-    base.wrapping_add(index as u64)
-        .wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-/// Builds `spec.tenants` independent [`churn`] workloads with
-/// per-tenant seeds, for routers serving many policies in one process.
-pub fn multi_tenant_churn(spec: MultiTenantSpec) -> MultiTenantWorkload {
-    assert!(spec.tenants >= 1, "need at least one tenant");
-    let tenants = (0..spec.tenants)
-        .map(|i| TenantWorkload {
-            id: format!("tenant{i}"),
-            workload: churn(ChurnSpec {
-                seed: tenant_seed(spec.churn.seed, i),
-                ..spec.churn
-            }),
-        })
-        .collect();
-    MultiTenantWorkload { tenants }
 }
 
 #[cfg(test)]
@@ -1134,31 +1062,6 @@ mod tests {
         }
         assert!(saw_rh, "the mix includes RH toggles");
         assert_eq!(policy.edge_count(), w.policy.edge_count());
-    }
-
-    #[test]
-    fn multi_tenant_churn_is_deterministic_and_independent() {
-        let spec = MultiTenantSpec {
-            tenants: 3,
-            churn: ChurnSpec {
-                roles: 32,
-                readers: 4,
-                batch_len: 8,
-                batches: 2,
-                ..ChurnSpec::default()
-            },
-        };
-        let a = multi_tenant_churn(spec);
-        let b = multi_tenant_churn(spec);
-        assert_eq!(a.tenants.len(), 3);
-        assert_eq!(a.tenants[0].id, "tenant0");
-        for (ta, tb) in a.tenants.iter().zip(&b.tenants) {
-            assert_eq!(ta.id, tb.id);
-            assert_eq!(ta.workload.batches, tb.workload.batches);
-        }
-        // Per-tenant seeds differ, so tenants are genuinely distinct
-        // workloads, not copies.
-        assert_ne!(a.tenants[0].workload.batches, a.tenants[1].workload.batches);
     }
 
     #[test]

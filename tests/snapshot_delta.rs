@@ -12,8 +12,7 @@
 //! 2. **Monitor chain** — drive two `ReferenceMonitor`s (one pinned to
 //!    `PublishMode::Incremental`, one to `PublishMode::FullRebuild`)
 //!    through identical batches and compare the published snapshots
-//!    after every batch. This is exactly the differential CI runs
-//!    process-wide via `ADMINREF_PUBLISH_MODE=full`.
+//!    after every batch.
 
 use adminref_core::prelude::*;
 use adminref_monitor::{MonitorConfig, ReferenceMonitor};
@@ -292,13 +291,37 @@ fn trickle_chain_stays_incremental_and_identical() {
     // Toggles are acyclic by construction, so the only rebuilds are the
     // removal cost heuristic tripping — on a hierarchy this small the
     // fan-out cap is tight, but the incremental path must still carry
-    // the bulk of the publishes (at production widths it carries all of
-    // them; the perf-smoke bench asserts 0 fallbacks indirectly via the
-    // speedup floor).
+    // the bulk of the publishes (at production width it carries all of
+    // them: `production_width_trickle_never_falls_back` below).
     assert!(
         full * 4 <= incremental,
         "fallbacks must be a small minority: {incremental} incremental vs {full} full"
     );
+}
+
+/// At 2048 roles (the benchmark's width) the fan-out cap has room: two
+/// full toggle cycles (every grant, then every revoke, twice) publish
+/// without a single fallback rebuild. This is the count behind the
+/// benchmark's `monitor.incremental_share @ admission_trickle` reading
+/// exactly 1.
+#[test]
+fn production_width_trickle_never_falls_back() {
+    let w = wide_universe_trickle(TrickleSpec {
+        roles: 2048,
+        ..TrickleSpec::default()
+    });
+    let m = ReferenceMonitor::new(
+        w.universe,
+        w.policy,
+        MonitorConfig {
+            publish_mode: PublishMode::Incremental,
+            ..MonitorConfig::default()
+        },
+    );
+    for batch in w.batches.iter().cycle().take(w.batches.len() * 2) {
+        m.submit_batch(batch).unwrap();
+    }
+    assert_eq!(m.publish_counts(), (2 * w.batches.len() as u64, 0));
 }
 
 /// Cycle-forming batches take the rebuild fallback and still agree.
