@@ -1,8 +1,10 @@
 //! Wire-codec conformance: golden bytes pinning codec == fixture ==
-//! spec, re-encode round-trips over every `Request`/`Response`/
-//! `ServiceError` variant, and adversarial frames (truncated,
-//! oversized, bad magic, future version, mutated payloads) decoding to
-//! typed errors — never panics.
+//! spec for every sample below (one or more per `Request`/`Response`/
+//! `ServiceError` variant and replication payload), the spec's tag
+//! tables checked against the codec, re-encode round-trips, and
+//! adversarial frames (truncated, oversized, bad magic, future version,
+//! hostile list counts, mutated payloads) decoding to typed errors —
+//! never panics.
 
 use adminref_core::admission::{
     AdmissionReport, ConstraintSet, EdgeStatus, ImpactReport, PermFlip, StatusChange,
@@ -24,6 +26,7 @@ use adminref_service::protocol::{
 use adminref_service::wire::{
     self, FrameHeader, FrameKind, WireError, HEADER_LEN, MAX_PAYLOAD, WIRE_VERSION,
 };
+use adminref_store::codec::{get_varint, put_varint, CodecError};
 use adminref_store::RecoveryReport;
 use adminref_workloads::{layered, populate_perms, populate_users, LayeredSpec};
 use proptest::prelude::*;
@@ -321,8 +324,8 @@ fn all_responses() -> Vec<Response> {
     ]
 }
 
-/// One instance of every error variant (Backend handled separately:
-/// its encoding is deliberately lossy).
+/// One instance of every error variant but `Backend`, whose encoding
+/// is deliberately lossy ([`backend_error`] is its sample).
 fn all_errors() -> Vec<ServiceError> {
     vec![
         ServiceError::UnknownSession(SessionId::from_raw(5)),
@@ -372,6 +375,152 @@ fn all_errors() -> Vec<ServiceError> {
     ]
 }
 
+/// The `Backend` sample: it crosses as its display string, so it is
+/// pinned and decoded but not expected to re-encode to itself.
+fn backend_error() -> ServiceError {
+    ServiceError::Backend {
+        applied: vec![adminref_core::transition::StepOutcome {
+            authorization: None,
+            changed: false,
+        }],
+        error: adminref_store::StoreError::Io(std::io::Error::other("disk full")),
+    }
+}
+
+/// The three replication payloads as `(name, frame kind, payload)`.
+fn repl_payloads() -> Vec<(&'static str, FrameKind, Vec<u8>)> {
+    let deltas = [
+        EdgeDelta {
+            edge: Edge::UserRole(UserId::from_index(1), RoleId::from_index(3)),
+            added: true,
+        },
+        EdgeDelta {
+            edge: Edge::RolePriv(RoleId::from_index(0), PrivId::from_index(2)),
+            added: false,
+        },
+    ];
+    vec![
+        (
+            "ReplSubscribe",
+            FrameKind::ReplSubscribe,
+            wire::encode_repl_subscribe(7, None),
+        ),
+        (
+            "ReplSubscribe",
+            FrameKind::ReplSubscribe,
+            wire::encode_repl_subscribe(7, Some(300)),
+        ),
+        (
+            "ReplSnapshot",
+            FrameKind::ReplSnapshot,
+            wire::encode_repl_snapshot(3, 42, &[0xde, 0xad, 0xbe, 0xef]),
+        ),
+        (
+            "ReplDelta",
+            FrameKind::ReplDelta,
+            wire::encode_repl_delta(3, 43, &deltas, 0xFEED_FACE_0000_1111),
+        ),
+        (
+            "ReplDelta",
+            FrameKind::ReplDelta,
+            wire::encode_repl_delta(0, 0, &[], 0),
+        ),
+    ]
+}
+
+// The three name functions are exhaustive on purpose: a new variant
+// fails to compile here until it is named, and then
+// `spec_tag_tables_match_the_codec` fails until it has a sample (and
+// with it a fixture line) and a spec row.
+
+fn request_name(req: &Request) -> &'static str {
+    match req {
+        Request::CheckAccess { .. } => "CheckAccess",
+        Request::CreateSession { .. } => "CreateSession",
+        Request::ActivateRole { .. } => "ActivateRole",
+        Request::DeactivateRole { .. } => "DeactivateRole",
+        Request::DropSession { .. } => "DropSession",
+        Request::Submit { .. } => "Submit",
+        Request::AnalyzeReach { .. } => "AnalyzeReach",
+        Request::CheckRefinement { .. } => "CheckRefinement",
+        Request::AuditTail { .. } => "AuditTail",
+        Request::AuditSince { .. } => "AuditSince",
+        Request::Version => "Version",
+        Request::Stats => "Stats",
+        Request::Compact => "Compact",
+        Request::Lint { .. } => "Lint",
+        Request::Promote => "Promote",
+        Request::Analyze { .. } => "Analyze",
+        Request::SetConstraints { .. } => "SetConstraints",
+        Request::GetConstraints => "GetConstraints",
+    }
+}
+
+fn response_name(resp: &Response) -> &'static str {
+    match resp {
+        Response::Access(_) => "Access",
+        Response::SessionCreated(_) => "SessionCreated",
+        Response::RoleActivated => "RoleActivated",
+        Response::RoleDeactivated(_) => "RoleDeactivated",
+        Response::SessionDropped(_) => "SessionDropped",
+        Response::Outcomes(_) => "Outcomes",
+        Response::Reach(_) => "Reach",
+        Response::Refinement(_) => "Refinement",
+        Response::Audit(_) => "Audit",
+        Response::Version(_) => "Version",
+        Response::Stats(_) => "Stats",
+        Response::Compacted => "Compacted",
+        Response::Lint(_) => "Lint",
+        Response::Promoted { .. } => "Promoted",
+        Response::Impact(_) => "Impact",
+        Response::Constraints(_) => "Constraints",
+    }
+}
+
+fn error_name(err: &ServiceError) -> &'static str {
+    match err {
+        ServiceError::UnknownSession(_) => "UnknownSession",
+        ServiceError::Session(SessionError::ActivationDenied { .. }) => "ActivationDenied",
+        ServiceError::Backend { .. } => "Backend",
+        ServiceError::Aborted => "Aborted",
+        ServiceError::ForeignPolicy => "ForeignPolicy",
+        ServiceError::InvalidTenant(_) => "InvalidTenant",
+        ServiceError::UnknownTenant(_) => "UnknownTenant",
+        ServiceError::Recovery { .. } => "Recovery",
+        ServiceError::Protocol { .. } => "Protocol",
+        ServiceError::Transport { .. } => "Transport",
+        ServiceError::ReadOnly => "ReadOnly",
+        ServiceError::Admission(_) => "Admission",
+    }
+}
+
+/// Every sample above as `(family, variant name, frame kind, payload)`.
+fn sample_payloads() -> Vec<(&'static str, &'static str, FrameKind, Vec<u8>)> {
+    let (_, policy) = test_world();
+    let mut out = Vec::new();
+    for req in all_requests(&policy) {
+        let payload = wire::encode_request(&req);
+        out.push(("request", request_name(&req), FrameKind::Request, payload));
+    }
+    for resp in all_responses() {
+        let payload = wire::encode_response(&resp);
+        out.push((
+            "response",
+            response_name(&resp),
+            FrameKind::Response,
+            payload,
+        ));
+    }
+    for err in all_errors().iter().chain([&backend_error()]) {
+        let payload = wire::encode_error(err);
+        out.push(("error", error_name(err), FrameKind::Error, payload));
+    }
+    for (name, kind, payload) in repl_payloads() {
+        out.push(("repl", name, kind, payload));
+    }
+    out
+}
+
 // ----- golden bytes ----------------------------------------------------
 
 fn repo_path(rel: &str) -> std::path::PathBuf {
@@ -390,9 +539,10 @@ fn frame_bytes(kind: FrameKind, id: u64, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The fixture's frames, re-encoded from live code. Names must match
-/// `fixtures/wire_golden.hex`; the hex must also appear (whitespace
-/// insignificant) in `specs/wire_protocol.md`.
+/// The spec's eleven worked examples (§8), re-encoded from live code.
+/// They open `fixtures/wire_golden.hex` under these names, and their
+/// hex must also appear (whitespace insignificant) in
+/// `specs/wire_protocol.md`.
 fn golden_frames() -> Vec<(&'static str, Vec<u8>)> {
     vec![
         (
@@ -538,6 +688,22 @@ fn golden_frames() -> Vec<(&'static str, Vec<u8>)> {
     ]
 }
 
+/// Every frame the fixture pins, in fixture order: the worked examples,
+/// then one frame per sample named `family.Variant.n` (`n` counts that
+/// variant's samples), all with request id 0.
+fn pinned_frames() -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<(String, Vec<u8>)> = golden_frames()
+        .into_iter()
+        .map(|(name, bytes)| (name.to_string(), bytes))
+        .collect();
+    for (family, variant, kind, payload) in sample_payloads() {
+        let prefix = format!("{family}.{variant}.");
+        let nth = out.iter().filter(|(n, _)| n.starts_with(&prefix)).count();
+        out.push((format!("{prefix}{nth}"), frame_bytes(kind, 0, &payload)));
+    }
+    out
+}
+
 /// Regeneration helper, not a check: prints the live frames in fixture
 /// format. When the protocol legitimately changes, run
 /// `cargo test -p adminref-suite --test wire_codec -- --ignored --nocapture`
@@ -546,13 +712,46 @@ fn golden_frames() -> Vec<(&'static str, Vec<u8>)> {
 #[test]
 #[ignore = "regeneration helper for fixtures/wire_golden.hex"]
 fn print_golden_fixture() {
-    for (name, bytes) in golden_frames() {
+    for (name, bytes) in pinned_frames() {
         println!("{name} {}", hex(&bytes));
     }
 }
 
+/// Decodes a frame's payload by its kind and encodes the result again.
+/// `Backend` is the one payload that does not come back byte-identical
+/// (its error crosses as a display string), so it is checked by value.
+fn reencode(frame: &wire::Frame, universe: &Universe) -> Result<Vec<u8>, WireError> {
+    Ok(match frame.kind {
+        FrameKind::Request => {
+            wire::encode_request(&wire::decode_request(&frame.payload, universe)?)
+        }
+        FrameKind::Response => wire::encode_response(&wire::decode_response(&frame.payload)?),
+        FrameKind::Error => match wire::decode_error(&frame.payload)? {
+            ServiceError::Backend { applied, error } => {
+                assert_eq!(applied.len(), 1);
+                assert!(error.to_string().contains("disk full"));
+                frame.payload.clone()
+            }
+            err => wire::encode_error(&err),
+        },
+        FrameKind::ReplSubscribe => {
+            let (term, last_applied) = wire::decode_repl_subscribe(&frame.payload)?;
+            wire::encode_repl_subscribe(term, last_applied)
+        }
+        FrameKind::ReplSnapshot => {
+            let (term, epoch, state) = wire::decode_repl_snapshot(&frame.payload)?;
+            wire::encode_repl_snapshot(term, epoch, &state)
+        }
+        FrameKind::ReplDelta => {
+            let d = wire::decode_repl_delta(&frame.payload)?;
+            wire::encode_repl_delta(d.term, d.epoch, &d.deltas, d.checksum)
+        }
+    })
+}
+
 #[test]
 fn golden_bytes_pin_codec_fixture_and_spec() {
+    let (uni, _) = test_world();
     let fixture = std::fs::read_to_string(repo_path("fixtures/wire_golden.hex"))
         .expect("fixtures/wire_golden.hex");
     let spec = std::fs::read_to_string(repo_path("specs/wire_protocol.md"))
@@ -569,13 +768,14 @@ fn golden_bytes_pin_codec_fixture_and_spec() {
         pinned.push((name, hex.trim()));
     }
 
-    let live = golden_frames();
+    let live = pinned_frames();
     assert_eq!(
-        live.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
+        live.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>(),
         pinned.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
-        "fixture frame names disagree with golden_frames()"
+        "fixture frame names disagree with pinned_frames()"
     );
-    for ((name, bytes), (_, fixture_hex)) in live.iter().zip(&pinned) {
+    let worked_examples = golden_frames().len();
+    for (i, ((name, bytes), (_, fixture_hex))) in live.iter().zip(&pinned).enumerate() {
         let live_hex = hex(bytes);
         assert_eq!(
             &live_hex, fixture_hex,
@@ -583,11 +783,114 @@ fn golden_bytes_pin_codec_fixture_and_spec() {
              (protocol change without a fixture + spec + WIRE_VERSION update?)"
         );
         assert!(
-            spec_stripped.contains(&live_hex),
+            i >= worked_examples || spec_stripped.contains(&live_hex),
             "frame `{name}` ({live_hex}) not found in specs/wire_protocol.md \
              — the spec's worked examples have drifted from the codec"
         );
+        let frame = wire::read_frame(&mut bytes.as_slice())
+            .unwrap_or_else(|e| panic!("frame `{name}` does not parse: {e}"))
+            .expect("one frame");
+        let back = reencode(&frame, &uni)
+            .unwrap_or_else(|e| panic!("frame `{name}` does not decode: {e}"));
+        assert_eq!(
+            hex(&back),
+            hex(&frame.payload),
+            "frame `{name}` does not decode and re-encode to itself"
+        );
     }
+}
+
+/// The `| tag | Variant | …` rows of the table under the spec heading
+/// that starts with `section`.
+fn spec_tag_rows(spec: &str, section: &str) -> Vec<(u64, String)> {
+    spec.lines()
+        .skip_while(|l| !l.starts_with(section))
+        .skip(1)
+        .take_while(|l| !l.starts_with("## "))
+        .filter_map(|l| {
+            let mut cells = l.strip_prefix('|')?.split('|');
+            let tag = cells.next()?.trim().parse().ok()?;
+            Some((tag, cells.next()?.trim().to_string()))
+        })
+        .collect()
+}
+
+/// What the retired `doc-freshness` CI lane grepped for, for every tag
+/// instead of three: the spec's three tag tables and its frame-kind row
+/// agree with the codec.
+#[test]
+fn spec_tag_tables_match_the_codec() {
+    let (uni, _) = test_world();
+    let spec = std::fs::read_to_string(repo_path("specs/wire_protocol.md"))
+        .expect("specs/wire_protocol.md");
+    let samples = sample_payloads();
+
+    type DecodeErr<'a> = &'a dyn Fn(&[u8]) -> Option<WireError>;
+    let families: [(&str, &str, DecodeErr); 3] = [
+        ("request", "## 5. Request payloads", &|p| {
+            wire::decode_request(p, &uni).err()
+        }),
+        ("response", "## 6. Response payloads", &|p| {
+            wire::decode_response(p).err()
+        }),
+        ("error", "## 7. Error payloads", &|p| {
+            wire::decode_error(p).err()
+        }),
+    ];
+    for (family, section, decode_err) in families {
+        let rows = spec_tag_rows(&spec, section);
+        let mut sampled: Vec<&str> = Vec::new();
+        for (_, variant, _, payload) in samples.iter().filter(|s| s.0 == family) {
+            let tag = get_varint(&mut payload.as_slice()).expect("leading tag");
+            assert!(
+                rows.contains(&(tag, variant.to_string())),
+                "{section}: no `| {tag} | {variant} |` row in specs/wire_protocol.md"
+            );
+            if !sampled.contains(variant) {
+                sampled.push(variant);
+            }
+        }
+        // The codec's variant count: the tags it does not answer with
+        // an unknown-tag error (a known tag alone is a short payload).
+        let known = (0u8..128)
+            .filter(|tag| {
+                !matches!(decode_err(&[*tag]), Some(WireError::BadTag { what, .. }) if what == family)
+            })
+            .count();
+        assert_eq!(rows.len(), known, "{section}: spec rows vs codec tags");
+        assert_eq!(
+            sampled.len(),
+            known,
+            "{family}: a variant has no sample in this file"
+        );
+    }
+
+    let kind_row = spec
+        .lines()
+        .find(|l| l.contains("| kind "))
+        .expect("frame header table has a kind row");
+    let kinds = [
+        (FrameKind::Request, "request"),
+        (FrameKind::Response, "response"),
+        (FrameKind::Error, "error"),
+        (FrameKind::ReplSubscribe, "repl-subscribe"),
+        (FrameKind::ReplSnapshot, "repl-snapshot"),
+        (FrameKind::ReplDelta, "repl-delta"),
+    ];
+    for (kind, name) in kinds {
+        let header = FrameHeader {
+            kind,
+            payload_len: 0,
+            request_id: 0,
+        };
+        let entry = format!("`{:02x}` {name}", header.encode()[5]);
+        assert!(kind_row.contains(&entry), "kind row lacks {entry}");
+    }
+    assert_eq!(
+        kind_row.matches('`').count(),
+        2 * kinds.len(),
+        "kind row names a frame kind the codec does not have"
+    );
 }
 
 #[test]
@@ -683,14 +986,7 @@ fn replication_payloads_round_trip() {
 
 #[test]
 fn backend_error_crosses_as_display_string() {
-    let err = ServiceError::Backend {
-        applied: vec![adminref_core::transition::StepOutcome {
-            authorization: None,
-            changed: false,
-        }],
-        error: adminref_store::StoreError::Io(std::io::Error::other("disk full")),
-    };
-    let back = wire::decode_error(&wire::encode_error(&err)).expect("decodes");
+    let back = wire::decode_error(&wire::encode_error(&backend_error())).expect("decodes");
     match back {
         ServiceError::Backend { applied, error } => {
             assert_eq!(applied.len(), 1);
@@ -820,23 +1116,61 @@ fn out_of_range_ids_are_refused_at_the_boundary() {
     ));
 }
 
+/// A declared element count of 2^40 with nothing behind it: the list
+/// decoder reserves at most its clamp, then the first element hits the
+/// end of the payload — a typed error, not a terabyte allocation.
+#[test]
+fn hostile_list_counts_hit_eof_not_the_allocator() {
+    let (uni, _) = test_world();
+    let hostile = |prefix: &[u8]| {
+        let mut payload = prefix.to_vec();
+        put_varint(&mut payload, 1 << 40);
+        payload
+    };
+    let eof = WireError::Codec(CodecError::UnexpectedEof);
+    // Request tags 5 Submit, 13 Lint (the list is the first field).
+    for tag in [5, 13] {
+        assert_eq!(
+            wire::decode_request(&hostile(&[tag]), &uni).err(),
+            Some(eof.clone())
+        );
+    }
+    // Response tags 5 Outcomes, 8 Audit, 14 Impact (list first), and
+    // 12 Lint (two counters, then the findings).
+    for prefix in [&[5u8][..], &[8], &[14], &[12, 0, 0]] {
+        assert_eq!(
+            wire::decode_response(&hostile(prefix)).err(),
+            Some(eof.clone())
+        );
+    }
+    // Error tag 11 Admission.
+    assert_eq!(wire::decode_error(&hostile(&[11])).err(), Some(eof.clone()));
+    // repl-delta: term, epoch, then the deltas.
+    assert_eq!(wire::decode_repl_delta(&hostile(&[1, 1])).err(), Some(eof));
+}
+
 // ----- mutation fuzzing ------------------------------------------------
 
+/// Overwrites the byte at `pos` (modulo the length) with `byte`.
+fn corrupt(mut bytes: Vec<u8>, pos: usize, byte: u8) -> Vec<u8> {
+    if !bytes.is_empty() {
+        let at = pos % bytes.len();
+        bytes[at] = byte;
+    }
+    bytes
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Any single-byte corruption of any valid request payload decodes
     /// to Ok or a typed error — never a panic, and trailing bytes never
     /// survive silently.
     #[test]
-    fn mutated_request_payloads_never_panic(which in 0usize..16, pos in 0usize..64, byte in 0usize..256) {
+    fn mutated_request_payloads_never_panic(which in any::<usize>(), pos in any::<usize>(), byte in any::<u8>()) {
         let (uni, policy) = test_world();
         let reqs = all_requests(&policy);
-        let mut bytes = wire::encode_request(&reqs[which % reqs.len()]);
-        if !bytes.is_empty() {
-            let at = pos % bytes.len();
-            bytes[at] = byte as u8;
-        }
+        let bytes = corrupt(wire::encode_request(&reqs[which % reqs.len()]), pos, byte);
         // Either outcome is fine; reaching this line without a panic
         // (and without unbounded allocation) is the property.
         let _ = wire::decode_request(&bytes, &uni);
@@ -844,15 +1178,36 @@ proptest! {
 
     /// Same for response payloads, including truncation at every depth.
     #[test]
-    fn mutated_response_payloads_never_panic(which in 0usize..16, cut in 0usize..64, byte in 0usize..256) {
+    fn mutated_response_payloads_never_panic(which in any::<usize>(), cut in any::<usize>(), byte in any::<u8>()) {
         let resps = all_responses();
         let mut bytes = wire::encode_response(&resps[which % resps.len()]);
         let keep = cut % (bytes.len() + 1);
         bytes.truncate(keep);
         if let Some(last) = bytes.last_mut() {
-            *last = byte as u8;
+            *last = byte;
         }
         let _ = wire::decode_response(&bytes);
+    }
+
+    /// Same for error and replication payloads, corrupted or cut short.
+    #[test]
+    fn mutated_error_and_replication_payloads_never_panic(which in any::<usize>(), pos in any::<usize>(), byte in any::<u8>(), cut in any::<bool>()) {
+        let samples: Vec<_> = sample_payloads()
+            .into_iter()
+            .filter(|s| s.0 == "error" || s.0 == "repl")
+            .collect();
+        let (_, _, kind, payload) = &samples[which % samples.len()];
+        let mut bytes = corrupt(payload.clone(), pos, byte);
+        if cut {
+            bytes.truncate(pos % (bytes.len() + 1));
+        }
+        match kind {
+            FrameKind::Error => drop(wire::decode_error(&bytes)),
+            FrameKind::ReplSubscribe => drop(wire::decode_repl_subscribe(&bytes)),
+            FrameKind::ReplSnapshot => drop(wire::decode_repl_snapshot(&bytes)),
+            FrameKind::ReplDelta => drop(wire::decode_repl_delta(&bytes)),
+            FrameKind::Request | FrameKind::Response => unreachable!("filtered above"),
+        }
     }
 
     /// Random 20-byte headers parse to a typed result, never a panic.
