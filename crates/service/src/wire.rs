@@ -16,11 +16,24 @@
 //! * **Payload** = a varint variant tag followed by the variant's
 //!   fields, reusing [`adminref_store::codec`] primitives (varints,
 //!   length-prefixed UTF-8 strings, edge/command/policy encodings).
+//!   A message's layout lives in one place: its `tag => Variant
+//!   { fields }` row in the `Request`, `Response` or `ServiceError`
+//!   table in this file, which reads like the row of the same tag in the
+//!   spec. Encoder and decoder both come from that row; each field is
+//!   written by its type's one layout (a primitive, the one option
+//!   rule, the one list rule with its allocation bound, or a struct's
+//!   own row).
 //! * **Errors are typed, never panics.** Every malformed input —
 //!   truncated frame, bad magic, future version, unknown tag, trailing
 //!   bytes, out-of-range id — decodes to a [`WireError`] variant; the
 //!   daemon answers with an error frame or drops the connection, and a
 //!   fuzzing client cannot take the server down.
+//!
+//! A new message needs three things: a row in its table here, the row
+//! of the same tag in the spec's table, and a line in
+//! `fixtures/wire_golden.hex` (with a sample in `tests/wire_codec.rs`
+//! to print it from). The tests fail until all three agree. Existing
+//! rows do not move: a changed row is a [`WIRE_VERSION`] bump.
 //!
 //! Ids on the wire are raw interning indices, valid only against the
 //! serving store's universe: client and server must be built from the
@@ -64,8 +77,10 @@
 
 use std::io::{self, Read, Write};
 
-use adminref_core::admission::{AdmissionReport, EdgeStatus, ImpactReport, PermFlip, StatusChange};
-use adminref_core::command::CommandQueue;
+use adminref_core::admission::{
+    AdmissionReport, ConstraintSet, EdgeStatus, ImpactReport, PermFlip, StatusChange,
+};
+use adminref_core::command::{Command, CommandQueue};
 use adminref_core::ids::{ActionId, Entity, ObjectId, Perm, PrivId, RoleId, UserId};
 use adminref_core::lint::{Confirmation, Finding, FindingKind, LintReport, Severity};
 use adminref_core::ordering::OrderingMode;
@@ -93,7 +108,7 @@ pub const WIRE_MAGIC: [u8; 4] = *b"ARFW";
 
 /// The wire protocol version this build speaks. Bump on any change to
 /// the frame layout or a variant encoding; `specs/wire_protocol.md`
-/// must name the same number (CI greps for it).
+/// must name the same number (`tests/wire_codec.rs` checks it).
 ///
 /// Version history: 1 = the original request/response protocol; 2 =
 /// replication (the `Version` response gained the state checksum,
@@ -448,401 +463,519 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> ReadFull {
     ReadFull::Done
 }
 
-// ----- small encoding helpers ------------------------------------------
+// ----- the payload codec: one `Wire` impl per layout ---------------------
 
-fn take_u8(buf: &mut impl Buf) -> Result<u8, WireError> {
-    if !buf.has_remaining() {
-        return Err(CodecError::UnexpectedEof.into());
+/// One wire layout, stated once: `put` appends a value's encoding,
+/// `take` reads it back off the front of the buffer and advances past
+/// it. Everything below is an impl of this trait — by hand for the
+/// primitives, the generic containers and the few layouts that are not
+/// field-by-field, by `wire_struct!` and `wire_enum!` for the rest —
+/// so a message's layout is the order of the names in its table row.
+trait Wire: Sized {
+    fn put(&self, buf: &mut Vec<u8>);
+    fn take(buf: &mut &[u8]) -> Result<Self, WireError>;
+}
+
+fn bad_tag(what: &'static str, tag: impl Into<u64>) -> WireError {
+    WireError::BadTag {
+        what,
+        tag: tag.into(),
     }
-    Ok(buf.get_u8())
 }
 
-fn take_bool(buf: &mut impl Buf) -> Result<bool, WireError> {
-    match take_u8(buf)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(WireError::BadTag {
-            what: "bool",
-            tag: u64::from(other),
-        }),
+/// One raw byte: the tag of the nested enums (the spec's `u8`).
+impl Wire for u8 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.put_u8(*self);
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+        if !buf.has_remaining() {
+            return Err(CodecError::UnexpectedEof.into());
+        }
+        Ok(buf.get_u8())
     }
 }
 
-fn put_bool(buf: &mut impl BufMut, b: bool) {
-    buf.put_u8(u8::from(b));
+/// LEB128 varint — every integer on the wire except a checksum.
+impl Wire for u64 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_varint(buf, *self);
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(get_varint(buf)?)
+    }
 }
 
-fn take_usize(buf: &mut impl Buf) -> Result<usize, WireError> {
-    let v = get_varint(buf)?;
-    usize::try_from(v).map_err(|_| WireError::Codec(CodecError::VarintOverflow))
+/// A varint that must fit the narrower type; one that does not is a
+/// typed overflow, never a truncation.
+macro_rules! wire_narrow_varint {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                put_varint(buf, *self as u64);
+            }
+            fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+                <$ty>::try_from(get_varint(buf)?)
+                    .map_err(|_| WireError::Codec(CodecError::VarintOverflow))
+            }
+        }
+    )*};
 }
+wire_narrow_varint!(usize, u32);
 
 /// Fixed 8-byte little-endian u64 — used for state checksums, which are
 /// uniformly distributed and would waste space as varints.
-fn take_u64_le(buf: &mut impl Buf) -> Result<u64, WireError> {
-    if buf.remaining() < 8 {
-        return Err(CodecError::UnexpectedEof.into());
+struct Le64(u64);
+
+impl Wire for Le64 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.put_u64_le(self.0);
     }
-    Ok(buf.get_u64_le())
-}
-
-fn ensure_consumed(buf: &impl Buf) -> Result<(), WireError> {
-    if buf.has_remaining() {
-        Err(WireError::TrailingBytes {
-            extra: buf.remaining(),
-        })
-    } else {
-        Ok(())
-    }
-}
-
-fn put_perm(buf: &mut impl BufMut, perm: Perm) {
-    put_varint(buf, perm.action.index() as u64);
-    put_varint(buf, perm.object.index() as u64);
-}
-
-fn take_perm(buf: &mut impl Buf) -> Result<Perm, WireError> {
-    let action = ActionId::from_index(take_usize(buf)?);
-    let object = ObjectId::from_index(take_usize(buf)?);
-    Ok(Perm { action, object })
-}
-
-fn put_entity(buf: &mut impl BufMut, entity: Entity) {
-    match entity {
-        Entity::User(u) => {
-            buf.put_u8(0);
-            put_varint(buf, u.index() as u64);
+    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+        if buf.remaining() < 8 {
+            return Err(CodecError::UnexpectedEof.into());
         }
-        Entity::Role(r) => {
-            buf.put_u8(1);
-            put_varint(buf, r.index() as u64);
+        Ok(Le64(buf.get_u64_le()))
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.put_u8(u8::from(*self));
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+        match u8::take(buf)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(bad_tag("bool", other)),
         }
     }
 }
 
-fn take_entity(buf: &mut impl Buf) -> Result<Entity, WireError> {
-    match take_u8(buf)? {
-        0 => Ok(Entity::User(UserId::from_index(take_usize(buf)?))),
-        1 => Ok(Entity::Role(RoleId::from_index(take_usize(buf)?))),
-        other => Err(WireError::BadTag {
-            what: "entity",
-            tag: u64::from(other),
-        }),
+impl Wire for String {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_string(buf, self);
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(get_string(buf)?)
     }
 }
 
-fn put_safety_config(buf: &mut impl BufMut, config: &SafetyConfig) {
-    put_varint(buf, config.max_steps as u64);
-    put_varint(buf, config.max_states as u64);
-    buf.put_u8(match config.auth_mode {
-        AuthMode::Explicit => 0,
-        AuthMode::Ordered(OrderingMode::Strict) => 1,
-        AuthMode::Ordered(OrderingMode::Extended) => 2,
-        AuthMode::Ordered(OrderingMode::ExtendedWithRevocation) => 3,
-    });
-    match config.weaker_depth {
-        None => buf.put_u8(0),
-        Some(d) => {
-            buf.put_u8(1);
-            put_varint(buf, u64::from(d));
+/// The one option rule: `00` absent, `01` present followed by the value.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            None => buf.put_u8(0),
+            Some(value) => {
+                buf.put_u8(1);
+                value.put(buf);
+            }
         }
     }
-    put_varint(buf, config.jobs as u64);
-    buf.put_u8(u8::from(config.escalate) | (u8::from(config.slice) << 1));
+    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+        match u8::take(buf)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::take(buf)?)),
+            other => Err(bad_tag("option", other)),
+        }
+    }
 }
 
-fn take_safety_config(buf: &mut impl Buf) -> Result<SafetyConfig, WireError> {
-    let max_steps = take_usize(buf)?;
-    let max_states = take_usize(buf)?;
-    let auth_mode = match take_u8(buf)? {
-        0 => AuthMode::Explicit,
-        1 => AuthMode::Ordered(OrderingMode::Strict),
-        2 => AuthMode::Ordered(OrderingMode::Extended),
-        3 => AuthMode::Ordered(OrderingMode::ExtendedWithRevocation),
-        other => {
-            return Err(WireError::BadTag {
-                what: "auth mode",
-                tag: u64::from(other),
-            })
+/// The one list rule: a varint element count, then that many elements.
+fn put_list<T: Wire>(items: &[T], buf: &mut Vec<u8>) {
+    items.len().put(buf);
+    for item in items {
+        item.put(buf);
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_list(self, buf);
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+        let n = usize::take(buf)?;
+        // The count is the peer's claim, not a fact. Reserving at most
+        // 4096 slots up front is the allocation bound against hostile
+        // counts: every element takes at least one byte, so a count the
+        // payload cannot back ends in `UnexpectedEof` after at most
+        // `payload.len()` pushes, whatever it announced.
+        let mut out = Vec::with_capacity(n.min(4096));
+        for _ in 0..n {
+            out.push(T::take(buf)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok((A::take(buf)?, B::take(buf)?))
+    }
+}
+
+/// Structs as a table of `Name { fields }` rows: a struct is its fields
+/// in row order, each by its own `Wire` impl. `field as Wrapper` sends
+/// the field through a one-field wrapper type instead, where the
+/// field's own type has a different layout from the one wanted.
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:tt $(as $via:ident)?),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                $( wire_struct!(@put buf, self.$field $(, $via)?); )*
+            }
+            fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+                Ok($ty { $( $field: wire_struct!(@take buf $(, $via)?) ),* })
+            }
+        }
+    )*};
+    (@put $buf:ident, $value:expr) => { $value.put($buf) };
+    (@put $buf:ident, $value:expr, $via:ident) => { $via($value).put($buf) };
+    (@take $buf:ident) => { Wire::take($buf)? };
+    (@take $buf:ident, $via:ident) => { $via::take($buf)?.0 };
+}
+
+/// A tagged enum as a table of `tag => Variant { fields }` rows: the
+/// tag (of type `$repr`: `u8` for nested enums, varint `u64` for the
+/// three message enums), then the named fields in row order, each by
+/// its own `Wire` impl; an unknown tag is `BadTag { what, .. }`. Both
+/// directions come from the one row. A row whose layout is not
+/// field-by-field spells both out after `=`.
+///
+/// The first form is `impl Wire`. The second is for the message enums:
+/// the same two functions as inherent items, with the buffer — and a
+/// decode context, for `Request` — named by the table so that a
+/// spelled-out row can use them, and optionally the variant names as a
+/// constant.
+macro_rules! wire_enum {
+    ($ty:ident: $repr:ty as $what:literal $rows:tt) => {
+        wire_enum!(@impl [impl Wire for $ty] $ty, $repr, $what, buf, [], $rows);
+    };
+    ($ty:ident: $repr:ty as $what:literal $(, names $names:ident)?,
+     |$buf:ident $(, $cx:ident: $cxty:ty)?| $rows:tt) => {
+        wire_enum!(@impl [impl $ty] $ty, $repr, $what, $buf, [$(, $cx: $cxty)?], $rows);
+        $( wire_enum!(@names $names, $rows); )?
+    };
+    (@impl [$($head:tt)*] $ty:ident, $repr:ty, $what:literal, $buf:ident, [$($cx:tt)*], {
+        $( $tag:tt => $variant:ident $({ $($f:ident),* })? $(( $($t:ident),* ))?
+           $(= { put: $put:expr, take: $take:expr })? ),* $(,)?
+    }) => {
+        $($head)* {
+            fn put(&self, $buf: &mut Vec<u8>) {
+                match self {$(
+                    $ty::$variant $({ $($f),* })? $(( $($t),* ))? => {
+                        <$repr as Wire>::put(&$tag, $buf);
+                        wire_enum!(@or [$($( $f.put($buf); )*)? $($( $t.put($buf); )*)?] $($put)?)
+                    }
+                )*}
+            }
+            fn take($buf: &mut &[u8] $($cx)*) -> Result<Self, WireError> {
+                Ok(match <$repr as Wire>::take($buf)? {
+                    $( $tag => wire_enum!(@or [
+                        $ty::$variant $({ $($f: Wire::take($buf)?),* })?
+                            $(( $(wire_enum!(@field $t, $buf)),* ))?
+                    ] $($take)?), )*
+                    other => return Err(bad_tag($what, other)),
+                })
+            }
         }
     };
-    let weaker_depth = match take_u8(buf)? {
-        0 => None,
-        1 => {
-            let d = get_varint(buf)?;
-            Some(u32::try_from(d).map_err(|_| WireError::Codec(CodecError::VarintOverflow))?)
-        }
-        other => {
-            return Err(WireError::BadTag {
-                what: "weaker-depth option",
-                tag: u64::from(other),
-            })
-        }
+    (@names $names:ident, {
+        $( $tag:tt => $variant:ident $({ $($f:ident),* })? $(( $($t:ident),* ))?
+           $(= $custom:tt)? ),* $(,)?
+    }) => {
+        const $names: &[&str] = &[$(stringify!($variant)),*];
     };
-    let jobs = take_usize(buf)?;
-    let flags = take_u8(buf)?;
-    if flags > 0b11 {
-        return Err(WireError::BadTag {
-            what: "safety-config flags",
-            tag: u64::from(flags),
+    (@or [$($row:tt)*]) => { { $($row)* } };
+    (@or [$($row:tt)*] $custom:expr) => { $custom };
+    (@field $name:ident, $buf:ident) => { Wire::take($buf)? };
+}
+
+// ----- ids and the store codec's types -----------------------------------
+
+// Ids travel as varints of their raw index; one past `u32` is a typed
+// overflow here, and one past the serving universe is refused by
+// `validate_request`.
+wire_struct! {
+    UserId { 0 }
+    RoleId { 0 }
+    PrivId { 0 }
+    ActionId { 0 }
+    ObjectId { 0 }
+    Perm { action, object }
+}
+
+impl Wire for SessionId {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.raw().put(buf);
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(SessionId::from_raw(u64::take(buf)?))
+    }
+}
+
+// Edges, commands and constraint sets keep the encoding of
+// `adminref_store::codec`, which the WAL shares.
+
+impl Wire for Edge {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_edge(buf, *self);
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(get_edge(buf)?)
+    }
+}
+
+impl Wire for Command {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_command(buf, self);
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(get_command(buf)?)
+    }
+}
+
+impl Wire for ConstraintSet {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_constraints(buf, self);
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(get_constraints(buf)?)
+    }
+}
+
+impl Wire for CommandQueue {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_list(self.commands(), buf);
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Vec::take(buf).map(CommandQueue::from_commands)
+    }
+}
+
+// ----- the nested types of requests, responses and errors ----------------
+
+wire_enum!(Entity: u8 as "entity" {
+    0 => User(id),
+    1 => Role(id),
+});
+wire_enum!(RefinementDirection: u8 as "refinement direction" {
+    0 => CandidateRefinesLive,
+    1 => LiveRefinesCandidate,
+});
+wire_enum!(ReachabilityAnswer: u8 as "reachability answer" {
+    0 => Reachable { witness },
+    1 => Unreachable,
+    2 => Unknown { truncation },
+});
+wire_enum!(Decision: u8 as "audit decision" {
+    0 => Refused,
+    1 => Executed { held, target },
+});
+wire_enum!(ReplicationRole: u8 as "replication role" {
+    0 => Primary,
+    1 => Replica,
+});
+wire_enum!(FindingKind: u8 as "finding kind" {
+    0 => DeadCommand,
+    1 => Unauthorizable,
+    2 => RedundantGrant,
+    3 => ShadowedGrant,
+    4 => NonMonotoneIsland,
+    5 => SodConflict,
+    6 => FrozenEdgeViolation,
+});
+wire_enum!(Severity: u8 as "severity" {
+    0 => Note,
+    1 => Warning,
+    2 => Error,
+});
+wire_enum!(EdgeStatus: u8 as "edge status" {
+    0 => Frozen,
+    1 => Volatile,
+    2 => Unreachable,
+});
+
+/// The ordering mode is folded into the auth-mode byte rather than
+/// nested behind it.
+impl Wire for AuthMode {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.put_u8(match self {
+            AuthMode::Explicit => 0,
+            AuthMode::Ordered(OrderingMode::Strict) => 1,
+            AuthMode::Ordered(OrderingMode::Extended) => 2,
+            AuthMode::Ordered(OrderingMode::ExtendedWithRevocation) => 3,
         });
     }
-    Ok(SafetyConfig {
-        max_steps,
-        max_states,
-        auth_mode,
-        weaker_depth,
-        jobs,
-        escalate: flags & 0b01 != 0,
-        slice: flags & 0b10 != 0,
-    })
-}
-
-fn put_outcome(buf: &mut impl BufMut, outcome: &StepOutcome) {
-    match outcome.authorization {
-        None => buf.put_u8(0),
-        Some(auth) => {
-            buf.put_u8(1);
-            put_varint(buf, auth.held.index() as u64);
-            put_varint(buf, auth.target.index() as u64);
-        }
-    }
-    put_bool(buf, outcome.changed);
-}
-
-fn take_outcome(buf: &mut impl Buf) -> Result<StepOutcome, WireError> {
-    let authorization = match take_u8(buf)? {
-        0 => None,
-        1 => {
-            let held = PrivId::from_index(take_usize(buf)?);
-            let target = PrivId::from_index(take_usize(buf)?);
-            Some(Authorization { held, target })
-        }
-        other => {
-            return Err(WireError::BadTag {
-                what: "authorization option",
-                tag: u64::from(other),
-            })
-        }
-    };
-    let changed = take_bool(buf)?;
-    Ok(StepOutcome {
-        authorization,
-        changed,
-    })
-}
-
-fn put_outcomes(buf: &mut impl BufMut, outcomes: &[StepOutcome]) {
-    put_varint(buf, outcomes.len() as u64);
-    for o in outcomes {
-        put_outcome(buf, o);
+    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(match u8::take(buf)? {
+            0 => AuthMode::Explicit,
+            1 => AuthMode::Ordered(OrderingMode::Strict),
+            2 => AuthMode::Ordered(OrderingMode::Extended),
+            3 => AuthMode::Ordered(OrderingMode::ExtendedWithRevocation),
+            other => return Err(bad_tag("auth mode", other)),
+        })
     }
 }
 
-fn take_outcomes(buf: &mut impl Buf) -> Result<Vec<StepOutcome>, WireError> {
-    let n = take_usize(buf)?;
-    let mut out = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        out.push(take_outcome(buf)?);
+/// Field by field up to `jobs`; the two booleans then share one flags
+/// byte (bit 0 escalate, bit 1 slice) whose higher bits must be zero.
+impl Wire for SafetyConfig {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.max_steps.put(buf);
+        self.max_states.put(buf);
+        self.auth_mode.put(buf);
+        self.weaker_depth.put(buf);
+        self.jobs.put(buf);
+        buf.put_u8(u8::from(self.escalate) | (u8::from(self.slice) << 1));
     }
-    Ok(out)
+    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+        let mut config = SafetyConfig {
+            max_steps: Wire::take(buf)?,
+            max_states: Wire::take(buf)?,
+            auth_mode: Wire::take(buf)?,
+            weaker_depth: Wire::take(buf)?,
+            jobs: Wire::take(buf)?,
+            escalate: false,
+            slice: false,
+        };
+        let flags = u8::take(buf)?;
+        if flags > 0b11 {
+            return Err(bad_tag("safety-config flags", flags));
+        }
+        config.escalate = flags & 0b01 != 0;
+        config.slice = flags & 0b10 != 0;
+        Ok(config)
+    }
+}
+
+/// A finding's `Option<Confirmation>`, folded into one byte (v3):
+/// `00` not applicable, `01` confirmed, `02` potential.
+struct ConfirmationByte(Option<Confirmation>);
+
+impl Wire for ConfirmationByte {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.put_u8(match self.0 {
+            None => 0,
+            Some(Confirmation::Confirmed) => 1,
+            Some(Confirmation::Potential) => 2,
+        });
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(ConfirmationByte(match u8::take(buf)? {
+            0 => None,
+            1 => Some(Confirmation::Confirmed),
+            2 => Some(Confirmation::Potential),
+            other => return Err(bad_tag("confirmation option", other)),
+        }))
+    }
+}
+
+// The spec's named layouts (outcome, stats, finding, lint-report,
+// impact-report, …), in its order.
+wire_struct! {
+    Authorization { held, target }
+    StepOutcome { authorization, changed }
+    Truncation { states, depth, cap_hit }
+    RefinementViolation { entity, perm }
+    RefinementReply { holds, total_violations, witnesses }
+    AuditEvent { seq, command, decision, changed }
+    VersionInfo { epoch, checksum as Le64 }
+    RecoveryReport { replayed, truncated_tail, divergent }
+    ReplicationStatus { role, term, last_applied_epoch, lag }
+    ServiceStats {
+        epoch, checksum as Le64, users, roles, edges, sessions, audit_retained,
+        forced_deactivations, analyses_run, analyses_indefinite, lints_run, lint_findings,
+        recovery, replication,
+    }
+    Finding { kind, severity, role, term, edge, confirmation as ConfirmationByte, message }
+    LintReport { rules_checked, closure_edges, findings }
+    EdgeDelta { edge, added }
+    PermFlip { user, term, now_granted }
+    StatusChange { edge, before, after }
+    ImpactReport {
+        outcomes, deltas, flipped, grow_only_before, grow_only_after, status_changes, findings,
+        severed_sessions,
+    }
+    AdmissionReport { findings, constraints_checked }
+}
+
+// ----- payload entry points ----------------------------------------------
+
+fn encode(put: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put(&mut buf);
+    buf
+}
+
+/// Runs `take` over a whole payload: bytes it leaves unread mean the
+/// frame length and the encoding disagree.
+fn decode<T>(
+    payload: &[u8],
+    take: impl FnOnce(&mut &[u8]) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let buf = &mut &payload[..];
+    let value = take(buf)?;
+    if buf.has_remaining() {
+        return Err(WireError::TrailingBytes {
+            extra: buf.remaining(),
+        });
+    }
+    Ok(value)
 }
 
 // ----- request payloads ------------------------------------------------
 
+// `specs/wire_protocol.md` §5, row for row.
+wire_enum!(Request: u64 as "request", |buf, universe: &Universe| {
+    0 => CheckAccess { session, perm },
+    1 => CreateSession { user },
+    2 => ActivateRole { session, role },
+    3 => DeactivateRole { session, role },
+    4 => DropSession { session },
+    5 => Submit { commands },
+    6 => AnalyzeReach { entity, perm, config },
+    // The candidate's encoding is universe-relative (the store's policy
+    // codec binds the edges it reads to a universe), so it cannot be a
+    // `Wire` field.
+    7 => CheckRefinement { candidate, direction, max_witnesses } = {
+        put: {
+            direction.put(buf);
+            max_witnesses.put(buf);
+            put_policy(buf, candidate);
+        },
+        take: Request::CheckRefinement {
+            direction: Wire::take(buf)?,
+            max_witnesses: Wire::take(buf)?,
+            candidate: get_policy(buf, universe)?,
+        }
+    },
+    8 => AuditTail { max },
+    9 => AuditSince { after, max },
+    10 => Version,
+    11 => Stats,
+    12 => Compact,
+    13 => Lint { sod_pairs },
+    14 => Promote,
+    15 => Analyze { commands },
+    16 => SetConstraints { constraints },
+    17 => GetConstraints,
+});
+
 /// Encodes a [`Request`] payload (tag + fields; no frame header).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let buf = &mut Vec::new();
-    match req {
-        Request::CheckAccess { session, perm } => {
-            put_varint(buf, 0);
-            put_varint(buf, session.raw());
-            put_perm(buf, *perm);
-        }
-        Request::CreateSession { user } => {
-            put_varint(buf, 1);
-            put_varint(buf, user.index() as u64);
-        }
-        Request::ActivateRole { session, role } => {
-            put_varint(buf, 2);
-            put_varint(buf, session.raw());
-            put_varint(buf, role.index() as u64);
-        }
-        Request::DeactivateRole { session, role } => {
-            put_varint(buf, 3);
-            put_varint(buf, session.raw());
-            put_varint(buf, role.index() as u64);
-        }
-        Request::DropSession { session } => {
-            put_varint(buf, 4);
-            put_varint(buf, session.raw());
-        }
-        Request::Submit { commands } => {
-            put_varint(buf, 5);
-            put_varint(buf, commands.len() as u64);
-            for cmd in commands {
-                put_command(buf, cmd);
-            }
-        }
-        Request::AnalyzeReach {
-            entity,
-            perm,
-            config,
-        } => {
-            put_varint(buf, 6);
-            put_entity(buf, *entity);
-            put_perm(buf, *perm);
-            put_safety_config(buf, config);
-        }
-        Request::CheckRefinement {
-            candidate,
-            direction,
-            max_witnesses,
-        } => {
-            put_varint(buf, 7);
-            buf.put_u8(match direction {
-                RefinementDirection::CandidateRefinesLive => 0,
-                RefinementDirection::LiveRefinesCandidate => 1,
-            });
-            put_varint(buf, *max_witnesses as u64);
-            put_policy(buf, candidate);
-        }
-        Request::AuditTail { max } => {
-            put_varint(buf, 8);
-            put_varint(buf, *max as u64);
-        }
-        Request::AuditSince { after, max } => {
-            put_varint(buf, 9);
-            put_varint(buf, *after);
-            put_varint(buf, *max as u64);
-        }
-        Request::Version => put_varint(buf, 10),
-        Request::Stats => put_varint(buf, 11),
-        Request::Compact => put_varint(buf, 12),
-        Request::Promote => put_varint(buf, 14),
-        Request::Lint { sod_pairs } => {
-            put_varint(buf, 13);
-            put_varint(buf, sod_pairs.len() as u64);
-            for (a, b) in sod_pairs {
-                put_varint(buf, a.index() as u64);
-                put_varint(buf, b.index() as u64);
-            }
-        }
-        Request::Analyze { commands } => {
-            put_varint(buf, 15);
-            put_varint(buf, commands.len() as u64);
-            for cmd in commands {
-                put_command(buf, cmd);
-            }
-        }
-        Request::SetConstraints { constraints } => {
-            put_varint(buf, 16);
-            put_constraints(buf, constraints);
-        }
-        Request::GetConstraints => put_varint(buf, 17),
-    }
-    std::mem::take(buf)
+    encode(|buf| req.put(buf))
 }
 
 /// Decodes a [`Request`] payload. `universe` resolves the candidate
 /// policy of a `CheckRefinement` (the one variant whose encoding is
 /// universe-relative); pass the serving monitor's universe.
 pub fn decode_request(payload: &[u8], universe: &Universe) -> Result<Request, WireError> {
-    let buf = &mut &payload[..];
-    let tag = get_varint(buf)?;
-    let req = match tag {
-        0 => Request::CheckAccess {
-            session: SessionId::from_raw(get_varint(buf)?),
-            perm: take_perm(buf)?,
-        },
-        1 => Request::CreateSession {
-            user: UserId::from_index(take_usize(buf)?),
-        },
-        2 => Request::ActivateRole {
-            session: SessionId::from_raw(get_varint(buf)?),
-            role: RoleId::from_index(take_usize(buf)?),
-        },
-        3 => Request::DeactivateRole {
-            session: SessionId::from_raw(get_varint(buf)?),
-            role: RoleId::from_index(take_usize(buf)?),
-        },
-        4 => Request::DropSession {
-            session: SessionId::from_raw(get_varint(buf)?),
-        },
-        5 => {
-            let n = take_usize(buf)?;
-            let mut commands = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                commands.push(get_command(buf)?);
-            }
-            Request::Submit { commands }
-        }
-        6 => Request::AnalyzeReach {
-            entity: take_entity(buf)?,
-            perm: take_perm(buf)?,
-            config: take_safety_config(buf)?,
-        },
-        7 => {
-            let direction = match take_u8(buf)? {
-                0 => RefinementDirection::CandidateRefinesLive,
-                1 => RefinementDirection::LiveRefinesCandidate,
-                other => {
-                    return Err(WireError::BadTag {
-                        what: "refinement direction",
-                        tag: u64::from(other),
-                    })
-                }
-            };
-            let max_witnesses = take_usize(buf)?;
-            let candidate = get_policy(buf, universe)?;
-            Request::CheckRefinement {
-                candidate,
-                direction,
-                max_witnesses,
-            }
-        }
-        8 => Request::AuditTail {
-            max: take_usize(buf)?,
-        },
-        9 => Request::AuditSince {
-            after: get_varint(buf)?,
-            max: take_usize(buf)?,
-        },
-        10 => Request::Version,
-        11 => Request::Stats,
-        12 => Request::Compact,
-        13 => {
-            let n = take_usize(buf)?;
-            let mut sod_pairs = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let a = RoleId::from_index(take_usize(buf)?);
-                let b = RoleId::from_index(take_usize(buf)?);
-                sod_pairs.push((a, b));
-            }
-            Request::Lint { sod_pairs }
-        }
-        14 => Request::Promote,
-        15 => {
-            let n = take_usize(buf)?;
-            let mut commands = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                commands.push(get_command(buf)?);
-            }
-            Request::Analyze { commands }
-        }
-        16 => Request::SetConstraints {
-            constraints: get_constraints(buf)?,
-        },
-        17 => Request::GetConstraints,
-        other => {
-            return Err(WireError::BadTag {
-                what: "request",
-                tag: other,
-            })
-        }
-    };
-    ensure_consumed(buf)?;
-    Ok(req)
+    decode(payload, |buf| Request::take(buf, universe))
 }
 
 /// Checks every id a request carries against the serving universe, so
@@ -937,573 +1070,105 @@ fn check_id(what: &'static str, index: usize, count: usize) -> Result<(), WireEr
 
 // ----- response payloads -----------------------------------------------
 
+// `specs/wire_protocol.md` §6, row for row.
+wire_enum!(Response: u64 as "response", names RESPONSE_NAMES, |buf| {
+    0 => Access(granted),
+    1 => SessionCreated(id),
+    2 => RoleActivated,
+    3 => RoleDeactivated(was_active),
+    4 => SessionDropped(existed),
+    5 => Outcomes(outcomes),
+    6 => Reach(answer),
+    7 => Refinement(reply),
+    8 => Audit(events),
+    9 => Version(info),
+    10 => Stats(stats),
+    11 => Compacted,
+    12 => Lint(report),
+    13 => Promoted { term, epoch },
+    14 => Impact(report),
+    15 => Constraints(set),
+});
+
 /// Encodes a [`Response`] payload (tag + fields; no frame header).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let buf = &mut Vec::new();
-    match resp {
-        Response::Access(granted) => {
-            put_varint(buf, 0);
-            put_bool(buf, *granted);
-        }
-        Response::SessionCreated(id) => {
-            put_varint(buf, 1);
-            put_varint(buf, id.raw());
-        }
-        Response::RoleActivated => put_varint(buf, 2),
-        Response::RoleDeactivated(was) => {
-            put_varint(buf, 3);
-            put_bool(buf, *was);
-        }
-        Response::SessionDropped(was) => {
-            put_varint(buf, 4);
-            put_bool(buf, *was);
-        }
-        Response::Outcomes(outcomes) => {
-            put_varint(buf, 5);
-            put_outcomes(buf, outcomes);
-        }
-        Response::Reach(answer) => {
-            put_varint(buf, 6);
-            match answer {
-                ReachabilityAnswer::Reachable { witness } => {
-                    buf.put_u8(0);
-                    put_varint(buf, witness.len() as u64);
-                    for cmd in witness.iter() {
-                        put_command(buf, cmd);
-                    }
-                }
-                ReachabilityAnswer::Unreachable => buf.put_u8(1),
-                ReachabilityAnswer::Unknown { truncation } => {
-                    buf.put_u8(2);
-                    put_varint(buf, truncation.states as u64);
-                    put_varint(buf, truncation.depth as u64);
-                    put_bool(buf, truncation.cap_hit);
-                }
-            }
-        }
-        Response::Refinement(reply) => {
-            put_varint(buf, 7);
-            put_bool(buf, reply.holds);
-            put_varint(buf, reply.total_violations as u64);
-            put_varint(buf, reply.witnesses.len() as u64);
-            for v in &reply.witnesses {
-                put_entity(buf, v.entity);
-                put_perm(buf, v.perm);
-            }
-        }
-        Response::Audit(events) => {
-            put_varint(buf, 8);
-            put_varint(buf, events.len() as u64);
-            for ev in events {
-                put_varint(buf, ev.seq);
-                put_command(buf, &ev.command);
-                match ev.decision {
-                    Decision::Refused => buf.put_u8(0),
-                    Decision::Executed { held, target } => {
-                        buf.put_u8(1);
-                        put_varint(buf, held.index() as u64);
-                        put_varint(buf, target.index() as u64);
-                    }
-                }
-                put_bool(buf, ev.changed);
-            }
-        }
-        Response::Version(info) => {
-            put_varint(buf, 9);
-            put_varint(buf, info.epoch);
-            buf.put_u64_le(info.checksum);
-        }
-        Response::Stats(stats) => {
-            put_varint(buf, 10);
-            put_stats(buf, stats);
-        }
-        Response::Compacted => put_varint(buf, 11),
-        Response::Lint(report) => {
-            put_varint(buf, 12);
-            put_lint_report(buf, report);
-        }
-        Response::Promoted { term, epoch } => {
-            put_varint(buf, 13);
-            put_varint(buf, *term);
-            put_varint(buf, *epoch);
-        }
-        Response::Impact(report) => {
-            put_varint(buf, 14);
-            put_impact_report(buf, report);
-        }
-        Response::Constraints(set) => {
-            put_varint(buf, 15);
-            put_constraints(buf, set);
-        }
-    }
-    std::mem::take(buf)
+    encode(|buf| resp.put(buf))
 }
 
 /// Decodes a [`Response`] payload. Needs no universe: responses carry
 /// only raw ids, never a policy.
 pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
-    let buf = &mut &payload[..];
-    let tag = get_varint(buf)?;
-    let resp = match tag {
-        0 => Response::Access(take_bool(buf)?),
-        1 => Response::SessionCreated(SessionId::from_raw(get_varint(buf)?)),
-        2 => Response::RoleActivated,
-        3 => Response::RoleDeactivated(take_bool(buf)?),
-        4 => Response::SessionDropped(take_bool(buf)?),
-        5 => Response::Outcomes(take_outcomes(buf)?),
-        6 => {
-            let answer = match take_u8(buf)? {
-                0 => {
-                    let n = take_usize(buf)?;
-                    let mut commands = Vec::with_capacity(n.min(4096));
-                    for _ in 0..n {
-                        commands.push(get_command(buf)?);
-                    }
-                    ReachabilityAnswer::Reachable {
-                        witness: CommandQueue::from_commands(commands),
-                    }
-                }
-                1 => ReachabilityAnswer::Unreachable,
-                2 => ReachabilityAnswer::Unknown {
-                    truncation: Truncation {
-                        states: take_usize(buf)?,
-                        depth: take_usize(buf)?,
-                        cap_hit: take_bool(buf)?,
-                    },
-                },
-                other => {
-                    return Err(WireError::BadTag {
-                        what: "reachability answer",
-                        tag: u64::from(other),
-                    })
-                }
-            };
-            Response::Reach(answer)
-        }
-        7 => {
-            let holds = take_bool(buf)?;
-            let total_violations = take_usize(buf)?;
-            let n = take_usize(buf)?;
-            let mut witnesses = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                witnesses.push(RefinementViolation {
-                    entity: take_entity(buf)?,
-                    perm: take_perm(buf)?,
-                });
-            }
-            Response::Refinement(RefinementReply {
-                holds,
-                total_violations,
-                witnesses,
-            })
-        }
-        8 => {
-            let n = take_usize(buf)?;
-            let mut events = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let seq = get_varint(buf)?;
-                let command = get_command(buf)?;
-                let decision = match take_u8(buf)? {
-                    0 => Decision::Refused,
-                    1 => Decision::Executed {
-                        held: PrivId::from_index(take_usize(buf)?),
-                        target: PrivId::from_index(take_usize(buf)?),
-                    },
-                    other => {
-                        return Err(WireError::BadTag {
-                            what: "audit decision",
-                            tag: u64::from(other),
-                        })
-                    }
-                };
-                let changed = take_bool(buf)?;
-                events.push(AuditEvent {
-                    seq,
-                    command,
-                    decision,
-                    changed,
-                });
-            }
-            Response::Audit(events)
-        }
-        9 => Response::Version(VersionInfo {
-            epoch: get_varint(buf)?,
-            checksum: take_u64_le(buf)?,
-        }),
-        10 => Response::Stats(take_stats(buf)?),
-        11 => Response::Compacted,
-        12 => Response::Lint(take_lint_report(buf)?),
-        13 => Response::Promoted {
-            term: get_varint(buf)?,
-            epoch: get_varint(buf)?,
-        },
-        14 => Response::Impact(take_impact_report(buf)?),
-        15 => Response::Constraints(get_constraints(buf)?),
-        other => {
-            return Err(WireError::BadTag {
-                what: "response",
-                tag: other,
-            })
-        }
-    };
-    ensure_consumed(buf)?;
-    Ok(resp)
-}
-
-fn put_stats(buf: &mut impl BufMut, stats: &ServiceStats) {
-    put_varint(buf, stats.epoch);
-    buf.put_u64_le(stats.checksum);
-    put_varint(buf, stats.users as u64);
-    put_varint(buf, stats.roles as u64);
-    put_varint(buf, stats.edges as u64);
-    put_varint(buf, stats.sessions as u64);
-    put_varint(buf, stats.audit_retained as u64);
-    put_varint(buf, stats.forced_deactivations);
-    put_varint(buf, stats.analyses_run);
-    put_varint(buf, stats.analyses_indefinite);
-    put_varint(buf, stats.lints_run);
-    put_varint(buf, stats.lint_findings);
-    match stats.recovery {
-        None => buf.put_u8(0),
-        Some(r) => {
-            buf.put_u8(1);
-            put_varint(buf, r.replayed as u64);
-            put_bool(buf, r.truncated_tail);
-            put_varint(buf, r.divergent as u64);
-        }
-    }
-    match stats.replication {
-        None => buf.put_u8(0),
-        Some(r) => {
-            buf.put_u8(1);
-            buf.put_u8(match r.role {
-                ReplicationRole::Primary => 0,
-                ReplicationRole::Replica => 1,
-            });
-            put_varint(buf, r.term);
-            put_varint(buf, r.last_applied_epoch);
-            put_varint(buf, r.lag);
-        }
-    }
-}
-
-fn take_stats(buf: &mut impl Buf) -> Result<ServiceStats, WireError> {
-    Ok(ServiceStats {
-        epoch: get_varint(buf)?,
-        checksum: take_u64_le(buf)?,
-        users: take_usize(buf)?,
-        roles: take_usize(buf)?,
-        edges: take_usize(buf)?,
-        sessions: take_usize(buf)?,
-        audit_retained: take_usize(buf)?,
-        forced_deactivations: get_varint(buf)?,
-        analyses_run: get_varint(buf)?,
-        analyses_indefinite: get_varint(buf)?,
-        lints_run: get_varint(buf)?,
-        lint_findings: get_varint(buf)?,
-        recovery: match take_u8(buf)? {
-            0 => None,
-            1 => Some(RecoveryReport {
-                replayed: take_usize(buf)?,
-                truncated_tail: take_bool(buf)?,
-                divergent: take_usize(buf)?,
-            }),
-            other => {
-                return Err(WireError::BadTag {
-                    what: "recovery option",
-                    tag: u64::from(other),
-                })
-            }
-        },
-        replication: match take_u8(buf)? {
-            0 => None,
-            1 => Some(ReplicationStatus {
-                role: match take_u8(buf)? {
-                    0 => ReplicationRole::Primary,
-                    1 => ReplicationRole::Replica,
-                    other => {
-                        return Err(WireError::BadTag {
-                            what: "replication role",
-                            tag: u64::from(other),
-                        })
-                    }
-                },
-                term: get_varint(buf)?,
-                last_applied_epoch: get_varint(buf)?,
-                lag: get_varint(buf)?,
-            }),
-            other => {
-                return Err(WireError::BadTag {
-                    what: "replication option",
-                    tag: u64::from(other),
-                })
-            }
-        },
-    })
-}
-
-/// One lint/admission finding: kind byte, severity byte, role varint,
-/// term option, edge option, confirmation option (v3), message string.
-fn put_finding(buf: &mut impl BufMut, f: &Finding) {
-    buf.put_u8(match f.kind {
-        FindingKind::DeadCommand => 0,
-        FindingKind::Unauthorizable => 1,
-        FindingKind::RedundantGrant => 2,
-        FindingKind::ShadowedGrant => 3,
-        FindingKind::NonMonotoneIsland => 4,
-        FindingKind::SodConflict => 5,
-        FindingKind::FrozenEdgeViolation => 6,
-    });
-    buf.put_u8(match f.severity {
-        Severity::Note => 0,
-        Severity::Warning => 1,
-        Severity::Error => 2,
-    });
-    put_varint(buf, f.role.index() as u64);
-    match f.term {
-        None => buf.put_u8(0),
-        Some(t) => {
-            buf.put_u8(1);
-            put_varint(buf, t.index() as u64);
-        }
-    }
-    match f.edge {
-        None => buf.put_u8(0),
-        Some(e) => {
-            buf.put_u8(1);
-            put_edge(buf, e);
-        }
-    }
-    buf.put_u8(match f.confirmation {
-        None => 0,
-        Some(Confirmation::Confirmed) => 1,
-        Some(Confirmation::Potential) => 2,
-    });
-    put_string(buf, &f.message);
-}
-
-fn take_finding(buf: &mut impl Buf) -> Result<Finding, WireError> {
-    let kind = match take_u8(buf)? {
-        0 => FindingKind::DeadCommand,
-        1 => FindingKind::Unauthorizable,
-        2 => FindingKind::RedundantGrant,
-        3 => FindingKind::ShadowedGrant,
-        4 => FindingKind::NonMonotoneIsland,
-        5 => FindingKind::SodConflict,
-        6 => FindingKind::FrozenEdgeViolation,
-        other => {
-            return Err(WireError::BadTag {
-                what: "finding kind",
-                tag: u64::from(other),
-            })
-        }
-    };
-    let severity = match take_u8(buf)? {
-        0 => Severity::Note,
-        1 => Severity::Warning,
-        2 => Severity::Error,
-        other => {
-            return Err(WireError::BadTag {
-                what: "severity",
-                tag: u64::from(other),
-            })
-        }
-    };
-    let role = RoleId::from_index(take_usize(buf)?);
-    let term = match take_u8(buf)? {
-        0 => None,
-        1 => Some(PrivId::from_index(take_usize(buf)?)),
-        other => {
-            return Err(WireError::BadTag {
-                what: "term option",
-                tag: u64::from(other),
-            })
-        }
-    };
-    let edge = match take_u8(buf)? {
-        0 => None,
-        1 => Some(get_edge(buf)?),
-        other => {
-            return Err(WireError::BadTag {
-                what: "edge option",
-                tag: u64::from(other),
-            })
-        }
-    };
-    let confirmation = match take_u8(buf)? {
-        0 => None,
-        1 => Some(Confirmation::Confirmed),
-        2 => Some(Confirmation::Potential),
-        other => {
-            return Err(WireError::BadTag {
-                what: "confirmation option",
-                tag: u64::from(other),
-            })
-        }
-    };
-    let message = get_string(buf)?;
-    Ok(Finding {
-        kind,
-        severity,
-        role,
-        term,
-        edge,
-        confirmation,
-        message,
-    })
-}
-
-fn put_lint_report(buf: &mut impl BufMut, report: &LintReport) {
-    put_varint(buf, report.rules_checked as u64);
-    put_varint(buf, report.closure_edges as u64);
-    put_varint(buf, report.findings.len() as u64);
-    for f in &report.findings {
-        put_finding(buf, f);
-    }
-}
-
-fn take_lint_report(buf: &mut impl Buf) -> Result<LintReport, WireError> {
-    let rules_checked = take_usize(buf)?;
-    let closure_edges = take_usize(buf)?;
-    let n = take_usize(buf)?;
-    let mut findings = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        findings.push(take_finding(buf)?);
-    }
-    Ok(LintReport {
-        findings,
-        rules_checked,
-        closure_edges,
-    })
-}
-
-fn edge_status_byte(status: EdgeStatus) -> u8 {
-    match status {
-        EdgeStatus::Frozen => 0,
-        EdgeStatus::Volatile => 1,
-        EdgeStatus::Unreachable => 2,
-    }
-}
-
-fn take_edge_status(buf: &mut impl Buf) -> Result<EdgeStatus, WireError> {
-    match take_u8(buf)? {
-        0 => Ok(EdgeStatus::Frozen),
-        1 => Ok(EdgeStatus::Volatile),
-        2 => Ok(EdgeStatus::Unreachable),
-        other => Err(WireError::BadTag {
-            what: "edge status",
-            tag: u64::from(other),
-        }),
-    }
-}
-
-fn put_impact_report(buf: &mut impl BufMut, report: &ImpactReport) {
-    put_outcomes(buf, &report.outcomes);
-    put_varint(buf, report.deltas.len() as u64);
-    for d in &report.deltas {
-        put_edge(buf, d.edge);
-        put_bool(buf, d.added);
-    }
-    put_varint(buf, report.flipped.len() as u64);
-    for f in &report.flipped {
-        put_varint(buf, f.user.index() as u64);
-        put_varint(buf, f.term.index() as u64);
-        put_bool(buf, f.now_granted);
-    }
-    put_bool(buf, report.grow_only_before);
-    put_bool(buf, report.grow_only_after);
-    put_varint(buf, report.status_changes.len() as u64);
-    for c in &report.status_changes {
-        put_edge(buf, c.edge);
-        buf.put_u8(edge_status_byte(c.before));
-        buf.put_u8(edge_status_byte(c.after));
-    }
-    put_varint(buf, report.findings.len() as u64);
-    for f in &report.findings {
-        put_finding(buf, f);
-    }
-    put_varint(buf, report.severed_sessions.len() as u64);
-    for s in &report.severed_sessions {
-        put_varint(buf, *s);
-    }
-}
-
-fn take_impact_report(buf: &mut impl Buf) -> Result<ImpactReport, WireError> {
-    let outcomes = take_outcomes(buf)?;
-    let n = take_usize(buf)?;
-    let mut deltas = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let edge = get_edge(buf)?;
-        let added = take_bool(buf)?;
-        deltas.push(EdgeDelta { edge, added });
-    }
-    let n = take_usize(buf)?;
-    let mut flipped = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        flipped.push(PermFlip {
-            user: UserId::from_index(take_usize(buf)?),
-            term: PrivId::from_index(take_usize(buf)?),
-            now_granted: take_bool(buf)?,
-        });
-    }
-    let grow_only_before = take_bool(buf)?;
-    let grow_only_after = take_bool(buf)?;
-    let n = take_usize(buf)?;
-    let mut status_changes = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        status_changes.push(StatusChange {
-            edge: get_edge(buf)?,
-            before: take_edge_status(buf)?,
-            after: take_edge_status(buf)?,
-        });
-    }
-    let n = take_usize(buf)?;
-    let mut findings = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        findings.push(take_finding(buf)?);
-    }
-    let n = take_usize(buf)?;
-    let mut severed_sessions = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        severed_sessions.push(get_varint(buf)?);
-    }
-    Ok(ImpactReport {
-        outcomes,
-        deltas,
-        flipped,
-        grow_only_before,
-        grow_only_after,
-        status_changes,
-        findings,
-        severed_sessions,
-    })
+    decode(payload, Response::take)
 }
 
 // ----- error payloads --------------------------------------------------
 
-/// The `expected` strings [`ServiceError::Protocol`] can carry. The
+/// The one session error, untagged: the error table's tag already says
+/// which it is.
+impl Wire for SessionError {
+    fn put(&self, buf: &mut Vec<u8>) {
+        let SessionError::ActivationDenied { user, role } = self;
+        user.put(buf);
+        role.put(buf);
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(SessionError::ActivationDenied {
+            user: Wire::take(buf)?,
+            role: Wire::take(buf)?,
+        })
+    }
+}
+
+/// Lossy by design: a store error crosses as its display string and is
+/// rebuilt as an I/O error on the far side.
+impl Wire for StoreError {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_string(buf, &self.to_string());
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(StoreError::Io(io::Error::other(String::take(buf)?)))
+    }
+}
+
+/// The `expected` strings [`ServiceError::Protocol`] can carry: a
+/// response variant's name, or the one count-qualified form. The
 /// variant holds a `&'static str`, so decoding matches the received
 /// string against this closed set; an unknown string degrades to
 /// [`ServiceError::Transport`] rather than failing the decode.
-const PROTOCOL_EXPECTED: &[&str] = &[
-    "Access",
-    "SessionCreated",
-    "RoleActivated",
-    "RoleDeactivated",
-    "SessionDropped",
-    "Outcomes",
-    "Outcomes(len 1)",
-    "Reach",
-    "Refinement",
-    "Audit",
-    "Version",
-    "Stats",
-    "Compacted",
-    "Lint",
-    "Promoted",
-    "Impact",
-    "Constraints",
-];
+fn protocol_expected(received: &str) -> Option<&'static str> {
+    RESPONSE_NAMES
+        .iter()
+        .chain(&["Outcomes(len 1)"])
+        .copied()
+        .find(|known| *known == received)
+}
+
+// `specs/wire_protocol.md` §7, row for row.
+wire_enum!(ServiceError: u64 as "error", |buf| {
+    0 => UnknownSession(id),
+    1 => Session(activation_denied),
+    2 => Backend { applied, error },
+    3 => Aborted,
+    4 => ForeignPolicy,
+    5 => InvalidTenant(tenant),
+    6 => UnknownTenant(tenant),
+    7 => Recovery { tenant, divergent },
+    8 => Protocol { expected } = {
+        put: put_string(buf, expected),
+        take: {
+            let received = String::take(buf)?;
+            match protocol_expected(&received) {
+                Some(expected) => ServiceError::Protocol { expected },
+                None => ServiceError::Transport {
+                    message: format!("protocol violation: expected {received} response"),
+                },
+            }
+        }
+    },
+    9 => Transport { message },
+    10 => ReadOnly,
+    11 => Admission(report),
+});
 
 /// Encodes a [`ServiceError`] payload (tag + fields; no frame header).
 ///
@@ -1511,119 +1176,12 @@ const PROTOCOL_EXPECTED: &[&str] = &[
 /// as its display string (rebuilt as an I/O error on the far side), and
 /// a `Protocol` string outside the known set decodes as `Transport`.
 pub fn encode_error(err: &ServiceError) -> Vec<u8> {
-    let buf = &mut Vec::new();
-    match err {
-        ServiceError::UnknownSession(id) => {
-            put_varint(buf, 0);
-            put_varint(buf, id.raw());
-        }
-        ServiceError::Session(SessionError::ActivationDenied { user, role }) => {
-            put_varint(buf, 1);
-            put_varint(buf, user.index() as u64);
-            put_varint(buf, role.index() as u64);
-        }
-        ServiceError::Backend { applied, error } => {
-            put_varint(buf, 2);
-            put_outcomes(buf, applied);
-            put_string(buf, &error.to_string());
-        }
-        ServiceError::Aborted => put_varint(buf, 3),
-        ServiceError::ForeignPolicy => put_varint(buf, 4),
-        ServiceError::InvalidTenant(t) => {
-            put_varint(buf, 5);
-            put_string(buf, t);
-        }
-        ServiceError::UnknownTenant(t) => {
-            put_varint(buf, 6);
-            put_string(buf, t);
-        }
-        ServiceError::Recovery { tenant, divergent } => {
-            put_varint(buf, 7);
-            put_string(buf, tenant);
-            put_varint(buf, *divergent as u64);
-        }
-        ServiceError::Protocol { expected } => {
-            put_varint(buf, 8);
-            put_string(buf, expected);
-        }
-        ServiceError::Transport { message } => {
-            put_varint(buf, 9);
-            put_string(buf, message);
-        }
-        ServiceError::ReadOnly => put_varint(buf, 10),
-        ServiceError::Admission(report) => {
-            put_varint(buf, 11);
-            put_varint(buf, report.findings.len() as u64);
-            for f in &report.findings {
-                put_finding(buf, f);
-            }
-            put_varint(buf, report.constraints_checked as u64);
-        }
-    }
-    std::mem::take(buf)
+    encode(|buf| err.put(buf))
 }
 
 /// Decodes a [`ServiceError`] payload.
 pub fn decode_error(payload: &[u8]) -> Result<ServiceError, WireError> {
-    let buf = &mut &payload[..];
-    let tag = get_varint(buf)?;
-    let err = match tag {
-        0 => ServiceError::UnknownSession(SessionId::from_raw(get_varint(buf)?)),
-        1 => {
-            let user = UserId::from_index(take_usize(buf)?);
-            let role = RoleId::from_index(take_usize(buf)?);
-            ServiceError::Session(SessionError::ActivationDenied { user, role })
-        }
-        2 => {
-            let applied = take_outcomes(buf)?;
-            let message = get_string(buf)?;
-            ServiceError::Backend {
-                applied,
-                error: StoreError::Io(io::Error::other(message)),
-            }
-        }
-        3 => ServiceError::Aborted,
-        4 => ServiceError::ForeignPolicy,
-        5 => ServiceError::InvalidTenant(get_string(buf)?),
-        6 => ServiceError::UnknownTenant(get_string(buf)?),
-        7 => ServiceError::Recovery {
-            tenant: get_string(buf)?,
-            divergent: take_usize(buf)?,
-        },
-        8 => {
-            let s = get_string(buf)?;
-            match PROTOCOL_EXPECTED.iter().find(|known| ***known == s) {
-                Some(known) => ServiceError::Protocol { expected: known },
-                None => ServiceError::Transport {
-                    message: format!("protocol violation: expected {s} response"),
-                },
-            }
-        }
-        9 => ServiceError::Transport {
-            message: get_string(buf)?,
-        },
-        10 => ServiceError::ReadOnly,
-        11 => {
-            let n = take_usize(buf)?;
-            let mut findings = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                findings.push(take_finding(buf)?);
-            }
-            let constraints_checked = take_usize(buf)?;
-            ServiceError::Admission(AdmissionReport {
-                findings,
-                constraints_checked,
-            })
-        }
-        other => {
-            return Err(WireError::BadTag {
-                what: "error",
-                tag: other,
-            })
-        }
-    };
-    ensure_consumed(buf)?;
-    Ok(err)
+    decode(payload, ServiceError::take)
 }
 
 // ---------------------------------------------------------------------------
@@ -1649,101 +1207,63 @@ pub struct ReplDeltaFrame {
     pub checksum: u64,
 }
 
+wire_struct! {
+    ReplDeltaFrame { term, epoch, deltas, checksum as Le64 }
+}
+
 /// Encodes a [`FrameKind::ReplSubscribe`] payload: the highest term the
 /// follower has seen and, if it already holds state, the epoch it has
 /// applied through (`None` requests a full snapshot bootstrap).
 pub fn encode_repl_subscribe(term: u64, last_applied: Option<u64>) -> Vec<u8> {
-    let buf = &mut Vec::new();
-    put_varint(buf, term);
-    match last_applied {
-        None => buf.put_u8(0),
-        Some(epoch) => {
-            buf.put_u8(1);
-            put_varint(buf, epoch);
-        }
-    }
-    std::mem::take(buf)
+    encode(|buf| (term, last_applied).put(buf))
 }
 
 /// Decodes a [`FrameKind::ReplSubscribe`] payload.
 pub fn decode_repl_subscribe(payload: &[u8]) -> Result<(u64, Option<u64>), WireError> {
-    let buf = &mut &payload[..];
-    let term = get_varint(buf)?;
-    let last_applied = match take_u8(buf)? {
-        0 => None,
-        1 => Some(get_varint(buf)?),
-        other => {
-            return Err(WireError::BadTag {
-                what: "subscribe epoch option",
-                tag: u64::from(other),
-            })
-        }
-    };
-    ensure_consumed(buf)?;
-    Ok((term, last_applied))
+    decode(payload, Wire::take)
 }
 
 /// Encodes a [`FrameKind::ReplSnapshot`] payload: the primary's term,
 /// the epoch the snapshot captures, and the CRC-framed state blob
 /// produced by [`adminref_store::encode_state`].
 pub fn encode_repl_snapshot(term: u64, epoch: u64, state: &[u8]) -> Vec<u8> {
-    let buf = &mut Vec::new();
-    put_varint(buf, term);
-    put_varint(buf, epoch);
-    put_varint(buf, state.len() as u64);
-    buf.extend_from_slice(state);
-    std::mem::take(buf)
+    // The blob is a byte list on the wire, but megabytes of it: copied
+    // whole in both directions rather than element by element.
+    encode(|buf| {
+        term.put(buf);
+        epoch.put(buf);
+        state.len().put(buf);
+        buf.extend_from_slice(state);
+    })
 }
 
 /// Decodes a [`FrameKind::ReplSnapshot`] payload into
 /// `(term, epoch, state_blob)`.
 pub fn decode_repl_snapshot(payload: &[u8]) -> Result<(u64, u64, Vec<u8>), WireError> {
-    let buf = &mut &payload[..];
-    let term = get_varint(buf)?;
-    let epoch = get_varint(buf)?;
-    let len = take_usize(buf)?;
-    if buf.remaining() < len {
-        return Err(WireError::Codec(CodecError::UnexpectedEof));
-    }
-    let state = buf[..len].to_vec();
-    buf.advance(len);
-    ensure_consumed(buf)?;
-    Ok((term, epoch, state))
+    decode(payload, |buf| {
+        let (term, epoch, len) = (u64::take(buf)?, u64::take(buf)?, usize::take(buf)?);
+        if buf.remaining() < len {
+            return Err(WireError::Codec(CodecError::UnexpectedEof));
+        }
+        let state = buf[..len].to_vec();
+        buf.advance(len);
+        Ok((term, epoch, state))
+    })
 }
 
 /// Encodes a [`FrameKind::ReplDelta`] payload (see [`ReplDeltaFrame`]
 /// for field semantics).
 pub fn encode_repl_delta(term: u64, epoch: u64, deltas: &[EdgeDelta], checksum: u64) -> Vec<u8> {
-    let buf = &mut Vec::new();
-    put_varint(buf, term);
-    put_varint(buf, epoch);
-    put_varint(buf, deltas.len() as u64);
-    for d in deltas {
-        put_edge(buf, d.edge);
-        put_bool(buf, d.added);
-    }
-    buf.put_u64_le(checksum);
-    std::mem::take(buf)
+    let frame = ReplDeltaFrame {
+        term,
+        epoch,
+        deltas: deltas.to_vec(),
+        checksum,
+    };
+    encode(|buf| frame.put(buf))
 }
 
 /// Decodes a [`FrameKind::ReplDelta`] payload.
 pub fn decode_repl_delta(payload: &[u8]) -> Result<ReplDeltaFrame, WireError> {
-    let buf = &mut &payload[..];
-    let term = get_varint(buf)?;
-    let epoch = get_varint(buf)?;
-    let n = take_usize(buf)?;
-    let mut deltas = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let edge = get_edge(buf)?;
-        let added = take_bool(buf)?;
-        deltas.push(EdgeDelta { edge, added });
-    }
-    let checksum = take_u64_le(buf)?;
-    ensure_consumed(buf)?;
-    Ok(ReplDeltaFrame {
-        term,
-        epoch,
-        deltas,
-        checksum,
-    })
+    decode(payload, Wire::take)
 }

@@ -1149,6 +1149,25 @@ fn hostile_list_counts_hit_eof_not_the_allocator() {
     assert_eq!(wire::decode_repl_delta(&hostile(&[1, 1])).err(), Some(eof));
 }
 
+/// An id is a varint that must fit `u32`; a larger one is a typed
+/// overflow wherever ids appear, not a failed conversion.
+#[test]
+fn ids_past_u32_are_typed_errors() {
+    let (uni, _) = test_world();
+    let overflow = WireError::Codec(CodecError::VarintOverflow);
+    let mut too_big = Vec::new();
+    put_varint(&mut too_big, 1 << 32);
+    // Request tag 1 CreateSession { user }.
+    let request = [&[1u8][..], &too_big].concat();
+    assert_eq!(
+        wire::decode_request(&request, &uni).err(),
+        Some(overflow.clone())
+    );
+    // Error tag 1 ActivationDenied: user, then role.
+    let error = [&[1u8, 0][..], &too_big].concat();
+    assert_eq!(wire::decode_error(&error).err(), Some(overflow));
+}
+
 // ----- mutation fuzzing ------------------------------------------------
 
 /// Overwrites the byte at `pos` (modulo the length) with `byte`.
