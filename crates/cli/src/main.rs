@@ -194,16 +194,59 @@ fn flag_value(rest: &[&String], name: &str) -> Option<String> {
         .map(|s| s.to_string())
 }
 
-fn positional<'a>(rest: &'a [&String], n: usize) -> Result<&'a str, String> {
-    rest.iter()
-        .filter(|a| !a.starts_with("--"))
-        .nth(n)
-        .map(|s| s.as_str())
-        .ok_or_else(|| format!("missing argument #{}", n + 1))
+/// Flags that consume the following argument; their values must not be
+/// mistaken for positionals when a caller interleaves them.
+const VALUE_FLAGS: &[&str] = &[
+    "--listen",
+    "--unix",
+    "--init",
+    "--stop-file",
+    "--workers",
+    "--sod",
+    "--deny",
+    "--batch",
+    "--freeze",
+    "--steps",
+    "--max-states",
+    "--jobs",
+    "--roles",
+    "--witnesses",
+    "--follow",
+    "--follow-unix",
+    "--depth",
+    "--store",
+    "--oracle",
+];
+
+/// Positional arguments with the values of [`VALUE_FLAGS`] stripped, so
+/// `lint --deny warning policy.rbac` parses the same as
+/// `lint policy.rbac --deny warning`.
+fn positionals<'a>(rest: &'a [&String]) -> Vec<&'a str> {
+    let mut out = Vec::new();
+    let mut skip = false;
+    for arg in rest {
+        if skip {
+            skip = false;
+            continue;
+        }
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            skip = true;
+            continue;
+        }
+        if !arg.starts_with("--") {
+            out.push(arg.as_str());
+        }
+    }
+    out
+}
+
+fn positional<'a>(pos: &[&'a str], n: usize, what: &str) -> Result<&'a str, String> {
+    pos.get(n).copied().ok_or_else(|| format!("missing {what}"))
 }
 
 fn cmd_stats(rest: &[&String]) -> Result<(), String> {
-    let (uni, policy) = read_policy(positional(rest, 0)?)?;
+    let pos = positionals(rest);
+    let (uni, policy) = read_policy(positional(&pos, 0, "policy file")?)?;
     let s = analysis::stats(&uni, &policy);
     println!("users            {}", s.users);
     println!("roles            {}", s.roles);
@@ -219,7 +262,8 @@ fn cmd_stats(rest: &[&String]) -> Result<(), String> {
 }
 
 fn cmd_validate(rest: &[&String]) -> Result<(), String> {
-    let (uni, policy) = read_policy(positional(rest, 0)?)?;
+    let pos = positionals(rest);
+    let (uni, policy) = read_policy(positional(&pos, 0, "policy file")?)?;
     analysis::validate(&uni, &policy).map_err(|e| e.to_string())?;
     println!("ok: policy is well-formed");
     if policy.is_non_administrative(&uni) {
@@ -229,7 +273,8 @@ fn cmd_validate(rest: &[&String]) -> Result<(), String> {
 }
 
 fn cmd_print(rest: &[&String]) -> Result<(), String> {
-    let (uni, policy) = read_policy(positional(rest, 0)?)?;
+    let pos = positionals(rest);
+    let (uni, policy) = read_policy(positional(&pos, 0, "policy file")?)?;
     if flag(rest, "--paper") {
         print!(
             "{}",
@@ -249,7 +294,8 @@ fn cmd_print(rest: &[&String]) -> Result<(), String> {
 /// (and deny-level) from the store's constraint set, so pairs don't
 /// need re-declaring on every invocation; `--sod`/`--deny` override.
 fn cmd_lint(rest: &[&String]) -> Result<ExitCode, String> {
-    let path = positional(rest, 0)?;
+    let pos = positionals(rest);
+    let path = positional(&pos, 0, "policy file")?;
     let mode = if flag(rest, "--ordered") {
         AuthMode::Ordered(OrderingMode::Extended)
     } else {
@@ -331,9 +377,12 @@ fn parse_sod_pairs(
 }
 
 fn cmd_order(rest: &[&String]) -> Result<ExitCode, String> {
-    let (mut uni, policy) = read_policy(positional(rest, 0)?)?;
-    let held_expr = parse_priv_expr(positional(rest, 1)?).map_err(|e| e.to_string())?;
-    let req_expr = parse_priv_expr(positional(rest, 2)?).map_err(|e| e.to_string())?;
+    let pos = positionals(rest);
+    let (mut uni, policy) = read_policy(positional(&pos, 0, "policy file")?)?;
+    let held_expr =
+        parse_priv_expr(positional(&pos, 1, "held privilege")?).map_err(|e| e.to_string())?;
+    let req_expr =
+        parse_priv_expr(positional(&pos, 2, "requested privilege")?).map_err(|e| e.to_string())?;
     let pos = adminref_lang::token::Pos::start();
     let held = adminref_lang::resolve_priv(&mut uni, &held_expr, pos).map_err(|e| e.to_string())?;
     let req = adminref_lang::resolve_priv(&mut uni, &req_expr, pos).map_err(|e| e.to_string())?;
@@ -363,8 +412,9 @@ fn cmd_order(rest: &[&String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_weaker(rest: &[&String]) -> Result<(), String> {
-    let (mut uni, policy) = read_policy(positional(rest, 0)?)?;
-    let expr = parse_priv_expr(positional(rest, 1)?).map_err(|e| e.to_string())?;
+    let pos = positionals(rest);
+    let (mut uni, policy) = read_policy(positional(&pos, 0, "policy file")?)?;
+    let expr = parse_priv_expr(positional(&pos, 1, "privilege")?).map_err(|e| e.to_string())?;
     let pos = adminref_lang::token::Pos::start();
     let p = adminref_lang::resolve_priv(&mut uni, &expr, pos).map_err(|e| e.to_string())?;
     let depth = match flag_value(rest, "--depth") {
@@ -394,9 +444,10 @@ fn cmd_weaker(rest: &[&String]) -> Result<(), String> {
 }
 
 fn cmd_run(rest: &[&String]) -> Result<(), String> {
-    let (mut uni, policy) = read_policy(positional(rest, 0)?)?;
-    let queue_text =
-        std::fs::read_to_string(positional(rest, 1)?).map_err(|e| format!("reading queue: {e}"))?;
+    let pos = positionals(rest);
+    let (mut uni, policy) = read_policy(positional(&pos, 0, "policy file")?)?;
+    let queue_text = std::fs::read_to_string(positional(&pos, 1, "queue file")?)
+        .map_err(|e| format!("reading queue: {e}"))?;
     let queue = load_queue(&queue_text, &mut uni).map_err(|e| e.to_string())?;
     let mode = if flag(rest, "--ordered") {
         AuthMode::Ordered(OrderingMode::Extended)
@@ -452,7 +503,8 @@ fn cmd_run(rest: &[&String]) -> Result<(), String> {
 /// empty set — add pairs with `--sod` to gate either. Scriptable: a
 /// batch the gate would refuse exits nonzero.
 fn cmd_analyze(rest: &[&String]) -> Result<ExitCode, String> {
-    let path = positional(rest, 0)?;
+    let pos = positionals(rest);
+    let path = positional(&pos, 0, "policy file or store directory")?;
     let batch_path = flag_value(rest, "--batch").ok_or("analyze needs --batch <queue.rbacq>")?;
     let mode = if flag(rest, "--ordered") {
         AuthMode::Ordered(OrderingMode::Extended)
@@ -547,8 +599,9 @@ pub(crate) fn print_impact(uni: &adminref_core::universe::Universe, report: &Imp
 /// a `--deny` level, and `--freeze` edge assertions into the declared
 /// set (normalized, WAL-persisted); `list` prints the live set.
 fn cmd_constraint(rest: &[&String]) -> Result<ExitCode, String> {
-    let verb = positional(rest, 0)?;
-    let dir = positional(rest, 1)?;
+    let pos = positionals(rest);
+    let verb = positional(&pos, 0, "constraint verb (add|list)")?;
+    let dir = positional(&pos, 1, "store directory")?;
     let mode = if flag(rest, "--ordered") {
         AuthMode::Ordered(OrderingMode::Extended)
     } else {
@@ -661,7 +714,8 @@ pub(crate) fn print_constraints(
 /// next open replays nothing. Prints the recovery report of the open
 /// (replayed entries, torn tail, divergence) and the result.
 fn cmd_compact(rest: &[&String]) -> Result<(), String> {
-    let dir = positional(rest, 0)?;
+    let pos = positionals(rest);
+    let dir = positional(&pos, 0, "store directory")?;
     let mode = if flag(rest, "--ordered") {
         AuthMode::Ordered(OrderingMode::Extended)
     } else {
@@ -704,9 +758,12 @@ fn cmd_compact(rest: &[&String]) -> Result<(), String> {
 /// `(entity, perm)` witnesses (`--witnesses N`, default 10) and exits
 /// nonzero — without usage noise — when refinement fails.
 fn cmd_refines(rest: &[&String]) -> Result<ExitCode, String> {
+    let pos = positionals(rest);
     // Both policies must resolve in one shared universe for comparison.
-    let text_a = std::fs::read_to_string(positional(rest, 0)?).map_err(|e| e.to_string())?;
-    let text_b = std::fs::read_to_string(positional(rest, 1)?).map_err(|e| e.to_string())?;
+    let text_a = std::fs::read_to_string(positional(&pos, 0, "first policy file")?)
+        .map_err(|e| e.to_string())?;
+    let text_b = std::fs::read_to_string(positional(&pos, 1, "second policy file")?)
+        .map_err(|e| e.to_string())?;
     let doc_a = adminref_lang::parse_policy(&text_a).map_err(|e| e.to_string())?;
     let doc_b = adminref_lang::parse_policy(&text_b).map_err(|e| e.to_string())?;
     let mut uni = adminref_core::universe::Universe::new();
@@ -775,10 +832,13 @@ fn report_slice(
 }
 
 fn cmd_reach(rest: &[&String]) -> Result<(), String> {
-    let (mut uni, policy) = read_policy(positional(rest, 0)?)?;
-    let user = uni.find_user(positional(rest, 1)?).ok_or("unknown user")?;
-    let action = positional(rest, 2)?.to_string();
-    let object = positional(rest, 3)?.to_string();
+    let pos = positionals(rest);
+    let (mut uni, policy) = read_policy(positional(&pos, 0, "policy file")?)?;
+    let user = uni
+        .find_user(positional(&pos, 1, "user")?)
+        .ok_or("unknown user")?;
+    let action = positional(&pos, 2, "action")?.to_string();
+    let object = positional(&pos, 3, "object")?.to_string();
     let perm = uni.perm(&action, &object);
     let steps = match flag_value(rest, "--steps") {
         Some(v) => v.parse::<usize>().map_err(|e| e.to_string())?,
@@ -849,13 +909,14 @@ fn cmd_reach(rest: &[&String]) -> Result<(), String> {
 /// invariant suite. Scriptable exits: `UNKNOWN` and oracle violations
 /// are completed runs with a nonzero code, not usage errors.
 fn cmd_verify(rest: &[&String]) -> Result<ExitCode, String> {
+    let pos = positionals(rest);
     let mode = if flag(rest, "--ordered") {
         AuthMode::Ordered(OrderingMode::Extended)
     } else {
         AuthMode::Explicit
     };
     if let Some(queue_path) = flag_value(rest, "--oracle") {
-        let (mut uni, policy) = read_policy(positional(rest, 0)?)?;
+        let (mut uni, policy) = read_policy(positional(&pos, 0, "policy file")?)?;
         let queue_text = std::fs::read_to_string(&queue_path)
             .map_err(|e| format!("reading {queue_path}: {e}"))?;
         let queue = load_queue(&queue_text, &mut uni).map_err(|e| e.to_string())?;
@@ -899,10 +960,12 @@ fn cmd_verify(rest: &[&String]) -> Result<ExitCode, String> {
         }
         return oracle_verdict(&w.universe, &w.policy, &monitor, mode);
     }
-    let (mut uni, policy) = read_policy(positional(rest, 0)?)?;
-    let user = uni.find_user(positional(rest, 1)?).ok_or("unknown user")?;
-    let action = positional(rest, 2)?.to_string();
-    let object = positional(rest, 3)?.to_string();
+    let (mut uni, policy) = read_policy(positional(&pos, 0, "policy file")?)?;
+    let user = uni
+        .find_user(positional(&pos, 1, "user")?)
+        .ok_or("unknown user")?;
+    let action = positional(&pos, 2, "action")?.to_string();
+    let object = positional(&pos, 3, "object")?.to_string();
     let perm = uni.perm(&action, &object);
     let config = SafetyConfig {
         max_steps: match flag_value(rest, "--steps") {

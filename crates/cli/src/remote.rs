@@ -29,56 +29,9 @@ use adminref_service::{MonitorService, PolicyService, WireClient};
 use adminref_store::PolicyStore;
 
 use crate::{
-    flag, flag_value, merge_constraint_flags, parse_sod_pairs, print_constraints, print_impact,
-    read_policy,
+    flag, flag_value, merge_constraint_flags, parse_sod_pairs, positional, positionals,
+    print_constraints, print_impact, read_policy,
 };
-
-/// Flags that consume the following argument; their values must not be
-/// mistaken for positionals when a caller interleaves them.
-const VALUE_FLAGS: &[&str] = &[
-    "--listen",
-    "--unix",
-    "--init",
-    "--stop-file",
-    "--workers",
-    "--sod",
-    "--deny",
-    "--batch",
-    "--freeze",
-    "--steps",
-    "--max-states",
-    "--jobs",
-    "--roles",
-    "--witnesses",
-    "--follow",
-    "--follow-unix",
-];
-
-/// Positional arguments with the values of [`VALUE_FLAGS`] stripped, so
-/// `client --unix /tmp/a.sock check …` parses the same as
-/// `client check … --unix /tmp/a.sock`.
-fn positionals<'a>(rest: &'a [&String]) -> Vec<&'a str> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for arg in rest {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if VALUE_FLAGS.contains(&arg.as_str()) {
-            skip = true;
-            continue;
-        }
-        if !arg.starts_with("--") {
-            out.push(arg.as_str());
-        }
-    }
-    out
-}
-
-fn positional<'a>(pos: &[&'a str], n: usize, what: &str) -> Result<&'a str, String> {
-    pos.get(n).copied().ok_or_else(|| format!("missing {what}"))
-}
 
 fn auth_mode(rest: &[&String]) -> AuthMode {
     if flag(rest, "--ordered") {
@@ -249,8 +202,9 @@ fn daemon_config(rest: &[&String]) -> Result<DaemonConfig, String> {
 }
 
 fn run_until_stopped(rest: &[&String], daemon: Daemon) -> Result<ExitCode, String> {
-    // std cannot catch signals without unsafe; a stop file gives
-    // scripts (and the CI smoke lanes) a portable graceful shutdown.
+    // std has no signal handling and this workspace admits no raw libc
+    // calls; a stop file gives scripts (and the CI smoke lanes) a
+    // portable graceful shutdown.
     let stop_file = flag_value(rest, "--stop-file");
     match stop_file {
         Some(stop_path) => {

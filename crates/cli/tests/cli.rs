@@ -325,6 +325,30 @@ fn weaker_lists_downset() {
 }
 
 #[test]
+fn value_flags_parse_the_same_before_and_after_the_positionals() {
+    let demo = fixture("lint_demo.rbac").to_string_lossy().into_owned();
+    let h = hospital();
+    let cases: [(&[&str], &[&str]); 3] = [
+        (&["lint", &demo], &["--deny", "warning"]),
+        (&["reach", &h, "bob", "write", "t3"], &["--steps", "2"]),
+        (&["weaker", &h, "grant(bob, staff)"], &["--depth", "1"]),
+    ];
+    for (verb_and_positionals, flag) in cases {
+        let (verb, positionals) = verb_and_positionals.split_first().unwrap();
+        let run = |args: Vec<&str>| bin().arg(verb).args(args).output().unwrap();
+        let last = run([positionals, flag].concat());
+        let first = run([flag, positionals].concat());
+        assert!(!last.stdout.is_empty(), "{verb}: no output");
+        assert_eq!(
+            String::from_utf8_lossy(&first.stdout),
+            String::from_utf8_lossy(&last.stdout),
+            "{verb}: flag-first output differs from flag-last"
+        );
+        assert_eq!(first.status.code(), last.status.code(), "{verb}");
+    }
+}
+
+#[test]
 fn unknown_subcommand_fails_with_usage() {
     let out = bin().args(["frobnicate"]).output().unwrap();
     assert!(!out.status.success());
