@@ -719,7 +719,9 @@ fn print_golden_fixture() {
 
 /// Decodes a frame's payload by its kind and encodes the result again.
 /// `Backend` is the one payload that does not come back byte-identical
-/// (its error crosses as a display string), so it is checked by value.
+/// (its error crosses as a display string, which
+/// `backend_error_crosses_as_display_string` checks), so decoding it is
+/// all that is asked here.
 fn reencode(frame: &wire::Frame, universe: &Universe) -> Result<Vec<u8>, WireError> {
     Ok(match frame.kind {
         FrameKind::Request => {
@@ -727,11 +729,7 @@ fn reencode(frame: &wire::Frame, universe: &Universe) -> Result<Vec<u8>, WireErr
         }
         FrameKind::Response => wire::encode_response(&wire::decode_response(&frame.payload)?),
         FrameKind::Error => match wire::decode_error(&frame.payload)? {
-            ServiceError::Backend { applied, error } => {
-                assert_eq!(applied.len(), 1);
-                assert!(error.to_string().contains("disk full"));
-                frame.payload.clone()
-            }
+            ServiceError::Backend { .. } => frame.payload.clone(),
             err => wire::encode_error(&err),
         },
         FrameKind::ReplSubscribe => {
@@ -815,9 +813,9 @@ fn spec_tag_rows(spec: &str, section: &str) -> Vec<(u64, String)> {
         .collect()
 }
 
-/// What the retired `doc-freshness` CI lane grepped for, for every tag
-/// instead of three: the spec's three tag tables and its frame-kind row
-/// agree with the codec.
+/// The spec's three tag tables and its frame-kind row agree with the
+/// codec: every sample's tag and variant name is a spec row, and
+/// neither side has a row the other lacks.
 #[test]
 fn spec_tag_tables_match_the_codec() {
     let (uni, _) = test_world();
