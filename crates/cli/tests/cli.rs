@@ -188,6 +188,12 @@ fn reach_parallel_jobs_and_bounds() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("REACHABLE in 1 step(s)"), "{text}");
     assert!(text.contains("cmd(jane, grant, bob -> staff);"), "{text}");
+    // ... byte for byte: single- and multi-threaded runs print the same.
+    let single = bin()
+        .args(["reach", &hospital(), "bob", "write", "t3", "--jobs", "1"])
+        .output()
+        .unwrap();
+    assert_eq!(text, String::from_utf8_lossy(&single.stdout));
     // A tiny state cap forces an inconclusive answer from the raw
     // bounded search, and the diagnostics name the binding knob.
     // --no-slice keeps the full alphabet: no command can ever grant
@@ -285,6 +291,23 @@ fn verify_reports_engine_and_witness() {
     assert!(text.contains("engine: bmc"), "{text}");
     assert!(text.contains("UNREACHABLE"), "{text}");
     assert!(text.contains("bmc: bound"), "{text}");
+    // Sliced, the same starved instance is refuted with no engine at all.
+    let out = bin()
+        .args([
+            "verify",
+            &hospital(),
+            "bob",
+            "launch",
+            "missiles",
+            "--max-states",
+            "1",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("slice: alphabet"), "{text}");
+    assert!(text.contains("UNREACHABLE"), "{text}");
 }
 
 #[test]

@@ -197,16 +197,11 @@ impl ConstraintSet {
 
     /// Do all referenced ids fit inside `universe`?
     pub fn ids_in_bounds(&self, universe: &Universe) -> bool {
-        let role_ok = |r: RoleId| r.index() < universe.role_count();
-        let edge_ok = |e: Edge| match e {
-            Edge::UserRole(u, r) => u.index() < universe.user_count() && role_ok(r),
-            Edge::RoleRole(a, b) => role_ok(a) && role_ok(b),
-            Edge::RolePriv(r, p) => role_ok(r) && p.index() < universe.term_count(),
-        };
-        self.sod_pairs
-            .iter()
-            .all(|&(a, b)| role_ok(a) && role_ok(b))
-            && self.frozen_edges.iter().all(|&e| edge_ok(e))
+        // A SoD pair is two roles: the same bounds as a hierarchy edge.
+        let pairs = self.sod_pairs.iter().map(|&(a, b)| Edge::RoleRole(a, b));
+        pairs
+            .chain(self.frozen_edges.iter().copied())
+            .all(|edge| universe.check_edge(edge).is_ok())
     }
 
     /// Declared constraints, for reporting.

@@ -112,6 +112,31 @@ impl UniverseTag {
     }
 }
 
+/// An id a universe does not have: which id space it was looked up
+/// in, the id, and how many entries that space holds.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct OutOfRange {
+    /// The id space: `"user"`, `"role"`, `"term"`, `"action"` or
+    /// `"object"`.
+    pub what: &'static str,
+    /// The offending raw id.
+    pub id: u64,
+    /// Number of interned entries in that space.
+    pub max: usize,
+}
+
+fn in_range(what: &'static str, index: usize, max: usize) -> Result<(), OutOfRange> {
+    if index < max {
+        Ok(())
+    } else {
+        Err(OutOfRange {
+            what,
+            id: index as u64,
+            max,
+        })
+    }
+}
+
 static NEXT_TAG: AtomicU64 = AtomicU64::new(1);
 
 /// Owns the fixed sets `U, R, A, O` and the privilege term table.
@@ -250,6 +275,40 @@ impl Universe {
     /// Number of interned object names.
     pub fn object_count(&self) -> usize {
         self.objects.len()
+    }
+
+    /// Is `u` one of this universe's users? This and the four checks
+    /// after it are the bounds test for ids that crossed a trust
+    /// boundary — off a socket, out of a file, from a caller's policy —
+    /// to be made before anything indexes with them; the error names
+    /// the first id this universe does not have.
+    pub fn check_user(&self, u: UserId) -> Result<(), OutOfRange> {
+        in_range("user", u.index(), self.user_count())
+    }
+
+    /// Is `r` one of this universe's roles?
+    pub fn check_role(&self, r: RoleId) -> Result<(), OutOfRange> {
+        in_range("role", r.index(), self.role_count())
+    }
+
+    /// Is `p` one of this universe's privilege terms?
+    pub fn check_term(&self, p: PrivId) -> Result<(), OutOfRange> {
+        in_range("term", p.index(), self.term_count())
+    }
+
+    /// Are the action and the object of `perm` interned here?
+    pub fn check_perm(&self, perm: Perm) -> Result<(), OutOfRange> {
+        in_range("action", perm.action.index(), self.action_count())?;
+        in_range("object", perm.object.index(), self.object_count())
+    }
+
+    /// Do both ends of `edge` lie in this universe?
+    pub fn check_edge(&self, edge: Edge) -> Result<(), OutOfRange> {
+        match edge {
+            Edge::UserRole(u, r) => self.check_user(u).and(self.check_role(r)),
+            Edge::RoleRole(a, b) => self.check_role(a).and(self.check_role(b)),
+            Edge::RolePriv(r, p) => self.check_role(r).and(self.check_term(p)),
+        }
     }
 
     /// The sizes of every intern table, as one comparable stamp.

@@ -47,6 +47,16 @@ pub struct AuditEvent {
     pub changed: bool,
 }
 
+// The audit trail as bytes (`Response::Audit` carries it): rows of the
+// shared codec, `adminref_store::codec`.
+adminref_store::wire_enum!(Decision: u8 as "audit decision" {
+    0 => Refused,
+    1 => Executed { held, target },
+});
+adminref_store::wire_struct! {
+    AuditEvent { seq, command, decision, changed }
+}
+
 /// One publish-time forced deactivation: the epoch's policy no longer
 /// satisfies `u →φ r`, so the monitor dropped `role` from the session.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

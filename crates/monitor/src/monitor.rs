@@ -85,12 +85,6 @@ pub struct MonitorConfig {
     /// fresh snapshot, so a long-running monitor never replays an
     /// unbounded log on reopen. `None` disables auto-compaction.
     pub autocompact_log_len: Option<u64>,
-    /// Whether the publish-time admission gate runs: when `true` (the
-    /// default) and a non-empty [`ConstraintSet`] is declared, every
-    /// batch is statically checked against the candidate post-batch
-    /// state and refused with [`MonitorError::Admission`] *before* it
-    /// touches the WAL, audit log, or published epoch.
-    pub admission_enabled: bool,
 }
 
 impl Default for MonitorConfig {
@@ -100,7 +94,6 @@ impl Default for MonitorConfig {
             audit_capacity: 4096,
             publish_mode: PublishMode::default(),
             autocompact_log_len: Some(4096),
-            admission_enabled: true,
         }
     }
 }
@@ -170,6 +163,11 @@ impl SessionId {
     pub fn raw(self) -> u64 {
         self.0
     }
+}
+
+// On the wire a session handle is its raw id.
+adminref_store::wire_struct! {
+    SessionId { 0 }
 }
 
 // The Memory variant is much larger than the boxed Durable variant; a
@@ -522,21 +520,20 @@ impl ReferenceMonitor {
         // Admission gate: simulate the batch on scratch clones and check
         // the candidate state against the declared constraints *before*
         // anything touches the backend — a refused batch leaves the WAL,
-        // audit log, epoch, and published snapshot untouched.
-        if self.config.admission_enabled {
-            let constraints = self.constraints.load_full();
-            if !constraints.is_empty() {
-                self.admission_checks.fetch_add(1, Ordering::Relaxed);
-                if let Err(report) = admission::admit_batch(
-                    writer.backend.universe(),
-                    writer.backend.policy(),
-                    commands,
-                    &constraints,
-                    self.config.auth_mode,
-                ) {
-                    self.admission_refusals.fetch_add(1, Ordering::Relaxed);
-                    return (Vec::new(), Some(MonitorError::Admission(report)));
-                }
+        // audit log, epoch, and published snapshot untouched. An empty
+        // constraint set is the gate switched off.
+        let constraints = self.constraints.load_full();
+        if !constraints.is_empty() {
+            self.admission_checks.fetch_add(1, Ordering::Relaxed);
+            if let Err(report) = admission::admit_batch(
+                writer.backend.universe(),
+                writer.backend.policy(),
+                commands,
+                &constraints,
+                self.config.auth_mode,
+            ) {
+                self.admission_refusals.fetch_add(1, Ordering::Relaxed);
+                return (Vec::new(), Some(MonitorError::Admission(report)));
             }
         }
         let terms_before = writer.backend.universe().term_count();
@@ -581,24 +578,7 @@ impl ReferenceMonitor {
                 writer.epoch,
                 self.config.publish_mode,
             );
-            match path {
-                PublishPath::Incremental => &self.publishes_incremental,
-                PublishPath::FullRebuild => &self.publishes_full,
-            }
-            .fetch_add(1, Ordering::Relaxed);
-            let snapshot = Arc::new(snapshot);
-            self.snapshot.store(Arc::clone(&snapshot));
-            if deltas.iter().any(|d| severs_activation(d.edge, d.added)) {
-                self.revalidate_sessions(&snapshot);
-            }
-            // Replication: notify the subscription hook while the writer
-            // lock is still held, so hooks observe epochs strictly in
-            // publication order with the exact deltas of each batch.
-            self.notify_publish(PublishEvent {
-                epoch: writer.epoch,
-                deltas,
-                checksum: snapshot.checksum(),
-            });
+            self.publish(snapshot, path, Some(deltas));
         }
         // Post-publish WAL maintenance: fold an overgrown log into a
         // fresh snapshot so reopen never replays unbounded history.
@@ -614,9 +594,41 @@ impl ReferenceMonitor {
         (outcomes, error)
     }
 
+    /// Makes `snapshot` the epoch readers see — the one publish step of
+    /// a local batch, a replicated epoch and a replica bootstrap: count
+    /// how the snapshot was derived, swap it in, sweep the sessions it
+    /// may have severed, tell the publish hook. `deltas` are the edge
+    /// changes that led here from the previous epoch; `None` is a
+    /// wholesale replacement, which can remove anything (so always
+    /// sweeps) and is no epoch of the delta stream (so tells no one).
+    ///
+    /// Call with the writer lock held: that is what makes hooks observe
+    /// epochs strictly in publication order, each with exactly its
+    /// batch's deltas.
+    fn publish(&self, snapshot: PolicySnapshot, path: PublishPath, deltas: Option<Vec<EdgeDelta>>) {
+        match path {
+            PublishPath::Incremental => &self.publishes_incremental,
+            PublishPath::FullRebuild => &self.publishes_full,
+        }
+        .fetch_add(1, Ordering::Relaxed);
+        let snapshot = Arc::new(snapshot);
+        self.snapshot.store(Arc::clone(&snapshot));
+        let severs =
+            |deltas: &Vec<EdgeDelta>| deltas.iter().any(|d| severs_activation(d.edge, d.added));
+        if deltas.as_ref().map_or(true, severs) {
+            self.revalidate_sessions(&snapshot);
+        }
+        if let Some(deltas) = deltas {
+            self.notify_publish(PublishEvent {
+                epoch: snapshot.epoch,
+                deltas,
+                checksum: snapshot.checksum(),
+            });
+        }
+    }
+
     /// Drops every active session role whose `u →φ r` justification no
     /// longer holds in `snapshot`, recording each forced deactivation.
-    /// Called after publishing a batch that removed UA/RH edges.
     fn revalidate_sessions(&self, snapshot: &PolicySnapshot) {
         let mut sessions = self.sessions.write();
         let mut audit = self.audit.lock();
@@ -667,12 +679,7 @@ impl ReferenceMonitor {
         let checksum = snapshot.checksum();
         writer.backend = Backend::Memory { universe, policy };
         writer.epoch = epoch;
-        self.publishes_full.fetch_add(1, Ordering::Relaxed);
-        let snapshot = Arc::new(snapshot);
-        self.snapshot.store(Arc::clone(&snapshot));
-        // A bootstrap can jump the state arbitrarily (it may *remove*
-        // edges relative to the previous state), so always sweep.
-        self.revalidate_sessions(&snapshot);
+        self.publish(snapshot, PublishPath::FullRebuild, None);
         Ok(checksum)
     }
 
@@ -707,20 +714,9 @@ impl ReferenceMonitor {
         // the touched relation) so refusals leave the live state intact.
         let mut next_policy = policy.clone();
         for d in deltas {
-            let in_bounds = match d.edge {
-                Edge::UserRole(u, r) => {
-                    u.index() < universe.user_count() && r.index() < universe.role_count()
-                }
-                Edge::RoleRole(r, s) => {
-                    r.index() < universe.role_count() && s.index() < universe.role_count()
-                }
-                Edge::RolePriv(r, p) => {
-                    r.index() < universe.role_count() && p.index() < universe.term_count()
-                }
-            };
             // An id beyond this universe, or a toggle that didn't change
             // membership, means our state is not the frame's parent.
-            let changed = in_bounds
+            let changed = universe.check_edge(d.edge).is_ok()
                 && if d.added {
                     next_policy.add_edge(d.edge)
                 } else {
@@ -748,23 +744,9 @@ impl ReferenceMonitor {
         }
         *policy = next_policy;
         writer.epoch = epoch;
-        match path {
-            PublishPath::Incremental => &self.publishes_incremental,
-            PublishPath::FullRebuild => &self.publishes_full,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-        let snapshot = Arc::new(snapshot);
-        self.snapshot.store(Arc::clone(&snapshot));
-        if deltas.iter().any(|d| severs_activation(d.edge, d.added)) {
-            self.revalidate_sessions(&snapshot);
-        }
-        // Forward the frame to any downstream subscribers (chained
-        // replication): the event is byte-identical to the primary's.
-        self.notify_publish(PublishEvent {
-            epoch,
-            deltas: deltas.to_vec(),
-            checksum: expected_checksum,
-        });
+        // The hook forwards the frame to any downstream subscribers
+        // (chained replication): the event is identical to the primary's.
+        self.publish(snapshot, path, Some(deltas.to_vec()));
         Ok(())
     }
 

@@ -9,7 +9,7 @@
 //! every access and administrative step; this crate is that mediation
 //! as an API.
 //!
-//! Six layers:
+//! Five layers:
 //!
 //! * **Protocol** ([`protocol`]) — the `Request`/`Response` alphabet,
 //!   the error, and the [`PolicyService`] trait whose typed convenience
@@ -23,15 +23,10 @@
 //!   through a completion slot. Serial semantics are preserved —
 //!   outcomes equal *some* serial interleaving of the submitters, which
 //!   the suite verifies differentially against the single-lock monitor.
-//! * **Routing** ([`router`]) — [`ServiceRouter`] maps tenant ids to
-//!   independent monitors (per-tenant store directories in durable
-//!   mode, lazy open, LRU eviction cap), so one process serves many
-//!   coexisting policies — the precondition for refinement workflows
-//!   that compare and migrate across policy versions.
 //! * **Wire codec** ([`wire`]) — the versioned binary serialization of
 //!   the whole alphabet: a fixed frame header (magic, [`WIRE_VERSION`],
 //!   kind, payload length, echoed request id) and per-variant payload
-//!   encodings built from the store codec's primitives. Decoders return
+//!   rows of the one codec, `adminref_store::codec`. Decoders return
 //!   typed [`WireError`]s, never panic; the format is specified in
 //!   `specs/wire_protocol.md` and pinned byte-for-byte by a golden
 //!   fixture test.
@@ -58,7 +53,6 @@ pub mod daemon;
 pub mod group_commit;
 pub mod protocol;
 pub mod replication;
-pub mod router;
 pub mod service;
 pub mod wire;
 
@@ -70,6 +64,5 @@ pub use protocol::{
     Request, Response, ServiceError, ServiceStats, VersionInfo,
 };
 pub use replication::{FollowTarget, Follower, ReplicatedService, ReplicationHub};
-pub use router::{RouterConfig, ServiceRouter, TenantStateFactory};
 pub use service::MonitorService;
 pub use wire::{WireError, MAX_PAYLOAD, WIRE_VERSION};

@@ -11,7 +11,7 @@
 //! ([`PolicyService::check_access`], [`PolicyService::submit`], …) are
 //! thin wrappers that build the request, call [`PolicyService::call`],
 //! and destructure the response, so adding a transport (wire encoding,
-//! sharded router, recording proxy) means implementing one method.
+//! sharding proxy, recording proxy) means implementing one method.
 
 use adminref_core::admission::{AdmissionReport, ConstraintSet, ImpactReport};
 use adminref_core::command::Command;
@@ -386,17 +386,15 @@ pub enum ServiceError {
     /// A [`Request::CheckRefinement`] candidate was built against a
     /// different universe than the serving monitor's.
     ForeignPolicy,
-    /// The tenant id is syntactically invalid (see
-    /// [`ServiceRouter`](crate::router::ServiceRouter)).
+    /// A tenant id was syntactically invalid. (Retired with the two
+    /// after it: see their rows in [`wire`](crate::wire).)
     InvalidTenant(String),
-    /// The tenant does not exist and the router is not configured to
-    /// create missing tenants.
+    /// A tenant did not exist and was not to be created.
     UnknownTenant(String),
-    /// Recovery of the tenant's store replayed entries whose recorded
+    /// Recovery of a tenant's store replayed entries whose recorded
     /// authorization outcome diverged — the log and snapshot are from
-    /// different histories — and the router is configured to refuse
-    /// such tenants (`fail_on_divergence`). Serving would answer from a
-    /// state no serial history produced.
+    /// different histories — so serving it would answer from a state
+    /// no serial history produced.
     Recovery {
         /// The tenant whose store diverged.
         tenant: String,

@@ -1,7 +1,7 @@
 //! The binary wire format of the daemon: length-prefixed, versioned
 //! frames carrying the [`Request`]/[`Response`]/[`ServiceError`]
-//! alphabet of [`protocol`](crate::protocol), canonically encoded with
-//! the store's LEB128 codec primitives.
+//! alphabet of [`protocol`](crate::protocol), canonically encoded by
+//! the repository's one codec, [`adminref_store::codec`].
 //!
 //! The normative description lives in `specs/wire_protocol.md` at the
 //! repository root; this module is its executable counterpart, and a
@@ -14,15 +14,15 @@
 //!   [`MAX_PAYLOAD`]), request id (`u64` LE, echoed verbatim in the
 //!   reply so pipelined callers can match out-of-order responses).
 //! * **Payload** = a varint variant tag followed by the variant's
-//!   fields, reusing [`adminref_store::codec`] primitives (varints,
-//!   length-prefixed UTF-8 strings, edge/command/policy encodings).
-//!   A message's layout lives in one place: its `tag => Variant
+//!   fields. A message's layout lives in one place: its `tag => Variant
 //!   { fields }` row in the `Request`, `Response` or `ServiceError`
 //!   table in this file, which reads like the row of the same tag in the
 //!   spec. Encoder and decoder both come from that row; each field is
-//!   written by its type's one layout (a primitive, the one option
-//!   rule, the one list rule with its allocation bound, or a struct's
-//!   own row).
+//!   written by its type's one [`Wire`] layout — a primitive, the one
+//!   option rule, the one list rule with its allocation bound, or a
+//!   struct's own row, all of which (with the rows of every
+//!   `adminref_core` type, which the WAL and the snapshot share) live in
+//!   [`adminref_store::codec`].
 //! * **Errors are typed, never panics.** Every malformed input —
 //!   truncated frame, bad magic, future version, unknown tag, trailing
 //!   bytes, out-of-range id — decodes to a [`WireError`] variant; the
@@ -77,25 +77,11 @@
 
 use std::io::{self, Read, Write};
 
-use adminref_core::admission::{
-    AdmissionReport, ConstraintSet, EdgeStatus, ImpactReport, PermFlip, StatusChange,
-};
-use adminref_core::command::{Command, CommandQueue};
-use adminref_core::ids::{ActionId, Entity, ObjectId, Perm, PrivId, RoleId, UserId};
-use adminref_core::lint::{Confirmation, Finding, FindingKind, LintReport, Severity};
-use adminref_core::ordering::OrderingMode;
+use adminref_core::ids::{Entity, RoleId};
 use adminref_core::reach::EdgeDelta;
-use adminref_core::refinement::RefinementViolation;
-use adminref_core::safety::{ReachabilityAnswer, SafetyConfig, Truncation};
-use adminref_core::session::SessionError;
-use adminref_core::transition::{AuthMode, Authorization, StepOutcome};
-use adminref_core::universe::{Edge, Universe};
-use adminref_monitor::{AuditEvent, Decision, SessionId};
-use adminref_store::codec::{
-    get_command, get_constraints, get_edge, get_policy, get_string, get_varint, put_command,
-    put_constraints, put_edge, put_policy, put_string, put_varint, CodecError,
-};
-use adminref_store::{RecoveryReport, StoreError};
+use adminref_core::universe::{OutOfRange, Universe};
+use adminref_store::codec::{self, encode, CodecError, EdgeSets, Wire};
+use adminref_store::{wire_enum, wire_struct};
 use bytes::{Buf, BufMut};
 
 use crate::protocol::{
@@ -330,7 +316,21 @@ impl std::error::Error for WireError {}
 
 impl From<CodecError> for WireError {
     fn from(e: CodecError) -> Self {
-        WireError::Codec(e)
+        match e {
+            CodecError::BadTag { what, tag } => WireError::BadTag { what, tag },
+            CodecError::TrailingBytes { extra } => WireError::TrailingBytes { extra },
+            e => WireError::Codec(e),
+        }
+    }
+}
+
+impl From<OutOfRange> for WireError {
+    fn from(e: OutOfRange) -> Self {
+        WireError::IdOutOfRange {
+            what: e.what,
+            id: e.id,
+            max: e.max,
+        }
     }
 }
 
@@ -463,65 +463,11 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> ReadFull {
     ReadFull::Done
 }
 
-// ----- the payload codec: one `Wire` impl per layout ---------------------
-
-/// One wire layout, stated once: `put` appends a value's encoding,
-/// `take` reads it back off the front of the buffer and advances past
-/// it. Everything below is an impl of this trait — by hand for the
-/// primitives, the generic containers and the few layouts that are not
-/// field-by-field, by `wire_struct!` and `wire_enum!` for the rest —
-/// so a message's layout is the order of the names in its table row.
-trait Wire: Sized {
-    fn put(&self, buf: &mut Vec<u8>);
-    fn take(buf: &mut &[u8]) -> Result<Self, WireError>;
-}
-
-fn bad_tag(what: &'static str, tag: impl Into<u64>) -> WireError {
-    WireError::BadTag {
-        what,
-        tag: tag.into(),
-    }
-}
-
-/// One raw byte: the tag of the nested enums (the spec's `u8`).
-impl Wire for u8 {
-    fn put(&self, buf: &mut Vec<u8>) {
-        buf.put_u8(*self);
-    }
-    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
-        if !buf.has_remaining() {
-            return Err(CodecError::UnexpectedEof.into());
-        }
-        Ok(buf.get_u8())
-    }
-}
-
-/// LEB128 varint — every integer on the wire except a checksum.
-impl Wire for u64 {
-    fn put(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, *self);
-    }
-    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(get_varint(buf)?)
-    }
-}
-
-/// A varint that must fit the narrower type; one that does not is a
-/// typed overflow, never a truncation.
-macro_rules! wire_narrow_varint {
-    ($($ty:ty),*) => {$(
-        impl Wire for $ty {
-            fn put(&self, buf: &mut Vec<u8>) {
-                put_varint(buf, *self as u64);
-            }
-            fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
-                <$ty>::try_from(get_varint(buf)?)
-                    .map_err(|_| WireError::Codec(CodecError::VarintOverflow))
-            }
-        }
-    )*};
-}
-wire_narrow_varint!(usize, u32);
+// ----- the service's own layouts ------------------------------------------
+//
+// Rows of `adminref_store::codec`'s tables for the types this crate
+// defines; every other type a message mentions has its row there (or,
+// for the audit trail, in `adminref_monitor`).
 
 /// Fixed 8-byte little-endian u64 — used for state checksums, which are
 /// uniformly distributed and would waste space as varints.
@@ -531,401 +477,40 @@ impl Wire for Le64 {
     fn put(&self, buf: &mut Vec<u8>) {
         buf.put_u64_le(self.0);
     }
-    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+    fn take(buf: &mut &[u8]) -> Result<Self, CodecError> {
         if buf.remaining() < 8 {
-            return Err(CodecError::UnexpectedEof.into());
+            return Err(CodecError::UnexpectedEof);
         }
         Ok(Le64(buf.get_u64_le()))
     }
 }
 
-impl Wire for bool {
-    fn put(&self, buf: &mut Vec<u8>) {
-        buf.put_u8(u8::from(*self));
-    }
-    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::take(buf)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(bad_tag("bool", other)),
-        }
-    }
-}
-
-impl Wire for String {
-    fn put(&self, buf: &mut Vec<u8>) {
-        put_string(buf, self);
-    }
-    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(get_string(buf)?)
-    }
-}
-
-/// The one option rule: `00` absent, `01` present followed by the value.
-impl<T: Wire> Wire for Option<T> {
-    fn put(&self, buf: &mut Vec<u8>) {
-        match self {
-            None => buf.put_u8(0),
-            Some(value) => {
-                buf.put_u8(1);
-                value.put(buf);
-            }
-        }
-    }
-    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::take(buf)? {
-            0 => Ok(None),
-            1 => Ok(Some(T::take(buf)?)),
-            other => Err(bad_tag("option", other)),
-        }
-    }
-}
-
-/// The one list rule: a varint element count, then that many elements.
-fn put_list<T: Wire>(items: &[T], buf: &mut Vec<u8>) {
-    items.len().put(buf);
-    for item in items {
-        item.put(buf);
-    }
-}
-
-impl<T: Wire> Wire for Vec<T> {
-    fn put(&self, buf: &mut Vec<u8>) {
-        put_list(self, buf);
-    }
-    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let n = usize::take(buf)?;
-        // The count is the peer's claim, not a fact. Reserving at most
-        // 4096 slots up front is the allocation bound against hostile
-        // counts: every element takes at least one byte, so a count the
-        // payload cannot back ends in `UnexpectedEof` after at most
-        // `payload.len()` pushes, whatever it announced.
-        let mut out = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            out.push(T::take(buf)?);
-        }
-        Ok(out)
-    }
-}
-
-impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn put(&self, buf: &mut Vec<u8>) {
-        self.0.put(buf);
-        self.1.put(buf);
-    }
-    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok((A::take(buf)?, B::take(buf)?))
-    }
-}
-
-/// Structs as a table of `Name { fields }` rows: a struct is its fields
-/// in row order, each by its own `Wire` impl. `field as Wrapper` sends
-/// the field through a one-field wrapper type instead, where the
-/// field's own type has a different layout from the one wanted.
-macro_rules! wire_struct {
-    ($($ty:ident { $($field:tt $(as $via:ident)?),* $(,)? })*) => {$(
-        impl Wire for $ty {
-            fn put(&self, buf: &mut Vec<u8>) {
-                $( wire_struct!(@put buf, self.$field $(, $via)?); )*
-            }
-            fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
-                Ok($ty { $( $field: wire_struct!(@take buf $(, $via)?) ),* })
-            }
-        }
-    )*};
-    (@put $buf:ident, $value:expr) => { $value.put($buf) };
-    (@put $buf:ident, $value:expr, $via:ident) => { $via($value).put($buf) };
-    (@take $buf:ident) => { Wire::take($buf)? };
-    (@take $buf:ident, $via:ident) => { $via::take($buf)?.0 };
-}
-
-/// A tagged enum as a table of `tag => Variant { fields }` rows: the
-/// tag (of type `$repr`: `u8` for nested enums, varint `u64` for the
-/// three message enums), then the named fields in row order, each by
-/// its own `Wire` impl; an unknown tag is `BadTag { what, .. }`. Both
-/// directions come from the one row. A row whose layout is not
-/// field-by-field spells both out after `=`.
-///
-/// The first form is `impl Wire`. The second is for the message enums:
-/// the same two functions as inherent items, with the buffer — and a
-/// decode context, for `Request` — named by the table so that a
-/// spelled-out row can use them, and optionally the variant names as a
-/// constant.
-macro_rules! wire_enum {
-    ($ty:ident: $repr:ty as $what:literal $rows:tt) => {
-        wire_enum!(@impl [impl Wire for $ty] $ty, $repr, $what, buf, [], $rows);
-    };
-    ($ty:ident: $repr:ty as $what:literal $(, names $names:ident)?,
-     |$buf:ident $(, $cx:ident: $cxty:ty)?| $rows:tt) => {
-        wire_enum!(@impl [impl $ty] $ty, $repr, $what, $buf, [$(, $cx: $cxty)?], $rows);
-        $( wire_enum!(@names $names, $rows); )?
-    };
-    (@impl [$($head:tt)*] $ty:ident, $repr:ty, $what:literal, $buf:ident, [$($cx:tt)*], {
-        $( $tag:tt => $variant:ident $({ $($f:ident),* })? $(( $($t:ident),* ))?
-           $(= { put: $put:expr, take: $take:expr })? ),* $(,)?
-    }) => {
-        $($head)* {
-            fn put(&self, $buf: &mut Vec<u8>) {
-                match self {$(
-                    $ty::$variant $({ $($f),* })? $(( $($t),* ))? => {
-                        <$repr as Wire>::put(&$tag, $buf);
-                        wire_enum!(@or [$($( $f.put($buf); )*)? $($( $t.put($buf); )*)?] $($put)?)
-                    }
-                )*}
-            }
-            fn take($buf: &mut &[u8] $($cx)*) -> Result<Self, WireError> {
-                Ok(match <$repr as Wire>::take($buf)? {
-                    $( $tag => wire_enum!(@or [
-                        $ty::$variant $({ $($f: Wire::take($buf)?),* })?
-                            $(( $(wire_enum!(@field $t, $buf)),* ))?
-                    ] $($take)?), )*
-                    other => return Err(bad_tag($what, other)),
-                })
-            }
-        }
-    };
-    (@names $names:ident, {
-        $( $tag:tt => $variant:ident $({ $($f:ident),* })? $(( $($t:ident),* ))?
-           $(= $custom:tt)? ),* $(,)?
-    }) => {
-        const $names: &[&str] = &[$(stringify!($variant)),*];
-    };
-    (@or [$($row:tt)*]) => { { $($row)* } };
-    (@or [$($row:tt)*] $custom:expr) => { $custom };
-    (@field $name:ident, $buf:ident) => { Wire::take($buf)? };
-}
-
-// ----- ids and the store codec's types -----------------------------------
-
-// Ids travel as varints of their raw index; one past `u32` is a typed
-// overflow here, and one past the serving universe is refused by
-// `validate_request`.
-wire_struct! {
-    UserId { 0 }
-    RoleId { 0 }
-    PrivId { 0 }
-    ActionId { 0 }
-    ObjectId { 0 }
-    Perm { action, object }
-}
-
-impl Wire for SessionId {
-    fn put(&self, buf: &mut Vec<u8>) {
-        self.raw().put(buf);
-    }
-    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(SessionId::from_raw(u64::take(buf)?))
-    }
-}
-
-// Edges, commands and constraint sets keep the encoding of
-// `adminref_store::codec`, which the WAL shares.
-
-impl Wire for Edge {
-    fn put(&self, buf: &mut Vec<u8>) {
-        put_edge(buf, *self);
-    }
-    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(get_edge(buf)?)
-    }
-}
-
-impl Wire for Command {
-    fn put(&self, buf: &mut Vec<u8>) {
-        put_command(buf, self);
-    }
-    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(get_command(buf)?)
-    }
-}
-
-impl Wire for ConstraintSet {
-    fn put(&self, buf: &mut Vec<u8>) {
-        put_constraints(buf, self);
-    }
-    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(get_constraints(buf)?)
-    }
-}
-
-impl Wire for CommandQueue {
-    fn put(&self, buf: &mut Vec<u8>) {
-        put_list(self.commands(), buf);
-    }
-    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Vec::take(buf).map(CommandQueue::from_commands)
-    }
-}
-
-// ----- the nested types of requests, responses and errors ----------------
-
-wire_enum!(Entity: u8 as "entity" {
-    0 => User(id),
-    1 => Role(id),
-});
 wire_enum!(RefinementDirection: u8 as "refinement direction" {
     0 => CandidateRefinesLive,
     1 => LiveRefinesCandidate,
-});
-wire_enum!(ReachabilityAnswer: u8 as "reachability answer" {
-    0 => Reachable { witness },
-    1 => Unreachable,
-    2 => Unknown { truncation },
-});
-wire_enum!(Decision: u8 as "audit decision" {
-    0 => Refused,
-    1 => Executed { held, target },
 });
 wire_enum!(ReplicationRole: u8 as "replication role" {
     0 => Primary,
     1 => Replica,
 });
-wire_enum!(FindingKind: u8 as "finding kind" {
-    0 => DeadCommand,
-    1 => Unauthorizable,
-    2 => RedundantGrant,
-    3 => ShadowedGrant,
-    4 => NonMonotoneIsland,
-    5 => SodConflict,
-    6 => FrozenEdgeViolation,
-});
-wire_enum!(Severity: u8 as "severity" {
-    0 => Note,
-    1 => Warning,
-    2 => Error,
-});
-wire_enum!(EdgeStatus: u8 as "edge status" {
-    0 => Frozen,
-    1 => Volatile,
-    2 => Unreachable,
-});
-
-/// The ordering mode is folded into the auth-mode byte rather than
-/// nested behind it.
-impl Wire for AuthMode {
-    fn put(&self, buf: &mut Vec<u8>) {
-        buf.put_u8(match self {
-            AuthMode::Explicit => 0,
-            AuthMode::Ordered(OrderingMode::Strict) => 1,
-            AuthMode::Ordered(OrderingMode::Extended) => 2,
-            AuthMode::Ordered(OrderingMode::ExtendedWithRevocation) => 3,
-        });
-    }
-    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::take(buf)? {
-            0 => AuthMode::Explicit,
-            1 => AuthMode::Ordered(OrderingMode::Strict),
-            2 => AuthMode::Ordered(OrderingMode::Extended),
-            3 => AuthMode::Ordered(OrderingMode::ExtendedWithRevocation),
-            other => return Err(bad_tag("auth mode", other)),
-        })
-    }
-}
-
-/// Field by field up to `jobs`; the two booleans then share one flags
-/// byte (bit 0 escalate, bit 1 slice) whose higher bits must be zero.
-impl Wire for SafetyConfig {
-    fn put(&self, buf: &mut Vec<u8>) {
-        self.max_steps.put(buf);
-        self.max_states.put(buf);
-        self.auth_mode.put(buf);
-        self.weaker_depth.put(buf);
-        self.jobs.put(buf);
-        buf.put_u8(u8::from(self.escalate) | (u8::from(self.slice) << 1));
-    }
-    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let mut config = SafetyConfig {
-            max_steps: Wire::take(buf)?,
-            max_states: Wire::take(buf)?,
-            auth_mode: Wire::take(buf)?,
-            weaker_depth: Wire::take(buf)?,
-            jobs: Wire::take(buf)?,
-            escalate: false,
-            slice: false,
-        };
-        let flags = u8::take(buf)?;
-        if flags > 0b11 {
-            return Err(bad_tag("safety-config flags", flags));
-        }
-        config.escalate = flags & 0b01 != 0;
-        config.slice = flags & 0b10 != 0;
-        Ok(config)
-    }
-}
-
-/// A finding's `Option<Confirmation>`, folded into one byte (v3):
-/// `00` not applicable, `01` confirmed, `02` potential.
-struct ConfirmationByte(Option<Confirmation>);
-
-impl Wire for ConfirmationByte {
-    fn put(&self, buf: &mut Vec<u8>) {
-        buf.put_u8(match self.0 {
-            None => 0,
-            Some(Confirmation::Confirmed) => 1,
-            Some(Confirmation::Potential) => 2,
-        });
-    }
-    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(ConfirmationByte(match u8::take(buf)? {
-            0 => None,
-            1 => Some(Confirmation::Confirmed),
-            2 => Some(Confirmation::Potential),
-            other => return Err(bad_tag("confirmation option", other)),
-        }))
-    }
-}
-
-// The spec's named layouts (outcome, stats, finding, lint-report,
-// impact-report, …), in its order.
 wire_struct! {
-    Authorization { held, target }
-    StepOutcome { authorization, changed }
-    Truncation { states, depth, cap_hit }
-    RefinementViolation { entity, perm }
     RefinementReply { holds, total_violations, witnesses }
-    AuditEvent { seq, command, decision, changed }
     VersionInfo { epoch, checksum as Le64 }
-    RecoveryReport { replayed, truncated_tail, divergent }
     ReplicationStatus { role, term, last_applied_epoch, lag }
     ServiceStats {
         epoch, checksum as Le64, users, roles, edges, sessions, audit_retained,
         forced_deactivations, analyses_run, analyses_indefinite, lints_run, lint_findings,
         recovery, replication,
     }
-    Finding { kind, severity, role, term, edge, confirmation as ConfirmationByte, message }
-    LintReport { rules_checked, closure_edges, findings }
-    EdgeDelta { edge, added }
-    PermFlip { user, term, now_granted }
-    StatusChange { edge, before, after }
-    ImpactReport {
-        outcomes, deltas, flipped, grow_only_before, grow_only_after, status_changes, findings,
-        severed_sessions,
-    }
-    AdmissionReport { findings, constraints_checked }
 }
 
-// ----- payload entry points ----------------------------------------------
-
-fn encode(put: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put(&mut buf);
-    buf
-}
-
-/// Runs `take` over a whole payload: bytes it leaves unread mean the
-/// frame length and the encoding disagree.
+/// Runs `take` over a whole frame payload: bytes it leaves unread mean
+/// the frame length and the encoding disagree.
 fn decode<T>(
     payload: &[u8],
-    take: impl FnOnce(&mut &[u8]) -> Result<T, WireError>,
+    take: impl FnOnce(&mut &[u8]) -> Result<T, CodecError>,
 ) -> Result<T, WireError> {
-    let buf = &mut &payload[..];
-    let value = take(buf)?;
-    if buf.has_remaining() {
-        return Err(WireError::TrailingBytes {
-            extra: buf.remaining(),
-        });
-    }
-    Ok(value)
+    codec::decode(payload, take).map_err(WireError::from)
 }
 
 // ----- request payloads ------------------------------------------------
@@ -939,19 +524,18 @@ wire_enum!(Request: u64 as "request", |buf, universe: &Universe| {
     4 => DropSession { session },
     5 => Submit { commands },
     6 => AnalyzeReach { entity, perm, config },
-    // The candidate's encoding is universe-relative (the store's policy
-    // codec binds the edges it reads to a universe), so it cannot be a
-    // `Wire` field.
+    // The candidate travels as its edge sets, last, and is bound to the
+    // serving universe as it is read: a policy alone is not `Wire`.
     7 => CheckRefinement { candidate, direction, max_witnesses } = {
         put: {
             direction.put(buf);
             max_witnesses.put(buf);
-            put_policy(buf, candidate);
+            EdgeSets::of(candidate).put(buf);
         },
         take: Request::CheckRefinement {
             direction: Wire::take(buf)?,
             max_witnesses: Wire::take(buf)?,
-            candidate: get_policy(buf, universe)?,
+            candidate: EdgeSets::take(buf)?.bind(universe)?,
         }
     },
     8 => AuditTail { max },
@@ -982,35 +566,22 @@ pub fn decode_request(payload: &[u8], universe: &Universe) -> Result<Request, Wi
 /// out-of-range ids from a hostile or misconfigured client are refused
 /// at the boundary instead of reaching index-based analysis code.
 ///
-/// `CheckRefinement` candidates are exempt: the service's own
+/// A `CheckRefinement` candidate needs no check here: its edges were
+/// bound to this universe as they were decoded (one naming an id the
+/// universe lacks is `DanglingId`), and the service's own
 /// `ids_in_bounds` check (answering [`ServiceError::ForeignPolicy`])
-/// already covers them.
+/// covers callers that never crossed the wire.
 pub fn validate_request(req: &Request, universe: &Universe) -> Result<(), WireError> {
-    let user = |u: UserId| check_id("user", u.index(), universe.user_count());
-    let role = |r: RoleId| check_id("role", r.index(), universe.role_count());
-    let perm = |p: Perm| {
-        check_id("action", p.action.index(), universe.action_count())?;
-        check_id("object", p.object.index(), universe.object_count())
-    };
-    let term = |t: PrivId| check_id("term", t.index(), universe.term_count());
-    let edge = |e: Edge| match e {
-        Edge::UserRole(u, r) => {
-            user(u)?;
-            role(r)
-        }
-        Edge::RoleRole(a, b) => {
-            role(a)?;
-            role(b)
-        }
-        Edge::RolePriv(r, t) => {
-            role(r)?;
-            term(t)
-        }
+    let check_pairs = |pairs: &[(RoleId, RoleId)]| {
+        let mut roles = pairs.iter().flat_map(|&(a, b)| [a, b]);
+        roles.try_for_each(|role| universe.check_role(role))
     };
     match req {
-        Request::CheckAccess { perm: p, .. } => perm(*p),
-        Request::CreateSession { user: u } => user(*u),
-        Request::ActivateRole { role: r, .. } | Request::DeactivateRole { role: r, .. } => role(*r),
+        Request::CheckAccess { perm, .. } => universe.check_perm(*perm)?,
+        Request::CreateSession { user } => universe.check_user(*user)?,
+        Request::ActivateRole { role, .. } | Request::DeactivateRole { role, .. } => {
+            universe.check_role(*role)?
+        }
         Request::DropSession { .. }
         | Request::AuditTail { .. }
         | Request::AuditSince { .. }
@@ -1019,53 +590,29 @@ pub fn validate_request(req: &Request, universe: &Universe) -> Result<(), WireEr
         | Request::Compact
         | Request::Promote
         | Request::GetConstraints
-        | Request::CheckRefinement { .. } => Ok(()),
+        | Request::CheckRefinement { .. } => {}
         Request::Submit { commands } | Request::Analyze { commands } => {
             for cmd in commands {
-                user(cmd.actor)?;
-                edge(cmd.edge)?;
+                universe.check_user(cmd.actor)?;
+                universe.check_edge(cmd.edge)?;
             }
-            Ok(())
         }
         Request::SetConstraints { constraints } => {
-            for (a, b) in &constraints.sod_pairs {
-                role(*a)?;
-                role(*b)?;
-            }
+            check_pairs(&constraints.sod_pairs)?;
             for e in &constraints.frozen_edges {
-                edge(*e)?;
+                universe.check_edge(*e)?;
             }
-            Ok(())
         }
-        Request::AnalyzeReach {
-            entity, perm: p, ..
-        } => {
+        Request::AnalyzeReach { entity, perm, .. } => {
             match entity {
-                Entity::User(u) => user(*u)?,
-                Entity::Role(r) => role(*r)?,
+                Entity::User(u) => universe.check_user(*u)?,
+                Entity::Role(r) => universe.check_role(*r)?,
             }
-            perm(*p)
+            universe.check_perm(*perm)?
         }
-        Request::Lint { sod_pairs } => {
-            for (a, b) in sod_pairs {
-                role(*a)?;
-                role(*b)?;
-            }
-            Ok(())
-        }
+        Request::Lint { sod_pairs } => check_pairs(sod_pairs)?,
     }
-}
-
-fn check_id(what: &'static str, index: usize, count: usize) -> Result<(), WireError> {
-    if index < count {
-        Ok(())
-    } else {
-        Err(WireError::IdOutOfRange {
-            what,
-            id: index as u64,
-            max: count,
-        })
-    }
+    Ok(())
 }
 
 // ----- response payloads -----------------------------------------------
@@ -1103,33 +650,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
 
 // ----- error payloads --------------------------------------------------
 
-/// The one session error, untagged: the error table's tag already says
-/// which it is.
-impl Wire for SessionError {
-    fn put(&self, buf: &mut Vec<u8>) {
-        let SessionError::ActivationDenied { user, role } = self;
-        user.put(buf);
-        role.put(buf);
-    }
-    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(SessionError::ActivationDenied {
-            user: Wire::take(buf)?,
-            role: Wire::take(buf)?,
-        })
-    }
-}
-
-/// Lossy by design: a store error crosses as its display string and is
-/// rebuilt as an I/O error on the far side.
-impl Wire for StoreError {
-    fn put(&self, buf: &mut Vec<u8>) {
-        put_string(buf, &self.to_string());
-    }
-    fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(StoreError::Io(io::Error::other(String::take(buf)?)))
-    }
-}
-
 /// The `expected` strings [`ServiceError::Protocol`] can carry: a
 /// response variant's name, or the one count-qualified form. The
 /// variant holds a `&'static str`, so decoding matches the received
@@ -1150,11 +670,14 @@ wire_enum!(ServiceError: u64 as "error", |buf| {
     2 => Backend { applied, error },
     3 => Aborted,
     4 => ForeignPolicy,
+    // Nothing raises 5–7 since the tenant router they belonged to was
+    // deleted; `fixtures/wire_golden.hex` and the spec pin their rows
+    // until the next `WIRE_VERSION` bump retires them.
     5 => InvalidTenant(tenant),
     6 => UnknownTenant(tenant),
     7 => Recovery { tenant, divergent },
     8 => Protocol { expected } = {
-        put: put_string(buf, expected),
+        put: expected.to_string().put(buf),
         take: {
             let received = String::take(buf)?;
             match protocol_expected(&received) {
@@ -1243,7 +766,7 @@ pub fn decode_repl_snapshot(payload: &[u8]) -> Result<(u64, u64, Vec<u8>), WireE
     decode(payload, |buf| {
         let (term, epoch, len) = (u64::take(buf)?, u64::take(buf)?, usize::take(buf)?);
         if buf.remaining() < len {
-            return Err(WireError::Codec(CodecError::UnexpectedEof));
+            return Err(CodecError::UnexpectedEof);
         }
         let state = buf[..len].to_vec();
         buf.advance(len);

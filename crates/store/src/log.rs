@@ -1,30 +1,21 @@
 //! The append-only command log.
 //!
-//! Each record carries a sequence number and a kind tag: kind `0` is an
+//! Each record is a sequence number and a `LogRecord`: an
 //! administrative command together with whether it was authorized when
-//! first executed; kind `1` is an admission [`ConstraintSet`] declaration
-//! (the whole set, last-writer-wins, so recovery needs no merging).
-//! Records are CRC-framed ([`crate::record`]); recovery replays the
-//! longest valid prefix and truncates a torn tail.
+//! first executed, or an admission [`ConstraintSet`] declaration (the
+//! whole set, last-writer-wins, so recovery needs no merging). Records
+//! are CRC-framed ([`crate::record`]); recovery replays the longest
+//! valid prefix and truncates a torn tail.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use bytes::BytesMut;
-
 use adminref_core::admission::ConstraintSet;
 use adminref_core::command::Command;
 
-use crate::codec::{
-    get_command, get_constraints, get_varint, put_command, put_constraints, put_varint, CodecError,
-};
+use crate::codec::{decode, encode, CodecError, Wire};
 use crate::record::{read_record, write_record, RecordRead};
-
-/// Record kind tag: an administrative command.
-const KIND_COMMAND: u8 = 0;
-/// Record kind tag: a constraint-set declaration.
-const KIND_CONSTRAINTS: u8 = 1;
 
 /// One durable log entry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -94,11 +85,16 @@ pub struct RecoveredLog {
     pub truncated_tail: bool,
 }
 
-/// One decoded log record (internal to recovery).
+/// What a log record holds after its sequence number.
 enum LogRecord {
-    Command(LogEntry),
-    Constraints { seq: u64, set: ConstraintSet },
+    Command { executed: bool, command: Command },
+    Constraints { set: ConstraintSet },
 }
+
+crate::wire_enum!(LogRecord: u8 as "log record" {
+    0 => Command { executed, command },
+    1 => Constraints { set },
+});
 
 impl CommandLog {
     /// Opens (or creates) the log at `path`, replaying the valid prefix
@@ -106,7 +102,7 @@ impl CommandLog {
     pub fn open(path: &Path) -> Result<RecoveredLog, StoreError> {
         let mut entries = Vec::new();
         let mut constraints = None;
-        let mut last_seq = None;
+        let mut next_seq = 0;
         let mut records: u64 = 0;
         let mut valid_bytes: u64 = 0;
         let mut truncated_tail = false;
@@ -116,17 +112,16 @@ impl CommandLog {
             loop {
                 match read_record(&mut reader)? {
                     RecordRead::Record(payload) => {
-                        let mut buf = &payload[..];
-                        match decode_log_record(&mut buf)? {
-                            LogRecord::Command(entry) => {
-                                last_seq = Some(entry.seq);
-                                entries.push(entry);
-                            }
-                            LogRecord::Constraints { seq, set } => {
-                                last_seq = Some(seq);
-                                constraints = Some(set);
-                            }
+                        let (seq, record) = decode(&payload, Wire::take)?;
+                        match record {
+                            LogRecord::Command { executed, command } => entries.push(LogEntry {
+                                seq,
+                                command,
+                                executed,
+                            }),
+                            LogRecord::Constraints { set } => constraints = Some(set),
                         }
+                        next_seq = seq.saturating_add(1);
                         records += 1;
                         valid_bytes += 8 + payload.len() as u64;
                     }
@@ -145,7 +140,6 @@ impl CommandLog {
             .open(path)?;
         file.set_len(valid_bytes)?;
         file.seek(SeekFrom::Start(valid_bytes))?;
-        let next_seq = last_seq.map(|s| s + 1).unwrap_or(0);
         Ok(RecoveredLog {
             log: CommandLog {
                 path: path.to_path_buf(),
@@ -163,34 +157,28 @@ impl CommandLog {
     ///
     /// Returns the entry's sequence number.
     pub fn append(&mut self, command: &Command, executed: bool) -> Result<u64, StoreError> {
-        let mut payload = BytesMut::new();
-        let seq = self.next_seq;
-        put_varint(&mut payload, seq);
-        payload.extend_from_slice(&[KIND_COMMAND, u8::from(executed)]);
-        put_command(&mut payload, command);
-        self.append_payload(&payload)?;
-        Ok(seq)
+        self.append_record(LogRecord::Command {
+            executed,
+            command: *command,
+        })
     }
 
     /// Appends a constraint-set declaration and flushes it to the OS.
     ///
     /// Returns the record's sequence number.
     pub fn append_constraints(&mut self, constraints: &ConstraintSet) -> Result<u64, StoreError> {
-        let mut payload = BytesMut::new();
-        let seq = self.next_seq;
-        put_varint(&mut payload, seq);
-        payload.extend_from_slice(&[KIND_CONSTRAINTS]);
-        put_constraints(&mut payload, constraints);
-        self.append_payload(&payload)?;
-        Ok(seq)
+        self.append_record(LogRecord::Constraints {
+            set: constraints.clone(),
+        })
     }
 
-    fn append_payload(&mut self, payload: &[u8]) -> Result<(), StoreError> {
-        write_record(&mut self.writer, payload)?;
+    fn append_record(&mut self, record: LogRecord) -> Result<u64, StoreError> {
+        let seq = self.next_seq;
+        write_record(&mut self.writer, &encode(|buf| (seq, record).put(buf)))?;
         self.writer.flush()?;
         self.next_seq += 1;
         self.entries_written += 1;
-        Ok(())
+        Ok(seq)
     }
 
     /// Forces the file contents to stable storage (`fsync`).
@@ -230,35 +218,6 @@ impl CommandLog {
         self.next_seq = base_seq;
         self.entries_written = 0;
         Ok(())
-    }
-}
-
-fn decode_log_record(buf: &mut &[u8]) -> Result<LogRecord, CodecError> {
-    let seq = get_varint(buf)?;
-    if buf.is_empty() {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let kind = buf[0];
-    *buf = &buf[1..];
-    match kind {
-        KIND_COMMAND => {
-            if buf.is_empty() {
-                return Err(CodecError::UnexpectedEof);
-            }
-            let executed = buf[0] != 0;
-            *buf = &buf[1..];
-            let command = get_command(buf)?;
-            Ok(LogRecord::Command(LogEntry {
-                seq,
-                command,
-                executed,
-            }))
-        }
-        KIND_CONSTRAINTS => Ok(LogRecord::Constraints {
-            seq,
-            set: get_constraints(buf)?,
-        }),
-        t => Err(CodecError::BadTag(t)),
     }
 }
 

@@ -1,20 +1,17 @@
-//! Snapshot files: a universe + policy + base sequence number in one
-//! CRC-framed record, written atomically (write to a temp file, rename).
+//! Snapshot files: a universe + policy + base sequence number +
+//! constraint set in one CRC-framed record, written atomically (write to
+//! a temp file, rename). The same record, minus the file, is the state
+//! blob a replication bootstrap carries.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
-
-use bytes::{Buf, BytesMut};
 
 use adminref_core::admission::ConstraintSet;
 use adminref_core::policy::Policy;
 use adminref_core::universe::Universe;
 
-use crate::codec::{
-    get_constraints, get_policy, get_universe, get_varint, put_constraints, put_policy,
-    put_universe, put_varint,
-};
+use crate::codec::{decode, encode, EdgeSets, Wire};
 use crate::log::StoreError;
 use crate::record::{read_record, write_record, RecordRead};
 
@@ -35,6 +32,51 @@ pub struct Snapshot {
     pub constraints: ConstraintSet,
 }
 
+/// The one place the snapshot record is written: a CRC frame around the
+/// magic, then `base_seq, universe, policy, constraints`.
+fn write_state(
+    writer: &mut impl Write,
+    universe: &Universe,
+    policy: &Policy,
+    base_seq: u64,
+    constraints: &ConstraintSet,
+) -> std::io::Result<()> {
+    let payload = encode(|buf| {
+        buf.extend_from_slice(MAGIC);
+        base_seq.put(buf);
+        universe.put(buf);
+        EdgeSets::of(policy).put(buf);
+        constraints.put(buf);
+    });
+    write_record(writer, &payload)
+}
+
+/// The one place the snapshot record is read: the CRC frame, the magic,
+/// then the fields in [`write_state`]'s order, and nothing after them.
+/// A truncated or bit-flipped record is a typed refusal, never a
+/// partial state.
+fn read_state(reader: &mut impl Read) -> Result<Snapshot, StoreError> {
+    let payload = match read_record(reader)? {
+        RecordRead::Record(p) => p,
+        RecordRead::Eof => return Err(StoreError::BadHeader("empty snapshot")),
+        RecordRead::Corrupt { reason } => return Err(StoreError::BadHeader(reason)),
+    };
+    let Some(fields) = payload.strip_prefix(MAGIC) else {
+        return Err(StoreError::BadHeader("bad magic"));
+    };
+    Ok(decode(fields, |buf| {
+        let base_seq = Wire::take(buf)?;
+        let universe = Universe::take(buf)?;
+        let policy = EdgeSets::take(buf)?.bind(&universe)?;
+        Ok(Snapshot {
+            constraints: Wire::take(buf)?,
+            universe,
+            policy,
+            base_seq,
+        })
+    })?)
+}
+
 /// Writes a snapshot atomically (temp file + rename).
 pub fn write_snapshot(
     path: &Path,
@@ -43,18 +85,10 @@ pub fn write_snapshot(
     base_seq: u64,
     constraints: &ConstraintSet,
 ) -> Result<(), StoreError> {
-    let mut payload = BytesMut::new();
-    payload.extend_from_slice(MAGIC);
-    put_varint(&mut payload, base_seq);
-    put_universe(&mut payload, universe);
-    put_policy(&mut payload, policy);
-    put_constraints(&mut payload, constraints);
     let tmp = path.with_extension("tmp");
     {
-        let file = File::create(&tmp)?;
-        let mut writer = BufWriter::new(file);
-        write_record(&mut writer, &payload)?;
-        use std::io::Write as _;
+        let mut writer = BufWriter::new(File::create(&tmp)?);
+        write_state(&mut writer, universe, policy, base_seq, constraints)?;
         writer.flush()?;
         writer.get_ref().sync_data()?;
     }
@@ -63,72 +97,28 @@ pub fn write_snapshot(
 }
 
 /// Encodes a `(universe, policy, constraints)` state as one
-/// self-contained, CRC-framed byte blob — the same record layout
+/// self-contained, CRC-framed byte blob — the same record
 /// [`write_snapshot`] puts on disk, minus the file. Replication uses
 /// this as the bootstrap payload a primary ships to a fresh or lagging
 /// replica; carrying the constraint set means a promoted replica keeps
 /// enforcing the same admission gate.
 pub fn encode_state(universe: &Universe, policy: &Policy, constraints: &ConstraintSet) -> Vec<u8> {
-    let mut payload = BytesMut::new();
-    payload.extend_from_slice(MAGIC);
-    put_varint(&mut payload, 0);
-    put_universe(&mut payload, universe);
-    put_policy(&mut payload, policy);
-    put_constraints(&mut payload, constraints);
     let mut framed = Vec::new();
     // Writing a record to an in-memory Vec cannot fail.
-    if write_record(&mut framed, &payload).is_err() {
-        return Vec::new();
-    }
+    let _ = write_state(&mut framed, universe, policy, 0, constraints);
     framed
 }
 
 /// Decodes a blob produced by [`encode_state`], verifying the CRC frame
-/// and magic. A truncated or bit-flipped blob is a typed refusal, never
-/// a partial state.
-pub fn decode_state(bytes: &[u8]) -> Result<(Universe, Policy, ConstraintSet), StoreError> {
-    let mut reader = bytes;
-    let payload = match read_record(&mut reader)? {
-        RecordRead::Record(p) => p,
-        RecordRead::Eof => return Err(StoreError::BadHeader("empty state blob")),
-        RecordRead::Corrupt { reason } => return Err(StoreError::BadHeader(reason)),
-    };
-    let mut buf = &payload[..];
-    if buf.remaining() < MAGIC.len() || &buf[..MAGIC.len()] != MAGIC {
-        return Err(StoreError::BadHeader("bad magic"));
-    }
-    buf.advance(MAGIC.len());
-    let _base_seq = get_varint(&mut buf)?;
-    let universe = get_universe(&mut buf)?;
-    let policy = get_policy(&mut buf, &universe)?;
-    let constraints = get_constraints(&mut buf)?;
-    Ok((universe, policy, constraints))
+/// and magic.
+pub fn decode_state(mut bytes: &[u8]) -> Result<(Universe, Policy, ConstraintSet), StoreError> {
+    let state = read_state(&mut bytes)?;
+    Ok((state.universe, state.policy, state.constraints))
 }
 
 /// Loads a snapshot written by [`write_snapshot`].
 pub fn load_snapshot(path: &Path) -> Result<Snapshot, StoreError> {
-    let file = File::open(path)?;
-    let mut reader = BufReader::new(file);
-    let payload = match read_record(&mut reader)? {
-        RecordRead::Record(p) => p,
-        RecordRead::Eof => return Err(StoreError::BadHeader("empty snapshot file")),
-        RecordRead::Corrupt { reason } => return Err(StoreError::BadHeader(reason)),
-    };
-    let mut buf = &payload[..];
-    if buf.remaining() < MAGIC.len() || &buf[..MAGIC.len()] != MAGIC {
-        return Err(StoreError::BadHeader("bad magic"));
-    }
-    buf.advance(MAGIC.len());
-    let base_seq = get_varint(&mut buf)?;
-    let universe = get_universe(&mut buf)?;
-    let policy = get_policy(&mut buf, &universe)?;
-    let constraints = get_constraints(&mut buf)?;
-    Ok(Snapshot {
-        universe,
-        policy,
-        base_seq,
-        constraints,
-    })
+    read_state(&mut BufReader::new(File::open(path)?))
 }
 
 #[cfg(test)]

@@ -80,30 +80,33 @@ fn live_entries() -> Vec<(&'static str, Vec<u8>)> {
     let dir = TempDir::new("golden-live").expect("tempdir");
     let path = dir.path().join("commands.log");
     let mut log = CommandLog::open(&path).expect("fresh log").log;
-    let mut ends = Vec::new();
-    let mut mark = |log: &mut CommandLog| {
-        log.sync().expect("sync");
-        ends.push(std::fs::metadata(&path).expect("log file").len() as usize);
-    };
     log.append(&executed_command(&universe), true)
         .expect("append");
-    mark(&mut log);
     log.append(&refused_command(&universe), false)
         .expect("append");
-    mark(&mut log);
     log.append_constraints(&constraints(&universe))
         .expect("append");
-    mark(&mut log);
+    log.sync().expect("sync");
     let bytes = std::fs::read(&path).expect("log bytes");
-    vec![
-        ("record.command.executed", bytes[..ends[0]].to_vec()),
-        ("record.command.refused", bytes[ends[0]..ends[1]].to_vec()),
-        ("record.constraints", bytes[ends[1]..ends[2]].to_vec()),
-        (
-            "state.hospital",
-            encode_state(&universe, &policy, &constraints(&universe)),
-        ),
-    ]
+    // Each record announces its payload length in its first four bytes.
+    let mut records = Vec::new();
+    let mut rest = &bytes[..];
+    while !rest.is_empty() {
+        let len = 8 + u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
+        records.push(rest[..len].to_vec());
+        rest = &rest[len..];
+    }
+    let blob = encode_state(&universe, &policy, &constraints(&universe));
+    let names = [
+        "record.command.executed",
+        "record.command.refused",
+        "record.constraints",
+        "state.hospital",
+    ];
+    names
+        .into_iter()
+        .zip(records.into_iter().chain([blob]))
+        .collect()
 }
 
 fn pinned_entries() -> Vec<(String, Vec<u8>)> {

@@ -233,8 +233,8 @@ fn seeded_defects_trip_every_finding_kind() {
 }
 
 /// The checked-in expectation for `fixtures/lint_demo.rbac` matches
-/// what the analyzer produces today, byte for byte — the same diff the
-/// CI lint-smoke lane performs through the CLI. On an intentional
+/// what the analyzer produces today, byte for byte — the same diff
+/// `crates/cli/tests/cli.rs` performs through the CLI. On an intentional
 /// analyzer change, regenerate with
 /// `adminref lint fixtures/lint_demo.rbac --sod pay,audit --json`.
 #[test]

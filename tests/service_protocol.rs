@@ -16,17 +16,14 @@
 //!    log-before-apply discipline, now observable through the typed
 //!    protocol).
 //! 3. **Protocol totality** — every `Request` variant is served and the
-//!    typed wrappers round-trip, including multi-tenant routing.
+//!    typed wrappers round-trip.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 
 use adminref_core::prelude::*;
 use adminref_monitor::{Decision, LockedMonitor, MonitorConfig};
-use adminref_service::{
-    MonitorService, PolicyService, RefinementDirection, Request, Response, RouterConfig,
-    ServiceError, ServiceRouter,
-};
+use adminref_service::{MonitorService, PolicyService, RefinementDirection, ServiceError};
 use adminref_store::{PolicyStore, TempDir};
 use proptest::prelude::*;
 
@@ -381,37 +378,4 @@ fn protocol_round_trips_every_variant() {
         .unwrap();
     assert!(!service.check_access(sid, granted).unwrap());
     assert_eq!(service.stats().unwrap().forced_deactivations, 1);
-}
-
-/// Multi-tenant routing through the protocol: per-tenant isolation of
-/// epochs, sessions, and audit.
-#[test]
-fn router_serves_isolated_tenants_through_the_protocol() {
-    let router = ServiceRouter::new(RouterConfig::default(), Box::new(|_tenant| arena()));
-    for tenant in ["acme", "globex"] {
-        let Response::Version(v) = router.call(tenant, Request::Version).unwrap() else {
-            panic!("version answers version");
-        };
-        assert_eq!(v.epoch, 0);
-    }
-    // A write to acme moves acme's epoch only.
-    let acme = router.tenant("acme").unwrap();
-    let snap = acme.monitor().read_snapshot();
-    let actor = snap.universe().find_user("actor0").unwrap();
-    let subj = snap.universe().find_user("subj0").unwrap();
-    let r0 = snap.universe().find_role("r0").unwrap();
-    acme.submit(vec![Command::grant(actor, Edge::UserRole(subj, r0))])
-        .unwrap();
-    assert_eq!(acme.version().unwrap(), 1);
-    assert_eq!(router.tenant("globex").unwrap().version().unwrap(), 0);
-    assert_eq!(
-        router
-            .tenant("globex")
-            .unwrap()
-            .audit_tail(10)
-            .unwrap()
-            .len(),
-        0
-    );
-    assert_eq!(acme.audit_tail(10).unwrap().len(), 1);
 }

@@ -26,7 +26,7 @@ use adminref_service::protocol::{
 use adminref_service::wire::{
     self, FrameHeader, FrameKind, WireError, HEADER_LEN, MAX_PAYLOAD, WIRE_VERSION,
 };
-use adminref_store::codec::{get_varint, put_varint, CodecError};
+use adminref_store::codec::{CodecError, Wire};
 use adminref_store::RecoveryReport;
 use adminref_workloads::{layered, populate_perms, populate_users, LayeredSpec};
 use proptest::prelude::*;
@@ -839,7 +839,7 @@ fn spec_tag_tables_match_the_codec() {
         let rows = spec_tag_rows(&spec, section);
         let mut sampled: Vec<&str> = Vec::new();
         for (_, variant, _, payload) in samples.iter().filter(|s| s.0 == family) {
-            let tag = get_varint(&mut payload.as_slice()).expect("leading tag");
+            let tag = u64::take(&mut payload.as_slice()).expect("leading tag");
             assert!(
                 rows.contains(&(tag, variant.to_string())),
                 "{section}: no `| {tag} | {variant} |` row in specs/wire_protocol.md"
@@ -1122,7 +1122,7 @@ fn hostile_list_counts_hit_eof_not_the_allocator() {
     let (uni, _) = test_world();
     let hostile = |prefix: &[u8]| {
         let mut payload = prefix.to_vec();
-        put_varint(&mut payload, 1 << 40);
+        (1u64 << 40).put(&mut payload);
         payload
     };
     let eof = WireError::Codec(CodecError::UnexpectedEof);
@@ -1154,7 +1154,7 @@ fn ids_past_u32_are_typed_errors() {
     let (uni, _) = test_world();
     let overflow = WireError::Codec(CodecError::VarintOverflow);
     let mut too_big = Vec::new();
-    put_varint(&mut too_big, 1 << 32);
+    (1u64 << 32).put(&mut too_big);
     // Request tag 1 CreateSession { user }.
     let request = [&[1u8][..], &too_big].concat();
     assert_eq!(
@@ -1163,7 +1163,30 @@ fn ids_past_u32_are_typed_errors() {
     );
     // Error tag 1 ActivationDenied: user, then role.
     let error = [&[1u8, 0][..], &too_big].concat();
-    assert_eq!(wire::decode_error(&error).err(), Some(overflow));
+    assert_eq!(wire::decode_error(&error).err(), Some(overflow.clone()));
+    // The layouts the WAL shares — command, edge, constraint set — are
+    // the same rule: actor 2^32 + 1 is not user 1, whose command would
+    // then pass `validate_request`.
+    let mut actor = Vec::new();
+    ((1u64 << 32) + 1).put(&mut actor);
+    for tag in [5u8, 15] {
+        // Submit / Analyze: one command, actor first, then grant (0, 0).
+        let request = [&[tag, 1][..], &actor, &[0, 0, 0, 0]].concat();
+        assert_eq!(
+            wire::decode_request(&request, &uni).err(),
+            Some(overflow.clone())
+        );
+    }
+    // SetConstraints: one SoD pair whose second role is past u32; then
+    // no pair, no level, one frozen edge (role 0, term 2^32).
+    let pair = [&[16u8, 1, 0][..], &too_big, &[0, 0]].concat();
+    let frozen = [&[16u8, 0, 0, 1, 2, 0][..], &too_big].concat();
+    for request in [pair, frozen] {
+        assert_eq!(
+            wire::decode_request(&request, &uni).err(),
+            Some(overflow.clone())
+        );
+    }
 }
 
 // ----- mutation fuzzing ------------------------------------------------
