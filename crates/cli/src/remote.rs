@@ -203,7 +203,7 @@ fn daemon_config(rest: &[&String]) -> Result<DaemonConfig, String> {
 
 fn run_until_stopped(rest: &[&String], daemon: Daemon) -> Result<ExitCode, String> {
     // std has no signal handling and this workspace admits no raw libc
-    // calls; a stop file gives scripts (and the CI smoke lanes) a
+    // calls; a stop file gives scripts (and the daemon tests) a
     // portable graceful shutdown.
     let stop_file = flag_value(rest, "--stop-file");
     match stop_file {

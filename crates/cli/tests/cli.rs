@@ -494,3 +494,332 @@ fn compact_folds_a_store_created_by_run() {
     assert!(!out.status.success());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ----- serve / client: the daemon driven as an operator would ---------
+
+/// A scratch directory, removed on drop, handing out argv-ready paths.
+struct Scratch(adminref_store::TempDir);
+
+impl Scratch {
+    fn new(label: &str) -> Self {
+        Scratch(adminref_store::TempDir::new(label).unwrap())
+    }
+
+    fn path(&self, name: &str) -> String {
+        self.0.path().join(name).to_string_lossy().into_owned()
+    }
+
+    fn write(&self, name: &str, text: &str) -> String {
+        std::fs::write(self.0.path().join(name), text).unwrap();
+        self.path(name)
+    }
+}
+
+/// Polls `done` every 50 ms for up to 10 s.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    for _ in 0..200 {
+        if done() {
+            return;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    panic!("timed out waiting for {what}");
+}
+
+/// One `adminref serve … --unix SOCK --stop-file STOP` child process.
+/// Killed on drop, so a failed assertion leaves no daemon behind.
+struct Served {
+    child: std::process::Child,
+    sock: String,
+    stop: String,
+}
+
+impl Served {
+    /// Spawns `adminref serve <args> --unix … --stop-file …` with both
+    /// paths under `scratch`, and waits for the socket to appear.
+    fn start(scratch: &Scratch, name: &str, args: &[&str]) -> Self {
+        let sock = scratch.path(&format!("{name}.sock"));
+        let stop = scratch.path(&format!("{name}.stop"));
+        let child = bin()
+            .arg("serve")
+            .args(args)
+            .args(["--unix", &sock, "--stop-file", &stop])
+            .stdout(std::process::Stdio::null())
+            .spawn()
+            .unwrap();
+        let served = Served { child, sock, stop };
+        wait_until("the daemon's socket", || {
+            std::path::Path::new(&served.sock).exists()
+        });
+        served
+    }
+
+    fn client(&self, args: &[&str]) -> std::process::Output {
+        bin()
+            .args(["client", "--unix", &self.sock])
+            .args(args)
+            .output()
+            .unwrap()
+    }
+
+    /// `client <args>`, required to exit 0; returns its stdout.
+    fn client_ok(&self, args: &[&str]) -> String {
+        let out = self.client(args);
+        assert!(
+            out.status.success(),
+            "client {args:?}: {}{}",
+            stdout(&out),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        stdout(&out)
+    }
+
+    /// Touches the stop file and requires a clean exit that removed the
+    /// socket file.
+    fn stop(mut self) {
+        std::fs::write(&self.stop, "").unwrap();
+        let mut status = None;
+        wait_until("the daemon to honour its stop-file", || {
+            status = self.child.try_wait().unwrap();
+            status.is_some()
+        });
+        assert!(status.unwrap().success(), "daemon exited with {status:?}");
+        assert!(
+            !std::path::Path::new(&self.sock).exists(),
+            "socket file survived shutdown"
+        );
+    }
+}
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+fn stdout(out: &std::process::Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// An arena where a separation-of-duty conflict must be *created by the
+/// batch*: admin can put alice (or bob) into pay and audit.
+const SOD_ARENA: &str = "policy sodarena {
+    users admin, alice, bob;
+    roles admins, pay, audit;
+    assign admin -> admins;
+    perm admins -> grant(alice, pay);
+    perm admins -> grant(alice, audit);
+    perm admins -> grant(bob, pay);
+    perm admins -> grant(bob, audit);
+    perm admins -> revoke(alice, pay);
+    perm admins -> revoke(alice, audit);
+}";
+const VIOLATING_QUEUE: &str = "queue {
+    cmd(admin, grant, alice -> pay);
+    cmd(admin, grant, alice -> audit);
+}";
+const CLEAN_QUEUE: &str = "queue { cmd(admin, grant, bob -> pay); }";
+
+#[test]
+fn daemon_serves_every_client_verb_and_cleans_up() {
+    let scratch = Scratch::new("daemon");
+    let h = hospital();
+    let daemon = Served::start(&scratch, "d", &[&scratch.path("store"), "--init", &h]);
+    assert!(daemon
+        .client_ok(&["stats"])
+        .contains("roles                8"));
+    let text = daemon.client_ok(&["check", &h, "diana", "write", "t3", "--roles", "staff"]);
+    assert!(text.contains("ACCESS granted"), "{text}");
+    // Denied is a completed run with a nonzero exit, not a usage error.
+    let out = daemon.client(&["check", &h, "diana", "write", "t3", "--roles", "nurse"]);
+    assert!(!out.status.success());
+    assert!(stdout(&out).contains("ACCESS denied"), "{}", stdout(&out));
+    let text = daemon.client_ok(&["reach", &h, "bob", "write", "t3"]);
+    assert!(text.contains("REACHABLE in 1 step(s)"), "{text}");
+    assert!(text.contains("cmd(jane, grant, bob -> staff);"), "{text}");
+    let text = daemon.client_ok(&["lint", &h, "--deny", "note"]);
+    assert!(
+        text.contains("0 note(s), 0 warning(s), 0 error(s)"),
+        "{text}"
+    );
+    let appointments = fixture("appointments.rbacq").to_string_lossy().into_owned();
+    let text = daemon.client_ok(&["submit", &h, &appointments]);
+    assert!(text.contains("# 3 executed, 1 refused"), "{text}");
+    let text = daemon.client_ok(&["analyze", &h, &appointments]);
+    assert!(text.contains("# admission: clean"), "{text}");
+    let text = daemon.client_ok(&["constraint", &h, "list"]);
+    assert!(text.contains("# no constraints declared"), "{text}");
+    let text = daemon.client_ok(&["compact"]);
+    assert!(text.contains("reopen replays 0 entries"), "{text}");
+    assert!(daemon
+        .client_ok(&["version"])
+        .starts_with("epoch 1 checksum 0x"));
+    // A standalone server is already a primary: term 0.
+    let text = daemon.client_ok(&["promote"]);
+    assert!(text.contains("term 0"), "{text}");
+    let out = daemon.client(&["frobnicate"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown client verb `frobnicate`"));
+    daemon.stop();
+}
+
+#[test]
+fn replica_converges_refuses_writes_and_promotes() {
+    let scratch = Scratch::new("replication");
+    let h = hospital();
+    let appointments = fixture("appointments.rbacq").to_string_lossy().into_owned();
+    let primary = Served::start(
+        &scratch,
+        "primary",
+        &[&scratch.path("store"), "--init", &h, "--replicate"],
+    );
+    let replica = Served::start(&scratch, "replica", &["--follow-unix", &primary.sock]);
+
+    // A write through the primary, then convergence: identical epoch
+    // and state checksum from `client version` on both nodes.
+    primary.client_ok(&["submit", &h, &appointments]);
+    let want = primary.client_ok(&["version"]);
+    assert!(want.starts_with("epoch 1 "), "{want}");
+    let mut got = String::new();
+    wait_until("the replica to converge", || {
+        got = replica.client_ok(&["version"]);
+        got == want
+    });
+    let text = replica.client_ok(&["stats"]);
+    assert!(text.contains("replica term 0"), "{text}");
+
+    // The replica refuses writes with the typed error…
+    let out = replica.client(&["submit", &h, &appointments]);
+    assert!(!out.status.success(), "replica accepted a write");
+    let err = String::from_utf8_lossy(&out.stderr).to_lowercase();
+    assert!(err.contains("read-only"), "{err}");
+
+    // …until promoted, after which it accepts them under term 1.
+    let text = replica.client_ok(&["promote"]);
+    assert!(text.contains("term 1"), "{text}");
+    replica.client_ok(&["submit", &h, &appointments]);
+    primary.stop();
+    replica.stop();
+}
+
+#[test]
+fn admission_gate_refuses_over_the_wire_and_leaves_the_epoch() {
+    let scratch = Scratch::new("admission");
+    let arena = scratch.write("sod_arena.rbac", SOD_ARENA);
+    let violating = scratch.write("violating.rbacq", VIOLATING_QUEUE);
+    let clean = scratch.write("clean.rbacq", CLEAN_QUEUE);
+    let daemon = Served::start(&scratch, "d", &[&scratch.path("store"), "--init", &arena]);
+
+    // Declare the pair over the wire and read it back.
+    daemon.client_ok(&["constraint", &arena, "add", "--sod", "pay,audit"]);
+    let text = daemon.client_ok(&["constraint", &arena, "list"]);
+    assert!(text.contains("sod: pay, audit"), "{text}");
+    let before = daemon.client_ok(&["version"]);
+
+    // Pre-flight analysis flags the batch without publishing.
+    let out = daemon.client(&["analyze", &arena, &violating]);
+    assert!(!out.status.success(), "analyze should have exited nonzero");
+    assert!(
+        stdout(&out).contains("admission: REFUSED"),
+        "{}",
+        stdout(&out)
+    );
+
+    // The violating batch bounces with the typed finding…
+    let out = daemon.client(&["submit", &arena, &violating]);
+    assert!(
+        !out.status.success(),
+        "violating submit should have exited nonzero"
+    );
+    let text = stdout(&out);
+    assert!(text.contains("sod-conflict"), "{text}");
+    assert!(text.contains("admission refused"), "{text}");
+    // …and published nothing: same epoch and checksum.
+    assert_eq!(daemon.client_ok(&["version"]), before);
+
+    // A clean batch still publishes.
+    daemon.client_ok(&["submit", &arena, &clean]);
+    assert_ne!(daemon.client_ok(&["version"]), before);
+    daemon.stop();
+}
+
+#[test]
+fn analyze_and_constraint_work_against_a_local_store() {
+    let scratch = Scratch::new("local-admission");
+    let arena = scratch.write("sod_arena.rbac", SOD_ARENA);
+    let violating = scratch.write("violating.rbacq", VIOLATING_QUEUE);
+    let clean = scratch.write("clean.rbacq", CLEAN_QUEUE);
+    let store = scratch.path("store");
+    let run = |args: &[&str]| bin().args(args).output().unwrap();
+    assert!(run(&["run", &arena, &clean, "--store", &store])
+        .status
+        .success());
+
+    let out = run(&["constraint", "list", &store]);
+    assert!(out.status.success());
+    assert!(stdout(&out).contains("# no constraints declared"));
+    // `add` needs something to add: a usage error.
+    let out = run(&["constraint", "add", &store]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("at least one of"));
+    let out = run(&[
+        "constraint",
+        "add",
+        &store,
+        "--sod",
+        "pay,audit",
+        "--deny",
+        "warning",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // Declarations are durable and accumulate across invocations.
+    let out = run(&["constraint", "add", &store, "--freeze", "admin,admins"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let added = stdout(&out);
+    let out = run(&["constraint", "list", &store]);
+    assert!(out.status.success());
+    assert_eq!(stdout(&out), added);
+    for line in [
+        "sod: pay, audit",
+        "deny-level: warning",
+        "frozen: admin -> admins",
+        "# 3 constraint(s) declared",
+    ] {
+        assert!(added.contains(line), "missing `{line}`: {added}");
+    }
+
+    // The store's declared set gates the dry run; a bare policy file
+    // has none, so the same batch is clean there.
+    let out = run(&["analyze", &store, "--batch", &violating]);
+    assert!(!out.status.success());
+    let refused = stdout(&out);
+    assert!(
+        refused.contains("# simulated: 2 executed, 0 refused"),
+        "{refused}"
+    );
+    assert!(refused.contains("sod-conflict"), "{refused}");
+    assert!(
+        refused.contains("# admission: REFUSED (4 finding(s))"),
+        "{refused}"
+    );
+    let out = run(&["analyze", &arena, "--batch", &violating]);
+    assert!(out.status.success());
+    let text = stdout(&out);
+    assert!(text.contains("delta: + alice -> audit"), "{text}");
+    assert!(text.contains("# admission: clean"), "{text}");
+    // …and nothing was mutated: the store still analyzes the same.
+    let again = run(&["analyze", &store, "--batch", &violating]);
+    assert_eq!(stdout(&again), refused);
+    let out = run(&["analyze", &store]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--batch"));
+}
