@@ -823,3 +823,117 @@ fn analyze_and_constraint_work_against_a_local_store() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--batch"));
 }
+
+// ----- one verb layer: flags are checked, twins agree ------------------
+
+#[test]
+fn misspelt_valueless_and_surplus_arguments_are_usage_errors() {
+    let h = hospital();
+    let cases: [(&[&str], &str); 5] = [
+        // Skipped at the parent: exit 0 at the default floor, with
+        // `warning` taken for a positional.
+        (&["lint", &h, "--dney", "warning"], "unknown flag `--dney`"),
+        (&["lint", &h, "--deny"], "--deny needs a value"),
+        (&["lint", &h, "--deny", "--json"], "--deny needs a value"),
+        (&["stats", &h, "extra"], "unexpected argument `extra`"),
+        // A flag another verb owns is not this verb's.
+        (&["print", &h, "--ordered"], "unknown flag `--ordered`"),
+    ];
+    for (args, complaint) in cases {
+        let out = bin().args(args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} should be refused");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(complaint), "{args:?}: {err}");
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran: {}", stdout(&out));
+    }
+}
+
+#[test]
+fn an_unknown_user_is_named_in_the_error() {
+    for verb in ["reach", "verify"] {
+        let out = bin()
+            .args([verb, &hospital(), "nobody", "write", "t3"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown user `nobody`"), "{verb}: {err}");
+    }
+}
+
+/// The property the single verb layer exists to guarantee: a verb run
+/// on the file (or store) and the same verb run through a daemon
+/// serving that state print the same body and exit the same way.
+#[test]
+fn local_and_client_twins_print_the_same_body() {
+    let scratch = Scratch::new("parity");
+    let h = hospital();
+    let appointments = fixture("appointments.rbacq").to_string_lossy().into_owned();
+    let store = scratch.path("store");
+    let daemon = Served::start(&scratch, "d", &[&store, "--init", &h]);
+    // A declared set that both lint (as defaults) and analyze (as the
+    // gate) must pick up: diana already bridges the pair.
+    let declare = ["constraint", &h, "add", "--sod", "nurse,staff"];
+    daemon.client_ok(&[&declare[..], &["--deny", "warning"]].concat());
+
+    // (the client's verb and operands, the local twin's): H is the
+    // policy file, S the served store, Q the queue.
+    const STARVED: &str = "reach H joe write t3 --max-states 1 --no-escalate --no-slice";
+    let cases = [
+        ("reach H bob write t3", "reach H bob write t3"),
+        (
+            "reach H joe write t3 --steps 1 --no-escalate",
+            "reach H joe write t3 --steps 1 --no-escalate",
+        ),
+        (STARVED, STARVED),
+        ("lint H --json", "lint S --json"),
+        ("lint H", "lint S"),
+        (
+            "lint H --deny error --sod hr,so",
+            "lint S --deny error --sod hr,so",
+        ),
+        ("analyze H Q", "analyze S --batch Q"),
+        ("constraint H list", "constraint list S"),
+    ];
+    let words = |template: &'static str| -> Vec<&str> {
+        let operand = |word| match word {
+            "H" => h.as_str(),
+            "S" => store.as_str(),
+            "Q" => appointments.as_str(),
+            word => word,
+        };
+        template.split(' ').map(operand).collect()
+    };
+    let served: Vec<_> = cases
+        .iter()
+        .map(|(remote, _)| daemon.client(&words(remote)))
+        .collect();
+    daemon.stop();
+
+    for ((remote, local), served) in cases.iter().zip(&served) {
+        let here = bin().args(words(local)).output().unwrap();
+        // The allowed differences: the header label (`(served)`, and
+        // the store's path where the client names the file), and the
+        // slice report local `reach` prefaces its answer with.
+        let body: String = stdout(&here)
+            .replace(&store, &h)
+            .lines()
+            .filter(|line| !line.starts_with("slice: "))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        assert_eq!(body, stdout(served).replace(" (served)", ""), "{remote:?}");
+        assert!(!body.is_empty(), "{remote:?} printed nothing");
+        if *remote == STARVED {
+            // `reach` only reports; `client reach` (like `verify`) gates.
+            assert!(body.starts_with("UNKNOWN"), "{body}");
+            assert_eq!(here.status.code(), Some(0));
+            assert_eq!(served.status.code(), Some(1));
+        } else {
+            assert_eq!(here.status.code(), served.status.code(), "{remote:?}");
+        }
+    }
+    // The declared defaults did gate: lint and analyze both refuse.
+    assert_eq!(served[4].status.code(), Some(1));
+    assert_eq!(served[6].status.code(), Some(1));
+}

@@ -122,23 +122,13 @@ fn explicit_cone(
     target: PrivId,
 ) -> Vec<bool> {
     let idx = &potential.index;
-    // The add-edge split lemma over Φ⁺ (cf. saturation's goal probe):
-    // can adding `edge` complete an `entity → target` path in some
-    // reachable policy?
-    let goal_relevant = |edge: Edge| match edge {
-        Edge::UserRole(u, r) => {
-            entity == Entity::User(u) && idx.reach_priv(Entity::Role(r), target)
-        }
-        Edge::RoleRole(r, s) => {
-            idx.reach_entity(entity, Entity::Role(r)) && idx.reach_priv(Entity::Role(s), target)
-        }
-        Edge::RolePriv(r, p) => p == target && idx.reach_entity(entity, Entity::Role(r)),
-    };
+    // The add-edge split lemma over Φ⁺: can adding `edge` complete an
+    // `entity → target` path in some reachable policy?
     let mut in_cone: std::collections::BTreeSet<Edge> = potential
         .addable
         .iter()
         .copied()
-        .filter(|&e| goal_relevant(e))
+        .filter(|&e| idx.reach_priv_via_added_edge(entity, target, e))
         .collect();
     // Commands by edge, for worklist propagation.
     let mut by_edge: std::collections::BTreeMap<Edge, Vec<usize>> =

@@ -270,6 +270,28 @@ impl ReachIndex {
         holders.iter().any(|&h| self.reach_entity(from, h.into()))
     }
 
+    /// The add-edge split lemma: in a policy that fails
+    /// `entity →φ target`, adding `edge = (src, tgt)` satisfies it iff
+    /// `entity →φ src` and `tgt →φ target` already held — a path in the
+    /// successor either avoids the new edge (the parent fails the goal)
+    /// or splits around its first and last use into parent-only
+    /// segments. Privilege vertices are sinks, so `tgt →φ target` for a
+    /// `PA†` edge is `tgt == target`. Evaluated on this (the parent's)
+    /// index, so one index answers a whole sweep of candidate edges.
+    #[inline]
+    pub fn reach_priv_via_added_edge(&self, entity: Entity, target: PrivId, edge: Edge) -> bool {
+        match edge {
+            Edge::UserRole(u, r) => {
+                entity == Entity::User(u) && self.reach_priv(Entity::Role(r), target)
+            }
+            Edge::RoleRole(r, s) => {
+                self.reach_entity(entity, Entity::Role(r))
+                    && self.reach_priv(Entity::Role(s), target)
+            }
+            Edge::RolePriv(r, p) => p == target && self.reach_entity(entity, Entity::Role(r)),
+        }
+    }
+
     /// General node-to-node reachability. Reflexive.
     pub fn reach_node(&self, from: Node, to: Node) -> bool {
         if from == to {

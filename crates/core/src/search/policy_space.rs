@@ -181,22 +181,8 @@ impl<'a> PolicySearch<'a> {
                 // Removing an edge only shrinks reachability; the
                 // parent already fails the goal.
                 CommandKind::Revoke => false,
-                // One added edge (src, tgt): a path in the successor
-                // either avoids it (parent fails the goal) or can be
-                // split around its first/last use into parent-only
-                // segments: entity →φ src and tgt →φ target.
-                CommandKind::Grant => match pc.cmd.edge {
-                    Edge::UserRole(u, r) => {
-                        *entity == Entity::User(u) && idx.reach_priv(Entity::Role(r), *target)
-                    }
-                    Edge::RoleRole(r, s) => {
-                        idx.reach_entity(*entity, Entity::Role(r))
-                            && idx.reach_priv(Entity::Role(s), *target)
-                    }
-                    Edge::RolePriv(r, p) => {
-                        p == *target && idx.reach_entity(*entity, Entity::Role(r))
-                    }
-                },
+                // One added edge: the split lemma on the parent's index.
+                CommandKind::Grant => idx.reach_priv_via_added_edge(*entity, *target, pc.cmd.edge),
             },
             SearchGoal::Custom(f) => {
                 let mut succ = parent.clone();

@@ -27,7 +27,7 @@ use crate::policy::Policy;
 use crate::reach::ReachIndex;
 use crate::safety::ReachabilityAnswer;
 use crate::transition::{authorize_with_order, AuthMode};
-use crate::universe::{Edge, Universe};
+use crate::universe::Universe;
 
 /// One grant applied during saturation, with its justification.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -103,10 +103,11 @@ pub fn saturate(
             derivation.push(step);
             // Split-lemma goal probe against the round-start index: when
             // it fires, the goal holds in the policy just produced, so
-            // the derivation so far is a complete witness. (A miss here
-            // is caught by the fresh index next round — the probe only
-            // under-approximates, it never lies.)
-            if goal_via_added_edge(&idx, entity, target, step.command.edge) {
+            // the derivation so far is a complete witness. The positive
+            // direction stays sound mid-round because reachability only
+            // grows. (A miss here is caught by the fresh index next
+            // round — the probe only under-approximates, it never lies.)
+            if idx.reach_priv_via_added_edge(entity, target, step.command.edge) {
                 return SaturationOutcome {
                     answer: reachable(&derivation),
                     rounds,
@@ -160,29 +161,13 @@ fn authorized_absent_grants(
     additions
 }
 
-/// The add-edge split lemma (cf. `PolicySearch::goal_on_delta`): adding
-/// `(src, tgt)` to a policy that fails `entity →φ target` satisfies it
-/// iff `entity →φ src` and `tgt →φ target` already held. Evaluated
-/// against the round-start index, the positive direction stays sound
-/// mid-round because reachability only grows.
-fn goal_via_added_edge(idx: &ReachIndex, entity: Entity, target: PrivId, edge: Edge) -> bool {
-    match edge {
-        Edge::UserRole(u, r) => {
-            entity == Entity::User(u) && idx.reach_priv(Entity::Role(r), target)
-        }
-        Edge::RoleRole(r, s) => {
-            idx.reach_entity(entity, Entity::Role(r)) && idx.reach_priv(Entity::Role(s), target)
-        }
-        Edge::RolePriv(r, p) => p == target && idx.reach_entity(entity, Entity::Role(r)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::PolicyBuilder;
     use crate::safety::{prepare_alphabet, SafetyConfig};
     use crate::transition::run_pure;
+    use crate::universe::Edge;
 
     /// jane∈hr holds ¤(bob, staff); staff → dbusr2 → (write, t3).
     fn fixture() -> (Universe, Policy) {

@@ -142,6 +142,42 @@ proptest! {
         }
     }
 
+    /// The add-edge split lemma: wherever `entity →φ target` fails,
+    /// the parent index's one-edge probe agrees with rebuilding the
+    /// index over `φ + edge`, for every absent edge of the vocabulary.
+    #[test]
+    fn split_lemma_agrees_with_a_rebuilt_index(spec in policy_spec()) {
+        let (uni, policy, users, roles) = build(&spec);
+        let idx = ReachIndex::build(&uni, &policy);
+        let entities: Vec<Entity> = users.iter().map(|&u| Entity::User(u))
+            .chain(roles.iter().map(|&r| Entity::Role(r))).collect();
+        let targets = policy.priv_vertices();
+        let mut absent: Vec<Edge> = Vec::new();
+        for &r in &roles {
+            absent.extend(users.iter().map(|&u| Edge::UserRole(u, r)));
+            absent.extend(roles.iter().map(|&s| Edge::RoleRole(s, r)));
+            absent.extend(targets.iter().map(|&p| Edge::RolePriv(r, p)));
+        }
+        absent.retain(|&e| !policy.contains_edge(e));
+        for edge in absent {
+            let mut grown = policy.clone();
+            grown.add_edge(edge);
+            let rebuilt = ReachIndex::build(&uni, &grown);
+            for &entity in &entities {
+                for &target in &targets {
+                    if idx.reach_priv(entity, target) {
+                        continue;
+                    }
+                    prop_assert_eq!(
+                        idx.reach_priv_via_added_edge(entity, target, edge),
+                        rebuilt.reach_priv(entity, target),
+                        "{:?} -> {:?} after adding {:?}", entity, target, edge
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn ordering_is_reflexive_and_transitive(spec in policy_spec()) {
         let (mut uni, policy, users, roles) = build(&spec);

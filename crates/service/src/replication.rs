@@ -78,7 +78,7 @@ use crate::group_commit::GroupCommit;
 use crate::protocol::{
     PolicyService, ReplicationRole, ReplicationStatus, Request, Response, ServiceError,
 };
-use crate::service::dispatch;
+use crate::service::{call_burst, dispatch};
 use crate::wire::{self, Frame, FrameKind};
 
 /// How often a blocked follower read wakes to check for stop/promote.
@@ -642,33 +642,8 @@ impl PolicyService for ReplicatedService {
         if !self.hub.writable() {
             return requests.into_iter().map(|r| self.serve(r)).collect();
         }
-        enum Shaped {
-            Write,
-            Other(Request),
-        }
-        let mut writes: Vec<Vec<adminref_core::command::Command>> = Vec::new();
-        let shaped: Vec<Shaped> = requests
-            .into_iter()
-            .map(|request| match request {
-                Request::Submit { commands } => {
-                    writes.push(commands);
-                    Shaped::Write
-                }
-                other => Shaped::Other(other),
-            })
-            .collect();
-        let mut write_results = self.writes.submit_many(&self.monitor, writes).into_iter();
-        shaped
-            .into_iter()
-            .map(|entry| match entry {
-                Shaped::Write => match write_results.next() {
-                    Some(result) => result.map(Response::Outcomes),
-                    // Unreachable: submit_many returns one result per
-                    // enqueued request.
-                    None => Err(ServiceError::Aborted),
-                },
-                Shaped::Other(other) => self.serve(other),
-            })
-            .collect()
+        call_burst(&self.writes, &self.monitor, requests, |other| {
+            self.serve(other)
+        })
     }
 }

@@ -80,39 +80,50 @@ impl PolicyService for MonitorService {
         }
     }
 
-    /// A burst's `Submit`s enqueue into the combiner under one queue
-    /// acquisition (guaranteed same drain); everything else is served
-    /// per request. Results come back in request order either way.
+    /// A burst's `Submit`s enter the combiner together; reads are
+    /// served per request (see `call_burst`).
     fn call_many(&self, requests: Vec<Request>) -> Vec<Result<Response, ServiceError>> {
-        enum Shaped {
-            Write,
-            Read(Request),
-        }
-        let mut writes: Vec<Vec<adminref_core::command::Command>> = Vec::new();
-        let shaped: Vec<Shaped> = requests
-            .into_iter()
-            .map(|request| match request {
-                Request::Submit { commands } => {
-                    writes.push(commands);
-                    Shaped::Write
-                }
-                read => Shaped::Read(read),
-            })
-            .collect();
-        let mut write_results = self.writes.submit_many(&self.monitor, writes).into_iter();
-        shaped
-            .into_iter()
-            .map(|entry| match entry {
-                Shaped::Write => match write_results.next() {
-                    Some(result) => result.map(Response::Outcomes),
-                    // Unreachable: submit_many returns one result per
-                    // enqueued request.
-                    None => Err(ServiceError::Aborted),
-                },
-                Shaped::Read(read) => dispatch(&self.monitor, read),
-            })
-            .collect()
+        call_burst(&self.writes, &self.monitor, requests, |read| {
+            dispatch(&self.monitor, read)
+        })
     }
+}
+
+/// Burst shaping, shared by every group-commit server: the burst's
+/// `Submit`s enqueue into the combiner under one queue acquisition
+/// (guaranteed same drain); every other request is served per request
+/// by `serve_other`. Results come back in request order either way.
+pub(crate) fn call_burst(
+    writes: &GroupCommit,
+    monitor: &ReferenceMonitor,
+    requests: Vec<Request>,
+    serve_other: impl Fn(Request) -> Result<Response, ServiceError>,
+) -> Vec<Result<Response, ServiceError>> {
+    let mut batches: Vec<Vec<adminref_core::command::Command>> = Vec::new();
+    // `None` marks a `Submit`'s place in the burst.
+    let others: Vec<Option<Request>> = requests
+        .into_iter()
+        .map(|request| match request {
+            Request::Submit { commands } => {
+                batches.push(commands);
+                None
+            }
+            other => Some(other),
+        })
+        .collect();
+    let mut write_results = writes.submit_many(monitor, batches).into_iter();
+    others
+        .into_iter()
+        .map(|entry| match entry {
+            Some(other) => serve_other(other),
+            None => match write_results.next() {
+                Some(result) => result.map(Response::Outcomes),
+                // Unreachable: submit_many returns one result per
+                // enqueued request.
+                None => Err(ServiceError::Aborted),
+            },
+        })
+        .collect()
 }
 
 /// The per-call baseline server: `Submit` executes immediately under
