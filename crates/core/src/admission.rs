@@ -28,6 +28,15 @@
 //!    logged, audited or published, so readers and replicas only ever
 //!    observe constraint-clean epochs.
 //!
+//! A monitor judges the epoch it is about to publish, not a copy of it:
+//! [`Candidate::derive`] simulates a batch against the published parent
+//! [`PolicySnapshot`] and derives the child snapshot with
+//! [`PolicySnapshot::next`]; [`evaluate_snapshot`] reads SoD pairs off
+//! that child's own reach index; the monitor then publishes the very
+//! snapshot the gate judged. [`evaluate_constraints`] is the same
+//! judgement over a bare `(universe, policy)` pair, building the index
+//! it needs.
+//!
 //! ## Why `Φ⁻` is sound
 //!
 //! A root edge `e` can disappear only through an authorized `revoke e`.
@@ -37,9 +46,35 @@
 //! set, it suffices to ask the question once against `Φ⁺`: if no
 //! `⊑Φ⁺`-compatible revocation term is assigned in `Φ⁺`, none is in any
 //! reachable policy, and `e` is permanent — *frozen*.
+//!
+//! ## Why `Φ⁻` is inherited
+//!
+//! **Lemma.** Let `φ′` be reached from `φ` by authorized commands that
+//! intern no new term. Then `Φ⁺(φ′) ⊆ Φ⁺(φ)` and `Φ⁻(φ) ⊆ Φ⁻(φ′)`.
+//!
+//! *Proof sketch.* `φ′ ⊆ Φ⁺(φ)` by the interval invariant. Every
+//! administrative term of `φ′` is therefore assigned in `Φ⁺(φ)`: a term
+//! of `φ`, or one nested inside a term of `φ` (an added assignment edge
+//! is a candidate, so it lies within a root term). `edges_within` is
+//! transitive, so the candidate edges of `φ′` are a subset of those of
+//! `φ`; the same universe means the same grant terms.
+//! A least fixpoint started from a smaller root over fewer candidates,
+//! under a `⊑` evaluated on a smaller maximal policy, stays inside the
+//! larger one: `Φ⁺(φ′) ⊆ Φ⁺(φ)`. An edge `e ∈ Φ⁻(φ)` has no authorized
+//! revoker in `Φ⁺(φ)`, so no step from `φ` to `φ′` removed it (`e ∈ φ′`)
+//! and none is assigned in the smaller `Φ⁺(φ′)` either: `e ∈ Φ⁻(φ′)`. ∎
+//!
+//! So an edge asserted frozen in a constraint-clean epoch stays frozen
+//! in every epoch a non-interning batch publishes from it, and a writer
+//! that remembers "this epoch was clean under this set" may skip
+//! [`Interval::from_policy`] for the next batch (`frozen_inherited` in
+//! [`evaluate_snapshot`]). `tests/admission_gate.rs` checks the lemma
+//! step by step in both authorization modes.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::command::Command;
 use crate::ids::{Entity, PrivId, RoleId, UserId};
@@ -47,8 +82,8 @@ use crate::lint::{lint_policy, Confirmation, Finding, FindingKind, LintConfig, P
 use crate::ordering::PrivilegeOrder;
 use crate::policy::Policy;
 use crate::reach::{EdgeDelta, ReachIndex};
-use crate::snapshot::batch_deltas;
-use crate::transition::{step, AuthMode, StepOutcome};
+use crate::snapshot::{batch_deltas, PolicySnapshot, PublishMode, PublishPath};
+use crate::transition::{apply_edge, authorize, authorize_explicit, AuthMode, StepOutcome};
 use crate::universe::{Edge, PrivTerm, Universe};
 
 pub use crate::lint::Severity;
@@ -292,22 +327,161 @@ impl ImpactReport {
     }
 }
 
-/// Simulates `commands` on scratch clones of `(universe, policy)` and
+/// Simulates `commands` on a scratch copy of `(universe, policy)` and
 /// returns the candidate state with per-command outcomes. Nothing is
 /// mutated; this is the pre-image every gate decision is made against.
-pub fn simulate_batch(
-    universe: &Universe,
+///
+/// The policy clone is three `Arc` bumps (a step copies only the
+/// relation it touches). The universe is copied only when a step must
+/// intern a term, which only ordered authorization does: an
+/// explicit-mode simulation borrows it.
+pub fn simulate_batch<'u>(
+    universe: &'u Universe,
     policy: &Policy,
     commands: &[Command],
     auth_mode: AuthMode,
-) -> (Universe, Policy, Vec<StepOutcome>) {
-    let mut cand_universe = universe.clone();
+) -> (Cow<'u, Universe>, Policy, Vec<StepOutcome>) {
+    let mut cand_universe = Cow::Borrowed(universe);
     let mut cand_policy = policy.clone();
     let outcomes = commands
         .iter()
-        .map(|cmd| step(&mut cand_universe, &mut cand_policy, cmd, auth_mode))
+        .map(|cmd| {
+            let authorization = match auth_mode {
+                AuthMode::Explicit => authorize_explicit(&cand_universe, &cand_policy, cmd),
+                AuthMode::Ordered(_) => {
+                    authorize(cand_universe.to_mut(), &cand_policy, cmd, auth_mode)
+                }
+            };
+            let changed = authorization.is_some() && apply_edge(&mut cand_policy, cmd);
+            StepOutcome {
+                authorization,
+                changed,
+            }
+        })
         .collect();
     (cand_universe, cand_policy, outcomes)
+}
+
+/// A batch simulated against a published epoch: the child snapshot a
+/// monitor would publish for it, and the outcomes that lead there.
+#[derive(Clone, Debug)]
+pub struct Candidate {
+    /// Per-command outcomes of the simulated batch.
+    pub outcomes: Vec<StepOutcome>,
+    /// The edge deltas from the parent to the candidate (see
+    /// [`batch_deltas`]).
+    pub deltas: Vec<EdgeDelta>,
+    /// The candidate epoch — the parent itself when the batch changes
+    /// nothing observable.
+    pub snapshot: Arc<PolicySnapshot>,
+    /// How the snapshot was derived from the parent; `None` when it *is*
+    /// the parent (no edge changed and no term was interned).
+    pub path: Option<PublishPath>,
+    /// Did the simulation intern a term (ordered authorization only)?
+    pub interned: bool,
+}
+
+impl Candidate {
+    /// Simulates `commands` against `parent` and derives the child at
+    /// epoch `parent.epoch + 1` with [`PolicySnapshot::next`], which
+    /// shares the parent's universe allocation unless a term was
+    /// interned.
+    pub fn derive(
+        parent: &Arc<PolicySnapshot>,
+        commands: &[Command],
+        auth_mode: AuthMode,
+        publish_mode: PublishMode,
+    ) -> Candidate {
+        let (universe, policy, outcomes) =
+            simulate_batch(parent.universe(), parent.policy(), commands, auth_mode);
+        let interned = universe.term_count() != parent.universe().term_count();
+        let deltas = batch_deltas(commands, &outcomes);
+        let (snapshot, path) = if deltas.is_empty() && !interned {
+            (Arc::clone(parent), None)
+        } else {
+            let (child, path) = PolicySnapshot::next(
+                parent,
+                &universe,
+                &policy,
+                &deltas,
+                parent.epoch + 1,
+                publish_mode,
+            );
+            (Arc::new(child), Some(path))
+        };
+        Candidate {
+            outcomes,
+            deltas,
+            snapshot,
+            path,
+            interned,
+        }
+    }
+
+    /// The blast radius of this candidate against the `parent` it was
+    /// derived from: flipped permission verdicts (read off the two
+    /// snapshots' own reach indexes), grow-only and interval-status
+    /// changes, and the admission findings.
+    pub fn impact(
+        &self,
+        parent: &PolicySnapshot,
+        constraints: &ConstraintSet,
+        auth_mode: AuthMode,
+    ) -> ImpactReport {
+        let (universe, policy) = (parent.universe(), parent.policy());
+        let cand = &self.snapshot;
+
+        // Permission flips. Perm terms are interned only at build time
+        // (steps intern ¤/♦ terms, never Perm), so the parent's term table
+        // covers every Perm id in the candidate.
+        let perm_terms: Vec<PrivId> = (0..universe.term_count())
+            .map(PrivId::from_index)
+            .filter(|&p| matches!(universe.term(p), PrivTerm::Perm(_)))
+            .collect();
+        let mut flipped = Vec::new();
+        for u in universe.users() {
+            for &p in &perm_terms {
+                let before = parent.entity_reaches_priv(Entity::User(u), p);
+                let after = cand.entity_reaches_priv(Entity::User(u), p);
+                if before != after {
+                    flipped.push(PermFlip {
+                        user: u,
+                        term: p,
+                        now_granted: after,
+                    });
+                }
+            }
+        }
+
+        // Interval status changes over every edge either closure mentions.
+        let parent_interval = Interval::from_policy(universe, policy, auth_mode);
+        let cand_interval = Interval::from_policy(cand.universe(), cand.policy(), auth_mode);
+        let mut edges: BTreeSet<Edge> = parent_interval.potential.policy.edges().collect();
+        edges.extend(cand_interval.potential.policy.edges());
+        let status_changes = edges
+            .into_iter()
+            .filter_map(|e| {
+                let before = parent_interval.status(e);
+                let after = cand_interval.status(e);
+                (before != after).then_some(StatusChange {
+                    edge: e,
+                    before,
+                    after,
+                })
+            })
+            .collect();
+
+        ImpactReport {
+            outcomes: self.outcomes.clone(),
+            deltas: self.deltas.clone(),
+            flipped,
+            grow_only_before: is_grow_only(universe, policy),
+            grow_only_after: is_grow_only(cand.universe(), cand.policy()),
+            status_changes,
+            findings: evaluate_snapshot(cand, constraints, auth_mode, false),
+            severed_sessions: Vec::new(),
+        }
+    }
 }
 
 /// Statically evaluates `constraints` against a (candidate) state and
@@ -327,62 +501,70 @@ pub fn evaluate_constraints(
     constraints: &ConstraintSet,
     auth_mode: AuthMode,
 ) -> Vec<Finding> {
+    judge(universe, policy, None, constraints, auth_mode, false)
+}
+
+/// [`evaluate_constraints`] against a derived snapshot — the monitor's
+/// gate. SoD pairs read the snapshot's own reach index instead of
+/// building one. With `frozen_inherited` the frozen-edge assertions are
+/// taken as holding and `Φ⁻` is not recomputed; that is sound when the
+/// snapshot's parent was clean under the same set and the batch between
+/// them interned no term (see "Why `Φ⁻` is inherited" above).
+pub fn evaluate_snapshot(
+    snapshot: &PolicySnapshot,
+    constraints: &ConstraintSet,
+    auth_mode: AuthMode,
+    frozen_inherited: bool,
+) -> Vec<Finding> {
+    judge(
+        snapshot.universe(),
+        snapshot.policy(),
+        Some(snapshot.reach()),
+        constraints,
+        auth_mode,
+        frozen_inherited,
+    )
+}
+
+/// The one evaluation behind [`evaluate_constraints`] and
+/// [`evaluate_snapshot`]: `reach` is the state's index when the caller
+/// has one (built here only if a SoD pair needs it).
+fn judge(
+    universe: &Universe,
+    policy: &Policy,
+    reach: Option<&ReachIndex>,
+    constraints: &ConstraintSet,
+    auth_mode: AuthMode,
+    frozen_inherited: bool,
+) -> Vec<Finding> {
     let mut findings = Vec::new();
-    if constraints.is_empty() {
-        return findings;
-    }
     if !constraints.sod_pairs.is_empty() {
-        let index = ReachIndex::build(universe, policy);
-        for &(a, b) in &constraints.sod_pairs {
-            for u in universe.users() {
-                if index.reach_entity(Entity::User(u), Entity::Role(a))
-                    && index.reach_entity(Entity::User(u), Entity::Role(b))
-                {
-                    findings.push(Finding {
-                        kind: FindingKind::SodConflict,
-                        severity: Severity::Error,
-                        role: a,
-                        term: None,
-                        edge: None,
-                        confirmation: Some(Confirmation::Confirmed),
-                        message: format!(
-                            "user '{}' would hold both '{}' and '{}' in the published state",
-                            universe.user_name(u),
-                            universe.role_name(a),
-                            universe.role_name(b)
-                        ),
-                    });
-                }
+        let built;
+        let reach = match reach {
+            Some(reach) => reach,
+            None => {
+                built = ReachIndex::build(universe, policy);
+                &built
             }
+        };
+        let holds = |u: UserId, r: RoleId| reach.reach_entity(Entity::User(u), Entity::Role(r));
+        for &pair in &constraints.sod_pairs {
+            findings.extend(
+                universe
+                    .users()
+                    .filter(|&u| holds(u, pair.0) && holds(u, pair.1))
+                    .map(|u| sod_conflict(universe, u, pair)),
+            );
         }
     }
-    if !constraints.frozen_edges.is_empty() {
+    if !frozen_inherited && !constraints.frozen_edges.is_empty() {
         let interval = Interval::from_policy(universe, policy, auth_mode);
-        for &edge in &constraints.frozen_edges {
-            if !policy.contains_edge(edge) {
-                findings.push(Finding {
-                    kind: FindingKind::FrozenEdgeViolation,
-                    severity: Severity::Error,
-                    role: edge_anchor_role(edge),
-                    term: None,
-                    edge: Some(edge),
-                    confirmation: Some(Confirmation::Confirmed),
-                    message: "edge asserted frozen is absent from the published state".to_string(),
-                });
-            } else if interval.status(edge) != EdgeStatus::Frozen {
-                findings.push(Finding {
-                    kind: FindingKind::FrozenEdgeViolation,
-                    severity: Severity::Error,
-                    role: edge_anchor_role(edge),
-                    term: None,
-                    edge: Some(edge),
-                    confirmation: Some(Confirmation::Potential),
-                    message: "edge asserted frozen is revocable by an authorized command \
-                              sequence (not in the must-closure)"
-                        .to_string(),
-                });
-            }
-        }
+        findings.extend(
+            constraints
+                .frozen_edges
+                .iter()
+                .filter_map(|&edge| frozen_violation(policy, &interval, edge)),
+        );
     }
     if let Some(level) = constraints.deny_level {
         let config = LintConfig {
@@ -395,6 +577,52 @@ pub fn evaluate_constraints(
     findings.sort_by_key(|f| (f.kind, f.role, f.term, f.edge, f.confirmation));
     findings.dedup();
     findings
+}
+
+/// `user` reaches both roles of the declared pair `(a, b)`.
+fn sod_conflict(universe: &Universe, user: UserId, (a, b): (RoleId, RoleId)) -> Finding {
+    Finding {
+        kind: FindingKind::SodConflict,
+        severity: Severity::Error,
+        role: a,
+        term: None,
+        edge: None,
+        confirmation: Some(Confirmation::Confirmed),
+        message: format!(
+            "user '{}' would hold both '{}' and '{}' in the published state",
+            universe.user_name(user),
+            universe.role_name(a),
+            universe.role_name(b)
+        ),
+    }
+}
+
+/// The finding, if any, against an edge asserted frozen: absent from
+/// `policy` (confirmed), or present but outside `Φ⁻` (potential).
+fn frozen_violation(policy: &Policy, interval: &Interval, edge: Edge) -> Option<Finding> {
+    let (confirmation, message) = if !policy.contains_edge(edge) {
+        (
+            Confirmation::Confirmed,
+            "edge asserted frozen is absent from the published state",
+        )
+    } else if interval.status(edge) != EdgeStatus::Frozen {
+        (
+            Confirmation::Potential,
+            "edge asserted frozen is revocable by an authorized command \
+             sequence (not in the must-closure)",
+        )
+    } else {
+        return None;
+    };
+    Some(Finding {
+        kind: FindingKind::FrozenEdgeViolation,
+        severity: Severity::Error,
+        role: edge_anchor_role(edge),
+        term: None,
+        edge: Some(edge),
+        confirmation: Some(confirmation),
+        message: message.to_string(),
+    })
 }
 
 /// The gate: simulates `commands` and refuses with an [`AdmissionReport`]
@@ -433,7 +661,7 @@ pub fn is_grow_only(universe: &Universe, policy: &Policy) -> bool {
 
 /// Full blast-radius analysis of a candidate batch: simulate, diff the
 /// parent against the candidate, and evaluate the gate — all without
-/// mutating anything.
+/// mutating anything. A stateless wrapper over [`Candidate::impact`].
 pub fn analyze_batch(
     universe: &Universe,
     policy: &Policy,
@@ -441,63 +669,9 @@ pub fn analyze_batch(
     constraints: &ConstraintSet,
     auth_mode: AuthMode,
 ) -> ImpactReport {
-    let (cand_universe, cand_policy, outcomes) =
-        simulate_batch(universe, policy, commands, auth_mode);
-    let deltas = batch_deltas(commands, &outcomes);
-
-    // Permission flips. Perm terms are interned only at build time
-    // (steps intern ¤/♦ terms, never Perm), so the parent's term table
-    // covers every Perm id in the candidate.
-    let parent_index = ReachIndex::build(universe, policy);
-    let cand_index = ReachIndex::build(&cand_universe, &cand_policy);
-    let perm_terms: Vec<PrivId> = (0..universe.term_count())
-        .map(PrivId::from_index)
-        .filter(|&p| matches!(universe.term(p), PrivTerm::Perm(_)))
-        .collect();
-    let mut flipped = Vec::new();
-    for u in universe.users() {
-        for &p in &perm_terms {
-            let before = parent_index.reach_priv(Entity::User(u), p);
-            let after = cand_index.reach_priv(Entity::User(u), p);
-            if before != after {
-                flipped.push(PermFlip {
-                    user: u,
-                    term: p,
-                    now_granted: after,
-                });
-            }
-        }
-    }
-
-    // Interval status changes over every edge either closure mentions.
-    let parent_interval = Interval::from_policy(universe, policy, auth_mode);
-    let cand_interval = Interval::from_policy(&cand_universe, &cand_policy, auth_mode);
-    let mut edges: BTreeSet<Edge> = parent_interval.potential.policy.edges().collect();
-    edges.extend(cand_interval.potential.policy.edges());
-    let status_changes = edges
-        .into_iter()
-        .filter_map(|e| {
-            let before = parent_interval.status(e);
-            let after = cand_interval.status(e);
-            (before != after).then_some(StatusChange {
-                edge: e,
-                before,
-                after,
-            })
-        })
-        .collect();
-
-    let findings = evaluate_constraints(&cand_universe, &cand_policy, constraints, auth_mode);
-    ImpactReport {
-        outcomes,
-        deltas,
-        flipped,
-        grow_only_before: is_grow_only(universe, policy),
-        grow_only_after: is_grow_only(&cand_universe, &cand_policy),
-        status_changes,
-        findings,
-        severed_sessions: Vec::new(),
-    }
+    let parent = Arc::new(PolicySnapshot::build(universe.clone(), policy.clone(), 0));
+    let candidate = Candidate::derive(&parent, commands, auth_mode, PublishMode::Incremental);
+    candidate.impact(&parent, constraints, auth_mode)
 }
 
 /// The role a finding about `edge` anchors to (findings require one).

@@ -25,23 +25,27 @@
 //!   separate sessions `RwLock` that administrative commands never touch.
 //! * **Write path** — [`submit`](ReferenceMonitor::submit) and
 //!   [`submit_queue`](ReferenceMonitor::submit_queue) funnel through one
-//!   writer mutex. A whole queue is applied as **one batch**: commands
-//!   execute serially under Definition 5 (so outcomes and the audit
-//!   sequence are identical to a serial monitor), the durable backend
-//!   syncs its WAL once per batch, the derived index is **delta-derived
-//!   from the parent epoch** once per batch
-//!   ([`PolicySnapshot::next`] — structural sharing plus the batch's
-//!   edge deltas, with a from-scratch rebuild fallback for
-//!   SCC-restructuring batches or via
-//!   [`PublishMode::FullRebuild`]), and the new snapshot is published
-//!   atomically with `epoch = version() + 1`. Readers therefore observe
-//!   only whole batches: every concurrent read agrees with either the
-//!   pre- or the post-batch policy, never a torn intermediate state.
-//!   After a batch containing revocations publishes, sessions are
-//!   revalidated: an active role whose `u →φ r` justification the batch
-//!   severed is force-deactivated (and recorded as a
-//!   [`SessionRevocation`]) — a stale session can no longer keep
-//!   granting through a revoked role.
+//!   writer mutex. A whole queue is applied as **one batch**, in one
+//!   sequence whether or not constraints are declared: the batch is
+//!   simulated against the published parent and the candidate child
+//!   snapshot is **delta-derived from the parent epoch**
+//!   ([`Candidate::derive`] over [`PolicySnapshot::next`] — structural
+//!   sharing plus the batch's edge deltas, with a from-scratch rebuild
+//!   fallback for SCC-restructuring batches or via
+//!   [`PublishMode::FullRebuild`]); the admission gate judges that
+//!   candidate; the backend executes the batch serially under
+//!   Definition 5 (so outcomes and the audit sequence are identical to
+//!   a serial monitor) and the durable backend syncs its WAL once; and
+//!   the very candidate the gate judged is published atomically with
+//!   `epoch = version() + 1`. Readers therefore observe only whole
+//!   batches: every concurrent read agrees with either the pre- or the
+//!   post-batch policy, never a torn intermediate state. After a batch
+//!   containing revocations publishes, sessions are revalidated: an
+//!   active role whose `u →φ r` justification the batch severed is
+//!   force-deactivated (and recorded as a [`SessionRevocation`]) — a
+//!   stale session can no longer keep granting through a revoked role.
+//!   The writer keeps the epoch it swapped out until its next publish,
+//!   so freeing an old epoch is the writer's work, never a reader's.
 //!
 //! The previous single-`RwLock` design is preserved as
 //! [`LockedMonitor`](crate::locked::LockedMonitor) for differential
@@ -54,7 +58,7 @@ use std::sync::Arc;
 use arc_swap::ArcSwap;
 use parking_lot::{Mutex, RwLock};
 
-use adminref_core::admission::{self, AdmissionReport, ConstraintSet, ImpactReport};
+use adminref_core::admission::{self, AdmissionReport, Candidate, ConstraintSet, ImpactReport};
 use adminref_core::command::{Command, CommandQueue};
 use adminref_core::ids::{Entity, Perm, RoleId, UserId};
 use adminref_core::lint::{lint_policy, LintConfig, LintReport};
@@ -111,6 +115,9 @@ pub enum MonitorError {
     /// state violates the declared constraint set. Nothing was logged,
     /// audited, or published.
     Admission(AdmissionReport),
+    /// A declared constraint set names a user or role this monitor's
+    /// universe lacks. Nothing was logged or declared.
+    ForeignConstraints,
 }
 
 impl std::fmt::Display for MonitorError {
@@ -120,6 +127,9 @@ impl std::fmt::Display for MonitorError {
             MonitorError::Session(e) => write!(f, "session error: {e}"),
             MonitorError::Store(e) => write!(f, "store error: {e}"),
             MonitorError::Admission(report) => write!(f, "{report}"),
+            MonitorError::ForeignConstraints => {
+                write!(f, "constraint set names ids outside the monitor's universe")
+            }
         }
     }
 }
@@ -223,11 +233,30 @@ impl Backend {
     }
 }
 
-/// Write-side state: the live backend plus the publication counter. Only
-/// the batched writer (and `compact`/`sync`) ever locks this.
+/// Write-side state. Only the batched writer (and `compact`/`sync`)
+/// ever locks this.
 struct Writer {
     backend: Backend,
-    epoch: u64,
+    /// `(epoch, set)` once a gated batch left that published epoch clean
+    /// under that constraint set: the next batch from it inherits `Φ⁻`
+    /// instead of recomputing it (see [`admission`]'s "Why `Φ⁻` is
+    /// inherited"). Every publish that is not a judged candidate clears
+    /// it.
+    clean: Option<(u64, Arc<ConstraintSet>)>,
+    /// The epoch the last publish swapped out, held until the next
+    /// publish drops it — so the writer, not a reader finishing its
+    /// check, pays for freeing an old epoch.
+    retired: Option<Arc<PolicySnapshot>>,
+}
+
+impl Writer {
+    fn new(backend: Backend) -> Mutex<Writer> {
+        Mutex::new(Writer {
+            backend,
+            clean: None,
+            retired: None,
+        })
+    }
 }
 
 /// One published epoch, as observed by a replication hook: the epoch id,
@@ -396,10 +425,7 @@ impl ReferenceMonitor {
         let snapshot = PolicySnapshot::build(universe.clone(), policy.clone(), 0);
         ReferenceMonitor {
             snapshot: ArcSwap::from_pointee(snapshot),
-            writer: Mutex::new(Writer {
-                backend: Backend::Memory { universe, policy },
-                epoch: 0,
-            }),
+            writer: Writer::new(Backend::Memory { universe, policy }),
             sessions: RwLock::new(HashMap::new()),
             next_session: AtomicU64::new(0),
             audit: Mutex::new(AuditLog::new(config.audit_capacity)),
@@ -443,10 +469,7 @@ impl ReferenceMonitor {
         let constraints = store.constraints().clone();
         ReferenceMonitor {
             snapshot: ArcSwap::from_pointee(snapshot),
-            writer: Mutex::new(Writer {
-                backend: Backend::Durable(Box::new(store)),
-                epoch: 0,
-            }),
+            writer: Writer::new(Backend::Durable(Box::new(store))),
             sessions: RwLock::new(HashMap::new()),
             next_session: AtomicU64::new(0),
             audit: Mutex::new(AuditLog::new(config.audit_capacity)),
@@ -516,30 +539,37 @@ impl ReferenceMonitor {
         if commands.is_empty() {
             return (Vec::new(), None);
         }
-        let mut writer = self.writer.lock();
-        // Admission gate: simulate the batch on scratch clones and check
-        // the candidate state against the declared constraints *before*
-        // anything touches the backend — a refused batch leaves the WAL,
-        // audit log, epoch, and published snapshot untouched. An empty
-        // constraint set is the gate switched off.
+        let mut guard = self.writer.lock();
+        let writer = &mut *guard;
+        let mode = self.config.auth_mode;
+        // One sequence for every batch, gated or not: simulate it against
+        // the published parent, derive the candidate epoch, gate that
+        // candidate, execute on the backend, publish the same candidate.
+        let parent = self.snapshot.load_full();
+        let candidate = Candidate::derive(&parent, commands, mode, self.config.publish_mode);
+        // The gate judges the candidate *before* anything touches the
+        // backend — a refused batch leaves the WAL, audit log, epoch, and
+        // published snapshot untouched. An empty constraint set is the
+        // gate switched off.
         let constraints = self.constraints.load_full();
         if !constraints.is_empty() {
             self.admission_checks.fetch_add(1, Ordering::Relaxed);
-            if let Err(report) = admission::admit_batch(
-                writer.backend.universe(),
-                writer.backend.policy(),
-                commands,
-                &constraints,
-                self.config.auth_mode,
-            ) {
+            let inherited = !candidate.interned
+                && writer.clean.as_ref().is_some_and(|(epoch, set)| {
+                    *epoch == parent.epoch && Arc::ptr_eq(set, &constraints)
+                });
+            let findings =
+                admission::evaluate_snapshot(&candidate.snapshot, &constraints, mode, inherited);
+            if !findings.is_empty() {
                 self.admission_refusals.fetch_add(1, Ordering::Relaxed);
+                let report = AdmissionReport {
+                    findings,
+                    constraints_checked: constraints.len(),
+                };
                 return (Vec::new(), Some(MonitorError::Admission(report)));
             }
         }
-        let terms_before = writer.backend.universe().term_count();
-        let (outcomes, error) = writer
-            .backend
-            .execute_batch(commands, self.config.auth_mode);
+        let (outcomes, error) = writer.backend.execute_batch(commands, mode);
         // Audit while still holding the writer lock, so the global audit
         // order equals the execution (and WAL) order across batches.
         {
@@ -555,30 +585,36 @@ impl ReferenceMonitor {
                 audit.record(*cmd, decision, outcome.changed);
             }
         }
-        // Publish one new epoch iff the batch had any observable effect:
-        // an edge change, or a newly interned privilege term (ordered-
-        // mode authorization interns targets; audit rendering needs them
-        // resolvable in the published universe).
-        let changed = outcomes.iter().any(|o| o.changed)
-            || writer.backend.universe().term_count() != terms_before;
-        if changed {
-            writer.epoch += 1;
-            // The child snapshot is derived from the published parent:
-            // the universe Arc is reused unless the batch interned new
-            // names, the policy clone is three Arc bumps, and the read
-            // index is delta-maintained from the batch's edge deltas
-            // (with a from-scratch fallback; see PolicySnapshot::next).
-            let parent = self.snapshot.load_full();
-            let deltas = batch_deltas(commands, &outcomes);
-            let (snapshot, path) = PolicySnapshot::next(
-                &parent,
-                writer.backend.universe(),
-                writer.backend.policy(),
-                &deltas,
-                writer.epoch,
-                self.config.publish_mode,
-            );
-            self.publish(snapshot, path, Some(deltas));
+        if error.is_none() && outcomes == candidate.outcomes {
+            // The backend did what the simulation did: publish the judged
+            // candidate (if it differs from the parent at all — an edge
+            // change, or a newly interned term that audit rendering needs
+            // resolvable in the published universe).
+            let epoch = candidate.snapshot.epoch;
+            if let Some(path) = candidate.path {
+                self.publish(writer, candidate.snapshot, path, Some(candidate.deltas));
+            }
+            if !constraints.is_empty() {
+                writer.clean = Some((epoch, constraints));
+            }
+        } else {
+            // A store failure: the backend may have applied only a prefix,
+            // which the gate never judged on its own. Re-derive the
+            // published epoch from the backend's state, exactly as applied.
+            let changed = outcomes.iter().any(|o| o.changed)
+                || writer.backend.universe().term_count() != parent.universe().term_count();
+            if changed {
+                let deltas = batch_deltas(commands, &outcomes);
+                let (snapshot, path) = PolicySnapshot::next(
+                    &parent,
+                    writer.backend.universe(),
+                    writer.backend.policy(),
+                    &deltas,
+                    parent.epoch + 1,
+                    self.config.publish_mode,
+                );
+                self.publish(writer, Arc::new(snapshot), path, Some(deltas));
+            }
         }
         // Post-publish WAL maintenance: fold an overgrown log into a
         // fresh snapshot so reopen never replays unbounded history.
@@ -597,22 +633,31 @@ impl ReferenceMonitor {
     /// Makes `snapshot` the epoch readers see — the one publish step of
     /// a local batch, a replicated epoch and a replica bootstrap: count
     /// how the snapshot was derived, swap it in, sweep the sessions it
-    /// may have severed, tell the publish hook. `deltas` are the edge
-    /// changes that led here from the previous epoch; `None` is a
-    /// wholesale replacement, which can remove anything (so always
-    /// sweeps) and is no epoch of the delta stream (so tells no one).
+    /// may have severed, tell the publish hook, and free the epoch
+    /// before the one just swapped out. `deltas` are the edge changes
+    /// that led here from the previous epoch; `None` is a wholesale
+    /// replacement, which can remove anything (so always sweeps) and is
+    /// no epoch of the delta stream (so tells no one).
     ///
-    /// Call with the writer lock held: that is what makes hooks observe
-    /// epochs strictly in publication order, each with exactly its
-    /// batch's deltas.
-    fn publish(&self, snapshot: PolicySnapshot, path: PublishPath, deltas: Option<Vec<EdgeDelta>>) {
+    /// Called with the writer lock held (`writer` is its guard): that is
+    /// what makes hooks observe epochs strictly in publication order,
+    /// each with exactly its batch's deltas. The caller records
+    /// [`Writer::clean`] afterwards if the snapshot was a judged
+    /// candidate; any other publish leaves it cleared.
+    fn publish(
+        &self,
+        writer: &mut Writer,
+        snapshot: Arc<PolicySnapshot>,
+        path: PublishPath,
+        deltas: Option<Vec<EdgeDelta>>,
+    ) {
         match path {
             PublishPath::Incremental => &self.publishes_incremental,
             PublishPath::FullRebuild => &self.publishes_full,
         }
         .fetch_add(1, Ordering::Relaxed);
-        let snapshot = Arc::new(snapshot);
-        self.snapshot.store(Arc::clone(&snapshot));
+        writer.clean = None;
+        let swapped_out = self.snapshot.swap(Arc::clone(&snapshot));
         let severs =
             |deltas: &Vec<EdgeDelta>| deltas.iter().any(|d| severs_activation(d.edge, d.added));
         if deltas.as_ref().map_or(true, severs) {
@@ -625,18 +670,41 @@ impl ReferenceMonitor {
                 checksum: snapshot.checksum(),
             });
         }
+        drop(writer.retired.replace(swapped_out));
     }
 
     /// Drops every active session role whose `u →φ r` justification no
     /// longer holds in `snapshot`, recording each forced deactivation.
+    ///
+    /// The scan runs under the sessions *read* lock, and the write lock
+    /// is taken (to sweep) only if some active role is actually stale —
+    /// so a publish that severs nobody's activation never blocks
+    /// readers. This is still race-free against
+    /// [`activate_role`](Self::activate_role), which loads its snapshot
+    /// *under the write lock*: `publish` swaps `snapshot` in before this
+    /// scan starts, so an activation's write section either completes
+    /// before the scan's read section (the scan sees the role and, if
+    /// stale, sweeps it) or starts after it (and then validates against
+    /// `snapshot` or a later epoch, so cannot be stale). Between the
+    /// scan and the sweep, activations only ever validate against the
+    /// new epoch, so the sweep re-checks every session under the write
+    /// lock and misses nothing.
     fn revalidate_sessions(&self, snapshot: &PolicySnapshot) {
-        let mut sessions = self.sessions.write();
-        let mut audit = self.audit.lock();
-        sweep_stale_activations(&mut sessions, &mut audit, snapshot.epoch, |user, role| {
+        let reaches = |user: UserId, role: RoleId| {
             snapshot
                 .reach()
                 .reach_entity(Entity::User(user), Entity::Role(role))
-        });
+        };
+        let stale = self
+            .sessions
+            .read()
+            .values()
+            .any(|s| s.active_roles().any(|role| !reaches(s.user(), role)));
+        if stale {
+            let mut sessions = self.sessions.write();
+            let mut audit = self.audit.lock();
+            sweep_stale_activations(&mut sessions, &mut audit, snapshot.epoch, reaches);
+        }
     }
 
     /// Installs (or replaces) the publish subscription hook. The hook is
@@ -670,7 +738,8 @@ impl ReferenceMonitor {
         epoch: u64,
         constraints: ConstraintSet,
     ) -> Result<u64, ReplicaApplyError> {
-        let mut writer = self.writer.lock();
+        let mut guard = self.writer.lock();
+        let writer = &mut *guard;
         if matches!(writer.backend, Backend::Durable(_)) {
             return Err(ReplicaApplyError::DurableBackend);
         }
@@ -678,8 +747,7 @@ impl ReferenceMonitor {
         let snapshot = PolicySnapshot::build(universe.clone(), policy.clone(), epoch);
         let checksum = snapshot.checksum();
         writer.backend = Backend::Memory { universe, policy };
-        writer.epoch = epoch;
-        self.publish(snapshot, PublishPath::FullRebuild, None);
+        self.publish(writer, Arc::new(snapshot), PublishPath::FullRebuild, None);
         Ok(checksum)
     }
 
@@ -699,8 +767,10 @@ impl ReferenceMonitor {
         deltas: &[EdgeDelta],
         expected_checksum: u64,
     ) -> Result<(), ReplicaApplyError> {
-        let mut writer = self.writer.lock();
-        let expected_epoch = writer.epoch + 1;
+        let mut guard = self.writer.lock();
+        let writer = &mut *guard;
+        let parent = self.snapshot.load_full();
+        let expected_epoch = parent.epoch + 1;
         if epoch != expected_epoch {
             return Err(ReplicaApplyError::EpochGap {
                 expected: expected_epoch,
@@ -726,7 +796,6 @@ impl ReferenceMonitor {
                 return Err(ReplicaApplyError::ForeignDelta { epoch });
             }
         }
-        let parent = self.snapshot.load_full();
         let (snapshot, path) = PolicySnapshot::next(
             &parent,
             universe,
@@ -743,10 +812,9 @@ impl ReferenceMonitor {
             });
         }
         *policy = next_policy;
-        writer.epoch = epoch;
         // The hook forwards the frame to any downstream subscribers
         // (chained replication): the event is identical to the primary's.
-        self.publish(snapshot, path, Some(deltas.to_vec()));
+        self.publish(writer, Arc::new(snapshot), path, Some(deltas.to_vec()));
         Ok(())
     }
 
@@ -761,14 +829,15 @@ impl ReferenceMonitor {
     /// published epoch).
     pub fn activate_role(&self, session: SessionId, role: RoleId) -> Result<(), MonitorError> {
         let mut sessions = self.sessions.write();
-        // Load the snapshot *under* the sessions lock: a snapshot read
-        // before acquiring it could predate a concurrent revoke batch
-        // whose revalidation sweep (which takes this same lock) has
-        // already run — the activation would then be validated against
-        // the stale epoch and survive unswept. Ordered this way, either
-        // the activation sees the post-revoke epoch (and is refused) or
-        // it completes before the sweep acquires the lock (and is
-        // swept).
+        // Load the snapshot *under* the sessions write lock. A publish
+        // swaps its epoch in before its revalidation scan takes this
+        // lock for reading, so an activation either holds the write lock
+        // before that scan (and the scan sees the role and sweeps it if
+        // the new epoch severed it) or after it (and then loads the new
+        // epoch, or a later one, and is refused if severed). A snapshot
+        // loaded before taking the lock could predate the swap while the
+        // scan has already passed: the activation would be validated
+        // against the stale epoch and survive unswept.
         let snapshot = self.read_snapshot();
         let s = sessions
             .get_mut(&session)
@@ -1004,7 +1073,10 @@ impl ReferenceMonitor {
     }
 
     /// Durably replaces the admission constraint set. The set is
-    /// normalized, WAL-persisted on durable backends (fsync before the
+    /// normalized, bounds-checked against the writer's universe (a set
+    /// naming an id the universe lacks is refused as
+    /// [`MonitorError::ForeignConstraints`] before anything is
+    /// persisted), WAL-persisted on durable backends (fsync before the
     /// live set changes), and mirrored lock-free for readers. Declaring
     /// constraints does **not** retroactively validate the current
     /// state — only future batches are gated — but callers can run
@@ -1013,6 +1085,9 @@ impl ReferenceMonitor {
     pub fn set_constraints(&self, mut constraints: ConstraintSet) -> Result<(), MonitorError> {
         constraints.normalize();
         let mut writer = self.writer.lock();
+        if !constraints.ids_in_bounds(writer.backend.universe()) {
+            return Err(MonitorError::ForeignConstraints);
+        }
         if let Backend::Durable(store) = &mut writer.backend {
             store.set_constraints(constraints.clone())?;
         }
@@ -1030,9 +1105,8 @@ impl ReferenceMonitor {
     /// would be judged by. Empty iff the standing state is clean.
     pub fn evaluate_current_constraints(&self) -> Vec<adminref_core::lint::Finding> {
         let constraints = self.constraints.load_full();
-        self.with_state(|universe, policy| {
-            admission::evaluate_constraints(universe, policy, &constraints, self.auth_mode())
-        })
+        let snapshot = self.read_snapshot();
+        admission::evaluate_snapshot(&snapshot, &constraints, self.auth_mode(), false)
     }
 
     /// Admission gate activity so far: `(batches checked, refused)`.
@@ -1051,15 +1125,16 @@ impl ReferenceMonitor {
     /// findings, and the sessions a publish would force-deactivate.
     /// Lock-free against the write path; nothing is mutated.
     pub fn analyze_batch(&self, commands: &[Command]) -> ImpactReport {
-        let snapshot = self.read_snapshot();
+        // The same candidate the write path would gate and publish.
+        let parent = self.read_snapshot();
         let constraints = self.constraints.load_full();
-        let mut impact = admission::analyze_batch(
-            snapshot.universe(),
-            snapshot.policy(),
+        let candidate = Candidate::derive(
+            &parent,
             commands,
-            &constraints,
             self.auth_mode(),
+            self.config.publish_mode,
         );
+        let mut impact = candidate.impact(&parent, &constraints, self.auth_mode());
         // Which live sessions would the publish-time revalidation sweep
         // force-deactivate? Only severing deltas can strip an active
         // role's justification.
@@ -1068,22 +1143,13 @@ impl ReferenceMonitor {
             .iter()
             .any(|d| severs_activation(d.edge, d.added))
         {
-            let mut cand_policy = snapshot.policy().clone();
-            for d in &impact.deltas {
-                if d.added {
-                    cand_policy.add_edge(d.edge);
-                } else {
-                    cand_policy.remove_edge(d.edge);
-                }
-            }
-            let cand_index =
-                adminref_core::reach::ReachIndex::build(snapshot.universe(), &cand_policy);
+            let reach = candidate.snapshot.reach();
             let sessions = self.sessions.read();
             for (id, session) in sessions.iter() {
                 let user = session.user();
                 if session
                     .active_roles()
-                    .any(|r| !cand_index.reach_entity(Entity::User(user), Entity::Role(r)))
+                    .any(|r| !reach.reach_entity(Entity::User(user), Entity::Role(r)))
                 {
                     impact.severed_sessions.push(id.raw());
                 }
@@ -1539,6 +1605,106 @@ mod tests {
         m.submit(&Command::grant(jane, Edge::UserRole(bob, staff)))
             .unwrap();
         assert_eq!(m.version(), 1);
+    }
+
+    /// The sweep as it was before the read scan: the whole session table
+    /// under the write lock, stale or not.
+    fn write_locked_sweep(m: &ReferenceMonitor, snapshot: &PolicySnapshot) {
+        let mut sessions = m.sessions.write();
+        let mut audit = m.audit.lock();
+        sweep_stale_activations(&mut sessions, &mut audit, snapshot.epoch, |user, role| {
+            snapshot
+                .reach()
+                .reach_entity(Entity::User(user), Entity::Role(role))
+        });
+    }
+
+    /// A thread keeps activating `staff` in bob's sessions while the
+    /// writer grants and revokes bob's membership. After every publish
+    /// no session may hold a role its user no longer reaches in the
+    /// published epoch: an activation racing the revoke either lands
+    /// before the sweep (and is swept) or validates against the revoked
+    /// epoch (and is refused). `publish` makes one epoch current —
+    /// `revoke` says whether it is the one without the membership.
+    fn activations_never_outlive_a_revoke(publish: impl Fn(&ReferenceMonitor, bool)) {
+        let (m, uni) = monitor(AuthMode::Explicit);
+        let bob = uni.find_user("bob").unwrap();
+        let staff = uni.find_role("staff").unwrap();
+        let sessions: Vec<SessionId> = (0..4).map(|_| m.create_session(bob)).collect();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let stale = |m: &ReferenceMonitor| {
+            let snapshot = m.read_snapshot();
+            m.session_views().into_iter().any(|view| {
+                view.active.iter().any(|&role| {
+                    !snapshot
+                        .reach()
+                        .reach_entity(Entity::User(view.user), Entity::Role(role))
+                })
+            })
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    for &sid in &sessions {
+                        let _ = m.activate_role(sid, staff);
+                    }
+                }
+            });
+            // Stops the activators however this loop ends, a failed
+            // assertion included, so the scope can join them.
+            struct Stop<'a>(&'a std::sync::atomic::AtomicBool);
+            impl Drop for Stop<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::Relaxed);
+                }
+            }
+            let _stop = Stop(&done);
+            // Enough rounds that activations really raced the sweeps.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            let mut round = 0;
+            while round < 2000 || m.session_revocations_total() < 200 {
+                assert!(std::time::Instant::now() < deadline, "the race never ran");
+                publish(&m, false);
+                publish(&m, true);
+                assert!(!stale(&m), "a stale activation survived revoke {round}");
+                round += 1;
+            }
+        });
+    }
+
+    #[test]
+    fn read_scan_sweep_wins_the_activation_race() {
+        let (_, uni) = monitor(AuthMode::Explicit);
+        let jane = uni.find_user("jane").unwrap();
+        let bob = uni.find_user("bob").unwrap();
+        let staff = uni.find_role("staff").unwrap();
+        let edge = Edge::UserRole(bob, staff);
+        activations_never_outlive_a_revoke(|m, revoke| {
+            let cmd = if revoke {
+                Command::revoke(jane, edge)
+            } else {
+                Command::grant(jane, edge)
+            };
+            assert!(m.submit(&cmd).unwrap().changed);
+        });
+    }
+
+    #[test]
+    fn write_locked_sweep_wins_the_activation_race() {
+        let (uni, mut policy) = hospital();
+        let bob = uni.find_user("bob").unwrap();
+        let staff = uni.find_role("staff").unwrap();
+        let revoked = Arc::new(PolicySnapshot::build(uni.clone(), policy.clone(), 0));
+        policy.add_edge(Edge::UserRole(bob, staff));
+        let granted = Arc::new(PolicySnapshot::build(uni, policy, 0));
+        activations_never_outlive_a_revoke(|m, revoke| {
+            let _writer = m.writer.lock();
+            let snapshot = if revoke { &revoked } else { &granted };
+            m.snapshot.store(Arc::clone(snapshot));
+            if revoke {
+                write_locked_sweep(m, snapshot);
+            }
+        });
     }
 
     #[test]

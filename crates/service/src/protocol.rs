@@ -384,7 +384,8 @@ pub enum ServiceError {
     /// safe to retry.
     Aborted,
     /// A [`Request::CheckRefinement`] candidate was built against a
-    /// different universe than the serving monitor's.
+    /// different universe than the serving monitor's, or a
+    /// [`Request::SetConstraints`] set names an id that universe lacks.
     ForeignPolicy,
     /// A tenant id was syntactically invalid. (Retired with the two
     /// after it: see their rows in [`wire`](crate::wire).)
@@ -445,7 +446,10 @@ impl std::fmt::Display for ServiceError {
                 )
             }
             ServiceError::ForeignPolicy => {
-                write!(f, "candidate policy was built against a different universe")
+                write!(
+                    f,
+                    "candidate policy or constraint set was built against a different universe"
+                )
             }
             ServiceError::InvalidTenant(t) => write!(f, "invalid tenant id {t:?}"),
             ServiceError::UnknownTenant(t) => write!(f, "unknown tenant {t:?}"),
@@ -478,6 +482,7 @@ impl From<MonitorError> for ServiceError {
                 error: s,
             },
             MonitorError::Admission(report) => ServiceError::Admission(report),
+            MonitorError::ForeignConstraints => ServiceError::ForeignPolicy,
         }
     }
 }

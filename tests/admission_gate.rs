@@ -5,10 +5,18 @@
 //!   `φ` an explicit-state BFS over authorized commands can reach, in
 //!   both authorization modes. The BFS is the executable ground truth
 //!   the closed-form interval is pinned to.
-//! * **Gate ⇔ refusal**: the monitor refuses a batch exactly when
-//!   statically evaluating the declared constraints against the
-//!   simulated candidate state yields findings — and a refusal leaves
-//!   epoch, audit log, WAL, and published policy untouched.
+//! * **Gate ⇔ refusal**: over chains of batches, the monitor refuses a
+//!   batch exactly when statically evaluating the declared constraints
+//!   against the simulated candidate of its current state yields
+//!   findings (so an inherited `Φ⁻` never changes a verdict), and
+//!   `analyze_batch` flags exactly the batches `submit_batch` refuses.
+//!   A refusal leaves epoch, audit log, WAL, and published policy
+//!   untouched.
+//! * **`Φ⁻` inheritance**: one authorized, non-interning step never
+//!   grows `Φ⁺` nor shrinks `Φ⁻`, in both authorization modes.
+//! * **Durable edges**: a gated batch whose WAL append fails mid-batch
+//!   publishes exactly its applied prefix, and a constraint set naming
+//!   ids the universe lacks is refused in process as over the wire.
 //! * The **socket story**: over a real Unix socket, a SoD-violating
 //!   batch is refused with the typed `ServiceError::Admission` before
 //!   publication while clean batches keep applying.
@@ -20,7 +28,7 @@ use std::time::Duration;
 use adminref_core::prelude::*;
 use adminref_monitor::{MonitorConfig, MonitorError, ReferenceMonitor};
 use adminref_service::{
-    Daemon, MonitorService, PolicyService, ServiceError, WireClient, WireListener,
+    Daemon, MonitorService, PolicyService, Request, ServiceError, WireClient, WireListener,
 };
 use adminref_store::{PolicyStore, TempDir};
 use proptest::prelude::*;
@@ -59,10 +67,19 @@ fn priv_spec() -> BoxedStrategy<PrivSpec> {
 }
 
 fn policy_spec() -> impl Strategy<Value = PolicySpec> {
+    policy_spec_of(0..4, 0..6)
+}
+
+/// Policies with `ua` memberships and `pa` privilege assignments; the
+/// denser ones leave users more authorized steps to take.
+fn policy_spec_of(
+    ua: std::ops::Range<usize>,
+    pa: std::ops::Range<usize>,
+) -> impl Strategy<Value = PolicySpec> {
     (
-        prop::collection::vec(((0u8..USERS as u8), (0u8..ROLES as u8)), 0..4),
+        prop::collection::vec(((0u8..USERS as u8), (0u8..ROLES as u8)), ua),
         prop::collection::vec(((0u8..ROLES as u8), (0u8..ROLES as u8)), 0..4),
-        prop::collection::vec(((0u8..ROLES as u8), priv_spec()), 0..6),
+        prop::collection::vec(((0u8..ROLES as u8), priv_spec()), pa),
     )
         .prop_map(|(ua, rh, pa)| PolicySpec { ua, rh, pa })
 }
@@ -118,6 +135,19 @@ fn actionable_edges(uni: &Universe) -> Vec<Edge> {
     set.into_iter().collect()
 }
 
+/// Every grant and revoke of an actionable edge, by every user.
+fn alphabet(uni: &Universe) -> Vec<Command> {
+    let targets = actionable_edges(uni);
+    let mut commands = Vec::with_capacity(uni.user_count() * targets.len() * 2);
+    for u in uni.users() {
+        for &e in &targets {
+            commands.push(Command::grant(u, e));
+            commands.push(Command::revoke(u, e));
+        }
+    }
+    commands
+}
+
 /// Explicit-state BFS over authorized commands: the distinct edge sets
 /// of every policy reachable from `root` within `max_depth` steps.
 /// Ground truth for the interval — no abstraction, just `step`.
@@ -128,15 +158,7 @@ fn reachable_edge_sets(
     max_depth: usize,
     max_states: usize,
 ) -> Vec<BTreeSet<Edge>> {
-    let actors: Vec<UserId> = (0..uni.user_count()).map(UserId::from_index).collect();
-    let targets = actionable_edges(uni);
-    let mut commands = Vec::with_capacity(actors.len() * targets.len() * 2);
-    for &u in &actors {
-        for &e in &targets {
-            commands.push(Command::grant(u, e));
-            commands.push(Command::revoke(u, e));
-        }
-    }
+    let commands = alphabet(uni);
     let fingerprint = |p: &Policy| p.edges().collect::<BTreeSet<Edge>>();
     let mut seen: BTreeSet<BTreeSet<Edge>> = BTreeSet::new();
     seen.insert(fingerprint(root));
@@ -194,65 +216,265 @@ proptest! {
             }
         }
     }
+}
 
-    /// Gate ⇔ refusal: the monitor refuses exactly when the static
-    /// evaluation of the constraints against the simulated candidate
-    /// state has findings, and a refusal mutates nothing — same epoch,
-    /// same audit length, same published policy.
+proptest! {
+    // Four-role universes and no search: cheap enough for the cases
+    // that land re-declarations after clean, inheriting epochs, and
+    // step the lemma over a few thousand authorized steps.
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `Φ⁻` inheritance: from the root and from policies up to two steps
+    /// away, every authorized step that interns no term leaves
+    /// `Φ⁺(child) ⊆ Φ⁺(parent)` and `Φ⁻(parent) ⊆ Φ⁻(child)` — the lemma
+    /// that lets the monitor's gate skip recomputing `Φ⁻`.
+    #[test]
+    fn interval_is_inherited_across_authorized_steps(spec in policy_spec_of(2..6, 4..10)) {
+        for mode in MODES {
+            let (uni, root, _, _) = build(&spec);
+            let commands = alphabet(&uni);
+            let mut frontier = vec![root];
+            for _depth in 0..3 {
+                let mut next = Vec::new();
+                for policy in &frontier {
+                    let parent = Interval::from_policy(&uni, policy, mode);
+                    for cmd in &commands {
+                        let (mut child_uni, mut child) = (uni.clone(), policy.clone());
+                        if !step(&mut child_uni, &mut child, cmd, mode).changed
+                            || child_uni.term_count() != uni.term_count()
+                        {
+                            continue;
+                        }
+                        let inherited = Interval::from_policy(&uni, &child, mode);
+                        for e in inherited.potential.policy.edges() {
+                            prop_assert!(
+                                parent.potential.policy.contains_edge(e),
+                                "{cmd:?} grew Φ⁺ by {e:?} ({mode:?})"
+                            );
+                        }
+                        prop_assert!(
+                            parent.frozen.is_subset(&inherited.frozen),
+                            "{cmd:?} shrank Φ⁻ ({mode:?})"
+                        );
+                        next.push(child);
+                    }
+                }
+                next.truncate(6);
+                frontier = next;
+            }
+        }
+    }
+
+    /// Gate ⇔ refusal over a chain of batches: before each batch the
+    /// monitor refuses exactly when the static evaluation of the
+    /// constraints against the simulated candidate of its *current*
+    /// state has findings — the findings are equal, whether the gate
+    /// recomputed `Φ⁻` or inherited it, and across the re-declaration
+    /// that must stop the inheritance — and a refusal mutates nothing:
+    /// same epoch, same audit length, same published policy.
     #[test]
     fn monitor_gate_matches_static_evaluation(
         spec in policy_spec(),
-        pair in ((0u8..ROLES as u8), (0u8..ROLES as u8)),
-        batch in prop::collection::vec(
-            ((0u8..USERS as u8), 0u8..2, 0u8..32), 1..5),
+        declared in constraint_spec(),
+        chain in chain_spec(),
     ) {
-        let (uni, policy, users, roles) = build(&spec);
+        let Some(run) = GatedChain::new(&spec, &declared, &chain) else {
+            continue;
+        };
+        let monitor = &run.monitor;
+        run.for_each_batch(|commands| {
+            let constraints = monitor.constraints();
+            let (live_uni, live_policy) = monitor.snapshot();
+            let (cand_uni, cand_policy, _) =
+                simulate_batch(&live_uni, &live_policy, commands, run.mode);
+            let expected = evaluate_constraints(&cand_uni, &cand_policy, &constraints, run.mode);
+            let epoch_before = monitor.version();
+            let audit_before = monitor.audit_len();
+            match monitor.submit_batch(commands) {
+                Ok(_) => prop_assert!(
+                    expected.is_empty(),
+                    "monitor published a batch the static gate finds dirty: {expected:?}"
+                ),
+                Err(MonitorError::Admission(report)) => {
+                    prop_assert_eq!(&report.findings, &expected);
+                    prop_assert_eq!(monitor.version(), epoch_before, "epoch moved on refusal");
+                    prop_assert_eq!(monitor.audit_len(), audit_before, "audit grew on refusal");
+                    let (_, live) = monitor.snapshot();
+                    prop_assert_eq!(&live, &live_policy, "published policy changed on refusal");
+                }
+                Err(other) => prop_assert!(false, "unexpected monitor error: {other}"),
+            }
+        });
+    }
+
+    /// Analyze and Submit judge the same candidate: along a chain of
+    /// batches, `analyze_batch` reports exactly the findings that make
+    /// `submit_batch` answer `Admission`, and none when it publishes.
+    #[test]
+    fn analyze_flags_exactly_the_batches_submit_refuses(
+        spec in policy_spec(),
+        declared in constraint_spec(),
+        chain in chain_spec(),
+    ) {
+        let Some(run) = GatedChain::new(&spec, &declared, &chain) else {
+            continue;
+        };
+        run.for_each_batch(|commands| {
+            let impact = run.monitor.analyze_batch(commands);
+            match run.monitor.submit_batch(commands) {
+                Ok(_) => prop_assert!(
+                    !impact.refused(),
+                    "analysis flagged a batch the gate published: {:?}",
+                    impact.findings
+                ),
+                Err(MonitorError::Admission(report)) => {
+                    prop_assert!(impact.refused(), "analysis missed a refusal");
+                    prop_assert_eq!(&impact.findings, &report.findings);
+                }
+                Err(other) => prop_assert!(false, "unexpected monitor error: {other}"),
+            }
+        });
+    }
+}
+
+const MODES: [AuthMode; 2] = [
+    AuthMode::Explicit,
+    AuthMode::Ordered(OrderingMode::Extended),
+];
+
+/// Blueprint for the constraint sets a chain runs under, and the mode.
+#[derive(Clone, Debug)]
+struct ConstraintSpec {
+    /// The SoD pair, as role indices.
+    pair: (u8, u8),
+    /// Edges asserted frozen, as indices into the root's edges and the
+    /// actionable ones (so absent, volatile and frozen edges all occur).
+    frozen: Vec<u8>,
+    /// Before which batch the full set is declared; until then the
+    /// monitor enforces only the assertions frozen at the root, so the
+    /// chain starts clean and the gate inherits `Φ⁻` batch to batch.
+    switch_at: u8,
+    ordered: bool,
+}
+
+fn constraint_spec() -> impl Strategy<Value = ConstraintSpec> {
+    (
+        ((0u8..ROLES as u8), (0u8..ROLES as u8)),
+        prop::collection::vec(any::<u8>(), 0..3),
+        0u8..5,
+        any::<bool>(),
+    )
+        .prop_map(|(pair, frozen, switch_at, ordered)| ConstraintSpec {
+            pair,
+            frozen,
+            switch_at,
+            ordered,
+        })
+}
+
+/// One to four batches of one to four `(actor, grant?, target)` picks.
+fn chain_spec() -> impl Strategy<Value = Vec<Vec<(u8, u8, u8)>>> {
+    prop::collection::vec(
+        prop::collection::vec(((0u8..USERS as u8), 0u8..2, 0u8..32), 1..5),
+        1..5,
+    )
+}
+
+/// A gated monitor and the batches to run through it.
+struct GatedChain {
+    monitor: ReferenceMonitor,
+    mode: AuthMode,
+    batches: Vec<Vec<Command>>,
+    /// The whole drawn set, declared before batch `switch_at`.
+    full: ConstraintSet,
+    switch_at: usize,
+}
+
+impl GatedChain {
+    /// A monitor over `spec`'s policy enforcing the root-frozen part of
+    /// `declared`, with `chain`'s batches as commands over the root's
+    /// actionable edges; `None` when no command can touch the policy.
+    fn new(
+        spec: &PolicySpec,
+        declared: &ConstraintSpec,
+        chain: &[Vec<(u8, u8, u8)>],
+    ) -> Option<GatedChain> {
+        let mode = MODES[usize::from(declared.ordered)];
+        let (uni, policy, users, roles) = build(spec);
         let targets = actionable_edges(&uni);
         if targets.is_empty() {
-            // Nothing any command can touch; the gate is trivially
-            // clean and there is no batch to build.
-            return;
+            return None;
         }
-        let commands: Vec<Command> = batch
+        let assertable: Vec<Edge> = policy
+            .edges()
+            .chain(targets.iter().copied())
+            .collect::<BTreeSet<Edge>>()
+            .into_iter()
+            .collect();
+        let (a, b) = declared.pair;
+        let full = ConstraintSet {
+            sod_pairs: vec![(roles[a as usize], roles[b as usize])],
+            deny_level: None,
+            frozen_edges: declared
+                .frozen
+                .iter()
+                .map(|&i| assertable[i as usize % assertable.len()])
+                .collect(),
+        };
+        let root_frozen = Interval::from_policy(&uni, &policy, mode).frozen;
+        let clean = ConstraintSet {
+            frozen_edges: full
+                .frozen_edges
+                .iter()
+                .copied()
+                .filter(|e| root_frozen.contains(e))
+                .collect(),
+            ..full.clone()
+        };
+        let batches = chain
             .iter()
-            .map(|&(u, grant, t)| {
-                let edge = targets[t as usize % targets.len()];
-                let actor = users[u as usize];
-                if grant == 1 {
-                    Command::grant(actor, edge)
-                } else {
-                    Command::revoke(actor, edge)
-                }
+            .map(|batch| {
+                batch
+                    .iter()
+                    .map(|&(u, grant, t)| {
+                        let edge = targets[t as usize % targets.len()];
+                        let actor = users[u as usize];
+                        if grant == 1 {
+                            Command::grant(actor, edge)
+                        } else {
+                            Command::revoke(actor, edge)
+                        }
+                    })
+                    .collect()
             })
             .collect();
-        let monitor = ReferenceMonitor::new(uni.clone(), policy.clone(), MonitorConfig::default());
+        let config = MonitorConfig {
+            auth_mode: mode,
+            ..MonitorConfig::default()
+        };
+        let monitor = ReferenceMonitor::new(uni, policy, config);
         monitor
-            .set_constraints(ConstraintSet {
-                sod_pairs: vec![(roles[pair.0 as usize], roles[pair.1 as usize])],
-                deny_level: None,
-                frozen_edges: Vec::new(),
-            })
+            .set_constraints(clean)
             .expect("in-memory set_constraints");
-        let constraints = (*monitor.constraints()).clone();
-        let (cand_uni, cand_policy, _) =
-            simulate_batch(&uni, &policy, &commands, AuthMode::Explicit);
-        let expected =
-            evaluate_constraints(&cand_uni, &cand_policy, &constraints, AuthMode::Explicit);
-        let epoch_before = monitor.version();
-        let audit_before = monitor.audit_len();
-        match monitor.submit_batch(&commands) {
-            Ok(_) => prop_assert!(
-                expected.is_empty(),
-                "monitor published a batch the static gate finds dirty: {expected:?}"
-            ),
-            Err(MonitorError::Admission(report)) => {
-                prop_assert_eq!(&report.findings, &expected);
-                prop_assert_eq!(monitor.version(), epoch_before, "epoch moved on refusal");
-                prop_assert_eq!(monitor.audit_len(), audit_before, "audit grew on refusal");
-                let (_, live) = monitor.snapshot();
-                prop_assert_eq!(&live, &policy, "published policy changed on refusal");
+        Some(GatedChain {
+            monitor,
+            mode,
+            batches,
+            full,
+            switch_at: usize::from(declared.switch_at),
+        })
+    }
+
+    /// Runs `check` on every batch in order, declaring the full set
+    /// before batch `switch_at`.
+    fn for_each_batch(&self, mut check: impl FnMut(&[Command])) {
+        for (i, commands) in self.batches.iter().enumerate() {
+            if i == self.switch_at {
+                self.monitor
+                    .set_constraints(self.full.clone())
+                    .expect("in-memory set_constraints");
             }
-            Err(other) => prop_assert!(false, "unexpected monitor error: {other}"),
+            check(commands);
         }
     }
 }
@@ -423,4 +645,125 @@ fn socket_refuses_sod_violating_batch_before_publication() {
     assert_eq!(client.version().expect("version"), epoch1);
     drop(client);
     daemon.shutdown();
+}
+
+/// A gated durable batch whose WAL append fails mid-batch publishes
+/// exactly the applied prefix — the fallback path, which re-derives the
+/// epoch from the store instead of publishing the judged candidate —
+/// and the next gated batch is judged afresh on that epoch.
+#[test]
+fn gated_batch_with_failed_append_publishes_the_applied_prefix() {
+    let dir = TempDir::new("admission-prefix").unwrap();
+    let (uni, policy, admin) = sod_arena();
+    let alice = uni.find_user("alice").unwrap();
+    let bob = uni.find_user("bob").unwrap();
+    let pay = uni.find_role("pay").unwrap();
+    let audit = uni.find_role("audit").unwrap();
+    let admins = uni.find_role("admins").unwrap();
+    let mut store =
+        PolicyStore::create(dir.path(), uni.clone(), policy, AuthMode::Explicit).unwrap();
+    store
+        .set_constraints(ConstraintSet {
+            sod_pairs: vec![(pay, audit)],
+            deny_level: None,
+            frozen_edges: vec![Edge::UserRole(admin, admins)],
+        })
+        .unwrap();
+    store.inject_append_failure_after(2);
+    let config = MonitorConfig {
+        autocompact_log_len: None,
+        ..MonitorConfig::default()
+    };
+    let monitor = ReferenceMonitor::with_store(store, config);
+    let batch = [
+        Command::grant(admin, Edge::UserRole(alice, pay)),
+        Command::grant(admin, Edge::UserRole(bob, audit)),
+        Command::revoke(admin, Edge::UserRole(alice, pay)),
+        Command::grant(admin, Edge::UserRole(alice, audit)),
+    ];
+    let (outcomes, error) = monitor.submit_batch_outcomes(&batch);
+    assert!(matches!(error, Some(MonitorError::Store(_))), "{error:?}");
+    assert_eq!(outcomes.len(), 2, "the third append failed");
+    assert_eq!(monitor.admission_counts(), (1, 0));
+    let published = monitor.read_snapshot();
+    assert_eq!(published.epoch, 1);
+    assert!(published.policy().contains_edge(Edge::UserRole(alice, pay)));
+    assert!(published.policy().contains_edge(Edge::UserRole(bob, audit)));
+    assert!(!published
+        .policy()
+        .contains_edge(Edge::UserRole(alice, audit)));
+    assert_eq!(monitor.audit_len(), 2);
+    // The gate still judges the next batch on the published prefix.
+    let violating = [Command::grant(admin, Edge::UserRole(alice, audit))];
+    assert!(matches!(
+        monitor.submit_batch(&violating),
+        Err(MonitorError::Admission(_))
+    ));
+    let checksum = published.checksum();
+    drop(monitor);
+    let (store, _) = PolicyStore::open(dir.path(), AuthMode::Explicit).unwrap();
+    assert_eq!(
+        checksum,
+        policy_checksum(store.policy()),
+        "the published epoch is exactly the store's applied prefix"
+    );
+}
+
+/// A constraint set naming an id the universe lacks is refused in
+/// process — by `ReferenceMonitor::set_constraints` and by a
+/// `MonitorService` call, as the CLI's local `constraint add` makes —
+/// with `ForeignPolicy`, just as the wire's bounds check refuses it,
+/// and the WAL and the declared set stay as they were.
+#[test]
+fn set_constraints_refuses_ids_outside_the_universe_in_process() {
+    let dir = TempDir::new("admission-bounds").unwrap();
+    let (uni, policy, admin) = sod_arena();
+    let alice = uni.find_user("alice").unwrap();
+    let pay = uni.find_role("pay").unwrap();
+    let audit = uni.find_role("audit").unwrap();
+    let store = PolicyStore::create(dir.path(), uni, policy, AuthMode::Explicit).unwrap();
+    let service = MonitorService::new(ReferenceMonitor::with_store(
+        store,
+        MonitorConfig::default(),
+    ));
+    let monitor = service.monitor();
+    let declared = ConstraintSet {
+        sod_pairs: vec![(pay, audit)],
+        deny_level: None,
+        frozen_edges: Vec::new(),
+    };
+    monitor.set_constraints(declared.clone()).unwrap();
+    let wal_path = dir.path().join("commands.log");
+    let wal = std::fs::read(&wal_path).unwrap();
+
+    let ghost_user = ConstraintSet {
+        frozen_edges: vec![Edge::UserRole(UserId::from_index(77), pay)],
+        ..declared.clone()
+    };
+    assert!(matches!(
+        monitor.set_constraints(ghost_user),
+        Err(MonitorError::ForeignConstraints)
+    ));
+    let ghost_role = ConstraintSet {
+        sod_pairs: vec![(pay, RoleId::from_index(99))],
+        ..ConstraintSet::default()
+    };
+    assert!(matches!(
+        service.call(Request::SetConstraints {
+            constraints: ghost_role
+        }),
+        Err(ServiceError::ForeignPolicy)
+    ));
+    assert_eq!(
+        std::fs::read(&wal_path).unwrap(),
+        wal,
+        "a refused set reached the WAL"
+    );
+    assert_eq!(*monitor.constraints(), declared);
+    // The standing set keeps gating; nothing froze the writer.
+    let clean = [Command::grant(admin, Edge::UserRole(alice, pay))];
+    service
+        .submit(clean.to_vec())
+        .expect("a clean batch publishes");
+    assert_eq!(service.version().unwrap(), 1);
 }
