@@ -35,7 +35,8 @@
 //!   [`PublishMode::FullRebuild`]); the admission gate judges that
 //!   candidate; the backend executes the batch serially under
 //!   Definition 5 (so outcomes and the audit sequence are identical to
-//!   a serial monitor) and the durable backend syncs its WAL once; and
+//!   a serial monitor; in memory it adopts the simulated state, which
+//!   was that execution) and the durable backend syncs its WAL once; and
 //!   the very candidate the gate judged is published atomically with
 //!   `epoch = version() + 1`. Readers therefore observe only whole
 //!   batches: every concurrent read agrees with either the pre- or the
@@ -67,7 +68,7 @@ use adminref_core::reach::EdgeDelta;
 use adminref_core::safety::{perm_reachable, ReachabilityAnswer, SafetyConfig};
 use adminref_core::session::{Session, SessionError};
 use adminref_core::snapshot::{batch_deltas, PolicySnapshot, PublishMode, PublishPath};
-use adminref_core::transition::{step, AuthMode, StepOutcome};
+use adminref_core::transition::{AuthMode, StepOutcome};
 use adminref_core::universe::{Edge, Universe};
 use adminref_core::verify::specs::SessionView;
 use adminref_store::{PolicyStore, RecoveryReport, StoreError};
@@ -204,26 +205,35 @@ impl Backend {
         }
     }
 
-    /// Applies one batch: serial Definition-5 execution per command, one
-    /// WAL sync per batch on the durable backend. Returns the outcomes
-    /// of every command that executed plus the first backend error, if
-    /// any — on a mid-batch store failure the applied prefix is exactly
-    /// `outcomes` (the store's log-before-apply discipline guarantees
-    /// the failing command changed nothing), so the caller can audit
-    /// and publish it before surfacing the error.
+    /// Applies one batch, whose `candidate` was simulated from this
+    /// backend's state (the published parent): serial Definition-5
+    /// execution per command, one WAL sync per batch on the durable
+    /// backend. Returns the outcomes of every command that executed plus
+    /// the first backend error, if any — on a mid-batch store failure
+    /// the applied prefix is exactly `outcomes` (the store's
+    /// log-before-apply discipline guarantees the failing command
+    /// changed nothing), so the caller can audit and publish it before
+    /// surfacing the error.
+    ///
+    /// In memory the simulation already *was* that execution, so the
+    /// backend adopts the candidate's state — sharing its relations with
+    /// the snapshot about to be published — instead of stepping the
+    /// batch a second time. The durable store executes (and logs) every
+    /// command itself.
     fn execute_batch(
         &mut self,
         commands: &[Command],
         mode: AuthMode,
+        candidate: &Candidate,
     ) -> (Vec<StepOutcome>, Option<MonitorError>) {
         match self {
-            Backend::Memory { universe, policy } => (
-                commands
-                    .iter()
-                    .map(|cmd| step(universe, policy, cmd, mode))
-                    .collect(),
-                None,
-            ),
+            Backend::Memory { universe, policy } => {
+                *policy = candidate.snapshot.policy().clone();
+                if candidate.interned {
+                    *universe = candidate.snapshot.universe().clone();
+                }
+                (candidate.outcomes.clone(), None)
+            }
             Backend::Durable(store) => {
                 debug_assert_eq!(store.auth_mode(), mode, "mode set at store creation");
                 let (outcomes, status) = store.execute_batch(commands.iter());
@@ -569,7 +579,7 @@ impl ReferenceMonitor {
                 return (Vec::new(), Some(MonitorError::Admission(report)));
             }
         }
-        let (outcomes, error) = writer.backend.execute_batch(commands, mode);
+        let (outcomes, error) = writer.backend.execute_batch(commands, mode, &candidate);
         // Audit while still holding the writer lock, so the global audit
         // order equals the execution (and WAL) order across batches.
         {
