@@ -253,7 +253,7 @@ struct Writer {
     /// inherited"). Every publish that is not a judged candidate clears
     /// it.
     clean: Option<(u64, Arc<ConstraintSet>)>,
-    /// The epoch the last publish swapped out, held until the next
+    /// The epoch the last delta publish swapped out, held until the next
     /// publish drops it — so the writer, not a reader finishing its
     /// check, pays for freeing an old epoch.
     retired: Option<Arc<PolicySnapshot>>,
@@ -643,11 +643,12 @@ impl ReferenceMonitor {
     /// Makes `snapshot` the epoch readers see — the one publish step of
     /// a local batch, a replicated epoch and a replica bootstrap: count
     /// how the snapshot was derived, swap it in, sweep the sessions it
-    /// may have severed, tell the publish hook, and free the epoch
-    /// before the one just swapped out. `deltas` are the edge changes
-    /// that led here from the previous epoch; `None` is a wholesale
-    /// replacement, which can remove anything (so always sweeps) and is
-    /// no epoch of the delta stream (so tells no one).
+    /// may have severed, tell the publish hook, and retire the epoch
+    /// just swapped out (freeing the one retired before it). `deltas`
+    /// are the edge changes that led here from the previous epoch;
+    /// `None` is a wholesale replacement, which can remove anything (so
+    /// always sweeps), is no epoch of the delta stream (so tells no one)
+    /// and shares nothing with its predecessor (so retires nothing).
     ///
     /// Called with the writer lock held (`writer` is its guard): that is
     /// what makes hooks observe epochs strictly in publication order,
@@ -667,6 +668,7 @@ impl ReferenceMonitor {
         }
         .fetch_add(1, Ordering::Relaxed);
         writer.clean = None;
+        let wholesale = deltas.is_none();
         let swapped_out = self.snapshot.swap(Arc::clone(&snapshot));
         let severs =
             |deltas: &Vec<EdgeDelta>| deltas.iter().any(|d| severs_activation(d.edge, d.added));
@@ -680,7 +682,9 @@ impl ReferenceMonitor {
                 checksum: snapshot.checksum(),
             });
         }
-        drop(writer.retired.replace(swapped_out));
+        // A replacement is rare and its predecessor unrelated: free that
+        // now rather than keep a whole second epoch resident.
+        writer.retired = (!wholesale).then_some(swapped_out);
     }
 
     /// Drops every active session role whose `u →φ r` justification no
