@@ -19,10 +19,14 @@
 //!   write path's lock. The current policy lives in an immutable,
 //!   versioned [`PolicySnapshot`] (universe + policy + prebuilt
 //!   [`ReachIndex`](adminref_core::reach::ReachIndex)) published through
-//!   a lock-free epoch cell (`arc_swap`); a read pins the current epoch,
-//!   clones the `Arc`, and answers from the index — no graph walk, no
-//!   contention with the admin writer. Session lookups go through a
-//!   separate sessions `RwLock` that administrative commands never touch.
+//!   a lock-free epoch cell (`arc_swap`). A check writes no line another
+//!   reader writes: it read-locks the one shard of the session table its
+//!   session lives in (shards are cache-line aligned, so sessions in
+//!   different shards share nothing), then answers from the index in
+//!   place under a pin on its own thread's stripe of the epoch cell —
+//!   no `Arc` count, no graph walk, no contention with the admin writer.
+//!   Administrative commands never lock a session shard; only the
+//!   post-publish revalidation sweep does, one shard at a time.
 //! * **Write path** — [`submit`](ReferenceMonitor::submit) and
 //!   [`submit_queue`](ReferenceMonitor::submit_queue) funnel through one
 //!   writer mutex. A whole queue is applied as **one batch**, in one
@@ -382,15 +386,27 @@ pub(crate) fn sweep_stale_activations(
     }
 }
 
+/// How many shards the session table has; session `id` lives in shard
+/// `id % SHARDS`, and ids are issued in sequence, so any `SHARDS`
+/// sessions opened one after another occupy distinct shards.
+const SHARDS: usize = 16;
+
+/// One shard of the session table, alone on its cache lines so that
+/// checks on sessions in different shards write no common line.
+#[repr(align(128))]
+#[derive(Default)]
+struct Shard(RwLock<HashMap<SessionId, Session>>);
+
 /// The reference monitor.
 pub struct ReferenceMonitor {
     /// Published read-side state; see the module docs.
     snapshot: ArcSwap<PolicySnapshot>,
     /// Serialized write-side state.
     writer: Mutex<Writer>,
-    /// Sessions, decoupled from the policy state (admin commands never
-    /// lock this; session churn never blocks the writer).
-    sessions: RwLock<HashMap<SessionId, Session>>,
+    /// Sessions, decoupled from the policy state and sharded by id
+    /// ([`shard`](Self::shard)): admin commands never lock a shard, and
+    /// session churn never blocks the writer.
+    sessions: [Shard; SHARDS],
     next_session: AtomicU64,
     /// The audit ring under its own short-critical-section lock, so
     /// auditors reading history don't stall command execution.
@@ -436,7 +452,7 @@ impl ReferenceMonitor {
         ReferenceMonitor {
             snapshot: ArcSwap::from_pointee(snapshot),
             writer: Writer::new(Backend::Memory { universe, policy }),
-            sessions: RwLock::new(HashMap::new()),
+            sessions: Default::default(),
             next_session: AtomicU64::new(0),
             audit: Mutex::new(AuditLog::new(config.audit_capacity)),
             publishes_incremental: AtomicU64::new(0),
@@ -480,7 +496,7 @@ impl ReferenceMonitor {
         ReferenceMonitor {
             snapshot: ArcSwap::from_pointee(snapshot),
             writer: Writer::new(Backend::Durable(Box::new(store))),
-            sessions: RwLock::new(HashMap::new()),
+            sessions: Default::default(),
             next_session: AtomicU64::new(0),
             audit: Mutex::new(AuditLog::new(config.audit_capacity)),
             publishes_incremental: AtomicU64::new(0),
@@ -690,34 +706,37 @@ impl ReferenceMonitor {
     /// Drops every active session role whose `u →φ r` justification no
     /// longer holds in `snapshot`, recording each forced deactivation.
     ///
-    /// The scan runs under the sessions *read* lock, and the write lock
-    /// is taken (to sweep) only if some active role is actually stale —
-    /// so a publish that severs nobody's activation never blocks
-    /// readers. This is still race-free against
+    /// The sweep runs shard by shard, after `publish` has swapped
+    /// `snapshot` in. Each shard is scanned under its *read* lock, and its
+    /// write lock is taken (to sweep it) only if some active role in it is
+    /// actually stale — so a publish that severs nobody's activation never
+    /// blocks a check. Per shard this is race-free against
     /// [`activate_role`](Self::activate_role), which loads its snapshot
-    /// *under the write lock*: `publish` swaps `snapshot` in before this
-    /// scan starts, so an activation's write section either completes
-    /// before the scan's read section (the scan sees the role and, if
-    /// stale, sweeps it) or starts after it (and then validates against
-    /// `snapshot` or a later epoch, so cannot be stale). Between the
-    /// scan and the sweep, activations only ever validate against the
-    /// new epoch, so the sweep re-checks every session under the write
-    /// lock and misses nothing.
+    /// *under its session's shard write lock*, and a session never
+    /// changes shard: an activation's write section on shard `k` either
+    /// completes before the scan's read section on `k` (the scan sees the
+    /// role and, if stale, sweeps it) or starts after it (and then
+    /// validates against `snapshot` or a later epoch, so cannot be stale;
+    /// the swap preceded every shard's scan). Between a shard's scan and
+    /// its sweep, activations there only ever validate against the new
+    /// epoch, so the sweep re-checks the shard under its write lock and
+    /// misses nothing.
     fn revalidate_sessions(&self, snapshot: &PolicySnapshot) {
         let reaches = |user: UserId, role: RoleId| {
             snapshot
                 .reach()
                 .reach_entity(Entity::User(user), Entity::Role(role))
         };
-        let stale = self
-            .sessions
-            .read()
-            .values()
-            .any(|s| s.active_roles().any(|role| !reaches(s.user(), role)));
-        if stale {
-            let mut sessions = self.sessions.write();
-            let mut audit = self.audit.lock();
-            sweep_stale_activations(&mut sessions, &mut audit, snapshot.epoch, reaches);
+        for Shard(shard) in &self.sessions {
+            let stale = shard
+                .read()
+                .values()
+                .any(|s| s.active_roles().any(|role| !reaches(s.user(), role)));
+            if stale {
+                let mut sessions = shard.write();
+                let mut audit = self.audit.lock();
+                sweep_stale_activations(&mut sessions, &mut audit, snapshot.epoch, reaches);
+            }
         }
     }
 
@@ -832,26 +851,32 @@ impl ReferenceMonitor {
         Ok(())
     }
 
+    /// The session-table shard `session` lives in.
+    fn shard(&self, session: SessionId) -> &RwLock<HashMap<SessionId, Session>> {
+        &self.sessions[(session.raw() % SHARDS as u64) as usize].0
+    }
+
     /// Starts a session for `user`.
     pub fn create_session(&self, user: UserId) -> SessionId {
         let id = SessionId::from_raw(self.next_session.fetch_add(1, Ordering::Relaxed));
-        self.sessions.write().insert(id, Session::new(user));
+        self.shard(id).write().insert(id, Session::new(user));
         id
     }
 
     /// Activates a role in a session (`u →φ r` against the current
     /// published epoch).
     pub fn activate_role(&self, session: SessionId, role: RoleId) -> Result<(), MonitorError> {
-        let mut sessions = self.sessions.write();
-        // Load the snapshot *under* the sessions write lock. A publish
-        // swaps its epoch in before its revalidation scan takes this
-        // lock for reading, so an activation either holds the write lock
-        // before that scan (and the scan sees the role and sweeps it if
-        // the new epoch severed it) or after it (and then loads the new
-        // epoch, or a later one, and is refused if severed). A snapshot
-        // loaded before taking the lock could predate the swap while the
-        // scan has already passed: the activation would be validated
-        // against the stale epoch and survive unswept.
+        let mut sessions = self.shard(session).write();
+        // Load the snapshot *under* the session's shard write lock. A
+        // publish swaps its epoch in before its revalidation scan takes
+        // this shard's lock for reading, so an activation either holds
+        // the write lock before that shard's scan (and the scan sees the
+        // role and sweeps it if the new epoch severed it) or after it
+        // (and then loads the new epoch, or a later one, and is refused
+        // if severed). A snapshot loaded before taking the lock could
+        // predate the swap while the shard's scan has already passed: the
+        // activation would be validated against the stale epoch and
+        // survive unswept.
         let snapshot = self.read_snapshot();
         let s = sessions
             .get_mut(&session)
@@ -862,7 +887,7 @@ impl ReferenceMonitor {
 
     /// Deactivates a role; `Ok(true)` if it was active.
     pub fn deactivate_role(&self, session: SessionId, role: RoleId) -> Result<bool, MonitorError> {
-        let mut sessions = self.sessions.write();
+        let mut sessions = self.shard(session).write();
         let s = sessions
             .get_mut(&session)
             .ok_or(MonitorError::UnknownSession(session))?;
@@ -871,26 +896,31 @@ impl ReferenceMonitor {
 
     /// Access check: do the session's active roles reach `perm`?
     ///
-    /// Lock-free against the write path: one epoch-cell load plus an
-    /// index probe per active role. A perm term never interned in the
-    /// published universe is unreachable by definition.
+    /// Lock-free against the write path, and it writes no line a check
+    /// on another shard's session writes: a read lock on the session's
+    /// shard, then an index probe per active role, in place in the
+    /// current epoch. A perm term never interned in the published
+    /// universe is unreachable by definition.
     pub fn check_access(&self, session: SessionId, perm: Perm) -> Result<bool, MonitorError> {
-        let snapshot = self.read_snapshot();
-        let sessions = self.sessions.read();
+        let sessions = self.shard(session).read();
         let s = sessions
             .get(&session)
             .ok_or(MonitorError::UnknownSession(session))?;
-        Ok(snapshot.roles_reach_perm(s.active_roles(), perm))
+        // The shard lock is taken outside the epoch pin, so a publish
+        // waiting out this pin waits for the probe only.
+        Ok(self
+            .snapshot
+            .read(|snapshot| snapshot.roles_reach_perm(s.active_roles(), perm)))
     }
 
     /// Ends a session.
     pub fn drop_session(&self, session: SessionId) -> bool {
-        self.sessions.write().remove(&session).is_some()
+        self.shard(session).write().remove(&session).is_some()
     }
 
     /// Number of currently live sessions.
     pub fn session_count(&self) -> usize {
-        self.sessions.read().len()
+        self.sessions.iter().map(|Shard(s)| s.read().len()).sum()
     }
 
     /// Number of audit events currently retained in the ring.
@@ -914,7 +944,14 @@ impl ReferenceMonitor {
     /// (with single-command submits, exactly the number of
     /// policy-changing commands).
     pub fn version(&self) -> u64 {
-        self.read_snapshot().epoch
+        self.snapshot.read(|snapshot| snapshot.epoch)
+    }
+
+    /// The published epoch id and that epoch's state checksum (see
+    /// [`PolicySnapshot::checksum`]), read together from one epoch.
+    pub fn version_checksum(&self) -> (u64, u64) {
+        self.snapshot
+            .read(|snapshot| (snapshot.epoch, snapshot.checksum()))
     }
 
     /// Copies out all retained audit events. For long-running monitors
@@ -960,14 +997,14 @@ impl ReferenceMonitor {
     /// The live sessions as oracle [`SessionView`]s (user plus active
     /// roles), for the `SessionRolesAssigned` invariant.
     pub fn session_views(&self) -> Vec<SessionView> {
-        self.sessions
-            .read()
-            .values()
-            .map(|s| SessionView {
+        let mut views = Vec::new();
+        for Shard(shard) in &self.sessions {
+            views.extend(shard.read().values().map(|s| SessionView {
                 user: s.user(),
                 active: s.active_roles().collect(),
-            })
-            .collect()
+            }));
+        }
+        views
     }
 
     /// Copies out at most the last `max` forced deactivations (oldest
@@ -1158,14 +1195,15 @@ impl ReferenceMonitor {
             .any(|d| severs_activation(d.edge, d.added))
         {
             let reach = candidate.snapshot.reach();
-            let sessions = self.sessions.read();
-            for (id, session) in sessions.iter() {
-                let user = session.user();
-                if session
-                    .active_roles()
-                    .any(|r| !reach.reach_entity(Entity::User(user), Entity::Role(r)))
-                {
-                    impact.severed_sessions.push(id.raw());
+            for Shard(shard) in &self.sessions {
+                for (id, session) in shard.read().iter() {
+                    let user = session.user();
+                    if session
+                        .active_roles()
+                        .any(|r| !reach.reach_entity(Entity::User(user), Entity::Role(r)))
+                    {
+                        impact.severed_sessions.push(id.raw());
+                    }
                 }
             }
             impact.severed_sessions.sort_unstable();
@@ -1622,29 +1660,32 @@ mod tests {
     }
 
     /// The sweep as it was before the read scan: the whole session table
-    /// under the write lock, stale or not.
+    /// under the write lock — every shard's, held together — stale or not.
     fn write_locked_sweep(m: &ReferenceMonitor, snapshot: &PolicySnapshot) {
-        let mut sessions = m.sessions.write();
+        let mut shards: Vec<_> = m.sessions.iter().map(|Shard(s)| s.write()).collect();
         let mut audit = m.audit.lock();
-        sweep_stale_activations(&mut sessions, &mut audit, snapshot.epoch, |user, role| {
-            snapshot
-                .reach()
-                .reach_entity(Entity::User(user), Entity::Role(role))
-        });
+        for sessions in &mut shards {
+            sweep_stale_activations(sessions, &mut audit, snapshot.epoch, |user, role| {
+                snapshot
+                    .reach()
+                    .reach_entity(Entity::User(user), Entity::Role(role))
+            });
+        }
     }
 
-    /// A thread keeps activating `staff` in bob's sessions while the
-    /// writer grants and revokes bob's membership. After every publish
-    /// no session may hold a role its user no longer reaches in the
-    /// published epoch: an activation racing the revoke either lands
-    /// before the sweep (and is swept) or validates against the revoked
-    /// epoch (and is refused). `publish` makes one epoch current —
-    /// `revoke` says whether it is the one without the membership.
+    /// A thread keeps activating `staff` in bob's sessions — two in every
+    /// shard — while the writer grants and revokes bob's membership.
+    /// After every publish no session may hold a role its user no longer
+    /// reaches in the published epoch: an activation racing the revoke
+    /// either lands before its shard's sweep (and is swept) or validates
+    /// against the revoked epoch (and is refused). `publish` makes one
+    /// epoch current — `revoke` says whether it is the one without the
+    /// membership.
     fn activations_never_outlive_a_revoke(publish: impl Fn(&ReferenceMonitor, bool)) {
         let (m, uni) = monitor(AuthMode::Explicit);
         let bob = uni.find_user("bob").unwrap();
         let staff = uni.find_role("staff").unwrap();
-        let sessions: Vec<SessionId> = (0..4).map(|_| m.create_session(bob)).collect();
+        let sessions: Vec<SessionId> = (0..2 * SHARDS).map(|_| m.create_session(bob)).collect();
         let done = std::sync::atomic::AtomicBool::new(false);
         let stale = |m: &ReferenceMonitor| {
             let snapshot = m.read_snapshot();
@@ -1719,6 +1760,51 @@ mod tests {
                 write_locked_sweep(m, snapshot);
             }
         });
+    }
+
+    /// With sessions in every shard, `analyze_batch` names exactly the
+    /// sessions that submitting the batch then force-deactivates, sorted.
+    #[test]
+    fn analyze_names_exactly_the_sessions_submit_severs() {
+        let (m, uni) = monitor(AuthMode::Explicit);
+        let jane = uni.find_user("jane").unwrap();
+        let bob = uni.find_user("bob").unwrap();
+        let diana = uni.find_user("diana").unwrap();
+        let staff = uni.find_role("staff").unwrap();
+        let nurse = uni.find_role("nurse").unwrap();
+        let edge = Edge::UserRole(bob, staff);
+        m.submit(&Command::grant(jane, edge)).unwrap();
+        // Per three consecutive ids: bob with roles active (the revoke
+        // severs them), bob with none, diana with staff (her own
+        // assignment survives). Every third id covers every shard.
+        for i in 0..3 * SHARDS {
+            let user = if i % 3 == 2 { diana } else { bob };
+            let sid = m.create_session(user);
+            match i % 3 {
+                0 => {
+                    m.activate_role(sid, staff).unwrap();
+                    m.activate_role(sid, nurse).unwrap();
+                }
+                1 => {}
+                _ => m.activate_role(sid, staff).unwrap(),
+            }
+        }
+        let revoke = [Command::revoke(jane, edge)];
+        let severed = m.analyze_batch(&revoke).severed_sessions;
+        assert!(severed.windows(2).all(|w| w[0] < w[1]), "{severed:?}");
+        let shards: std::collections::BTreeSet<u64> =
+            severed.iter().map(|id| id % SHARDS as u64).collect();
+        assert_eq!(shards.len(), SHARDS, "{severed:?}");
+        m.submit_batch(&revoke).unwrap();
+        let mut deactivated: Vec<u64> = m
+            .session_revocations_tail(usize::MAX)
+            .iter()
+            .map(|r| r.session.raw())
+            .collect();
+        assert_eq!(deactivated.len(), 2 * SHARDS, "staff and nurse per session");
+        deactivated.sort_unstable();
+        deactivated.dedup();
+        assert_eq!(severed, deactivated);
     }
 
     #[test]

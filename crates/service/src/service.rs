@@ -187,11 +187,8 @@ pub(crate) fn dispatch(
             Ok(Response::Audit(monitor.audit_events_since(after, max)))
         }
         Request::Version => {
-            let snapshot = monitor.read_snapshot();
-            Ok(Response::Version(VersionInfo {
-                epoch: snapshot.epoch,
-                checksum: snapshot.checksum(),
-            }))
+            let (epoch, checksum) = monitor.version_checksum();
+            Ok(Response::Version(VersionInfo { epoch, checksum }))
         }
         Request::Stats => Ok(Response::Stats(stats(monitor))),
         Request::Compact => {
