@@ -72,7 +72,7 @@
 //! counters: the counts add, the drain waits for all of them, and only
 //! speed suffers.
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering::Relaxed, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 
 /// How many pin stripes a cell has: threads beyond this many share one.
@@ -89,7 +89,7 @@ static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
     // Relaxed: the index only spreads threads over stripes; it publishes
     // nothing, and any value is correct.
-    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, std::sync::atomic::Ordering::Relaxed) % STRIPES;
+    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Relaxed) % STRIPES;
 }
 
 /// Releases a pin when dropped, so a panicking closure still unpins.
