@@ -14,7 +14,8 @@
 //! free reads exactly one frame, deposits it in the matching waiter's
 //! slot by request id, releases the lease and wakes everyone. Replies
 //! may arrive out of order (the daemon answers slow requests from a
-//! worker pool); the id match makes that invisible.
+//! worker pool, and submits from the group-commit leader); the id match
+//! makes that invisible.
 //!
 //! ## Failure semantics
 //!

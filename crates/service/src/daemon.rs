@@ -4,22 +4,21 @@
 //! ## Serving model
 //!
 //! One accept loop, one thread per connection, a small per-connection
-//! worker pool for slow requests:
+//! worker pool:
 //!
 //! * The **reader** thread of a connection decodes frames and answers
 //!   cheap requests inline (access checks, session lifecycle, audit
 //!   reads, version/stats, lint).
-//! * **Slow requests** — `Submit`, `AnalyzeReach`, `CheckRefinement`,
-//!   `Compact` — are handed to the connection's worker pool, so a
-//!   single pipelined connection keeps several submissions in flight at
-//!   once and the [group-commit combiner](crate::group_commit) can
-//!   coalesce them into one batch. `Submit` frames that arrive
-//!   back-to-back (one burst of buffered input) are dispatched as one
-//!   unit and enter the combiner together via
-//!   [`PolicyService::call_many`] — without this, a round-trip
-//!   transport trickles them in one worker wake-up at a time and the
-//!   leader drains needlessly small groups. Responses are written as
-//!   they complete, matched by request id, possibly out of order.
+//! * **Submits** go from the reader straight into the service's
+//!   [group-commit combiner](crate::group_commit)
+//!   ([`PolicyService::write_combiner`]) and occupy no thread while
+//!   they wait; frames read back-to-back land in one drain, whose leader
+//!   writes every connection's reply train after the WAL sync. A reader
+//!   leads (briefly) when it finds no leader or completes a gather.
+//! * **Other slow requests** (`AnalyzeReach`, `CheckRefinement`,
+//!   `Compact`, `Analyze`, `SetConstraints`, and submits to a server
+//!   without a combiner) each go to a worker, which writes the reply.
+//!   Responses are matched by request id, possibly out of order.
 //! * **Per-connection sessions**: sessions created over a connection
 //!   are dropped when it closes, so a crashed client cannot leak live
 //!   sessions into the monitor.
@@ -38,7 +37,9 @@
 //!
 //! [`Daemon::shutdown`] (also run on drop) stops the accept loop, waits
 //! for every connection thread to notice within one read-poll interval,
-//! joins them, and removes a Unix socket file it bound.
+//! joins them, and removes a Unix socket file it bound. A connection
+//! closes once all of its submits are answered; the accept loop joins
+//! closed connections' threads as it goes.
 
 use std::collections::HashSet;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -55,15 +56,17 @@ use std::time::Duration;
 use adminref_core::universe::Universe;
 use parking_lot::Mutex;
 
+use crate::group_commit::{ReplyTo, SubmitResult};
 use crate::protocol::{PolicyService, Request, Response, ServiceError};
 use crate::wire::{self, Frame, FrameError, FrameHeader, FrameKind, WireError, HEADER_LEN};
 
 /// Tuning knobs for a [`Daemon`].
 #[derive(Clone, Copy, Debug)]
 pub struct DaemonConfig {
-    /// Worker threads per connection for slow requests. This bounds how
-    /// many of one connection's submissions can be in flight — and thus
-    /// coalescible by group commit — at once.
+    /// Worker threads per connection for slow requests other than
+    /// submits, and for leading group-commit drains when summoned.
+    /// Submits wait in the combiner without a thread, so this does not
+    /// bound how many are in flight.
     pub workers_per_connection: usize,
     /// How often a blocked connection reader wakes to check for
     /// shutdown (the socket read timeout).
@@ -238,6 +241,17 @@ pub(crate) enum Stream {
     Unix(UnixStream),
 }
 
+/// Runs `$body` on whichever socket `$stream` holds, bound to `$s`.
+macro_rules! on_socket {
+    ($stream:expr, $s:ident => $body:expr) => {
+        match $stream {
+            Stream::Tcp($s) => $body,
+            #[cfg(unix)]
+            Stream::Unix($s) => $body,
+        }
+    };
+}
+
 impl Stream {
     pub(crate) fn try_clone(&self) -> io::Result<Stream> {
         match self {
@@ -248,50 +262,28 @@ impl Stream {
     }
 
     pub(crate) fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_read_timeout(dur),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.set_read_timeout(dur),
-        }
+        on_socket!(self, s => s.set_read_timeout(dur))
     }
 
     fn shutdown_both(&self) {
-        match self {
-            Stream::Tcp(s) => {
-                let _ = s.shutdown(Shutdown::Both);
-            }
-            #[cfg(unix)]
-            Stream::Unix(s) => {
-                let _ = s.shutdown(Shutdown::Both);
-            }
-        }
+        on_socket!(self, s => {
+            let _ = s.shutdown(Shutdown::Both);
+        })
     }
 }
 
 impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.read(buf),
-        }
+        on_socket!(self, s => s.read(buf))
     }
 }
 
 impl Write for Stream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.write(buf),
-        }
+        on_socket!(self, s => s.write(buf))
     }
     fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.flush(),
-        }
+        on_socket!(self, s => s.flush())
     }
 }
 
@@ -316,6 +308,7 @@ fn accept_loop(
         return;
     }
     while !stop.load(Ordering::SeqCst) {
+        reap_closed(&conns);
         let accepted = match &listener {
             WireListener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
             #[cfg(unix)]
@@ -351,11 +344,21 @@ fn accept_loop(
     }
 }
 
+/// Joins the threads of connections that have closed and forgets them.
+fn reap_closed(conns: &Mutex<Vec<JoinHandle<()>>>) {
+    let mut conns = conns.lock();
+    let (closed, live): (Vec<_>, _) = std::mem::take(&mut *conns)
+        .into_iter()
+        .partition(JoinHandle::is_finished);
+    *conns = live;
+    closed.into_iter().for_each(|handle| drop(handle.join()));
+}
+
 // ----- one connection --------------------------------------------------
 
-/// Whether a request is answered inline by the reader or handed to the
-/// worker pool. Session-lifecycle requests must stay inline: the reader
-/// owns the per-connection session set.
+/// Whether a request is answered inline by the reader or handed on (to
+/// the write combiner or a worker). Session-lifecycle requests must
+/// stay inline: the reader owns the per-connection session set.
 fn is_slow(request: &Request) -> bool {
     matches!(
         request,
@@ -366,6 +369,35 @@ fn is_slow(request: &Request) -> bool {
             | Request::Analyze { .. }
             | Request::SetConstraints { .. }
     )
+}
+
+/// A unit of work for a connection's workers: serve one request, or
+/// lead the write combiner ([`ReplyTo::summon_leader`]).
+enum Job {
+    Serve(u64, Request),
+    Lead,
+}
+
+/// One connection as the write combiner sees it. Every queued submit
+/// holds it, and with it the job sender, so the connection's workers
+/// (and the connection) outlive its last unanswered submit.
+struct Conn {
+    writer: Arc<ConnWriter>,
+    jobs: mpsc::Sender<Job>,
+}
+
+impl ReplyTo for Conn {
+    fn reply(&self, replies: Vec<(u64, SubmitResult)>) {
+        let frames: Vec<_> = replies
+            .into_iter()
+            .map(|(id, result)| frame(id, &result.map(Response::Outcomes)))
+            .collect();
+        self.writer.send_many(&frames);
+    }
+
+    fn summon_leader(&self) -> bool {
+        self.jobs.send(Job::Lead).is_ok()
+    }
 }
 
 fn handle_connection(
@@ -390,32 +422,36 @@ fn handle_connection(
     // more frames are already here (= keep accumulating the burst).
     let mut reader = BufReader::new(stream);
 
-    // Worker pool: a shared channel feeds slow requests to
-    // `workers_per_connection` threads; each writes its own replies. A
-    // message is one dispatch unit: a single request, or a burst of
-    // `Submit`s that must enter the combiner together.
-    let (tx, rx) = mpsc::channel::<Vec<(u64, Request)>>();
+    // Worker pool on one job channel; a send fails once no worker is left.
+    let (jobs, rx) = mpsc::channel::<Job>();
     let rx = Arc::new(Mutex::new(rx));
     let mut workers = Vec::with_capacity(config.workers_per_connection);
     for _ in 0..config.workers_per_connection.max(1) {
-        let rx = Arc::clone(&rx);
-        let service = Arc::clone(&service);
-        let writer = Arc::clone(&writer);
+        let (rx, service, writer) = (Arc::clone(&rx), Arc::clone(&service), Arc::clone(&writer));
         let spawned = thread::Builder::new()
             .name("adminrefd-worker".into())
             .spawn(move || loop {
                 // Hold the receiver lock only across the recv itself so
                 // idle workers queue up behind it, not behind a serve.
-                let msg = { rx.lock().recv() };
-                match msg {
-                    Ok(burst) => serve_burst(&*service, &writer, burst),
+                let job = { rx.lock().recv() };
+                match job {
+                    Ok(Job::Serve(id, request)) => send_result(&writer, id, &service.call(request)),
+                    // A summons follows a queued submit: the combiner exists.
+                    Ok(Job::Lead) => {
+                        if let Some((commit, monitor)) = service.write_combiner() {
+                            commit.lead(monitor, false);
+                        }
+                    }
                     Err(_) => break,
                 }
             });
-        if let Ok(handle) = spawned {
-            workers.push(handle);
-        }
+        workers.extend(spawned);
     }
+    drop(rx);
+    let conn = Arc::new(Conn {
+        writer: Arc::clone(&writer),
+        jobs,
+    });
 
     // Sessions created over this connection, dropped when it closes.
     let mut sessions: HashSet<u64> = HashSet::new();
@@ -474,7 +510,7 @@ fn handle_connection(
         };
         if is_slow(&request) {
             burst.push((frame.request_id, request));
-            if reader.buffer().is_empty() && !dispatch_burst(&tx, &mut burst) {
+            if reader.buffer().is_empty() && !dispatch_burst(&*service, &conn, &mut burst) {
                 break;
             }
             continue;
@@ -493,11 +529,11 @@ fn handle_connection(
         send_result(&writer, frame.request_id, &result);
     }
 
-    // Drain: dispatch any still-accumulating burst, close the channel,
-    // let in-flight slow requests finish and answer, then drop this
-    // connection's surviving sessions.
-    let _ = dispatch_burst(&tx, &mut burst);
-    drop(tx);
+    // Drain: dispatch any still-accumulating burst and drop the job
+    // sender; the workers exit once every slow request and every queued
+    // submit of this connection is answered. Then drop its sessions.
+    let _ = dispatch_burst(&*service, &conn, &mut burst);
+    drop(conn);
     for handle in workers {
         let _ = handle.join();
     }
@@ -509,62 +545,35 @@ fn handle_connection(
     reader.get_ref().shutdown_both();
 }
 
-/// Hands an accumulated burst to the worker pool: `Submit`s go as one
-/// unit (same combiner drain), other slow requests each to their own
-/// worker so an analysis does not serialize behind the writes. Returns
-/// `false` when the pool is gone.
-fn dispatch_burst(tx: &mpsc::Sender<Vec<(u64, Request)>>, burst: &mut Vec<(u64, Request)>) -> bool {
-    let mut submits = Vec::new();
-    for entry in burst.drain(..) {
-        if matches!(entry.1, Request::Submit { .. }) {
-            submits.push(entry);
-        } else if tx.send(vec![entry]).is_err() {
-            return false;
+/// Hands an accumulated burst on: its `Submit`s enter the write combiner
+/// together (one drain, one reply train); every other slow request, or a
+/// submit to a server without a combiner, goes to a worker of its own,
+/// so an analysis does not serialize behind the writes. Returns `false`
+/// when the workers are gone.
+fn dispatch_burst(
+    service: &dyn PolicyService,
+    conn: &Arc<Conn>,
+    burst: &mut Vec<(u64, Request)>,
+) -> bool {
+    let combiner = service.write_combiner();
+    let (mut submits, mut sent) = (Vec::new(), true);
+    for (id, request) in burst.drain(..) {
+        match request {
+            Request::Submit { commands } if combiner.is_some() => submits.push((id, commands)),
+            request => sent &= conn.jobs.send(Job::Serve(id, request)).is_ok(),
         }
     }
-    submits.is_empty() || tx.send(submits).is_ok()
-}
-
-/// Serves one dispatch unit. Every id gets an answer even if a
-/// misbehaving service returns too few results for a burst — an
-/// unanswered id would strand the client's call forever.
-fn serve_burst(service: &dyn PolicyService, writer: &ConnWriter, mut burst: Vec<(u64, Request)>) {
-    if burst.len() == 1 {
-        if let Some((id, request)) = burst.pop() {
-            serve_one(service, writer, id, request);
-        }
-        return;
+    if let (Some((commit, monitor)), false) = (combiner, submits.is_empty()) {
+        commit.submit_replying(monitor, &(Arc::clone(conn) as Arc<dyn ReplyTo>), submits);
     }
-    let (ids, requests): (Vec<u64>, Vec<Request>) = burst.into_iter().unzip();
-    let mut results = service.call_many(requests).into_iter();
-    // Encode outside the writer lock, then ship the whole burst's
-    // replies in one write + one flush: one syscall and one client
-    // wake-up instead of one per reply, which matters on the group
-    // commit path where the reply train gates the next batch.
-    let frames: Vec<(FrameKind, u64, Vec<u8>)> = ids
-        .into_iter()
-        .map(|id| match results.next() {
-            Some(Ok(response)) => (FrameKind::Response, id, wire::encode_response(&response)),
-            Some(Err(err)) => (FrameKind::Error, id, wire::encode_error(&err)),
-            // A misbehaving `call_many` that returned too few results
-            // must still answer every id, or the client hangs forever.
-            None => (
-                FrameKind::Error,
-                id,
-                wire::encode_error(&ServiceError::Aborted),
-            ),
-        })
-        .collect();
-    writer.send_many(&frames);
+    sent
 }
 
 /// The shared write half of one connection, with **coalesced flushes**:
 /// a sender skips its flush when another sender is already queued on
 /// the writer lock — the last sender in any contention burst flushes
-/// everyone's frames in one syscall. When a drained group-commit batch
-/// completes, its workers finish nearly simultaneously, so their
-/// replies leave in one socket write (and arrive in one client read)
-/// instead of one syscall each.
+/// everyone's frames in one syscall. A group-commit leader sends a
+/// connection's reply train at once, so it arrives in one client read.
 pub(crate) struct ConnWriter {
     writer: Mutex<BufWriter<Stream>>,
     /// Senders between their queue announcement and their write. A
@@ -583,27 +592,18 @@ impl ConnWriter {
     }
 
     pub(crate) fn send(&self, kind: FrameKind, id: u64, payload: &[u8]) {
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        let mut w = self.writer.lock();
-        // Decrement before writing (not after) so a panic inside the
-        // write cannot strand the count above zero and stall flushes.
-        self.queued.fetch_sub(1, Ordering::SeqCst);
-        // A write failure means the peer is gone; the reader will see
-        // the closed stream and tear the connection down.
-        let _ = wire::write_frame(&mut *w, kind, id, payload);
-        if self.queued.load(Ordering::SeqCst) == 0 {
-            let _ = w.flush();
-        }
+        self.send_many(&[(kind, id, payload)]);
     }
 
-    /// [`send`](ConnWriter::send) for a whole burst's replies: one lock
-    /// acquisition, one flush.
-    fn send_many(&self, frames: &[(FrameKind, u64, Vec<u8>)]) {
+    /// Writes frames under one lock acquisition, with at most one flush.
+    fn send_many<P: AsRef<[u8]>>(&self, frames: &[(FrameKind, u64, P)]) {
         self.queued.fetch_add(1, Ordering::SeqCst);
         let mut w = self.writer.lock();
+        // Decrement before writing, so a panicking write cannot stall
+        // flushes; a failed write means the peer is gone.
         self.queued.fetch_sub(1, Ordering::SeqCst);
         for (kind, id, payload) in frames {
-            let _ = wire::write_frame(&mut *w, *kind, *id, payload);
+            let _ = wire::write_frame(&mut *w, *kind, *id, payload.as_ref());
         }
         if self.queued.load(Ordering::SeqCst) == 0 {
             let _ = w.flush();
@@ -611,17 +611,16 @@ impl ConnWriter {
     }
 }
 
-fn serve_one(service: &dyn PolicyService, writer: &ConnWriter, id: u64, request: Request) {
-    let result = service.call(request);
-    send_result(writer, id, &result);
+/// One reply frame: a response, or the error that answers the request.
+fn frame(id: u64, result: &Result<Response, ServiceError>) -> (FrameKind, u64, Vec<u8>) {
+    match result {
+        Ok(response) => (FrameKind::Response, id, wire::encode_response(response)),
+        Err(err) => (FrameKind::Error, id, wire::encode_error(err)),
+    }
 }
 
 fn send_result(writer: &ConnWriter, id: u64, result: &Result<Response, ServiceError>) {
-    let (kind, payload) = match result {
-        Ok(response) => (FrameKind::Response, wire::encode_response(response)),
-        Err(err) => (FrameKind::Error, wire::encode_error(err)),
-    };
-    writer.send(kind, id, &payload);
+    writer.send_many(&[frame(id, result)]);
 }
 
 pub(crate) fn send_error(writer: &ConnWriter, id: u64, err: &ServiceError) {
@@ -681,4 +680,52 @@ fn fill_polling<R: Read>(
         }
     }
     Ok(true)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::MonitorService;
+    use adminref_core::policy::Policy;
+    use adminref_monitor::MonitorConfig;
+    use std::time::Instant;
+
+    /// The accept loop joins closed connections' threads as it goes:
+    /// after 64 connect/close cycles it tracks only live connections,
+    /// give or take the one being accepted.
+    #[test]
+    fn closed_connections_are_joined_while_serving() {
+        let mut universe = Universe::new();
+        universe.user("admin");
+        let policy = Policy::new(&universe);
+        let service: Arc<dyn PolicyService> = Arc::new(MonitorService::in_memory(
+            universe.clone(),
+            policy,
+            MonitorConfig::default(),
+        ));
+        let config = DaemonConfig {
+            workers_per_connection: 1,
+            read_poll: Duration::from_millis(5),
+            accept_poll: Duration::from_millis(1),
+        };
+        let listener = WireListener::tcp("127.0.0.1:0").unwrap();
+        let daemon = Daemon::spawn_with(service, universe, listener, config).unwrap();
+        let addr = daemon.local_addr().unwrap();
+        for id in 0..64 {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let version = wire::encode_request(&Request::Version);
+            wire::write_frame(&mut stream, FrameKind::Request, id, &version).unwrap();
+            assert!(wire::read_frame(&mut stream).unwrap().is_some());
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while daemon.conns.lock().len() > 1 && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(5));
+        }
+        let tracked = daemon.conns.lock().len();
+        assert!(
+            tracked <= 1,
+            "{tracked} connection threads tracked after 64 closed"
+        );
+        daemon.shutdown();
+    }
 }

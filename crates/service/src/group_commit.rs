@@ -7,31 +7,46 @@
 //! one `ReachIndex` rebuild, one published epoch *per request*. The
 //! combiner here retires the whole in-flight queue per acquisition:
 //!
-//! 1. a submitter appends its request (commands + a completion slot) to
-//!    the shared in-flight batch;
-//! 2. if no leader is running, it elects itself leader; otherwise it
-//!    just waits on its slot;
-//! 3. the leader repeatedly drains *everything* queued, executes the
-//!    drained group as **one** `submit_batch_outcomes` call — one
-//!    Definition-5 serial execution, one WAL sync, one index rebuild,
-//!    one published epoch — then fills each request's slot with its own
-//!    slice of the outcomes, and exits when the queue is empty.
+//! 1. a submitter appends its request (commands + a completion) to the
+//!    shared in-flight batch;
+//! 2. if no leader is running, it leads; otherwise an in-process caller
+//!    parks on its slot, and a daemon connection's reader returns to its
+//!    socket;
+//! 3. the leader drains *everything* queued, executes the drained group
+//!    as **one** `submit_batch_outcomes` call — one Definition-5 serial
+//!    execution, one WAL sync, one index rebuild, one published epoch —
+//!    and only then (**ack after sync**) delivers each request's own
+//!    slice of the outcomes: it fills callers' slots and writes each
+//!    connection's reply train itself, one flush per connection.
+//!
+//! **Batch formation.** Under a gather window
+//! ([`GroupCommit::with_gather`]) the leader first sleeps on a condvar
+//! until the queue holds the *population* the previous drain proved —
+//! the requests it executed plus those queued behind it when it
+//! finished executing — or the window closes. The enqueue that completes
+//! the population runs that drain itself and relieves the sleeper, so no
+//! wake-up sits on the critical path. A lone submitter never waits.
+//!
+//! **Who leads.** The submitter that finds no leader leads, its own
+//! requests in its first drain. A tenure is at most
+//! `MAX_DRAINS_PER_TENURE` drains — one for a caller (or reader) under
+//! a window, whose next gather would wait for the very caller it holds —
+//! then leadership passes to the oldest queued request's thread: a
+//! parked caller, or a summoned worker of its connection. The leader
+//! flag stays set across the hand-off, so a queued request is **never
+//! orphaned**, and an abort guard answers every request **exactly once**
+//! even when a drain panics. A leading reader reads nothing meanwhile;
+//! the window bounds a wait for frames still in its own socket.
 //!
 //! Requests stay atomic and contiguous: a request's commands are never
 //! interleaved with another's, so the outcome sequence equals *some*
 //! serial interleaving of the submitters (the drain order), which the
 //! `service_protocol` suite verifies against the single-lock
 //! [`LockedMonitor`](adminref_monitor::LockedMonitor) by replaying the
-//! audit order.
-//!
-//! On a mid-group backend failure the store's log-before-apply
-//! discipline leaves exactly an applied prefix: requests fully inside
-//! it succeed, the request straddling the failure gets
-//! [`ServiceError::Backend`] carrying its own applied outcomes, and
-//! requests after it get [`ServiceError::Aborted`] (not attempted, safe
-//! to retry).
+//! audit order. After a mid-group backend failure, requests inside the
+//! applied prefix succeed, the one straddling it gets
+//! [`ServiceError::Backend`], and later ones [`ServiceError::Aborted`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -52,22 +67,19 @@ enum SlotState {
     Empty,
     /// The request's own result; take it and return.
     Ready(SubmitResult),
-    /// Leadership handoff: the retiring leader hit its tenure cap with
-    /// this request still queued — run the leader loop, then wait for
-    /// the result (the first drain of the new tenure serves it).
+    /// Leadership handoff: lead (the first drain serves this request).
     Lead,
 }
 
-/// One request's completion slot, filled exactly once by a leader.
+/// One in-process request's completion slot, filled once by a leader.
 #[derive(Default)]
 struct Slot {
     state: Mutex<SlotState>,
     ready: Condvar,
 }
 
-/// Locks a slot/queue mutex, surviving poison: these mutexes protect
-/// plain data whose invariants hold between criticals, and the abort
-/// guard must be able to unwedge waiters *during* a panic unwind.
+/// Locks a mutex, surviving poison: these mutexes guard plain data, and
+/// the abort guard must answer waiters *during* a panic unwind.
 fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex
         .lock()
@@ -75,37 +87,11 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl Slot {
-    fn fill(&self, result: SubmitResult) {
-        *lock_unpoisoned(&self.state) = SlotState::Ready(result);
+    /// Only the leader sets a slot: `Ready` once, or `Lead` while the
+    /// request is still queued (so the slot is `Empty`).
+    fn set(&self, state: SlotState) {
+        *lock_unpoisoned(&self.state) = state;
         self.ready.notify_one();
-    }
-
-    /// Abort-guard path: deliver an error only if no real result made
-    /// it in before the panic.
-    fn abort_if_empty(&self) {
-        let mut state = lock_unpoisoned(&self.state);
-        if matches!(*state, SlotState::Empty) {
-            *state = SlotState::Ready(Err(ServiceError::Aborted));
-            self.ready.notify_one();
-        }
-    }
-
-    /// Tenure handoff: wake the parked submitter as the next leader.
-    /// Only the current leader calls this, and only for an undrained
-    /// request, so the slot is necessarily `Empty`.
-    fn promote(&self) {
-        *lock_unpoisoned(&self.state) = SlotState::Lead;
-        self.ready.notify_one();
-    }
-
-    /// Test-only: takes a result that must already be present (the
-    /// tests drive `execute_group` directly, so slots are pre-filled).
-    #[cfg(test)]
-    fn take(&self) -> SubmitResult {
-        match std::mem::take(&mut *lock_unpoisoned(&self.state)) {
-            SlotState::Ready(result) => result,
-            other => panic!("slot not served: {:?}", std::mem::discriminant(&other)),
-        }
     }
 
     /// Parks until the request is served, taking over leadership if
@@ -117,7 +103,7 @@ impl Slot {
                 SlotState::Ready(result) => return result,
                 SlotState::Lead => {
                     drop(state);
-                    commit.lead(monitor);
+                    commit.lead(monitor, true);
                     state = lock_unpoisoned(&self.state);
                 }
                 SlotState::Empty => {
@@ -131,16 +117,39 @@ impl Slot {
     }
 }
 
+/// A connection whose submits the leader answers itself (the daemon's).
+pub(crate) trait ReplyTo: Send + Sync {
+    /// Writes one train of replies, in order, with one flush.
+    fn reply(&self, replies: Vec<(u64, SubmitResult)>);
+    /// Asks the connection for a worker to run the leader loop; `false`
+    /// when it has none left.
+    fn summon_leader(&self) -> bool;
+}
+
+/// Where one request's result goes.
+enum Completion {
+    /// An in-process caller parked on its slot.
+    Slot(Arc<Slot>),
+    /// A daemon submit, answered by the leader under this request id.
+    Reply(Arc<dyn ReplyTo>, u64),
+}
+
 /// One enqueued request.
 struct PendingWrite {
     commands: Vec<Command>,
-    slot: Arc<Slot>,
+    done: Completion,
 }
 
 #[derive(Default)]
 struct Queue {
     pending: Vec<PendingWrite>,
     leader_running: bool,
+    /// The population the last drain proved (see the module docs).
+    population: usize,
+    /// A leader sleeps on [`GroupCommit::arrived`] for it.
+    gathering: bool,
+    /// The enqueue that completed the population took over the drain.
+    relieved: bool,
 }
 
 /// The write combiner; see the module docs.
@@ -150,12 +159,10 @@ struct Queue {
 #[derive(Default)]
 pub struct GroupCommit {
     queue: Mutex<Queue>,
+    /// Signalled when the queue reaches the gathering leader's target.
+    arrived: Condvar,
     /// Leader gather window; zero (the default) drains immediately.
     gather: Duration,
-    /// Size of the most recent executed group — the concurrency the
-    /// last drain proved. The gather window only engages when this is
-    /// at least 2, so a lone submitter never pays it.
-    gather_hint: AtomicUsize,
 }
 
 impl GroupCommit {
@@ -164,328 +171,320 @@ impl GroupCommit {
         GroupCommit::default()
     }
 
-    /// A combiner whose leader, after draining, keeps folding in
-    /// late-arriving requests for up to `gather` before executing — but
-    /// only when the previous drain saw at least two requests, so a
-    /// lone submitter never pays the window.
-    ///
-    /// Local submitters re-enqueue fast enough that the immediate drain
-    /// already forms good groups, so the default stays zero: a gather
-    /// window would only add write latency. Over a **round-trip
-    /// transport** the picture inverts — a completed batch's replies
-    /// must cross the socket and wake the callers before their next
-    /// requests appear, so an eager leader drains groups of one or two.
-    /// A gather of a few tens of microseconds (well under one WAL sync)
-    /// collects that straggler train and restores batch sizes, which is
-    /// why the network daemon's serving path opts in (see
+    /// A combiner whose leader waits up to `gather` for the proven
+    /// population before executing (see the module docs). Local callers
+    /// keep the default, zero. Over a **round-trip transport** an eager
+    /// leader drains one connection at a time; a gather of a few tens of
+    /// microseconds (well under one WAL sync) lands one round trip of
+    /// every pipelined connection in one drain (see
     /// [`MonitorService::with_write_gather`](crate::MonitorService::with_write_gather)).
     pub fn with_gather(gather: Duration) -> Self {
         GroupCommit {
-            queue: Mutex::new(Queue::default()),
             gather,
-            gather_hint: AtomicUsize::new(0),
+            ..GroupCommit::default()
         }
     }
 
     /// Submits `commands` as one atomic request, coalescing with every
     /// other request in flight. Blocks until a leader (possibly this
-    /// thread) has executed the request, and returns the outcomes of
-    /// exactly these `commands`.
+    /// thread) has executed it; returns the outcomes of these `commands`.
     pub fn submit(&self, monitor: &ReferenceMonitor, commands: Vec<Command>) -> SubmitResult {
         let slot = Arc::new(Slot::default());
-        let elected = {
-            let mut queue = lock_unpoisoned(&self.queue);
-            queue.pending.push(PendingWrite {
-                commands,
-                slot: Arc::clone(&slot),
-            });
-            if queue.leader_running {
-                false
-            } else {
-                queue.leader_running = true;
-                true
-            }
-        };
-        if elected {
-            self.lead(monitor);
-        }
+        let done = Completion::Slot(Arc::clone(&slot));
+        self.join(monitor, std::iter::once(PendingWrite { commands, done }));
         slot.wait_serving(self, monitor)
     }
 
-    /// Submits several independent requests at once: all of them join
-    /// the in-flight batch under **one** queue acquisition, so they are
-    /// guaranteed to land in the same drain (together with whatever
-    /// else is in flight). Semantically identical to `requests.len()`
-    /// threads each calling [`submit`](GroupCommit::submit)
-    /// concurrently — every request stays atomic and contiguous with
-    /// its own per-request result — but callable from one thread.
-    ///
-    /// This is the entry point for pipelined transports: a burst of
-    /// `Submit` frames that arrived on a connection together would
-    /// otherwise trickle into the combiner one worker wake-up at a
-    /// time, and the leader (which drains immediately) would retire
-    /// them in needlessly small groups.
+    /// Submits several independent requests at once, under **one** queue
+    /// acquisition, so they land in the same drain. Semantically
+    /// `requests.len()` threads each calling [`submit`](GroupCommit::submit)
+    /// concurrently — each request atomic, with its own result — but
+    /// callable from one thread.
     pub fn submit_many(
         &self,
         monitor: &ReferenceMonitor,
         requests: Vec<Vec<Command>>,
     ) -> Vec<SubmitResult> {
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        let slots: Vec<Arc<Slot>> = (0..requests.len())
-            .map(|_| Arc::new(Slot::default()))
-            .collect();
-        let elected = {
-            let mut queue = lock_unpoisoned(&self.queue);
-            for (commands, slot) in requests.into_iter().zip(&slots) {
-                queue.pending.push(PendingWrite {
-                    commands,
-                    slot: Arc::clone(slot),
-                });
-            }
-            if queue.leader_running {
-                false
-            } else {
-                queue.leader_running = true;
-                true
-            }
-        };
-        if elected {
-            self.lead(monitor);
-        }
-        slots
+        let slots: Vec<Arc<Slot>> = requests.iter().map(|_| Arc::default()).collect();
+        let pending = requests
             .into_iter()
+            .zip(&slots)
+            .map(|(commands, slot)| PendingWrite {
+                commands,
+                done: Completion::Slot(Arc::clone(slot)),
+            });
+        self.join(monitor, pending);
+        slots
+            .iter()
             .map(|slot| slot.wait_serving(self, monitor))
             .collect()
     }
 
-    /// Leader loop: drain, execute, distribute. Exactly one thread
-    /// runs this at a time. A tenure serves at most
-    /// [`MAX_DRAINS_PER_TENURE`] drains; if work is still queued after
-    /// that, leadership is handed to the oldest parked submitter, so a
-    /// single unlucky thread is not starved serving everyone else's
-    /// writes under sustained load. A panic escaping a drain (a bug in
-    /// monitor/store code) trips the abort guard, which fails the
-    /// drained and queued requests and clears the leader flag instead
-    /// of wedging every future submit.
-    fn lead(&self, monitor: &ReferenceMonitor) {
-        for _ in 0..MAX_DRAINS_PER_TENURE {
-            let mut group = {
-                let mut queue = lock_unpoisoned(&self.queue);
-                if queue.pending.is_empty() {
-                    queue.leader_running = false;
-                    return;
-                }
-                std::mem::take(&mut queue.pending)
-            };
-            let target = self.gather_hint.load(Ordering::Relaxed);
-            if !self.gather.is_zero() && target >= 2 && group.len() < target {
-                // The previous drain proved `target` concurrent
-                // submitters, so the missing ones are mid-round-trip:
-                // poll-fold the queue until they arrive, the window
-                // closes, or the pipeline drains dry. Waiting here
-                // cannot deadlock: leadership is already claimed, so
-                // stragglers enqueue and park. A group already at
-                // `target` skips the window outright — everyone is
-                // aboard, and waiting would only stall the sync.
-                let deadline = Instant::now() + self.gather;
-                let mut idle_folds = 0;
-                while group.len() < target && idle_folds < 8 && Instant::now() < deadline {
-                    // Yield, not spin or sleep: on a loaded (or single)
-                    // core the stragglers are runnable threads that need
-                    // this core to finish their round trip, and a
-                    // microsecond sleep overshoots severalfold from
-                    // timer slack. Two consecutive empty folds mean
-                    // every peer is parked waiting on this very drain,
-                    // so waiting longer cannot grow the group.
-                    std::thread::yield_now();
-                    let mut queue = lock_unpoisoned(&self.queue);
-                    if queue.pending.is_empty() {
-                        idle_folds += 1;
-                    } else {
-                        idle_folds = 0;
-                        group.append(&mut queue.pending);
-                    }
-                }
-            }
-            self.gather_hint.store(group.len(), Ordering::Relaxed);
-            let guard = AbortGuard {
-                commit: self,
-                slots: group.iter().map(|r| Arc::clone(&r.slot)).collect(),
-                armed: true,
-            };
-            execute_group(monitor, group);
-            drop({
-                let mut guard = guard;
-                guard.armed = false;
-                guard
-            });
-            // Round-trip transports need single-drain tenures: the
-            // leader is a transport worker whose own callers' replies
-            // are written only after this call returns, so leading a
-            // second drain would hold those replies hostage for a whole
-            // WAL sync — the released clients cannot re-submit, and
-            // batches collapse to half the true concurrency. Handing
-            // leadership to a parked submitter (below) lets the replies
-            // flow while the next drain executes.
-            if !self.gather.is_zero() {
-                break;
-            }
-            // Batch-formation window: the submitters just released are
-            // likely to have a next request; one yield lets them enqueue
-            // before the next drain, growing it (costs ~µs against a
-            // drain's index rebuild, and is a no-op with no runnable
-            // peers).
-            std::thread::yield_now();
+    /// The daemon's entry point: enqueues one connection's burst of
+    /// submits, each answered through `to` under its request id by the
+    /// leader that drains it. The calling reader returns at once, or
+    /// leads if it finds no leader.
+    pub(crate) fn submit_replying(
+        &self,
+        monitor: &ReferenceMonitor,
+        to: &Arc<dyn ReplyTo>,
+        burst: Vec<(u64, Vec<Command>)>,
+    ) {
+        let pending = burst.into_iter().map(|(id, commands)| PendingWrite {
+            commands,
+            done: Completion::Reply(Arc::clone(to), id),
+        });
+        self.join(monitor, pending);
+    }
+
+    /// Appends requests under one queue acquisition; leads when no leader
+    /// runs or when they complete a gathering leader's population.
+    fn join(&self, monitor: &ReferenceMonitor, requests: impl Iterator<Item = PendingWrite>) {
+        let mut queue = lock_unpoisoned(&self.queue);
+        queue.pending.extend(requests);
+        if !queue.leader_running {
+            queue.leader_running = true;
+            drop(queue);
+            return self.lead(monitor, true);
         }
-        // Tenure cap reached: retire, handing leadership to the oldest
-        // queued request (the leader flag stays set across the handoff,
-        // so no second leader can self-elect in the gap).
-        let queue = lock_unpoisoned(&self.queue);
-        match queue.pending.first() {
-            Some(next) => next.slot.promote(),
-            None => {
-                let mut queue = queue;
-                queue.leader_running = false;
+        if queue.gathering && queue.pending.len() >= queue.population {
+            (queue.gathering, queue.relieved) = (false, true);
+            self.arrived.notify_one();
+            drop(queue);
+            self.lead(monitor, true);
+        }
+    }
+
+    /// Leader loop: drain, execute, deliver, until the queue is empty
+    /// or the tenure ends. `caller` is `false` only for a worker that
+    /// [`ReplyTo::summon_leader`] woke.
+    pub(crate) fn lead(&self, monitor: &ReferenceMonitor, caller: bool) {
+        loop {
+            for _ in 0..MAX_DRAINS_PER_TENURE {
+                let Some(group) = self.next_group() else {
+                    return;
+                };
+                self.drain(monitor, group);
+                if caller && !self.gather.is_zero() {
+                    break;
+                }
+                if self.gather.is_zero() {
+                    // The submitters just released are likely to have a
+                    // next request; one yield lets them join the next
+                    // drain (a no-op with no runnable peers).
+                    std::thread::yield_now();
+                }
+            }
+            if self.hand_off() {
+                return;
+            }
+        }
+    }
+
+    /// Takes the next group, first gathering the proven population
+    /// under a window, or releases leadership when nothing is queued.
+    /// Waiting cannot deadlock: stragglers find leadership claimed.
+    fn next_group(&self) -> Option<Vec<PendingWrite>> {
+        let mut queue = lock_unpoisoned(&self.queue);
+        if queue.pending.is_empty() {
+            queue.leader_running = false;
+            return None;
+        }
+        let deadline = Instant::now() + self.gather;
+        while queue.pending.len() < queue.population && Instant::now() < deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            queue.gathering = true;
+            queue = self
+                .arrived
+                .wait_timeout(queue, left)
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .0;
+            queue.gathering = false;
+            if std::mem::take(&mut queue.relieved) {
+                return None;
+            }
+        }
+        Some(std::mem::take(&mut queue.pending))
+    }
+
+    fn drain(&self, monitor: &ReferenceMonitor, group: Vec<PendingWrite>) {
+        let mut guard = AbortGuard {
+            commit: self,
+            group,
+            answered: 0,
+        };
+        let results = execute_group(monitor, &guard.group);
+        // Counted before any result leaves, so a released caller's next
+        // request is not counted twice.
+        {
+            let mut queue = lock_unpoisoned(&self.queue);
+            queue.population = guard.group.len() + queue.pending.len();
+        }
+        // Ack after sync: `execute_group` returned, so did the group's
+        // WAL sync; only now does any result leave.
+        deliver(&guard.group, results, &mut guard.answered);
+    }
+
+    /// Passes leadership to the oldest queued request whose thread can
+    /// take it; `false` when none could, so the caller leads on.
+    fn hand_off(&self) -> bool {
+        let mut queue = lock_unpoisoned(&self.queue);
+        queue.leader_running = !queue.pending.is_empty();
+        !queue.leader_running
+            || queue.pending.iter().any(|request| match &request.done {
+                Completion::Slot(slot) => {
+                    slot.set(SlotState::Lead);
+                    true
+                }
+                Completion::Reply(to, _) => to.summon_leader(),
+            })
+    }
+}
+
+/// Upper bound on drains per leader tenure; bounds a leading caller's
+/// own latency to ~cap × drain time under sustained load.
+const MAX_DRAINS_PER_TENURE: usize = 8;
+
+/// Delivers `results` (one per request, in order): slots are filled, and
+/// each connection's run of consecutive requests gets one reply train.
+/// `answered` counts each request before its delivery starts, so none is
+/// answered twice.
+fn deliver(
+    group: &[PendingWrite],
+    results: impl IntoIterator<Item = SubmitResult>,
+    answered: &mut usize,
+) {
+    let mut results = results.into_iter();
+    let mut next = || results.next().unwrap_or(Err(ServiceError::Aborted));
+    while let Some(request) = group.get(*answered) {
+        match &request.done {
+            Completion::Slot(slot) => {
+                *answered += 1;
+                slot.set(SlotState::Ready(next()));
+            }
+            Completion::Reply(to, _) => {
+                let run: Vec<u64> = group[*answered..]
+                    .iter()
+                    .map_while(|r| match &r.done {
+                        Completion::Reply(other, id) if Arc::ptr_eq(other, to) => Some(*id),
+                        _ => None,
+                    })
+                    .collect();
+                *answered += run.len();
+                to.reply(run.into_iter().map(|id| (id, next())).collect());
             }
         }
     }
 }
 
-/// Upper bound on drains per leader tenure; bounds the elected
-/// submitter's own latency to ~cap × drain time under sustained load.
-const MAX_DRAINS_PER_TENURE: usize = 8;
-
-/// Unwinds a panicking drain into failed requests instead of a wedged
-/// combiner: every slot of the drained group that did not receive a
-/// real result, and every request still queued, is aborted, and the
-/// leader flag is cleared so the next submit can self-elect.
+/// Unwinds a panicking drain into answered requests instead of a wedged
+/// combiner: every drained request not yet answered, and every queued
+/// one, gets [`ServiceError::Aborted`], and leadership is released.
 struct AbortGuard<'a> {
     commit: &'a GroupCommit,
-    slots: Vec<Arc<Slot>>,
-    armed: bool,
+    group: Vec<PendingWrite>,
+    answered: usize,
 }
 
 impl Drop for AbortGuard<'_> {
     fn drop(&mut self) {
-        if !self.armed {
+        if !std::thread::panicking() {
             return;
         }
-        for slot in &self.slots {
-            slot.abort_if_empty();
-        }
-        let pending = {
+        let queued = {
             let mut queue = lock_unpoisoned(&self.commit.queue);
             queue.leader_running = false;
             std::mem::take(&mut queue.pending)
         };
-        for request in pending {
-            request.slot.abort_if_empty();
-        }
+        let aborted = || std::iter::repeat_with(|| Err(ServiceError::Aborted));
+        deliver(&self.group, aborted(), &mut self.answered);
+        deliver(&queued, aborted(), &mut 0);
     }
 }
 
-/// Executes one drained group as a single monitor batch and fills every
-/// slot with its request's own result.
-///
-/// An admission refusal of the *combined* batch must not poison the
-/// whole group: the gate judged a candidate state no single request
-/// asked for, and the refusal left the monitor untouched. With more
-/// than one request aboard, the group is split and each request
-/// re-executes as its own batch — clean requests apply (their own
-/// epochs), violating ones get the typed [`ServiceError::Admission`].
-fn execute_group(monitor: &ReferenceMonitor, group: Vec<PendingWrite>) {
+/// The result one executed request reports: its outcomes, or the error
+/// that stopped it (a store failure carries the outcomes it applied).
+pub(crate) fn result_of(outcomes: Vec<StepOutcome>, error: Option<MonitorError>) -> SubmitResult {
+    match error {
+        None => Ok(outcomes),
+        Some(MonitorError::Store(error)) => Err(ServiceError::Backend {
+            applied: outcomes,
+            error,
+        }),
+        Some(other) => Err(other.into()),
+    }
+}
+
+/// Executes one drained group as a single monitor batch and returns
+/// every request's own result, in group order. An admission refusal of
+/// the *combined* batch judged a state no single request asked for and
+/// left the monitor untouched, so a group of several re-executes each
+/// request as its own batch: clean ones apply, violating ones get
+/// [`ServiceError::Admission`].
+fn execute_group(monitor: &ReferenceMonitor, group: &[PendingWrite]) -> Vec<SubmitResult> {
     let combined: Vec<Command> = group
         .iter()
         .flat_map(|request| request.commands.iter().copied())
         .collect();
     let (outcomes, error) = monitor.submit_batch_outcomes(&combined);
     if group.len() > 1 && matches!(error, Some(MonitorError::Admission(_))) {
-        for request in group {
-            let (own, own_error) = monitor.submit_batch_outcomes(&request.commands);
-            request.slot.fill(match own_error {
-                None => Ok(own),
-                Some(MonitorError::Store(store_error)) => Err(ServiceError::Backend {
-                    applied: own,
-                    error: store_error,
-                }),
-                Some(other) => Err(other.into()),
-            });
-        }
-        return;
+        return group
+            .iter()
+            .map(|request| {
+                let (own, own_error) = monitor.submit_batch_outcomes(&request.commands);
+                result_of(own, own_error)
+            })
+            .collect();
     }
-    distribute(group, outcomes, error);
+    split(group, outcomes, error)
 }
 
-/// Splits the group batch's applied-prefix outcomes back into
-/// per-request results.
-///
-/// With no error, `outcomes` covers every request. A *mid-batch* error
-/// leaves a shorter prefix: the first request whose commands are not
-/// fully inside it carries the error (with its own partial outcomes)
-/// and every later request is aborted untouched. A *batch-final sync*
-/// error leaves a full-length prefix — every command executed, was
-/// audited, and published, but durability is in doubt — and every
-/// submitter must hear that, so each request gets
-/// [`ServiceError::Backend`] carrying its own outcomes.
-fn distribute(group: Vec<PendingWrite>, outcomes: Vec<StepOutcome>, error: Option<MonitorError>) {
+/// Splits the group's applied-prefix outcomes into per-request results.
+/// A *mid-batch* error: the request straddling it carries the error and
+/// its partial outcomes, later ones are aborted. An error after a
+/// *full-length* prefix — a batch-final sync failure, or the refusal of
+/// an all-empty group — reaches every request (a backend failure as
+/// [`ServiceError::Backend`] with the request's own outcomes).
+fn split(
+    group: &[PendingWrite],
+    outcomes: Vec<StepOutcome>,
+    mut error: Option<MonitorError>,
+) -> Vec<SubmitResult> {
     let applied = outcomes.len();
-    let total: usize = group.iter().map(|r| r.commands.len()).sum();
-    if applied == total {
-        match error {
-            // Admission refuses before anything executes, so a refusal
-            // with a full-length prefix means an all-empty group: every
-            // request hears the typed refusal, not a backend failure.
-            Some(MonitorError::Admission(report)) => {
-                for request in group {
-                    request
-                        .slot
-                        .fill(Err(ServiceError::Admission(report.clone())));
-                }
-                return;
+    let full = applied == group.iter().map(|r| r.commands.len()).sum::<usize>();
+    let failed = error.is_some();
+    let mut cursor = 0usize;
+    group
+        .iter()
+        .map(|request| {
+            let end = cursor + request.commands.len();
+            let own = outcomes[cursor.min(applied)..end.min(applied)].to_vec();
+            cursor = end;
+            if !failed || (!full && end <= applied) {
+                return Ok(own);
             }
-            Some(e) => {
+            match (full, &error) {
+                (true, Some(MonitorError::Admission(report))) => {
+                    Err(ServiceError::Admission(report.clone()))
+                }
                 // The store's error type is not Clone (it wraps
                 // io::Error), so each submitter gets a synthesized copy
                 // of the message.
-                let message = e.to_string();
-                let mut cursor = 0usize;
-                for request in group {
-                    let end = cursor + request.commands.len();
-                    request.slot.fill(Err(ServiceError::Backend {
-                        applied: outcomes[cursor..end].to_vec(),
-                        error: adminref_store::StoreError::Io(std::io::Error::other(
-                            message.clone(),
-                        )),
-                    }));
-                    cursor = end;
-                }
-                return;
-            }
-            None => {}
-        }
-    }
-    let mut error = error;
-    let mut cursor = 0usize;
-    for request in group {
-        let end = cursor + request.commands.len();
-        if end <= applied {
-            request.slot.fill(Ok(outcomes[cursor..end].to_vec()));
-        } else if let Some(e) = error.take() {
-            let partial = outcomes[cursor.min(applied)..applied].to_vec();
-            request.slot.fill(Err(match e {
-                MonitorError::Store(store_error) => ServiceError::Backend {
-                    applied: partial,
-                    error: store_error,
+                (true, Some(shared)) => Err(ServiceError::Backend {
+                    applied: own,
+                    error: adminref_store::StoreError::Io(std::io::Error::other(
+                        shared.to_string(),
+                    )),
+                }),
+                // The straddling request takes the error; later ones
+                // were never attempted.
+                _ => match error.take() {
+                    Some(e) => result_of(own, Some(e)),
+                    None => Err(ServiceError::Aborted),
                 },
-                other => other.into(),
-            }));
-        } else {
-            request.slot.fill(Err(ServiceError::Aborted));
-        }
-        cursor = end;
-    }
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -524,8 +523,19 @@ mod tests {
         b.finish()
     }
 
-    /// Enqueue three requests by hand and run one leader drain: the
-    /// distribution must slice the combined outcomes back per request.
+    /// A drained group of in-process requests, as `execute_group` sees it.
+    fn group_of(requests: &[Vec<Command>]) -> Vec<PendingWrite> {
+        requests
+            .iter()
+            .map(|commands| PendingWrite {
+                commands: commands.clone(),
+                done: Completion::Slot(Arc::default()),
+            })
+            .collect()
+    }
+
+    /// Three requests executed as one drain: the results slice the
+    /// combined outcomes back per request.
     #[test]
     fn distribution_slices_outcomes_per_request() {
         let (uni, policy) = fixture();
@@ -543,18 +553,10 @@ mod tests {
             ],
             vec![Command::revoke(jane, Edge::UserRole(bob, staff))],
         ];
-        let slots: Vec<Arc<Slot>> = requests.iter().map(|_| Arc::new(Slot::default())).collect();
-        let group = requests
-            .iter()
-            .zip(&slots)
-            .map(|(commands, slot)| PendingWrite {
-                commands: commands.clone(),
-                slot: Arc::clone(slot),
-            })
+        let results: Vec<Vec<StepOutcome>> = execute_group(&monitor, &group_of(&requests))
+            .into_iter()
+            .map(|r| r.expect("applied"))
             .collect();
-        execute_group(&monitor, group);
-        let results: Vec<Vec<StepOutcome>> =
-            slots.iter().map(|s| s.take().expect("applied")).collect();
         assert_eq!(results[0].len(), 1);
         assert!(results[0][0].executed());
         assert_eq!(results[1].len(), 2);
@@ -592,21 +594,12 @@ mod tests {
             ],
             vec![Command::revoke(jane, Edge::UserRole(bob, staff))],
         ];
-        let slots: Vec<Arc<Slot>> = requests.iter().map(|_| Arc::new(Slot::default())).collect();
-        let group = requests
-            .iter()
-            .zip(&slots)
-            .map(|(commands, slot)| PendingWrite {
-                commands: commands.clone(),
-                slot: Arc::clone(slot),
-            })
-            .collect();
-        execute_group(&monitor, group);
+        let mut results = execute_group(&monitor, &group_of(&requests)).into_iter();
         // Request A: fully inside the applied prefix.
-        let a = slots[0].take().expect("request A applied");
+        let a = results.next().unwrap().expect("request A applied");
         assert!(a[0].executed());
         // Request B: first command applied, second hit the failure.
-        match slots[1].take() {
+        match results.next().unwrap() {
             Err(ServiceError::Backend { applied, .. }) => {
                 assert_eq!(applied.len(), 1);
                 assert!(applied[0].executed());
@@ -614,7 +607,7 @@ mod tests {
             other => panic!("expected Backend error, got {other:?}"),
         }
         // Request C: never attempted.
-        assert!(matches!(slots[2].take(), Err(ServiceError::Aborted)));
+        assert!(matches!(results.next(), Some(Err(ServiceError::Aborted))));
         // The published snapshot shows exactly the applied prefix: bob
         // granted, joe granted (B's first command), bob not yet revoked.
         let (_, live) = monitor.snapshot();
@@ -648,18 +641,9 @@ mod tests {
                 Command::revoke(jane, Edge::UserRole(joe, nurse)),
             ],
         ];
-        let slots: Vec<Arc<Slot>> = requests.iter().map(|_| Arc::new(Slot::default())).collect();
-        let group = requests
-            .iter()
-            .zip(&slots)
-            .map(|(commands, slot)| PendingWrite {
-                commands: commands.clone(),
-                slot: Arc::clone(slot),
-            })
-            .collect();
-        execute_group(&monitor, group);
-        for (slot, request) in slots.iter().zip(&requests) {
-            match slot.take() {
+        let results = execute_group(&monitor, &group_of(&requests));
+        for (result, request) in results.into_iter().zip(&requests) {
+            match result {
                 Err(ServiceError::Backend { applied, error }) => {
                     assert_eq!(applied.len(), request.len(), "own outcomes travel with it");
                     assert!(applied.iter().all(|o| o.executed()));
@@ -678,9 +662,25 @@ mod tests {
         assert!(live.contains_edge(Edge::UserRole(bob, staff)));
     }
 
-    /// The abort guard (armed during every drain) must convert a panic
-    /// escaping monitor/store code into failed requests — drained and
-    /// still-queued alike — and release leadership, so the combiner
+    /// Records every reply train a connection receives.
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<(u64, bool)>>);
+
+    impl ReplyTo for Recorder {
+        fn reply(&self, replies: Vec<(u64, SubmitResult)>) {
+            let aborted = replies
+                .into_iter()
+                .map(|(id, r)| (id, matches!(r, Err(ServiceError::Aborted))));
+            lock_unpoisoned(&self.0).extend(aborted);
+        }
+        fn summon_leader(&self) -> bool {
+            false
+        }
+    }
+
+    /// The abort guard converts a panic escaping a drain into answered
+    /// requests — drained and still-queued, slots and reply trains alike,
+    /// each exactly once — and releases leadership, so the combiner
     /// keeps serving instead of wedging every future submit.
     #[test]
     fn abort_guard_unwedges_slots_and_leadership() {
@@ -690,24 +690,51 @@ mod tests {
         let staff = uni.find_role("staff").unwrap();
         let monitor = ReferenceMonitor::new(uni, policy, MonitorConfig::default());
         let commit = GroupCommit::new();
-        let drained = Arc::new(Slot::default());
-        let queued = Arc::new(Slot::default());
+        let conn = Arc::new(Recorder::default());
+        let to: Arc<dyn ReplyTo> = conn.clone();
+        let reply = |id| PendingWrite {
+            commands: Vec::new(),
+            done: Completion::Reply(Arc::clone(&to), id),
+        };
+        let drained_slot = Arc::new(Slot::default());
+        let queued_slot = Arc::new(Slot::default());
         {
             let mut queue = lock_unpoisoned(&commit.queue);
             queue.leader_running = true;
+            queue.pending.push(reply(3));
             queue.pending.push(PendingWrite {
-                commands: vec![Command::grant(jane, Edge::UserRole(bob, staff))],
-                slot: Arc::clone(&queued),
+                commands: Vec::new(),
+                done: Completion::Slot(Arc::clone(&queued_slot)),
             });
         }
-        // Simulate a drain that died mid-flight: the guard drops armed.
-        drop(AbortGuard {
-            commit: &commit,
-            slots: vec![Arc::clone(&drained)],
-            armed: true,
-        });
-        assert!(matches!(drained.take(), Err(ServiceError::Aborted)));
-        assert!(matches!(queued.take(), Err(ServiceError::Aborted)));
+        let drained = vec![
+            reply(1),
+            PendingWrite {
+                commands: Vec::new(),
+                done: Completion::Slot(Arc::clone(&drained_slot)),
+            },
+            reply(2),
+        ];
+        // A drain that answered its first request, then died.
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut guard = AbortGuard {
+                commit: &commit,
+                group: drained,
+                answered: 0,
+            };
+            deliver(&guard.group[..1], [Ok(Vec::new())], &mut guard.answered);
+            panic!("a drain died mid-flight");
+        }));
+        assert!(died.is_err());
+        let mut replies = lock_unpoisoned(&conn.0).clone();
+        replies.sort_unstable();
+        assert_eq!(replies, [(1, false), (2, true), (3, true)]);
+        for slot in [&drained_slot, &queued_slot] {
+            assert!(matches!(
+                slot.wait_serving(&commit, &monitor),
+                Err(ServiceError::Aborted)
+            ));
+        }
         {
             let queue = lock_unpoisoned(&commit.queue);
             assert!(!queue.leader_running, "leadership released");
@@ -724,52 +751,108 @@ mod tests {
         assert!(out[0].executed());
     }
 
-    /// Concurrent submitters: every request is answered, every command
-    /// audited exactly once, and epochs count the drained groups (at
-    /// most one per request, typically far fewer).
-    #[test]
-    fn concurrent_submitters_all_complete() {
+    /// `threads` callers, each submitting `rounds` windows of `window`
+    /// single-command requests that toggle its own edge, pausing `pause`
+    /// between windows, against a monitor over a store in `dir` (in
+    /// memory without one); every outcome must execute. Returns the
+    /// epochs the monitor published.
+    fn toggle_windows(
+        commit: &GroupCommit,
+        dir: Option<&TempDir>,
+        threads: usize,
+        (rounds, window): (usize, usize),
+        pause: Duration,
+    ) -> u64 {
         let (uni, policy) = fixture();
         let jane = uni.find_user("jane").unwrap();
-        let bob = uni.find_user("bob").unwrap();
-        let joe = uni.find_user("joe").unwrap();
-        let staff = uni.find_role("staff").unwrap();
-        let nurse = uni.find_role("nurse").unwrap();
-        let monitor = ReferenceMonitor::new(
-            uni,
-            policy,
-            MonitorConfig {
-                audit_capacity: 4096,
-                ..MonitorConfig::default()
-            },
-        );
-        let commit = GroupCommit::new();
-        let rounds = 50usize;
-        crossbeam::scope(|scope| {
-            for (user, role) in [(bob, staff), (joe, nurse)] {
-                let (commit, monitor) = (&commit, &monitor);
-                scope.spawn(move |_| {
-                    for _ in 0..rounds {
-                        let outcomes = commit
-                            .submit(
-                                monitor,
-                                vec![
-                                    Command::grant(jane, Edge::UserRole(user, role)),
-                                    Command::revoke(jane, Edge::UserRole(user, role)),
-                                ],
-                            )
-                            .expect("in-memory submit");
-                        assert_eq!(outcomes.len(), 2);
-                        assert!(outcomes.iter().all(|o| o.executed()));
+        let edges = [
+            Edge::UserRole(
+                uni.find_user("bob").unwrap(),
+                uni.find_role("staff").unwrap(),
+            ),
+            Edge::UserRole(
+                uni.find_user("joe").unwrap(),
+                uni.find_role("nurse").unwrap(),
+            ),
+        ];
+        let monitor = match dir {
+            Some(dir) => ReferenceMonitor::with_store(
+                PolicyStore::create(dir.path(), uni, policy, AuthMode::Explicit).unwrap(),
+                MonitorConfig::default(),
+            ),
+            None => ReferenceMonitor::new(uni, policy, MonitorConfig::default()),
+        };
+        // Callers start together, or the first may finish before the
+        // second is scheduled.
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|scope| {
+            for &edge in &edges[..threads] {
+                let (monitor, start) = (&monitor, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..rounds {
+                        let requests = (0..window)
+                            .map(|i| match (round * window + i) % 2 {
+                                0 => vec![Command::grant(jane, edge)],
+                                _ => vec![Command::revoke(jane, edge)],
+                            })
+                            .collect();
+                        for result in commit.submit_many(monitor, requests) {
+                            assert!(result.expect("submit")[0].executed());
+                        }
+                        std::thread::sleep(pause);
                     }
                 });
             }
-        })
-        .unwrap();
-        assert_eq!(monitor.audit_len(), 2 * 2 * rounds);
-        assert!(monitor.version() <= 2 * rounds as u64);
-        let (_, live) = monitor.snapshot();
-        assert!(!live.contains_edge(Edge::UserRole(bob, staff)));
-        assert!(!live.contains_edge(Edge::UserRole(joe, nurse)));
+        });
+        monitor.version()
+    }
+
+    /// One round trip of every submitter lands in one drain: the gather
+    /// waits for the population the previous drain proved (executed +
+    /// queued behind), asleep, so two callers with eight requests each
+    /// share one epoch per round. Each caller pauses a millisecond
+    /// between rounds, standing in for a socket round trip; the window
+    /// is generous so scheduling cannot split a group, and each drain
+    /// syncs a WAL so the callers overlap from the first rounds on. A
+    /// leader that gathers only up to the last group's size, or only
+    /// for a few yields, publishes about two epochs per round.
+    #[test]
+    fn a_round_trip_of_every_submitter_lands_in_one_drain() {
+        let rounds = 40;
+        let dir = TempDir::new("group-commit-round-trip").unwrap();
+        let commit = GroupCommit::with_gather(Duration::from_millis(200));
+        let pause = Duration::from_millis(1);
+        let epochs = toggle_windows(&commit, Some(&dir), 2, (rounds, 8), pause);
+        assert!(
+            epochs <= rounds as u64 + 2,
+            "{epochs} epochs for {rounds} rounds of two callers"
+        );
+    }
+
+    /// A lone submitter proves a population of one, so it never waits
+    /// out the window: twenty sequential submits finish well inside a
+    /// single 200 ms window.
+    #[test]
+    fn a_lone_submitter_never_pays_the_gather() {
+        let commit = GroupCommit::with_gather(Duration::from_millis(200));
+        let start = Instant::now();
+        let epochs = toggle_windows(&commit, None, 1, (20, 1), Duration::ZERO);
+        assert_eq!(epochs, 20);
+        assert!(
+            start.elapsed() < Duration::from_millis(100),
+            "20 solo submits took {:?}",
+            start.elapsed()
+        );
+    }
+
+    /// Concurrent submitters without a window: every request is
+    /// answered, every command audited exactly once, and epochs count
+    /// the drained groups (at most one per request).
+    #[test]
+    fn concurrent_submitters_all_complete() {
+        let rounds = 50;
+        let epochs = toggle_windows(&GroupCommit::new(), None, 2, (rounds, 2), Duration::ZERO);
+        assert!(epochs <= 2 * 2 * rounds as u64);
     }
 }

@@ -20,7 +20,9 @@
 //!   monitor batch (one Definition-5 serial execution, one WAL sync,
 //!   one `ReachIndex` rebuild, one published epoch) and hands each
 //!   submitter its own [`StepOutcome`](adminref_core::transition::StepOutcome)s
-//!   through a completion slot. Serial semantics are preserved —
+//!   after the sync: through a completion slot in process, or as a
+//!   reply frame it writes itself for a daemon connection. Serial
+//!   semantics are preserved —
 //!   outcomes equal *some* serial interleaving of the submitters, which
 //!   the suite verifies differentially against the single-lock monitor.
 //! * **Wire codec** ([`wire`]) — the versioned binary serialization of
@@ -32,8 +34,8 @@
 //!   fixture test.
 //! * **Daemon** ([`daemon`]) — serves a `PolicyService` over TCP or
 //!   Unix-domain sockets: pipelined connections, out-of-order replies
-//!   matched by request id, per-connection sessions, burst dispatch
-//!   into group commit, graceful drain on shutdown.
+//!   matched by request id, per-connection sessions, submit bursts
+//!   enqueued straight into group commit, graceful drain on shutdown.
 //! * **Client** ([`client`]) — [`WireClient`], a blocking socket client
 //!   that itself implements [`PolicyService`], so local and remote
 //!   services are interchangeable behind one trait.

@@ -22,8 +22,10 @@ use adminref_core::refinement::RefinementViolation;
 use adminref_core::safety::{ReachabilityAnswer, SafetyConfig};
 use adminref_core::session::SessionError;
 use adminref_core::transition::StepOutcome;
-use adminref_monitor::{AuditEvent, MonitorError, SessionId};
+use adminref_monitor::{AuditEvent, MonitorError, ReferenceMonitor, SessionId};
 use adminref_store::{RecoveryReport, StoreError};
+
+use crate::group_commit::GroupCommit;
 
 /// One request over the monitor alphabet.
 ///
@@ -523,19 +525,24 @@ pub trait PolicyService: Send + Sync {
     fn call(&self, request: Request) -> Result<Response, ServiceError>;
 
     /// Serves several requests from one caller, returning the results
-    /// in request order.
-    ///
-    /// The default is a per-request loop over
-    /// [`call`](PolicyService::call). Servers with a write combiner
-    /// override it so that the `Submit` requests of one burst enter
-    /// the combiner **together** (see
-    /// [`GroupCommit::submit_many`](crate::group_commit::GroupCommit::submit_many));
-    /// the network daemon uses this for frames that arrived on a
-    /// connection back-to-back. Callers must not assume any ordering
-    /// *between* the requests of one burst beyond what a set of
-    /// concurrent `call`s would give them.
+    /// in request order: a per-request loop over
+    /// [`call`](PolicyService::call).
     fn call_many(&self, requests: Vec<Request>) -> Vec<Result<Response, ServiceError>> {
         requests.into_iter().map(|r| self.call(r)).collect()
+    }
+
+    /// The write combiner and monitor behind this server's `Submit`s,
+    /// while it accepts writes; `None` (the default) for a server
+    /// without one.
+    ///
+    /// The network daemon enqueues a connection's pipelined submits
+    /// straight into this combiner, and the leader that drains them
+    /// writes their replies; without one, each `Submit` is served by
+    /// [`call`](Self::call) on a connection worker. A server that hands
+    /// out its combiner once must keep doing so, or a queued submit
+    /// could be left without a thread to lead it.
+    fn write_combiner(&self) -> Option<(&GroupCommit, &ReferenceMonitor)> {
+        None
     }
 
     /// Typed wrapper for [`Request::CheckAccess`].
@@ -749,6 +756,10 @@ impl<T: PolicyService + ?Sized> PolicyService for &T {
     fn call_many(&self, requests: Vec<Request>) -> Vec<Result<Response, ServiceError>> {
         (**self).call_many(requests)
     }
+
+    fn write_combiner(&self) -> Option<(&GroupCommit, &ReferenceMonitor)> {
+        (**self).write_combiner()
+    }
 }
 
 impl<T: PolicyService + ?Sized> PolicyService for std::sync::Arc<T> {
@@ -758,5 +769,9 @@ impl<T: PolicyService + ?Sized> PolicyService for std::sync::Arc<T> {
 
     fn call_many(&self, requests: Vec<Request>) -> Vec<Result<Response, ServiceError>> {
         (**self).call_many(requests)
+    }
+
+    fn write_combiner(&self) -> Option<(&GroupCommit, &ReferenceMonitor)> {
+        (**self).write_combiner()
     }
 }

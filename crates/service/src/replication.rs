@@ -78,7 +78,7 @@ use crate::group_commit::GroupCommit;
 use crate::protocol::{
     PolicyService, ReplicationRole, ReplicationStatus, Request, Response, ServiceError,
 };
-use crate::service::{call_burst, dispatch};
+use crate::service::dispatch;
 use crate::wire::{self, Frame, FrameKind};
 
 /// How often a blocked follower read wakes to check for stop/promote.
@@ -633,17 +633,12 @@ impl PolicyService for ReplicatedService {
         self.serve(request)
     }
 
-    /// Same burst shaping as
-    /// [`MonitorService::call_many`](crate::MonitorService): on a
-    /// primary, the burst's `Submit`s enter the write combiner under
-    /// one queue acquisition; on a replica they are refused without
-    /// touching it.
-    fn call_many(&self, requests: Vec<Request>) -> Vec<Result<Response, ServiceError>> {
-        if !self.hub.writable() {
-            return requests.into_iter().map(|r| self.serve(r)).collect();
-        }
-        call_burst(&self.writes, &self.monitor, requests, |other| {
-            self.serve(other)
-        })
+    /// Only while writable, so a replica's `Submit`s reach `call` and
+    /// are refused. A node never stops being writable once it is, so a
+    /// submit queued here always finds its combiner again to be led.
+    fn write_combiner(&self) -> Option<(&GroupCommit, &ReferenceMonitor)> {
+        self.hub
+            .writable()
+            .then_some((&self.writes, &*self.monitor))
     }
 }

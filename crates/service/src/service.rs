@@ -18,7 +18,7 @@ use adminref_core::refinement::violations_between;
 use adminref_core::safety::SafetyConfig;
 use adminref_monitor::{MonitorConfig, ReferenceMonitor};
 
-use crate::group_commit::GroupCommit;
+use crate::group_commit::{result_of, GroupCommit};
 use crate::protocol::{
     PolicyService, RefinementDirection, RefinementReply, Request, Response, ServiceError,
     ServiceStats, VersionInfo,
@@ -40,13 +40,13 @@ impl MonitorService {
         }
     }
 
-    /// Sets a leader gather window on the write combiner: the group
-    /// leader waits this long after its first drain, folding in
-    /// requests that arrive meanwhile, before executing. Keep it zero
-    /// (the default) for local callers; a network daemon serving
-    /// pipelined connections sets a few tens of microseconds so a
-    /// round-trip's straggler train still coalesces into one batch —
-    /// see [`GroupCommit::with_gather`].
+    /// Sets a leader gather window on the write combiner: before
+    /// executing, the leader waits up to this long for as many requests
+    /// as the previous drain proved to be in flight. Keep it zero (the
+    /// default) for local callers; a network daemon serving pipelined
+    /// connections sets a few tens of microseconds so one round trip of
+    /// every connection lands in one batch — see
+    /// [`GroupCommit::with_gather`].
     pub fn with_write_gather(mut self, gather: std::time::Duration) -> Self {
         self.writes = GroupCommit::with_gather(gather);
         self
@@ -80,50 +80,9 @@ impl PolicyService for MonitorService {
         }
     }
 
-    /// A burst's `Submit`s enter the combiner together; reads are
-    /// served per request (see `call_burst`).
-    fn call_many(&self, requests: Vec<Request>) -> Vec<Result<Response, ServiceError>> {
-        call_burst(&self.writes, &self.monitor, requests, |read| {
-            dispatch(&self.monitor, read)
-        })
+    fn write_combiner(&self) -> Option<(&GroupCommit, &ReferenceMonitor)> {
+        Some((&self.writes, &self.monitor))
     }
-}
-
-/// Burst shaping, shared by every group-commit server: the burst's
-/// `Submit`s enqueue into the combiner under one queue acquisition
-/// (guaranteed same drain); every other request is served per request
-/// by `serve_other`. Results come back in request order either way.
-pub(crate) fn call_burst(
-    writes: &GroupCommit,
-    monitor: &ReferenceMonitor,
-    requests: Vec<Request>,
-    serve_other: impl Fn(Request) -> Result<Response, ServiceError>,
-) -> Vec<Result<Response, ServiceError>> {
-    let mut batches: Vec<Vec<adminref_core::command::Command>> = Vec::new();
-    // `None` marks a `Submit`'s place in the burst.
-    let others: Vec<Option<Request>> = requests
-        .into_iter()
-        .map(|request| match request {
-            Request::Submit { commands } => {
-                batches.push(commands);
-                None
-            }
-            other => Some(other),
-        })
-        .collect();
-    let mut write_results = writes.submit_many(monitor, batches).into_iter();
-    others
-        .into_iter()
-        .map(|entry| match entry {
-            Some(other) => serve_other(other),
-            None => match write_results.next() {
-                Some(result) => result.map(Response::Outcomes),
-                // Unreachable: submit_many returns one result per
-                // enqueued request.
-                None => Err(ServiceError::Aborted),
-            },
-        })
-        .collect()
 }
 
 /// The per-call baseline server: `Submit` executes immediately under
@@ -161,16 +120,7 @@ pub(crate) fn dispatch(
         }
         Request::Submit { commands } => {
             let (outcomes, error) = monitor.submit_batch_outcomes(&commands);
-            match error {
-                None => Ok(Response::Outcomes(outcomes)),
-                Some(adminref_monitor::MonitorError::Store(store_error)) => {
-                    Err(ServiceError::Backend {
-                        applied: outcomes,
-                        error: store_error,
-                    })
-                }
-                Some(other) => Err(other.into()),
-            }
+            result_of(outcomes, error).map(Response::Outcomes)
         }
         Request::AnalyzeReach {
             entity,

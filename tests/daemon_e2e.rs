@@ -8,16 +8,17 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use adminref_core::prelude::*;
-use adminref_monitor::MonitorConfig;
+use adminref_core::transition::AuthMode;
+use adminref_monitor::{MonitorConfig, ReferenceMonitor};
 use adminref_service::protocol::RefinementDirection;
 use adminref_service::wire::{self, FrameKind};
 use adminref_service::{
-    Daemon, DaemonConfig, MonitorService, PolicyService, Request, ServiceError, WireClient,
-    WireListener,
+    Daemon, DaemonConfig, MonitorService, PolicyService, Request, Response, ServiceError,
+    WireClient, WireListener,
 };
-use adminref_store::TempDir;
+use adminref_store::{PolicyStore, TempDir};
 
-const SUBJECTS: usize = 4;
+const SUBJECTS: usize = 6;
 const ROLES: usize = 3;
 
 /// An arena where `admin` holds grant and revoke authority over every
@@ -273,6 +274,134 @@ fn framing_violations_close_with_an_id_zero_error() {
     let frame = wire::read_frame(&mut raw).expect("read").expect("frame");
     assert_eq!(frame.kind, FrameKind::Response);
     assert_eq!(frame.request_id, 43);
+    daemon.shutdown();
+}
+
+/// One round of pipelined submits over raw sockets: connection `c` sends
+/// `requests[c]` as one write, then reads one frame per request. Returns
+/// every `(request id, answer)` received, in arrival order.
+#[cfg(unix)]
+fn raw_round(
+    conns: &mut [std::os::unix::net::UnixStream],
+    requests: &[Vec<(u64, Vec<Command>)>],
+) -> Vec<(u64, Result<Response, ServiceError>)> {
+    for (conn, requests) in conns.iter_mut().zip(requests) {
+        let mut bytes = Vec::new();
+        for (id, commands) in requests {
+            let submit = wire::encode_request(&Request::Submit {
+                commands: commands.clone(),
+            });
+            wire::write_frame(&mut bytes, FrameKind::Request, *id, &submit).unwrap();
+        }
+        conn.write_all(&bytes).unwrap();
+    }
+    let mut answers = Vec::new();
+    for (conn, requests) in conns.iter_mut().zip(requests) {
+        for _ in requests {
+            let frame = wire::read_frame(conn).unwrap().expect("a reply frame");
+            let answer = match frame.kind {
+                FrameKind::Response => Ok(wire::decode_response(&frame.payload).unwrap()),
+                _ => Err(wire::decode_error(&frame.payload).unwrap()),
+            };
+            answers.push((frame.request_id, answer));
+        }
+    }
+    answers
+}
+
+/// The leader writes the acks, and only once the group's WAL sync
+/// returned: two connections with eight pipelined submits each, against
+/// a durable service whose first sync fails. Every id is answered
+/// exactly once; the failed group answers `Backend` to every submit and
+/// `Outcomes` to none; the next round answers `Outcomes` to all sixteen.
+#[cfg(unix)]
+#[test]
+fn leader_acks_each_submit_once_after_the_sync() {
+    let dir = TempDir::new("daemon-ack-after-sync").unwrap();
+    let (universe, policy, admin) = arena();
+    let mut store = PolicyStore::create(
+        &dir.path().join("store"),
+        universe.clone(),
+        policy,
+        AuthMode::Explicit,
+    )
+    .unwrap();
+    store.inject_sync_failure();
+    let monitor = ReferenceMonitor::with_store(store, MonitorConfig::default());
+    // A generous window, so scheduling cannot split a round's group.
+    let service = MonitorService::new(monitor).with_write_gather(Duration::from_millis(200));
+    let path = dir.path().join("adminrefd.sock");
+    let listener = WireListener::unix(&path).unwrap();
+    let daemon = Daemon::spawn(Arc::new(service), universe.clone(), listener).unwrap();
+    let mut conns: Vec<_> = (0..2)
+        .map(|_| std::os::unix::net::UnixStream::connect(&path).unwrap())
+        .collect();
+    let edges: Vec<Edge> = (0..SUBJECTS * ROLES)
+        .map(|k| {
+            let subj = universe.find_user(&format!("subj{}", k / ROLES)).unwrap();
+            let role = universe.find_role(&format!("r{}", k % ROLES)).unwrap();
+            Edge::UserRole(subj, role)
+        })
+        .collect();
+    let round = |first_id: u64, kind: CommandKind| -> Vec<Vec<(u64, Vec<Command>)>> {
+        (0..2)
+            .map(|c| {
+                (0..8)
+                    .map(|j| {
+                        let edge = edges[8 * c + j];
+                        let command = Command {
+                            actor: admin,
+                            kind,
+                            edge,
+                        };
+                        (first_id + (8 * c + j) as u64, vec![command])
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let ids_of = |answers: &[(u64, Result<Response, ServiceError>)]| {
+        let mut ids: Vec<u64> = answers.iter().map(|(id, _)| *id).collect();
+        ids.sort_unstable();
+        ids
+    };
+
+    // Sixteen empty submits in one burst: one drain of sixteen teaches
+    // the combiner the population, without syncing anything.
+    let primer: Vec<(u64, Vec<Command>)> = (0..16).map(|id| (id, Vec::new())).collect();
+    let primed = raw_round(&mut conns[..1], &[primer]);
+    assert_eq!(ids_of(&primed), (0..16).collect::<Vec<_>>());
+
+    // The failed group: the sync failure reaches every submit, and no
+    // reply claims success.
+    let failed = raw_round(&mut conns, &round(100, CommandKind::Grant));
+    assert_eq!(ids_of(&failed), (100..116).collect::<Vec<_>>());
+    for (id, answer) in &failed {
+        match answer {
+            Err(ServiceError::Backend { applied, .. }) => {
+                assert_eq!(applied.len(), 1, "id {id} carries its own outcome");
+                assert!(applied[0].executed());
+            }
+            other => panic!("id {id}: expected Backend, got {other:?}"),
+        }
+    }
+
+    // A clean round: every submit acknowledged with its outcomes.
+    let clean = raw_round(&mut conns, &round(200, CommandKind::Revoke));
+    assert_eq!(ids_of(&clean), (200..216).collect::<Vec<_>>());
+    for (id, answer) in &clean {
+        match answer {
+            Ok(Response::Outcomes(outcomes)) => assert!(outcomes[0].executed()),
+            other => panic!("id {id}: expected Outcomes, got {other:?}"),
+        }
+    }
+
+    // Nothing is answered twice: no frame is left on either socket.
+    for conn in &mut conns {
+        conn.set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        assert!(wire::read_frame(conn).is_err(), "a stray reply frame");
+    }
     daemon.shutdown();
 }
 
