@@ -14,7 +14,8 @@
 //!   ([`PolicyService::write_combiner`]) and occupy no thread while
 //!   they wait; frames read back-to-back land in one drain, whose leader
 //!   writes every connection's reply train after the WAL sync. A reader
-//!   leads (briefly) when it finds no leader or completes a gather.
+//!   leads when it finds no leader or completes a gather. A peer whose
+//!   replies stall a write for a second is disconnected.
 //! * **Other slow requests** (`AnalyzeReach`, `CheckRefinement`,
 //!   `Compact`, `Analyze`, `SetConstraints`, and submits to a server
 //!   without a combiner) each go to a worker, which writes the reply.
@@ -64,9 +65,8 @@ use crate::wire::{self, Frame, FrameError, FrameHeader, FrameKind, WireError, HE
 #[derive(Clone, Copy, Debug)]
 pub struct DaemonConfig {
     /// Worker threads per connection for slow requests other than
-    /// submits, and for leading group-commit drains when summoned.
-    /// Submits wait in the combiner without a thread, so this does not
-    /// bound how many are in flight.
+    /// submits. Submits wait in the combiner without a thread, so this
+    /// does not bound how many are in flight.
     pub workers_per_connection: usize,
     /// How often a blocked connection reader wakes to check for
     /// shutdown (the socket read timeout).
@@ -241,17 +241,6 @@ pub(crate) enum Stream {
     Unix(UnixStream),
 }
 
-/// Runs `$body` on whichever socket `$stream` holds, bound to `$s`.
-macro_rules! on_socket {
-    ($stream:expr, $s:ident => $body:expr) => {
-        match $stream {
-            Stream::Tcp($s) => $body,
-            #[cfg(unix)]
-            Stream::Unix($s) => $body,
-        }
-    };
-}
-
 impl Stream {
     pub(crate) fn try_clone(&self) -> io::Result<Stream> {
         match self {
@@ -262,28 +251,58 @@ impl Stream {
     }
 
     pub(crate) fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
-        on_socket!(self, s => s.set_read_timeout(dur))
+        match self {
+            Stream::Tcp(s) => s.set_read_timeout(dur),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.set_read_timeout(dur),
+        }
+    }
+
+    fn set_write_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_write_timeout(dur),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.set_write_timeout(dur),
+        }
     }
 
     fn shutdown_both(&self) {
-        on_socket!(self, s => {
-            let _ = s.shutdown(Shutdown::Both);
-        })
+        match self {
+            Stream::Tcp(s) => {
+                let _ = s.shutdown(Shutdown::Both);
+            }
+            #[cfg(unix)]
+            Stream::Unix(s) => {
+                let _ = s.shutdown(Shutdown::Both);
+            }
+        }
     }
 }
 
 impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        on_socket!(self, s => s.read(buf))
+        match self {
+            Stream::Tcp(s) => s.read(buf),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.read(buf),
+        }
     }
 }
 
 impl Write for Stream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        on_socket!(self, s => s.write(buf))
+        match self {
+            Stream::Tcp(s) => s.write(buf),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.write(buf),
+        }
     }
     fn flush(&mut self) -> io::Result<()> {
-        on_socket!(self, s => s.flush())
+        match self {
+            Stream::Tcp(s) => s.flush(),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.flush(),
+        }
     }
 }
 
@@ -371,19 +390,12 @@ fn is_slow(request: &Request) -> bool {
     )
 }
 
-/// A unit of work for a connection's workers: serve one request, or
-/// lead the write combiner ([`ReplyTo::summon_leader`]).
-enum Job {
-    Serve(u64, Request),
-    Lead,
-}
-
 /// One connection as the write combiner sees it. Every queued submit
-/// holds it, and with it the job sender, so the connection's workers
-/// (and the connection) outlive its last unanswered submit.
+/// holds it, and with it the workers' job sender, so the connection's
+/// workers (and the connection) outlive its last unanswered submit.
 struct Conn {
     writer: Arc<ConnWriter>,
-    jobs: mpsc::Sender<Job>,
+    jobs: mpsc::Sender<(u64, Request)>,
 }
 
 impl ReplyTo for Conn {
@@ -393,10 +405,6 @@ impl ReplyTo for Conn {
             .map(|(id, result)| frame(id, &result.map(Response::Outcomes)))
             .collect();
         self.writer.send_many(&frames);
-    }
-
-    fn summon_leader(&self) -> bool {
-        self.jobs.send(Job::Lead).is_ok()
     }
 }
 
@@ -409,8 +417,13 @@ fn handle_connection(
     hub: Option<Arc<crate::replication::ReplicationHub>>,
 ) {
     // The accepted socket is blocking; the read timeout turns the
-    // reader into a shutdown-polling loop without busy-waiting.
-    if stream.set_read_timeout(Some(config.read_poll)).is_err() {
+    // reader into a shutdown-polling loop without busy-waiting, and the
+    // write timeout bounds a stalled peer (see `ConnWriter`).
+    let timeouts = stream.set_read_timeout(Some(config.read_poll));
+    if timeouts
+        .and(stream.set_write_timeout(Some(WRITE_STALL)))
+        .is_err()
+    {
         return;
     }
     let writer = match stream.try_clone() {
@@ -423,7 +436,7 @@ fn handle_connection(
     let mut reader = BufReader::new(stream);
 
     // Worker pool on one job channel; a send fails once no worker is left.
-    let (jobs, rx) = mpsc::channel::<Job>();
+    let (jobs, rx) = mpsc::channel::<(u64, Request)>();
     let rx = Arc::new(Mutex::new(rx));
     let mut workers = Vec::with_capacity(config.workers_per_connection);
     for _ in 0..config.workers_per_connection.max(1) {
@@ -433,17 +446,10 @@ fn handle_connection(
             .spawn(move || loop {
                 // Hold the receiver lock only across the recv itself so
                 // idle workers queue up behind it, not behind a serve.
-                let job = { rx.lock().recv() };
-                match job {
-                    Ok(Job::Serve(id, request)) => send_result(&writer, id, &service.call(request)),
-                    // A summons follows a queued submit: the combiner exists.
-                    Ok(Job::Lead) => {
-                        if let Some((commit, monitor)) = service.write_combiner() {
-                            commit.lead(monitor, false);
-                        }
-                    }
-                    Err(_) => break,
-                }
+                let Ok((id, request)) = rx.lock().recv() else {
+                    break;
+                };
+                send_result(&writer, id, &service.call(request));
             });
         workers.extend(spawned);
     }
@@ -560,7 +566,7 @@ fn dispatch_burst(
     for (id, request) in burst.drain(..) {
         match request {
             Request::Submit { commands } if combiner.is_some() => submits.push((id, commands)),
-            request => sent &= conn.jobs.send(Job::Serve(id, request)).is_ok(),
+            request => sent &= conn.jobs.send((id, request)).is_ok(),
         }
     }
     if let (Some((commit, monitor)), false) = (combiner, submits.is_empty()) {
@@ -574,6 +580,9 @@ fn dispatch_burst(
 /// the writer lock — the last sender in any contention burst flushes
 /// everyone's frames in one syscall. A group-commit leader sends a
 /// connection's reply train at once, so it arrives in one client read.
+/// A failed write, or one stalled for [`WRITE_STALL`] (the peer stopped
+/// reading), closes the socket: later writes fail at once and the reader
+/// sees the close, so a stalled peer holds up a leader at most once.
 pub(crate) struct ConnWriter {
     writer: Mutex<BufWriter<Stream>>,
     /// Senders between their queue announcement and their write. A
@@ -600,16 +609,23 @@ impl ConnWriter {
         self.queued.fetch_add(1, Ordering::SeqCst);
         let mut w = self.writer.lock();
         // Decrement before writing, so a panicking write cannot stall
-        // flushes; a failed write means the peer is gone.
+        // flushes.
         self.queued.fetch_sub(1, Ordering::SeqCst);
-        for (kind, id, payload) in frames {
-            let _ = wire::write_frame(&mut *w, *kind, *id, payload.as_ref());
+        let mut written = frames.iter().try_for_each(|(kind, id, payload)| {
+            wire::write_frame(&mut *w, *kind, *id, payload.as_ref())
+        });
+        if written.is_ok() && self.queued.load(Ordering::SeqCst) == 0 {
+            written = w.flush();
         }
-        if self.queued.load(Ordering::SeqCst) == 0 {
-            let _ = w.flush();
+        if written.is_err() {
+            w.get_ref().shutdown_both();
         }
     }
 }
+
+/// How long one write to a peer may make no progress before the daemon
+/// closes that connection (see [`ConnWriter`]).
+const WRITE_STALL: Duration = Duration::from_secs(1);
 
 /// One reply frame: a response, or the error that answers the request.
 fn frame(id: u64, result: &Result<Response, ServiceError>) -> (FrameKind, u64, Vec<u8>) {

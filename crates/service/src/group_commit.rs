@@ -22,21 +22,22 @@
 //! **Batch formation.** Under a gather window
 //! ([`GroupCommit::with_gather`]) the leader first sleeps on a condvar
 //! until the queue holds the *population* the previous drain proved —
-//! the requests it executed plus those queued behind it when it
-//! finished executing — or the window closes. The enqueue that completes
+//! the requests it executed, those queued behind it when it finished
+//! executing, and the leader's own, which cannot resubmit while it
+//! leads — or the window closes. The enqueue that completes
 //! the population runs that drain itself and relieves the sleeper, so no
 //! wake-up sits on the critical path. A lone submitter never waits.
 //!
 //! **Who leads.** The submitter that finds no leader leads, its own
 //! requests in its first drain. A tenure is at most
-//! `MAX_DRAINS_PER_TENURE` drains — one for a caller (or reader) under
-//! a window, whose next gather would wait for the very caller it holds —
-//! then leadership passes to the oldest queued request's thread: a
-//! parked caller, or a summoned worker of its connection. The leader
-//! flag stays set across the hand-off, so a queued request is **never
-//! orphaned**, and an abort guard answers every request **exactly once**
-//! even when a drain panics. A leading reader reads nothing meanwhile;
-//! the window bounds a wait for frames still in its own socket.
+//! `MAX_DRAINS_PER_TENURE` drains, then leadership passes to the oldest
+//! queued in-process caller, parked and free to run at once; with none
+//! queued (only daemon submits) the leader leads on. The leader flag
+//! stays set across every hand-off, so a queued request is **never
+//! orphaned**, and an abort guard answers every request **exactly
+//! once** even when a drain panics. A leading daemon reader reads
+//! nothing meanwhile: it returns to its socket when the queue empties,
+//! an enqueue relieves its gather, or a parked caller takes over.
 //!
 //! Requests stay atomic and contiguous: a request's commands are never
 //! interleaved with another's, so the outcome sequence equals *some*
@@ -94,16 +95,16 @@ impl Slot {
         self.ready.notify_one();
     }
 
-    /// Parks until the request is served, taking over leadership if
-    /// the retiring leader hands it to us.
-    fn wait_serving(&self, commit: &GroupCommit, monitor: &ReferenceMonitor) -> SubmitResult {
+    /// Parks until the request is served, running `lead` if the
+    /// retiring leader hands leadership to us.
+    fn wait_serving(&self, lead: impl Fn()) -> SubmitResult {
         let mut state = lock_unpoisoned(&self.state);
         loop {
             match std::mem::take(&mut *state) {
                 SlotState::Ready(result) => return result,
                 SlotState::Lead => {
                     drop(state);
-                    commit.lead(monitor, true);
+                    lead();
                     state = lock_unpoisoned(&self.state);
                 }
                 SlotState::Empty => {
@@ -119,11 +120,10 @@ impl Slot {
 
 /// A connection whose submits the leader answers itself (the daemon's).
 pub(crate) trait ReplyTo: Send + Sync {
-    /// Writes one train of replies, in order, with one flush.
+    /// Writes one train of replies, in order, with one flush. The leader
+    /// calls it on the serial commit path, so it must not block without
+    /// bound.
     fn reply(&self, replies: Vec<(u64, SubmitResult)>);
-    /// Asks the connection for a worker to run the leader loop; `false`
-    /// when it has none left.
-    fn summon_leader(&self) -> bool;
 }
 
 /// Where one request's result goes.
@@ -146,10 +146,11 @@ struct Queue {
     leader_running: bool,
     /// The population the last drain proved (see the module docs).
     population: usize,
-    /// A leader sleeps on [`GroupCommit::arrived`] for it.
-    gathering: bool,
-    /// The enqueue that completed the population took over the drain.
-    relieved: bool,
+    /// The sleeping leader's `(ticket, queue length it waits for)`;
+    /// cleared by that leader, or by the enqueue that relieves it.
+    gatherer: Option<(u64, usize)>,
+    /// Gathers begun so far: the source of tickets.
+    gathers: u64,
 }
 
 /// The write combiner; see the module docs.
@@ -192,7 +193,7 @@ impl GroupCommit {
         let slot = Arc::new(Slot::default());
         let done = Completion::Slot(Arc::clone(&slot));
         self.join(monitor, std::iter::once(PendingWrite { commands, done }));
-        slot.wait_serving(self, monitor)
+        slot.wait_serving(|| self.lead(monitor, 1))
     }
 
     /// Submits several independent requests at once, under **one** queue
@@ -216,7 +217,7 @@ impl GroupCommit {
         self.join(monitor, pending);
         slots
             .iter()
-            .map(|slot| slot.wait_serving(self, monitor))
+            .map(|slot| slot.wait_serving(|| self.lead(monitor, slots.len())))
             .collect()
     }
 
@@ -238,36 +239,39 @@ impl GroupCommit {
     }
 
     /// Appends requests under one queue acquisition; leads when no leader
-    /// runs or when they complete a gathering leader's population.
+    /// runs, or when they complete a gathering leader's target (that
+    /// leader finds its gather gone and steps down).
     fn join(&self, monitor: &ReferenceMonitor, requests: impl Iterator<Item = PendingWrite>) {
         let mut queue = lock_unpoisoned(&self.queue);
+        let before = queue.pending.len();
         queue.pending.extend(requests);
-        if !queue.leader_running {
-            queue.leader_running = true;
-            drop(queue);
-            return self.lead(monitor, true);
+        let queued = queue.pending.len();
+        let relieves = queue.gatherer.is_some_and(|(_, target)| queued >= target);
+        if queue.leader_running && !relieves {
+            return;
         }
-        if queue.gathering && queue.pending.len() >= queue.population {
-            (queue.gathering, queue.relieved) = (false, true);
-            self.arrived.notify_one();
-            drop(queue);
-            self.lead(monitor, true);
+        (queue.leader_running, queue.gatherer) = (true, None);
+        drop(queue);
+        if relieves {
+            self.arrived.notify_all();
         }
+        self.lead(monitor, queued - before);
     }
 
-    /// Leader loop: drain, execute, deliver, until the queue is empty
-    /// or the tenure ends. `caller` is `false` only for a worker that
-    /// [`ReplyTo::summon_leader`] woke.
-    pub(crate) fn lead(&self, monitor: &ReferenceMonitor, caller: bool) {
+    /// Leader loop: drain, execute, deliver, until the queue is empty, an
+    /// enqueue relieves a gather, or a parked caller takes over. `mine`
+    /// counts this thread's own queued requests: they ride its first
+    /// drain, and their successors are `absent` from every later one
+    /// (they cannot arrive while it leads), so no gather waits for them.
+    fn lead(&self, monitor: &ReferenceMonitor, mine: usize) {
+        let mut absent = 0;
         loop {
             for _ in 0..MAX_DRAINS_PER_TENURE {
-                let Some(group) = self.next_group() else {
+                let Some(group) = self.next_group(absent) else {
                     return;
                 };
-                self.drain(monitor, group);
-                if caller && !self.gather.is_zero() {
-                    break;
-                }
+                self.drain(monitor, group, absent);
+                absent = mine;
                 if self.gather.is_zero() {
                     // The submitters just released are likely to have a
                     // next request; one yield lets them join the next
@@ -281,33 +285,40 @@ impl GroupCommit {
         }
     }
 
-    /// Takes the next group, first gathering the proven population
-    /// under a window, or releases leadership when nothing is queued.
-    /// Waiting cannot deadlock: stragglers find leadership claimed.
-    fn next_group(&self) -> Option<Vec<PendingWrite>> {
+    /// Takes the next group, under a window first sleeping until the
+    /// queue holds the proven population less the `absent` requests, or
+    /// releases leadership when nothing is queued. `None` too when an
+    /// enqueue relieved the gather: that enqueuer leads now. Waiting
+    /// cannot deadlock: stragglers find leadership claimed.
+    fn next_group(&self, absent: usize) -> Option<Vec<PendingWrite>> {
         let mut queue = lock_unpoisoned(&self.queue);
         if queue.pending.is_empty() {
             queue.leader_running = false;
             return None;
         }
-        let deadline = Instant::now() + self.gather;
-        while queue.pending.len() < queue.population && Instant::now() < deadline {
-            let left = deadline.saturating_duration_since(Instant::now());
-            queue.gathering = true;
-            queue = self
-                .arrived
-                .wait_timeout(queue, left)
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .0;
-            queue.gathering = false;
-            if std::mem::take(&mut queue.relieved) {
+        let target = queue.population.saturating_sub(absent);
+        if !self.gather.is_zero() && queue.pending.len() < target {
+            queue.gathers += 1;
+            let me = Some((queue.gathers, target));
+            queue.gatherer = me;
+            let deadline = Instant::now() + self.gather;
+            while queue.gatherer == me && Instant::now() < deadline {
+                let left = deadline.saturating_duration_since(Instant::now());
+                queue = self
+                    .arrived
+                    .wait_timeout(queue, left)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .0;
+            }
+            if queue.gatherer != me {
                 return None;
             }
+            queue.gatherer = None;
         }
         Some(std::mem::take(&mut queue.pending))
     }
 
-    fn drain(&self, monitor: &ReferenceMonitor, group: Vec<PendingWrite>) {
+    fn drain(&self, monitor: &ReferenceMonitor, group: Vec<PendingWrite>, absent: usize) {
         let mut guard = AbortGuard {
             commit: self,
             group,
@@ -318,26 +329,27 @@ impl GroupCommit {
         // request is not counted twice.
         {
             let mut queue = lock_unpoisoned(&self.queue);
-            queue.population = guard.group.len() + queue.pending.len();
+            queue.population = guard.group.len() + queue.pending.len() + absent;
         }
         // Ack after sync: `execute_group` returned, so did the group's
         // WAL sync; only now does any result leave.
         deliver(&guard.group, results, &mut guard.answered);
     }
 
-    /// Passes leadership to the oldest queued request whose thread can
-    /// take it; `false` when none could, so the caller leads on.
+    /// Ends a tenure: releases leadership when nothing is queued, else
+    /// passes it to the oldest queued in-process caller. `false` when
+    /// only daemon submits are queued (no thread waits on them), so the
+    /// leader leads on.
     fn hand_off(&self) -> bool {
         let mut queue = lock_unpoisoned(&self.queue);
         queue.leader_running = !queue.pending.is_empty();
+        for request in &queue.pending {
+            if let Completion::Slot(slot) = &request.done {
+                slot.set(SlotState::Lead);
+                return true;
+            }
+        }
         !queue.leader_running
-            || queue.pending.iter().any(|request| match &request.done {
-                Completion::Slot(slot) => {
-                    slot.set(SlotState::Lead);
-                    true
-                }
-                Completion::Reply(to, _) => to.summon_leader(),
-            })
     }
 }
 
@@ -673,9 +685,6 @@ mod tests {
                 .map(|(id, r)| (id, matches!(r, Err(ServiceError::Aborted))));
             lock_unpoisoned(&self.0).extend(aborted);
         }
-        fn summon_leader(&self) -> bool {
-            false
-        }
     }
 
     /// The abort guard converts a panic escaping a drain into answered
@@ -731,7 +740,7 @@ mod tests {
         assert_eq!(replies, [(1, false), (2, true), (3, true)]);
         for slot in [&drained_slot, &queued_slot] {
             assert!(matches!(
-                slot.wait_serving(&commit, &monitor),
+                slot.wait_serving(|| commit.lead(&monitor, 1)),
                 Err(ServiceError::Aborted)
             ));
         }
@@ -846,13 +855,108 @@ mod tests {
         );
     }
 
-    /// Concurrent submitters without a window: every request is
-    /// answered, every command audited exactly once, and epochs count
-    /// the drained groups (at most one per request).
+    /// Concurrent submitters: every request is answered, every command
+    /// audited exactly once, and epochs count the drained groups (at
+    /// most one per request, typically far fewer).
     #[test]
     fn concurrent_submitters_all_complete() {
-        let rounds = 50;
-        let epochs = toggle_windows(&GroupCommit::new(), None, 2, (rounds, 2), Duration::ZERO);
-        assert!(epochs <= 2 * 2 * rounds as u64);
+        let (uni, policy) = fixture();
+        let jane = uni.find_user("jane").unwrap();
+        let bob = uni.find_user("bob").unwrap();
+        let joe = uni.find_user("joe").unwrap();
+        let staff = uni.find_role("staff").unwrap();
+        let nurse = uni.find_role("nurse").unwrap();
+        let monitor = ReferenceMonitor::new(
+            uni,
+            policy,
+            MonitorConfig {
+                audit_capacity: 4096,
+                ..MonitorConfig::default()
+            },
+        );
+        let commit = GroupCommit::new();
+        let rounds = 50usize;
+        crossbeam::scope(|scope| {
+            for (user, role) in [(bob, staff), (joe, nurse)] {
+                let (commit, monitor) = (&commit, &monitor);
+                scope.spawn(move |_| {
+                    for _ in 0..rounds {
+                        let outcomes = commit
+                            .submit(
+                                monitor,
+                                vec![
+                                    Command::grant(jane, Edge::UserRole(user, role)),
+                                    Command::revoke(jane, Edge::UserRole(user, role)),
+                                ],
+                            )
+                            .expect("in-memory submit");
+                        assert_eq!(outcomes.len(), 2);
+                        assert!(outcomes.iter().all(|o| o.executed()));
+                    }
+                });
+            }
+        })
+        .unwrap();
+        assert_eq!(monitor.audit_len(), 2 * 2 * rounds);
+        assert!(monitor.version() <= 2 * rounds as u64);
+        let (_, live) = monitor.snapshot();
+        assert!(!live.contains_edge(Edge::UserRole(bob, staff)));
+        assert!(!live.contains_edge(Edge::UserRole(joe, nurse)));
+    }
+
+    /// The same exactly-once accounting under a gather window, with
+    /// single `submit`s and `submit_many` windows racing: every command
+    /// is audited once, every result has its own length, and both edges
+    /// end absent (each caller toggles its own edge an even number of
+    /// times).
+    #[test]
+    fn windowed_submitters_are_each_served_once() {
+        let (uni, policy) = fixture();
+        let jane = uni.find_user("jane").unwrap();
+        let bob = uni.find_user("bob").unwrap();
+        let joe = uni.find_user("joe").unwrap();
+        let staff = uni.find_role("staff").unwrap();
+        let nurse = uni.find_role("nurse").unwrap();
+        let monitor = ReferenceMonitor::new(
+            uni,
+            policy,
+            MonitorConfig {
+                audit_capacity: 4096,
+                ..MonitorConfig::default()
+            },
+        );
+        let commit = GroupCommit::with_gather(Duration::from_millis(2));
+        let rounds = 40usize;
+        let toggle = |user, role| {
+            vec![
+                Command::grant(jane, Edge::UserRole(user, role)),
+                Command::revoke(jane, Edge::UserRole(user, role)),
+            ]
+        };
+        std::thread::scope(|scope| {
+            let (commit, monitor, toggle) = (&commit, &monitor, &toggle);
+            scope.spawn(move || {
+                for _ in 0..rounds {
+                    let outcomes = commit.submit(monitor, toggle(bob, staff)).unwrap();
+                    assert_eq!(outcomes.len(), 2);
+                    assert!(outcomes.iter().all(|o| o.executed()));
+                }
+            });
+            scope.spawn(move || {
+                for _ in 0..rounds {
+                    let results = commit.submit_many(monitor, vec![toggle(joe, nurse); 3]);
+                    assert_eq!(results.len(), 3);
+                    for outcomes in results {
+                        let outcomes = outcomes.unwrap();
+                        assert_eq!(outcomes.len(), 2);
+                        assert!(outcomes.iter().all(|o| o.executed()));
+                    }
+                }
+            });
+        });
+        assert_eq!(monitor.audit_len(), 2 * (rounds + 3 * rounds));
+        let (_, live) = monitor.snapshot();
+        assert!(!live.contains_edge(Edge::UserRole(bob, staff)));
+        assert!(!live.contains_edge(Edge::UserRole(joe, nurse)));
     }
 }

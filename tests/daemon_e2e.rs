@@ -405,6 +405,84 @@ fn leader_acks_each_submit_once_after_the_sync() {
     daemon.shutdown();
 }
 
+/// A client that pipelines submits and never reads its replies fills the
+/// socket buffers, and the group-commit leader writes those replies. The
+/// daemon closes that connection once a write to it stalls, so another
+/// connection's submits still complete.
+#[cfg(unix)]
+#[test]
+fn a_client_that_stops_reading_cannot_stall_the_others() {
+    use std::net::Shutdown;
+    use std::os::unix::net::UnixStream;
+    use std::time::Instant;
+
+    let dir = TempDir::new("daemon-stalled-reader").unwrap();
+    let (daemon, path) = serve_unix(&dir);
+    let (universe, _, admin) = arena();
+    let edge = Edge::UserRole(
+        universe.find_user("subj0").unwrap(),
+        universe.find_role("r0").unwrap(),
+    );
+    // The stalled client floods empty submits from its own thread and
+    // never reads; its writes fail once the daemon closes the socket.
+    let mut flood = UnixStream::connect(&path).unwrap();
+    let stalled = flood.try_clone().unwrap();
+    let flooder = std::thread::spawn(move || {
+        let submit = wire::encode_request(&Request::Submit {
+            commands: Vec::new(),
+        });
+        let mut burst = Vec::new();
+        for id in 0..64 {
+            wire::write_frame(&mut burst, FrameKind::Request, id, &submit).unwrap();
+        }
+        (0..4096)
+            .take_while(|_| flood.write_all(&burst).is_ok())
+            .count()
+    });
+    std::thread::sleep(Duration::from_millis(200));
+
+    // The other client: ten round trips of one submit each.
+    let mut other = UnixStream::connect(&path).unwrap();
+    other
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let started = Instant::now();
+    let answers: Vec<_> = (0..10u64)
+        .map(|id| {
+            let kind = [CommandKind::Grant, CommandKind::Revoke][id as usize % 2];
+            let submit = wire::encode_request(&Request::Submit {
+                commands: vec![Command {
+                    actor: admin,
+                    kind,
+                    edge,
+                }],
+            });
+            wire::write_frame(&mut other, FrameKind::Request, id, &submit).unwrap();
+            wire::read_frame(&mut other).map(|frame| frame.map(|f| (f.request_id, f.kind)))
+        })
+        .collect();
+    let elapsed = started.elapsed();
+    // The daemon closed the stalled connection: the flood's writes fail.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !flooder.is_finished() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let cut_off = flooder.is_finished();
+    // Unwedge a daemon that never cut it off before asserting, so a
+    // failure cannot hang the shutdown below.
+    let _ = stalled.shutdown(Shutdown::Both);
+    flooder.join().unwrap();
+    for (id, answer) in answers.iter().enumerate() {
+        match answer {
+            Ok(Some((got, FrameKind::Response))) => assert_eq!(*got, id as u64),
+            other => panic!("submit {id} of the reading client: {other:?}"),
+        }
+    }
+    assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
+    assert!(cut_off, "the stalled client was never disconnected");
+    daemon.shutdown();
+}
+
 #[test]
 fn daemon_drains_connections_on_shutdown() {
     let dir = TempDir::new("daemon-drain").unwrap();
