@@ -14,8 +14,10 @@
 //!   ([`PolicyService::write_combiner`]) and occupy no thread while
 //!   they wait; frames read back-to-back land in one drain, whose leader
 //!   writes every connection's reply train after the WAL sync. A reader
-//!   leads when it finds no leader or completes a gather. A peer whose
-//!   replies stall a write for a second is disconnected.
+//!   leads when it finds no leader, completes a gather or finds the
+//!   leader past its tenure, and is back on its socket within a bounded
+//!   number of drains. A peer whose replies stall a write for a second
+//!   is disconnected.
 //! * **Other slow requests** (`AnalyzeReach`, `CheckRefinement`,
 //!   `Compact`, `Analyze`, `SetConstraints`, and submits to a server
 //!   without a combiner) each go to a worker, which writes the reply.
@@ -250,19 +252,15 @@ impl Stream {
         }
     }
 
-    pub(crate) fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
+    pub(crate) fn set_timeouts(&self, read: Duration, write: Option<Duration>) -> io::Result<()> {
         match self {
-            Stream::Tcp(s) => s.set_read_timeout(dur),
+            Stream::Tcp(s) => s
+                .set_read_timeout(Some(read))
+                .and(s.set_write_timeout(write)),
             #[cfg(unix)]
-            Stream::Unix(s) => s.set_read_timeout(dur),
-        }
-    }
-
-    fn set_write_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_write_timeout(dur),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.set_write_timeout(dur),
+            Stream::Unix(s) => s
+                .set_read_timeout(Some(read))
+                .and(s.set_write_timeout(write)),
         }
     }
 
@@ -366,11 +364,9 @@ fn accept_loop(
 /// Joins the threads of connections that have closed and forgets them.
 fn reap_closed(conns: &Mutex<Vec<JoinHandle<()>>>) {
     let mut conns = conns.lock();
-    let (closed, live): (Vec<_>, _) = std::mem::take(&mut *conns)
-        .into_iter()
-        .partition(JoinHandle::is_finished);
-    *conns = live;
-    closed.into_iter().for_each(|handle| drop(handle.join()));
+    while let Some(closed) = conns.iter().position(JoinHandle::is_finished) {
+        let _ = conns.swap_remove(closed).join();
+    }
 }
 
 // ----- one connection --------------------------------------------------
@@ -419,9 +415,8 @@ fn handle_connection(
     // The accepted socket is blocking; the read timeout turns the
     // reader into a shutdown-polling loop without busy-waiting, and the
     // write timeout bounds a stalled peer (see `ConnWriter`).
-    let timeouts = stream.set_read_timeout(Some(config.read_poll));
-    if timeouts
-        .and(stream.set_write_timeout(Some(WRITE_STALL)))
+    if stream
+        .set_timeouts(config.read_poll, Some(WRITE_STALL))
         .is_err()
     {
         return;

@@ -29,15 +29,15 @@
 //! wake-up sits on the critical path. A lone submitter never waits.
 //!
 //! **Who leads.** The submitter that finds no leader leads, its own
-//! requests in its first drain. A tenure is at most
-//! `MAX_DRAINS_PER_TENURE` drains, then leadership passes to the oldest
-//! queued in-process caller, parked and free to run at once; with none
-//! queued (only daemon submits) the leader leads on. The leader flag
-//! stays set across every hand-off, so a queued request is **never
-//! orphaned**, and an abort guard answers every request **exactly
-//! once** even when a drain panics. A leading daemon reader reads
-//! nothing meanwhile: it returns to its socket when the queue empties,
-//! an enqueue relieves its gather, or a parked caller takes over.
+//! requests in its first drain. After `MAX_DRAINS_PER_TENURE` drains
+//! the leader is in overtime: the next submitter takes over, at once
+//! from a gather, else once the drain in flight ends. So no thread — a
+//! daemon reader, which reads nothing while it leads, included — is
+//! **held for more than `MAX_DRAINS_PER_TENURE` + 2 drains**, and a
+//! taker-over never waits on a busy thread. The leader flag stays set
+//! across every hand-over, so a queued request is **never orphaned**,
+//! and an abort guard answers every request **exactly once** even when
+//! a drain panics.
 //!
 //! Requests stay atomic and contiguous: a request's commands are never
 //! interleaved with another's, so the outcome sequence equals *some*
@@ -48,8 +48,8 @@
 //! applied prefix succeed, the one straddling it gets
 //! [`ServiceError::Backend`], and later ones [`ServiceError::Aborted`].
 
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 use adminref_core::command::Command;
 use adminref_core::transition::StepOutcome;
@@ -60,61 +60,33 @@ use crate::protocol::ServiceError;
 /// The result a submitter receives for its own request.
 pub type SubmitResult = Result<Vec<StepOutcome>, ServiceError>;
 
-/// What a parked submitter finds in its completion slot.
-#[derive(Default)]
-enum SlotState {
-    /// Not served yet; keep waiting.
-    #[default]
-    Empty,
-    /// The request's own result; take it and return.
-    Ready(SubmitResult),
-    /// Leadership handoff: lead (the first drain serves this request).
-    Lead,
-}
-
 /// One in-process request's completion slot, filled once by a leader.
 #[derive(Default)]
 struct Slot {
-    state: Mutex<SlotState>,
+    result: Mutex<Option<SubmitResult>>,
     ready: Condvar,
 }
 
 /// Locks a mutex, surviving poison: these mutexes guard plain data, and
 /// the abort guard must answer waiters *during* a panic unwind.
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Slot {
-    /// Only the leader sets a slot: `Ready` once, or `Lead` while the
-    /// request is still queued (so the slot is `Empty`).
-    fn set(&self, state: SlotState) {
-        *lock_unpoisoned(&self.state) = state;
+    fn set(&self, result: SubmitResult) {
+        *lock_unpoisoned(&self.result) = Some(result);
         self.ready.notify_one();
     }
 
-    /// Parks until the request is served, running `lead` if the
-    /// retiring leader hands leadership to us.
-    fn wait_serving(&self, lead: impl Fn()) -> SubmitResult {
-        let mut state = lock_unpoisoned(&self.state);
-        loop {
-            match std::mem::take(&mut *state) {
-                SlotState::Ready(result) => return result,
-                SlotState::Lead => {
-                    drop(state);
-                    lead();
-                    state = lock_unpoisoned(&self.state);
-                }
-                SlotState::Empty => {
-                    state = self
-                        .ready
-                        .wait(state)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-            }
-        }
+    /// Parks until a leader has served the request.
+    fn wait(&self) -> SubmitResult {
+        let result = lock_unpoisoned(&self.result);
+        let mut result = self
+            .ready
+            .wait_while(result, |result| result.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        result.take().unwrap_or(Err(ServiceError::Aborted))
     }
 }
 
@@ -122,7 +94,7 @@ impl Slot {
 pub(crate) trait ReplyTo: Send + Sync {
     /// Writes one train of replies, in order, with one flush. The leader
     /// calls it on the serial commit path, so it must not block without
-    /// bound.
+    /// bound, nor submit to the same combiner.
     fn reply(&self, replies: Vec<(u64, SubmitResult)>);
 }
 
@@ -151,6 +123,10 @@ struct Queue {
     gatherer: Option<(u64, usize)>,
     /// Gathers begun so far: the source of tickets.
     gathers: u64,
+    /// The leader is past its tenure: the next enqueuer takes over.
+    overtime: bool,
+    /// An enqueuer waits in `join` to take over once the drain ends.
+    successor: bool,
 }
 
 /// The write combiner; see the module docs.
@@ -160,7 +136,8 @@ struct Queue {
 #[derive(Default)]
 pub struct GroupCommit {
     queue: Mutex<Queue>,
-    /// Signalled when the queue reaches the gathering leader's target.
+    /// Wakes a gathering leader whose gather was relieved, and a waiting
+    /// successor once the leader hands over.
     arrived: Condvar,
     /// Leader gather window; zero (the default) drains immediately.
     gather: Duration,
@@ -193,7 +170,7 @@ impl GroupCommit {
         let slot = Arc::new(Slot::default());
         let done = Completion::Slot(Arc::clone(&slot));
         self.join(monitor, std::iter::once(PendingWrite { commands, done }));
-        slot.wait_serving(|| self.lead(monitor, 1))
+        slot.wait()
     }
 
     /// Submits several independent requests at once, under **one** queue
@@ -215,10 +192,7 @@ impl GroupCommit {
                 done: Completion::Slot(Arc::clone(slot)),
             });
         self.join(monitor, pending);
-        slots
-            .iter()
-            .map(|slot| slot.wait_serving(|| self.lead(monitor, slots.len())))
-            .collect()
+        slots.iter().map(|slot| slot.wait()).collect()
     }
 
     /// The daemon's entry point: enqueues one connection's burst of
@@ -239,16 +213,27 @@ impl GroupCommit {
     }
 
     /// Appends requests under one queue acquisition; leads when no leader
-    /// runs, or when they complete a gathering leader's target (that
-    /// leader finds its gather gone and steps down).
+    /// runs, when they complete a gathering leader's target, or when the
+    /// leader is in overtime: a gathering leader finds its gather gone
+    /// and steps down, a draining one hands over when its drain ends.
     fn join(&self, monitor: &ReferenceMonitor, requests: impl Iterator<Item = PendingWrite>) {
         let mut queue = lock_unpoisoned(&self.queue);
         let before = queue.pending.len();
         queue.pending.extend(requests);
         let queued = queue.pending.len();
-        let relieves = queue.gatherer.is_some_and(|(_, target)| queued >= target);
+        let overtime = std::mem::take(&mut queue.overtime);
+        let relieves = queue
+            .gatherer
+            .is_some_and(|(_, target)| overtime || queued >= target);
         if queue.leader_running && !relieves {
-            return;
+            if !overtime {
+                return;
+            }
+            queue.successor = true;
+            queue = self
+                .arrived
+                .wait_while(queue, |queue| queue.successor)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         (queue.leader_running, queue.gatherer) = (true, None);
         drop(queue);
@@ -259,57 +244,55 @@ impl GroupCommit {
     }
 
     /// Leader loop: drain, execute, deliver, until the queue is empty, an
-    /// enqueue relieves a gather, or a parked caller takes over. `mine`
+    /// enqueue relieves a gather, or a successor takes over. `mine`
     /// counts this thread's own queued requests: they ride its first
     /// drain, and their successors are `absent` from every later one
     /// (they cannot arrive while it leads), so no gather waits for them.
     fn lead(&self, monitor: &ReferenceMonitor, mine: usize) {
         let mut absent = 0;
-        loop {
-            for _ in 0..MAX_DRAINS_PER_TENURE {
-                let Some(group) = self.next_group(absent) else {
-                    return;
-                };
-                self.drain(monitor, group, absent);
-                absent = mine;
-                if self.gather.is_zero() {
-                    // The submitters just released are likely to have a
-                    // next request; one yield lets them join the next
-                    // drain (a no-op with no runnable peers).
-                    std::thread::yield_now();
-                }
-            }
-            if self.hand_off() {
+        for drained in 0.. {
+            let overtime = drained >= MAX_DRAINS_PER_TENURE;
+            let Some(group) = self.next_group(absent, overtime) else {
                 return;
+            };
+            self.drain(monitor, group, absent);
+            absent = mine;
+            if self.gather.is_zero() {
+                // The submitters just released are likely to have a
+                // next request; one yield lets them join the next drain
+                // (a no-op with no runnable peers).
+                std::thread::yield_now();
             }
         }
     }
 
     /// Takes the next group, under a window first sleeping until the
-    /// queue holds the proven population less the `absent` requests, or
-    /// releases leadership when nothing is queued. `None` too when an
-    /// enqueue relieved the gather: that enqueuer leads now. Waiting
-    /// cannot deadlock: stragglers find leadership claimed.
-    fn next_group(&self, absent: usize) -> Option<Vec<PendingWrite>> {
+    /// queue holds the proven population less the `absent` requests.
+    /// `None` when leadership ends: nothing is queued (released), a
+    /// successor waits (handed over, still claimed), or an enqueue
+    /// relieved the gather (that enqueuer leads now). Waiting cannot
+    /// deadlock: stragglers find leadership claimed.
+    fn next_group(&self, absent: usize, overtime: bool) -> Option<Vec<PendingWrite>> {
         let mut queue = lock_unpoisoned(&self.queue);
+        if std::mem::take(&mut queue.successor) {
+            self.arrived.notify_all();
+            return None;
+        }
         if queue.pending.is_empty() {
             queue.leader_running = false;
             return None;
         }
+        queue.overtime = overtime;
         let target = queue.population.saturating_sub(absent);
         if !self.gather.is_zero() && queue.pending.len() < target {
             queue.gathers += 1;
             let me = Some((queue.gathers, target));
             queue.gatherer = me;
-            let deadline = Instant::now() + self.gather;
-            while queue.gatherer == me && Instant::now() < deadline {
-                let left = deadline.saturating_duration_since(Instant::now());
-                queue = self
-                    .arrived
-                    .wait_timeout(queue, left)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .0;
-            }
+            queue = self
+                .arrived
+                .wait_timeout_while(queue, self.gather, |queue| queue.gatherer == me)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
             if queue.gatherer != me {
                 return None;
             }
@@ -335,26 +318,10 @@ impl GroupCommit {
         // WAL sync; only now does any result leave.
         deliver(&guard.group, results, &mut guard.answered);
     }
-
-    /// Ends a tenure: releases leadership when nothing is queued, else
-    /// passes it to the oldest queued in-process caller. `false` when
-    /// only daemon submits are queued (no thread waits on them), so the
-    /// leader leads on.
-    fn hand_off(&self) -> bool {
-        let mut queue = lock_unpoisoned(&self.queue);
-        queue.leader_running = !queue.pending.is_empty();
-        for request in &queue.pending {
-            if let Completion::Slot(slot) = &request.done {
-                slot.set(SlotState::Lead);
-                return true;
-            }
-        }
-        !queue.leader_running
-    }
 }
 
-/// Upper bound on drains per leader tenure; bounds a leading caller's
-/// own latency to ~cap × drain time under sustained load.
+/// Drains per leader tenure, after which the next submitter takes over:
+/// bounds how long any thread leads for others under sustained load.
 const MAX_DRAINS_PER_TENURE: usize = 8;
 
 /// Delivers `results` (one per request, in order): slots are filled, and
@@ -372,7 +339,7 @@ fn deliver(
         match &request.done {
             Completion::Slot(slot) => {
                 *answered += 1;
-                slot.set(SlotState::Ready(next()));
+                slot.set(next());
             }
             Completion::Reply(to, _) => {
                 let run: Vec<u64> = group[*answered..]
@@ -391,7 +358,8 @@ fn deliver(
 
 /// Unwinds a panicking drain into answered requests instead of a wedged
 /// combiner: every drained request not yet answered, and every queued
-/// one, gets [`ServiceError::Aborted`], and leadership is released.
+/// one, gets [`ServiceError::Aborted`], and leadership is released, or
+/// passed to a waiting successor.
 struct AbortGuard<'a> {
     commit: &'a GroupCommit,
     group: Vec<PendingWrite>,
@@ -405,9 +373,10 @@ impl Drop for AbortGuard<'_> {
         }
         let queued = {
             let mut queue = lock_unpoisoned(&self.commit.queue);
-            queue.leader_running = false;
+            queue.leader_running = std::mem::take(&mut queue.successor);
             std::mem::take(&mut queue.pending)
         };
+        self.commit.arrived.notify_all();
         let aborted = || std::iter::repeat_with(|| Err(ServiceError::Aborted));
         deliver(&self.group, aborted(), &mut self.answered);
         deliver(&queued, aborted(), &mut 0);
@@ -507,6 +476,9 @@ mod tests {
     use adminref_core::universe::{Edge, Universe};
     use adminref_monitor::MonitorConfig;
     use adminref_store::{PolicyStore, TempDir};
+    use std::sync::mpsc;
+    use std::thread::{self, ThreadId};
+    use std::time::Instant;
 
     fn fixture() -> (Universe, adminref_core::policy::Policy) {
         let mut b = PolicyBuilder::new()
@@ -739,10 +711,7 @@ mod tests {
         replies.sort_unstable();
         assert_eq!(replies, [(1, false), (2, true), (3, true)]);
         for slot in [&drained_slot, &queued_slot] {
-            assert!(matches!(
-                slot.wait_serving(|| commit.lead(&monitor, 1)),
-                Err(ServiceError::Aborted)
-            ));
+            assert!(matches!(slot.wait(), Err(ServiceError::Aborted)));
         }
         {
             let queue = lock_unpoisoned(&commit.queue);
@@ -758,6 +727,129 @@ mod tests {
             )
             .expect("combiner still serves after an aborted drain");
         assert!(out[0].executed());
+    }
+
+    /// Polls `ready` for up to five seconds.
+    fn eventually(ready: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !ready() && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(1));
+        }
+        ready()
+    }
+
+    /// A drain that panics while a successor waits to take over passes
+    /// leadership to it: the successor's queued request is aborted, the
+    /// successor finds the queue empty and releases leadership, and the
+    /// combiner serves on.
+    #[test]
+    fn abort_guard_passes_leadership_to_a_waiting_successor() {
+        let (uni, policy) = fixture();
+        let jane = uni.find_user("jane").unwrap();
+        let edge = Edge::UserRole(
+            uni.find_user("bob").unwrap(),
+            uni.find_role("staff").unwrap(),
+        );
+        let monitor = ReferenceMonitor::new(uni, policy, MonitorConfig::default());
+        let commit = GroupCommit::new();
+        // A leader in overtime, mid-drain.
+        {
+            let mut queue = lock_unpoisoned(&commit.queue);
+            (queue.leader_running, queue.overtime) = (true, true);
+        }
+        thread::scope(|scope| {
+            let successor =
+                scope.spawn(|| commit.submit(&monitor, vec![Command::grant(jane, edge)]));
+            let waited = eventually(|| lock_unpoisoned(&commit.queue).successor);
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _guard = AbortGuard {
+                    commit: &commit,
+                    group: Vec::new(),
+                    answered: 0,
+                };
+                panic!("a drain died while a successor waited");
+            }));
+            assert!(died.is_err());
+            let result = successor.join().unwrap();
+            assert!(waited, "a submitter in overtime waits to take over");
+            assert!(matches!(result, Err(ServiceError::Aborted)));
+        });
+        assert!(!lock_unpoisoned(&commit.queue).leader_running);
+        let out = commit.submit(&monitor, vec![Command::grant(jane, edge)]);
+        assert!(out.expect("combiner still serves")[0].executed());
+    }
+
+    /// Holds each reply train until the test lets it go, and reports
+    /// which thread wrote it.
+    struct Gate {
+        written: mpsc::Sender<(u64, ThreadId)>,
+        go: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl ReplyTo for Gate {
+        fn reply(&self, replies: Vec<(u64, SubmitResult)>) {
+            for (id, _) in replies {
+                self.written.send((id, thread::current().id())).unwrap();
+            }
+            lock_unpoisoned(&self.go).recv().unwrap();
+        }
+    }
+
+    /// A leader past its tenure hands over to the next submitter as soon
+    /// as its drain in flight ends, so a daemon reader that leads is back
+    /// on its socket after `MAX_DRAINS_PER_TENURE` + 1 drains however
+    /// busy the other connections keep it. Each drain here holds one
+    /// daemon submit, and the next one is enqueued while it delivers.
+    #[test]
+    fn a_leader_past_its_tenure_hands_over_to_the_next_submitter() {
+        let (uni, policy) = fixture();
+        let jane = uni.find_user("jane").unwrap();
+        let edge = Edge::UserRole(
+            uni.find_user("bob").unwrap(),
+            uni.find_role("staff").unwrap(),
+        );
+        let monitor = ReferenceMonitor::new(uni, policy, MonitorConfig::default());
+        let commit = GroupCommit::new();
+        let (written, writes) = mpsc::channel();
+        let (go, gate) = mpsc::channel();
+        let to: Arc<dyn ReplyTo> = Arc::new(Gate {
+            written,
+            go: Mutex::new(gate),
+        });
+        let submit = |id: u64| {
+            let command = match id % 2 {
+                0 => Command::grant(jane, edge),
+                _ => Command::revoke(jane, edge),
+            };
+            commit.submit_replying(&monitor, &to, vec![(id, vec![command])]);
+            thread::current().id()
+        };
+        let tenure = MAX_DRAINS_PER_TENURE as u64;
+        thread::scope(|scope| {
+            let first = scope.spawn(|| submit(0));
+            let mut leader = None;
+            for id in 0..tenure {
+                let (answered, by) = writes.recv().unwrap();
+                assert_eq!((answered, by), (id, *leader.get_or_insert(by)));
+                // The leader is busy and within its tenure: this returns.
+                submit(id + 1);
+                go.send(()).unwrap();
+            }
+            // The drain after the tenure: the next submitter waits to
+            // take over instead of queueing behind the same leader.
+            assert_eq!(writes.recv().unwrap(), (tenure, leader.unwrap()));
+            let successor = scope.spawn(|| submit(tenure + 1));
+            let waited = eventually(|| lock_unpoisoned(&commit.queue).successor);
+            go.send(()).unwrap();
+            let (answered, by) = writes.recv().unwrap();
+            go.send(()).unwrap();
+            let (first, successor) = (first.join().unwrap(), successor.join().unwrap());
+            assert!(waited, "the submitter after the tenure waits to take over");
+            assert_eq!(first, leader.unwrap());
+            assert_eq!((answered, by), (tenure + 1, successor), "the successor led");
+        });
+        assert!(!lock_unpoisoned(&commit.queue).leader_running);
+        assert_eq!(monitor.version(), tenure + 2);
     }
 
     /// `threads` callers, each submitting `rounds` windows of `window`

@@ -414,7 +414,7 @@ fn follow_loop(
 /// or stop/promote.
 fn follow_once(hub: &ReplicationHub, target: &FollowTarget, stop: &AtomicBool) -> io::Result<()> {
     let stream = target.connect()?;
-    stream.set_read_timeout(Some(FOLLOWER_READ_POLL))?;
+    stream.set_timeouts(FOLLOWER_READ_POLL, None)?;
     let mut writer = stream.try_clone()?;
     let monitor = hub.monitor();
     let last_applied = if hub.bootstrapped.load(Ordering::SeqCst) {
@@ -493,7 +493,7 @@ pub fn fetch_bootstrap(
     timeout: Duration,
 ) -> io::Result<(Universe, Policy, ConstraintSet, u64, u64)> {
     let stream = target.connect()?;
-    stream.set_read_timeout(Some(timeout))?;
+    stream.set_timeouts(timeout, None)?;
     let mut writer = stream.try_clone()?;
     wire::write_frame(
         &mut writer,

@@ -13,8 +13,8 @@ use adminref_monitor::{MonitorConfig, ReferenceMonitor};
 use adminref_service::protocol::RefinementDirection;
 use adminref_service::wire::{self, FrameKind};
 use adminref_service::{
-    Daemon, DaemonConfig, MonitorService, PolicyService, Request, Response, ServiceError,
-    WireClient, WireListener,
+    Daemon, DaemonConfig, GroupCommit, MonitorService, PolicyService, Request, Response,
+    ServiceError, WireClient, WireListener,
 };
 use adminref_store::{PolicyStore, TempDir};
 
@@ -480,6 +480,117 @@ fn a_client_that_stops_reading_cannot_stall_the_others() {
     }
     assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
     assert!(cut_off, "the stalled client was never disconnected");
+    daemon.shutdown();
+}
+
+/// A service whose reachability analyses take a second, so one pins a
+/// connection's worker; everything else, the write combiner included,
+/// is the wrapped service's.
+struct SlowAnalyses(MonitorService);
+
+impl PolicyService for SlowAnalyses {
+    fn call(&self, request: Request) -> Result<Response, ServiceError> {
+        if matches!(request, Request::AnalyzeReach { .. }) {
+            std::thread::sleep(Duration::from_secs(1));
+        }
+        self.0.call(request)
+    }
+
+    fn write_combiner(&self) -> Option<(&GroupCommit, &ReferenceMonitor)> {
+        self.0.write_combiner()
+    }
+}
+
+/// Leadership never waits behind a busy worker: connection A's only
+/// worker is pinned by slow analyses while A's submits queue behind B's
+/// drains, and B's round trips stay prompt throughout.
+#[cfg(unix)]
+#[test]
+fn a_busy_worker_never_holds_up_leadership() {
+    use std::os::unix::net::UnixStream;
+    use std::time::Instant;
+
+    let dir = TempDir::new("daemon-busy-worker").unwrap();
+    let (mut universe, policy, admin) = arena();
+    let perm = universe.perm("use", "obj0");
+    let inner = MonitorService::in_memory(universe.clone(), policy, MonitorConfig::default());
+    let service = SlowAnalyses(inner.with_write_gather(Duration::from_micros(50)));
+    let path = dir.path().join("adminrefd.sock");
+    let config = DaemonConfig {
+        workers_per_connection: 1,
+        ..DaemonConfig::default()
+    };
+    let listener = WireListener::unix(&path).unwrap();
+    let daemon = Daemon::spawn_with(Arc::new(service), universe.clone(), listener, config).unwrap();
+    let toggles = |edges: std::ops::Range<usize>, first_id: u64, kind: CommandKind| {
+        edges
+            .map(|k| {
+                let subj = universe.find_user(&format!("subj{}", k / ROLES)).unwrap();
+                let role = universe.find_role(&format!("r{}", k % ROLES)).unwrap();
+                let edge = Edge::UserRole(subj, role);
+                let command = Command {
+                    actor: admin,
+                    kind,
+                    edge,
+                };
+                (first_id + k as u64, vec![command])
+            })
+            .collect::<Vec<_>>()
+    };
+    let kind_of = |round: u64| [CommandKind::Grant, CommandKind::Revoke][round as usize % 2];
+
+    // B: back-to-back rounds of eight pipelined submits for 2.5 s.
+    let mut b = UnixStream::connect(&path).unwrap();
+    b.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let started = Instant::now();
+    let (b_done, worst) = std::thread::scope(|scope| {
+        let b_thread = scope.spawn(|| {
+            let mut worst = Duration::ZERO;
+            let mut round = 0u64;
+            while started.elapsed() < Duration::from_millis(2500) {
+                let requests = [toggles(8..16, 1000 * round, kind_of(round))];
+                let sent = Instant::now();
+                let answers = raw_round(std::slice::from_mut(&mut b), &requests);
+                worst = worst.max(sent.elapsed());
+                assert!(answers
+                    .iter()
+                    .all(|(_, a)| matches!(a, Ok(Response::Outcomes(_)))));
+                round += 1;
+            }
+            (round, worst)
+        });
+        // A: three bursts of [slow analysis, eight submits], while B runs.
+        let mut a = UnixStream::connect(&path).unwrap();
+        for burst in 0..3u64 {
+            std::thread::sleep(Duration::from_millis(100));
+            let analyze = wire::encode_request(&Request::AnalyzeReach {
+                entity: Entity::User(admin),
+                perm,
+                config: SafetyConfig {
+                    max_steps: 0,
+                    ..SafetyConfig::default()
+                },
+            });
+            let mut bytes = Vec::new();
+            wire::write_frame(&mut bytes, FrameKind::Request, 900 + burst, &analyze).unwrap();
+            for (id, commands) in toggles(0..8, 100 * (burst + 1), kind_of(burst)) {
+                let submit = wire::encode_request(&Request::Submit { commands });
+                wire::write_frame(&mut bytes, FrameKind::Request, id, &submit).unwrap();
+            }
+            a.write_all(&bytes).unwrap();
+        }
+        a.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        for _ in 0..3 * 9 {
+            let frame = wire::read_frame(&mut a).unwrap().expect("a reply to A");
+            assert_eq!(frame.kind, FrameKind::Response, "id {}", frame.request_id);
+        }
+        b_thread.join().unwrap()
+    });
+    assert!(b_done > 10, "only {b_done} rounds of B");
+    assert!(
+        worst < Duration::from_millis(500),
+        "a round of B waited {worst:?}"
+    );
     daemon.shutdown();
 }
 
