@@ -14,10 +14,8 @@
 //!   ([`PolicyService::write_combiner`]) and occupy no thread while
 //!   they wait; frames read back-to-back land in one drain, whose leader
 //!   writes every connection's reply train after the WAL sync. A reader
-//!   leads when it finds no leader, completes a gather or finds the
-//!   leader past its tenure, and is back on its socket within a bounded
-//!   number of drains. A peer whose replies stall a write for a second
-//!   is disconnected.
+//!   may lead, for a bounded number of drains. A peer whose replies
+//!   stall a write for a second is disconnected.
 //! * **Other slow requests** (`AnalyzeReach`, `CheckRefinement`,
 //!   `Compact`, `Analyze`, `SetConstraints`, and submits to a server
 //!   without a combiner) each go to a worker, which writes the reply.
@@ -253,14 +251,11 @@ impl Stream {
     }
 
     pub(crate) fn set_timeouts(&self, read: Duration, write: Option<Duration>) -> io::Result<()> {
+        let read = Some(read);
         match self {
-            Stream::Tcp(s) => s
-                .set_read_timeout(Some(read))
-                .and(s.set_write_timeout(write)),
+            Stream::Tcp(s) => s.set_read_timeout(read).and(s.set_write_timeout(write)),
             #[cfg(unix)]
-            Stream::Unix(s) => s
-                .set_read_timeout(Some(read))
-                .and(s.set_write_timeout(write)),
+            Stream::Unix(s) => s.set_read_timeout(read).and(s.set_write_timeout(write)),
         }
     }
 
@@ -386,9 +381,8 @@ fn is_slow(request: &Request) -> bool {
     )
 }
 
-/// One connection as the write combiner sees it. Every queued submit
-/// holds it, and with it the workers' job sender, so the connection's
-/// workers (and the connection) outlive its last unanswered submit.
+/// One connection as the write combiner sees it. Queued submits hold
+/// the job sender, so the workers outlive the last unanswered submit.
 struct Conn {
     writer: Arc<ConnWriter>,
     jobs: mpsc::Sender<(u64, Request)>,
@@ -415,10 +409,8 @@ fn handle_connection(
     // The accepted socket is blocking; the read timeout turns the
     // reader into a shutdown-polling loop without busy-waiting, and the
     // write timeout bounds a stalled peer (see `ConnWriter`).
-    if stream
-        .set_timeouts(config.read_poll, Some(WRITE_STALL))
-        .is_err()
-    {
+    let timeouts = stream.set_timeouts(config.read_poll, Some(WRITE_STALL));
+    if timeouts.is_err() {
         return;
     }
     let writer = match stream.try_clone() {
@@ -547,10 +539,9 @@ fn handle_connection(
 }
 
 /// Hands an accumulated burst on: its `Submit`s enter the write combiner
-/// together (one drain, one reply train); every other slow request, or a
-/// submit to a server without a combiner, goes to a worker of its own,
-/// so an analysis does not serialize behind the writes. Returns `false`
-/// when the workers are gone.
+/// together (one drain); any other slow request (or a submit to a server
+/// without a combiner) gets a worker of its own, so it never queues behind
+/// the writes. Returns `false` when the workers are gone.
 fn dispatch_burst(
     service: &dyn PolicyService,
     conn: &Arc<Conn>,
@@ -603,8 +594,7 @@ impl ConnWriter {
     fn send_many<P: AsRef<[u8]>>(&self, frames: &[(FrameKind, u64, P)]) {
         self.queued.fetch_add(1, Ordering::SeqCst);
         let mut w = self.writer.lock();
-        // Decrement before writing, so a panicking write cannot stall
-        // flushes.
+        // Decrement before writing: a panicking write must not stall flushes.
         self.queued.fetch_sub(1, Ordering::SeqCst);
         let mut written = frames.iter().try_for_each(|(kind, id, payload)| {
             wire::write_frame(&mut *w, *kind, *id, payload.as_ref())
@@ -618,8 +608,7 @@ impl ConnWriter {
     }
 }
 
-/// How long one write to a peer may make no progress before the daemon
-/// closes that connection (see [`ConnWriter`]).
+/// How long a write may stall before its connection is closed.
 const WRITE_STALL: Duration = Duration::from_secs(1);
 
 /// One reply frame: a response, or the error that answers the request.
