@@ -14,14 +14,16 @@
 //!    `Φ⁻ ⊆ edges(φ) ⊆ Φ⁺` — the *interval invariant* (proptested
 //!    differentially against the BFS engine in `tests/admission_gate.rs`).
 //!
-//! 2. **Impact analysis** ([`analyze_batch`]). A candidate batch is
-//!    simulated on a scratch clone and the parent state is diffed against
-//!    the candidate: which permission verdicts flip, whether the
-//!    grow-only (monotone saturation) classification changes, and which
-//!    edges change interval status. The monitor layers session
-//!    force-deactivation on top (it owns the session table).
+//! 2. **Impact analysis** ([`Candidate::impact`]). A candidate batch is
+//!    simulated against the parent epoch ([`Candidate::derive`]) and the
+//!    parent is diffed against the candidate: which permission verdicts
+//!    flip, whether the grow-only (monotone saturation) classification
+//!    changes, and which edges change interval status. The monitor
+//!    layers session force-deactivation on top (it owns the session
+//!    table).
 //!
-//! 3. **Admission gate** ([`admit_batch`]). A durable [`ConstraintSet`]
+//! 3. **Admission gate** ([`evaluate_snapshot`] over
+//!    [`Candidate::derive`]). A durable [`ConstraintSet`]
 //!    (separation-of-duty pairs, a lint deny level, frozen-edge
 //!    assertions) is evaluated *statically against the candidate state*;
 //!    a non-empty findings list refuses the batch before anything is
@@ -625,30 +627,6 @@ fn frozen_violation(policy: &Policy, interval: &Interval, edge: Edge) -> Option<
     })
 }
 
-/// The gate: simulates `commands` and refuses with an [`AdmissionReport`]
-/// iff the *candidate* state violates `constraints`. `Ok(())` admits.
-pub fn admit_batch(
-    universe: &Universe,
-    policy: &Policy,
-    commands: &[Command],
-    constraints: &ConstraintSet,
-    auth_mode: AuthMode,
-) -> Result<(), AdmissionReport> {
-    if constraints.is_empty() {
-        return Ok(());
-    }
-    let (cand_universe, cand_policy, _) = simulate_batch(universe, policy, commands, auth_mode);
-    let findings = evaluate_constraints(&cand_universe, &cand_policy, constraints, auth_mode);
-    if findings.is_empty() {
-        Ok(())
-    } else {
-        Err(AdmissionReport {
-            findings,
-            constraints_checked: constraints.len(),
-        })
-    }
-}
-
 /// Is `(universe, policy)` grow-only — no revoke-term assignment edge —
 /// so monotone saturation applies? Mirrors the `non-monotone-island`
 /// lint's root classification.
@@ -657,21 +635,6 @@ pub fn is_grow_only(universe: &Universe, policy: &Policy) -> bool {
         Edge::RolePriv(_, p) => matches!(universe.term(p), PrivTerm::Revoke(_)),
         _ => false,
     })
-}
-
-/// Full blast-radius analysis of a candidate batch: simulate, diff the
-/// parent against the candidate, and evaluate the gate — all without
-/// mutating anything. A stateless wrapper over [`Candidate::impact`].
-pub fn analyze_batch(
-    universe: &Universe,
-    policy: &Policy,
-    commands: &[Command],
-    constraints: &ConstraintSet,
-    auth_mode: AuthMode,
-) -> ImpactReport {
-    let parent = Arc::new(PolicySnapshot::build(universe.clone(), policy.clone(), 0));
-    let candidate = Candidate::derive(&parent, commands, auth_mode, PublishMode::Incremental);
-    candidate.impact(&parent, constraints, auth_mode)
 }
 
 /// The role a finding about `edge` anchors to (findings require one).
@@ -707,6 +670,33 @@ mod tests {
         let add = b.universe_mut().grant_user_role(bob, aud);
         b = b.assign_priv("hr", strip).assign_priv("hr", add);
         b.finish()
+    }
+
+    /// `(universe, policy)` as a published epoch.
+    fn epoch(universe: &Universe, policy: &Policy) -> Arc<PolicySnapshot> {
+        Arc::new(PolicySnapshot::build(universe.clone(), policy.clone(), 0))
+    }
+
+    /// The monitor's gate: derive the candidate epoch `commands` lead
+    /// to, judge it, and refuse iff it violates `constraints`.
+    fn admit(
+        universe: &Universe,
+        policy: &Policy,
+        commands: &[Command],
+        constraints: &ConstraintSet,
+    ) -> Result<(), AdmissionReport> {
+        let mode = AuthMode::Explicit;
+        let parent = epoch(universe, policy);
+        let candidate = Candidate::derive(&parent, commands, mode, PublishMode::Incremental);
+        let findings = evaluate_snapshot(&candidate.snapshot, constraints, mode, false);
+        if findings.is_empty() {
+            Ok(())
+        } else {
+            Err(AdmissionReport {
+                findings,
+                constraints_checked: constraints.len(),
+            })
+        }
     }
 
     #[test]
@@ -761,22 +751,14 @@ mod tests {
         assert!(evaluate_constraints(&uni, &policy, &constraints, AuthMode::Explicit).is_empty());
         // A batch granting bob aud violates the pair in the candidate.
         let violating = [Command::grant(jane, Edge::UserRole(bob, aud))];
-        let err =
-            admit_batch(&uni, &policy, &violating, &constraints, AuthMode::Explicit).unwrap_err();
+        let err = admit(&uni, &policy, &violating, &constraints).unwrap_err();
         assert!(err.refused());
         assert_eq!(err.findings.len(), 1);
         assert_eq!(err.findings[0].kind, FindingKind::SodConflict);
         assert_eq!(err.findings[0].confirmation, Some(Confirmation::Confirmed));
         // An unauthorized batch cannot reach the violating state: admitted.
         let unauthorized = [Command::grant(bob, Edge::UserRole(bob, aud))];
-        admit_batch(
-            &uni,
-            &policy,
-            &unauthorized,
-            &constraints,
-            AuthMode::Explicit,
-        )
-        .unwrap();
+        admit(&uni, &policy, &unauthorized, &constraints).unwrap();
     }
 
     #[test]
@@ -791,18 +773,18 @@ mod tests {
             frozen_edges: vec![Edge::UserRole(jane, hr)],
             ..ConstraintSet::default()
         };
-        admit_batch(&uni, &policy, &[], &ok, AuthMode::Explicit).unwrap();
+        admit(&uni, &policy, &[], &ok).unwrap();
         // (bob, staff) is revocable: asserting it frozen fails (potential).
         let shaky = ConstraintSet {
             frozen_edges: vec![Edge::UserRole(bob, staff)],
             ..ConstraintSet::default()
         };
-        let err = admit_batch(&uni, &policy, &[], &shaky, AuthMode::Explicit).unwrap_err();
+        let err = admit(&uni, &policy, &[], &shaky).unwrap_err();
         assert_eq!(err.findings[0].kind, FindingKind::FrozenEdgeViolation);
         assert_eq!(err.findings[0].confirmation, Some(Confirmation::Potential));
         // Revoking it outright fails confirmed.
         let batch = [Command::revoke(jane, Edge::UserRole(bob, staff))];
-        let err = admit_batch(&uni, &policy, &batch, &shaky, AuthMode::Explicit).unwrap_err();
+        let err = admit(&uni, &policy, &batch, &shaky).unwrap_err();
         assert_eq!(err.findings[0].confirmation, Some(Confirmation::Confirmed));
     }
 
@@ -818,13 +800,14 @@ mod tests {
         let read_t = uni2.priv_perm(read);
         policy.add_edge(Edge::RolePriv(staff, read_t));
         let batch = [Command::revoke(jane, Edge::UserRole(bob, staff))];
-        let impact = analyze_batch(
-            &uni2,
-            &policy,
+        let parent = epoch(&uni2, &policy);
+        let candidate = Candidate::derive(
+            &parent,
             &batch,
-            &ConstraintSet::default(),
             AuthMode::Explicit,
+            PublishMode::Incremental,
         );
+        let impact = candidate.impact(&parent, &ConstraintSet::default(), AuthMode::Explicit);
         assert_eq!(impact.deltas.len(), 1);
         assert!(!impact.deltas[0].added);
         assert!(impact

@@ -81,9 +81,8 @@ pub mod verify;
 /// The items nearly every consumer wants.
 pub mod prelude {
     pub use crate::admission::{
-        admit_batch, analyze_batch, evaluate_constraints, evaluate_snapshot, is_grow_only,
-        simulate_batch, AdmissionReport, Candidate, ConstraintSet, EdgeStatus, ImpactReport,
-        Interval, PermFlip, StatusChange,
+        evaluate_constraints, evaluate_snapshot, is_grow_only, simulate_batch, AdmissionReport,
+        Candidate, ConstraintSet, EdgeStatus, ImpactReport, Interval, PermFlip, StatusChange,
     };
     pub use crate::checksum::{edge_digest, edges_checksum, policy_checksum, toggle_edge};
     pub use crate::command::{Command, CommandKind, CommandQueue};

@@ -8,9 +8,10 @@
 //!
 //! Reads are served lock-free from immutable epoch-published
 //! [`PolicySnapshot`](adminref_core::snapshot::PolicySnapshot)s while a
-//! batched single writer applies admin commands (see [`monitor`]); the
-//! pre-epoch single-lock design survives as [`locked::LockedMonitor`]
-//! for differential testing.
+//! batched single writer applies admin commands (see [`monitor`]). In
+//! memory the published epoch is the monitor's only copy of the policy;
+//! its differential tests check batched execution against Definition 5
+//! itself (`transition::step`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -19,11 +20,9 @@
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod audit;
-pub mod locked;
 pub mod monitor;
 
 pub use audit::{trace_of, AuditEvent, AuditLog, Decision, SessionRevocation};
-pub use locked::LockedMonitor;
 pub use monitor::{
     MonitorConfig, MonitorError, PublishEvent, PublishHook, ReferenceMonitor, ReplicaApplyError,
     SessionId,

@@ -639,10 +639,13 @@ pub(crate) fn read_frame_polling<R: Read>(
         return Ok(None);
     }
     let header = FrameHeader::parse(&header)?;
-    let mut payload = vec![0u8; header.payload_len as usize];
-    if !fill_polling(stream, &mut payload, stop, false)? {
-        return Err(FrameError::Wire(WireError::Truncated));
-    }
+    let payload = wire::read_payload(header.payload_len, |chunk| {
+        if fill_polling(stream, chunk, stop, false)? {
+            Ok(())
+        } else {
+            Err(FrameError::Wire(WireError::Truncated))
+        }
+    })?;
     Ok(Some(Frame {
         kind: header.kind,
         request_id: header.request_id,
@@ -727,5 +730,37 @@ mod tests {
             "{tracked} connection threads tracked after 64 closed"
         );
         daemon.shutdown();
+    }
+
+    /// Panics if any single `read` is handed a buffer over 1 MiB.
+    struct SmallReads<R>(R);
+
+    impl<R: Read> Read for SmallReads<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            assert!(
+                buf.len() <= 1 << 20,
+                "read into a {}-byte buffer",
+                buf.len()
+            );
+            self.0.read(buf)
+        }
+    }
+
+    /// A header announcing the largest payload, followed by three bytes:
+    /// the buffer grows as bytes arrive, and the result is a truncation.
+    #[test]
+    fn announced_length_is_not_allocated_before_it_arrives() {
+        let header = FrameHeader {
+            kind: FrameKind::Request,
+            payload_len: wire::MAX_PAYLOAD,
+            request_id: 1,
+        };
+        let mut stream = header.encode().to_vec();
+        stream.extend_from_slice(&[1, 2, 3]);
+        let stop = AtomicBool::new(false);
+        match read_frame_polling(&mut SmallReads(&stream[..]), &stop) {
+            Err(FrameError::Wire(WireError::Truncated)) => {}
+            other => panic!("expected Truncated, got {other:?}"),
+        }
     }
 }

@@ -42,11 +42,11 @@
 //! Requests stay atomic and contiguous: a request's commands are never
 //! interleaved with another's, so the outcome sequence equals *some*
 //! serial interleaving of the submitters (the drain order), which the
-//! `service_protocol` suite verifies against the single-lock
-//! [`LockedMonitor`](adminref_monitor::LockedMonitor) by replaying the
-//! audit order. After a mid-group backend failure, requests inside the
-//! applied prefix succeed, the one straddling it gets
-//! [`ServiceError::Backend`], and later ones [`ServiceError::Aborted`].
+//! `service_protocol` suite verifies by replaying the audit order
+//! through Definition 5 (`adminref_core::transition::step`). After a
+//! mid-group store failure, requests inside the applied prefix
+//! succeed, the one straddling it gets [`ServiceError::Backend`], and
+//! later ones [`ServiceError::Aborted`].
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;

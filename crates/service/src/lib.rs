@@ -24,7 +24,7 @@
 //!   reply frame it writes itself for a daemon connection. Serial
 //!   semantics are preserved —
 //!   outcomes equal *some* serial interleaving of the submitters, which
-//!   the suite verifies differentially against the single-lock monitor.
+//!   the suite verifies by replaying the audit order through Definition 5.
 //! * **Wire codec** ([`wire`]) — the versioned binary serialization of
 //!   the whole alphabet: a fixed frame header (magic, [`WIRE_VERSION`],
 //!   kind, payload length, echoed request id) and per-variant payload

@@ -524,13 +524,6 @@ pub trait PolicyService: Send + Sync {
     /// Serves one request.
     fn call(&self, request: Request) -> Result<Response, ServiceError>;
 
-    /// Serves several requests from one caller, returning the results
-    /// in request order: a per-request loop over
-    /// [`call`](PolicyService::call).
-    fn call_many(&self, requests: Vec<Request>) -> Vec<Result<Response, ServiceError>> {
-        requests.into_iter().map(|r| self.call(r)).collect()
-    }
-
     /// The write combiner and monitor behind this server's `Submit`s,
     /// while it accepts writes; `None` (the default) for a server
     /// without one.
@@ -753,10 +746,6 @@ impl<T: PolicyService + ?Sized> PolicyService for &T {
         (**self).call(request)
     }
 
-    fn call_many(&self, requests: Vec<Request>) -> Vec<Result<Response, ServiceError>> {
-        (**self).call_many(requests)
-    }
-
     fn write_combiner(&self) -> Option<(&GroupCommit, &ReferenceMonitor)> {
         (**self).write_combiner()
     }
@@ -765,10 +754,6 @@ impl<T: PolicyService + ?Sized> PolicyService for &T {
 impl<T: PolicyService + ?Sized> PolicyService for std::sync::Arc<T> {
     fn call(&self, request: Request) -> Result<Response, ServiceError> {
         (**self).call(request)
-    }
-
-    fn call_many(&self, requests: Vec<Request>) -> Vec<Result<Response, ServiceError>> {
-        (**self).call_many(requests)
     }
 
     fn write_combiner(&self) -> Option<(&GroupCommit, &ReferenceMonitor)> {

@@ -1,16 +1,8 @@
 //! [`MonitorService`]: the [`PolicyService`] server over one
-//! [`ReferenceMonitor`], with group-commit writes.
-//!
-//! Two servers exist for one monitor alphabet:
-//!
-//! * [`MonitorService`] — the production path. `Submit` requests go
-//!   through the [`GroupCommit`] combiner, so concurrent writers
-//!   coalesce into one batch / one WAL sync / one index rebuild / one
-//!   published epoch per drain.
-//! * `impl PolicyService for ReferenceMonitor` — the per-call baseline:
-//!   every `Submit` takes the writer mutex for itself and pays a full
-//!   publication. It is the drop-in adapter when a single caller
-//!   already owns a monitor.
+//! [`ReferenceMonitor`], with group-commit writes. `Submit` requests go
+//! through the [`GroupCommit`] combiner, so concurrent writers coalesce
+//! into one batch / one WAL sync / one index rebuild / one published
+//! epoch per drain.
 
 use adminref_core::ids::Entity;
 use adminref_core::reach::ReachIndex;
@@ -85,18 +77,9 @@ impl PolicyService for MonitorService {
     }
 }
 
-/// The per-call baseline server: `Submit` executes immediately under
-/// the writer mutex (one lock acquisition, WAL sync, index rebuild, and
-/// epoch per request). Reads are identical to [`MonitorService`].
-impl PolicyService for ReferenceMonitor {
-    fn call(&self, request: Request) -> Result<Response, ServiceError> {
-        dispatch(self, request)
-    }
-}
-
-/// Serves one request directly against a monitor. `Submit` runs as one
-/// per-call batch; group-commit servers intercept it before reaching
-/// here.
+/// Serves one request directly against a monitor. The servers intercept
+/// `Submit` for their write combiner before reaching here; a `Submit`
+/// that does arrive runs as one batch of its own.
 pub(crate) fn dispatch(
     monitor: &ReferenceMonitor,
     request: Request,

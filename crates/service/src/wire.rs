@@ -418,16 +418,37 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, FrameError> {
         ReadFull::Done => {}
     }
     let header = FrameHeader::parse(&header)?;
-    let mut payload = vec![0u8; header.payload_len as usize];
-    match read_full(r, &mut payload) {
+    let payload = read_payload(header.payload_len, |chunk| match read_full(r, chunk) {
         ReadFull::Eof | ReadFull::Short => Err(WireError::Truncated.into()),
         ReadFull::Err(e) => Err(e.into()),
-        ReadFull::Done => Ok(Some(Frame {
-            kind: header.kind,
-            request_id: header.request_id,
-            payload,
-        })),
+        ReadFull::Done => Ok(()),
+    })?;
+    Ok(Some(Frame {
+        kind: header.kind,
+        request_id: header.request_id,
+        payload,
+    }))
+}
+
+/// How far a payload buffer grows ahead of the bytes that have arrived:
+/// a header announcing a large payload costs memory only as its bytes
+/// come in, and a payload this size or smaller is one allocation.
+const PAYLOAD_CHUNK: usize = 64 * 1024;
+
+/// Reads a `len`-byte payload, handing `fill` one chunk of at most
+/// [`PAYLOAD_CHUNK`] bytes at a time to fill completely.
+pub(crate) fn read_payload(
+    len: u32,
+    mut fill: impl FnMut(&mut [u8]) -> Result<(), FrameError>,
+) -> Result<Vec<u8>, FrameError> {
+    let len = len as usize;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let start = payload.len();
+        payload.resize(start + (len - start).min(PAYLOAD_CHUNK), 0);
+        fill(&mut payload[start..])?;
     }
+    Ok(payload)
 }
 
 enum ReadFull {

@@ -13,6 +13,11 @@ use crate::crc::crc32;
 /// from a corrupted header).
 pub const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
 
+/// How far a payload buffer grows ahead of the bytes that have arrived:
+/// a header announcing a large payload costs memory only as its bytes
+/// come in, and a payload this size or smaller is one allocation.
+const PAYLOAD_CHUNK: usize = 64 * 1024;
+
 /// Writes one framed record.
 pub fn write_record(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = payload.len() as u32;
@@ -58,13 +63,18 @@ pub fn read_record(r: &mut impl Read) -> io::Result<RecordRead> {
             reason: "length exceeds maximum",
         });
     }
-    let mut payload = vec![0u8; len as usize];
-    match read_exact_or_eof(r, &mut payload)? {
-        ReadStatus::Full => {}
-        _ => {
+    let len = len as usize;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let start = payload.len();
+        payload.resize(start + (len - start).min(PAYLOAD_CHUNK), 0);
+        if !matches!(
+            read_exact_or_eof(r, &mut payload[start..])?,
+            ReadStatus::Full
+        ) {
             return Ok(RecordRead::Corrupt {
                 reason: "truncated payload",
-            })
+            });
         }
     }
     if crc32(&payload) != crc {
@@ -167,6 +177,35 @@ mod tests {
                 reason: "checksum mismatch"
             }
         ));
+    }
+
+    /// Panics if any single `read` is handed a buffer over 1 MiB.
+    struct SmallReads<R>(R);
+
+    impl<R: Read> Read for SmallReads<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            assert!(
+                buf.len() <= 1 << 20,
+                "read into a {}-byte buffer",
+                buf.len()
+            );
+            self.0.read(buf)
+        }
+    }
+
+    #[test]
+    fn announced_length_is_not_allocated_before_it_arrives() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAX_RECORD_LEN.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(&[1, 2, 3]);
+        let mut r = SmallReads(Cursor::new(buf));
+        assert_eq!(
+            read_record(&mut r).unwrap(),
+            RecordRead::Corrupt {
+                reason: "truncated payload"
+            }
+        );
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! 1. **Determinism** — batching is a pure performance transform. For any
 //!    command sequence and any split into batches, the batched
 //!    `ReferenceMonitor` produces the same `StepOutcome` sequence, the
-//!    same audit trail, and the same final policy as the single-lock
-//!    `LockedMonitor` executing serially (in both authorization modes).
+//!    same audit trail, and the same final policy as Definition 5
+//!    itself — `transition::step` applied command by command (in both
+//!    authorization modes).
 //! 2. **Epoch isolation** — concurrent `check_access` readers observe
 //!    only published epochs: a batch's effects become visible all at
 //!    once, so every read agrees with either the pre- or the post-batch
@@ -14,7 +15,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use adminref_core::prelude::*;
-use adminref_monitor::{LockedMonitor, MonitorConfig, ReferenceMonitor};
+use adminref_monitor::{Decision, MonitorConfig, ReferenceMonitor};
 use adminref_workloads::hospital_fig2;
 use proptest::prelude::*;
 
@@ -96,7 +97,6 @@ fn check_equivalence(mode: AuthMode, specs: &[CmdSpec], cuts: &[u8]) {
         ..MonitorConfig::default()
     };
     let epoch = ReferenceMonitor::new(uni.clone(), policy.clone(), config);
-    let locked = LockedMonitor::new(uni, policy, config);
 
     let splits = batches(&commands, cuts);
     let split_count = splits.len();
@@ -104,23 +104,37 @@ fn check_equivalence(mode: AuthMode, specs: &[CmdSpec], cuts: &[u8]) {
     for batch in splits {
         batched_outcomes.extend(epoch.submit_batch(batch).unwrap());
     }
-    let serial_outcomes: Vec<StepOutcome> =
-        commands.iter().map(|c| locked.submit(c).unwrap()).collect();
+    let (mut serial_uni, mut serial_policy) = (uni, policy);
+    let serial_outcomes: Vec<StepOutcome> = commands
+        .iter()
+        .map(|c| step(&mut serial_uni, &mut serial_policy, c, mode))
+        .collect();
     prop_assert_eq!(&batched_outcomes, &serial_outcomes);
 
+    // The audit trail is the serial one: event i records command i with
+    // the decision and changed-flag Definition 5 gave it.
     let epoch_audit = epoch.audit_events();
-    let locked_audit = locked.audit_events();
-    prop_assert_eq!(epoch_audit.len(), locked_audit.len());
-    for (a, b) in epoch_audit.iter().zip(&locked_audit) {
-        prop_assert_eq!(a.seq, b.seq);
-        prop_assert_eq!(a.command, b.command);
-        prop_assert_eq!(a.decision, b.decision);
-        prop_assert_eq!(a.changed, b.changed);
+    prop_assert_eq!(epoch_audit.len(), commands.len());
+    for (i, (event, (cmd, outcome))) in epoch_audit
+        .iter()
+        .zip(commands.iter().zip(&serial_outcomes))
+        .enumerate()
+    {
+        let decision = match outcome.authorization {
+            Some(auth) => Decision::Executed {
+                held: auth.held,
+                target: auth.target,
+            },
+            None => Decision::Refused,
+        };
+        prop_assert_eq!(event.seq, i as u64);
+        prop_assert_eq!(event.command, *cmd);
+        prop_assert_eq!(event.decision, decision);
+        prop_assert_eq!(event.changed, outcome.changed);
     }
 
     let (_, epoch_policy) = epoch.snapshot();
-    let (_, locked_policy) = locked.snapshot();
-    prop_assert_eq!(epoch_policy, locked_policy);
+    prop_assert_eq!(epoch_policy, serial_policy);
     // At most one publication per batch.
     prop_assert!(epoch.version() <= split_count as u64);
 }

@@ -224,3 +224,147 @@ fn ordered_and_explicit_stores_diverge_observably() {
     assert!(refines(&uni, store_exp.policy(), store_ord.policy()));
     assert!(!refines(&uni, store_ord.policy(), store_exp.policy()));
 }
+
+/// How the durable batch in [`published_state_is_the_store_state`] ends.
+#[derive(Clone, Copy, Debug)]
+enum Fault {
+    None,
+    /// The 13th append of the 20-command batch fails.
+    Append,
+    /// Every command applies, then the batch-final sync fails.
+    Sync,
+}
+
+/// A universe as far as ids go: its tag, its names and every term.
+fn universe_ids(u: &Universe) -> (UniverseTag, Vec<String>, Vec<String>, Vec<PrivTerm>) {
+    (
+        u.tag(),
+        u.users().map(|id| u.user_name(id).to_owned()).collect(),
+        u.roles().map(|id| u.role_name(id).to_owned()).collect(),
+        (0..u.term_count())
+            .map(|i| u.term(PrivId::from_index(i)))
+            .collect(),
+    )
+}
+
+/// After one batch that ends with `fault`, a durable monitor's published
+/// `(universe, policy)` is its store's state. The store's state is read
+/// off disk twice: a copy of the directory replays the WAL, and the
+/// original, compacted by the monitor, holds the store's live state as
+/// a snapshot.
+fn published_state_is_the_store_state(mode: AuthMode, fault: Fault) {
+    let (uni, policy, users, roles) = workload(4);
+    let queue = generate_queue(
+        &uni,
+        &policy,
+        &users,
+        &roles,
+        QueueSpec {
+            len: 20,
+            valid_ratio: 0.8,
+            seed: 4,
+        },
+    );
+    let commands: Vec<Command> = queue.iter().copied().collect();
+    let dir = TempDir::new("published-is-store").unwrap();
+    let mut store = PolicyStore::create(dir.path(), uni, policy, mode).unwrap();
+    match fault {
+        Fault::None => {}
+        Fault::Append => store.inject_append_failure_after(12),
+        Fault::Sync => store.inject_sync_failure(),
+    }
+    let config = MonitorConfig {
+        autocompact_log_len: None,
+        ..MonitorConfig::default()
+    };
+    let monitor = ReferenceMonitor::with_store(store, config);
+    let (outcomes, error) = monitor.submit_batch_outcomes(&commands);
+    let applied = match fault {
+        Fault::Append => 12,
+        Fault::None | Fault::Sync => 20,
+    };
+    assert_eq!(outcomes.len(), applied, "{fault:?}");
+    assert_eq!(error.is_some(), !matches!(fault, Fault::None), "{fault:?}");
+    assert!(
+        outcomes.iter().any(|o| o.changed),
+        "the batch changed the policy"
+    );
+    let (published_uni, published_policy) = monitor.snapshot();
+
+    let copy = TempDir::new("published-is-store-copy").unwrap();
+    for entry in std::fs::read_dir(dir.path()).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), copy.path().join(entry.file_name())).unwrap();
+    }
+    let (replayed, report) = PolicyStore::open(copy.path(), mode).unwrap();
+    assert_eq!(report.replayed, applied, "{fault:?}");
+    assert_eq!(
+        replayed.policy(),
+        &published_policy,
+        "{fault:?}: WAL replay"
+    );
+    assert_eq!(
+        universe_ids(replayed.universe()),
+        universe_ids(&published_uni),
+        "{fault:?}: WAL replay"
+    );
+
+    monitor.compact().unwrap();
+    drop(monitor);
+    let (live, report) = PolicyStore::open(dir.path(), mode).unwrap();
+    assert_eq!(report.replayed, 0, "the snapshot is the store's live state");
+    assert_eq!(live.policy(), &published_policy, "{fault:?}: live store");
+    assert_eq!(
+        universe_ids(live.universe()),
+        universe_ids(&published_uni),
+        "{fault:?}: live store"
+    );
+}
+
+#[test]
+fn published_state_is_the_store_state_after_a_clean_batch() {
+    published_state_is_the_store_state(AuthMode::Explicit, Fault::None);
+    published_state_is_the_store_state(AuthMode::Ordered(OrderingMode::Extended), Fault::None);
+}
+
+/// Explicit mode only: an ordered authorization of the command whose
+/// append failed may intern a term the WAL never records, so the live
+/// store (and the epoch published from it) can hold one term a replay
+/// of the directory lacks.
+#[test]
+fn published_state_is_the_store_state_after_an_append_failure() {
+    published_state_is_the_store_state(AuthMode::Explicit, Fault::Append);
+}
+
+#[test]
+fn published_state_is_the_store_state_after_a_sync_failure() {
+    published_state_is_the_store_state(AuthMode::Explicit, Fault::Sync);
+    published_state_is_the_store_state(AuthMode::Ordered(OrderingMode::Extended), Fault::Sync);
+}
+
+/// A replica bootstrapped onto a universe that grew since it started
+/// applies a delta naming ids only the new universe has: it checks
+/// deltas against the published universe, not the one it booted with.
+#[test]
+fn replica_applies_deltas_over_a_grown_universe() {
+    let (uni, policy) = hospital_fig2();
+    assert!(uni.find_user("carol").is_none());
+    let replica = ReferenceMonitor::new(uni.clone(), policy.clone(), MonitorConfig::default());
+    let mut grown = uni;
+    let carol = grown.user("carol");
+    let auditors = grown.role("auditors");
+    replica
+        .install_replica_state(grown.clone(), policy.clone(), 7, ConstraintSet::default())
+        .unwrap();
+    let edge = Edge::UserRole(carol, auditors);
+    let mut next = policy;
+    next.add_edge(edge);
+    let checksum = PolicySnapshot::build(grown, next, 8).checksum();
+    replica
+        .apply_replica_deltas(8, &[EdgeDelta { edge, added: true }], checksum)
+        .unwrap();
+    let published = replica.read_snapshot();
+    assert_eq!(published.epoch, 8);
+    assert_eq!(published.checksum(), checksum);
+    assert!(published.policy().contains_edge(edge));
+}

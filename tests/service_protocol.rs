@@ -4,7 +4,7 @@
 //!    per-request outcomes match *some* serial interleaving of their
 //!    requests. The audit log records the order the (serial, batched)
 //!    writer actually executed; replaying exactly that command order
-//!    through the single-lock `LockedMonitor` must reproduce every
+//!    through Definition 5 (`transition::step`) must reproduce every
 //!    decision, every changed-flag, and the final policy. Requests stay
 //!    atomic: each request's commands occupy contiguous audit sequence
 //!    numbers, in submission order per submitter, and the outcomes each
@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use adminref_core::prelude::*;
-use adminref_monitor::{Decision, LockedMonitor, MonitorConfig};
+use adminref_monitor::{Decision, MonitorConfig};
 use adminref_service::{MonitorService, PolicyService, RefinementDirection, ServiceError};
 use adminref_store::{PolicyStore, TempDir};
 use proptest::prelude::*;
@@ -144,12 +144,17 @@ fn check_group_commit_matches_serial(threads: &[Vec<Vec<CmdSpec>>]) {
         .sum();
     assert_eq!(audit.len(), total, "every command audited exactly once");
 
-    // (1a) The audit order IS a serial interleaving: replaying it on the
-    // single-lock monitor reproduces decisions, changed-flags, and the
-    // final policy.
-    let locked = LockedMonitor::new(uni.clone(), policy, config);
+    // (1a) The audit order IS a serial interleaving: replaying it through
+    // Definition 5 reproduces decisions, changed-flags, and the final
+    // policy.
+    let (mut serial_uni, mut serial_policy) = (uni.clone(), policy);
     for event in &audit {
-        let outcome = locked.submit(&event.command).unwrap();
+        let outcome = step(
+            &mut serial_uni,
+            &mut serial_policy,
+            &event.command,
+            config.auth_mode,
+        );
         match (outcome.authorization, event.decision) {
             (Some(auth), Decision::Executed { held, target }) => {
                 assert_eq!((auth.held, auth.target), (held, target));
@@ -159,7 +164,6 @@ fn check_group_commit_matches_serial(threads: &[Vec<Vec<CmdSpec>>]) {
         }
         assert_eq!(outcome.changed, event.changed, "seq {}", event.seq);
     }
-    let (_, serial_policy) = locked.snapshot();
     let (_, service_policy) = service.monitor().snapshot();
     assert_eq!(serial_policy, service_policy);
 

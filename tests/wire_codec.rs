@@ -1060,6 +1060,38 @@ fn truncated_streams_yield_truncated_not_panics() {
     }
 }
 
+/// Panics if any single `read` is handed a buffer over 1 MiB.
+struct SmallReads<R>(R);
+
+impl<R: std::io::Read> std::io::Read for SmallReads<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        assert!(
+            buf.len() <= 1 << 20,
+            "read into a {}-byte buffer",
+            buf.len()
+        );
+        self.0.read(buf)
+    }
+}
+
+/// A header announcing the largest payload, followed by three bytes:
+/// the reader grows its buffer as bytes arrive instead of allocating
+/// the announced length up front, and still reports a truncation.
+#[test]
+fn announced_length_is_not_allocated_before_it_arrives() {
+    let header = FrameHeader {
+        kind: FrameKind::Request,
+        payload_len: MAX_PAYLOAD,
+        request_id: 1,
+    };
+    let mut stream = header.encode().to_vec();
+    stream.extend_from_slice(&[1, 2, 3]);
+    match wire::read_frame(&mut SmallReads(&stream[..])) {
+        Err(wire::FrameError::Wire(WireError::Truncated)) => {}
+        other => panic!("expected Truncated, got {other:?}"),
+    }
+}
+
 #[test]
 fn trailing_bytes_and_bad_tags_are_rejected() {
     let (uni, _) = test_world();
