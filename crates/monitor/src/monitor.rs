@@ -53,9 +53,10 @@
 //! the audit sequence are those of
 //! [`step`](adminref_core::transition::step) applied command by
 //! command. In memory the published epoch is the monitor's only copy of
-//! the state; a durable store executes and logs every command itself,
-//! syncs its WAL once per batch, and after a store failure the published
-//! epoch is re-derived from the prefix the store applied.
+//! the state; a durable store logs each batch's outcome as one WAL
+//! record, syncs once, and adopts the candidate's state only then, so a
+//! batch the store could not make durable is neither audited nor
+//! published.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,7 +73,7 @@ use adminref_core::policy::Policy;
 use adminref_core::reach::EdgeDelta;
 use adminref_core::safety::{perm_reachable, ReachabilityAnswer, SafetyConfig};
 use adminref_core::session::{Session, SessionError};
-use adminref_core::snapshot::{batch_deltas, PolicySnapshot, PublishMode, PublishPath};
+use adminref_core::snapshot::{PolicySnapshot, PublishMode, PublishPath};
 use adminref_core::transition::{AuthMode, StepOutcome};
 use adminref_core::universe::{Edge, Universe};
 use adminref_core::verify::specs::SessionView;
@@ -469,41 +470,19 @@ impl ReferenceMonitor {
     /// Submits a slice of commands as one batch. See
     /// [`submit_queue`](Self::submit_queue).
     ///
-    /// On a durable-backend failure mid-batch the applied prefix is
-    /// still audited and published (the store's log-before-apply
-    /// discipline keeps state, WAL, audit, and the published snapshot
-    /// agreeing on exactly that prefix) and the error is returned.
+    /// All or nothing: on an error — a refusal by the admission gate, or
+    /// a durable store that could not log the batch — nothing was
+    /// logged, audited or published.
     pub fn submit_batch(&self, commands: &[Command]) -> Result<Vec<StepOutcome>, MonitorError> {
-        let (outcomes, error) = self.submit_batch_outcomes(commands);
-        match error {
-            Some(e) => Err(e),
-            None => Ok(outcomes),
-        }
-    }
-
-    /// Submits a slice of commands as one batch, returning the outcomes
-    /// of the **applied prefix** alongside the first backend error (if
-    /// any) instead of discarding them.
-    ///
-    /// This is the write primitive group-commit servers build on: when a
-    /// durable backend fails mid-batch, `outcomes.len()` tells the
-    /// caller exactly how many leading commands executed (and were
-    /// audited and published), so per-request results can still be
-    /// distributed to the submitters whose commands lie inside the
-    /// prefix. `error.is_none()` iff the whole batch was applied.
-    pub fn submit_batch_outcomes(
-        &self,
-        commands: &[Command],
-    ) -> (Vec<StepOutcome>, Option<MonitorError>) {
         if commands.is_empty() {
-            return (Vec::new(), None);
+            return Ok(Vec::new());
         }
         let mut guard = self.writer.lock();
         let writer = &mut *guard;
         let mode = self.config.auth_mode;
         // One sequence for every batch, gated or not: simulate it against
         // the published parent, derive the candidate epoch, gate that
-        // candidate, execute on the store, publish the same candidate.
+        // candidate, commit it to the store, publish the same candidate.
         let parent = self.snapshot.load_full();
         let candidate = Candidate::derive(&parent, commands, mode, self.config.publish_mode);
         // The gate judges the candidate *before* anything touches the
@@ -525,25 +504,22 @@ impl ReferenceMonitor {
                     findings,
                     constraints_checked: constraints.len(),
                 };
-                return (Vec::new(), Some(MonitorError::Admission(report)));
+                return Err(MonitorError::Admission(report));
             }
         }
-        // In memory the simulation against the published parent *was*
-        // the serial Definition-5 execution; a store executes and logs
-        // every command itself, and syncs its WAL once.
-        let (outcomes, error) = match writer.store.as_deref_mut() {
-            None => (candidate.outcomes.clone(), None),
-            Some(store) => {
-                debug_assert_eq!(store.auth_mode(), mode, "mode set at store creation");
-                let (outcomes, status) = store.execute_batch(commands);
-                (outcomes, status.err().map(MonitorError::from))
-            }
-        };
+        // The simulation against the published parent *is* the serial
+        // Definition-5 execution; a store logs its outcome as one record
+        // and syncs once before adopting it.
+        if let Some(store) = writer.store.as_deref_mut() {
+            debug_assert_eq!(store.auth_mode(), mode, "mode set at store creation");
+            let (universe, policy) = (candidate.snapshot.universe(), candidate.snapshot.policy());
+            store.commit(commands, &candidate.outcomes, universe, policy)?;
+        }
         // Audit while still holding the writer lock, so the global audit
         // order equals the execution (and WAL) order across batches.
         {
             let mut audit = self.audit.lock();
-            for (cmd, outcome) in commands.iter().zip(&outcomes) {
+            for (cmd, outcome) in commands.iter().zip(&candidate.outcomes) {
                 let decision = match outcome.authorization {
                     Some(auth) => Decision::Executed {
                         held: auth.held,
@@ -554,36 +530,15 @@ impl ReferenceMonitor {
                 audit.record(*cmd, decision, outcome.changed);
             }
         }
-        if error.is_none() && outcomes == candidate.outcomes {
-            // The store did what the simulation did: publish the judged
-            // candidate (if it differs from the parent at all — an edge
-            // change, or a newly interned term that audit rendering needs
-            // resolvable in the published universe).
-            let epoch = candidate.snapshot.epoch;
-            if let Some(path) = candidate.path {
-                self.publish(writer, candidate.snapshot, path, Some(candidate.deltas));
-            }
-            if !constraints.is_empty() {
-                writer.clean = Some((epoch, constraints));
-            }
-        } else if let Some(store) = writer.store.as_deref() {
-            // A store failure: the store may have applied only a prefix,
-            // which the gate never judged on its own. Re-derive the
-            // published epoch from the store's state, exactly as applied.
-            let changed = outcomes.iter().any(|o| o.changed)
-                || store.universe().term_count() != parent.universe().term_count();
-            if changed {
-                let deltas = batch_deltas(commands, &outcomes);
-                let (snapshot, path) = PolicySnapshot::next(
-                    &parent,
-                    store.universe(),
-                    store.policy(),
-                    &deltas,
-                    parent.epoch + 1,
-                    self.config.publish_mode,
-                );
-                self.publish(writer, Arc::new(snapshot), path, Some(deltas));
-            }
+        // Publish the judged candidate, if it differs from the parent at
+        // all — an edge change, or a newly interned term that audit
+        // rendering needs resolvable in the published universe.
+        let epoch = candidate.snapshot.epoch;
+        if let Some(path) = candidate.path {
+            self.publish(writer, candidate.snapshot, path, Some(candidate.deltas));
+        }
+        if !constraints.is_empty() {
+            writer.clean = Some((epoch, constraints));
         }
         // Post-publish WAL maintenance: fold an overgrown log into a
         // fresh snapshot so reopen never replays unbounded history.
@@ -596,7 +551,7 @@ impl ReferenceMonitor {
                 self.autocompact_failures.fetch_add(1, Ordering::Relaxed);
             }
         }
-        (outcomes, error)
+        Ok(candidate.outcomes)
     }
 
     /// Makes `snapshot` the epoch readers see — the one publish step of

@@ -13,7 +13,7 @@
 //!    parks on its slot, and a daemon connection's reader returns to its
 //!    socket;
 //! 3. the leader drains *everything* queued, executes the drained group
-//!    as **one** `submit_batch_outcomes` call — one Definition-5 serial
+//!    as **one** `submit_batch` call — one Definition-5 serial
 //!    execution, one WAL sync, one index rebuild, one published epoch —
 //!    and only then (**ack after sync**) delivers each request's own
 //!    slice of the outcomes: it fills callers' slots and writes each
@@ -43,10 +43,9 @@
 //! interleaved with another's, so the outcome sequence equals *some*
 //! serial interleaving of the submitters (the drain order), which the
 //! `service_protocol` suite verifies by replaying the audit order
-//! through Definition 5 (`adminref_core::transition::step`). After a
-//! mid-group store failure, requests inside the applied prefix
-//! succeed, the one straddling it gets [`ServiceError::Backend`], and
-//! later ones [`ServiceError::Aborted`].
+//! through Definition 5 (`adminref_core::transition::step`). A group is
+//! one WAL record, so a store failure applies none of it: every request
+//! gets [`ServiceError::Backend`] with no outcomes, and may be retried.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -54,6 +53,7 @@ use std::time::Duration;
 use adminref_core::command::Command;
 use adminref_core::transition::StepOutcome;
 use adminref_monitor::{MonitorError, ReferenceMonitor};
+use adminref_store::StoreError;
 
 use crate::protocol::ServiceError;
 
@@ -383,23 +383,11 @@ impl Drop for AbortGuard<'_> {
     }
 }
 
-/// The result one executed request reports: its outcomes, or the error
-/// that stopped it (a store failure carries the outcomes it applied).
-pub(crate) fn result_of(outcomes: Vec<StepOutcome>, error: Option<MonitorError>) -> SubmitResult {
-    match error {
-        None => Ok(outcomes),
-        Some(MonitorError::Store(error)) => Err(ServiceError::Backend {
-            applied: outcomes,
-            error,
-        }),
-        Some(other) => Err(other.into()),
-    }
-}
-
 /// Executes one drained group as a single monitor batch and returns
-/// every request's own result, in group order. An admission refusal of
-/// the *combined* batch judged a state no single request asked for and
-/// left the monitor untouched, so a group of several re-executes each
+/// every request's own result, in group order. A failed batch applied
+/// nothing, so every request hears the error and may be retried whole.
+/// An admission refusal of the *combined* batch, though, judged a state
+/// no single request asked for, so a group of several re-executes each
 /// request as its own batch: clean ones apply, violating ones get
 /// [`ServiceError::Admission`].
 fn execute_group(monitor: &ReferenceMonitor, group: &[PendingWrite]) -> Vec<SubmitResult> {
@@ -407,63 +395,35 @@ fn execute_group(monitor: &ReferenceMonitor, group: &[PendingWrite]) -> Vec<Subm
         .iter()
         .flat_map(|request| request.commands.iter().copied())
         .collect();
-    let (outcomes, error) = monitor.submit_batch_outcomes(&combined);
-    if group.len() > 1 && matches!(error, Some(MonitorError::Admission(_))) {
-        return group
-            .iter()
-            .map(|request| {
-                let (own, own_error) = monitor.submit_batch_outcomes(&request.commands);
-                result_of(own, own_error)
-            })
-            .collect();
-    }
-    split(group, outcomes, error)
-}
-
-/// Splits the group's applied-prefix outcomes into per-request results.
-/// A *mid-batch* error: the request straddling it carries the error and
-/// its partial outcomes, later ones are aborted. An error after a
-/// *full-length* prefix — a batch-final sync failure, or the refusal of
-/// an all-empty group — reaches every request (a backend failure as
-/// [`ServiceError::Backend`] with the request's own outcomes).
-fn split(
-    group: &[PendingWrite],
-    outcomes: Vec<StepOutcome>,
-    mut error: Option<MonitorError>,
-) -> Vec<SubmitResult> {
-    let applied = outcomes.len();
-    let full = applied == group.iter().map(|r| r.commands.len()).sum::<usize>();
-    let failed = error.is_some();
-    let mut cursor = 0usize;
+    let error = match monitor.submit_batch(&combined) {
+        Ok(outcomes) => {
+            let mut outcomes = outcomes.into_iter();
+            return group
+                .iter()
+                .map(|request| Ok(outcomes.by_ref().take(request.commands.len()).collect()))
+                .collect();
+        }
+        Err(MonitorError::Admission(_)) if group.len() > 1 => {
+            return group
+                .iter()
+                .map(|request| Ok(monitor.submit_batch(&request.commands)?))
+                .collect();
+        }
+        Err(error) => error,
+    };
     group
         .iter()
-        .map(|request| {
-            let end = cursor + request.commands.len();
-            let own = outcomes[cursor.min(applied)..end.min(applied)].to_vec();
-            cursor = end;
-            if !failed || (!full && end <= applied) {
-                return Ok(own);
-            }
-            match (full, &error) {
-                (true, Some(MonitorError::Admission(report))) => {
-                    Err(ServiceError::Admission(report.clone()))
-                }
+        .map(|_| {
+            Err(match &error {
+                MonitorError::Admission(report) => ServiceError::Admission(report.clone()),
                 // The store's error type is not Clone (it wraps
                 // io::Error), so each submitter gets a synthesized copy
                 // of the message.
-                (true, Some(shared)) => Err(ServiceError::Backend {
-                    applied: own,
-                    error: adminref_store::StoreError::Io(std::io::Error::other(
-                        shared.to_string(),
-                    )),
-                }),
-                // The straddling request takes the error; later ones
-                // were never attempted.
-                _ => match error.take() {
-                    Some(e) => result_of(own, Some(e)),
-                    None => Err(ServiceError::Aborted),
+                other => ServiceError::Backend {
+                    applied: Vec::new(),
+                    error: StoreError::Io(std::io::Error::other(other.to_string())),
                 },
-            }
+            })
         })
         .collect()
 }
@@ -553,11 +513,12 @@ mod tests {
         assert_eq!(monitor.audit_len(), 4);
     }
 
-    /// A mid-group store failure: the request straddling the failure
-    /// gets `Backend` with its own applied prefix, the one after gets
-    /// `Aborted`, and the one fully inside the prefix succeeds.
+    /// Three requests whose group fails when the store appends its one
+    /// WAL record: every request hears `Backend` with no outcomes, and
+    /// the group left no trace — no epoch, no audit record, no edge — so
+    /// it can be retried whole, and then applies.
     #[test]
-    fn mid_group_failure_splits_prefix_error_abort() {
+    fn a_failed_group_applies_nothing_and_answers_every_request() {
         let (uni, policy) = fixture();
         let jane = uni.find_user("jane").unwrap();
         let bob = uni.find_user("bob").unwrap();
@@ -566,9 +527,7 @@ mod tests {
         let nurse = uni.find_role("nurse").unwrap();
         let dir = TempDir::new("group-commit-fail").unwrap();
         let mut store = PolicyStore::create(dir.path(), uni, policy, AuthMode::Explicit).unwrap();
-        // Appends 0 and 1 succeed; append 2 (request B's second command)
-        // fails once.
-        store.inject_append_failure_after(2);
+        store.inject_append_failure();
         let monitor = ReferenceMonitor::with_store(store, MonitorConfig::default());
         let requests = [
             vec![Command::grant(jane, Edge::UserRole(bob, staff))],
@@ -578,34 +537,34 @@ mod tests {
             ],
             vec![Command::revoke(jane, Edge::UserRole(bob, staff))],
         ];
-        let mut results = execute_group(&monitor, &group_of(&requests)).into_iter();
-        // Request A: fully inside the applied prefix.
-        let a = results.next().unwrap().expect("request A applied");
-        assert!(a[0].executed());
-        // Request B: first command applied, second hit the failure.
-        match results.next().unwrap() {
-            Err(ServiceError::Backend { applied, .. }) => {
-                assert_eq!(applied.len(), 1);
-                assert!(applied[0].executed());
+        for result in execute_group(&monitor, &group_of(&requests)) {
+            match result {
+                Err(ServiceError::Backend { applied, error }) => {
+                    assert!(applied.is_empty(), "nothing was applied");
+                    assert!(
+                        error.to_string().contains("injected append failure"),
+                        "{error}"
+                    );
+                }
+                other => panic!("expected Backend error, got {other:?}"),
             }
-            other => panic!("expected Backend error, got {other:?}"),
         }
-        // Request C: never attempted.
-        assert!(matches!(results.next(), Some(Err(ServiceError::Aborted))));
-        // The published snapshot shows exactly the applied prefix: bob
-        // granted, joe granted (B's first command), bob not yet revoked.
+        assert_eq!((monitor.version(), monitor.audit_len()), (0, 0));
         let (_, live) = monitor.snapshot();
-        assert!(live.contains_edge(Edge::UserRole(bob, staff)));
-        assert!(live.contains_edge(Edge::UserRole(joe, nurse)));
-        // And exactly the applied prefix (A's grant + B's first
-        // command) was audited.
-        assert_eq!(monitor.audit_len(), 2);
+        assert!(!live.contains_edge(Edge::UserRole(bob, staff)));
+        assert!(!live.contains_edge(Edge::UserRole(joe, nurse)));
+        // The retried group applies whole.
+        let retried = execute_group(&monitor, &group_of(&requests));
+        assert!(retried
+            .iter()
+            .all(|r| r.as_ref().is_ok_and(|o| o[0].executed())));
+        assert_eq!((monitor.version(), monitor.audit_len()), (1, 4));
     }
 
-    /// A batch-final sync failure (every command applied, the WAL sync
-    /// that would make the batch durable failed): every submitter must
-    /// hear it, each with its own applied outcomes — silently returning
-    /// `Ok` would acknowledge writes that may not survive a crash.
+    /// A failed batch-final sync: every submitter must hear it — silently
+    /// returning `Ok` would acknowledge writes that may not survive a
+    /// crash — and since the store rolled the record back, nothing was
+    /// audited or published.
     #[test]
     fn batch_final_sync_failure_reaches_every_submitter() {
         let (uni, policy) = fixture();
@@ -626,11 +585,11 @@ mod tests {
             ],
         ];
         let results = execute_group(&monitor, &group_of(&requests));
-        for (result, request) in results.into_iter().zip(&requests) {
+        assert_eq!(results.len(), requests.len());
+        for result in results {
             match result {
                 Err(ServiceError::Backend { applied, error }) => {
-                    assert_eq!(applied.len(), request.len(), "own outcomes travel with it");
-                    assert!(applied.iter().all(|o| o.executed()));
+                    assert!(applied.is_empty(), "nothing was applied");
                     assert!(
                         error.to_string().contains("injected sync failure"),
                         "{error}"
@@ -639,11 +598,9 @@ mod tests {
                 other => panic!("expected Backend error, got {other:?}"),
             }
         }
-        // The batch itself executed, was audited, and was published.
-        assert_eq!(monitor.audit_len(), 3);
-        assert_eq!(monitor.version(), 1);
+        assert_eq!((monitor.version(), monitor.audit_len()), (0, 0));
         let (_, live) = monitor.snapshot();
-        assert!(live.contains_edge(Edge::UserRole(bob, staff)));
+        assert!(!live.contains_edge(Edge::UserRole(bob, staff)));
     }
 
     /// Records every reply train a connection receives.

@@ -370,20 +370,18 @@ pub enum ServiceError {
     UnknownSession(SessionId),
     /// Session-level refusal (e.g. role activation denied).
     Session(SessionError),
-    /// Durable-backend failure. `applied` holds the outcomes of the
-    /// request's own commands that executed (the applied prefix —
-    /// audited and published). On a mid-batch append failure the prefix
-    /// is also durable; on a batch-final sync failure every command of
-    /// the request appears in `applied` but durability is in doubt.
+    /// Durable-backend failure: the store could not log the batch, so
+    /// none of it was applied, audited or published, and the request
+    /// may be retried whole.
     Backend {
-        /// Outcomes of this request's applied prefix.
+        /// Always empty: a batch is durable whole or not at all. Kept so
+        /// the wire v3 layout of this error does not change.
         applied: Vec<StepOutcome>,
         /// The underlying store failure.
         error: StoreError,
     },
-    /// The request was not attempted: an earlier request in the same
-    /// commit group hit a backend failure. No effect on the policy;
-    /// safe to retry.
+    /// The request was not attempted: the drain that held it panicked.
+    /// No effect on the policy; safe to retry.
     Aborted,
     /// A [`Request::CheckRefinement`] candidate was built against a
     /// different universe than the serving monitor's, or a
@@ -436,17 +434,8 @@ impl std::fmt::Display for ServiceError {
         match self {
             ServiceError::UnknownSession(id) => write!(f, "unknown session {id:?}"),
             ServiceError::Session(e) => write!(f, "session error: {e}"),
-            ServiceError::Backend { applied, error } => write!(
-                f,
-                "backend failure after {} applied command(s): {error}",
-                applied.len()
-            ),
-            ServiceError::Aborted => {
-                write!(
-                    f,
-                    "request aborted: an earlier request in the commit group failed"
-                )
-            }
+            ServiceError::Backend { error, .. } => write!(f, "backend failure: {error}"),
+            ServiceError::Aborted => write!(f, "request aborted: its commit group failed"),
             ServiceError::ForeignPolicy => {
                 write!(
                     f,

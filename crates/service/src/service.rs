@@ -10,7 +10,7 @@ use adminref_core::refinement::violations_between;
 use adminref_core::safety::SafetyConfig;
 use adminref_monitor::{MonitorConfig, ReferenceMonitor};
 
-use crate::group_commit::{result_of, GroupCommit};
+use crate::group_commit::GroupCommit;
 use crate::protocol::{
     PolicyService, RefinementDirection, RefinementReply, Request, Response, ServiceError,
     ServiceStats, VersionInfo,
@@ -101,10 +101,7 @@ pub(crate) fn dispatch(
         Request::DropSession { session } => {
             Ok(Response::SessionDropped(monitor.drop_session(session)))
         }
-        Request::Submit { commands } => {
-            let (outcomes, error) = monitor.submit_batch_outcomes(&commands);
-            result_of(outcomes, error).map(Response::Outcomes)
-        }
+        Request::Submit { commands } => Ok(Response::Outcomes(monitor.submit_batch(&commands)?)),
         Request::AnalyzeReach {
             entity,
             perm,

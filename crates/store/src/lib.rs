@@ -2,8 +2,9 @@
 //!
 //! Durable storage for administrative policies: the paper's reference
 //! monitor needs its policy to survive restarts, and this crate provides
-//! the database-style substrate — a CRC-framed append-only command log
-//! ([`log::CommandLog`]), atomic snapshots ([`snapshot`]), deterministic
+//! the database-style substrate — a CRC-framed append-only log of
+//! command batches, one record per batch ([`log::CommandLog`]), atomic
+//! snapshots ([`snapshot`]), deterministic
 //! replay recovery ([`store::PolicyStore`]), and the binary codec
 //! ([`codec`]) underneath them. All of it is built from scratch on
 //! `std::fs` + `bytes`; corruption handling is tested with injected torn

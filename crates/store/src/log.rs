@@ -1,15 +1,29 @@
 //! The append-only command log.
 //!
-//! Each record is a sequence number and a `LogRecord`: an
-//! administrative command together with whether it was authorized when
+//! Each record is a sequence number and a `LogRecord`: a whole batch of
+//! administrative commands, each with whether it was authorized when
 //! first executed, or an admission [`ConstraintSet`] declaration (the
-//! whole set, last-writer-wins, so recovery needs no merging). Records
-//! are CRC-framed ([`crate::record`]); recovery replays the longest
-//! valid prefix and truncates a torn tail.
+//! whole set, last-writer-wins, so recovery needs no merging). A batch
+//! takes one sequence number per command, the record carrying the
+//! first. Records are CRC-framed ([`crate::record`]); recovery replays
+//! the longest valid prefix and truncates a torn tail, so a batch is
+//! recovered whole or not at all.
+//!
+//! A record reaches the file in one `write_all`, unbuffered: a
+//! `BufWriter` keeps the bytes of a failed flush and writes them ahead
+//! of the next record. An append that fails, in the write or in the
+//! sync after it, truncates the file back to where the record began; if
+//! that truncation fails too, the log refuses appends until it is
+//! reopened.
+//!
+//! Logs from before batch records held one record per command (tag 0).
+//! Opening one is [`StoreError::Codec`] and leaves the file untouched:
+//! run `adminref compact` on the store with the build that wrote it
+//! first.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io::{BufReader, Seek, SeekFrom, Write};
+use std::path::Path;
 
 use adminref_core::admission::ConstraintSet;
 use adminref_core::command::Command;
@@ -63,13 +77,28 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// A failure the next append injects, for fault tests.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Fault {
+    /// Half the record reaches the file, then the write fails.
+    Append,
+    /// The whole record reaches the file, then the sync fails.
+    Sync,
+}
+
 /// Append-only command log backed by one file.
 #[derive(Debug)]
 pub struct CommandLog {
-    path: PathBuf,
-    writer: BufWriter<File>,
+    file: File,
+    /// Where the next record starts: the length of the valid records.
+    end: u64,
     next_seq: u64,
     entries_written: u64,
+    /// `fsync`s issued since open.
+    syncs: u64,
+    /// A failed append could not be truncated away.
+    wedged: bool,
+    fault: Option<Fault>,
 }
 
 /// Result of opening a log: the log handle plus the recovered entries.
@@ -87,43 +116,61 @@ pub struct RecoveredLog {
 
 /// What a log record holds after its sequence number.
 enum LogRecord {
-    Command { executed: bool, command: Command },
     Constraints { set: ConstraintSet },
+    Batch { entries: Vec<(bool, Command)> },
 }
 
 crate::wire_enum!(LogRecord: u8 as "log record" {
-    0 => Command { executed, command },
     1 => Constraints { set },
+    2 => Batch { entries },
 });
 
 impl CommandLog {
     /// Opens (or creates) the log at `path`, replaying the valid prefix
     /// and truncating any torn tail.
     pub fn open(path: &Path) -> Result<RecoveredLog, StoreError> {
+        Self::open_from(path, 0)
+    }
+
+    /// [`open`](Self::open) for a log whose snapshot holds every record
+    /// numbered below `base_seq`: those are skipped (a compaction that
+    /// crashed before its truncation leaves them), and appends continue
+    /// at `base_seq` or after the last record, whichever is later.
+    pub fn open_from(path: &Path, base_seq: u64) -> Result<RecoveredLog, StoreError> {
         let mut entries = Vec::new();
         let mut constraints = None;
-        let mut next_seq = 0;
-        let mut records: u64 = 0;
-        let mut valid_bytes: u64 = 0;
+        let mut next_seq = base_seq;
+        let mut written = 0;
+        let mut end: u64 = 0;
         let mut truncated_tail = false;
         if path.exists() {
-            let file = File::open(path)?;
-            let mut reader = BufReader::new(file);
+            let mut reader = BufReader::new(File::open(path)?);
             loop {
                 match read_record(&mut reader)? {
                     RecordRead::Record(payload) => {
-                        let (seq, record) = decode(&payload, Wire::take)?;
-                        match record {
-                            LogRecord::Command { executed, command } => entries.push(LogEntry {
-                                seq,
-                                command,
-                                executed,
-                            }),
-                            LogRecord::Constraints { set } => constraints = Some(set),
+                        end += 8 + payload.len() as u64;
+                        let (seq, record): (u64, LogRecord) = decode(&payload, Wire::take)?;
+                        if seq < base_seq {
+                            continue;
                         }
-                        next_seq = seq.saturating_add(1);
-                        records += 1;
-                        valid_bytes += 8 + payload.len() as u64;
+                        let seqs = match record {
+                            LogRecord::Batch { entries: batch } => {
+                                let seqs = batch.len() as u64;
+                                let entry = |(seq, (executed, command))| LogEntry {
+                                    seq,
+                                    command,
+                                    executed,
+                                };
+                                entries.extend((seq..).zip(batch).map(entry));
+                                seqs
+                            }
+                            LogRecord::Constraints { set } => {
+                                constraints = Some(set);
+                                1
+                            }
+                        };
+                        next_seq = seq.saturating_add(seqs);
+                        written += seqs;
                     }
                     RecordRead::Eof => break,
                     RecordRead::Corrupt { .. } => {
@@ -138,14 +185,17 @@ impl CommandLog {
             .write(true)
             .truncate(false)
             .open(path)?;
-        file.set_len(valid_bytes)?;
-        file.seek(SeekFrom::Start(valid_bytes))?;
+        file.set_len(end)?;
+        file.seek(SeekFrom::Start(end))?;
         Ok(RecoveredLog {
             log: CommandLog {
-                path: path.to_path_buf(),
-                writer: BufWriter::new(file),
+                file,
+                end,
                 next_seq,
-                entries_written: records,
+                entries_written: written,
+                syncs: 0,
+                wedged: false,
+                fault: None,
             },
             entries,
             constraints,
@@ -153,39 +203,92 @@ impl CommandLog {
         })
     }
 
-    /// Appends a command entry and flushes it to the OS.
+    /// Appends a batch of one command, written to the OS but not synced.
     ///
     /// Returns the entry's sequence number.
     pub fn append(&mut self, command: &Command, executed: bool) -> Result<u64, StoreError> {
-        self.append_record(LogRecord::Command {
-            executed,
-            command: *command,
-        })
+        let entries = vec![(executed, *command)];
+        self.write(LogRecord::Batch { entries }, 1, false)
     }
 
-    /// Appends a constraint-set declaration and flushes it to the OS.
+    /// Appends a batch of `(executed, command)` entries as one record
+    /// and syncs it: when this returns `Ok` the batch is durable, and on
+    /// an error the log is as it was. Returns the sequence number of its
+    /// first entry.
+    pub fn commit_batch(&mut self, entries: Vec<(bool, Command)>) -> Result<u64, StoreError> {
+        let seqs = entries.len() as u64;
+        self.write(LogRecord::Batch { entries }, seqs, true)
+    }
+
+    /// Appends a constraint-set declaration and syncs it.
     ///
     /// Returns the record's sequence number.
     pub fn append_constraints(&mut self, constraints: &ConstraintSet) -> Result<u64, StoreError> {
-        self.append_record(LogRecord::Constraints {
-            set: constraints.clone(),
-        })
+        let set = constraints.clone();
+        self.write(LogRecord::Constraints { set }, 1, true)
     }
 
-    fn append_record(&mut self, record: LogRecord) -> Result<u64, StoreError> {
+    /// Writes one record taking `seqs` sequence numbers, and syncs it if
+    /// asked; a failure truncates the file back to where it began.
+    fn write(&mut self, record: LogRecord, seqs: u64, sync: bool) -> Result<u64, StoreError> {
+        if self.wedged {
+            return Err(StoreError::Io(std::io::Error::other(
+                "a failed append could not be truncated away: reopen the store",
+            )));
+        }
         let seq = self.next_seq;
-        write_record(&mut self.writer, &encode(|buf| (seq, record).put(buf)))?;
-        self.writer.flush()?;
-        self.next_seq += 1;
-        self.entries_written += 1;
+        let mut frame = Vec::new();
+        write_record(&mut frame, &encode(|buf| (seq, record).put(buf)))?;
+        if let Err(e) = self.write_frame(&frame, sync) {
+            let end = self.end;
+            self.wedged = self
+                .file
+                .set_len(end)
+                .and_then(|()| self.file.seek(SeekFrom::Start(end)))
+                .is_err();
+            return Err(e);
+        }
+        self.end += frame.len() as u64;
+        self.next_seq += seqs;
+        self.entries_written += seqs;
         Ok(seq)
+    }
+
+    fn write_frame(&mut self, frame: &[u8], sync: bool) -> Result<(), StoreError> {
+        let injected = |what| Err(StoreError::Io(std::io::Error::other(what)));
+        match self.fault.take() {
+            Some(Fault::Append) => {
+                self.file.write_all(&frame[..frame.len() / 2])?;
+                injected("injected append failure")
+            }
+            Some(Fault::Sync) => {
+                self.file.write_all(frame)?;
+                injected("injected sync failure")
+            }
+            None => {
+                self.file.write_all(frame)?;
+                if sync {
+                    self.sync()?;
+                }
+                Ok(())
+            }
+        }
     }
 
     /// Forces the file contents to stable storage (`fsync`).
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.writer.flush()?;
-        self.writer.get_ref().sync_data()?;
-        Ok(())
+        self.syncs += 1;
+        Ok(self.file.sync_data()?)
+    }
+
+    /// Makes the next append fail once with `fault`.
+    pub(crate) fn inject(&mut self, fault: Fault) {
+        self.fault = Some(fault);
+    }
+
+    /// `fsync`s issued since the log was opened.
+    pub fn syncs(&self) -> u64 {
+        self.syncs
     }
 
     /// The next sequence number an append would get.
@@ -193,7 +296,8 @@ impl CommandLog {
         self.next_seq
     }
 
-    /// Number of entries appended (including recovered ones).
+    /// Commands and declarations appended since the snapshot (including
+    /// recovered ones).
     pub fn len(&self) -> u64 {
         self.entries_written
     }
@@ -203,18 +307,13 @@ impl CommandLog {
         self.entries_written == 0
     }
 
-    /// Path of the backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Truncates the log to zero entries, restarting sequence numbers at
-    /// `base_seq` (used after writing a snapshot).
+    /// Truncates the log to zero entries, durably, restarting sequence
+    /// numbers at `base_seq` (used after writing a snapshot).
     pub fn reset(&mut self, base_seq: u64) -> Result<(), StoreError> {
-        self.writer.flush()?;
-        let file = self.writer.get_mut();
-        file.set_len(0)?;
-        file.seek(SeekFrom::Start(0))?;
+        self.file.set_len(0)?;
+        self.file.seek(SeekFrom::Start(0))?;
+        self.file.sync_all()?;
+        self.end = 0;
         self.next_seq = base_seq;
         self.entries_written = 0;
         Ok(())

@@ -77,7 +77,9 @@ fn read_state(reader: &mut impl Read) -> Result<Snapshot, StoreError> {
     })?)
 }
 
-/// Writes a snapshot atomically (temp file + rename).
+/// Writes a snapshot atomically and durably: temp file, rename, then an
+/// `fsync` of the directory, so the rename survives a crash before
+/// anything that relies on it (a compaction's log truncation) runs.
 pub fn write_snapshot(
     path: &Path,
     universe: &Universe,
@@ -93,6 +95,8 @@ pub fn write_snapshot(
         writer.get_ref().sync_data()?;
     }
     std::fs::rename(&tmp, path)?;
+    let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
     Ok(())
 }
 

@@ -4,23 +4,28 @@
 //!
 //! ```text
 //! <dir>/policy.snap    snapshot: universe + policy + base sequence
-//! <dir>/commands.log   CRC-framed commands appended since the snapshot
+//! <dir>/commands.log   CRC-framed batches appended since the snapshot
 //! ```
 //!
-//! Opening a store loads the snapshot and replays the log through the
-//! Definition-5 transition function, which is deterministic, so the
-//! recovered state is exactly the pre-crash state up to the last fully
-//! written record. `compact` folds the log into a fresh snapshot.
+//! A batch is decided before it reaches the store — simulated through
+//! Definition 5 ([`admission::simulate_batch`]) — and
+//! [`commit`](PolicyStore::commit) logs it as one record, syncs once,
+//! and only then adopts the decided state; on any failure the log and
+//! the state are as they were. Opening a store loads the snapshot and
+//! replays the log through the same deterministic transition function,
+//! so the recovered state is exactly the pre-crash state after the last
+//! whole batch on disk. `compact` folds the log into a fresh snapshot.
 
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 
-use adminref_core::admission::ConstraintSet;
+use adminref_core::admission::{self, ConstraintSet};
 use adminref_core::command::Command;
 use adminref_core::policy::Policy;
 use adminref_core::transition::{step, AuthMode, StepOutcome};
 use adminref_core::universe::Universe;
 
-use crate::log::{CommandLog, LogEntry, StoreError};
+use crate::log::{CommandLog, Fault, LogEntry, StoreError};
 use crate::snapshot::{load_snapshot, write_snapshot};
 
 const SNAPSHOT_FILE: &str = "policy.snap";
@@ -48,11 +53,6 @@ pub struct PolicyStore {
     log: CommandLog,
     auth_mode: AuthMode,
     constraints: ConstraintSet,
-    /// Testing hook: when `Some(n)`, the append after `n` more
-    /// successful appends fails with an injected I/O error (once).
-    fail_append_after: Option<u64>,
-    /// Testing hook: when `true`, the next batch-final sync fails once.
-    fail_next_sync: bool,
 }
 
 impl PolicyStore {
@@ -66,6 +66,9 @@ impl PolicyStore {
     ) -> Result<Self, StoreError> {
         std::fs::create_dir_all(dir)?;
         let constraints = ConstraintSet::default();
+        let mut log = CommandLog::open(&dir.join(LOG_FILE))?.log;
+        log.reset(0)?;
+        // Its directory sync makes the log's creation durable too.
         write_snapshot(
             &dir.join(SNAPSHOT_FILE),
             &universe,
@@ -73,9 +76,6 @@ impl PolicyStore {
             0,
             &constraints,
         )?;
-        let recovered = CommandLog::open(&dir.join(LOG_FILE))?;
-        let mut log = recovered.log;
-        log.reset(0)?;
         Ok(PolicyStore {
             dir: dir.to_path_buf(),
             universe,
@@ -83,15 +83,14 @@ impl PolicyStore {
             log,
             auth_mode,
             constraints,
-            fail_append_after: None,
-            fail_next_sync: false,
         })
     }
 
-    /// Opens an existing store, replaying the log.
+    /// Opens an existing store, replaying the log records the snapshot
+    /// does not already hold.
     pub fn open(dir: &Path, auth_mode: AuthMode) -> Result<(Self, RecoveryReport), StoreError> {
         let snap = load_snapshot(&dir.join(SNAPSHOT_FILE))?;
-        let recovered = CommandLog::open(&dir.join(LOG_FILE))?;
+        let recovered = CommandLog::open_from(&dir.join(LOG_FILE), snap.base_seq)?;
         let mut universe = snap.universe;
         let mut policy = snap.policy;
         // The snapshot's constraint set, overridden by the latest WAL
@@ -119,92 +118,71 @@ impl PolicyStore {
                 log: recovered.log,
                 auth_mode,
                 constraints,
-                fail_append_after: None,
-                fail_next_sync: false,
             },
             report,
         ))
     }
 
-    /// One command through the WAL discipline: authorize, **append the
-    /// decision to the log, then apply** the state change — so a failed
-    /// append never leaves the live policy ahead of the log.
-    fn execute_logged(&mut self, command: &Command) -> Result<StepOutcome, StoreError> {
-        let authorization = adminref_core::transition::authorize(
-            &mut self.universe,
-            &self.policy,
-            command,
-            self.auth_mode,
-        );
-        match self.fail_append_after {
-            Some(0) => {
-                self.fail_append_after = None;
-                return Err(StoreError::Io(std::io::Error::other(
-                    "injected append failure",
-                )));
-            }
-            Some(n) => self.fail_append_after = Some(n - 1),
-            None => {}
-        }
-        self.log.append(command, authorization.is_some())?;
-        let changed = authorization.is_some()
-            && adminref_core::transition::apply_edge(&mut self.policy, command);
-        Ok(StepOutcome {
-            authorization,
-            changed,
-        })
-    }
-
-    /// Executes a command against the live policy and logs it durably
-    /// (log-before-apply: on an append error the live state is
-    /// unchanged).
-    pub fn execute(&mut self, command: &Command) -> Result<StepOutcome, StoreError> {
-        self.execute_logged(command)
-    }
-
-    /// Executes a batch of commands, appending each to the log in order
-    /// and forcing the log to stable storage **once** at the end.
+    /// Executes a batch of commands: simulates it through Definition 5
+    /// against the live state, then [`commit`](Self::commit)s the
+    /// result — one log record, one sync.
     ///
-    /// This is the write path for batched monitors: per-command WAL
-    /// ordering is identical to calling [`execute`](Self::execute) in a
-    /// loop (recovery replays the same sequence), but the fsync cost is
-    /// amortized over the whole batch, and the batch is durable when the
-    /// call returns.
-    ///
-    /// Returns the outcomes of every command that executed plus the
-    /// first error, if any. On error the live state and log hold
-    /// exactly the commands whose outcomes were returned (the failing
-    /// command changed nothing), so callers can audit/publish the
-    /// applied prefix and surface the failure.
+    /// Returns every command's outcome, or no outcomes and the error
+    /// when the batch could not be made durable (the live state and the
+    /// log are then as they were).
     pub fn execute_batch<'a>(
         &mut self,
         commands: impl IntoIterator<Item = &'a Command>,
     ) -> (Vec<StepOutcome>, Result<(), StoreError>) {
-        let mut outcomes = Vec::new();
-        for command in commands {
-            match self.execute_logged(command) {
-                Ok(outcome) => outcomes.push(outcome),
-                Err(e) => return (outcomes, self.sync_after(Err(e))),
-            }
-        }
-        let status = if outcomes.is_empty() {
-            Ok(())
-        } else if self.fail_next_sync {
-            self.fail_next_sync = false;
-            Err(StoreError::Io(std::io::Error::other(
-                "injected sync failure",
-            )))
-        } else {
-            self.log.sync()
+        let commands: Vec<Command> = commands.into_iter().copied().collect();
+        let (universe, policy, outcomes) =
+            admission::simulate_batch(&self.universe, &self.policy, &commands, self.auth_mode);
+        let grown = match universe {
+            Cow::Owned(universe) => Some(universe),
+            Cow::Borrowed(_) => None,
         };
-        (outcomes, status)
+        match self.log_then_adopt(&commands, &outcomes, grown, policy) {
+            Ok(()) => (outcomes, Ok(())),
+            Err(e) => (Vec::new(), Err(e)),
+        }
     }
 
-    /// Best-effort sync of the applied prefix after a mid-batch failure;
-    /// the original error wins over a subsequent sync error.
-    fn sync_after(&mut self, failure: Result<(), StoreError>) -> Result<(), StoreError> {
-        let _ = self.log.sync();
-        failure
+    /// Makes a decided batch durable, then adopts its outcome: logs
+    /// `commands` with their `outcomes` as one record, syncs it, and
+    /// only then takes `(universe, policy)` — the state the batch led to
+    /// from this store's state — as the live state. On an error nothing
+    /// changed: not the log, not the state.
+    ///
+    /// The policy clone is `Arc` bumps; the universe is copied only when
+    /// the batch interned a term.
+    pub fn commit(
+        &mut self,
+        commands: &[Command],
+        outcomes: &[StepOutcome],
+        universe: &Universe,
+        policy: &Policy,
+    ) -> Result<(), StoreError> {
+        let grown = (universe.term_count() != self.universe.term_count()).then(|| universe.clone());
+        self.log_then_adopt(commands, outcomes, grown, policy.clone())
+    }
+
+    fn log_then_adopt(
+        &mut self,
+        commands: &[Command],
+        outcomes: &[StepOutcome],
+        grown: Option<Universe>,
+        policy: Policy,
+    ) -> Result<(), StoreError> {
+        if !commands.is_empty() {
+            let entries = outcomes.iter().map(StepOutcome::executed);
+            self.log
+                .commit_batch(entries.zip(commands.iter().copied()).collect())?;
+        }
+        if let Some(universe) = grown {
+            self.universe = universe;
+        }
+        self.policy = policy;
+        Ok(())
     }
 
     /// Forces the log to stable storage.
@@ -212,27 +190,24 @@ impl PolicyStore {
         self.log.sync()
     }
 
-    /// Failure-injection hook for crash/partial-batch tests: the append
-    /// after `appends` more successful appends fails once with a
-    /// synthetic I/O error, exercising the log-before-apply discipline
-    /// and the applied-prefix semantics of
-    /// [`execute_batch`](Self::execute_batch) without real disk faults.
-    /// Not intended for production use.
-    pub fn inject_append_failure_after(&mut self, appends: u64) {
-        self.fail_append_after = Some(appends);
+    /// Failure-injection hook for fault tests: the next commit writes
+    /// half its record, then fails once with a synthetic I/O error. Not
+    /// intended for production use.
+    pub fn inject_append_failure(&mut self) {
+        self.log.inject(Fault::Append);
     }
 
-    /// Failure-injection hook for durability tests: the next
-    /// *batch-final* sync in [`execute_batch`](Self::execute_batch)
-    /// fails once with a synthetic I/O error after every command
-    /// applied — the "executed but durability in doubt" case. Not
-    /// intended for production use.
+    /// Failure-injection hook for fault tests: the next commit writes
+    /// its whole record, then its sync fails once with a synthetic I/O
+    /// error. Not intended for production use.
     pub fn inject_sync_failure(&mut self) {
-        self.fail_next_sync = true;
+        self.log.inject(Fault::Sync);
     }
 
     /// Folds the log into a fresh snapshot (including the live
-    /// constraint set) and truncates it.
+    /// constraint set) and truncates it. The snapshot is durable before
+    /// the truncation starts, and records it already holds are skipped
+    /// on open, so a crash at any point recovers the same state.
     pub fn compact(&mut self) -> Result<(), StoreError> {
         let base = self.log.next_seq();
         write_snapshot(
@@ -251,7 +226,6 @@ impl PolicyStore {
     /// never lose an acknowledged declaration.
     pub fn set_constraints(&mut self, constraints: ConstraintSet) -> Result<(), StoreError> {
         self.log.append_constraints(&constraints)?;
-        self.log.sync()?;
         self.constraints = constraints;
         Ok(())
     }
@@ -266,12 +240,6 @@ impl PolicyStore {
         &self.universe
     }
 
-    /// Mutable access to the universe (interning new terms is append-only
-    /// and safe; the snapshot captures whatever exists at compaction).
-    pub fn universe_mut(&mut self) -> &mut Universe {
-        &mut self.universe
-    }
-
     /// The live policy.
     pub fn policy(&self) -> &Policy {
         &self.policy
@@ -282,7 +250,8 @@ impl PolicyStore {
         self.auth_mode
     }
 
-    /// Entries in the log since the last snapshot.
+    /// Commands (and constraint declarations) in the log since the last
+    /// snapshot.
     pub fn log_len(&self) -> u64 {
         self.log.len()
     }
@@ -315,6 +284,13 @@ mod tests {
         b.finish()
     }
 
+    /// Executes one batch and insists it was made durable.
+    fn execute(store: &mut PolicyStore, commands: &[Command]) -> Vec<StepOutcome> {
+        let (outcomes, status) = store.execute_batch(commands);
+        status.unwrap();
+        outcomes
+    }
+
     #[test]
     fn create_execute_reopen() {
         let dir = TempDir::new("store").unwrap();
@@ -325,11 +301,11 @@ mod tests {
         {
             let mut store =
                 PolicyStore::create(dir.path(), uni, policy, AuthMode::Explicit).unwrap();
-            let out = store
-                .execute(&Command::grant(jane, Edge::UserRole(bob, staff)))
-                .unwrap();
-            assert!(out.executed());
-            store.sync().unwrap();
+            let out = execute(
+                &mut store,
+                &[Command::grant(jane, Edge::UserRole(bob, staff))],
+            );
+            assert!(out[0].executed());
         }
         let (store, report) = PolicyStore::open(dir.path(), AuthMode::Explicit).unwrap();
         assert_eq!(report.replayed, 1);
@@ -350,34 +326,89 @@ mod tests {
             Command::revoke(jane, Edge::UserRole(bob, staff)), // refused: jane holds no ♦
         ];
 
-        let dir_batch = TempDir::new("batch").unwrap();
-        let dir_serial = TempDir::new("serial").unwrap();
-        let mut batched = PolicyStore::create(
-            dir_batch.path(),
-            uni.clone(),
-            policy.clone(),
-            AuthMode::Explicit,
-        )
-        .unwrap();
-        let mut serial =
-            PolicyStore::create(dir_serial.path(), uni, policy, AuthMode::Explicit).unwrap();
-
-        let (batch_outcomes, status) = batched.execute_batch(batch.iter());
-        status.unwrap();
-        let serial_outcomes: Vec<StepOutcome> =
-            batch.iter().map(|c| serial.execute(c).unwrap()).collect();
-        serial.sync().unwrap();
+        let dir = TempDir::new("batch").unwrap();
+        let mut batched =
+            PolicyStore::create(dir.path(), uni.clone(), policy.clone(), AuthMode::Explicit)
+                .unwrap();
+        let batch_outcomes = execute(&mut batched, &batch);
+        let (mut serial_uni, mut serial) = (uni, policy);
+        let serial_outcomes: Vec<StepOutcome> = batch
+            .iter()
+            .map(|c| step(&mut serial_uni, &mut serial, c, AuthMode::Explicit))
+            .collect();
         assert_eq!(batch_outcomes, serial_outcomes);
-        assert_eq!(batched.policy(), serial.policy());
+        assert_eq!(batched.policy(), &serial);
         assert_eq!(batched.log_len(), 3);
 
         // The batch is durable without a further sync (recovery replays
         // the identical sequence).
         drop(batched);
-        let (store, report) = PolicyStore::open(dir_batch.path(), AuthMode::Explicit).unwrap();
+        let (store, report) = PolicyStore::open(dir.path(), AuthMode::Explicit).unwrap();
         assert_eq!(report.replayed, 3);
         assert_eq!(report.divergent, 0);
         assert!(store.policy().contains_edge(Edge::UserRole(bob, staff)));
+    }
+
+    /// A batch of three commands grows the log by exactly one CRC frame
+    /// and costs exactly one `fsync`.
+    #[test]
+    fn a_batch_is_one_record_and_one_sync() {
+        let dir = TempDir::new("one-record").unwrap();
+        let (uni, policy) = sample();
+        let jane = uni.find_user("jane").unwrap();
+        let bob = uni.find_user("bob").unwrap();
+        let staff = uni.find_role("staff").unwrap();
+        let mut store = PolicyStore::create(dir.path(), uni, policy, AuthMode::Explicit).unwrap();
+        let syncs = store.log.syncs();
+        execute(
+            &mut store,
+            &[
+                Command::grant(jane, Edge::UserRole(bob, staff)),
+                Command::grant(bob, Edge::UserRole(jane, staff)),
+                Command::grant(jane, Edge::UserRole(jane, staff)),
+            ],
+        );
+        assert_eq!(store.log.syncs(), syncs + 1, "one sync per batch");
+        assert_eq!(store.log_len(), 3, "the log still counts commands");
+        let bytes = std::fs::read(dir.path().join(LOG_FILE)).unwrap();
+        let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
+        assert_eq!(bytes.len(), 8 + len, "one frame holds the whole batch");
+    }
+
+    /// A commit whose append or sync fails leaves the log's length, the
+    /// live state and the sequence as they were, and the next commit
+    /// goes through and replays.
+    #[test]
+    fn a_failed_commit_changes_nothing() {
+        for fault in [Fault::Append, Fault::Sync] {
+            let dir = TempDir::new("failed-commit").unwrap();
+            let (uni, policy) = sample();
+            let jane = uni.find_user("jane").unwrap();
+            let bob = uni.find_user("bob").unwrap();
+            let staff = uni.find_role("staff").unwrap();
+            let grant = Command::grant(jane, Edge::UserRole(bob, staff));
+            let mut store =
+                PolicyStore::create(dir.path(), uni, policy.clone(), AuthMode::Explicit).unwrap();
+            execute(
+                &mut store,
+                &[Command::grant(bob, Edge::UserRole(jane, staff))],
+            );
+            let log_path = dir.path().join(LOG_FILE);
+            let before = std::fs::read(&log_path).unwrap();
+            store.log.inject(fault);
+            let (outcomes, status) = store.execute_batch(&[grant, grant]);
+            assert!(status.is_err(), "{fault:?}");
+            assert!(outcomes.is_empty(), "{fault:?}: nothing applied");
+            assert_eq!(std::fs::read(&log_path).unwrap(), before, "{fault:?}");
+            assert_eq!(store.policy(), &policy, "{fault:?}");
+            assert_eq!((store.log_len(), store.log.next_seq()), (1, 1), "{fault:?}");
+            assert!(execute(&mut store, &[grant])[0].executed(), "{fault:?}");
+            drop(store);
+            let (store, report) = PolicyStore::open(dir.path(), AuthMode::Explicit).unwrap();
+            assert_eq!((report.replayed, report.divergent), (2, 0), "{fault:?}");
+            assert!(!report.truncated_tail, "{fault:?}");
+            assert!(store.policy().contains_edge(Edge::UserRole(bob, staff)));
+        }
     }
 
     #[test]
@@ -388,10 +419,11 @@ mod tests {
         let staff = uni.find_role("staff").unwrap();
         let mut store = PolicyStore::create(dir.path(), uni, policy, AuthMode::Explicit).unwrap();
         // Bob has no authority yet.
-        let out = store
-            .execute(&Command::grant(bob, Edge::UserRole(bob, staff)))
-            .unwrap();
-        assert!(!out.executed());
+        let out = execute(
+            &mut store,
+            &[Command::grant(bob, Edge::UserRole(bob, staff))],
+        );
+        assert!(!out[0].executed());
         assert_eq!(store.log_len(), 1);
         drop(store);
         let (_, report) = PolicyStore::open(dir.path(), AuthMode::Explicit).unwrap();
@@ -407,14 +439,72 @@ mod tests {
         let bob = uni.find_user("bob").unwrap();
         let staff = uni.find_role("staff").unwrap();
         let mut store = PolicyStore::create(dir.path(), uni, policy, AuthMode::Explicit).unwrap();
-        store
-            .execute(&Command::grant(jane, Edge::UserRole(bob, staff)))
-            .unwrap();
+        execute(
+            &mut store,
+            &[Command::grant(jane, Edge::UserRole(bob, staff))],
+        );
         store.compact().unwrap();
         assert_eq!(store.log_len(), 0);
         drop(store);
         let (store, report) = PolicyStore::open(dir.path(), AuthMode::Explicit).unwrap();
         assert_eq!(report.replayed, 0, "log was folded into the snapshot");
+        assert!(store.policy().contains_edge(Edge::UserRole(bob, staff)));
+    }
+
+    /// A compaction whose log truncation never reached the disk: the old
+    /// records are still there after the new snapshot. x grants bob
+    /// staff, y revokes it, and root then revokes y's membership of
+    /// `revokers`; replayed over the snapshot, y's revoke is refused and
+    /// bob ends on staff, a state never published. Reopen must skip the
+    /// records the snapshot holds, and a reopened log keeps numbering
+    /// after them.
+    #[test]
+    fn compaction_survives_a_lost_truncation() {
+        let mut b = PolicyBuilder::new()
+            .assign("x", "granters")
+            .assign("y", "revokers")
+            .assign("root", "admins")
+            .declare_user("bob")
+            .declare_role("staff");
+        let u = b.universe_mut();
+        let [x, y, root, bob] = ["x", "y", "root", "bob"].map(|n| u.find_user(n).unwrap());
+        let [staff, revokers] = ["staff", "revokers"].map(|n| u.find_role(n).unwrap());
+        let grant = u.grant_user_role(bob, staff);
+        let revoke = u.revoke_user_role(bob, staff);
+        let demote = u.revoke_user_role(y, revokers);
+        b = b
+            .assign_priv("granters", grant)
+            .assign_priv("revokers", revoke)
+            .assign_priv("admins", demote);
+        let (uni, policy) = b.finish();
+        let dir = TempDir::new("lost-truncation").unwrap();
+        let log_path = dir.path().join(LOG_FILE);
+        let mut store = PolicyStore::create(dir.path(), uni, policy, AuthMode::Explicit).unwrap();
+        let batch = [
+            Command::grant(x, Edge::UserRole(bob, staff)),
+            Command::revoke(y, Edge::UserRole(bob, staff)),
+            Command::revoke(root, Edge::UserRole(y, revokers)),
+        ];
+        assert!(execute(&mut store, &batch).iter().all(|o| o.executed()));
+        let published = store.policy().clone();
+        let old_log = std::fs::read(&log_path).unwrap();
+        store.compact().unwrap();
+        drop(store);
+        std::fs::write(&log_path, &old_log).unwrap();
+
+        let (mut store, report) = PolicyStore::open(dir.path(), AuthMode::Explicit).unwrap();
+        assert_eq!((report.replayed, report.divergent), (0, 0));
+        assert_eq!(store.policy(), &published);
+        assert!(!store.policy().contains_edge(Edge::UserRole(bob, staff)));
+        assert_eq!(
+            store.log_len(),
+            0,
+            "records the snapshot holds are not counted"
+        );
+        execute(&mut store, &[Command::grant(x, Edge::UserRole(bob, staff))]);
+        drop(store);
+        let (store, report) = PolicyStore::open(dir.path(), AuthMode::Explicit).unwrap();
+        assert_eq!((report.replayed, report.divergent), (1, 0));
         assert!(store.policy().contains_edge(Edge::UserRole(bob, staff)));
     }
 
@@ -456,13 +546,14 @@ mod tests {
         {
             let mut store =
                 PolicyStore::create(dir.path(), uni, policy, AuthMode::Explicit).unwrap();
-            store
-                .execute(&Command::grant(jane, Edge::UserRole(bob, staff)))
-                .unwrap();
-            store
-                .execute(&Command::revoke(jane, Edge::UserRole(bob, staff)))
-                .unwrap();
-            store.sync().unwrap();
+            execute(
+                &mut store,
+                &[Command::grant(jane, Edge::UserRole(bob, staff))],
+            );
+            execute(
+                &mut store,
+                &[Command::revoke(jane, Edge::UserRole(bob, staff))],
+            );
             // no clean shutdown: just drop
         }
         // Simulate a torn tail: chop bytes off the log.
@@ -471,7 +562,7 @@ mod tests {
         std::fs::write(&log_path, &bytes[..bytes.len() - 5]).unwrap();
         let (store, report) = PolicyStore::open(dir.path(), AuthMode::Explicit).unwrap();
         assert!(report.truncated_tail);
-        assert_eq!(report.replayed, 1, "second record was torn");
+        assert_eq!(report.replayed, 1, "second batch was torn");
         assert!(
             store.policy().contains_edge(Edge::UserRole(bob, staff)),
             "state reflects the surviving prefix only"
@@ -490,11 +581,11 @@ mod tests {
         {
             let mut store = PolicyStore::create(dir.path(), uni, policy, mode).unwrap();
             // Only authorized in ordered mode (weaker than ¤(bob, staff)).
-            let out = store
-                .execute(&Command::grant(jane, Edge::UserRole(bob, dbusr2)))
-                .unwrap();
-            assert!(out.executed());
-            store.sync().unwrap();
+            let out = execute(
+                &mut store,
+                &[Command::grant(jane, Edge::UserRole(bob, dbusr2))],
+            );
+            assert!(out[0].executed());
         }
         let (store, report) = PolicyStore::open(dir.path(), mode).unwrap();
         assert_eq!(report.divergent, 0, "replay in the same mode agrees");

@@ -15,7 +15,7 @@ use adminref_core::lint::Severity;
 use adminref_core::policy::Policy;
 use adminref_core::transition::AuthMode;
 use adminref_core::universe::{Edge, Universe, UniverseTag};
-use adminref_store::{decode_state, encode_state, CommandLog, PolicyStore, TempDir};
+use adminref_store::{decode_state, encode_state, CommandLog, PolicyStore, StoreError, TempDir};
 
 fn repo_path(rel: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -73,17 +73,23 @@ fn constraints(universe: &Universe) -> ConstraintSet {
     }
 }
 
-/// Every pinned entry, encoded by live code: the three WAL records in
+/// The one batch the pinned log holds: jane's enrolment, executed, and
+/// bob's, refused.
+fn batch(universe: &Universe) -> Vec<(bool, Command)> {
+    vec![
+        (true, executed_command(universe)),
+        (false, refused_command(universe)),
+    ]
+}
+
+/// Every pinned entry, encoded by live code: the two WAL records in
 /// log order (framed as they sit in `commands.log`), then the blob.
 fn live_entries() -> Vec<(&'static str, Vec<u8>)> {
     let (universe, policy) = hospital();
     let dir = TempDir::new("golden-live").expect("tempdir");
     let path = dir.path().join("commands.log");
     let mut log = CommandLog::open(&path).expect("fresh log").log;
-    log.append(&executed_command(&universe), true)
-        .expect("append");
-    log.append(&refused_command(&universe), false)
-        .expect("append");
+    log.commit_batch(batch(&universe)).expect("append");
     log.append_constraints(&constraints(&universe))
         .expect("append");
     log.sync().expect("sync");
@@ -97,12 +103,7 @@ fn live_entries() -> Vec<(&'static str, Vec<u8>)> {
         rest = &rest[len..];
     }
     let blob = encode_state(&universe, &policy, &constraints(&universe));
-    let names = [
-        "record.command.executed",
-        "record.command.refused",
-        "record.constraints",
-        "state.hospital",
-    ];
+    let names = ["record.batch", "record.constraints", "state.hospital"];
     names
         .into_iter()
         .zip(records.into_iter().chain([blob]))
@@ -126,7 +127,7 @@ fn pinned_entries() -> Vec<(String, Vec<u8>)> {
 /// Regeneration helper, not a check: prints the live entries in fixture
 /// format (`cargo test -p adminref-store --test golden -- --ignored
 /// --nocapture`). Only a deliberate on-disk format change, with a new
-/// snapshot magic, should ever need it.
+/// snapshot magic or log-record tag, should ever need it.
 #[test]
 #[ignore = "regeneration helper for fixtures/store_golden.hex"]
 fn print_golden_fixture() {
@@ -146,7 +147,7 @@ fn live_encoding_matches_the_fixture() {
             hex(bytes),
             hex(pinned_bytes),
             "`{name}`: live encoding disagrees with fixtures/store_golden.hex \
-             (a disk format change without a new snapshot magic?)"
+             (a disk format change without a new magic or record tag?)"
         );
     }
 }
@@ -156,10 +157,10 @@ fn every_entry_decodes_and_reencodes_to_itself() {
     let pinned = pinned_entries();
     let (universe, _) = hospital();
 
-    // The three records, concatenated, are a log.
+    // The two records, concatenated, are a log.
     let dir = TempDir::new("golden-reencode").expect("tempdir");
     let path = dir.path().join("commands.log");
-    let log_bytes: Vec<u8> = pinned[..3].iter().flat_map(|(_, b)| b.clone()).collect();
+    let log_bytes: Vec<u8> = pinned[..2].iter().flat_map(|(_, b)| b.clone()).collect();
     std::fs::write(&path, &log_bytes).expect("write log");
     let recovered = CommandLog::open(&path).expect("golden log opens");
     assert!(!recovered.truncated_tail);
@@ -178,17 +179,19 @@ fn every_entry_decodes_and_reencodes_to_itself() {
     );
     let again = dir.path().join("again.log");
     let mut log = CommandLog::open(&again).expect("fresh log").log;
-    log.append(&executed.command, executed.executed)
-        .expect("append");
-    log.append(&refused.command, refused.executed)
-        .expect("append");
+    log.commit_batch(
+        [executed, refused]
+            .map(|entry| (entry.executed, entry.command))
+            .to_vec(),
+    )
+    .expect("append");
     log.append_constraints(&constraints(&universe))
         .expect("append");
     log.sync().expect("sync");
     assert_eq!(hex(&std::fs::read(&again).expect("read")), hex(&log_bytes));
 
     // The blob.
-    let (name, blob) = &pinned[3];
+    let (name, blob) = &pinned[2];
     let (uni, policy, set) = decode_state(blob).unwrap_or_else(|e| panic!("`{name}`: {e}"));
     assert_eq!(set, constraints(&universe));
     assert_eq!(hex(&encode_state(&uni, &policy, &set)), hex(blob));
@@ -199,14 +202,15 @@ fn every_entry_decodes_and_reencodes_to_itself() {
 const OPENED_CHECKSUM: u64 = 0xc89c_3ef2_436b_7492;
 
 /// A store directory holding the fixture's bytes — the blob as
-/// `policy.snap`, the records as `commands.log` — is what any earlier
-/// build would have left behind. It must open to the pinned state.
+/// `policy.snap`, the records as `commands.log` — is what a build
+/// writing batch records leaves behind. It must open to the pinned
+/// state.
 #[test]
 fn a_directory_of_golden_bytes_opens_to_the_pinned_state() {
     let pinned = pinned_entries();
     let dir = TempDir::new("golden-open").expect("tempdir");
-    std::fs::write(dir.path().join("policy.snap"), &pinned[3].1).expect("snap");
-    let log_bytes: Vec<u8> = pinned[..3].iter().flat_map(|(_, b)| b.clone()).collect();
+    std::fs::write(dir.path().join("policy.snap"), &pinned[2].1).expect("snap");
+    let log_bytes: Vec<u8> = pinned[..2].iter().flat_map(|(_, b)| b.clone()).collect();
     std::fs::write(dir.path().join("commands.log"), log_bytes).expect("log");
 
     let (store, report) = PolicyStore::open(dir.path(), AuthMode::Explicit).expect("opens");
@@ -222,4 +226,28 @@ fn a_directory_of_golden_bytes_opens_to_the_pinned_state() {
     assert_eq!(policy_checksum(store.policy()), OPENED_CHECKSUM);
     assert_eq!(store.constraints(), &constraints(&universe));
     assert_eq!(store.universe().tag(), universe.tag());
+}
+
+/// `record.command.executed` as builds before batch records wrote it:
+/// one command per record, under log-record tag 0.
+const PER_COMMAND_RECORD: &str = "08000000edfb2c020000010000000207";
+
+/// A log in the per-command format is refused with a typed codec error,
+/// never replayed as a batch nor truncated as a torn tail: its bytes
+/// stay on disk for the build that wrote them to compact.
+#[test]
+fn a_per_command_log_is_refused_untouched() {
+    let pinned = pinned_entries();
+    let dir = TempDir::new("golden-old-log").expect("tempdir");
+    std::fs::write(dir.path().join("policy.snap"), &pinned[2].1).expect("snap");
+    let log_path = dir.path().join("commands.log");
+    std::fs::write(&log_path, unhex(PER_COMMAND_RECORD)).expect("log");
+    match PolicyStore::open(dir.path(), AuthMode::Explicit) {
+        Err(StoreError::Codec(_)) => {}
+        other => panic!("expected a codec error, got {other:?}"),
+    }
+    assert_eq!(
+        hex(&std::fs::read(&log_path).expect("log bytes")),
+        PER_COMMAND_RECORD
+    );
 }

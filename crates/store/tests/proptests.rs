@@ -165,9 +165,10 @@ fn the_hand_spelled_blob_is_the_format() {
 
 #[test]
 fn an_id_past_u32_in_a_record_is_overflow_not_some_other_user() {
-    // seq 0, command record, executed, then a grant by actor 2^32 + 1 of
-    // edge (user 0, role 0): read modulo 2^32 that is user 1's command.
-    let mut payload = vec![0, 0, 1];
+    // seq 0, batch record of one entry, executed, then a grant by actor
+    // 2^32 + 1 of edge (user 0, role 0): read modulo 2^32 that is user
+    // 1's command.
+    let mut payload = vec![0, 2, 1, 1];
     payload.extend(varint((1 << 32) + 1));
     payload.extend([0, 0, 0, 0]);
     assert!(matches!(
@@ -229,7 +230,7 @@ fn a_policy_over_ids_its_universe_lacks_is_dangling() {
 
 #[test]
 fn bytes_left_over_inside_a_valid_frame_are_refused() {
-    let mut record = vec![0, 0, 1, 0, 0, 0, 0, 0];
+    let mut record = vec![0, 2, 1, 1, 0, 0, 0, 0, 0];
     assert_eq!(open_log_of(&framed(&record)).unwrap().len(), 1);
     record.push(0);
     assert!(matches!(
@@ -413,9 +414,9 @@ proptest! {
                     users[i as usize % users.len()],
                     Edge::UserRole(users[(i as usize + 1) % users.len()], roles[i as usize % roles.len()]),
                 );
-                store.execute(&cmd).unwrap();
+                let (_, status) = store.execute_batch([&cmd]);
+                status.unwrap();
             }
-            store.sync().unwrap();
             store.policy().clone()
         };
         let (store, report) = PolicyStore::open(dir.path(), AuthMode::Explicit).unwrap();

@@ -14,9 +14,11 @@
 //!   untouched.
 //! * **`Φ⁻` inheritance**: one authorized, non-interning step never
 //!   grows `Φ⁺` nor shrinks `Φ⁻`, in both authorization modes.
-//! * **Durable edges**: a gated batch whose WAL append fails mid-batch
-//!   publishes exactly its applied prefix, and a constraint set naming
-//!   ids the universe lacks is refused in process as over the wire.
+//! * **Durable edges**: a gated batch whose WAL append fails publishes
+//!   nothing, a log torn anywhere inside a gated batch's record reopens
+//!   to the state before or after the batch, never to a prefix the gate
+//!   did not judge, and a constraint set naming ids the universe lacks
+//!   is refused in process as over the wire.
 //! * The **socket story**: over a real Unix socket, a SoD-violating
 //!   batch is refused with the typed `ServiceError::Admission` before
 //!   publication while clean batches keep applying.
@@ -647,13 +649,12 @@ fn socket_refuses_sod_violating_batch_before_publication() {
     daemon.shutdown();
 }
 
-/// A gated durable batch whose WAL append fails mid-batch publishes
-/// exactly the applied prefix — the fallback path, which re-derives the
-/// epoch from the store instead of publishing the judged candidate —
-/// and the next gated batch is judged afresh on that epoch.
+/// A gated durable batch whose WAL append fails publishes nothing: the
+/// published epoch, the audit log and the store stay at the parent, and
+/// the next gated batch is judged afresh on that epoch.
 #[test]
-fn gated_batch_with_failed_append_publishes_the_applied_prefix() {
-    let dir = TempDir::new("admission-prefix").unwrap();
+fn gated_batch_with_failed_append_publishes_nothing() {
+    let dir = TempDir::new("admission-failed-append").unwrap();
     let (uni, policy, admin) = sod_arena();
     let alice = uni.find_user("alice").unwrap();
     let bob = uni.find_user("bob").unwrap();
@@ -669,44 +670,107 @@ fn gated_batch_with_failed_append_publishes_the_applied_prefix() {
             frozen_edges: vec![Edge::UserRole(admin, admins)],
         })
         .unwrap();
-    store.inject_append_failure_after(2);
+    store.inject_append_failure();
     let config = MonitorConfig {
         autocompact_log_len: None,
         ..MonitorConfig::default()
     };
     let monitor = ReferenceMonitor::with_store(store, config);
+    let parent = monitor.read_snapshot();
     let batch = [
         Command::grant(admin, Edge::UserRole(alice, pay)),
         Command::grant(admin, Edge::UserRole(bob, audit)),
         Command::revoke(admin, Edge::UserRole(alice, pay)),
         Command::grant(admin, Edge::UserRole(alice, audit)),
     ];
-    let (outcomes, error) = monitor.submit_batch_outcomes(&batch);
-    assert!(matches!(error, Some(MonitorError::Store(_))), "{error:?}");
-    assert_eq!(outcomes.len(), 2, "the third append failed");
+    let error = monitor.submit_batch(&batch).unwrap_err();
+    assert!(matches!(error, MonitorError::Store(_)), "{error:?}");
     assert_eq!(monitor.admission_counts(), (1, 0));
     let published = monitor.read_snapshot();
-    assert_eq!(published.epoch, 1);
-    assert!(published.policy().contains_edge(Edge::UserRole(alice, pay)));
-    assert!(published.policy().contains_edge(Edge::UserRole(bob, audit)));
-    assert!(!published
-        .policy()
-        .contains_edge(Edge::UserRole(alice, audit)));
-    assert_eq!(monitor.audit_len(), 2);
-    // The gate still judges the next batch on the published prefix.
+    assert_eq!(published.epoch, 0);
+    assert_eq!(published.checksum(), parent.checksum());
+    assert_eq!(monitor.audit_len(), 0);
+    // The gate still judges the next batch on the published epoch: the
+    // prefix that broke nothing is clean on its own…
+    assert!(monitor.submit_batch(&batch[..2]).is_ok());
+    // …and the violation it enables is refused.
     let violating = [Command::grant(admin, Edge::UserRole(alice, audit))];
     assert!(matches!(
         monitor.submit_batch(&violating),
         Err(MonitorError::Admission(_))
     ));
-    let checksum = published.checksum();
+    let checksum = monitor.read_snapshot().checksum();
     drop(monitor);
-    let (store, _) = PolicyStore::open(dir.path(), AuthMode::Explicit).unwrap();
+    let (store, report) = PolicyStore::open(dir.path(), AuthMode::Explicit).unwrap();
+    assert_eq!((report.replayed, report.divergent), (2, 0));
     assert_eq!(
         checksum,
         policy_checksum(store.policy()),
-        "the published epoch is exactly the store's applied prefix"
+        "the store replays exactly the published epochs"
     );
+}
+
+/// A gated batch `[assign alice→pay; revoke alice→audit]` whose first
+/// step alone breaks the pay/audit SoD pair, and a log torn at every
+/// byte of the batch's record: each reopened store holds the state
+/// published before the batch or the one published after it — never
+/// the violating prefix the gate did not judge.
+#[test]
+fn a_torn_gated_batch_reopens_before_or_after_it() {
+    let dir = TempDir::new("admission-torn-batch").unwrap();
+    let (uni, policy, admin) = sod_arena();
+    let alice = uni.find_user("alice").unwrap();
+    let pay = uni.find_role("pay").unwrap();
+    let audit = uni.find_role("audit").unwrap();
+    let constraints = ConstraintSet {
+        sod_pairs: vec![(pay, audit)],
+        deny_level: None,
+        frozen_edges: Vec::new(),
+    };
+    let mut store = PolicyStore::create(dir.path(), uni, policy, AuthMode::Explicit).unwrap();
+    store.set_constraints(constraints.clone()).unwrap();
+    let config = MonitorConfig {
+        autocompact_log_len: None,
+        ..MonitorConfig::default()
+    };
+    let monitor = ReferenceMonitor::with_store(store, config);
+    monitor
+        .submit_batch(&[Command::grant(admin, Edge::UserRole(alice, audit))])
+        .unwrap();
+    let log_path = dir.path().join("commands.log");
+    let start = std::fs::metadata(&log_path).unwrap().len() as usize;
+    let before = monitor.read_snapshot().checksum();
+    let batch = [
+        Command::grant(admin, Edge::UserRole(alice, pay)),
+        Command::revoke(admin, Edge::UserRole(alice, audit)),
+    ];
+    assert!(monitor
+        .submit_batch(&batch)
+        .unwrap()
+        .iter()
+        .all(|o| o.changed));
+    let after = monitor.read_snapshot().checksum();
+    drop(monitor);
+    let log = std::fs::read(&log_path).unwrap();
+    assert!(log.len() > start);
+    for cut in start..=log.len() {
+        std::fs::write(&log_path, &log[..cut]).unwrap();
+        let (store, report) = PolicyStore::open(dir.path(), AuthMode::Explicit).unwrap();
+        let checksum = policy_checksum(store.policy());
+        let expected = if cut == log.len() { after } else { before };
+        assert_eq!(checksum, expected, "log cut at byte {cut}");
+        assert_eq!(report.divergent, 0, "log cut at byte {cut}");
+        assert!(
+            evaluate_constraints(
+                store.universe(),
+                store.policy(),
+                &constraints,
+                AuthMode::Explicit
+            )
+            .is_empty(),
+            "log cut at byte {cut}: the recovered state breaks the SoD pair"
+        );
+    }
 }
 
 /// A constraint set naming an id the universe lacks is refused in

@@ -312,8 +312,9 @@ fn raw_round(
 /// The leader writes the acks, and only once the group's WAL sync
 /// returned: two connections with eight pipelined submits each, against
 /// a durable service whose first sync fails. Every id is answered
-/// exactly once; the failed group answers `Backend` to every submit and
-/// `Outcomes` to none; the next round answers `Outcomes` to all sixteen.
+/// exactly once; the failed group answers `Backend` with no outcomes to
+/// every submit and `Outcomes` to none, and publishes nothing; the same
+/// round retried answers `Outcomes` to all sixteen.
 #[cfg(unix)]
 #[test]
 fn leader_acks_each_submit_once_after_the_sync() {
@@ -329,10 +330,11 @@ fn leader_acks_each_submit_once_after_the_sync() {
     store.inject_sync_failure();
     let monitor = ReferenceMonitor::with_store(store, MonitorConfig::default());
     // A generous window, so scheduling cannot split a round's group.
-    let service = MonitorService::new(monitor).with_write_gather(Duration::from_millis(200));
+    let service =
+        Arc::new(MonitorService::new(monitor).with_write_gather(Duration::from_millis(200)));
     let path = dir.path().join("adminrefd.sock");
     let listener = WireListener::unix(&path).unwrap();
-    let daemon = Daemon::spawn(Arc::new(service), universe.clone(), listener).unwrap();
+    let daemon = Daemon::spawn(service.clone(), universe.clone(), listener).unwrap();
     let mut conns: Vec<_> = (0..2)
         .map(|_| std::os::unix::net::UnixStream::connect(&path).unwrap())
         .collect();
@@ -372,26 +374,29 @@ fn leader_acks_each_submit_once_after_the_sync() {
     let primed = raw_round(&mut conns[..1], &[primer]);
     assert_eq!(ids_of(&primed), (0..16).collect::<Vec<_>>());
 
-    // The failed group: the sync failure reaches every submit, and no
-    // reply claims success.
+    // The failed group: the sync failure reaches every submit, no reply
+    // claims success, and no epoch is published.
+    let version = service.monitor().version();
     let failed = raw_round(&mut conns, &round(100, CommandKind::Grant));
     assert_eq!(ids_of(&failed), (100..116).collect::<Vec<_>>());
     for (id, answer) in &failed {
         match answer {
             Err(ServiceError::Backend { applied, .. }) => {
-                assert_eq!(applied.len(), 1, "id {id} carries its own outcome");
-                assert!(applied[0].executed());
+                assert!(applied.is_empty(), "id {id}: nothing was applied");
             }
             other => panic!("id {id}: expected Backend, got {other:?}"),
         }
     }
+    assert_eq!(service.monitor().version(), version);
 
-    // A clean round: every submit acknowledged with its outcomes.
-    let clean = raw_round(&mut conns, &round(200, CommandKind::Revoke));
+    // The same round retried: every submit acknowledged with its outcome.
+    let clean = raw_round(&mut conns, &round(200, CommandKind::Grant));
     assert_eq!(ids_of(&clean), (200..216).collect::<Vec<_>>());
     for (id, answer) in &clean {
         match answer {
-            Ok(Response::Outcomes(outcomes)) => assert!(outcomes[0].executed()),
+            Ok(Response::Outcomes(outcomes)) => {
+                assert!(outcomes[0].executed() && outcomes[0].changed)
+            }
             other => panic!("id {id}: expected Outcomes, got {other:?}"),
         }
     }

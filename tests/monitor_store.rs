@@ -3,7 +3,7 @@
 
 use adminref_core::ids::RoleId;
 use adminref_core::prelude::*;
-use adminref_monitor::{MonitorConfig, ReferenceMonitor};
+use adminref_monitor::{MonitorConfig, MonitorError, ReferenceMonitor};
 use adminref_store::{PolicyStore, TempDir};
 use adminref_workloads::{
     generate_queue, hospital_fig2, inject_admin_privs, layered, populate_perms, populate_users,
@@ -33,6 +33,13 @@ fn workload(seed: u64) -> (Universe, Policy, Vec<UserId>, Vec<RoleId>) {
         },
     );
     (h.universe, h.policy, users, roles)
+}
+
+/// Executes `cmd` on `store` as a batch of its own, durably.
+fn execute(store: &mut PolicyStore, cmd: &Command) -> StepOutcome {
+    let (outcomes, status) = store.execute_batch([cmd]);
+    status.unwrap();
+    outcomes[0]
 }
 
 #[test]
@@ -81,7 +88,7 @@ fn compaction_mid_workload_preserves_state() {
     let mut store = PolicyStore::create(dir.path(), uni, policy, AuthMode::Explicit).unwrap();
     let cmds: Vec<Command> = queue.iter().copied().collect();
     for (i, cmd) in cmds.iter().enumerate() {
-        store.execute(cmd).unwrap();
+        execute(&mut store, cmd);
         if i % 25 == 24 {
             store.compact().unwrap();
         }
@@ -114,10 +121,9 @@ fn recovery_after_partial_write_is_a_prefix_state() {
             PolicyStore::create(dir.path(), uni, policy.clone(), AuthMode::Explicit).unwrap();
         states.push(store.policy().clone());
         for cmd in queue.iter() {
-            store.execute(cmd).unwrap();
+            execute(&mut store, cmd);
             states.push(store.policy().clone());
         }
-        store.sync().unwrap();
     }
     // Chop random amounts off the log tail and verify the recovered state
     // is always one of the prefix states.
@@ -208,7 +214,7 @@ fn ordered_and_explicit_stores_diverge_observably() {
     let mode = AuthMode::Ordered(OrderingMode::Extended);
     let mut store_ord =
         PolicyStore::create(dir_ord.path(), uni.clone(), policy.clone(), mode).unwrap();
-    assert!(store_ord.execute(&weaker_cmd).unwrap().executed());
+    assert!(execute(&mut store_ord, &weaker_cmd).executed());
 
     let dir_exp = TempDir::new("exp").unwrap();
     let mut store_exp = PolicyStore::create(
@@ -218,7 +224,7 @@ fn ordered_and_explicit_stores_diverge_observably() {
         AuthMode::Explicit,
     )
     .unwrap();
-    assert!(store_exp.execute(&held_cmd).unwrap().executed());
+    assert!(execute(&mut store_exp, &held_cmd).executed());
 
     // ordered-result ⊑ explicit-result (Theorem 1 in action, durably).
     assert!(refines(&uni, store_exp.policy(), store_ord.policy()));
@@ -229,9 +235,9 @@ fn ordered_and_explicit_stores_diverge_observably() {
 #[derive(Clone, Copy, Debug)]
 enum Fault {
     None,
-    /// The 13th append of the 20-command batch fails.
+    /// Writing the batch's WAL record fails halfway.
     Append,
-    /// Every command applies, then the batch-final sync fails.
+    /// The batch's WAL record is written whole, then its sync fails.
     Sync,
 }
 
@@ -248,8 +254,9 @@ fn universe_ids(u: &Universe) -> (UniverseTag, Vec<String>, Vec<String>, Vec<Pri
 }
 
 /// After one batch that ends with `fault`, a durable monitor's published
-/// `(universe, policy)` is its store's state. The store's state is read
-/// off disk twice: a copy of the directory replays the WAL, and the
+/// `(universe, policy)` is its store's state: the batch's whole outcome
+/// without a fault, the state before it with one. The store's state is
+/// read off disk twice: a copy of the directory replays the WAL, and the
 /// original, compacted by the monitor, holds the store's live state as
 /// a snapshot.
 fn published_state_is_the_store_state(mode: AuthMode, fault: Fault) {
@@ -270,26 +277,37 @@ fn published_state_is_the_store_state(mode: AuthMode, fault: Fault) {
     let mut store = PolicyStore::create(dir.path(), uni, policy, mode).unwrap();
     match fault {
         Fault::None => {}
-        Fault::Append => store.inject_append_failure_after(12),
+        Fault::Append => store.inject_append_failure(),
         Fault::Sync => store.inject_sync_failure(),
     }
+    let before = (universe_ids(store.universe()), store.policy().clone());
     let config = MonitorConfig {
         autocompact_log_len: None,
         ..MonitorConfig::default()
     };
     let monitor = ReferenceMonitor::with_store(store, config);
-    let (outcomes, error) = monitor.submit_batch_outcomes(&commands);
-    let applied = match fault {
-        Fault::Append => 12,
-        Fault::None | Fault::Sync => 20,
+    let applied = match monitor.submit_batch(&commands) {
+        Ok(outcomes) => {
+            assert!(matches!(fault, Fault::None), "{fault:?} went unreported");
+            assert!(
+                outcomes.iter().any(|o| o.changed),
+                "the batch changed the policy"
+            );
+            20
+        }
+        Err(MonitorError::Store(_)) if !matches!(fault, Fault::None) => 0,
+        Err(e) => panic!("{fault:?}: {e}"),
     };
-    assert_eq!(outcomes.len(), applied, "{fault:?}");
-    assert_eq!(error.is_some(), !matches!(fault, Fault::None), "{fault:?}");
-    assert!(
-        outcomes.iter().any(|o| o.changed),
-        "the batch changed the policy"
-    );
     let (published_uni, published_policy) = monitor.snapshot();
+    if applied == 0 {
+        assert_eq!(monitor.version(), 0, "{fault:?}: nothing published");
+        assert_eq!(monitor.audit_len(), 0, "{fault:?}: nothing audited");
+        assert_eq!(
+            (universe_ids(&published_uni), published_policy.clone()),
+            before,
+            "{fault:?}"
+        );
+    }
 
     let copy = TempDir::new("published-is-store-copy").unwrap();
     for entry in std::fs::read_dir(dir.path()).unwrap() {
@@ -327,13 +345,10 @@ fn published_state_is_the_store_state_after_a_clean_batch() {
     published_state_is_the_store_state(AuthMode::Ordered(OrderingMode::Extended), Fault::None);
 }
 
-/// Explicit mode only: an ordered authorization of the command whose
-/// append failed may intern a term the WAL never records, so the live
-/// store (and the epoch published from it) can hold one term a replay
-/// of the directory lacks.
 #[test]
 fn published_state_is_the_store_state_after_an_append_failure() {
     published_state_is_the_store_state(AuthMode::Explicit, Fault::Append);
+    published_state_is_the_store_state(AuthMode::Ordered(OrderingMode::Extended), Fault::Append);
 }
 
 #[test]

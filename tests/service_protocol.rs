@@ -9,12 +9,11 @@
 //!    atomic: each request's commands occupy contiguous audit sequence
 //!    numbers, in submission order per submitter, and the outcomes each
 //!    submitter received match its own commands' audit records.
-//! 2. **Applied-prefix semantics** — a mid-batch durable-store failure
-//!    surfaces `ServiceError::Backend` carrying the outcomes of the
-//!    request's own applied prefix, the monitor publishes/audits
-//!    exactly that prefix, and recovery reopens to it (PR 3's
-//!    log-before-apply discipline, now observable through the typed
-//!    protocol).
+//! 2. **All-or-nothing batches** — a durable-store failure surfaces
+//!    `ServiceError::Backend` with no outcomes, the monitor publishes
+//!    and audits none of the request, recovery reopens without it, and
+//!    the request retried whole applies (one WAL record per batch,
+//!    observable through the typed protocol).
 //! 3. **Protocol totality** — every `Request` variant is served and the
 //!    typed wrappers round-trip.
 
@@ -215,9 +214,10 @@ proptest! {
 }
 
 /// Guarantee 2 through the public protocol: a durable backend that
-/// fails mid-request surfaces the applied prefix, and recovery agrees.
+/// fails writing a request's WAL record applies none of it, and a
+/// retry of the whole request applies it.
 #[test]
-fn mid_batch_store_failure_surfaces_applied_prefix() {
+fn a_store_failure_applies_none_of_the_request() {
     let (uni, policy) = arena();
     let actor = uni.find_user("actor0").unwrap();
     let subj = uni.find_user("subj0").unwrap();
@@ -226,10 +226,10 @@ fn mid_batch_store_failure_surfaces_applied_prefix() {
         uni.find_role("r1").unwrap(),
         uni.find_role("r2").unwrap(),
     );
-    let dir = TempDir::new("service-prefix").unwrap();
+    let dir = TempDir::new("service-all-or-nothing").unwrap();
     let mut store =
         PolicyStore::create(dir.path(), uni.clone(), policy, AuthMode::Explicit).unwrap();
-    store.inject_append_failure_after(2);
+    store.inject_append_failure();
     let service = MonitorService::new(adminref_monitor::ReferenceMonitor::with_store(
         store,
         MonitorConfig::default(),
@@ -237,34 +237,34 @@ fn mid_batch_store_failure_surfaces_applied_prefix() {
     let commands = vec![
         Command::grant(actor, Edge::UserRole(subj, r0)),
         Command::grant(actor, Edge::UserRole(subj, r1)),
-        Command::grant(actor, Edge::UserRole(subj, r2)), // injected failure
+        Command::grant(actor, Edge::UserRole(subj, r2)),
     ];
-    match service.submit(commands) {
+    match service.submit(commands.clone()) {
         Err(ServiceError::Backend { applied, error }) => {
-            assert_eq!(applied.len(), 2, "two commands applied before the fault");
-            assert!(applied.iter().all(|o| o.executed() && o.changed));
+            assert!(applied.is_empty(), "nothing was applied");
             assert!(error.to_string().contains("injected"), "{error}");
         }
         other => panic!("expected Backend error, got {other:?}"),
     }
-    // The published snapshot and the audit log hold exactly the prefix…
+    // The published snapshot and the audit log hold none of it…
     let snapshot = service.monitor().read_snapshot();
-    assert!(snapshot.policy().contains_edge(Edge::UserRole(subj, r0)));
-    assert!(snapshot.policy().contains_edge(Edge::UserRole(subj, r1)));
-    assert!(!snapshot.policy().contains_edge(Edge::UserRole(subj, r2)));
-    assert_eq!(service.monitor().audit_len(), 2);
-    // …and the service keeps serving: the store recovered its handle
-    // (the injected fault was transient), so a retry applies cleanly.
-    let retry = service
-        .submit(vec![Command::grant(actor, Edge::UserRole(subj, r2))])
-        .expect("fault was transient");
-    assert!(retry[0].executed());
-    // Recovery from disk agrees with what the service reported durable.
+    assert_eq!(snapshot.epoch, 0);
+    for role in [r0, r1, r2] {
+        assert!(!snapshot.policy().contains_edge(Edge::UserRole(subj, role)));
+    }
+    assert_eq!(service.monitor().audit_len(), 0);
+    // …and the service keeps serving: the fault was transient, so the
+    // request retried whole applies.
+    let retry = service.submit(commands).expect("fault was transient");
+    assert!(retry.iter().all(|o| o.executed() && o.changed));
+    // Recovery from disk replays exactly the retry.
     drop(service);
-    let (store, _report) = PolicyStore::open(dir.path(), AuthMode::Explicit).unwrap();
-    assert!(store.policy().contains_edge(Edge::UserRole(subj, r0)));
-    assert!(store.policy().contains_edge(Edge::UserRole(subj, r1)));
-    assert!(store.policy().contains_edge(Edge::UserRole(subj, r2)));
+    let (store, report) = PolicyStore::open(dir.path(), AuthMode::Explicit).unwrap();
+    assert_eq!((report.replayed, report.divergent), (3, 0));
+    assert!(!report.truncated_tail);
+    for role in [r0, r1, r2] {
+        assert!(store.policy().contains_edge(Edge::UserRole(subj, role)));
+    }
 }
 
 /// Guarantee 3: every request variant answers with its paired response
