@@ -627,14 +627,25 @@ fn frozen_violation(policy: &Policy, interval: &Interval, edge: Edge) -> Option<
     })
 }
 
+/// The edge `e` when `edge` assigns a revoke term `¤(e)` to a role — the
+/// only kind of edge through which a revocation is ever authorized.
+pub fn revoke_assigned(universe: &Universe, edge: Edge) -> Option<Edge> {
+    match edge {
+        Edge::RolePriv(_, p) => match universe.term(p) {
+            PrivTerm::Revoke(effect) => Some(effect),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 /// Is `(universe, policy)` grow-only — no revoke-term assignment edge —
-/// so monotone saturation applies? Mirrors the `non-monotone-island`
-/// lint's root classification.
+/// so monotone saturation applies? The `non-monotone-island` lint
+/// classifies the root with it.
 pub fn is_grow_only(universe: &Universe, policy: &Policy) -> bool {
-    !policy.edges().any(|e| match e {
-        Edge::RolePriv(_, p) => matches!(universe.term(p), PrivTerm::Revoke(_)),
-        _ => false,
-    })
+    !policy
+        .edges()
+        .any(|e| revoke_assigned(universe, e).is_some())
 }
 
 /// The role a finding about `edge` anchors to (findings require one).

@@ -2,19 +2,21 @@
 //!
 //! Footnote 3 of the paper deliberately does *not* assume `RH` is a partial
 //! order, so the hierarchy may contain cycles. We compute strongly connected
-//! components (iterative Tarjan), condense, and propagate closure bitsets in
-//! the reverse-topological order Tarjan naturally emits. The longest chain
-//! of `RH` (needed for the Remark 2 enumeration bound) is a longest-path
-//! computation on the condensation.
+//! components (iterative Tarjan) and fill each SCC's closure row as Tarjan
+//! emits it, sinks first, by one recurrence: an SCC reaches its members and
+//! everything their successors' SCCs reach. The longest chain of `RH`
+//! (needed for the Remark 2 enumeration bound) is read off the rows on
+//! demand.
 //!
 //! Closure rows are stored once per SCC behind an [`Arc`], so cloning a
 //! closure is `O(|SCC|)` reference bumps and the incremental maintenance
 //! entry points ([`add_edge_incremental`](RoleClosure::add_edge_incremental),
 //! [`remove_edge_incremental`](RoleClosure::remove_edge_incremental))
 //! copy-on-write only the rows an edge delta actually changes — the
-//! substrate of the snapshot publisher's delta path.
+//! substrate of the snapshot publisher's delta path. A removal re-runs
+//! `build`'s recurrence over the rows that reached the edge's source, so
+//! it never costs more than `build`'s own row pass.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::bitset::BitSet;
@@ -26,8 +28,8 @@ pub enum ClosureDelta {
     /// The delta was applied in place; the closure is exact.
     Applied,
     /// The delta would merge or split SCCs (a cycle formed or an
-    /// intra-SCC edge vanished) or exceed the fan-out cap; the caller
-    /// must rebuild with [`RoleClosure::build`].
+    /// intra-SCC edge vanished); the caller must rebuild with
+    /// [`RoleClosure::build`].
     Rebuild,
 }
 
@@ -50,9 +52,30 @@ pub struct RoleClosure {
     /// individual untouched rows across epochs when a delta does copy
     /// the table.
     rows: Arc<Vec<Arc<BitSet>>>,
-    /// Longest chain measured in *roles* along any path of the condensation
-    /// (an SCC of size k contributes k).
-    longest_chain_roles: u32,
+}
+
+/// The row recurrence `build` and removal share: SCC `s`'s closure row is
+/// its `members` plus the row of every other SCC a member's successor lies
+/// in. Those rows must already be final in `rows`.
+fn fill_row<I: IntoIterator<Item = u32>>(
+    scc_of: &[u32],
+    rows: &[Arc<BitSet>],
+    s: u32,
+    members: impl IntoIterator<Item = u32>,
+    succ: impl Fn(u32) -> I,
+) -> BitSet {
+    let mut row = BitSet::new(scc_of.len());
+    for v in members {
+        row.insert(v as usize);
+        for w in succ(v) {
+            let t = scc_of[w as usize];
+            // A successor already in the row brought its own row with it.
+            if t != s && !row.contains(w as usize) {
+                row.union_with(&rows[t as usize]);
+            }
+        }
+    }
+    row
 }
 
 impl RoleClosure {
@@ -74,17 +97,18 @@ impl RoleClosure {
             adj[cursor[s as usize] as usize] = t;
             cursor[s as usize] += 1;
         }
-        let succ = |v: usize| &adj[offsets[v] as usize..offsets[v + 1] as usize];
+        let succ = |v: u32| &adj[offsets[v as usize] as usize..offsets[v as usize + 1] as usize];
 
         // Iterative Tarjan. SCCs are emitted sinks-first (reverse
-        // topological order of the condensation).
+        // topological order of the condensation), so every SCC a member's
+        // successor lies in already has its final row when the SCC pops.
         const UNVISITED: u32 = u32::MAX;
         let mut index = vec![UNVISITED; n];
         let mut lowlink = vec![0u32; n];
         let mut on_stack = vec![false; n];
         let mut scc_of = vec![0u32; n];
+        let mut rows: Vec<Arc<BitSet>> = Vec::new();
         let mut stack: Vec<u32> = Vec::new();
-        let mut scc_count = 0u32;
         let mut next_index = 0u32;
         // (vertex, next-child-offset) call frames.
         let mut frames: Vec<(u32, u32)> = Vec::new();
@@ -102,7 +126,7 @@ impl RoleClosure {
 
             while let Some(&mut (v, ref mut child)) = frames.last_mut() {
                 let vs = v as usize;
-                let children = succ(vs);
+                let children = succ(v);
                 if (*child as usize) < children.len() {
                     let w = children[*child as usize] as usize;
                     *child += 1;
@@ -123,61 +147,26 @@ impl RoleClosure {
                         lowlink[p] = lowlink[p].min(lowlink[vs]);
                     }
                     if lowlink[vs] == index[vs] {
-                        // Root of an SCC: pop members.
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
+                        // Root of an SCC: its members are the stack above it.
+                        let at = stack.iter().rposition(|&w| w == v).expect("root on stack");
+                        let s = rows.len() as u32;
+                        for &w in &stack[at..] {
                             on_stack[w as usize] = false;
-                            scc_of[w as usize] = scc_count;
-                            if w as usize == vs {
-                                break;
-                            }
+                            scc_of[w as usize] = s;
                         }
-                        scc_count += 1;
+                        let members = stack[at..].iter().copied();
+                        let row = fill_row(&scc_of, &rows, s, members, |w| succ(w).iter().copied());
+                        rows.push(Arc::new(row));
+                        stack.truncate(at);
                     }
                 }
             }
         }
-
-        // SCC sizes and member bitsets.
-        let c = scc_count as usize;
-        let mut scc_size = vec![0u32; c];
-        for v in 0..n {
-            scc_size[scc_of[v] as usize] += 1;
-        }
-
-        // Closure rows, processed in Tarjan emission order (sinks first):
-        // every inter-SCC edge goes from a higher SCC id to a lower one, so
-        // a successor's row is final by the time we union it in.
-        let mut rows: Vec<BitSet> = (0..c).map(|_| BitSet::new(n)).collect();
-        let mut members_of: Vec<Vec<u32>> = vec![Vec::new(); c];
-        for v in 0..n {
-            rows[scc_of[v] as usize].insert(v);
-            members_of[scc_of[v] as usize].push(v as u32);
-        }
-        // Longest chain in roles: DP over the condensation.
-        let mut chain = vec![0u32; c];
-        for scc in 0..c {
-            let mut best_succ_chain = 0u32;
-            for &v in &members_of[scc] {
-                for &w in succ(v as usize) {
-                    let ws = scc_of[w as usize] as usize;
-                    if ws != scc {
-                        debug_assert!(ws < scc, "tarjan order violated");
-                        let (left, right) = rows.split_at_mut(scc);
-                        right[0].union_with(&left[ws]);
-                        best_succ_chain = best_succ_chain.max(chain[ws]);
-                    }
-                }
-            }
-            chain[scc] = scc_size[scc] + best_succ_chain;
-        }
-        let longest_chain_roles = chain.iter().copied().max().unwrap_or(0);
 
         RoleClosure {
             n,
             scc_of: Arc::new(scc_of),
-            rows: Arc::new(rows.into_iter().map(Arc::new).collect()),
-            longest_chain_roles,
+            rows: Arc::new(rows),
         }
     }
 
@@ -221,23 +210,21 @@ impl RoleClosure {
         ClosureDelta::Applied
     }
 
-    /// Applies the removal of edge `a → b` in place, given `succ` — the
-    /// role adjacency **after** the removal.
+    /// Applies the removal of edge `a → b` in place, given `succ` — each
+    /// role's successors **after** the removal.
     ///
     /// Removal can only shrink rows of SCCs that currently reach `a`
-    /// (every lost path crossed the removed edge). Each affected row is
-    /// recomputed exactly by a BFS from the SCC's members over `succ`;
-    /// unaffected rows keep sharing their allocation. When more than
-    /// `max_affected` rows would need recomputing the targeted pass
-    /// costs about as much as a rebuild, so the caller is told to
-    /// rebuild instead ([`ClosureDelta::Rebuild`]); likewise when the
-    /// removed edge was *inside* an SCC, since the SCC may split.
-    pub fn remove_edge_incremental(
+    /// (every lost path crossed the removed edge), so `build`'s row
+    /// recurrence is re-run over exactly those, smallest old row first.
+    /// That is children first: whatever such an SCC still reaches it
+    /// reached before, with a strictly smaller row. Unaffected rows keep
+    /// sharing their allocation. An edge *inside* an SCC may split it,
+    /// so that removal answers [`ClosureDelta::Rebuild`].
+    pub fn remove_edge_incremental<I: IntoIterator<Item = u32>>(
         &mut self,
         a: u32,
         b: u32,
-        succ: &[BTreeSet<u32>],
-        max_affected: usize,
+        succ: impl Fn(u32) -> I,
     ) -> ClosureDelta {
         let (ai, bi) = (a as usize, b as usize);
         if ai >= self.n || bi >= self.n {
@@ -246,88 +233,20 @@ impl RoleClosure {
         if self.scc_of[ai] == self.scc_of[bi] {
             return ClosureDelta::Rebuild;
         }
-        let affected: Vec<usize> = (0..self.rows.len())
-            .filter(|&s| self.rows[s].contains(ai))
+        let mut affected: Vec<(usize, u32)> = (0..self.rows.len() as u32)
+            .filter(|&s| self.rows[s as usize].contains(ai))
+            .map(|s| (self.rows[s as usize].count(), s))
             .collect();
-        if affected.len() > max_affected {
-            return ClosureDelta::Rebuild;
-        }
-        let mut members_of: Vec<Vec<u32>> = vec![Vec::new(); self.rows.len()];
-        for v in 0..self.n {
-            members_of[self.scc_of[v] as usize].push(v as u32);
-        }
+        affected.sort_unstable();
+        let scc_of = &self.scc_of;
         let rows = Arc::make_mut(&mut self.rows);
-        for s in affected {
-            let mut row = BitSet::new(self.n);
-            let mut queue: Vec<u32> = Vec::new();
-            for &m in &members_of[s] {
-                if row.insert(m as usize) {
-                    queue.push(m);
-                }
-            }
-            while let Some(v) = queue.pop() {
-                for &w in &succ[v as usize] {
-                    if row.insert(w as usize) {
-                        queue.push(w);
-                    }
-                }
-            }
-            rows[s] = Arc::new(row);
+        for (_, s) in affected {
+            let old = &rows[s as usize];
+            let members = old.iter().filter(|&v| scc_of[v] == s).map(|v| v as u32);
+            let row = fill_row(scc_of, rows, s, members, &succ);
+            rows[s as usize] = Arc::new(row);
         }
         ClosureDelta::Applied
-    }
-
-    /// Recomputes [`longest_chain_roles`](Self::longest_chain_roles)
-    /// from `succ` (the current role adjacency) after a batch of
-    /// incremental edge deltas. `O(|R| + |E| + |SCC|)`: a Kahn pass over
-    /// the condensation plus the chain DP — no bitset traffic.
-    pub fn recompute_longest_chain(&mut self, succ: &[BTreeSet<u32>]) {
-        let c = self.rows.len();
-        if c == 0 {
-            self.longest_chain_roles = 0;
-            return;
-        }
-        let mut scc_size = vec![0u32; c];
-        for v in 0..self.n {
-            scc_size[self.scc_of[v] as usize] += 1;
-        }
-        // Condensation edges (with multiplicity — Kahn only needs the
-        // indegree bookkeeping to match).
-        let mut scc_succ: Vec<Vec<u32>> = vec![Vec::new(); c];
-        let mut indegree = vec![0u32; c];
-        for (v, targets) in succ.iter().enumerate().take(self.n) {
-            let sv = self.scc_of[v];
-            for &w in targets {
-                let sw = self.scc_of[w as usize];
-                if sv != sw {
-                    scc_succ[sv as usize].push(sw);
-                    indegree[sw as usize] += 1;
-                }
-            }
-        }
-        let mut order: Vec<u32> = (0..c as u32)
-            .filter(|&s| indegree[s as usize] == 0)
-            .collect();
-        let mut head = 0;
-        while head < order.len() {
-            let s = order[head] as usize;
-            head += 1;
-            for &t in &scc_succ[s] {
-                indegree[t as usize] -= 1;
-                if indegree[t as usize] == 0 {
-                    order.push(t);
-                }
-            }
-        }
-        debug_assert_eq!(order.len(), c, "condensation must be acyclic");
-        // Sinks-first DP: process the topological order in reverse.
-        let mut chain = vec![0u32; c];
-        for &s in order.iter().rev() {
-            let s = s as usize;
-            let best_succ = scc_succ[s].iter().map(|&t| chain[t as usize]).max();
-            chain[s] = scc_size[s] + best_succ.unwrap_or(0);
-        }
-        self.longest_chain_roles = chain.iter().copied().max().unwrap_or(0);
     }
 
     /// Number of roles indexed.
@@ -378,19 +297,43 @@ impl RoleClosure {
     /// expose both the role count and the edge count
     /// ([`RoleClosure::longest_chain_edges`]) so callers can pick the
     /// reading they need.
+    ///
+    /// Computed from the rows on each call: `chain(s) = |s| + max
+    /// chain(t)` over the SCCs `t ≠ s` in `row(s)`, taken in ascending
+    /// row size, which puts every such `t` before `s`. A longest path
+    /// through the closure is one through `RH`: a shortcut skips roles.
     pub fn longest_chain_roles(&self) -> u32 {
-        self.longest_chain_roles
+        let c = self.rows.len();
+        let mut chain = vec![0u32; c];
+        for &s in self.scc_of.iter() {
+            chain[s as usize] += 1;
+        }
+        let mut order: Vec<usize> = (0..c).collect();
+        order.sort_by_cached_key(|&s| self.rows[s].count());
+        for s in order {
+            let below = self.rows[s]
+                .iter()
+                .map(|v| self.scc_of[v] as usize)
+                .filter(|&t| t != s)
+                .map(|t| chain[t])
+                .max();
+            chain[s] += below.unwrap_or(0);
+        }
+        chain.into_iter().max().unwrap_or(0)
     }
 
     /// Longest chain measured in edges (`roles - 1`, saturating).
     pub fn longest_chain_edges(&self) -> u32 {
-        self.longest_chain_roles.saturating_sub(1)
+        self.longest_chain_roles().saturating_sub(1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
 
     fn closure(n: usize, edges: &[(u32, u32)]) -> RoleClosure {
         RoleClosure::build(n, edges.iter().copied())
@@ -527,6 +470,12 @@ mod tests {
         succ
     }
 
+    /// Removes `a → b` given the edge list after the removal.
+    fn remove(c: &mut RoleClosure, a: u32, b: u32, after: &[(u32, u32)]) -> ClosureDelta {
+        let succ = adjacency(c.len(), after);
+        c.remove_edge_incremental(a, b, |v| succ[v as usize].iter().copied())
+    }
+
     /// Same reachability answers and observables, independent of SCC
     /// numbering.
     fn assert_equivalent(a: &RoleClosure, b: &RoleClosure, n: usize) {
@@ -545,8 +494,6 @@ mod tests {
         assert_eq!(inc.add_edge_incremental(2, 3), ClosureDelta::Applied);
         let mut edges = base.clone();
         edges.push((2, 3));
-        let succ = adjacency(5, &edges);
-        inc.recompute_longest_chain(&succ);
         assert_equivalent(&inc, &closure(5, &edges), 5);
         assert_eq!(inc.longest_chain_roles(), 5);
         // Untouched rows still share their allocation with... the edge
@@ -572,34 +519,19 @@ mod tests {
         let base = vec![(0, 1), (0, 2), (1, 3), (2, 3)];
         let mut inc = closure(4, &base);
         let after: Vec<(u32, u32)> = base.iter().copied().filter(|&e| e != (1, 3)).collect();
-        let succ = adjacency(4, &after);
-        assert_eq!(
-            inc.remove_edge_incremental(1, 3, &succ, usize::MAX),
-            ClosureDelta::Applied
-        );
-        inc.recompute_longest_chain(&succ);
+        assert_eq!(remove(&mut inc, 1, 3, &after), ClosureDelta::Applied);
         assert_equivalent(&inc, &closure(4, &after), 4);
         assert!(inc.reaches(0, 3), "still reachable via 2");
         assert!(!inc.reaches(1, 3));
     }
 
     #[test]
-    fn incremental_remove_refuses_intra_scc_and_caps_fanout() {
+    fn incremental_remove_refuses_intra_scc() {
         let mut cyc = closure(3, &[(0, 1), (1, 0), (1, 2)]);
-        let succ = adjacency(3, &[(0, 1), (1, 2)]);
         assert_eq!(
-            cyc.remove_edge_incremental(1, 0, &succ, usize::MAX),
+            remove(&mut cyc, 1, 0, &[(0, 1), (1, 2)]),
             ClosureDelta::Rebuild,
             "intra-SCC removal may split the SCC"
-        );
-        // Fan-out cap: a chain removal affects every upstream row.
-        let base = vec![(0, 1), (1, 2), (2, 3)];
-        let mut chain = closure(4, &base);
-        let succ = adjacency(4, &[(0, 1), (1, 2)]);
-        assert_eq!(
-            chain.remove_edge_incremental(2, 3, &succ, 1),
-            ClosureDelta::Rebuild,
-            "three affected rows exceed the cap of 1"
         );
     }
 
@@ -618,23 +550,109 @@ mod tests {
             (0, 3, true),
         ];
         for &(a, b, add) in script {
-            if add {
+            let outcome = if add {
                 edges.push((a, b));
-                if inc.add_edge_incremental(a, b) == ClosureDelta::Rebuild {
-                    inc = closure(6, &edges);
-                } else {
-                    inc.recompute_longest_chain(&adjacency(6, &edges));
-                }
+                inc.add_edge_incremental(a, b)
             } else {
                 edges.retain(|&e| e != (a, b));
-                let succ = adjacency(6, &edges);
-                if inc.remove_edge_incremental(a, b, &succ, usize::MAX) == ClosureDelta::Rebuild {
-                    inc = closure(6, &edges);
-                } else {
-                    inc.recompute_longest_chain(&succ);
-                }
+                remove(&mut inc, a, b, &edges)
+            };
+            if outcome == ClosureDelta::Rebuild {
+                inc = closure(6, &edges);
             }
             assert_equivalent(&inc, &closure(6, &edges), 6);
+        }
+    }
+
+    /// Remark 2's bound by brute force: the heaviest path between SCCs,
+    /// each SCC weighing its role count, found by DFS from every role
+    /// over naively computed reachability.
+    fn reference_chain(n: usize, edges: &[(u32, u32)]) -> u32 {
+        let reach: Vec<Vec<bool>> = (0..n)
+            .map(|s| {
+                let mut seen = vec![false; n];
+                let mut queue = vec![s];
+                seen[s] = true;
+                while let Some(v) = queue.pop() {
+                    for &(a, b) in edges {
+                        if a as usize == v && !seen[b as usize] {
+                            seen[b as usize] = true;
+                            queue.push(b as usize);
+                        }
+                    }
+                }
+                seen
+            })
+            .collect();
+        fn heaviest(v: usize, reach: &[Vec<bool>], edges: &[(u32, u32)]) -> u32 {
+            let same = |x: usize, y: usize| reach[x][y] && reach[y][x];
+            let size = (0..reach.len()).filter(|&w| same(v, w)).count() as u32;
+            let below = edges
+                .iter()
+                .map(|&(a, b)| (a as usize, b as usize))
+                .filter(|&(a, b)| same(a, v) && !same(b, v))
+                .map(|(_, b)| heaviest(b, reach, edges))
+                .max();
+            size + below.unwrap_or(0)
+        }
+        (0..n)
+            .map(|v| heaviest(v, &reach, edges))
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn graph(n: usize, raw: &[(u32, u32)]) -> Vec<(u32, u32)> {
+        let mut edges: Vec<(u32, u32)> = raw
+            .iter()
+            .map(|&(a, b)| (a % n as u32, b % n as u32))
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        edges
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The chain read off the rows of a fresh build equals the
+        /// brute-force heaviest SCC path, cycles and self-loops included.
+        #[test]
+        fn longest_chain_matches_reference_after_build(
+            n in 1usize..8,
+            raw in prop::collection::vec((0u32..7, 0u32..7), 0..14),
+        ) {
+            let edges = graph(n, &raw);
+            prop_assert_eq!(closure(n, &edges).longest_chain_roles(), reference_chain(n, &edges));
+        }
+
+        /// The same after random additions and removals applied
+        /// incrementally (rebuilding only where a delta asks for it).
+        #[test]
+        fn longest_chain_matches_reference_after_deltas(
+            n in 1usize..8,
+            raw in prop::collection::vec((0u32..7, 0u32..7), 0..10),
+            script in prop::collection::vec((0u32..7, 0u32..7, any::<bool>()), 1..16),
+        ) {
+            let mut edges = graph(n, &raw);
+            let mut inc = closure(n, &edges);
+            for (a, b, add) in script {
+                let (a, b) = (a % n as u32, b % n as u32);
+                let present = edges.contains(&(a, b));
+                let outcome = if add && !present {
+                    edges.push((a, b));
+                    inc.add_edge_incremental(a, b)
+                } else if !add && present {
+                    edges.retain(|&e| e != (a, b));
+                    remove(&mut inc, a, b, &edges)
+                } else {
+                    continue;
+                };
+                if outcome == ClosureDelta::Rebuild {
+                    inc = closure(n, &edges);
+                }
+                assert_equivalent(&inc, &closure(n, &edges), n);
+                prop_assert_eq!(inc.longest_chain_roles(), reference_chain(n, &edges));
+            }
         }
     }
 }

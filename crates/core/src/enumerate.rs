@@ -17,6 +17,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
+use crate::closure::RoleClosure;
 use crate::ids::{Entity, PrivId, RoleId};
 use crate::ordering::OrderingMode;
 use crate::policy::Policy;
@@ -68,8 +69,8 @@ pub struct WeakerSet {
 /// The Remark 2 bound: the length of the longest chain in `RH`, measured
 /// in roles.
 pub fn remark2_depth(universe: &Universe, policy: &Policy) -> u32 {
-    ReachIndex::build(universe, policy)
-        .role_closure()
+    policy.check_universe(universe);
+    RoleClosure::build(universe.role_count(), policy.rh().map(|(a, b)| (a.0, b.0)))
         .longest_chain_roles()
 }
 

@@ -9,6 +9,7 @@
 
 use std::collections::BTreeSet;
 
+use crate::admission::{is_grow_only, revoke_assigned};
 use crate::display::{priv_to_string, Notation};
 use crate::ids::{Entity, PrivId, RoleId, UserId};
 use crate::ordering::PrivilegeOrder;
@@ -247,16 +248,9 @@ fn non_monotone_islands(
     potential: &Potential,
     findings: &mut Vec<Finding>,
 ) {
-    let revoke_assignment = |edge: Edge| match edge {
-        Edge::RolePriv(r, p) => match universe.term(p) {
-            PrivTerm::Revoke(effect) => Some((r, p, effect)),
-            _ => None,
-        },
-        _ => None,
-    };
-    let root_grow_only = !root.edges().any(|e| revoke_assignment(e).is_some());
+    let root_grow_only = is_grow_only(universe, root);
     for edge in potential.policy.edges() {
-        let Some((r, p, effect)) = revoke_assignment(edge) else {
+        let (Edge::RolePriv(r, p), Some(effect)) = (edge, revoke_assigned(universe, edge)) else {
             continue;
         };
         if root.contains_edge(edge) {

@@ -13,7 +13,7 @@
 //!
 //! Both agree everywhere; a property test in this module checks that.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use crate::bitset::BitSet;
@@ -110,14 +110,6 @@ pub struct EdgeDelta {
     pub added: bool,
 }
 
-/// Cap on closure rows a single RH-edge removal may recompute before
-/// the targeted pass costs as much as a rebuild (see
-/// [`RoleClosure::remove_edge_incremental`]). A quarter of the SCCs,
-/// floored so tiny hierarchies always take the targeted path.
-fn removal_fanout_cap(scc_count: usize) -> usize {
-    (scc_count / 4).max(8)
-}
-
 impl ReachIndex {
     /// Builds the index for `policy` against `universe`.
     pub fn build(universe: &Universe, policy: &Policy) -> Self {
@@ -143,10 +135,11 @@ impl ReachIndex {
     /// Derives the index of a *child* policy from this one by applying
     /// the batch's edge deltas, sharing every untouched row with the
     /// parent. Returns `None` when the batch needs a from-scratch
-    /// [`build`](Self::build): the universe's role/user population grew
-    /// under the index, an RH addition closed a new cycle (SCC merge),
-    /// an RH removal hit an edge inside an SCC (possible split), or a
-    /// removal's row fan-out exceeded the cost cap.
+    /// [`build`](Self::build), for one of four reasons: the universe's
+    /// role/user population grew under the index, a delta disagrees with
+    /// the index (an addition of a present edge or a removal of an absent
+    /// one), an RH addition closed a new cycle (SCC merge), or an RH
+    /// removal hit an edge inside an SCC (possible split).
     ///
     /// `policy_before` must be the policy this index was built for and
     /// `deltas` the exact sequence of applied changes leading from it
@@ -165,11 +158,9 @@ impl ReachIndex {
             return None;
         }
         let mut next = self.clone();
-        // Role adjacency, materialized lazily on the first RH delta and
-        // kept in step with the sequence (UA/PA-only batches never pay
-        // for it).
-        let mut succ: Option<Vec<BTreeSet<u32>>> = None;
-        let mut rh_changed = false;
+        // The batch's RH deltas so far, net: edge → present after them.
+        // A removal's successors are `policy_before`'s juniors under it.
+        let mut rh_after: BTreeMap<(u32, u32), bool> = BTreeMap::new();
         for delta in deltas {
             match (delta.edge, delta.added) {
                 (Edge::UserRole(u, r), added) => {
@@ -211,35 +202,29 @@ impl ReachIndex {
                     }
                 }
                 (Edge::RoleRole(a, b), added) => {
-                    let succ = succ.get_or_insert_with(|| {
-                        let mut adj = vec![BTreeSet::new(); self.role_count];
-                        for (s, t) in policy_before.rh() {
-                            adj[s.index()].insert(t.0);
-                        }
-                        adj
-                    });
-                    rh_changed = true;
+                    let present = rh_after.get(&(a.0, b.0)).copied();
+                    if present.unwrap_or_else(|| policy_before.contains_edge(delta.edge)) == added {
+                        return None;
+                    }
+                    rh_after.insert((a.0, b.0), added);
                     let outcome = if added {
-                        if !succ[a.index()].insert(b.0) {
-                            return None;
-                        }
                         next.closure.add_edge_incremental(a.0, b.0)
                     } else {
-                        if !succ[a.index()].remove(&b.0) {
-                            return None;
-                        }
-                        let cap = removal_fanout_cap(next.closure.scc_count());
-                        next.closure.remove_edge_incremental(a.0, b.0, succ, cap)
+                        let rh_after = &rh_after;
+                        next.closure.remove_edge_incremental(a.0, b.0, |v| {
+                            let kept = policy_before
+                                .juniors_of(RoleId(v))
+                                .map(|w| w.0)
+                                .filter(move |&w| !rh_after.contains_key(&(v, w)));
+                            let added = rh_after.range((v, 0)..=(v, u32::MAX));
+                            kept.chain(added.filter(|(_, &on)| on).map(|(&(_, w), _)| w))
+                        })
                     };
                     if outcome == ClosureDelta::Rebuild {
                         return None;
                     }
                 }
             }
-        }
-        if rh_changed {
-            next.closure
-                .recompute_longest_chain(succ.as_deref().expect("built on first RH delta"));
         }
         Some(next)
     }
@@ -587,6 +572,54 @@ mod tests {
         let mut grown = uni.clone();
         grown.role("intern");
         assert!(idx.apply_delta(&grown, &policy, &[]).is_none());
+    }
+
+    #[test]
+    fn long_chain_removal_stays_incremental() {
+        // Removing the last edge of a 40-role chain shrinks 39 rows, past
+        // any cap a fraction of the SCC count would set.
+        let mut builder = PolicyBuilder::new();
+        for i in 0..39 {
+            builder = builder.inherit(&format!("r{i}"), &format!("r{}", i + 1));
+        }
+        let (uni, before) = builder.finish();
+        let role = |i: usize| uni.find_role(&format!("r{i}")).unwrap();
+        let rh = |a: usize, b: usize| Edge::RoleRole(role(a), role(b));
+        let idx = ReachIndex::build(&uni, &before);
+        let last = [EdgeDelta {
+            edge: rh(38, 39),
+            added: false,
+        }];
+        let mut after = before.clone();
+        assert!(after.remove_edge(rh(38, 39)));
+        let next = idx
+            .apply_delta(&uni, &before, &last)
+            .expect("a removal between SCCs stays incremental");
+        assert_equiv(&uni, &after, &next, &ReachIndex::build(&uni, &after));
+        assert_eq!(next.role_closure().longest_chain_roles(), 39);
+        // A later removal in the same batch sees the batch's own earlier
+        // hierarchy deltas.
+        let batch = [
+            last[0],
+            EdgeDelta {
+                edge: rh(10, 39),
+                added: true,
+            },
+            EdgeDelta {
+                edge: rh(20, 21),
+                added: false,
+            },
+        ];
+        assert!(after.add_edge(rh(10, 39)));
+        assert!(after.remove_edge(rh(20, 21)));
+        let next = idx
+            .apply_delta(&uni, &before, &batch)
+            .expect("every delta stays incremental");
+        assert_equiv(&uni, &after, &next, &ReachIndex::build(&uni, &after));
+        assert!(
+            next.reach_entity(role(0).into(), role(39).into()),
+            "via 10 -> 39"
+        );
     }
 
     #[test]

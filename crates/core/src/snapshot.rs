@@ -32,9 +32,10 @@
 //!   fans its target's closure row out along the reverse-reachability
 //!   frontier of its source (the add-edge split lemma — see
 //!   [`RoleClosure::add_edge_incremental`](crate::closure::RoleClosure::add_edge_incremental)).
-//!   Removal batches recompute only the affected closure rows;
-//!   SCC-changing deltas (a new cycle, an intra-cycle removal) and
-//!   oversized fan-outs fall back to a full [`ReachIndex::build`].
+//!   A removed role edge re-runs the build's row recurrence over only
+//!   the rows that reached its source, whatever their number;
+//!   SCC-changing deltas (a new cycle, an intra-cycle removal) fall back
+//!   to a full [`ReachIndex::build`].
 //!
 //! The fallback is also available wholesale as
 //! [`PublishMode::FullRebuild`], so differential tests can pin every

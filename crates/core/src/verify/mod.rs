@@ -32,6 +32,7 @@ pub mod bmc;
 pub mod saturation;
 pub mod specs;
 
+use crate::admission::{is_grow_only, revoke_assigned};
 use crate::command::{Command, CommandQueue};
 use crate::ids::{Entity, Perm, PrivId};
 use crate::policy::Policy;
@@ -39,7 +40,7 @@ use crate::reach::ReachIndex;
 use crate::safety::{ReachabilityAnswer, SafetyConfig, Truncation};
 use crate::search::{PolicySearch, SearchGoal};
 use crate::transition::AuthMode;
-use crate::universe::{Edge, PrivTerm, Universe};
+use crate::universe::Universe;
 
 /// Is this reachability instance **grow-only**?
 ///
@@ -54,11 +55,10 @@ use crate::universe::{Edge, PrivTerm, Universe};
 /// sound in every [`AuthMode`]; nested `♦` terms are covered because
 /// the alphabet expands nested privileges into their own edges.
 pub fn is_monotone(universe: &Universe, root: &Policy, alphabet: &[(Command, PrivId)]) -> bool {
-    let assigns_revocation = |edge: Edge| matches!(edge, Edge::RolePriv(_, p) if matches!(universe.term(p), PrivTerm::Revoke(_)));
-    !root.edges().any(assigns_revocation)
+    is_grow_only(universe, root)
         && !alphabet
             .iter()
-            .any(|&(cmd, _)| assigns_revocation(cmd.edge))
+            .any(|&(cmd, _)| revoke_assigned(universe, cmd.edge).is_some())
 }
 
 /// Which engine produced a [`VerifyReport`]'s answer.

@@ -55,6 +55,7 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use adminref_core::universe::Universe;
+use adminref_store::record::read_payload;
 use parking_lot::Mutex;
 
 use crate::group_commit::{ReplyTo, SubmitResult};
@@ -639,7 +640,7 @@ pub(crate) fn read_frame_polling<R: Read>(
         return Ok(None);
     }
     let header = FrameHeader::parse(&header)?;
-    let payload = wire::read_payload(header.payload_len, |chunk| {
+    let payload = read_payload(header.payload_len as usize, |chunk| {
         if fill_polling(stream, chunk, stop, false)? {
             Ok(())
         } else {

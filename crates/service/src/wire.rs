@@ -81,6 +81,7 @@ use adminref_core::ids::{Entity, RoleId};
 use adminref_core::reach::EdgeDelta;
 use adminref_core::universe::{OutOfRange, Universe};
 use adminref_store::codec::{self, encode, CodecError, EdgeSets, Wire};
+use adminref_store::record::{read_exact_or_eof, read_payload, Fill};
 use adminref_store::{wire_enum, wire_struct};
 use bytes::{Buf, BufMut};
 
@@ -411,77 +412,24 @@ pub fn write_frame(
 /// [`WireError::Truncated`].
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, FrameError> {
     let mut header = [0u8; HEADER_LEN];
-    match read_full(r, &mut header) {
-        ReadFull::Eof => return Ok(None),
-        ReadFull::Short => return Err(WireError::Truncated.into()),
-        ReadFull::Err(e) => return Err(e.into()),
-        ReadFull::Done => {}
+    match read_exact_or_eof(r, &mut header)? {
+        Fill::Eof => return Ok(None),
+        Fill::Partial => return Err(WireError::Truncated.into()),
+        Fill::Full => {}
     }
     let header = FrameHeader::parse(&header)?;
-    let payload = read_payload(header.payload_len, |chunk| match read_full(r, chunk) {
-        ReadFull::Eof | ReadFull::Short => Err(WireError::Truncated.into()),
-        ReadFull::Err(e) => Err(e.into()),
-        ReadFull::Done => Ok(()),
-    })?;
+    let payload = read_payload(
+        header.payload_len as usize,
+        |chunk| match read_exact_or_eof(r, chunk)? {
+            Fill::Full => Ok(()),
+            Fill::Partial | Fill::Eof => Err(FrameError::Wire(WireError::Truncated)),
+        },
+    )?;
     Ok(Some(Frame {
         kind: header.kind,
         request_id: header.request_id,
         payload,
     }))
-}
-
-/// How far a payload buffer grows ahead of the bytes that have arrived:
-/// a header announcing a large payload costs memory only as its bytes
-/// come in, and a payload this size or smaller is one allocation.
-const PAYLOAD_CHUNK: usize = 64 * 1024;
-
-/// Reads a `len`-byte payload, handing `fill` one chunk of at most
-/// [`PAYLOAD_CHUNK`] bytes at a time to fill completely.
-pub(crate) fn read_payload(
-    len: u32,
-    mut fill: impl FnMut(&mut [u8]) -> Result<(), FrameError>,
-) -> Result<Vec<u8>, FrameError> {
-    let len = len as usize;
-    let mut payload = Vec::new();
-    while payload.len() < len {
-        let start = payload.len();
-        payload.resize(start + (len - start).min(PAYLOAD_CHUNK), 0);
-        fill(&mut payload[start..])?;
-    }
-    Ok(payload)
-}
-
-enum ReadFull {
-    /// Buffer filled completely.
-    Done,
-    /// Zero bytes read before EOF.
-    Eof,
-    /// EOF after a partial read.
-    Short,
-    /// Transport error.
-    Err(io::Error),
-}
-
-/// Fills `buf` from `r`, retrying on interrupts. Unlike
-/// `Read::read_exact`, distinguishes a clean EOF (no bytes) from a
-/// truncated one (some bytes), which framing needs.
-fn read_full(r: &mut impl Read, buf: &mut [u8]) -> ReadFull {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    ReadFull::Eof
-                } else {
-                    ReadFull::Short
-                }
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return ReadFull::Err(e),
-        }
-    }
-    ReadFull::Done
 }
 
 // ----- the service's own layouts ------------------------------------------

@@ -45,13 +45,13 @@ pub enum RecordRead {
 pub fn read_record(r: &mut impl Read) -> io::Result<RecordRead> {
     let mut header = [0u8; 8];
     match read_exact_or_eof(r, &mut header)? {
-        ReadStatus::Eof => return Ok(RecordRead::Eof),
-        ReadStatus::Partial => {
+        Fill::Eof => return Ok(RecordRead::Eof),
+        Fill::Partial => {
             return Ok(RecordRead::Corrupt {
                 reason: "truncated header",
             })
         }
-        ReadStatus::Full => {}
+        Fill::Full => {}
     }
     let mut word = [0u8; 4];
     word.copy_from_slice(&header[0..4]);
@@ -63,20 +63,18 @@ pub fn read_record(r: &mut impl Read) -> io::Result<RecordRead> {
             reason: "length exceeds maximum",
         });
     }
-    let len = len as usize;
-    let mut payload = Vec::new();
-    while payload.len() < len {
-        let start = payload.len();
-        payload.resize(start + (len - start).min(PAYLOAD_CHUNK), 0);
-        if !matches!(
-            read_exact_or_eof(r, &mut payload[start..])?,
-            ReadStatus::Full
-        ) {
-            return Ok(RecordRead::Corrupt {
-                reason: "truncated payload",
-            });
-        }
-    }
+    // The fill's error is the early answer: a truncation or an I/O error.
+    let payload = read_payload(len as usize, |chunk| match read_exact_or_eof(r, chunk) {
+        Ok(Fill::Full) => Ok(()),
+        Ok(_) => Err(Ok(RecordRead::Corrupt {
+            reason: "truncated payload",
+        })),
+        Err(e) => Err(Err(e)),
+    });
+    let payload = match payload {
+        Ok(payload) => payload,
+        Err(early) => return early,
+    };
     if crc32(&payload) != crc {
         return Ok(RecordRead::Corrupt {
             reason: "checksum mismatch",
@@ -85,27 +83,49 @@ pub fn read_record(r: &mut impl Read) -> io::Result<RecordRead> {
     Ok(RecordRead::Record(payload))
 }
 
-enum ReadStatus {
+/// How far [`read_exact_or_eof`] filled a buffer.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Fill {
+    /// Filled completely.
     Full,
+    /// End of stream after some bytes.
     Partial,
+    /// End of stream before any byte.
     Eof,
 }
 
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<ReadStatus> {
+/// Fills `buf` from `r`, retrying [`io::ErrorKind::Interrupted`] as std
+/// documents it. Unlike `Read::read_exact`, tells a clean end of stream
+/// (no bytes) from a truncated one (some bytes), which framing needs.
+pub fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<Fill> {
     let mut filled = 0;
     while filled < buf.len() {
-        match r.read(&mut buf[filled..])? {
-            0 => {
-                return Ok(if filled == 0 {
-                    ReadStatus::Eof
-                } else {
-                    ReadStatus::Partial
-                })
-            }
-            n => filled += n,
+        match r.read(&mut buf[filled..]) {
+            Ok(0) if filled == 0 => return Ok(Fill::Eof),
+            Ok(0) => return Ok(Fill::Partial),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
-    Ok(ReadStatus::Full)
+    Ok(Fill::Full)
+}
+
+/// Reads a `len`-byte payload, handing `fill` one chunk of at most 64 KiB
+/// at a time to fill completely; the first error `fill` returns ends the
+/// read. A header announcing a large payload so costs memory only as its
+/// bytes arrive.
+pub fn read_payload<E>(
+    len: usize,
+    mut fill: impl FnMut(&mut [u8]) -> Result<(), E>,
+) -> Result<Vec<u8>, E> {
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let start = payload.len();
+        payload.resize(start + (len - start).min(PAYLOAD_CHUNK), 0);
+        fill(&mut payload[start..])?;
+    }
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -206,6 +226,37 @@ mod tests {
                 reason: "truncated payload"
             }
         );
+    }
+
+    /// Returns `Interrupted` before every read it serves.
+    struct Interrupting<R> {
+        inner: R,
+        interrupt: bool,
+    }
+
+    impl<R: Read> Read for Interrupting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn interrupted_reads_are_retried() {
+        let mut buf = Vec::new();
+        write_record(&mut buf, b"alpha").unwrap();
+        let mut r = Interrupting {
+            inner: Cursor::new(buf),
+            interrupt: false,
+        };
+        assert_eq!(
+            read_record(&mut r).unwrap(),
+            RecordRead::Record(b"alpha".to_vec())
+        );
+        assert_eq!(read_record(&mut r).unwrap(), RecordRead::Eof);
     }
 
     #[test]
