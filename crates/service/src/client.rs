@@ -74,18 +74,12 @@ use std::os::unix::net::UnixStream;
 #[cfg(unix)]
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
 
 use crate::daemon::Stream;
+use crate::group_commit::lock_unpoisoned;
 use crate::protocol::{PolicyService, Request, Response, ServiceError};
 use crate::wire::{self, FrameKind};
-
-/// Poisoning adds nothing here (every state transition is a plain field
-/// write), so a panicking peer thread must not wedge everyone else —
-/// same policy as the group-commit combiner.
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A blocking [`PolicyService`] speaking the wire protocol over one
 /// TCP or Unix-socket connection. See the [module docs](self) for the

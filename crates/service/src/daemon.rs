@@ -36,15 +36,26 @@
 //!
 //! ## Shutdown
 //!
-//! [`Daemon::shutdown`] (also run on drop) stops the accept loop, waits
-//! for every connection thread to notice within one read-poll interval,
-//! joins them, and removes a Unix socket file it bound. A connection
-//! closes once all of its submits are answered; the accept loop joins
-//! closed connections' threads as it goes.
+//! No thread polls. The accept loop blocks in `accept` and every reader
+//! blocks in `read`; whatever stops a thread wakes it.
+//! [`Daemon::shutdown`] (also run on drop) sets the stop flag, wakes the
+//! accept loop by connecting once to its own listener, and joins it.
+//! Then it shuts down the read half of every live connection, which
+//! wakes an idle reader with end-of-stream. Some kernels still deliver
+//! what a TCP peer sends after that, so each reader also checks the
+//! stop flag once per frame, and a peer that keeps sending cannot hold
+//! shutdown up. Either way the reader drains as if its peer had closed:
+//! its queued submits are answered and its sessions dropped. Shutdown
+//! joins those threads and removes a Unix socket file it bound. A
+//! connection closes once all of its submits are answered, and removes
+//! itself from the daemon's registry of live connections as its last
+//! act, so nothing has to reap closed ones.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
@@ -55,33 +66,25 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use adminref_core::universe::Universe;
-use adminref_store::record::read_payload;
 use parking_lot::Mutex;
 
 use crate::group_commit::{ReplyTo, SubmitResult};
 use crate::protocol::{PolicyService, Request, Response, ServiceError};
-use crate::wire::{self, Frame, FrameError, FrameHeader, FrameKind, WireError, HEADER_LEN};
+use crate::wire::{self, FrameError, FrameKind};
 
-/// Tuning knobs for a [`Daemon`].
+/// Tuning for a [`Daemon`].
 #[derive(Clone, Copy, Debug)]
 pub struct DaemonConfig {
     /// Worker threads per connection for slow requests other than
     /// submits. Submits wait in the combiner without a thread, so this
     /// does not bound how many are in flight.
     pub workers_per_connection: usize,
-    /// How often a blocked connection reader wakes to check for
-    /// shutdown (the socket read timeout).
-    pub read_poll: Duration,
-    /// How often the accept loop wakes to check for shutdown.
-    pub accept_poll: Duration,
 }
 
 impl Default for DaemonConfig {
     fn default() -> Self {
         DaemonConfig {
             workers_per_connection: 8,
-            read_poll: Duration::from_millis(100),
-            accept_poll: Duration::from_millis(25),
         }
     }
 }
@@ -121,7 +124,7 @@ impl WireListener {
 pub struct Daemon {
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Arc<Registry>,
     local_addr: Option<SocketAddr>,
     #[cfg(unix)]
     unix_path: Option<PathBuf>,
@@ -165,7 +168,7 @@ impl Daemon {
         hub: Option<Arc<crate::replication::ReplicationHub>>,
     ) -> io::Result<Daemon> {
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Arc<Registry> = Arc::default();
         let universe = Arc::new(universe);
 
         let (local_addr, unix_path) = match &listener {
@@ -212,15 +215,42 @@ impl Daemon {
     fn shutdown_inner(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept.take() {
+            self.wake_accept();
             let _ = handle.join();
         }
-        let handles = std::mem::take(&mut *self.conns.lock());
-        for handle in handles {
+        // With the accept loop gone no connection registers any more.
+        // A reader whose read half is shut down reads end-of-stream and
+        // drains; writes still work, so its replies go out.
+        let live: Vec<_> = self.conns.lock().drain().map(|(_, conn)| conn).collect();
+        for (stream, _) in &live {
+            stream.shutdown(Shutdown::Read);
+        }
+        for (_, handle) in live {
             let _ = handle.join();
         }
         #[cfg(unix)]
         if let Some(path) = self.unix_path.take() {
             let _ = std::fs::remove_file(path);
+        }
+    }
+
+    /// Connects once to the listener so a blocked `accept` returns and
+    /// the accept loop sees the stop flag. A listener bound to an
+    /// unspecified address is reached on the loopback address of its
+    /// family.
+    fn wake_accept(&self) {
+        if let Some(mut addr) = self.local_addr {
+            if addr.ip().is_unspecified() {
+                addr.set_ip(match addr.ip() {
+                    IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                    IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+                });
+            }
+            let _ = TcpStream::connect(addr);
+        }
+        #[cfg(unix)]
+        if let Some(path) = &self.unix_path {
+            let _ = UnixStream::connect(path);
         }
     }
 }
@@ -251,8 +281,11 @@ impl Stream {
         }
     }
 
-    pub(crate) fn set_timeouts(&self, read: Duration, write: Option<Duration>) -> io::Result<()> {
-        let read = Some(read);
+    pub(crate) fn set_timeouts(
+        &self,
+        read: Option<Duration>,
+        write: Option<Duration>,
+    ) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_read_timeout(read).and(s.set_write_timeout(write)),
             #[cfg(unix)]
@@ -260,16 +293,12 @@ impl Stream {
         }
     }
 
-    fn shutdown_both(&self) {
-        match self {
-            Stream::Tcp(s) => {
-                let _ = s.shutdown(Shutdown::Both);
-            }
+    pub(crate) fn shutdown(&self, how: Shutdown) {
+        let _ = match self {
+            Stream::Tcp(s) => s.shutdown(how),
             #[cfg(unix)]
-            Stream::Unix(s) => {
-                let _ = s.shutdown(Shutdown::Both);
-            }
-        }
+            Stream::Unix(s) => s.shutdown(how),
+        };
     }
 }
 
@@ -300,68 +329,63 @@ impl Write for Stream {
     }
 }
 
+/// The live connections by id: a clone of each one's socket and its
+/// thread. A connection removes its own entry as its last act.
+type Registry = Mutex<HashMap<u64, (Stream, JoinHandle<()>)>>;
+
 fn accept_loop(
     listener: WireListener,
     service: Arc<dyn PolicyService>,
     universe: Arc<Universe>,
     stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Arc<Registry>,
     config: DaemonConfig,
     hub: Option<Arc<crate::replication::ReplicationHub>>,
 ) {
-    // Nonblocking accept + stop polling: std offers no portable way to
-    // interrupt a blocking accept, and a self-connect wakeup would need
-    // the listener's own address family plumbed through.
-    let nonblocking_ok = match &listener {
-        WireListener::Tcp(l) => l.set_nonblocking(true).is_ok(),
-        #[cfg(unix)]
-        WireListener::Unix(l, _) => l.set_nonblocking(true).is_ok(),
-    };
-    if !nonblocking_ok {
-        return;
-    }
-    while !stop.load(Ordering::SeqCst) {
-        reap_closed(&conns);
+    for id in 0u64.. {
         let accepted = match &listener {
             WireListener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
             #[cfg(unix)]
             WireListener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
         };
-        match accepted {
-            Ok(stream) => {
-                if let Stream::Tcp(s) = &stream {
-                    // Request/response traffic: never trade latency for
-                    // coalescing.
-                    let _ = s.set_nodelay(true);
-                }
-                let service = Arc::clone(&service);
-                let universe = Arc::clone(&universe);
-                let stop = Arc::clone(&stop);
-                let hub = hub.clone();
-                let spawned = thread::Builder::new()
-                    .name("adminrefd-conn".into())
-                    .spawn(move || handle_connection(stream, service, universe, stop, config, hub));
-                match spawned {
-                    Ok(handle) => conns.lock().push(handle),
-                    Err(_) => continue,
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(config.accept_poll);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            // A failed accept (EMFILE, reset during handshake) is not a
-            // reason to stop serving other clients.
-            Err(_) => thread::sleep(config.accept_poll),
+        // `shutdown` wakes a blocked accept by connecting; that
+        // connection is dropped here.
+        if stop.load(Ordering::SeqCst) {
+            break;
         }
-    }
-}
-
-/// Joins the threads of connections that have closed and forgets them.
-fn reap_closed(conns: &Mutex<Vec<JoinHandle<()>>>) {
-    let mut conns = conns.lock();
-    while let Some(closed) = conns.iter().position(JoinHandle::is_finished) {
-        let _ = conns.swap_remove(closed).join();
+        let stream = match accepted {
+            Ok(stream) => stream,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            // A failed accept (EMFILE, reset during handshake) is not a
+            // reason to stop serving other clients, but retrying at once
+            // would spin while the cause lasts.
+            Err(_) => {
+                thread::sleep(Duration::from_millis(25));
+                continue;
+            }
+        };
+        if let Stream::Tcp(s) = &stream {
+            // Request/response traffic: never trade latency for
+            // coalescing.
+            let _ = s.set_nodelay(true);
+        }
+        let Ok(registered) = stream.try_clone() else {
+            continue;
+        };
+        let (service, universe, hub) = (Arc::clone(&service), Arc::clone(&universe), hub.clone());
+        let (stop, registry) = (Arc::clone(&stop), Arc::clone(&conns));
+        // Registering under the lock the thread's last act takes means
+        // the entry exists before the thread can remove it.
+        let mut live = conns.lock();
+        let spawned = thread::Builder::new()
+            .name("adminrefd-conn".into())
+            .spawn(move || {
+                handle_connection(stream, service, universe, &stop, config, hub);
+                registry.lock().remove(&id);
+            });
+        if let Ok(handle) = spawned {
+            live.insert(id, (registered, handle));
+        }
     }
 }
 
@@ -403,14 +427,14 @@ fn handle_connection(
     stream: Stream,
     service: Arc<dyn PolicyService>,
     universe: Arc<Universe>,
-    stop: Arc<AtomicBool>,
+    stop: &AtomicBool,
     config: DaemonConfig,
     hub: Option<Arc<crate::replication::ReplicationHub>>,
 ) {
-    // The accepted socket is blocking; the read timeout turns the
-    // reader into a shutdown-polling loop without busy-waiting, and the
-    // write timeout bounds a stalled peer (see `ConnWriter`).
-    let timeouts = stream.set_timeouts(config.read_poll, Some(WRITE_STALL));
+    // Reads block until a frame, a close or the daemon's shutdown
+    // arrives; the write timeout bounds a stalled peer (see
+    // `ConnWriter`).
+    let timeouts = stream.set_timeouts(None, Some(WRITE_STALL));
     if timeouts.is_err() {
         return;
     }
@@ -454,13 +478,16 @@ fn handle_connection(
     let mut burst: Vec<(u64, Request)> = Vec::new();
 
     loop {
+        // Some kernels still deliver what a TCP peer sends after its
+        // read half is shut down; the flag ends a reader that never
+        // runs dry.
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        let frame = match read_frame_polling(&mut reader, &stop) {
+        let frame = match wire::read_frame(&mut reader) {
             Ok(Some(frame)) => frame,
-            // Clean EOF, transport failure, or shutdown: nothing more
-            // to say to this peer.
+            // Clean EOF (the peer closed, or the daemon shut the read
+            // half down) or a transport failure: nothing more to say.
             Ok(None) | Err(FrameError::Io(_)) => break,
             Err(FrameError::Wire(wire_err)) => {
                 // The stream position is untrustworthy after a framing
@@ -474,7 +501,7 @@ fn handle_connection(
                 // The connection becomes a replication stream; when the
                 // serve returns the peer is gone and we tear down.
                 Some(hub) => {
-                    crate::replication::serve_replication(hub, frame, &mut reader, &writer, &stop);
+                    crate::replication::serve_replication(hub, frame, &mut reader, &writer, stop);
                     break;
                 }
                 None => {
@@ -536,7 +563,7 @@ fn handle_connection(
             session: adminref_monitor::SessionId::from_raw(raw),
         });
     }
-    reader.get_ref().shutdown_both();
+    reader.get_ref().shutdown(Shutdown::Both);
 }
 
 /// Hands an accumulated burst on: its `Submit`s enter the write combiner
@@ -604,7 +631,7 @@ impl ConnWriter {
             written = w.flush();
         }
         if written.is_err() {
-            w.get_ref().shutdown_both();
+            w.get_ref().shutdown(Shutdown::Both);
         }
     }
 }
@@ -628,64 +655,6 @@ pub(crate) fn send_error(writer: &ConnWriter, id: u64, err: &ServiceError) {
     writer.send(FrameKind::Error, id, &wire::encode_error(err));
 }
 
-/// [`wire::read_frame`] over a socket with a read timeout: timeouts
-/// mid-wait poll the stop flag and retry, preserving any bytes already
-/// read (a `read_exact` would lose them and desynchronize the stream).
-pub(crate) fn read_frame_polling<R: Read>(
-    stream: &mut R,
-    stop: &AtomicBool,
-) -> Result<Option<Frame>, FrameError> {
-    let mut header = [0u8; HEADER_LEN];
-    if !fill_polling(stream, &mut header, stop, true)? {
-        return Ok(None);
-    }
-    let header = FrameHeader::parse(&header)?;
-    let payload = read_payload(header.payload_len as usize, |chunk| {
-        if fill_polling(stream, chunk, stop, false)? {
-            Ok(())
-        } else {
-            Err(FrameError::Wire(WireError::Truncated))
-        }
-    })?;
-    Ok(Some(Frame {
-        kind: header.kind,
-        request_id: header.request_id,
-        payload,
-    }))
-}
-
-/// Fills `buf`, polling `stop` across read timeouts. Returns `false`
-/// for a clean stop or an EOF at offset zero when `eof_ok` (a peer
-/// closing between frames); EOF mid-buffer is [`WireError::Truncated`].
-fn fill_polling<R: Read>(
-    stream: &mut R,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-    eof_ok: bool,
-) -> Result<bool, FrameError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if stop.load(Ordering::SeqCst) {
-            return Ok(false);
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 && eof_ok {
-                    return Ok(false);
-                }
-                return Err(FrameError::Wire(WireError::Truncated));
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    Ok(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -694,9 +663,9 @@ mod tests {
     use adminref_monitor::MonitorConfig;
     use std::time::Instant;
 
-    /// The accept loop joins closed connections' threads as it goes:
-    /// after 64 connect/close cycles it tracks only live connections,
-    /// give or take the one being accepted.
+    /// A closed connection leaves the registry by itself: after 64
+    /// connect/close cycles the daemon tracks only live connections,
+    /// give or take the one still closing.
     #[test]
     fn closed_connections_are_joined_while_serving() {
         let mut universe = Universe::new();
@@ -709,8 +678,6 @@ mod tests {
         ));
         let config = DaemonConfig {
             workers_per_connection: 1,
-            read_poll: Duration::from_millis(5),
-            accept_poll: Duration::from_millis(1),
         };
         let listener = WireListener::tcp("127.0.0.1:0").unwrap();
         let daemon = Daemon::spawn_with(service, universe, listener, config).unwrap();
@@ -731,37 +698,5 @@ mod tests {
             "{tracked} connection threads tracked after 64 closed"
         );
         daemon.shutdown();
-    }
-
-    /// Panics if any single `read` is handed a buffer over 1 MiB.
-    struct SmallReads<R>(R);
-
-    impl<R: Read> Read for SmallReads<R> {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            assert!(
-                buf.len() <= 1 << 20,
-                "read into a {}-byte buffer",
-                buf.len()
-            );
-            self.0.read(buf)
-        }
-    }
-
-    /// A header announcing the largest payload, followed by three bytes:
-    /// the buffer grows as bytes arrive, and the result is a truncation.
-    #[test]
-    fn announced_length_is_not_allocated_before_it_arrives() {
-        let header = FrameHeader {
-            kind: FrameKind::Request,
-            payload_len: wire::MAX_PAYLOAD,
-            request_id: 1,
-        };
-        let mut stream = header.encode().to_vec();
-        stream.extend_from_slice(&[1, 2, 3]);
-        let stop = AtomicBool::new(false);
-        match read_frame_polling(&mut SmallReads(&stream[..]), &stop) {
-            Err(FrameError::Wire(WireError::Truncated)) => {}
-            other => panic!("expected Truncated, got {other:?}"),
-        }
     }
 }

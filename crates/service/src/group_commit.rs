@@ -67,9 +67,10 @@ struct Slot {
     ready: Condvar,
 }
 
-/// Locks a mutex, surviving poison: these mutexes guard plain data, and
+/// Locks a mutex, surviving poison: the mutexes of this crate guard
+/// plain data, so a panicking thread must not wedge everyone else, and
 /// the abort guard must answer waiters *during* a panic unwind.
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

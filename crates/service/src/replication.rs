@@ -43,20 +43,26 @@
 //!   frame is stamped with the sender's term, a follower rejects any
 //!   frame below the highest term it has seen, and a primary refuses
 //!   subscribers that announce a higher term than its own.
+//! * **Stop.** Nothing polls. [`Follower::stop`] (run by `Promote` and
+//!   on drop) shuts down the follower's socket and unparks its retry
+//!   wait, so it returns at once. A subscriber stream is a daemon
+//!   connection; the hub drops it when the connection ends.
 //!
 //! ## Caveats
 //!
 //! Broadcast happens inside the writer critical section and writes to
-//! subscriber sockets synchronously: a stalled replica backpressures
-//! the primary's writes (reads stay lock-free). The serving daemon's
+//! subscriber sockets synchronously, so a replica that stops reading
+//! stalls the primary's writes (reads stay lock-free), but only once,
+//! by about a second: the daemon closes a connection whose write stalls
+//! that long, and the hub then drops the subscriber. The serving daemon's
 //! request-decode universe is fixed at spawn; a re-bootstrap that
 //! ships a *grown* universe updates the replica's serving state and
 //! checksums, but ids interned after spawn only become addressable by
 //! that replica's own clients after a restart (interning is
 //! append-only, so all old ids stay valid).
 
-use std::io::{self, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{self, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
 #[cfg(unix)]
@@ -73,16 +79,13 @@ use adminref_monitor::{PublishEvent, ReferenceMonitor};
 use adminref_store::{decode_state, encode_state};
 use parking_lot::Mutex;
 
-use crate::daemon::{read_frame_polling, send_error, ConnWriter, Stream};
+use crate::daemon::{send_error, ConnWriter, Stream};
 use crate::group_commit::GroupCommit;
 use crate::protocol::{
     PolicyService, ReplicationRole, ReplicationStatus, Request, Response, ServiceError,
 };
 use crate::service::dispatch;
 use crate::wire::{self, Frame, FrameKind};
-
-/// How often a blocked follower read wakes to check for stop/promote.
-const FOLLOWER_READ_POLL: Duration = Duration::from_millis(100);
 
 // ----- the hub ---------------------------------------------------------
 
@@ -312,7 +315,10 @@ pub(crate) fn serve_replication(
             };
             send_error(writer, frame.request_id, &err);
         }
-        match read_frame_polling(reader, stop) {
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match wire::read_frame(reader) {
             Ok(Some(next)) => frame = next,
             Ok(None) | Err(_) => break,
         }
@@ -355,32 +361,45 @@ impl FollowTarget {
 /// and reconnects (requesting a fresh bootstrap) after any gap,
 /// divergence, or transport failure.
 pub struct Follower {
-    stop: Arc<AtomicBool>,
+    signal: Arc<StopSignal>,
     handle: Option<JoinHandle<()>>,
+}
+
+/// How [`Follower::stop`] reaches its thread: the flag, and a clone of
+/// the current subscription's socket, shut down to end a blocked read.
+#[derive(Default)]
+struct StopSignal {
+    stop: AtomicBool,
+    socket: Mutex<Option<Stream>>,
 }
 
 impl Follower {
     /// Spawns the follower thread for `hub`, retrying failed
     /// connections every `retry`.
     pub fn spawn(hub: Arc<ReplicationHub>, target: FollowTarget, retry: Duration) -> Follower {
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
+        let signal = Arc::new(StopSignal::default());
+        let thread_signal = Arc::clone(&signal);
         let handle = thread::Builder::new()
             .name("adminref-follower".into())
-            .spawn(move || follow_loop(hub, target, thread_stop, retry))
+            .spawn(move || follow_loop(hub, target, &thread_signal, retry))
             .ok();
-        Follower { stop, handle }
+        Follower { signal, handle }
     }
 
-    /// Signals the thread to stop and joins it (a blocked read notices
-    /// within one poll interval). Also runs on drop.
+    /// Stops the thread and joins it: shuts down its socket, which ends
+    /// a blocked read, and unparks it if it is waiting to reconnect, so
+    /// this returns at once. Also runs on drop.
     pub fn stop(mut self) {
         self.stop_inner();
     }
 
     fn stop_inner(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.signal.stop.store(true, Ordering::SeqCst);
+        if let Some(socket) = &*self.signal.socket.lock() {
+            socket.shutdown(Shutdown::Both);
+        }
         if let Some(handle) = self.handle.take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
     }
@@ -395,26 +414,33 @@ impl Drop for Follower {
 fn follow_loop(
     hub: Arc<ReplicationHub>,
     target: FollowTarget,
-    stop: Arc<AtomicBool>,
+    signal: &StopSignal,
     retry: Duration,
 ) {
-    while !stop.load(Ordering::SeqCst) && !hub.writable() {
+    while !signal.stop.load(Ordering::SeqCst) && !hub.writable() {
         // Any failure — refused connection, transport error, gap,
         // divergence — lands here; the next round reconnects, and
         // `bootstrapped` decides whether it requests a fresh snapshot.
-        let _ = follow_once(&hub, &target, &stop);
-        if stop.load(Ordering::SeqCst) || hub.writable() {
-            break;
-        }
-        thread::sleep(retry);
+        let _ = follow_once(&hub, &target, signal);
+        *signal.socket.lock() = None;
+        // Returns at once if `stop` has unparked this thread.
+        thread::park_timeout(retry);
     }
 }
 
-/// One subscription: connect, subscribe, apply frames until an error
-/// or stop/promote.
-fn follow_once(hub: &ReplicationHub, target: &FollowTarget, stop: &AtomicBool) -> io::Result<()> {
+/// One subscription: connect, subscribe, apply frames until an error,
+/// a stop or a promotion.
+fn follow_once(hub: &ReplicationHub, target: &FollowTarget, signal: &StopSignal) -> io::Result<()> {
     let stream = target.connect()?;
-    stream.set_timeouts(FOLLOWER_READ_POLL, None)?;
+    {
+        // `stop` sets the flag before it takes this lock: either it
+        // finds this socket to shut down, or the flag is seen here.
+        let mut socket = signal.socket.lock();
+        if signal.stop.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        *socket = Some(stream.try_clone()?);
+    }
     let mut writer = stream.try_clone()?;
     let monitor = hub.monitor();
     let last_applied = if hub.bootstrapped.load(Ordering::SeqCst) {
@@ -428,57 +454,74 @@ fn follow_once(hub: &ReplicationHub, target: &FollowTarget, stop: &AtomicBool) -
 
     let mut reader = BufReader::new(stream);
     loop {
-        if stop.load(Ordering::SeqCst) || hub.writable() {
+        let frame = next_frame(&mut reader)?;
+        if hub.writable() {
             return Ok(());
         }
-        let frame = match read_frame_polling(&mut reader, stop) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return Err(io::Error::other("primary closed the connection")),
-            Err(e) => return Err(io::Error::other(e.to_string())),
-        };
-        match frame.kind {
-            FrameKind::ReplSnapshot => {
-                let (term, epoch, state) =
-                    wire::decode_repl_snapshot(&frame.payload).map_err(io::Error::other)?;
-                if !hub.admit_term(term) {
-                    return Err(io::Error::other("snapshot from deposed primary rejected"));
-                }
-                let (universe, policy, constraints) =
-                    decode_state(&state).map_err(io::Error::other)?;
-                monitor
-                    .install_replica_state(universe, policy, epoch, constraints)
-                    .map_err(io::Error::other)?;
-                hub.seen_epoch.fetch_max(epoch, Ordering::SeqCst);
-                hub.bootstrapped.store(true, Ordering::SeqCst);
+        if frame.kind == FrameKind::ReplDelta {
+            let delta = wire::decode_repl_delta(&frame.payload).map_err(io::Error::other)?;
+            if !hub.admit_term(delta.term) {
+                return Err(io::Error::other("delta from deposed primary rejected"));
             }
-            FrameKind::ReplDelta => {
-                let delta = wire::decode_repl_delta(&frame.payload).map_err(io::Error::other)?;
-                if !hub.admit_term(delta.term) {
-                    return Err(io::Error::other("delta from deposed primary rejected"));
-                }
-                hub.seen_epoch.fetch_max(delta.epoch, Ordering::SeqCst);
-                if let Err(refusal) =
-                    monitor.apply_replica_deltas(delta.epoch, &delta.deltas, delta.checksum)
-                {
-                    // Typed refusal: nothing was published. Reconnect
-                    // with a fresh bootstrap to self-heal.
-                    hub.bootstrapped.store(false, Ordering::SeqCst);
-                    return Err(io::Error::other(refusal));
-                }
+            hub.seen_epoch.fetch_max(delta.epoch, Ordering::SeqCst);
+            if let Err(refusal) =
+                monitor.apply_replica_deltas(delta.epoch, &delta.deltas, delta.checksum)
+            {
+                // Typed refusal: nothing was published. Reconnect
+                // with a fresh bootstrap to self-heal.
+                hub.bootstrapped.store(false, Ordering::SeqCst);
+                return Err(io::Error::other(refusal));
             }
-            FrameKind::Error => {
-                let message = match wire::decode_error(&frame.payload) {
-                    Ok(err) => err.to_string(),
-                    Err(e) => e.to_string(),
-                };
-                return Err(io::Error::other(format!("primary refused: {message}")));
-            }
-            other => {
-                return Err(io::Error::other(format!(
-                    "unexpected {other:?} frame on the replication stream"
-                )))
-            }
+            continue;
         }
+        let Some((term, epoch, universe, policy, constraints)) = decode_bootstrap(&frame)? else {
+            return Err(io::Error::other(format!(
+                "unexpected {:?} frame on the replication stream",
+                frame.kind
+            )));
+        };
+        if !hub.admit_term(term) {
+            return Err(io::Error::other("snapshot from deposed primary rejected"));
+        }
+        monitor
+            .install_replica_state(universe, policy, epoch, constraints)
+            .map_err(io::Error::other)?;
+        hub.seen_epoch.fetch_max(epoch, Ordering::SeqCst);
+        hub.bootstrapped.store(true, Ordering::SeqCst);
+    }
+}
+
+/// The next frame from the primary; a closed stream is an error.
+fn next_frame(reader: &mut impl Read) -> io::Result<Frame> {
+    match wire::read_frame(reader) {
+        Ok(Some(frame)) => Ok(frame),
+        Ok(None) => Err(io::Error::other("primary closed the connection")),
+        Err(e) => Err(io::Error::other(e.to_string())),
+    }
+}
+
+/// A bootstrap as a `ReplSnapshot` frame carries it: `(term, epoch,
+/// universe, policy, constraints)`.
+type Bootstrap = (u64, u64, Universe, Policy, ConstraintSet);
+
+/// Decodes a `ReplSnapshot` frame into its bootstrap and an `Error`
+/// frame into the refusal it carries; any other frame is `None`.
+fn decode_bootstrap(frame: &Frame) -> io::Result<Option<Bootstrap>> {
+    match frame.kind {
+        FrameKind::ReplSnapshot => {
+            let (term, epoch, state) =
+                wire::decode_repl_snapshot(&frame.payload).map_err(io::Error::other)?;
+            let (universe, policy, constraints) = decode_state(&state).map_err(io::Error::other)?;
+            Ok(Some((term, epoch, universe, policy, constraints)))
+        }
+        FrameKind::Error => {
+            let message = match wire::decode_error(&frame.payload) {
+                Ok(err) => err.to_string(),
+                Err(e) => e.to_string(),
+            };
+            Err(io::Error::other(format!("primary refused: {message}")))
+        }
+        _ => Ok(None),
     }
 }
 
@@ -493,7 +536,7 @@ pub fn fetch_bootstrap(
     timeout: Duration,
 ) -> io::Result<(Universe, Policy, ConstraintSet, u64, u64)> {
     let stream = target.connect()?;
-    stream.set_timeouts(timeout, None)?;
+    stream.set_timeouts(Some(timeout), None)?;
     let mut writer = stream.try_clone()?;
     wire::write_frame(
         &mut writer,
@@ -504,30 +547,12 @@ pub fn fetch_bootstrap(
     writer.flush()?;
     let mut reader = BufReader::new(stream);
     loop {
-        let frame = match wire::read_frame(&mut reader) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return Err(io::Error::other("primary closed before bootstrapping")),
-            Err(e) => return Err(io::Error::other(e.to_string())),
-        };
-        match frame.kind {
-            FrameKind::ReplSnapshot => {
-                let (term, epoch, state) =
-                    wire::decode_repl_snapshot(&frame.payload).map_err(io::Error::other)?;
-                let (universe, policy, constraints) =
-                    decode_state(&state).map_err(io::Error::other)?;
-                return Ok((universe, policy, constraints, epoch, term));
-            }
-            FrameKind::Error => {
-                let message = match wire::decode_error(&frame.payload) {
-                    Ok(err) => err.to_string(),
-                    Err(e) => e.to_string(),
-                };
-                return Err(io::Error::other(format!("primary refused: {message}")));
-            }
-            // The primary considered us caught up (epoch 0 == epoch 0):
-            // an empty-history bootstrap has nothing to ship, so delta
-            // frames may arrive first; skip anything else.
-            _ => continue,
+        // The primary considered us caught up (epoch 0 == epoch 0): an
+        // empty-history bootstrap has nothing to ship, so delta frames
+        // may arrive first; skip anything but a snapshot or a refusal.
+        let frame = next_frame(&mut reader)?;
+        if let Some((term, epoch, universe, policy, constraints)) = decode_bootstrap(&frame)? {
+            return Ok((universe, policy, constraints, epoch, term));
         }
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end daemon coverage over real sockets: the full protocol on a
 //! Unix socket, a pipelined admin batch from concurrent callers sharing
 //! one connection, analysis requests, wire-level error semantics
-//! against a raw socket, and clean shutdown.
+//! against a raw socket, prompt accepts, and clean shutdown.
 
 use std::io::Write;
 use std::sync::Arc;
@@ -523,7 +523,6 @@ fn a_busy_worker_never_holds_up_leadership() {
     let path = dir.path().join("adminrefd.sock");
     let config = DaemonConfig {
         workers_per_connection: 1,
-        ..DaemonConfig::default()
     };
     let listener = WireListener::unix(&path).unwrap();
     let daemon = Daemon::spawn_with(Arc::new(service), universe.clone(), listener, config).unwrap();
@@ -599,6 +598,35 @@ fn a_busy_worker_never_holds_up_leadership() {
     daemon.shutdown();
 }
 
+/// The accept loop blocks in `accept`, so a new connection is served
+/// at once: 32 connections in sequence, one `Version` round trip each,
+/// finish well inside the time a 25 ms accept poll would add to each.
+#[test]
+fn connection_churn_is_served_without_an_accept_delay() {
+    use std::time::Instant;
+
+    let (universe, policy, _) = arena();
+    let service: Arc<dyn PolicyService> = Arc::new(MonitorService::in_memory(
+        universe.clone(),
+        policy,
+        MonitorConfig::default(),
+    ));
+    let listener = WireListener::tcp("127.0.0.1:0").expect("bind");
+    let daemon = Daemon::spawn(service, universe, listener).expect("spawn");
+    let addr = daemon.local_addr().unwrap();
+    let start = Instant::now();
+    for _ in 0..32 {
+        let client = WireClient::connect_tcp(addr).expect("connect");
+        client.version_info().expect("version");
+    }
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(400),
+        "32 connections took {took:?}"
+    );
+    daemon.shutdown();
+}
+
 #[test]
 fn daemon_drains_connections_on_shutdown() {
     let dir = TempDir::new("daemon-drain").unwrap();
@@ -623,7 +651,7 @@ fn daemon_drains_connections_on_shutdown() {
 
 #[test]
 fn daemon_config_is_tunable() {
-    // Tiny worker pool + short polls still serve correctly.
+    // A one-worker pool still serves correctly.
     let (universe, policy, admin) = arena();
     let service: Arc<dyn PolicyService> = Arc::new(MonitorService::in_memory(
         universe.clone(),
@@ -637,8 +665,6 @@ fn daemon_config_is_tunable() {
         listener,
         DaemonConfig {
             workers_per_connection: 1,
-            read_poll: Duration::from_millis(5),
-            ..DaemonConfig::default()
         },
     )
     .expect("spawn");

@@ -3,11 +3,15 @@
 //! lock-free, refuse writes with a typed error, converge to
 //! byte-identical state checksums, survive kill/restart via
 //! snapshot-at-epoch catch-up, self-heal from divergence by
-//! re-bootstrapping, and fence stale primaries after a promotion.
+//! re-bootstrapping, and fence stale primaries after a promotion; and
+//! every thread that stop, promote or shutdown ends is woken, not
+//! polled, so each returns at once.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use adminref_core::prelude::*;
@@ -15,8 +19,8 @@ use adminref_monitor::{MonitorConfig, ReferenceMonitor};
 use adminref_service::replication::fetch_bootstrap;
 use adminref_service::wire::{self, FrameKind};
 use adminref_service::{
-    Daemon, DaemonConfig, FollowTarget, PolicyService, ReplicatedService, ReplicationRole,
-    ServiceError, WireClient, WireListener,
+    Daemon, DaemonConfig, FollowTarget, PolicyService, ReplicatedService, ReplicationRole, Request,
+    Response, ServiceError, WireClient, WireListener,
 };
 use adminref_store::TempDir;
 
@@ -91,6 +95,14 @@ fn random_batch(rng: &mut Rng, universe: &Universe, admin: UserId) -> Vec<Comman
 }
 
 fn spawn_primary(dir: &TempDir) -> (Daemon, Arc<ReplicatedService>, std::path::PathBuf) {
+    let path = dir.path().join("primary.sock");
+    let listener = WireListener::unix(&path).expect("bind primary");
+    let (daemon, service) = serve_primary(listener);
+    (daemon, service, path)
+}
+
+/// An in-memory primary serving `listener`, its hub attached.
+fn serve_primary(listener: WireListener) -> (Daemon, Arc<ReplicatedService>) {
     let (universe, policy, _) = arena();
     let monitor = Arc::new(ReferenceMonitor::new(
         universe.clone(),
@@ -99,8 +111,6 @@ fn spawn_primary(dir: &TempDir) -> (Daemon, Arc<ReplicatedService>, std::path::P
     ));
     let service = Arc::new(ReplicatedService::primary(monitor));
     let hub = Arc::clone(service.hub());
-    let path = dir.path().join("primary.sock");
-    let listener = WireListener::unix(&path).expect("bind primary");
     let daemon = Daemon::spawn_replicated(
         Arc::clone(&service) as Arc<dyn PolicyService>,
         universe,
@@ -109,7 +119,7 @@ fn spawn_primary(dir: &TempDir) -> (Daemon, Arc<ReplicatedService>, std::path::P
         Some(hub),
     )
     .expect("spawn primary");
-    (daemon, service, path)
+    (daemon, service)
 }
 
 /// Bootstraps a replica from the primary and serves it on its own unix
@@ -118,24 +128,9 @@ fn spawn_replica(
     primary: &Path,
     sock: &Path,
 ) -> (Daemon, Arc<ReplicatedService>, Arc<ReferenceMonitor>) {
-    let target = FollowTarget::Unix(primary.to_path_buf());
-    let (universe, policy, constraints, epoch, term) =
-        fetch_bootstrap(&target, Duration::from_secs(5)).expect("bootstrap");
-    let monitor = Arc::new(ReferenceMonitor::new(
-        universe.clone(),
-        policy.clone(),
-        MonitorConfig::default(),
-    ));
-    monitor
-        .install_replica_state(universe.clone(), policy, epoch, constraints)
-        .expect("install bootstrap state");
-    let service = Arc::new(ReplicatedService::replica(
-        Arc::clone(&monitor),
-        target,
-        RETRY,
-        Some(term),
-    ));
+    let (service, monitor) = follow(primary, RETRY);
     let hub = Arc::clone(service.hub());
+    let universe = monitor.read_snapshot().universe().clone();
     let listener = WireListener::unix(sock).expect("bind replica");
     let daemon = Daemon::spawn_replicated(
         Arc::clone(&service) as Arc<dyn PolicyService>,
@@ -146,6 +141,29 @@ fn spawn_replica(
     )
     .expect("spawn replica");
     (daemon, service, monitor)
+}
+
+/// A replica service bootstrapped from the primary at `primary` and
+/// following it, retrying a lost connection every `retry`.
+fn follow(primary: &Path, retry: Duration) -> (Arc<ReplicatedService>, Arc<ReferenceMonitor>) {
+    let target = FollowTarget::Unix(primary.to_path_buf());
+    let (universe, policy, constraints, epoch, term) =
+        fetch_bootstrap(&target, Duration::from_secs(5)).expect("bootstrap");
+    let monitor = Arc::new(ReferenceMonitor::new(
+        universe.clone(),
+        policy.clone(),
+        MonitorConfig::default(),
+    ));
+    monitor
+        .install_replica_state(universe, policy, epoch, constraints)
+        .expect("install bootstrap state");
+    let service = Arc::new(ReplicatedService::replica(
+        Arc::clone(&monitor),
+        target,
+        retry,
+        Some(term),
+    ));
+    (service, monitor)
 }
 
 /// Polls until the replica's `(epoch, checksum)` equals the primary's.
@@ -388,4 +406,222 @@ fn promotion_fences_the_stale_primary() {
 
     replica_daemon.shutdown();
     primary_daemon.shutdown();
+}
+
+/// The bound every test below holds a wake-up to: a thread that waits
+/// on a timer instead of being woken shows up as a hang.
+const PROMPT: Duration = Duration::from_secs(2);
+
+/// Waits until `service`'s hub counts `n` subscribers.
+fn await_subscribers(service: &ReplicatedService, n: usize) {
+    let deadline = Instant::now() + DEADLINE;
+    while service.hub().subscriber_count() != n {
+        assert!(Instant::now() < deadline, "never reached {n} subscribers");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Sends a `ReplSubscribe` announcing no prior state, as a replica
+/// would, and returns without reading the answer.
+fn subscribe_raw(stream: &mut impl Write) {
+    let subscribe = wire::encode_repl_subscribe(0, None);
+    wire::write_frame(stream, FrameKind::ReplSubscribe, 1, &subscribe).expect("subscribe");
+    stream.flush().unwrap();
+}
+
+/// Shutdown wakes every thread it stops: an idle client and an idle
+/// replication subscriber, on TCP (bound to the unspecified address,
+/// so the accept loop is woken over loopback) and on a Unix socket.
+#[test]
+fn shutdown_returns_at_once_with_idle_connections_open() {
+    let dir = TempDir::new("repl-idle-shutdown").unwrap();
+    let path = dir.path().join("idle.sock");
+
+    let (daemon, service) = serve_primary(WireListener::tcp("0.0.0.0:0").expect("bind tcp"));
+    let port = daemon.local_addr().expect("tcp address").port();
+    let client = WireClient::connect_tcp(("127.0.0.1", port)).expect("connect tcp");
+    client.version_info().expect("tcp round trip");
+    let mut subscriber = std::net::TcpStream::connect(("127.0.0.1", port)).expect("connect");
+    subscribe_raw(&mut subscriber);
+    await_subscribers(&service, 1);
+    let start = Instant::now();
+    daemon.shutdown();
+    let took = start.elapsed();
+    assert!(took < PROMPT, "tcp shutdown took {took:?}");
+    assert_eq!(service.hub().subscriber_count(), 0);
+
+    let (daemon, service) = serve_primary(WireListener::unix(&path).expect("bind unix"));
+    let client = WireClient::connect_unix(&path).expect("connect unix");
+    client.version_info().expect("unix round trip");
+    let mut subscriber = std::os::unix::net::UnixStream::connect(&path).expect("connect");
+    subscribe_raw(&mut subscriber);
+    await_subscribers(&service, 1);
+    let start = Instant::now();
+    daemon.shutdown();
+    let took = start.elapsed();
+    assert!(took < PROMPT, "unix shutdown took {took:?}");
+    assert_eq!(service.hub().subscriber_count(), 0);
+    assert!(!path.exists());
+}
+
+/// Floods `stream` with batches of `kind` frames, each as big as a
+/// socket buffer, so the daemon's reader always finds more to read, and
+/// drains the answers so the daemon's writes never stall. Returns the
+/// two threads and a count of answer bytes read; both threads end once
+/// the daemon closes the connection.
+fn flood(
+    stream: std::net::TcpStream,
+    kind: FrameKind,
+    payload: &[u8],
+) -> ([JoinHandle<()>; 2], Arc<AtomicUsize>) {
+    let mut batch = Vec::new();
+    while batch.len() < 256 * 1024 {
+        wire::write_frame(&mut batch, kind, 2, payload).unwrap();
+    }
+    let answered = Arc::new(AtomicUsize::new(0));
+    let mut answers = stream.try_clone().unwrap();
+    let draining = {
+        let answered = Arc::clone(&answered);
+        std::thread::spawn(move || {
+            let mut buf = [0u8; 64 * 1024];
+            while let Ok(n @ 1..) = answers.read(&mut buf) {
+                answered.fetch_add(n, Ordering::Relaxed);
+            }
+        })
+    };
+    let mut stream = stream;
+    let sending = std::thread::spawn(move || while stream.write_all(&batch).is_ok() {});
+    ([draining, sending], answered)
+}
+
+/// Some kernels still deliver what a TCP peer sends after its read half
+/// is shut down, so a reader that never finds its socket empty sees no
+/// end-of-stream there; only the stop flag ends it. Shutdown returns
+/// at once while a client floods the daemon with `Version` requests and
+/// a subscriber floods its replication stream with stray frames.
+#[test]
+fn shutdown_returns_at_once_while_tcp_peers_keep_sending() {
+    let (daemon, service) = serve_primary(WireListener::tcp("127.0.0.1:0").expect("bind tcp"));
+    let addr = daemon.local_addr().expect("tcp address");
+
+    let client = std::net::TcpStream::connect(addr).expect("connect");
+    let version = wire::encode_request(&Request::Version);
+    let (client_threads, client_answered) = flood(client, FrameKind::Request, &version);
+
+    let mut subscriber = std::net::TcpStream::connect(addr).expect("connect");
+    subscribe_raw(&mut subscriber);
+    await_subscribers(&service, 1);
+    // Each request frame on a replication stream is answered with an
+    // error, and the stream stays open.
+    let (subscriber_threads, subscriber_answered) = flood(subscriber, FrameKind::Request, &[]);
+
+    let deadline = Instant::now() + DEADLINE;
+    for answered in [&client_answered, &subscriber_answered] {
+        while answered.load(Ordering::Relaxed) < 64 * 1024 {
+            assert!(Instant::now() < deadline, "a flood never got going");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    let start = Instant::now();
+    daemon.shutdown();
+    let took = start.elapsed();
+    assert!(took < PROMPT, "shutdown under load took {took:?}");
+    assert_eq!(service.hub().subscriber_count(), 0);
+    for thread in client_threads.into_iter().chain(subscriber_threads) {
+        thread.join().unwrap();
+    }
+}
+
+/// Promote stops a follower blocked reading an idle primary by shutting
+/// its socket down, so it returns at once.
+#[test]
+fn promote_returns_at_once_on_an_idle_primary() {
+    let dir = TempDir::new("repl-idle-promote").unwrap();
+    let (primary_daemon, primary, primary_sock) = spawn_primary(&dir);
+    let (replica, _) = follow(&primary_sock, RETRY);
+    await_subscribers(&primary, 1);
+    let start = Instant::now();
+    let promoted = replica.call(Request::Promote);
+    let took = start.elapsed();
+    assert!(
+        matches!(promoted, Ok(Response::Promoted { term: 1, .. })),
+        "{promoted:?}"
+    );
+    assert!(took < PROMPT, "promote took {took:?}");
+    // The stopped follower closed its subscription.
+    await_subscribers(&primary, 0);
+    primary_daemon.shutdown();
+}
+
+/// Dropping a replica whose primary went away unparks its follower from
+/// the retry wait, so the drop returns at once.
+#[test]
+fn dropping_a_replica_waiting_to_retry_returns_at_once() {
+    let dir = TempDir::new("repl-drop-retry").unwrap();
+    let (primary_daemon, primary, primary_sock) = spawn_primary(&dir);
+    let (replica, _) = follow(&primary_sock, Duration::from_millis(500));
+    await_subscribers(&primary, 1);
+    primary_daemon.shutdown();
+    // The follower sees the close, fails to reconnect, and waits.
+    std::thread::sleep(Duration::from_millis(50));
+    let replica = Arc::into_inner(replica).expect("the only handle on the replica");
+    let start = Instant::now();
+    drop(replica);
+    let took = start.elapsed();
+    assert!(took < PROMPT, "dropping the replica took {took:?}");
+}
+
+/// A subscriber stream is a daemon connection, so its writes carry the
+/// daemon's one-second write-stall cut-off: a replica that subscribes
+/// and then never reads stalls the primary's publishes at most once
+/// before the hub drops it. A Unix socket's small buffers fill fast.
+#[test]
+fn a_stalled_subscriber_stalls_the_primary_at_most_once() {
+    let dir = TempDir::new("repl-stall").unwrap();
+    let (daemon, service, sock) = spawn_primary(&dir);
+    let mut stalled = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
+    subscribe_raw(&mut stalled);
+    await_subscribers(&service, 1);
+
+    let (universe, _, admin) = arena();
+    let toggle_all = |kind| -> Vec<Command> {
+        (0..SUBJECTS * ROLES)
+            .map(|k| Command {
+                actor: admin,
+                kind,
+                edge: Edge::UserRole(
+                    universe.find_user(&format!("subj{}", k / ROLES)).unwrap(),
+                    universe.find_role(&format!("r{}", k % ROLES)).unwrap(),
+                ),
+            })
+            .collect()
+    };
+    let batches = [
+        toggle_all(CommandKind::Grant),
+        toggle_all(CommandKind::Revoke),
+    ];
+    let start = Instant::now();
+    let mut worst = Duration::ZERO;
+    for batch in batches.iter().cycle() {
+        if service.hub().subscriber_count() == 0 {
+            break;
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "the stalled subscriber was never dropped"
+        );
+        let submit = Instant::now();
+        service.submit(batch.clone()).expect("submit");
+        worst = worst.max(submit.elapsed());
+    }
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_secs(5),
+        "dropping the subscriber took {took:?}"
+    );
+    assert!(worst < Duration::from_secs(3), "one submit took {worst:?}");
+    // The daemon closed the stalled stream.
+    let mut rest = Vec::new();
+    let _ = stalled.read_to_end(&mut rest);
+    daemon.shutdown();
 }

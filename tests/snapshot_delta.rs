@@ -288,22 +288,21 @@ fn trickle_chain_stays_incremental_and_identical() {
     }
     let (incremental, full) = m.publish_counts();
     assert_eq!(incremental + full, 2 * w.batches.len() as u64);
-    // Toggles are acyclic by construction, so the only rebuilds are the
-    // removal cost heuristic tripping — on a hierarchy this small the
-    // fan-out cap is tight, but the incremental path must still carry
-    // the bulk of the publishes (at production width it carries all of
-    // them: `production_width_trickle_never_falls_back` below).
+    // Toggles are acyclic by construction, so no delta merges or splits
+    // an SCC, and those are the only hierarchy changes that rebuild. The
+    // bound asks only that the incremental path carry the bulk of the
+    // publishes (`production_width_trickle_never_falls_back` below asks
+    // it to carry all of them).
     assert!(
         full * 4 <= incremental,
         "fallbacks must be a small minority: {incremental} incremental vs {full} full"
     );
 }
 
-/// At 2048 roles (the benchmark's width) the fan-out cap has room: two
-/// full toggle cycles (every grant, then every revoke, twice) publish
-/// without a single fallback rebuild. This is the count behind the
-/// benchmark's `monitor.incremental_share @ admission_trickle` reading
-/// exactly 1.
+/// At 2048 roles (the benchmark's width) two full toggle cycles (every
+/// grant, then every revoke, twice) publish without a single fallback
+/// rebuild. This is the count behind the benchmark's
+/// `monitor.incremental_share @ admission_trickle` reading exactly 1.
 #[test]
 fn production_width_trickle_never_falls_back() {
     let w = wide_universe_trickle(TrickleSpec {
