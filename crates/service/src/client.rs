@@ -8,13 +8,12 @@
 //! calls are pipelined over the single connection: each call stamps a
 //! fresh request id, appends its frame under the writer lock, and
 //! parks until the matching reply arrives. Instead of a dedicated
-//! reader thread, the waiters elect a **reader lease** — the same
-//! leader-election idiom as the [group-commit
-//! combiner](crate::group_commit): whichever waiter finds the lease
-//! free reads exactly one frame, deposits it in the matching waiter's
-//! slot by request id, releases the lease and wakes everyone. Replies
-//! may arrive out of order (the daemon answers slow requests from a
-//! worker pool, and submits from the group-commit leader); the id match
+//! reader thread, the waiters share a **reader lease**: whichever
+//! waiter finds the lease free reads exactly one frame, deposits it in
+//! the matching waiter's slot by request id, releases the lease and
+//! wakes everyone. Replies may arrive out of order (the daemon answers
+//! slow requests from a worker pool, and submits from the
+//! [group-commit](crate::group_commit) committer thread); the id match
 //! makes that invisible.
 //!
 //! ## Failure semantics

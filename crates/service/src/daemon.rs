@@ -11,11 +11,12 @@
 //!   reads, version/stats, lint).
 //! * **Submits** go from the reader straight into the service's
 //!   [group-commit combiner](crate::group_commit)
-//!   ([`PolicyService::write_combiner`]) and occupy no thread while
-//!   they wait; frames read back-to-back land in one drain, whose leader
-//!   writes every connection's reply train after the WAL sync. A reader
-//!   may lead, for a bounded number of drains. A peer whose replies
-//!   stall a write for a second is disconnected.
+//!   ([`PolicyService::write_combiner`]), and the reader goes back to
+//!   its socket; frames read back-to-back land in one drain. The
+//!   combiner's committer thread executes every drain and writes each
+//!   connection's reply train after the WAL sync; no reader ever runs a
+//!   drain. A peer whose replies stall a write for a second is
+//!   disconnected.
 //! * **Other slow requests** (`AnalyzeReach`, `CheckRefinement`,
 //!   `Compact`, `Analyze`, `SetConstraints`, and submits to a server
 //!   without a combiner) each go to a worker, which writes the reply.
@@ -583,8 +584,8 @@ fn dispatch_burst(
             request => sent &= conn.jobs.send((id, request)).is_ok(),
         }
     }
-    if let (Some((commit, monitor)), false) = (combiner, submits.is_empty()) {
-        commit.submit_replying(monitor, &(Arc::clone(conn) as Arc<dyn ReplyTo>), submits);
+    if let (Some(commit), false) = (combiner, submits.is_empty()) {
+        commit.submit_replying(&(Arc::clone(conn) as Arc<dyn ReplyTo>), submits);
     }
     sent
 }
@@ -592,11 +593,12 @@ fn dispatch_burst(
 /// The shared write half of one connection, with **coalesced flushes**:
 /// a sender skips its flush when another sender is already queued on
 /// the writer lock — the last sender in any contention burst flushes
-/// everyone's frames in one syscall. A group-commit leader sends a
+/// everyone's frames in one syscall. The group-commit committer sends a
 /// connection's reply train at once, so it arrives in one client read.
 /// A failed write, or one stalled for [`WRITE_STALL`] (the peer stopped
 /// reading), closes the socket: later writes fail at once and the reader
-/// sees the close, so a stalled peer holds up a leader at most once.
+/// sees the close, so a stalled peer holds up the committer at most
+/// once.
 pub(crate) struct ConnWriter {
     writer: Mutex<BufWriter<Stream>>,
     /// Senders between their queue announcement and their write. A

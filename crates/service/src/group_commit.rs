@@ -1,53 +1,44 @@
-//! Group commit: concurrent submitters coalesce into one monitor batch.
+//! Group commit: a daemon's concurrent submits coalesce into one monitor
+//! batch, executed by one committer thread.
 //!
 //! The monitor's write path is serial by design (Definition 5 is a
-//! serial semantics), so under concurrent writers the interesting
-//! question is *how much work each pass over the writer lock retires*.
-//! Per-call locking retires one request per acquisition — one WAL sync,
-//! one `ReachIndex` rebuild, one published epoch *per request*. The
-//! combiner here retires the whole in-flight queue per acquisition:
+//! serial semantics), so what matters under concurrent writers is how
+//! much each pass over the writer lock retires. Executed one by one,
+//! every request costs a WAL sync, an index derivation and an epoch; the
+//! combiner retires the whole in-flight queue per pass:
 //!
-//! 1. a submitter appends its request (commands + a completion) to the
-//!    shared in-flight batch;
-//! 2. if no leader is running, it leads; otherwise an in-process caller
-//!    parks on its slot, and a daemon connection's reader returns to its
-//!    socket;
-//! 3. the leader drains *everything* queued, executes the drained group
-//!    as **one** `submit_batch` call — one Definition-5 serial
-//!    execution, one WAL sync, one index rebuild, one published epoch —
-//!    and only then (**ack after sync**) delivers each request's own
-//!    slice of the outcomes: it fills callers' slots and writes each
-//!    connection's reply train itself, one flush per connection.
+//! 1. a daemon connection's reader appends its burst of submits, each
+//!    under its request id, and goes back to its socket; the first
+//!    burst starts the committer thread;
+//! 2. the committer waits until something is queued, then, under a
+//!    gather window
+//!    ([`MonitorService::with_write_gather`](crate::MonitorService::with_write_gather)),
+//!    until the queue holds the *population* the last drain proved —
+//!    the requests it executed plus those queued behind it when it
+//!    finished executing — or the window closes. A drain with nothing
+//!    queued behind it proves only its own size, so a lone connection
+//!    never waits out the window;
+//! 3. it executes *everything* queued as **one** `submit_batch` — one
+//!    Definition-5 serial execution, one WAL record and sync, one
+//!    published epoch — and only then (**ack after sync**) writes each
+//!    connection's reply train, one flush per connection.
 //!
-//! **Batch formation.** Under a gather window
-//! ([`GroupCommit::with_gather`]) the leader first sleeps on a condvar
-//! until the queue holds the *population* the previous drain proved —
-//! the requests it executed, those queued behind it when it finished
-//! executing, and the leader's own, which cannot resubmit while it
-//! leads — or the window closes. The enqueue that completes
-//! the population runs that drain itself and relieves the sleeper, so no
-//! wake-up sits on the critical path. A lone submitter never waits.
+//! In-process callers never queue here: the services execute their
+//! submits directly, serialized by the monitor's writer lock.
 //!
-//! **Who leads.** The submitter that finds no leader leads, its own
-//! requests in its first drain. After `MAX_DRAINS_PER_TENURE` drains
-//! the leader is in overtime: the next submitter takes over, at once
-//! from a gather, else once the drain in flight ends. So no thread — a
-//! daemon reader, which reads nothing while it leads, included — is
-//! **held for more than `MAX_DRAINS_PER_TENURE` + 2 drains**, and a
-//! taker-over never waits on a busy thread. The leader flag stays set
-//! across every hand-over, so a queued request is **never orphaned**,
-//! and an abort guard answers every request **exactly once** even when
-//! a drain panics.
-//!
-//! Requests stay atomic and contiguous: a request's commands are never
-//! interleaved with another's, so the outcome sequence equals *some*
-//! serial interleaving of the submitters (the drain order), which the
-//! `service_protocol` suite verifies by replaying the audit order
-//! through Definition 5 (`adminref_core::transition::step`). A group is
-//! one WAL record, so a store failure applies none of it: every request
-//! gets [`ServiceError::Backend`] with no outcomes, and may be retried.
+//! Requests stay atomic and contiguous, so the outcome sequence equals
+//! *some* serial interleaving of the submitters — the drain order, which
+//! the `service_protocol` suite checks by replaying the audit order
+//! through Definition 5. A group is one WAL record: a store failure
+//! applies none of it, and every request gets [`ServiceError::Backend`]
+//! with no outcomes. A panicking drain is caught: each request it has
+//! not answered gets [`ServiceError::Aborted`], and the committer serves
+//! on. Dropping the combiner drains what is queued, then joins the
+//! committer.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use adminref_core::command::Command;
@@ -60,275 +51,187 @@ use crate::protocol::ServiceError;
 /// The result a submitter receives for its own request.
 pub type SubmitResult = Result<Vec<StepOutcome>, ServiceError>;
 
-/// One in-process request's completion slot, filled once by a leader.
-#[derive(Default)]
-struct Slot {
-    result: Mutex<Option<SubmitResult>>,
-    ready: Condvar,
-}
-
 /// Locks a mutex, surviving poison: the mutexes of this crate guard
-/// plain data, so a panicking thread must not wedge everyone else, and
-/// the abort guard must answer waiters *during* a panic unwind.
+/// plain data, so a panicking thread must not wedge everyone else.
 pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl Slot {
-    fn set(&self, result: SubmitResult) {
-        *lock_unpoisoned(&self.result) = Some(result);
-        self.ready.notify_one();
-    }
-
-    /// Parks until a leader has served the request.
-    fn wait(&self) -> SubmitResult {
-        let result = lock_unpoisoned(&self.result);
-        let mut result = self
-            .ready
-            .wait_while(result, |result| result.is_none())
-            .unwrap_or_else(PoisonError::into_inner);
-        result.take().unwrap_or(Err(ServiceError::Aborted))
-    }
-}
-
-/// A connection whose submits the leader answers itself (the daemon's).
+/// A connection whose submits the committer answers (the daemon's).
 pub(crate) trait ReplyTo: Send + Sync {
-    /// Writes one train of replies, in order, with one flush. The leader
-    /// calls it on the serial commit path, so it must not block without
-    /// bound, nor submit to the same combiner.
+    /// Writes one train of replies, in order, with one flush. The
+    /// committer calls it on the serial commit path, so it must not block
+    /// without bound.
     fn reply(&self, replies: Vec<(u64, SubmitResult)>);
 }
 
-/// Where one request's result goes.
-enum Completion {
-    /// An in-process caller parked on its slot.
-    Slot(Arc<Slot>),
-    /// A daemon submit, answered by the leader under this request id.
-    Reply(Arc<dyn ReplyTo>, u64),
-}
-
-/// One enqueued request.
+/// One enqueued submit, answered through `to` under `id`.
 struct PendingWrite {
     commands: Vec<Command>,
-    done: Completion,
+    to: Arc<dyn ReplyTo>,
+    id: u64,
 }
 
 #[derive(Default)]
 struct Queue {
     pending: Vec<PendingWrite>,
-    leader_running: bool,
     /// The population the last drain proved (see the module docs).
     population: usize,
-    /// The sleeping leader's `(ticket, queue length it waits for)`;
-    /// cleared by that leader, or by the enqueue that relieves it.
-    gatherer: Option<(u64, usize)>,
-    /// Gathers begun so far: the source of tickets.
-    gathers: u64,
-    /// The leader is past its tenure: the next enqueuer takes over.
-    overtime: bool,
-    /// An enqueuer waits in `join` to take over once the drain ends.
-    successor: bool,
+    /// The committer, once the first burst has started it.
+    committer: Option<JoinHandle<()>>,
+    /// Set on drop: the committer drains what is queued, then exits.
+    stopping: bool,
+}
+
+/// What the combiner and its committer thread share.
+struct Shared {
+    monitor: Arc<ReferenceMonitor>,
+    /// Gather window; zero drains at once.
+    gather: Duration,
+    queue: Mutex<Queue>,
+    /// Wakes the committer: the queue became non-empty, its gather's
+    /// population arrived, or the combiner is dropped.
+    arrived: Condvar,
 }
 
 /// The write combiner; see the module docs.
 ///
-/// One `GroupCommit` serializes the write path of one monitor (the
-/// service owns both and always passes the same monitor in).
-#[derive(Default)]
+/// One `GroupCommit` serializes the network writes of one monitor, which
+/// it shares with the service that owns it.
 pub struct GroupCommit {
-    queue: Mutex<Queue>,
-    /// Wakes a gathering leader whose gather was relieved, and a waiting
-    /// successor once the leader hands over.
-    arrived: Condvar,
-    /// Leader gather window; zero (the default) drains immediately.
-    gather: Duration,
+    shared: Arc<Shared>,
 }
 
 impl GroupCommit {
-    /// A combiner with an empty in-flight batch.
-    pub fn new() -> Self {
-        GroupCommit::default()
+    /// A combiner over `monitor` that drains at once.
+    pub(crate) fn new(monitor: Arc<ReferenceMonitor>) -> Self {
+        GroupCommit::with_gather(monitor, Duration::ZERO)
     }
 
-    /// A combiner whose leader waits up to `gather` for the proven
-    /// population before executing (see the module docs). Local callers
-    /// keep the default, zero. Over a **round-trip transport** an eager
-    /// leader drains one connection at a time; a gather of a few tens of
-    /// microseconds (well under one WAL sync) lands one round trip of
-    /// every pipelined connection in one drain (see
-    /// [`MonitorService::with_write_gather`](crate::MonitorService::with_write_gather)).
-    pub fn with_gather(gather: Duration) -> Self {
+    /// A combiner whose committer waits up to `gather` for the proven
+    /// population before executing (see the module docs).
+    pub(crate) fn with_gather(monitor: Arc<ReferenceMonitor>, gather: Duration) -> Self {
         GroupCommit {
-            gather,
-            ..GroupCommit::default()
+            shared: Arc::new(Shared {
+                monitor,
+                gather,
+                queue: Mutex::default(),
+                arrived: Condvar::new(),
+            }),
         }
     }
 
-    /// Submits `commands` as one atomic request, coalescing with every
-    /// other request in flight. Blocks until a leader (possibly this
-    /// thread) has executed it; returns the outcomes of these `commands`.
-    pub fn submit(&self, monitor: &ReferenceMonitor, commands: Vec<Command>) -> SubmitResult {
-        let slot = Arc::new(Slot::default());
-        let done = Completion::Slot(Arc::clone(&slot));
-        self.join(monitor, std::iter::once(PendingWrite { commands, done }));
-        slot.wait()
-    }
-
-    /// Submits several independent requests at once, under **one** queue
-    /// acquisition, so they land in the same drain. Semantically
-    /// `requests.len()` threads each calling [`submit`](GroupCommit::submit)
-    /// concurrently — each request atomic, with its own result — but
-    /// callable from one thread.
-    pub fn submit_many(
-        &self,
-        monitor: &ReferenceMonitor,
-        requests: Vec<Vec<Command>>,
-    ) -> Vec<SubmitResult> {
-        let slots: Vec<Arc<Slot>> = requests.iter().map(|_| Arc::default()).collect();
-        let pending = requests
-            .into_iter()
-            .zip(&slots)
-            .map(|(commands, slot)| PendingWrite {
-                commands,
-                done: Completion::Slot(Arc::clone(slot)),
-            });
-        self.join(monitor, pending);
-        slots.iter().map(|slot| slot.wait()).collect()
-    }
-
-    /// The daemon's entry point: enqueues one connection's burst of
-    /// submits, each answered through `to` under its request id by the
-    /// leader that drains it. The calling reader returns at once, or
-    /// leads if it finds no leader.
-    pub(crate) fn submit_replying(
-        &self,
-        monitor: &ReferenceMonitor,
-        to: &Arc<dyn ReplyTo>,
-        burst: Vec<(u64, Vec<Command>)>,
-    ) {
+    /// Enqueues one connection's burst of submits, each answered through
+    /// `to` under its request id after the drain that executes it. Returns
+    /// at once. The first burst starts the committer; if that spawn fails,
+    /// the burst is answered [`ServiceError::Aborted`] and the next one
+    /// tries again.
+    pub(crate) fn submit_replying(&self, to: &Arc<dyn ReplyTo>, burst: Vec<(u64, Vec<Command>)>) {
+        let mut queue = lock_unpoisoned(&self.shared.queue);
+        if queue.committer.is_none() {
+            let shared = Arc::clone(&self.shared);
+            let spawned = thread::Builder::new()
+                .name("adminref-committer".into())
+                .spawn(move || shared.run());
+            match spawned {
+                Ok(committer) => queue.committer = Some(committer),
+                Err(_) => {
+                    drop(queue);
+                    let aborted = burst
+                        .into_iter()
+                        .map(|(id, _)| (id, Err(ServiceError::Aborted)));
+                    return to.reply(aborted.collect());
+                }
+            }
+        }
+        let before = queue.pending.len();
         let pending = burst.into_iter().map(|(id, commands)| PendingWrite {
             commands,
-            done: Completion::Reply(Arc::clone(to), id),
+            to: Arc::clone(to),
+            id,
         });
-        self.join(monitor, pending);
-    }
-
-    /// Appends requests under one queue acquisition; leads when no leader
-    /// runs, when they complete a gathering leader's target, or when the
-    /// leader is in overtime: a gathering leader finds its gather gone
-    /// and steps down, a draining one hands over when its drain ends.
-    fn join(&self, monitor: &ReferenceMonitor, requests: impl Iterator<Item = PendingWrite>) {
-        let mut queue = lock_unpoisoned(&self.queue);
-        let before = queue.pending.len();
-        queue.pending.extend(requests);
-        let queued = queue.pending.len();
-        let overtime = std::mem::take(&mut queue.overtime);
-        let relieves = queue
-            .gatherer
-            .is_some_and(|(_, target)| overtime || queued >= target);
-        if queue.leader_running && !relieves {
-            if !overtime {
-                return;
-            }
-            queue.successor = true;
-            queue = self
-                .arrived
-                .wait_while(queue, |queue| queue.successor)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        (queue.leader_running, queue.gatherer) = (true, None);
+        queue.pending.extend(pending);
+        // Wake the committer only if it may be waiting for this: for any
+        // request, or for its gather's population.
+        let target = queue.population.max(1);
+        let wake = before == 0 || (before < target && queue.pending.len() >= target);
         drop(queue);
-        if relieves {
-            self.arrived.notify_all();
+        if wake {
+            self.shared.arrived.notify_one();
         }
-        self.lead(monitor, queued - before);
-    }
-
-    /// Leader loop: drain, execute, deliver, until the queue is empty, an
-    /// enqueue relieves a gather, or a successor takes over. `mine`
-    /// counts this thread's own queued requests: they ride its first
-    /// drain, and their successors are `absent` from every later one
-    /// (they cannot arrive while it leads), so no gather waits for them.
-    fn lead(&self, monitor: &ReferenceMonitor, mine: usize) {
-        let mut absent = 0;
-        for drained in 0.. {
-            let overtime = drained >= MAX_DRAINS_PER_TENURE;
-            let Some(group) = self.next_group(absent, overtime) else {
-                return;
-            };
-            self.drain(monitor, group, absent);
-            absent = mine;
-            if self.gather.is_zero() {
-                // The submitters just released are likely to have a
-                // next request; one yield lets them join the next drain
-                // (a no-op with no runnable peers).
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Takes the next group, under a window first sleeping until the
-    /// queue holds the proven population less the `absent` requests.
-    /// `None` when leadership ends: nothing is queued (released), a
-    /// successor waits (handed over, still claimed), or an enqueue
-    /// relieved the gather (that enqueuer leads now). Waiting cannot
-    /// deadlock: stragglers find leadership claimed.
-    fn next_group(&self, absent: usize, overtime: bool) -> Option<Vec<PendingWrite>> {
-        let mut queue = lock_unpoisoned(&self.queue);
-        if std::mem::take(&mut queue.successor) {
-            self.arrived.notify_all();
-            return None;
-        }
-        if queue.pending.is_empty() {
-            queue.leader_running = false;
-            return None;
-        }
-        queue.overtime = overtime;
-        let target = queue.population.saturating_sub(absent);
-        if !self.gather.is_zero() && queue.pending.len() < target {
-            queue.gathers += 1;
-            let me = Some((queue.gathers, target));
-            queue.gatherer = me;
-            queue = self
-                .arrived
-                .wait_timeout_while(queue, self.gather, |queue| queue.gatherer == me)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-            if queue.gatherer != me {
-                return None;
-            }
-            queue.gatherer = None;
-        }
-        Some(std::mem::take(&mut queue.pending))
-    }
-
-    fn drain(&self, monitor: &ReferenceMonitor, group: Vec<PendingWrite>, absent: usize) {
-        let mut guard = AbortGuard {
-            commit: self,
-            group,
-            answered: 0,
-        };
-        let results = execute_group(monitor, &guard.group);
-        // Counted before any result leaves, so a released caller's next
-        // request is not counted twice.
-        {
-            let mut queue = lock_unpoisoned(&self.queue);
-            queue.population = guard.group.len() + queue.pending.len() + absent;
-        }
-        // Ack after sync: `execute_group` returned, so did the group's
-        // WAL sync; only now does any result leave.
-        deliver(&guard.group, results, &mut guard.answered);
     }
 }
 
-/// Drains per leader tenure, after which the next submitter takes over:
-/// bounds how long any thread leads for others under sustained load.
-const MAX_DRAINS_PER_TENURE: usize = 8;
+impl Drop for GroupCommit {
+    fn drop(&mut self) {
+        let committer = {
+            let mut queue = lock_unpoisoned(&self.shared.queue);
+            queue.stopping = true;
+            queue.committer.take()
+        };
+        self.shared.arrived.notify_one();
+        let _ = committer.map(JoinHandle::join);
+    }
+}
 
-/// Delivers `results` (one per request, in order): slots are filled, and
-/// each connection's run of consecutive requests gets one reply train.
-/// `answered` counts each request before its delivery starts, so none is
-/// answered twice.
+impl Shared {
+    /// The committer thread: drain until stopped with nothing queued.
+    fn run(&self) {
+        while let Some(group) = self.next_group() {
+            self.drain(group);
+        }
+    }
+
+    /// Waits until something is queued, then within the window for the
+    /// proven population, and takes everything queued. `None` once the
+    /// combiner is dropped and the queue is empty.
+    fn next_group(&self) -> Option<Vec<PendingWrite>> {
+        let queue = lock_unpoisoned(&self.queue);
+        let mut queue = self
+            .arrived
+            .wait_while(queue, |queue| queue.pending.is_empty() && !queue.stopping)
+            .unwrap_or_else(PoisonError::into_inner);
+        let target = queue.population;
+        if !self.gather.is_zero() && queue.pending.len() < target {
+            queue = self
+                .arrived
+                .wait_timeout_while(queue, self.gather, |queue| {
+                    queue.pending.len() < target && !queue.stopping
+                })
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        let group = std::mem::take(&mut queue.pending);
+        (!group.is_empty()).then_some(group)
+    }
+
+    /// Executes one group and answers it. A panic anywhere in here
+    /// answers every request not yet answered [`ServiceError::Aborted`];
+    /// a reply train that panics again is skipped.
+    fn drain(&self, group: Vec<PendingWrite>) {
+        let mut answered = 0;
+        let drained = catch_unwind(AssertUnwindSafe(|| {
+            let results = execute_group(&self.monitor, &group);
+            // Counted before any result leaves, so a released submitter's
+            // next request is not counted twice.
+            let mut queue = lock_unpoisoned(&self.queue);
+            queue.population = group.len() + queue.pending.len();
+            drop(queue);
+            // Ack after sync: `execute_group` returned, so did the group's
+            // WAL sync; only now does any result leave.
+            deliver(&group, results, &mut answered);
+        }));
+        while drained.is_err() && answered < group.len() {
+            let aborted = std::iter::repeat_with(|| Err(ServiceError::Aborted));
+            let _ = catch_unwind(AssertUnwindSafe(|| deliver(&group, aborted, &mut answered)));
+        }
+    }
+}
+
+/// Delivers `results` (one per request, in order) from `group[answered..]`
+/// on: each connection's run of consecutive requests gets one reply
+/// train. `answered` counts each train before it is written, so no
+/// request is answered twice.
 fn deliver(
     group: &[PendingWrite],
     results: impl IntoIterator<Item = SubmitResult>,
@@ -336,51 +239,14 @@ fn deliver(
 ) {
     let mut results = results.into_iter();
     let mut next = || results.next().unwrap_or(Err(ServiceError::Aborted));
-    while let Some(request) = group.get(*answered) {
-        match &request.done {
-            Completion::Slot(slot) => {
-                *answered += 1;
-                slot.set(next());
-            }
-            Completion::Reply(to, _) => {
-                let run: Vec<u64> = group[*answered..]
-                    .iter()
-                    .map_while(|r| match &r.done {
-                        Completion::Reply(other, id) if Arc::ptr_eq(other, to) => Some(*id),
-                        _ => None,
-                    })
-                    .collect();
-                *answered += run.len();
-                to.reply(run.into_iter().map(|id| (id, next())).collect());
-            }
-        }
-    }
-}
-
-/// Unwinds a panicking drain into answered requests instead of a wedged
-/// combiner: every drained request not yet answered, and every queued
-/// one, gets [`ServiceError::Aborted`], and leadership is released, or
-/// passed to a waiting successor.
-struct AbortGuard<'a> {
-    commit: &'a GroupCommit,
-    group: Vec<PendingWrite>,
-    answered: usize,
-}
-
-impl Drop for AbortGuard<'_> {
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            return;
-        }
-        let queued = {
-            let mut queue = lock_unpoisoned(&self.commit.queue);
-            queue.leader_running = std::mem::take(&mut queue.successor);
-            std::mem::take(&mut queue.pending)
-        };
-        self.commit.arrived.notify_all();
-        let aborted = || std::iter::repeat_with(|| Err(ServiceError::Aborted));
-        deliver(&self.group, aborted(), &mut self.answered);
-        deliver(&queued, aborted(), &mut 0);
+    while let Some(first) = group.get(*answered) {
+        let train: Vec<(u64, SubmitResult)> = group[*answered..]
+            .iter()
+            .take_while(|request| Arc::ptr_eq(&request.to, &first.to))
+            .map(|request| (request.id, next()))
+            .collect();
+        *answered += train.len();
+        first.to.reply(train);
     }
 }
 
@@ -432,13 +298,16 @@ fn execute_group(monitor: &ReferenceMonitor, group: &[PendingWrite]) -> Vec<Subm
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MonitorService, PolicyService};
     use adminref_core::policy::PolicyBuilder;
     use adminref_core::transition::AuthMode;
     use adminref_core::universe::{Edge, Universe};
     use adminref_monitor::MonitorConfig;
     use adminref_store::{PolicyStore, TempDir};
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::mpsc;
-    use std::thread::{self, ThreadId};
+    use std::thread::ThreadId;
     use std::time::Instant;
 
     fn fixture() -> (Universe, adminref_core::policy::Policy) {
@@ -468,13 +337,63 @@ mod tests {
         b.finish()
     }
 
-    /// A drained group of in-process requests, as `execute_group` sees it.
+    /// Records every reply a connection receives, with the thread that
+    /// wrote it.
+    #[derive(Default)]
+    struct Inbox {
+        replies: Mutex<Vec<(u64, SubmitResult, ThreadId)>>,
+        arrived: Condvar,
+    }
+
+    impl ReplyTo for Inbox {
+        fn reply(&self, replies: Vec<(u64, SubmitResult)>) {
+            let by = thread::current().id();
+            let replies = replies.into_iter().map(|(id, result)| (id, result, by));
+            lock_unpoisoned(&self.replies).extend(replies);
+            self.arrived.notify_all();
+        }
+    }
+
+    impl Inbox {
+        /// Waits up to ten seconds for `n` replies, and takes them in id
+        /// order.
+        fn take(&self, n: usize) -> Vec<(u64, SubmitResult, ThreadId)> {
+            let replies = lock_unpoisoned(&self.replies);
+            let ten_seconds = Duration::from_secs(10);
+            let (mut replies, _) = self
+                .arrived
+                .wait_timeout_while(replies, ten_seconds, |replies| replies.len() < n)
+                .unwrap();
+            assert_eq!(replies.len(), n, "replies that arrived");
+            let mut taken = std::mem::take(&mut *replies);
+            taken.sort_by_key(|(id, ..)| *id);
+            taken
+        }
+    }
+
+    /// One connection's round trip: `requests` as one burst (ids 0..),
+    /// then every reply, in id order, with the thread that wrote it.
+    fn round_trip(
+        commit: &GroupCommit,
+        inbox: &Arc<Inbox>,
+        requests: Vec<Vec<Command>>,
+    ) -> Vec<(SubmitResult, ThreadId)> {
+        let n = requests.len();
+        let to: Arc<dyn ReplyTo> = inbox.clone();
+        commit.submit_replying(&to, (0..).zip(requests).collect());
+        let replies = inbox.take(n);
+        replies.into_iter().map(|(_, r, by)| (r, by)).collect()
+    }
+
+    /// A drained group, as `execute_group` sees it.
     fn group_of(requests: &[Vec<Command>]) -> Vec<PendingWrite> {
-        requests
-            .iter()
-            .map(|commands| PendingWrite {
+        let to: Arc<dyn ReplyTo> = Arc::new(Inbox::default());
+        (0..)
+            .zip(requests)
+            .map(|(id, commands)| PendingWrite {
                 commands: commands.clone(),
-                done: Completion::Slot(Arc::default()),
+                to: Arc::clone(&to),
+                id,
             })
             .collect()
     }
@@ -604,162 +523,57 @@ mod tests {
         assert!(!live.contains_edge(Edge::UserRole(bob, staff)));
     }
 
-    /// Records every reply train a connection receives.
-    #[derive(Default)]
-    struct Recorder(Mutex<Vec<(u64, bool)>>);
-
-    impl ReplyTo for Recorder {
-        fn reply(&self, replies: Vec<(u64, SubmitResult)>) {
-            let aborted = replies
-                .into_iter()
-                .map(|(id, r)| (id, matches!(r, Err(ServiceError::Aborted))));
-            lock_unpoisoned(&self.0).extend(aborted);
-        }
-    }
-
-    /// The abort guard converts a panic escaping a drain into answered
-    /// requests — drained and still-queued, slots and reply trains alike,
-    /// each exactly once — and releases leadership, so the combiner
-    /// keeps serving instead of wedging every future submit.
-    #[test]
-    fn abort_guard_unwedges_slots_and_leadership() {
-        let (uni, policy) = fixture();
-        let jane = uni.find_user("jane").unwrap();
-        let bob = uni.find_user("bob").unwrap();
-        let staff = uni.find_role("staff").unwrap();
-        let monitor = ReferenceMonitor::new(uni, policy, MonitorConfig::default());
-        let commit = GroupCommit::new();
-        let conn = Arc::new(Recorder::default());
-        let to: Arc<dyn ReplyTo> = conn.clone();
-        let reply = |id| PendingWrite {
-            commands: Vec::new(),
-            done: Completion::Reply(Arc::clone(&to), id),
-        };
-        let drained_slot = Arc::new(Slot::default());
-        let queued_slot = Arc::new(Slot::default());
-        {
-            let mut queue = lock_unpoisoned(&commit.queue);
-            queue.leader_running = true;
-            queue.pending.push(reply(3));
-            queue.pending.push(PendingWrite {
-                commands: Vec::new(),
-                done: Completion::Slot(Arc::clone(&queued_slot)),
-            });
-        }
-        let drained = vec![
-            reply(1),
-            PendingWrite {
-                commands: Vec::new(),
-                done: Completion::Slot(Arc::clone(&drained_slot)),
-            },
-            reply(2),
-        ];
-        // A drain that answered its first request, then died.
-        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut guard = AbortGuard {
-                commit: &commit,
-                group: drained,
-                answered: 0,
-            };
-            deliver(&guard.group[..1], [Ok(Vec::new())], &mut guard.answered);
-            panic!("a drain died mid-flight");
-        }));
-        assert!(died.is_err());
-        let mut replies = lock_unpoisoned(&conn.0).clone();
-        replies.sort_unstable();
-        assert_eq!(replies, [(1, false), (2, true), (3, true)]);
-        for slot in [&drained_slot, &queued_slot] {
-            assert!(matches!(slot.wait(), Err(ServiceError::Aborted)));
-        }
-        {
-            let queue = lock_unpoisoned(&commit.queue);
-            assert!(!queue.leader_running, "leadership released");
-            assert!(queue.pending.is_empty(), "queue drained");
-        }
-        // The combiner stays serviceable: the next submit self-elects
-        // and completes normally.
-        let out = commit
-            .submit(
-                &monitor,
-                vec![Command::grant(jane, Edge::UserRole(bob, staff))],
-            )
-            .expect("combiner still serves after an aborted drain");
-        assert!(out[0].executed());
-    }
-
-    /// Polls `ready` for up to five seconds.
-    fn eventually(ready: impl Fn() -> bool) -> bool {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !ready() && Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(1));
-        }
-        ready()
-    }
-
-    /// A drain that panics while a successor waits to take over passes
-    /// leadership to it: the successor's queued request is aborted, the
-    /// successor finds the queue empty and releases leadership, and the
-    /// combiner serves on.
-    #[test]
-    fn abort_guard_passes_leadership_to_a_waiting_successor() {
-        let (uni, policy) = fixture();
-        let jane = uni.find_user("jane").unwrap();
-        let edge = Edge::UserRole(
-            uni.find_user("bob").unwrap(),
-            uni.find_role("staff").unwrap(),
-        );
-        let monitor = ReferenceMonitor::new(uni, policy, MonitorConfig::default());
-        let commit = GroupCommit::new();
-        // A leader in overtime, mid-drain.
-        {
-            let mut queue = lock_unpoisoned(&commit.queue);
-            (queue.leader_running, queue.overtime) = (true, true);
-        }
-        thread::scope(|scope| {
-            let successor =
-                scope.spawn(|| commit.submit(&monitor, vec![Command::grant(jane, edge)]));
-            let waited = eventually(|| lock_unpoisoned(&commit.queue).successor);
-            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _guard = AbortGuard {
-                    commit: &commit,
-                    group: Vec::new(),
-                    answered: 0,
-                };
-                panic!("a drain died while a successor waited");
-            }));
-            assert!(died.is_err());
-            let result = successor.join().unwrap();
-            assert!(waited, "a submitter in overtime waits to take over");
-            assert!(matches!(result, Err(ServiceError::Aborted)));
-        });
-        assert!(!lock_unpoisoned(&commit.queue).leader_running);
-        let out = commit.submit(&monitor, vec![Command::grant(jane, edge)]);
-        assert!(out.expect("combiner still serves")[0].executed());
-    }
-
-    /// Holds each reply train until the test lets it go, and reports
-    /// which thread wrote it.
+    /// Holds each reply train until the test lets it go, and reports the
+    /// ids it was handed.
     struct Gate {
-        written: mpsc::Sender<(u64, ThreadId)>,
+        written: mpsc::Sender<u64>,
         go: Mutex<mpsc::Receiver<()>>,
     }
 
     impl ReplyTo for Gate {
         fn reply(&self, replies: Vec<(u64, SubmitResult)>) {
             for (id, _) in replies {
-                self.written.send((id, thread::current().id())).unwrap();
+                self.written.send(id).unwrap();
             }
             lock_unpoisoned(&self.go).recv().unwrap();
         }
     }
 
-    /// A leader past its tenure hands over to the next submitter as soon
-    /// as its drain in flight ends, so a daemon reader that leads is back
-    /// on its socket after `MAX_DRAINS_PER_TENURE` + 1 drains however
-    /// busy the other connections keep it. Each drain here holds one
-    /// daemon submit, and the next one is enqueued while it delivers.
+    /// A gate, the sender that lets it go, and the receiver of what it
+    /// was handed.
+    fn gate() -> (Arc<dyn ReplyTo>, mpsc::Sender<()>, mpsc::Receiver<u64>) {
+        let (written, writes) = mpsc::channel();
+        let (go, gate) = mpsc::channel();
+        let go_gate = Mutex::new(gate);
+        let to = Arc::new(Gate {
+            written,
+            go: go_gate,
+        });
+        (to, go, writes)
+    }
+
+    /// A connection whose first reply train panics mid-write; every later
+    /// one reaches its inbox.
+    #[derive(Default)]
+    struct PanicsOnce {
+        panicked: AtomicBool,
+        inbox: Inbox,
+    }
+
+    impl ReplyTo for PanicsOnce {
+        fn reply(&self, replies: Vec<(u64, SubmitResult)>) {
+            if !self.panicked.swap(true, Ordering::SeqCst) {
+                panic!("a reply train died mid-write");
+            }
+            self.inbox.reply(replies);
+        }
+    }
+
+    /// A drain whose reply train panics answers the rest of its group
+    /// `Aborted`, each request once, and the committer then serves the
+    /// next burst normally.
     #[test]
-    fn a_leader_past_its_tenure_hands_over_to_the_next_submitter() {
+    fn a_panicking_drain_answers_its_group_aborted_and_the_committer_serves_on() {
         let (uni, policy) = fixture();
         let jane = uni.find_user("jane").unwrap();
         let edge = Edge::UserRole(
@@ -767,56 +581,168 @@ mod tests {
             uni.find_role("staff").unwrap(),
         );
         let monitor = ReferenceMonitor::new(uni, policy, MonitorConfig::default());
-        let commit = GroupCommit::new();
-        let (written, writes) = mpsc::channel();
-        let (go, gate) = mpsc::channel();
-        let to: Arc<dyn ReplyTo> = Arc::new(Gate {
-            written,
-            go: Mutex::new(gate),
-        });
-        let submit = |id: u64| {
-            let command = match id % 2 {
-                0 => Command::grant(jane, edge),
-                _ => Command::revoke(jane, edge),
-            };
-            commit.submit_replying(&monitor, &to, vec![(id, vec![command])]);
-            thread::current().id()
-        };
-        let tenure = MAX_DRAINS_PER_TENURE as u64;
-        thread::scope(|scope| {
-            let first = scope.spawn(|| submit(0));
-            let mut leader = None;
-            for id in 0..tenure {
-                let (answered, by) = writes.recv().unwrap();
-                assert_eq!((answered, by), (id, *leader.get_or_insert(by)));
-                // The leader is busy and within its tenure: this returns.
-                submit(id + 1);
-                go.send(()).unwrap();
-            }
-            // The drain after the tenure: the next submitter waits to
-            // take over instead of queueing behind the same leader.
-            assert_eq!(writes.recv().unwrap(), (tenure, leader.unwrap()));
-            let successor = scope.spawn(|| submit(tenure + 1));
-            let waited = eventually(|| lock_unpoisoned(&commit.queue).successor);
-            go.send(()).unwrap();
-            let (answered, by) = writes.recv().unwrap();
-            go.send(()).unwrap();
-            let (first, successor) = (first.join().unwrap(), successor.join().unwrap());
-            assert!(waited, "the submitter after the tenure waits to take over");
-            assert_eq!(first, leader.unwrap());
-            assert_eq!((answered, by), (tenure + 1, successor), "the successor led");
-        });
-        assert!(!lock_unpoisoned(&commit.queue).leader_running);
-        assert_eq!(monitor.version(), tenure + 2);
+        let commit = GroupCommit::new(Arc::new(monitor));
+        let (gated, go, writes) = gate();
+        let panics = Arc::new(PanicsOnce::default());
+        let inbox = Arc::new(Inbox::default());
+        let (panics_to, inbox_to): (Arc<dyn ReplyTo>, Arc<dyn ReplyTo>) =
+            (panics.clone(), inbox.clone());
+        let grant = || vec![Command::grant(jane, edge)];
+        let revoke = || vec![Command::revoke(jane, edge)];
+        // Hold the committer in a reply train, so the next two bursts
+        // land in one drain: the panicking connection's first.
+        commit.submit_replying(&gated, vec![(0, grant())]);
+        assert_eq!(writes.recv().unwrap(), 0);
+        commit.submit_replying(&panics_to, vec![(1, revoke())]);
+        commit.submit_replying(&inbox_to, vec![(2, grant()), (3, revoke())]);
+        go.send(()).unwrap();
+        let aborted = inbox.take(2);
+        assert_eq!(
+            aborted
+                .iter()
+                .map(|(id, r, _)| (*id, matches!(r, Err(ServiceError::Aborted))))
+                .collect::<Vec<_>>(),
+            [(2, true), (3, true)]
+        );
+        // The committer serves on.
+        commit.submit_replying(&panics_to, vec![(4, grant())]);
+        let served = panics.inbox.take(1);
+        assert_eq!(served[0].0, 4);
+        let outcomes = served[0].1.as_ref().expect("the next burst is served");
+        assert!(outcomes[0].executed());
+        assert!(
+            lock_unpoisoned(&inbox.replies).is_empty(),
+            "nothing answered twice"
+        );
     }
 
-    /// `threads` callers, each submitting `rounds` windows of `window`
-    /// single-command requests that toggle its own edge, pausing `pause`
-    /// between windows, against a monitor over a store in `dir` (in
-    /// memory without one); every outcome must execute. Returns the
-    /// epochs the monitor published.
+    /// Every reply train is written by the one committer thread, never
+    /// by a thread that enqueued: no daemon reader executes a drain.
+    #[test]
+    fn every_reply_train_is_written_by_the_committer_thread() {
+        let (uni, policy) = fixture();
+        let jane = uni.find_user("jane").unwrap();
+        let edges = [
+            Edge::UserRole(
+                uni.find_user("bob").unwrap(),
+                uni.find_role("staff").unwrap(),
+            ),
+            Edge::UserRole(
+                uni.find_user("joe").unwrap(),
+                uni.find_role("nurse").unwrap(),
+            ),
+        ];
+        let monitor = ReferenceMonitor::new(uni, policy, MonitorConfig::default());
+        let commit = GroupCommit::new(Arc::new(monitor));
+        let (submitters, writers): (Vec<ThreadId>, Vec<HashSet<ThreadId>>) =
+            thread::scope(|scope| {
+                let handles: Vec<_> = edges
+                    .iter()
+                    .map(|&edge| {
+                        let commit = &commit;
+                        scope.spawn(move || {
+                            let inbox = Arc::new(Inbox::default());
+                            let mut writers = HashSet::new();
+                            for _ in 0..20 {
+                                let toggle = vec![
+                                    vec![Command::grant(jane, edge)],
+                                    vec![Command::revoke(jane, edge)],
+                                ];
+                                for (result, by) in round_trip(commit, &inbox, toggle) {
+                                    assert!(result.unwrap()[0].executed());
+                                    writers.insert(by);
+                                }
+                            }
+                            (thread::current().id(), writers)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).unzip()
+            });
+        let writers: HashSet<ThreadId> = writers.into_iter().flatten().collect();
+        assert_eq!(writers.len(), 1, "one committer wrote every train");
+        for thread in submitters.iter().chain([&thread::current().id()]) {
+            assert!(!writers.contains(thread), "an enqueuer wrote replies");
+        }
+    }
+
+    /// An in-process submit runs directly: it completes while the
+    /// combiner's committer is held inside a blocked reply train.
+    #[test]
+    fn an_in_process_submit_never_waits_for_the_combiner() {
+        let (uni, policy) = fixture();
+        let jane = uni.find_user("jane").unwrap();
+        let bob_staff = Edge::UserRole(
+            uni.find_user("bob").unwrap(),
+            uni.find_role("staff").unwrap(),
+        );
+        let joe_nurse = Edge::UserRole(
+            uni.find_user("joe").unwrap(),
+            uni.find_role("nurse").unwrap(),
+        );
+        let service = MonitorService::in_memory(uni, policy, MonitorConfig::default());
+        let (gated, go, writes) = gate();
+        let combiner = service.write_combiner().expect("a combiner");
+        combiner.submit_replying(&gated, vec![(0, vec![Command::grant(jane, bob_staff)])]);
+        assert_eq!(writes.recv().unwrap(), 0);
+        let (done, result) = mpsc::channel();
+        let result = thread::scope(|scope| {
+            scope.spawn(|| done.send(service.submit(vec![Command::grant(jane, joe_nurse)])));
+            let result = result.recv_timeout(Duration::from_secs(2));
+            go.send(()).unwrap();
+            result
+        });
+        let outcomes = result
+            .expect("the in-process submit completed within 2 s")
+            .expect("in-memory submit");
+        assert!(outcomes[0].executed());
+    }
+
+    /// Dropping the combiner while its committer waits out a gather for a
+    /// population that will not come answers the queued burst and returns at once,
+    /// not after the window.
+    #[test]
+    fn dropping_mid_gather_answers_the_burst_and_returns() {
+        let (uni, policy) = fixture();
+        let jane = uni.find_user("jane").unwrap();
+        let edge = Edge::UserRole(
+            uni.find_user("bob").unwrap(),
+            uni.find_role("staff").unwrap(),
+        );
+        let monitor = ReferenceMonitor::new(uni, policy, MonitorConfig::default());
+        let commit = GroupCommit::with_gather(Arc::new(monitor), Duration::from_secs(10));
+        let inbox = Arc::new(Inbox::default());
+        // A drain of four proves a population of four.
+        let toggles = (0..4)
+            .map(|i| match i % 2 {
+                0 => vec![Command::grant(jane, edge)],
+                _ => vec![Command::revoke(jane, edge)],
+            })
+            .collect();
+        assert!(round_trip(&commit, &inbox, toggles)
+            .iter()
+            .all(|(r, _)| r.as_ref().is_ok_and(|o| o[0].executed())));
+        // One request: the committer waits for three more.
+        let to: Arc<dyn ReplyTo> = inbox.clone();
+        commit.submit_replying(&to, vec![(4, vec![Command::grant(jane, edge)])]);
+        thread::sleep(Duration::from_millis(50));
+        let start = Instant::now();
+        drop(commit);
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_secs(2), "drop took {elapsed:?}");
+        let answered = inbox.take(1);
+        assert_eq!(answered[0].0, 4);
+        assert!(answered[0].1.as_ref().unwrap()[0].executed());
+    }
+
+    /// `threads` connections, each making `rounds` round trips of a burst
+    /// of `window` single-command requests that toggle its own edge,
+    /// pausing `pause` between them, through a combiner with a `gather`
+    /// window over a monitor over a store in `dir` (in memory without
+    /// one); every outcome must execute. Returns the epochs the monitor
+    /// published.
     fn toggle_windows(
-        commit: &GroupCommit,
+        gather: Duration,
         dir: Option<&TempDir>,
         threads: usize,
         (rounds, window): (usize, usize),
@@ -834,20 +760,22 @@ mod tests {
                 uni.find_role("nurse").unwrap(),
             ),
         ];
-        let monitor = match dir {
+        let monitor = Arc::new(match dir {
             Some(dir) => ReferenceMonitor::with_store(
                 PolicyStore::create(dir.path(), uni, policy, AuthMode::Explicit).unwrap(),
                 MonitorConfig::default(),
             ),
             None => ReferenceMonitor::new(uni, policy, MonitorConfig::default()),
-        };
+        });
+        let commit = GroupCommit::with_gather(Arc::clone(&monitor), gather);
         // Callers start together, or the first may finish before the
         // second is scheduled.
         let start = std::sync::Barrier::new(threads);
-        std::thread::scope(|scope| {
+        thread::scope(|scope| {
             for &edge in &edges[..threads] {
-                let (monitor, start) = (&monitor, &start);
+                let (commit, start) = (&commit, &start);
                 scope.spawn(move || {
+                    let inbox = Arc::new(Inbox::default());
                     start.wait();
                     for round in 0..rounds {
                         let requests = (0..window)
@@ -856,10 +784,10 @@ mod tests {
                                 _ => vec![Command::revoke(jane, edge)],
                             })
                             .collect();
-                        for result in commit.submit_many(monitor, requests) {
+                        for (result, _) in round_trip(commit, &inbox, requests) {
                             assert!(result.expect("submit")[0].executed());
                         }
-                        std::thread::sleep(pause);
+                        thread::sleep(pause);
                     }
                 });
             }
@@ -867,86 +795,86 @@ mod tests {
         monitor.version()
     }
 
-    /// One round trip of every submitter lands in one drain: the gather
+    /// One round trip of every connection lands in one drain: the gather
     /// waits for the population the previous drain proved (executed +
-    /// queued behind), asleep, so two callers with eight requests each
-    /// share one epoch per round. Each caller pauses a millisecond
-    /// between rounds, standing in for a socket round trip; the window
-    /// is generous so scheduling cannot split a group, and each drain
-    /// syncs a WAL so the callers overlap from the first rounds on. A
-    /// leader that gathers only up to the last group's size, or only
-    /// for a few yields, publishes about two epochs per round.
+    /// queued behind), asleep, so two connections with eight requests
+    /// each share one epoch per round. Each pauses a millisecond between
+    /// rounds, standing in for a socket round trip; the window is
+    /// generous so scheduling cannot split a group, and each drain syncs
+    /// a WAL so the connections overlap from the first rounds on. A
+    /// committer that waits only for the last group's size, or not at
+    /// all, publishes about two epochs per round.
     #[test]
     fn a_round_trip_of_every_submitter_lands_in_one_drain() {
         let rounds = 40;
         let dir = TempDir::new("group-commit-round-trip").unwrap();
-        let commit = GroupCommit::with_gather(Duration::from_millis(200));
+        let gather = Duration::from_millis(200);
         let pause = Duration::from_millis(1);
-        let epochs = toggle_windows(&commit, Some(&dir), 2, (rounds, 8), pause);
+        let epochs = toggle_windows(gather, Some(&dir), 2, (rounds, 8), pause);
         assert!(
             epochs <= rounds as u64 + 2,
-            "{epochs} epochs for {rounds} rounds of two callers"
+            "{epochs} epochs for {rounds} rounds of two connections"
         );
     }
 
-    /// A lone submitter proves a population of one, so it never waits
-    /// out the window: twenty sequential submits finish well inside a
-    /// single 200 ms window.
+    /// A lone connection proves a population of one, so it never waits
+    /// out the window: twenty sequential round trips finish well inside
+    /// a single 200 ms window.
     #[test]
     fn a_lone_submitter_never_pays_the_gather() {
-        let commit = GroupCommit::with_gather(Duration::from_millis(200));
         let start = Instant::now();
-        let epochs = toggle_windows(&commit, None, 1, (20, 1), Duration::ZERO);
+        let gather = Duration::from_millis(200);
+        let epochs = toggle_windows(gather, None, 1, (20, 1), Duration::ZERO);
         assert_eq!(epochs, 20);
         assert!(
             start.elapsed() < Duration::from_millis(100),
-            "20 solo submits took {:?}",
+            "20 solo round trips took {:?}",
             start.elapsed()
         );
     }
 
-    /// Concurrent submitters: every request is answered, every command
-    /// audited exactly once, and epochs count the drained groups (at
-    /// most one per request, typically far fewer).
+    /// A monitor with room to audit every command of the tests below.
+    fn roomy_monitor() -> Arc<ReferenceMonitor> {
+        let (uni, policy) = fixture();
+        let config = MonitorConfig {
+            audit_capacity: 4096,
+            ..MonitorConfig::default()
+        };
+        Arc::new(ReferenceMonitor::new(uni, policy, config))
+    }
+
+    /// Concurrent connections: every request is answered, every command
+    /// audited exactly once, and epochs count the drained groups (at most
+    /// one per request, typically far fewer).
     #[test]
     fn concurrent_submitters_all_complete() {
-        let (uni, policy) = fixture();
+        let (uni, _) = fixture();
         let jane = uni.find_user("jane").unwrap();
         let bob = uni.find_user("bob").unwrap();
         let joe = uni.find_user("joe").unwrap();
         let staff = uni.find_role("staff").unwrap();
         let nurse = uni.find_role("nurse").unwrap();
-        let monitor = ReferenceMonitor::new(
-            uni,
-            policy,
-            MonitorConfig {
-                audit_capacity: 4096,
-                ..MonitorConfig::default()
-            },
-        );
-        let commit = GroupCommit::new();
+        let monitor = roomy_monitor();
+        let commit = GroupCommit::new(Arc::clone(&monitor));
         let rounds = 50usize;
-        crossbeam::scope(|scope| {
+        thread::scope(|scope| {
             for (user, role) in [(bob, staff), (joe, nurse)] {
-                let (commit, monitor) = (&commit, &monitor);
-                scope.spawn(move |_| {
+                let commit = &commit;
+                scope.spawn(move || {
+                    let inbox = Arc::new(Inbox::default());
                     for _ in 0..rounds {
-                        let outcomes = commit
-                            .submit(
-                                monitor,
-                                vec![
-                                    Command::grant(jane, Edge::UserRole(user, role)),
-                                    Command::revoke(jane, Edge::UserRole(user, role)),
-                                ],
-                            )
-                            .expect("in-memory submit");
+                        let toggle = vec![
+                            Command::grant(jane, Edge::UserRole(user, role)),
+                            Command::revoke(jane, Edge::UserRole(user, role)),
+                        ];
+                        let (result, _) = round_trip(commit, &inbox, vec![toggle]).remove(0);
+                        let outcomes = result.expect("in-memory submit");
                         assert_eq!(outcomes.len(), 2);
                         assert!(outcomes.iter().all(|o| o.executed()));
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(monitor.audit_len(), 2 * 2 * rounds);
         assert!(monitor.version() <= 2 * rounds as u64);
         let (_, live) = monitor.snapshot();
@@ -955,27 +883,20 @@ mod tests {
     }
 
     /// The same exactly-once accounting under a gather window, with
-    /// single `submit`s and `submit_many` windows racing: every command
-    /// is audited once, every result has its own length, and both edges
-    /// end absent (each caller toggles its own edge an even number of
+    /// single-request bursts and bursts of three racing: every command is
+    /// audited once, every result has its own length, and both edges end
+    /// absent (each connection toggles its own edge an even number of
     /// times).
     #[test]
     fn windowed_submitters_are_each_served_once() {
-        let (uni, policy) = fixture();
+        let (uni, _) = fixture();
         let jane = uni.find_user("jane").unwrap();
         let bob = uni.find_user("bob").unwrap();
         let joe = uni.find_user("joe").unwrap();
         let staff = uni.find_role("staff").unwrap();
         let nurse = uni.find_role("nurse").unwrap();
-        let monitor = ReferenceMonitor::new(
-            uni,
-            policy,
-            MonitorConfig {
-                audit_capacity: 4096,
-                ..MonitorConfig::default()
-            },
-        );
-        let commit = GroupCommit::with_gather(Duration::from_millis(2));
+        let monitor = roomy_monitor();
+        let commit = GroupCommit::with_gather(Arc::clone(&monitor), Duration::from_millis(2));
         let rounds = 40usize;
         let toggle = |user, role| {
             vec![
@@ -983,26 +904,22 @@ mod tests {
                 Command::revoke(jane, Edge::UserRole(user, role)),
             ]
         };
-        std::thread::scope(|scope| {
-            let (commit, monitor, toggle) = (&commit, &monitor, &toggle);
-            scope.spawn(move || {
-                for _ in 0..rounds {
-                    let outcomes = commit.submit(monitor, toggle(bob, staff)).unwrap();
-                    assert_eq!(outcomes.len(), 2);
-                    assert!(outcomes.iter().all(|o| o.executed()));
-                }
-            });
-            scope.spawn(move || {
-                for _ in 0..rounds {
-                    let results = commit.submit_many(monitor, vec![toggle(joe, nurse); 3]);
-                    assert_eq!(results.len(), 3);
-                    for outcomes in results {
-                        let outcomes = outcomes.unwrap();
-                        assert_eq!(outcomes.len(), 2);
-                        assert!(outcomes.iter().all(|o| o.executed()));
+        thread::scope(|scope| {
+            for (user, role, burst) in [(bob, staff, 1), (joe, nurse, 3)] {
+                let (commit, toggle) = (&commit, &toggle);
+                scope.spawn(move || {
+                    let inbox = Arc::new(Inbox::default());
+                    for _ in 0..rounds {
+                        let results = round_trip(commit, &inbox, vec![toggle(user, role); burst]);
+                        assert_eq!(results.len(), burst);
+                        for (outcomes, _) in results {
+                            let outcomes = outcomes.unwrap();
+                            assert_eq!(outcomes.len(), 2);
+                            assert!(outcomes.iter().all(|o| o.executed()));
+                        }
                     }
-                }
-            });
+                });
+            }
         });
         assert_eq!(monitor.audit_len(), 2 * (rounds + 3 * rounds));
         let (_, live) = monitor.snapshot();

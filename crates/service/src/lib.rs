@@ -14,17 +14,16 @@
 //! * **Protocol** ([`protocol`]) — the `Request`/`Response` alphabet,
 //!   the error, and the [`PolicyService`] trait whose typed convenience
 //!   methods are thin wrappers over `call`.
-//! * **Group commit** ([`group_commit`]) — the write path of
-//!   [`MonitorService`]: concurrent submitters enqueue into a shared
-//!   in-flight batch; a self-elected leader drains it as **one**
-//!   monitor batch (one Definition-5 serial execution, one WAL sync,
-//!   one `ReachIndex` rebuild, one published epoch) and hands each
-//!   submitter its own [`StepOutcome`](adminref_core::transition::StepOutcome)s
-//!   after the sync: through a completion slot in process, or as a
-//!   reply frame it writes itself for a daemon connection. Serial
-//!   semantics are preserved —
-//!   outcomes equal *some* serial interleaving of the submitters, which
-//!   the suite verifies by replaying the audit order through Definition 5.
+//! * **Group commit** ([`group_commit`]) — the daemon's write path:
+//!   connections enqueue their submits, and one committer thread drains
+//!   everything queued as **one** monitor batch (one Definition-5
+//!   serial execution, one WAL sync, one `ReachIndex` rebuild, one
+//!   published epoch), then writes each connection its own
+//!   [`StepOutcome`](adminref_core::transition::StepOutcome)s after the
+//!   sync. In-process submits bypass it and execute directly. Serial
+//!   semantics are preserved — outcomes equal *some* serial
+//!   interleaving of the submitters (the drain order), which the suite
+//!   verifies by replaying the audit order through Definition 5.
 //! * **Wire codec** ([`wire`]) — the versioned binary serialization of
 //!   the whole alphabet: a fixed frame header (magic, [`WIRE_VERSION`],
 //!   kind, payload length, echoed request id) and per-variant payload
@@ -41,8 +40,9 @@
 //!   services are interchangeable behind one trait.
 //!
 //! The `wire_write` workload of `benchmark/` measures the group-commit
-//! write path over a socket (`group_commit.cmds_per_epoch`,
-//! `group_commit.solo_overhead_us`).
+//! write path over a socket (`group_commit.cmds_per_epoch`);
+//! `group_commit.solo_overhead_us` times an in-process submit, which
+//! does not reach the combiner.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

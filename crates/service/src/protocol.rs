@@ -22,7 +22,7 @@ use adminref_core::refinement::RefinementViolation;
 use adminref_core::safety::{ReachabilityAnswer, SafetyConfig};
 use adminref_core::session::SessionError;
 use adminref_core::transition::StepOutcome;
-use adminref_monitor::{AuditEvent, MonitorError, ReferenceMonitor, SessionId};
+use adminref_monitor::{AuditEvent, MonitorError, SessionId};
 use adminref_store::{RecoveryReport, StoreError};
 
 use crate::group_commit::GroupCommit;
@@ -513,17 +513,14 @@ pub trait PolicyService: Send + Sync {
     /// Serves one request.
     fn call(&self, request: Request) -> Result<Response, ServiceError>;
 
-    /// The write combiner and monitor behind this server's `Submit`s,
-    /// while it accepts writes; `None` (the default) for a server
-    /// without one.
+    /// The write combiner behind this server's network `Submit`s, while
+    /// it accepts writes; `None` (the default) for a server without one.
     ///
     /// The network daemon enqueues a connection's pipelined submits
-    /// straight into this combiner, and the leader that drains them
-    /// writes their replies; without one, each `Submit` is served by
-    /// [`call`](Self::call) on a connection worker. A server that hands
-    /// out its combiner once must keep doing so, or a queued submit
-    /// could be left without a thread to lead it.
-    fn write_combiner(&self) -> Option<(&GroupCommit, &ReferenceMonitor)> {
+    /// straight into this combiner, whose committer thread writes their
+    /// replies; without one, each `Submit` is served by
+    /// [`call`](Self::call) on a connection worker.
+    fn write_combiner(&self) -> Option<&GroupCommit> {
         None
     }
 
@@ -735,7 +732,7 @@ impl<T: PolicyService + ?Sized> PolicyService for &T {
         (**self).call(request)
     }
 
-    fn write_combiner(&self) -> Option<(&GroupCommit, &ReferenceMonitor)> {
+    fn write_combiner(&self) -> Option<&GroupCommit> {
         (**self).write_combiner()
     }
 }
@@ -745,7 +742,7 @@ impl<T: PolicyService + ?Sized> PolicyService for std::sync::Arc<T> {
         (**self).call(request)
     }
 
-    fn write_combiner(&self) -> Option<(&GroupCommit, &ReferenceMonitor)> {
+    fn write_combiner(&self) -> Option<&GroupCommit> {
         (**self).write_combiner()
     }
 }

@@ -577,8 +577,8 @@ impl ReplicatedService {
     pub fn primary(monitor: Arc<ReferenceMonitor>) -> ReplicatedService {
         let hub = ReplicationHub::new(Arc::clone(&monitor), ReplicationRole::Primary);
         ReplicatedService {
+            writes: GroupCommit::new(Arc::clone(&monitor)),
             monitor,
-            writes: GroupCommit::new(),
             hub,
             follower: Mutex::new(None),
         }
@@ -600,8 +600,8 @@ impl ReplicatedService {
         }
         let follower = Follower::spawn(Arc::clone(&hub), target, retry);
         ReplicatedService {
+            writes: GroupCommit::new(Arc::clone(&monitor)),
             monitor,
-            writes: GroupCommit::new(),
             hub,
             follower: Mutex::new(Some(follower)),
         }
@@ -614,7 +614,7 @@ impl ReplicatedService {
 
     /// See [`MonitorService::with_write_gather`](crate::MonitorService::with_write_gather).
     pub fn with_write_gather(mut self, gather: Duration) -> Self {
-        self.writes = GroupCommit::with_gather(gather);
+        self.writes = GroupCommit::with_gather(Arc::clone(&self.monitor), gather);
         self
     }
 
@@ -637,10 +637,6 @@ impl ReplicatedService {
             {
                 Err(ServiceError::ReadOnly)
             }
-            Request::Submit { commands } => self
-                .writes
-                .submit(&self.monitor, commands)
-                .map(Response::Outcomes),
             Request::Stats => match dispatch(&self.monitor, Request::Stats)? {
                 Response::Stats(mut stats) => {
                     stats.replication = Some(self.hub.status());
@@ -648,7 +644,7 @@ impl ReplicatedService {
                 }
                 other => Ok(other),
             },
-            read => dispatch(&self.monitor, read),
+            request => dispatch(&self.monitor, request),
         }
     }
 }
@@ -659,11 +655,9 @@ impl PolicyService for ReplicatedService {
     }
 
     /// Only while writable, so a replica's `Submit`s reach `call` and
-    /// are refused. A node never stops being writable once it is, so a
-    /// submit queued here always finds its combiner again to be led.
-    fn write_combiner(&self) -> Option<(&GroupCommit, &ReferenceMonitor)> {
-        self.hub
-            .writable()
-            .then_some((&self.writes, &*self.monitor))
+    /// are refused; a promoted replica's network submits then go through
+    /// the combiner.
+    fn write_combiner(&self) -> Option<&GroupCommit> {
+        self.hub.writable().then_some(&self.writes)
     }
 }

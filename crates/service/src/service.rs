@@ -1,8 +1,11 @@
 //! [`MonitorService`]: the [`PolicyService`] server over one
-//! [`ReferenceMonitor`], with group-commit writes. `Submit` requests go
-//! through the [`GroupCommit`] combiner, so concurrent writers coalesce
-//! into one batch / one WAL sync / one index rebuild / one published
-//! epoch per drain.
+//! [`ReferenceMonitor`]. In-process `Submit`s execute directly, one
+//! monitor batch each, serialized by the monitor's writer lock; the
+//! network daemon's submits go through the [`GroupCommit`] combiner,
+//! so concurrent connections coalesce into one batch / one WAL sync /
+//! one index rebuild / one published epoch per drain.
+
+use std::sync::Arc;
 
 use adminref_core::ids::Entity;
 use adminref_core::reach::ReachIndex;
@@ -16,31 +19,31 @@ use crate::protocol::{
     ServiceStats, VersionInfo,
 };
 
-/// A [`PolicyService`] over one reference monitor, with group-commit
-/// writes. See the [crate docs](crate) for the serving model.
+/// A [`PolicyService`] over one reference monitor, with a group-commit
+/// combiner for the network daemon's writes. See the [crate docs](crate)
+/// for the serving model.
 pub struct MonitorService {
-    monitor: ReferenceMonitor,
+    monitor: Arc<ReferenceMonitor>,
     writes: GroupCommit,
 }
 
 impl MonitorService {
     /// Wraps an existing monitor.
     pub fn new(monitor: ReferenceMonitor) -> Self {
-        MonitorService {
-            monitor,
-            writes: GroupCommit::new(),
-        }
+        let monitor = Arc::new(monitor);
+        let writes = GroupCommit::new(Arc::clone(&monitor));
+        MonitorService { monitor, writes }
     }
 
-    /// Sets a leader gather window on the write combiner: before
-    /// executing, the leader waits up to this long for as many requests
-    /// as the previous drain proved to be in flight. Keep it zero (the
-    /// default) for local callers; a network daemon serving pipelined
-    /// connections sets a few tens of microseconds so one round trip of
-    /// every connection lands in one batch — see
-    /// [`GroupCommit::with_gather`].
+    /// Sets a gather window on the write combiner: before executing, its
+    /// committer waits up to this long for as many submits as the
+    /// previous drain proved to be in flight. Only the network daemon's
+    /// submits go through the combiner; in-process callers are not
+    /// affected. A daemon serving pipelined connections sets a few tens
+    /// of microseconds, so one round trip of every connection lands in
+    /// one batch (see the [`group_commit`](crate::group_commit) docs).
     pub fn with_write_gather(mut self, gather: std::time::Duration) -> Self {
-        self.writes = GroupCommit::with_gather(gather);
+        self.writes = GroupCommit::with_gather(Arc::clone(&self.monitor), gather);
         self
     }
 
@@ -62,24 +65,16 @@ impl MonitorService {
 
 impl PolicyService for MonitorService {
     fn call(&self, request: Request) -> Result<Response, ServiceError> {
-        match request {
-            // The write path: coalesce with every request in flight.
-            Request::Submit { commands } => self
-                .writes
-                .submit(&self.monitor, commands)
-                .map(Response::Outcomes),
-            read => dispatch(&self.monitor, read),
-        }
+        dispatch(&self.monitor, request)
     }
 
-    fn write_combiner(&self) -> Option<(&GroupCommit, &ReferenceMonitor)> {
-        Some((&self.writes, &self.monitor))
+    fn write_combiner(&self) -> Option<&GroupCommit> {
+        Some(&self.writes)
     }
 }
 
-/// Serves one request directly against a monitor. The servers intercept
-/// `Submit` for their write combiner before reaching here; a `Submit`
-/// that does arrive runs as one batch of its own.
+/// Serves one request directly against a monitor; a `Submit` runs as one
+/// batch of its own.
 pub(crate) fn dispatch(
     monitor: &ReferenceMonitor,
     request: Request,

@@ -309,7 +309,7 @@ fn raw_round(
     answers
 }
 
-/// The leader writes the acks, and only once the group's WAL sync
+/// The committer writes the acks, and only once the group's WAL sync
 /// returned: two connections with eight pipelined submits each, against
 /// a durable service whose first sync fails. Every id is answered
 /// exactly once; the failed group answers `Backend` with no outcomes to
@@ -317,7 +317,7 @@ fn raw_round(
 /// round retried answers `Outcomes` to all sixteen.
 #[cfg(unix)]
 #[test]
-fn leader_acks_each_submit_once_after_the_sync() {
+fn the_committer_acks_each_submit_once_after_the_sync() {
     let dir = TempDir::new("daemon-ack-after-sync").unwrap();
     let (universe, policy, admin) = arena();
     let mut store = PolicyStore::create(
@@ -411,9 +411,9 @@ fn leader_acks_each_submit_once_after_the_sync() {
 }
 
 /// A client that pipelines submits and never reads its replies fills the
-/// socket buffers, and the group-commit leader writes those replies. The
-/// daemon closes that connection once a write to it stalls, so another
-/// connection's submits still complete.
+/// socket buffers, and the combiner's committer thread writes those
+/// replies. The daemon closes that connection once a write to it stalls,
+/// so another connection's submits still complete.
 #[cfg(unix)]
 #[test]
 fn a_client_that_stops_reading_cannot_stall_the_others() {
@@ -501,17 +501,17 @@ impl PolicyService for SlowAnalyses {
         self.0.call(request)
     }
 
-    fn write_combiner(&self) -> Option<(&GroupCommit, &ReferenceMonitor)> {
+    fn write_combiner(&self) -> Option<&GroupCommit> {
         self.0.write_combiner()
     }
 }
 
-/// Leadership never waits behind a busy worker: connection A's only
+/// The committer never waits behind a busy worker: connection A's only
 /// worker is pinned by slow analyses while A's submits queue behind B's
 /// drains, and B's round trips stay prompt throughout.
 #[cfg(unix)]
 #[test]
-fn a_busy_worker_never_holds_up_leadership() {
+fn a_busy_worker_never_holds_up_the_committer() {
     use std::os::unix::net::UnixStream;
     use std::time::Instant;
 

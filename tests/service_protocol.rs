@@ -2,8 +2,11 @@
 //!
 //! 1. **Group-commit linearizability** — N concurrent submitters'
 //!    per-request outcomes match *some* serial interleaving of their
-//!    requests. The audit log records the order the (serial, batched)
-//!    writer actually executed; replaying exactly that command order
+//!    requests, whether they submit in process (each request one batch
+//!    under the monitor's writer lock) or over a daemon's socket (where
+//!    the committer coalesces connections' requests into one batch).
+//!    The audit log records the order the (serial, batched) writer
+//!    actually executed; replaying exactly that command order
 //!    through Definition 5 (`transition::step`) must reproduce every
 //!    decision, every changed-flag, and the final policy. Requests stay
 //!    atomic: each request's commands occupy contiguous audit sequence
@@ -18,11 +21,15 @@
 //!    typed wrappers round-trip.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use adminref_core::prelude::*;
 use adminref_monitor::{Decision, MonitorConfig};
-use adminref_service::{MonitorService, PolicyService, RefinementDirection, ServiceError};
+use adminref_service::{
+    Daemon, MonitorService, PolicyService, RefinementDirection, ServiceError, WireClient,
+    WireListener,
+};
 use adminref_store::{PolicyStore, TempDir};
 use proptest::prelude::*;
 
@@ -106,27 +113,43 @@ fn build(uni: &Universe, actor: UserId, spec: CmdSpec) -> Command {
     }
 }
 
-/// Runs the concurrent case and checks guarantee 1 end to end.
-fn check_group_commit_matches_serial(threads: &[Vec<Vec<CmdSpec>>]) {
+/// Runs the concurrent case and checks guarantee 1 end to end: in
+/// process, or `over_the_wire` through a daemon on a Unix socket with
+/// one `WireClient` per submitter.
+fn check_group_commit_matches_serial(threads: &[Vec<Vec<CmdSpec>>], over_the_wire: bool) {
     let (uni, policy) = arena();
     let config = MonitorConfig {
         audit_capacity: 8192,
         ..MonitorConfig::default()
     };
-    let service = MonitorService::in_memory(uni.clone(), policy.clone(), config);
+    let service = Arc::new(
+        MonitorService::in_memory(uni.clone(), policy.clone(), config)
+            .with_write_gather(Duration::from_micros(50)),
+    );
+    let dir = TempDir::new("service-protocol-wire").unwrap();
+    let socket = dir.path().join("adminrefd.sock");
+    let daemon = over_the_wire.then(|| {
+        let listener = WireListener::unix(&socket).unwrap();
+        Daemon::spawn(service.clone(), uni.clone(), listener).unwrap()
+    });
     // Collected per submitter: each request's commands and outcomes.
     type Submitted = Vec<(Vec<Command>, Vec<StepOutcome>)>;
     let collected: Vec<Mutex<Submitted>> = threads.iter().map(|_| Mutex::new(Vec::new())).collect();
     crossbeam::scope(|scope| {
         for (t, requests) in threads.iter().enumerate() {
-            let (service, uni, collected) = (&service, &uni, &collected);
+            let (service, uni, collected, socket) = (&service, &uni, &collected, &socket);
             scope.spawn(move |_| {
+                let submitter: Box<dyn PolicyService> = if over_the_wire {
+                    Box::new(WireClient::connect_unix(socket).unwrap())
+                } else {
+                    Box::new(Arc::clone(service))
+                };
                 let actor = uni.find_user(&format!("actor{t}")).unwrap();
                 let mut mine = Vec::new();
                 for request in requests {
                     let commands: Vec<Command> =
                         request.iter().map(|&s| build(uni, actor, s)).collect();
-                    let outcomes = service.submit(commands.clone()).expect("in-memory submit");
+                    let outcomes = submitter.submit(commands.clone()).expect("submit");
                     assert_eq!(outcomes.len(), commands.len());
                     mine.push((commands, outcomes));
                 }
@@ -135,6 +158,9 @@ fn check_group_commit_matches_serial(threads: &[Vec<Vec<CmdSpec>>]) {
         }
     })
     .unwrap();
+    if let Some(daemon) = daemon {
+        daemon.shutdown();
+    }
 
     let audit = service.monitor().audit_events();
     let total: usize = threads
@@ -206,10 +232,18 @@ fn check_group_commit_matches_serial(threads: &[Vec<Vec<CmdSpec>>]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Guarantee 1 under randomized request shapes and thread counts.
+    /// Guarantee 1 under randomized request shapes and thread counts,
+    /// in process.
     #[test]
     fn concurrent_submitters_match_a_serial_interleaving(threads in submitters()) {
-        check_group_commit_matches_serial(&threads);
+        check_group_commit_matches_serial(&threads, false);
+    }
+
+    /// The same shapes over the wire, where the daemon's committer
+    /// coalesces the connections' requests.
+    #[test]
+    fn concurrent_wire_submitters_match_a_serial_interleaving(threads in submitters()) {
+        check_group_commit_matches_serial(&threads, true);
     }
 }
 
