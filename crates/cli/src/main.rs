@@ -60,7 +60,7 @@ use adminref_core::lint::slice_alphabet;
 use adminref_core::ordering::{OrderingMode, PrivilegeOrder};
 use adminref_core::policy::Policy;
 use adminref_core::refinement::refinement_violations;
-use adminref_core::safety::{prepare_alphabet, ReachabilityAnswer, SafetyConfig};
+use adminref_core::safety::{prepare_toggles, ReachabilityAnswer, SafetyConfig};
 use adminref_core::transition::AuthMode;
 use adminref_core::universe::Universe;
 use adminref_core::verify::bmc::{BmcOutcome, Inconclusive};
@@ -475,8 +475,10 @@ fn cmd_refines(rest: &[&String]) -> Run {
 }
 
 /// Prints the alphabet before/after line when cone-of-influence slicing
-/// is on and actually removed commands. The search recomputes the slice
-/// itself — this costs one extra closure pass, paid only on the CLI.
+/// is on and actually removed commands. It counts the search's
+/// actor-quotiented entries (one command per edge toggle, whoever issues
+/// it). The search recomputes the slice itself — this costs one extra
+/// closure pass, paid only on the CLI.
 fn report_slice(
     uni: &mut Universe,
     policy: &Policy,
@@ -487,7 +489,7 @@ fn report_slice(
         return;
     }
     let target = uni.priv_perm(perm);
-    let alphabet = prepare_alphabet(uni, policy, config);
+    let alphabet = prepare_toggles(uni, policy, config);
     let entity = Entity::User(user);
     let outcome = slice_alphabet(uni, policy, &alphabet, entity, target, config.auth_mode);
     if outcome.shrunk() {

@@ -30,6 +30,7 @@ use crate::ids::PrivId;
 use crate::ordering::PrivilegeOrder;
 use crate::policy::Policy;
 use crate::reach::ReachIndex;
+use crate::safety::Toggle;
 use crate::transition::AuthMode;
 use crate::universe::{Edge, PrivTerm, Universe};
 
@@ -64,24 +65,22 @@ impl Potential {
         Potential::close(universe, root, &grants, auth_mode)
     }
 
-    /// Builds `Φ⁺` relative to a prepared command alphabet: the
-    /// candidates are the alphabet's grant commands with their required
-    /// terms. Used by [`crate::lint::slice_alphabet`], where the
-    /// alphabet may be larger than the policy's own syntax (ordered
-    /// mode expands it with `⊑`-weaker edges).
+    /// Builds `Φ⁺` relative to a prepared actor-quotiented alphabet:
+    /// the candidates are its grant toggles with their required terms.
+    /// Used by [`crate::lint::slice_alphabet`], where the alphabet may
+    /// be larger than the policy's own syntax (ordered mode expands it
+    /// with `⊑`-weaker edges).
     pub fn from_alphabet(
         universe: &Universe,
         root: &Policy,
-        alphabet: &[(crate::command::Command, PrivId)],
+        alphabet: &[Toggle],
         auth_mode: AuthMode,
     ) -> Potential {
-        let mut grants: Vec<(Edge, Option<PrivId>)> = alphabet
+        let grants: Vec<(Edge, Option<PrivId>)> = alphabet
             .iter()
-            .filter(|(cmd, _)| cmd.kind == CommandKind::Grant)
-            .map(|&(cmd, required)| (cmd.edge, Some(required)))
+            .filter(|t| t.kind == CommandKind::Grant)
+            .map(|t| (t.edge, Some(t.required)))
             .collect();
-        grants.sort_unstable();
-        grants.dedup();
         Potential::close(universe, root, &grants, auth_mode)
     }
 

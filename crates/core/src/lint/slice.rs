@@ -26,10 +26,10 @@
 //!    addable edges containing every *goal-relevant* edge (the add-edge
 //!    split lemma evaluated over `Φ⁺`: the edge can lie on some
 //!    `entity → target` path in some reachable policy) and closed under
-//!    *authorization support*: for every kept grant command, every
-//!    addable edge that can lie on one of its actor's authorization
-//!    paths (its user-assignment, the role-hierarchy links, and the
-//!    `⊑`-compatible privilege assignments they lead to) is in `R`.
+//!    *authorization support*: for every kept grant toggle, every
+//!    addable edge that can lie on some user's authorization path for
+//!    it (that user's user-assignment, the role-hierarchy links, and the
+//!    assignments of the required term they lead to) is in `R`.
 //!    Because `Φ⁺`-reachability over-approximates reachability in every
 //!    reachable policy, the goal path and every authorization path of
 //!    the projected run consist of root edges and `R`-edges only — so
@@ -52,9 +52,11 @@
 //! revoke rules become grow-only after slicing and take the saturation
 //! fast path in [`crate::verify`].
 
-use crate::command::{Command, CommandKind};
-use crate::ids::{Entity, PrivId, RoleId, UserId};
+use crate::bitset::BitSet;
+use crate::command::CommandKind;
+use crate::ids::{Entity, PrivId, RoleId};
 use crate::policy::Policy;
+use crate::safety::Toggle;
 use crate::transition::AuthMode;
 use crate::universe::{Edge, Universe};
 
@@ -64,10 +66,10 @@ use super::potential::Potential;
 #[derive(Clone, Debug)]
 pub struct SliceOutcome {
     /// The sliced alphabet: a subsequence of the input.
-    pub alphabet: Vec<(Command, PrivId)>,
-    /// Commands in the input alphabet.
+    pub alphabet: Vec<Toggle>,
+    /// Toggles in the input alphabet.
     pub before: usize,
-    /// Commands kept.
+    /// Toggles kept.
     pub after: usize,
 }
 
@@ -78,27 +80,27 @@ impl SliceOutcome {
     }
 }
 
-/// Slices `alphabet` to the cone of influence of the goal
-/// `entity →φ target`. See the module docs for the soundness argument;
-/// the answer of a `perm_reachable` search over the sliced alphabet
-/// equals the unsliced answer wherever either is definite.
+/// Slices the actor-quotiented `alphabet` to the cone of influence of
+/// the goal `entity →φ target`. See the module docs for the soundness
+/// argument; the answer of a `perm_reachable` search over the sliced
+/// alphabet equals the unsliced answer wherever either is definite.
 pub fn slice_alphabet(
     universe: &Universe,
     root: &Policy,
-    alphabet: &[(Command, PrivId)],
+    alphabet: &[Toggle],
     entity: Entity,
     target: PrivId,
     auth_mode: AuthMode,
 ) -> SliceOutcome {
     let potential = Potential::from_alphabet(universe, root, alphabet, auth_mode);
     let keep: Vec<bool> = match auth_mode {
-        AuthMode::Explicit => explicit_cone(universe, alphabet, &potential, entity, target),
+        AuthMode::Explicit => explicit_cone(alphabet, &potential, entity, target),
         AuthMode::Ordered(_) => alphabet
             .iter()
-            .map(|(cmd, _)| cmd.kind == CommandKind::Grant && potential.addable.contains(&cmd.edge))
+            .map(|t| t.kind == CommandKind::Grant && potential.addable.contains(&t.edge))
             .collect(),
     };
-    let sliced: Vec<(Command, PrivId)> = alphabet
+    let sliced: Vec<Toggle> = alphabet
         .iter()
         .zip(&keep)
         .filter(|(_, &k)| k)
@@ -112,11 +114,10 @@ pub fn slice_alphabet(
 }
 
 /// The explicit-mode cone: seed with goal-relevant addable edges, then
-/// close under authorization support per kept command. Returns the keep
+/// close under authorization support per kept grant. Returns the keep
 /// mask over `alphabet`.
 fn explicit_cone(
-    universe: &Universe,
-    alphabet: &[(Command, PrivId)],
+    alphabet: &[Toggle],
     potential: &Potential,
     entity: Entity,
     target: PrivId,
@@ -130,60 +131,44 @@ fn explicit_cone(
         .copied()
         .filter(|&e| idx.reach_priv_via_added_edge(entity, target, e))
         .collect();
-    // Commands by edge, for worklist propagation.
-    let mut by_edge: std::collections::BTreeMap<Edge, Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for (i, (cmd, _)) in alphabet.iter().enumerate() {
-        if cmd.kind == CommandKind::Grant && potential.addable.contains(&cmd.edge) {
-            by_edge.entry(cmd.edge).or_default().push(i);
-        }
-    }
-    let mut queued = vec![false; alphabet.len()];
-    let mut worklist: Vec<usize> = Vec::new();
-    for &e in &in_cone {
-        for &i in by_edge.get(&e).into_iter().flatten() {
-            queued[i] = true;
-            worklist.push(i);
-        }
-    }
-    while let Some(i) = worklist.pop() {
-        let (cmd, required) = alphabet[i];
-        for e in support_edges(universe, potential, cmd.actor, required) {
-            if !in_cone.insert(e) {
-                continue;
-            }
-            for &j in by_edge.get(&e).into_iter().flatten() {
-                if !queued[j] {
-                    queued[j] = true;
-                    worklist.push(j);
-                }
+    // The addable grants' required terms, by edge, for worklist
+    // propagation.
+    let grants: std::collections::BTreeMap<Edge, PrivId> = alphabet
+        .iter()
+        .filter(|t| t.kind == CommandKind::Grant && potential.addable.contains(&t.edge))
+        .map(|t| (t.edge, t.required))
+        .collect();
+    let users_reach = idx.roles_reached_by_users();
+    let mut worklist: Vec<Edge> = in_cone.iter().copied().collect();
+    while let Some(edge) = worklist.pop() {
+        let Some(&required) = grants.get(&edge) else {
+            continue;
+        };
+        for e in support_edges(potential, &users_reach, required) {
+            if in_cone.insert(e) {
+                worklist.push(e);
             }
         }
     }
     alphabet
         .iter()
-        .map(|(cmd, _)| cmd.kind == CommandKind::Grant && in_cone.contains(&cmd.edge))
+        .map(|t| t.kind == CommandKind::Grant && in_cone.contains(&t.edge))
         .collect()
 }
 
-/// Every addable edge that can lie on an authorization path of
-/// `cmd(actor, ¤, …)` requiring `required`, over-approximated in `Φ⁺`:
-/// the assignments of `required` the actor can reach, the actor's own
-/// user-role edges leading toward one, and the hierarchy links between.
-fn support_edges(
-    universe: &Universe,
-    potential: &Potential,
-    actor: UserId,
-    required: PrivId,
-) -> Vec<Edge> {
-    let _ = universe;
+/// Every addable edge that can lie on some user's authorization path
+/// for a grant requiring `required`, over-approximated in `Φ⁺`: the
+/// assignments of `required` a user can reach (`users_reach` is every
+/// role some user reaches in `Φ⁺`), the user-role edges leading toward
+/// one, and the hierarchy links between.
+fn support_edges(potential: &Potential, users_reach: &BitSet, required: PrivId) -> Vec<Edge> {
     let idx = &potential.index;
-    let me = Entity::User(actor);
-    // Roles whose assignment of `required` the actor can reach in Φ⁺.
+    let reached = |r: RoleId| users_reach.contains(r.index());
+    // Roles whose assignment of `required` some user reaches in Φ⁺.
     let holders: Vec<RoleId> = potential
         .policy
         .pa()
-        .filter(|&(r, p)| p == required && idx.reach_entity(me, Entity::Role(r)))
+        .filter(|&(r, p)| p == required && reached(r))
         .map(|(r, _)| r)
         .collect();
     if holders.is_empty() {
@@ -194,14 +179,16 @@ fn support_edges(
             .iter()
             .any(|&h| idx.reach_entity(Entity::Role(x), Entity::Role(h)))
     };
+    // An edge into a role leading toward a holder makes its source reach
+    // that holder, so a user-role edge needs no reach check of its own.
     potential
         .addable
         .iter()
         .copied()
         .filter(|&edge| match edge {
-            Edge::UserRole(u, x) => u == actor && toward_holder(x),
-            Edge::RoleRole(x, y) => idx.reach_entity(me, Entity::Role(x)) && toward_holder(y),
-            Edge::RolePriv(r, p) => p == required && idx.reach_entity(me, Entity::Role(r)),
+            Edge::UserRole(_, x) => toward_holder(x),
+            Edge::RoleRole(x, y) => reached(x) && toward_holder(y),
+            Edge::RolePriv(r, p) => p == required && reached(r),
         })
         .collect()
 }
@@ -211,7 +198,7 @@ mod tests {
     use super::*;
     use crate::policy::PolicyBuilder;
     use crate::reach::ReachIndex;
-    use crate::safety::{perm_reachable, prepare_alphabet, ReachabilityAnswer, SafetyConfig};
+    use crate::safety::{perm_reachable, prepare_toggles, ReachabilityAnswer, SafetyConfig};
 
     /// Two independent wings: jane can put bob into staff (reaching the
     /// goal), and mike can put ann into audit (irrelevant).
@@ -247,7 +234,7 @@ mod tests {
         let write_t3 = uni.perm("write", "t3");
         let target = uni.priv_perm(write_t3);
         let config = SafetyConfig::default();
-        let alphabet = prepare_alphabet(&mut uni, &policy, config);
+        let alphabet = prepare_toggles(&mut uni, &policy, config);
         let outcome = slice_alphabet(
             &uni,
             &policy,
@@ -262,17 +249,17 @@ mod tests {
         assert!(outcome
             .alphabet
             .iter()
-            .any(|(c, _)| c.edge == Edge::UserRole(bob, staff)));
+            .any(|t| t.edge == Edge::UserRole(bob, staff)));
         let audit = uni.find_role("audit").unwrap();
         assert!(!outcome
             .alphabet
             .iter()
-            .any(|(c, _)| c.edge == Edge::UserRole(ann, audit)));
+            .any(|t| t.edge == Edge::UserRole(ann, audit)));
         // No revoke survives slicing, ever.
         assert!(outcome
             .alphabet
             .iter()
-            .all(|(c, _)| c.kind == CommandKind::Grant));
+            .all(|t| t.kind == CommandKind::Grant));
     }
 
     #[test]
@@ -305,7 +292,7 @@ mod tests {
         let never = uni.perm("launch", "missiles");
         let target = uni.priv_perm(never);
         let config = SafetyConfig::default();
-        let alphabet = prepare_alphabet(&mut uni, &policy, config);
+        let alphabet = prepare_toggles(&mut uni, &policy, config);
         let outcome = slice_alphabet(
             &uni,
             &policy,
@@ -362,7 +349,7 @@ mod tests {
         let write_t3 = uni.perm("write", "t3");
         let target = uni.priv_perm(write_t3);
         let config = SafetyConfig::default();
-        let alphabet = prepare_alphabet(&mut uni, &policy, config);
+        let alphabet = prepare_toggles(&mut uni, &policy, config);
         let outcome = slice_alphabet(
             &uni,
             &policy,
@@ -374,7 +361,7 @@ mod tests {
         assert!(outcome
             .alphabet
             .iter()
-            .any(|(c, _)| c.edge == Edge::UserRole(bob, hr2)));
+            .any(|t| t.edge == Edge::UserRole(bob, hr2)));
         // And the two-step plan still goes through sliced.
         let answer = perm_reachable(
             &mut uni,

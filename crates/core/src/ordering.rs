@@ -229,7 +229,6 @@ impl ReachRef<'_> {
 /// policy.
 pub struct PrivilegeOrder<'a> {
     universe: &'a Universe,
-    policy: &'a Policy,
     reach: ReachRef<'a>,
     mode: OrderingMode,
     /// The privilege vertices of `φ` — candidate witnesses for rule (2ext∘3*).
@@ -265,7 +264,6 @@ impl<'a> PrivilegeOrder<'a> {
         let vertices: Vec<PrivId> = policy.priv_vertices().into_iter().collect();
         PrivilegeOrder {
             universe,
-            policy,
             reach,
             mode,
             vertices,
@@ -276,21 +274,6 @@ impl<'a> PrivilegeOrder<'a> {
     /// The mode this order decides.
     pub fn mode(&self) -> OrderingMode {
         self.mode
-    }
-
-    /// The policy snapshot the order is bound to.
-    pub fn policy(&self) -> &Policy {
-        self.policy
-    }
-
-    /// The universe the terms live in.
-    pub fn universe(&self) -> &Universe {
-        self.universe
-    }
-
-    /// The reachability index in use.
-    pub fn reach_index(&self) -> &ReachIndex {
-        self.reach.get()
     }
 
     /// Decides `p ⊑φ q` — “`q` is weaker than (or equal to) `p`”.

@@ -312,28 +312,30 @@ impl ReachIndex {
         out
     }
 
-    /// Every privilege vertex reachable from `e`.
-    pub fn privs_reachable<'a>(
-        &'a self,
-        policy: &'a Policy,
-        e: Entity,
-    ) -> impl Iterator<Item = PrivId> + 'a {
-        let roles = self.roles_reachable(e);
-        policy.pa().filter_map(move |(r, p)| {
-            if roles.contains(r.index()) {
-                Some(p)
-            } else {
-                None
-            }
-        })
+    /// Every role some user reaches: the union of all users' role rows.
+    pub fn roles_reached_by_users(&self) -> BitSet {
+        let mut out = BitSet::new(self.role_count);
+        for r in self.user_roles.iter().flat_map(|row| row.iter()) {
+            out.union_with(self.closure.row(r.0));
+        }
+        out
+    }
+
+    /// `true` iff a role of `roles` directly holds the vertex `p`.
+    pub fn held_within(&self, roles: &BitSet, p: PrivId) -> bool {
+        self.holders
+            .get(&p)
+            .is_some_and(|holders| holders.iter().any(|h| roles.contains(h.index())))
     }
 
     /// Every user privilege (perm) reachable from `e` — the authorization
     /// row used by the non-administrative refinement check (Definition 6).
     pub fn perms_reachable(&self, universe: &Universe, policy: &Policy, e: Entity) -> Vec<Perm> {
-        let mut out: Vec<Perm> = self
-            .privs_reachable(policy, e)
-            .filter_map(|p| match universe.term(p) {
+        let roles = self.roles_reachable(e);
+        let mut out: Vec<Perm> = policy
+            .pa()
+            .filter(|(r, _)| roles.contains(r.index()))
+            .filter_map(|(_, p)| match universe.term(p) {
                 PrivTerm::Perm(q) => Some(q),
                 _ => None,
             })

@@ -7,10 +7,11 @@
 //! current policy is; it changes which policies are reachable, which is
 //! Definition 7's business (see [`crate::simulation`]).
 
+use crate::bitset::BitSet;
 use crate::ids::{Entity, Perm};
 use crate::policy::Policy;
 use crate::reach::ReachIndex;
-use crate::universe::{Edge, PrivTerm, Universe};
+use crate::universe::{Edge, Universe};
 
 /// A witness that refinement fails: `entity` can reach `perm` in `ψ` but
 /// not in `φ`.
@@ -44,6 +45,9 @@ fn violations_impl(
 ) -> Vec<RefinementViolation> {
     phi.check_universe(universe);
     psi.check_universe(universe);
+    if psi.edges().all(|e| phi.contains_edge(e)) {
+        return Vec::new(); // every ψ-path is a φ-path
+    }
     let phi_idx = ReachIndex::build(universe, phi);
     let psi_idx = ReachIndex::build(universe, psi);
     violations_between(universe, phi, &phi_idx, psi, &psi_idx, stop_at_first)
@@ -55,6 +59,10 @@ fn violations_impl(
 /// snapshot with a prebuilt index), builds each [`ReachIndex`] exactly
 /// once. With `stop_at_first` the scan returns at the first violation
 /// (the boolean [`refines`] question); otherwise it is exhaustive.
+///
+/// A violation `v →ψ p ∧ ¬ v →φ p` needs a ψ-path through an edge of
+/// `ψ ∖ φ`, so only the entities that ψ-reach the source of such an
+/// edge are scanned (with disjoint policies, every entity).
 pub fn violations_between(
     universe: &Universe,
     phi: &Policy,
@@ -64,11 +72,27 @@ pub fn violations_between(
     stop_at_first: bool,
 ) -> Vec<RefinementViolation> {
     let mut out = Vec::new();
+    let mut users = BitSet::new(universe.user_count());
+    let mut roles = BitSet::new(universe.role_count());
+    for edge in psi.edges().filter(|&e| !phi.contains_edge(e)) {
+        match edge.source() {
+            Entity::User(u) => users.insert(u.index()),
+            Entity::Role(r) => roles.insert(r.index()),
+        };
+    }
+    let candidate = |v: Entity| match v {
+        Entity::User(u) if users.contains(u.index()) => true,
+        _ => {
+            let mut reached = psi_idx.roles_reachable(v);
+            reached.intersect_with(&roles);
+            !reached.is_empty()
+        }
+    };
     let entities = universe
         .users()
         .map(Entity::User)
         .chain(universe.roles().map(Entity::Role));
-    for v in entities {
+    for v in entities.filter(|&v| candidate(v)) {
         let psi_perms = psi_idx.perms_reachable(universe, psi, v);
         if psi_perms.is_empty() {
             continue;
@@ -120,25 +144,6 @@ pub fn weaken_assignment(
     psi.remove_edge(Edge::RolePriv(role, p));
     psi.add_edge(Edge::RolePriv(role, weaker));
     psi
-}
-
-/// Counts, per entity, how many user privileges each policy authorizes —
-/// a quick "safety mass" summary.
-pub fn authorized_perm_count(universe: &Universe, policy: &Policy) -> usize {
-    let idx = ReachIndex::build(universe, policy);
-    universe
-        .users()
-        .map(Entity::User)
-        .chain(universe.roles().map(Entity::Role))
-        .map(|v| idx.perms_reachable(universe, policy, v).len())
-        .sum()
-}
-
-/// `true` iff `perm` is a user privilege some role of `policy` holds.
-pub fn perm_is_assigned(universe: &Universe, policy: &Policy, perm: Perm) -> bool {
-    policy
-        .pa()
-        .any(|(_, p)| matches!(universe.term(p), PrivTerm::Perm(q) if q == perm))
 }
 
 #[cfg(test)]
@@ -275,17 +280,12 @@ mod tests {
         let empty = Policy::new(&uni);
         // Everything psi grants is a violation against the empty policy.
         let violations = refinement_violations(&uni, &empty, &policy);
-        let total = authorized_perm_count(&uni, &policy);
+        let idx = ReachIndex::build(&uni, &policy);
+        let total: usize = (uni.users().map(Entity::User))
+            .chain(uni.roles().map(Entity::Role))
+            .map(|v| idx.perms_reachable(&uni, &policy, v).len())
+            .sum();
         assert_eq!(violations.len(), total);
         assert!(refines(&uni, &policy, &empty));
-    }
-
-    #[test]
-    fn perm_assignment_probe() {
-        let (mut uni, policy) = figure1();
-        let read_t1 = uni.perm("read", "t1");
-        let read_t9 = uni.perm("read", "t9");
-        assert!(perm_is_assigned(&uni, &policy, read_t1));
-        assert!(!perm_is_assigned(&uni, &policy, read_t9));
     }
 }

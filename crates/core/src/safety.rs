@@ -25,6 +25,13 @@
 //! threads ([`SafetyConfig::jobs`]); answers and witnesses are
 //! identical for every `jobs` setting.
 //!
+//! The alphabet is **actor-quotiented** ([`Toggle`]): in Definition 5 a
+//! command's effect depends only on its edge and kind, and the actor
+//! enters only through authorization. So a state's successors are the
+//! edge toggles *some* user is authorized for, each named in the witness
+//! by the least such user. [`prepare_alphabet`] grounds the quotient per
+//! actor for the bounded model checker.
+//!
 //! # Answer semantics
 //!
 //! * [`ReachabilityAnswer::Reachable`] — a witness queue was found. When
@@ -57,16 +64,15 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use crate::command::{Command, CommandQueue};
+use crate::command::{Command, CommandKind, CommandQueue};
 use crate::enumerate::{enumerate_weaker, EnumerationConfig};
-use crate::ids::{Entity, Perm, PrivId};
-use crate::ordering::OrderingMode;
+use crate::ids::{Entity, Perm, PrivId, UserId};
 use crate::policy::Policy;
 use crate::reach::ReachIndex;
 use crate::search::{search, PolicySearch, SearchGoal, SearchLimits, SearchOutcome};
-use crate::simulation::command_alphabet;
-use crate::transition::{required_privilege, step, AuthMode};
-use crate::universe::Universe;
+use crate::simulation::alphabet_parts;
+use crate::transition::{step, AuthMode};
+use crate::universe::{Edge, Universe};
 
 /// Bounds for the reachability search.
 #[derive(Clone, Copy, Debug)]
@@ -112,17 +118,6 @@ impl Default for SafetyConfig {
             jobs: 1,
             escalate: true,
             slice: true,
-        }
-    }
-}
-
-impl SafetyConfig {
-    /// The search-engine limits this configuration induces.
-    fn limits(&self) -> SearchLimits {
-        SearchLimits {
-            max_depth: self.max_steps,
-            max_states: self.max_states,
-            jobs: self.jobs,
         }
     }
 }
@@ -181,30 +176,17 @@ pub fn perm_reachable(
             witness: CommandQueue::new(),
         };
     }
-    let mut alphabet = prepare_alphabet(universe, policy, config);
-    if config.slice {
-        alphabet = crate::lint::slice_alphabet(
-            universe,
-            policy,
-            &alphabet,
-            entity,
-            target,
-            config.auth_mode,
-        )
-        .alphabet;
-    }
-    let answer = {
-        let space = PolicySearch::new(
-            universe,
-            policy,
-            &alphabet,
-            config.auth_mode,
-            SearchGoal::Priv { entity, target },
-            root_index,
-        );
-        run_engine(&space, config)
-    };
-    match answer {
+    let alphabet = goal_alphabet(universe, policy, config, entity, target);
+    let goal = SearchGoal::Priv { entity, target };
+    let space = PolicySearch::new(
+        universe,
+        policy,
+        &alphabet,
+        config.auth_mode,
+        goal,
+        root_index,
+    );
+    match run_engine(&space, config) {
         ReachabilityAnswer::Unknown { truncation } if config.escalate => crate::verify::escalate(
             universe, policy, &alphabet, config, entity, target, truncation,
         ),
@@ -212,13 +194,25 @@ pub fn perm_reachable(
     }
 }
 
-/// Breadth-first search for a reachable policy satisfying `goal`.
-///
-/// The alphabet is the finite relevant command set (see
-/// [`command_alphabet`]); under ordered authorization it is additionally
-/// expanded with commands for the edges of privileges `⊑`-weaker than any
-/// assigned vertex, up to the configured depth — those are exactly the
-/// extra commands ordered mode can authorize.
+/// The alphabet of a goal-directed search: the quotient, sliced to the
+/// goal's cone of influence when `config.slice` is on.
+pub(crate) fn goal_alphabet(
+    universe: &mut Universe,
+    policy: &Policy,
+    config: SafetyConfig,
+    entity: Entity,
+    target: PrivId,
+) -> Vec<Toggle> {
+    let alphabet = prepare_toggles(universe, policy, config);
+    if !config.slice {
+        return alphabet;
+    }
+    let mode = config.auth_mode;
+    crate::lint::slice_alphabet(universe, policy, &alphabet, entity, target, mode).alphabet
+}
+
+/// Breadth-first search for a reachable policy satisfying `goal`, over
+/// the alphabet of [`prepare_toggles`].
 pub fn find_reachable(
     universe: &mut Universe,
     policy: &Policy,
@@ -230,7 +224,7 @@ pub fn find_reachable(
             witness: CommandQueue::new(),
         };
     }
-    let alphabet = prepare_alphabet(universe, policy, config);
+    let alphabet = prepare_toggles(universe, policy, config);
     let root_index = ReachIndex::build(universe, policy);
     let space = PolicySearch::new(
         universe,
@@ -244,7 +238,12 @@ pub fn find_reachable(
 }
 
 pub(crate) fn run_engine(space: &PolicySearch<'_>, config: SafetyConfig) -> ReachabilityAnswer {
-    let (outcome, stats) = search(space, config.limits());
+    let limits = SearchLimits {
+        max_depth: config.max_steps,
+        max_states: config.max_states,
+        jobs: config.jobs,
+    };
+    let (outcome, stats) = search(space, limits);
     match outcome {
         SearchOutcome::Found { witness } => ReachabilityAnswer::Reachable {
             witness: CommandQueue::from_commands(witness),
@@ -260,22 +259,108 @@ pub(crate) fn run_engine(space: &PolicySearch<'_>, config: SafetyConfig) -> Reac
     }
 }
 
-/// Builds the alphabet and pre-interns each command's required
-/// privilege term, so the search itself runs on `&Universe`. Public so
-/// the unbounded engines ([`crate::verify`]) can be driven directly
-/// against the exact alphabet the bounded search would explore.
+/// One entry of the actor-quotiented alphabet (see the module docs): an
+/// edge toggle, whoever issues it, and the term it requires.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct Toggle {
+    /// The edge added or removed.
+    pub edge: Edge,
+    /// Add or remove.
+    pub kind: CommandKind,
+    /// The pre-interned term `¤(edge)` or `♦(edge)`.
+    pub required: PrivId,
+}
+
+impl Toggle {
+    /// This toggle issued by `actor`.
+    pub fn command(self, actor: UserId) -> Command {
+        Command {
+            actor,
+            kind: self.kind,
+            edge: self.edge,
+        }
+    }
+}
+
+impl From<(Command, PrivId)> for Toggle {
+    fn from((cmd, required): (Command, PrivId)) -> Self {
+        Toggle {
+            edge: cmd.edge,
+            kind: cmd.kind,
+            required,
+        }
+    }
+}
+
+/// Builds the actor-quotiented alphabet with its terms pre-interned, so
+/// the search runs on `&Universe`: the edges of
+/// [`crate::simulation::command_alphabet`], plus, under ordered
+/// authorization, those of terms `⊑`-weaker than an assigned one, in
+/// the order that grounds actor by actor into [`prepare_alphabet`].
+pub fn prepare_toggles(
+    universe: &mut Universe,
+    policy: &Policy,
+    config: SafetyConfig,
+) -> Vec<Toggle> {
+    let (mut edges, _) = alphabet_parts(universe, &[policy]);
+    if let AuthMode::Ordered(mode) = config.auth_mode {
+        let depth = config
+            .weaker_depth
+            .unwrap_or_else(|| crate::enumerate::remark2_depth(universe, policy));
+        for p in policy.priv_vertices() {
+            if !universe.term(p).is_administrative() {
+                continue;
+            }
+            let config = EnumerationConfig {
+                max_depth: depth.max(1),
+                max_results: 10_000,
+                mode,
+            };
+            let weaker = enumerate_weaker(universe, policy, p, config).privileges;
+            edges.extend(weaker.into_iter().filter_map(|q| universe.term(q).edge()));
+        }
+    }
+    let kinds = [CommandKind::Grant, CommandKind::Revoke];
+    let mut toggles: Vec<(Edge, CommandKind)> = edges
+        .into_iter()
+        .flat_map(|e| kinds.map(|k| (e, k)))
+        .collect();
+    if config.auth_mode != AuthMode::Explicit {
+        toggles.sort_unstable_by_key(|&(edge, kind)| (kind, edge));
+    }
+    let toggle = |(edge, kind)| Toggle {
+        edge,
+        kind,
+        required: match kind {
+            CommandKind::Grant => universe.priv_grant(edge),
+            CommandKind::Revoke => universe.priv_revoke(edge),
+        },
+    };
+    toggles.into_iter().map(toggle).collect()
+}
+
+/// [`prepare_toggles`] issued by every actor of
+/// [`crate::simulation::command_alphabet`], actor-major: the alphabet
+/// the bounded model checker ([`crate::verify::bmc`]) encodes.
 pub fn prepare_alphabet(
     universe: &mut Universe,
     policy: &Policy,
     config: SafetyConfig,
 ) -> Vec<(Command, PrivId)> {
-    let alphabet = build_alphabet(universe, policy, config);
-    alphabet
+    let toggles = prepare_toggles(universe, policy, config);
+    ground(universe, policy, &toggles)
+}
+
+/// `toggles` issued by every actor of `policy`'s alphabet, actor-major.
+pub(crate) fn ground(
+    universe: &Universe,
+    policy: &Policy,
+    toggles: &[Toggle],
+) -> Vec<(Command, PrivId)> {
+    let (_, actors) = alphabet_parts(universe, &[policy]);
+    actors
         .into_iter()
-        .map(|cmd| {
-            let target = required_privilege(universe, &cmd);
-            (cmd, target)
-        })
+        .flat_map(|actor| toggles.iter().map(move |t| (t.command(actor), t.required)))
         .collect()
 }
 
@@ -296,7 +381,10 @@ pub fn find_reachable_clone(
             witness: CommandQueue::new(),
         };
     }
-    let alphabet = build_alphabet(universe, policy, config);
+    let alphabet: Vec<Command> = prepare_alphabet(universe, policy, config)
+        .into_iter()
+        .map(|(cmd, _)| cmd)
+        .collect();
     let mut seen: HashSet<Policy> = HashSet::new();
     let mut parents: HashMap<Policy, (Policy, Command)> = HashMap::new();
     let mut queue: VecDeque<(Policy, usize)> = VecDeque::new();
@@ -378,53 +466,10 @@ fn rebuild_witness(
     commands
 }
 
-fn build_alphabet(universe: &mut Universe, policy: &Policy, config: SafetyConfig) -> Vec<Command> {
-    let mut alphabet = command_alphabet(universe, &[policy]);
-    if let AuthMode::Ordered(mode) = config.auth_mode {
-        let depth = config
-            .weaker_depth
-            .unwrap_or_else(|| crate::enumerate::remark2_depth(universe, policy));
-        let vertices: Vec<_> = policy.priv_vertices().into_iter().collect();
-        let mut extra_edges = std::collections::BTreeSet::new();
-        for p in vertices {
-            if !universe.term(p).is_administrative() {
-                continue;
-            }
-            let set = enumerate_weaker(
-                universe,
-                policy,
-                p,
-                EnumerationConfig {
-                    max_depth: depth.max(1),
-                    max_results: 10_000,
-                    mode: match mode {
-                        OrderingMode::Strict => OrderingMode::Strict,
-                        other => other,
-                    },
-                },
-            );
-            for q in set.privileges {
-                if let Some(edge) = universe.term(q).edge() {
-                    extra_edges.insert(edge);
-                }
-            }
-        }
-        let actors: std::collections::BTreeSet<_> = alphabet.iter().map(|c| c.actor).collect();
-        for &actor in &actors {
-            for &edge in &extra_edges {
-                alphabet.push(Command::grant(actor, edge));
-                alphabet.push(Command::revoke(actor, edge));
-            }
-        }
-        alphabet.sort_unstable();
-        alphabet.dedup();
-    }
-    alphabet
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ordering::OrderingMode;
     use crate::policy::PolicyBuilder;
     use crate::transition::run_pure;
     use crate::universe::Edge;

@@ -8,12 +8,15 @@
 //! the arena.
 //!
 //! Expansion materialises each frontier policy **once**, builds one
-//! [`ReachIndex`] (and, under ordered authorization, one
-//! [`PrivilegeOrder`] over it) for the whole alphabet sweep, and then
-//! evaluates every command as a single-bit delta:
+//! [`ReachIndex`] (and, under ordered authorization, one privilege order
+//! over it) for the whole alphabet sweep, and then evaluates every
+//! toggle of the actor-quotiented alphabet ([`Toggle`]) as a single-bit
+//! delta:
 //!
-//! * *authorization* — `O(1)`-ish against the per-state index instead
-//!   of a fresh graph walk per command;
+//! * *authorization* — one existential per toggle: does the union of
+//!   all users' role rows, built once per state, meet the holders of
+//!   the required term? A successor is emitted once, labelled with the
+//!   least authorized user;
 //! * *goal evaluation* — incremental against the parent's index. The
 //!   engine guarantees every expanded state fails the goal, so for the
 //!   monotone "entity reaches privilege vertex" goal a removed edge can
@@ -24,10 +27,10 @@
 
 use crate::command::{Command, CommandKind};
 use crate::ids::{Entity, PrivId};
-use crate::ordering::PrivilegeOrder;
 use crate::policy::Policy;
 use crate::reach::ReachIndex;
-use crate::transition::{authorize_with_order, AuthMode};
+use crate::safety::Toggle;
+use crate::transition::{AnyUser, AuthMode};
 use crate::universe::{Edge, Universe};
 
 use super::arena::{for_each_set_bit, set_bit, test_bit, toggle_bit, words_for};
@@ -41,10 +44,10 @@ pub struct EdgeTable {
 }
 
 impl EdgeTable {
-    /// Builds the table from the root policy and the command alphabet.
-    pub fn build<'c>(root: &Policy, commands: impl IntoIterator<Item = &'c Command>) -> Self {
+    /// Builds the table from the root policy and the alphabet's edges.
+    pub fn build(root: &Policy, alphabet: impl IntoIterator<Item = Edge>) -> Self {
         let mut edges: Vec<Edge> = root.edges().collect();
-        edges.extend(commands.into_iter().map(|c| c.edge));
+        edges.extend(alphabet);
         edges.sort_unstable();
         edges.dedup();
         EdgeTable { edges }
@@ -86,21 +89,12 @@ pub enum SearchGoal<'g> {
     Custom(&'g (dyn Fn(&Universe, &Policy) -> bool + Sync)),
 }
 
-/// One alphabet command with its pre-resolved requirements.
-#[derive(Debug, Clone, Copy)]
-struct PreparedCommand {
-    cmd: Command,
-    /// The pre-interned privilege term the command requires.
-    target: PrivId,
-    /// The bit of the command's edge in the [`EdgeTable`].
-    bit: u32,
-}
-
 /// [`StateSpace`] implementation over administrative policies.
 pub struct PolicySearch<'a> {
     universe: &'a Universe,
     table: EdgeTable,
-    alphabet: Vec<PreparedCommand>,
+    /// Each toggle with the bit of its edge in the [`EdgeTable`].
+    alphabet: Vec<(Toggle, u32)>,
     auth_mode: AuthMode,
     goal: SearchGoal<'a>,
     /// The root's encoded state and prebuilt index: the root is both
@@ -111,30 +105,26 @@ pub struct PolicySearch<'a> {
 }
 
 impl<'a> PolicySearch<'a> {
-    /// Builds the space. `alphabet` pairs each command with its
-    /// required privilege term, pre-interned by the caller (interning
-    /// needs `&mut Universe`; the search itself runs on `&Universe` so
-    /// it can fan out across threads). `root_index` is the root
+    /// Builds the space over the actor-quotiented `alphabet`, whose
+    /// required terms the caller pre-interned (interning needs
+    /// `&mut Universe`; the search itself runs on `&Universe` so it can
+    /// fan out across threads). `root_index` is the root
     /// policy's reachability index — callers have one anyway from the
     /// root goal check, and the engine reuses it when expanding the
     /// root state instead of rebuilding it.
     pub fn new(
         universe: &'a Universe,
         root: &'a Policy,
-        alphabet: &[(Command, PrivId)],
+        alphabet: &[Toggle],
         auth_mode: AuthMode,
         goal: SearchGoal<'a>,
         root_index: ReachIndex,
     ) -> Self {
         root.check_universe(universe);
-        let table = EdgeTable::build(root, alphabet.iter().map(|(c, _)| c));
+        let table = EdgeTable::build(root, alphabet.iter().map(|t| t.edge));
         let alphabet = alphabet
             .iter()
-            .map(|&(cmd, target)| PreparedCommand {
-                cmd,
-                target,
-                bit: table.bit(cmd.edge).expect("alphabet edge in table"),
-            })
+            .map(|&t| (t, table.bit(t.edge).expect("alphabet edge in table")))
             .collect();
         let mut root_words = vec![0u64; words_for(table.len())];
         for edge in root.edges() {
@@ -152,17 +142,6 @@ impl<'a> PolicySearch<'a> {
         }
     }
 
-    /// The prebuilt reachability index of the root policy (also used
-    /// when the engine expands the root state).
-    pub fn root_index(&self) -> &ReachIndex {
-        &self.root_index
-    }
-
-    /// The edge universe of this search (diagnostics).
-    pub fn edge_table(&self) -> &EdgeTable {
-        &self.table
-    }
-
     /// Decodes a state bitset back into a policy.
     pub fn decode(&self, words: &[u64]) -> Policy {
         let mut policy = Policy::new(self.universe);
@@ -175,20 +154,20 @@ impl<'a> PolicySearch<'a> {
     /// Incremental goal check for one candidate delta, using the
     /// *parent's* reachability index. Relies on the engine's invariant
     /// that the parent itself fails the goal.
-    fn goal_on_delta(&self, idx: &ReachIndex, parent: &Policy, pc: &PreparedCommand) -> bool {
+    fn goal_on_delta(&self, idx: &ReachIndex, parent: &Policy, toggle: Toggle) -> bool {
         match &self.goal {
-            SearchGoal::Priv { entity, target } => match pc.cmd.kind {
+            SearchGoal::Priv { entity, target } => match toggle.kind {
                 // Removing an edge only shrinks reachability; the
                 // parent already fails the goal.
                 CommandKind::Revoke => false,
                 // One added edge: the split lemma on the parent's index.
-                CommandKind::Grant => idx.reach_priv_via_added_edge(*entity, *target, pc.cmd.edge),
+                CommandKind::Grant => idx.reach_priv_via_added_edge(*entity, *target, toggle.edge),
             },
             SearchGoal::Custom(f) => {
                 let mut succ = parent.clone();
-                match pc.cmd.kind {
-                    CommandKind::Grant => succ.add_edge(pc.cmd.edge),
-                    CommandKind::Revoke => succ.remove_edge(pc.cmd.edge),
+                match toggle.kind {
+                    CommandKind::Grant => succ.add_edge(toggle.edge),
+                    CommandKind::Revoke => succ.remove_edge(toggle.edge),
                 };
                 f(self.universe, &succ)
             }
@@ -219,38 +198,24 @@ impl StateSpace for PolicySearch<'_> {
             built = ReachIndex::build(self.universe, &policy);
             &built
         };
-        // Under ordered authorization, one privilege order per state
-        // answers every command (the seed rebuilt it per command).
-        let order = match self.auth_mode {
-            AuthMode::Explicit => None,
-            AuthMode::Ordered(mode) => Some(PrivilegeOrder::with_index(
-                self.universe,
-                &policy,
-                idx,
-                mode,
-            )),
-        };
+        let authority = AnyUser::new(self.universe, &policy, idx, self.auth_mode);
         let mut scratch = state.to_vec();
-        for pc in &self.alphabet {
-            let present = test_bit(state, pc.bit as usize);
-            let changes = match pc.cmd.kind {
+        for &(toggle, bit) in &self.alphabet {
+            let present = test_bit(state, bit as usize);
+            let changes = match toggle.kind {
                 CommandKind::Grant => !present,
                 CommandKind::Revoke => present,
             };
             if !changes {
                 continue;
             }
-            let authorized = match &order {
-                Some(order) => authorize_with_order(order, pc.cmd.actor, pc.target).is_some(),
-                None => idx.reach_priv(Entity::User(pc.cmd.actor), pc.target),
-            };
-            if !authorized {
+            let Some((actor, _)) = authority.least(toggle.required) else {
                 continue;
-            }
-            toggle_bit(&mut scratch, pc.bit as usize);
-            let goal = self.goal_on_delta(idx, &policy, pc);
-            out.push(pc.cmd, goal, &scratch);
-            toggle_bit(&mut scratch, pc.bit as usize);
+            };
+            toggle_bit(&mut scratch, bit as usize);
+            let goal = self.goal_on_delta(idx, &policy, toggle);
+            out.push(toggle.command(actor), goal, &scratch);
+            toggle_bit(&mut scratch, bit as usize);
         }
     }
 }
@@ -259,7 +224,7 @@ impl StateSpace for PolicySearch<'_> {
 mod tests {
     use super::*;
     use crate::policy::PolicyBuilder;
-    use crate::transition::required_privilege;
+    use crate::safety::{prepare_toggles, SafetyConfig};
 
     fn space_fixture() -> (Universe, Policy) {
         let mut b = PolicyBuilder::new()
@@ -279,11 +244,7 @@ mod tests {
     #[test]
     fn root_round_trips_through_encoding() {
         let (mut uni, policy) = space_fixture();
-        let alphabet = crate::simulation::command_alphabet(&uni, &[&policy]);
-        let prepared: Vec<(Command, PrivId)> = alphabet
-            .iter()
-            .map(|c| (*c, required_privilege(&mut uni, c)))
-            .collect();
+        let prepared = prepare_toggles(&mut uni, &policy, SafetyConfig::default());
         let jane = uni.find_user("jane").unwrap();
         let space = PolicySearch::new(
             &uni,
@@ -305,23 +266,34 @@ mod tests {
     #[test]
     fn expansion_matches_step_semantics() {
         // Every candidate the space emits must be exactly a state the
-        // transition function produces (authorized and changed).
+        // transition function produces (authorized and changed), once
+        // per toggle, issued by the least actor that can.
         use crate::transition::step;
-        let (mut uni, policy) = space_fixture();
+        let (mut uni, mut policy) = space_fixture();
+        // A second administrator holding the same grant: the toggle is
+        // still emitted once, as jane's.
+        let mike = uni.user("mike");
+        let hr = uni.find_role("hr").unwrap();
+        policy.add_edge(Edge::UserRole(mike, hr));
+        let prepared = prepare_toggles(&mut uni, &policy, SafetyConfig::default());
         let alphabet = crate::simulation::command_alphabet(&uni, &[&policy]);
-        let prepared: Vec<(Command, PrivId)> = alphabet
-            .iter()
-            .map(|c| (*c, required_privilege(&mut uni, c)))
-            .collect();
-        // Reference: run step() on a clone for every alphabet command.
+        // Reference: run step() on a clone for every grounded command,
+        // keeping the first (least) actor per toggle.
         let mut expected: Vec<(Command, Policy)> = Vec::new();
-        for cmd in &alphabet {
-            let mut next = policy.clone();
-            let outcome = step(&mut uni, &mut next, cmd, AuthMode::Explicit);
-            if outcome.changed {
-                expected.push((*cmd, next));
+        for toggle in &prepared {
+            let issued = alphabet
+                .iter()
+                .filter(|c| c.edge == toggle.edge && c.kind == toggle.kind);
+            for cmd in issued {
+                let mut next = policy.clone();
+                if step(&mut uni, &mut next, cmd, AuthMode::Explicit).changed {
+                    expected.push((*cmd, next));
+                    break;
+                }
             }
         }
+        let jane = uni.find_user("jane").unwrap();
+        assert!(!expected.is_empty() && expected.iter().all(|(c, _)| c.actor == jane));
         let goal = |_: &Universe, _: &Policy| false;
         let space = PolicySearch::new(
             &uni,

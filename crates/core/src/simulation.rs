@@ -37,6 +37,11 @@
 //! revoke, issued by every user that appears in `UA` or inside any such
 //! edge. All other commands are no-ops on both sides and are represented
 //! by a single distinguished no-op per actor (`allow_noop`).
+//!
+//! Only this check keeps the alphabet grounded per actor: Definition 7
+//! matches the queues position by position with *the same actor*, where
+//! reachability only asks whether *some* user may issue a toggle
+//! ([`crate::safety::Toggle`]).
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -107,22 +112,7 @@ impl SimulationOutcome {
 
 /// Builds the finite command alphabet for the pair of policies.
 pub fn command_alphabet(universe: &Universe, policies: &[&Policy]) -> Vec<Command> {
-    let mut edges: BTreeSet<Edge> = BTreeSet::new();
-    for policy in policies {
-        edges.extend(policy.edges());
-        for p in policy.priv_vertices() {
-            edges.extend(universe.edges_within(p));
-        }
-    }
-    let mut actors: BTreeSet<UserId> = BTreeSet::new();
-    for policy in policies {
-        actors.extend(policy.users_mentioned());
-    }
-    for edge in &edges {
-        if let Edge::UserRole(u, _) = edge {
-            actors.insert(*u);
-        }
-    }
+    let (edges, actors) = alphabet_parts(universe, policies);
     let mut out = Vec::with_capacity(edges.len() * actors.len() * 2);
     for &actor in &actors {
         for &edge in &edges {
@@ -131,6 +121,30 @@ pub fn command_alphabet(universe: &Universe, policies: &[&Policy]) -> Vec<Comman
         }
     }
     out
+}
+
+/// The edges and the actors of [`command_alphabet`]: every edge of the
+/// policies or nested in one of their privilege terms, and every user
+/// assigned in a policy or named by one of those edges.
+pub(crate) fn alphabet_parts(
+    universe: &Universe,
+    policies: &[&Policy],
+) -> (BTreeSet<Edge>, BTreeSet<UserId>) {
+    let mut edges: BTreeSet<Edge> = BTreeSet::new();
+    let mut actors: BTreeSet<UserId> = BTreeSet::new();
+    for policy in policies {
+        edges.extend(policy.edges());
+        for p in policy.priv_vertices() {
+            edges.extend(universe.edges_within(p));
+        }
+        actors.extend(policy.users_mentioned());
+    }
+    for edge in &edges {
+        if let Edge::UserRole(u, _) = edge {
+            actors.insert(*u);
+        }
+    }
+    (edges, actors)
 }
 
 /// Applies one command under explicit (Definition 5) semantics, returning

@@ -22,11 +22,12 @@
 //!   `¤(bob, staff)`). Theorem 1 is exactly the statement that this is
 //!   safe.
 
+use crate::bitset::BitSet;
 use crate::command::{Command, CommandKind, CommandQueue};
-use crate::ids::{Node, PrivId, UserId};
+use crate::ids::{Entity, Node, PrivId, UserId};
 use crate::ordering::{OrderingMode, PrivilegeOrder};
 use crate::policy::Policy;
-use crate::reach::reaches;
+use crate::reach::{reaches, ReachIndex};
 use crate::universe::{PrivTerm, Universe};
 
 /// How commands are authorized against the policy.
@@ -108,6 +109,51 @@ pub fn authorize_with_order(
         .authorizing_vertices(actor.into(), target)
         .first()
         .map(|&held| Authorization { held, target })
+}
+
+/// The least user authorized for a term in one policy state, with the
+/// vertex that authorizes it. Explicit mode asks the existential first:
+/// do `reached`, every role some user reaches, meet the term's holders?
+pub(crate) struct AnyUser<'a> {
+    universe: &'a Universe,
+    index: &'a ReachIndex,
+    reached: BitSet,
+    order: Option<PrivilegeOrder<'a>>,
+}
+
+impl<'a> AnyUser<'a> {
+    /// `index` must be `policy`'s.
+    pub(crate) fn new(
+        universe: &'a Universe,
+        policy: &'a Policy,
+        index: &'a ReachIndex,
+        mode: AuthMode,
+    ) -> Self {
+        let order = match mode {
+            AuthMode::Explicit => None,
+            AuthMode::Ordered(m) => Some(PrivilegeOrder::with_index(universe, policy, index, m)),
+        };
+        let reached = index.roles_reached_by_users();
+        AnyUser {
+            universe,
+            index,
+            reached,
+            order,
+        }
+    }
+
+    pub(crate) fn least(&self, target: PrivId) -> Option<(UserId, PrivId)> {
+        let mut users = self.universe.users();
+        match &self.order {
+            Some(order) => {
+                users.find_map(|u| authorize_with_order(order, u, target).map(|a| (u, a.held)))
+            }
+            None if self.index.held_within(&self.reached, target) => users
+                .find(|&u| self.index.reach_priv(Entity::User(u), target))
+                .map(|u| (u, target)),
+            None => None,
+        }
+    }
 }
 
 /// Authorizes a command under `mode`, interning the required term when

@@ -243,7 +243,7 @@ pub fn check(
 }
 
 fn prepare(universe: &Universe, root: &Policy, alphabet: &[(Command, PrivId)]) -> Ground {
-    let table = EdgeTable::build(root, alphabet.iter().map(|(c, _)| c));
+    let table = EdgeTable::build(root, alphabet.iter().map(|(c, _)| c.edge));
     let root_bits: Vec<bool> = (0..table.len())
         .map(|b| root.contains_edge(table.edge(b as u32)))
         .collect();
@@ -796,15 +796,17 @@ mod tests {
         let write_t3 = uni.perm("write", "t3");
         let target = uni.priv_perm(write_t3);
         let alphabet = prepared(&mut uni, &policy);
+        let toggles = crate::safety::prepare_toggles(&mut uni, &policy, SafetyConfig::default());
         let sliced = crate::lint::slice_alphabet(
             &uni,
             &policy,
-            &alphabet,
+            &toggles,
             Entity::User(bob),
             target,
             AuthMode::Explicit,
         )
         .alphabet;
+        let sliced = crate::safety::ground(&uni, &policy, &sliced);
         assert!(sliced.len() < alphabet.len());
         let full = prepare(&uni, &policy, &alphabet);
         let lean = prepare(&uni, &policy, &sliced);

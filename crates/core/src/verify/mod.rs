@@ -33,11 +33,11 @@ pub mod saturation;
 pub mod specs;
 
 use crate::admission::{is_grow_only, revoke_assigned};
-use crate::command::{Command, CommandQueue};
+use crate::command::CommandQueue;
 use crate::ids::{Entity, Perm, PrivId};
 use crate::policy::Policy;
 use crate::reach::ReachIndex;
-use crate::safety::{ReachabilityAnswer, SafetyConfig, Truncation};
+use crate::safety::{goal_alphabet, ground, ReachabilityAnswer, SafetyConfig, Toggle, Truncation};
 use crate::search::{PolicySearch, SearchGoal};
 use crate::transition::AuthMode;
 use crate::universe::Universe;
@@ -53,12 +53,17 @@ use crate::universe::Universe;
 /// assigns a revoke term to a role, no revocation is ever authorized in
 /// any reachable policy, and the system can only grow. The check is
 /// sound in every [`AuthMode`]; nested `♦` terms are covered because
-/// the alphabet expands nested privileges into their own edges.
-pub fn is_monotone(universe: &Universe, root: &Policy, alphabet: &[(Command, PrivId)]) -> bool {
+/// the alphabet expands nested privileges into their own edges. The
+/// alphabet may be the quotient or its grounding.
+pub fn is_monotone(
+    universe: &Universe,
+    root: &Policy,
+    alphabet: &[impl Copy + Into<Toggle>],
+) -> bool {
     is_grow_only(universe, root)
         && !alphabet
             .iter()
-            .any(|&(cmd, _)| revoke_assigned(universe, cmd.edge).is_some())
+            .any(|&entry| revoke_assigned(universe, entry.into().edge).is_some())
 }
 
 /// Which engine produced a [`VerifyReport`]'s answer.
@@ -121,101 +126,47 @@ pub fn verify_perm_reachable(
 ) -> VerifyReport {
     let target = universe.priv_perm(perm);
     let root_index = ReachIndex::build(universe, policy);
-    if root_index.reach_priv(entity, target) {
-        return VerifyReport {
-            answer: ReachabilityAnswer::Reachable {
-                witness: CommandQueue::new(),
-            },
-            engine: EngineUsed::Immediate,
-            monotone: false,
-            derivation: Vec::new(),
-            bmc: None,
-        };
-    }
-    let mut alphabet = crate::safety::prepare_alphabet(universe, policy, config);
-    if config.slice {
-        // Slicing before the monotonicity check is deliberate: sliced
-        // alphabets contain no revoke commands, so instances that were
-        // non-monotone only through revoke rules take the saturation
-        // fast path below.
-        alphabet = crate::lint::slice_alphabet(
-            universe,
-            policy,
-            &alphabet,
-            entity,
-            target,
-            config.auth_mode,
-        )
-        .alphabet;
-    }
-    if is_monotone(universe, policy, &alphabet) {
-        let outcome = saturation::saturate(
-            universe,
-            policy,
-            &alphabet,
-            config.auth_mode,
-            entity,
-            target,
-        );
-        return VerifyReport {
-            answer: outcome.answer,
-            engine: EngineUsed::Saturation,
-            monotone: true,
-            derivation: outcome.derivation,
-            bmc: None,
-        };
-    }
-    let answer = {
-        let space = PolicySearch::new(
-            universe,
-            policy,
-            &alphabet,
-            config.auth_mode,
-            SearchGoal::Priv { entity, target },
-            root_index,
-        );
-        crate::safety::run_engine(&space, config)
-    };
-    let ReachabilityAnswer::Unknown { truncation } = answer else {
-        return VerifyReport {
-            answer,
-            engine: EngineUsed::Bfs,
-            monotone: false,
-            derivation: Vec::new(),
-            bmc: None,
-        };
-    };
-    if config.auth_mode != AuthMode::Explicit {
-        // The CNF grounding encodes explicit authorization only.
-        return VerifyReport {
-            answer: ReachabilityAnswer::Unknown { truncation },
-            engine: EngineUsed::Bfs,
-            monotone: false,
-            derivation: Vec::new(),
-            bmc: None,
-        };
-    }
-    let report = bmc::check(
-        universe,
-        policy,
-        &alphabet,
-        entity,
-        target,
-        bmc::BmcConfig::default(),
-    );
-    let answer = match &report.outcome {
-        bmc::BmcOutcome::Reachable { witness } => ReachabilityAnswer::Reachable {
-            witness: witness.clone(),
-        },
-        bmc::BmcOutcome::Unreachable => ReachabilityAnswer::Unreachable,
-        bmc::BmcOutcome::Inconclusive(_) => ReachabilityAnswer::Unknown { truncation },
-    };
-    VerifyReport {
+    let report = |answer, engine| VerifyReport {
         answer,
-        engine: EngineUsed::Bmc,
+        engine,
         monotone: false,
         derivation: Vec::new(),
-        bmc: Some(report),
+        bmc: None,
+    };
+    if root_index.reach_priv(entity, target) {
+        let witness = CommandQueue::new();
+        return report(
+            ReachabilityAnswer::Reachable { witness },
+            EngineUsed::Immediate,
+        );
+    }
+    // Slicing before the monotonicity check is deliberate: sliced
+    // alphabets contain no revoke commands, so instances that were
+    // non-monotone only through revoke rules take the saturation fast
+    // path below.
+    let alphabet = goal_alphabet(universe, policy, config, entity, target);
+    let mode = config.auth_mode;
+    if is_monotone(universe, policy, &alphabet) {
+        let outcome = saturation::saturate(universe, policy, &alphabet, mode, entity, target);
+        return VerifyReport {
+            monotone: true,
+            derivation: outcome.derivation,
+            ..report(outcome.answer, EngineUsed::Saturation)
+        };
+    }
+    let goal = SearchGoal::Priv { entity, target };
+    let space = PolicySearch::new(universe, policy, &alphabet, mode, goal, root_index);
+    match crate::safety::run_engine(&space, config) {
+        // The CNF grounding encodes explicit authorization only.
+        ReachabilityAnswer::Unknown { truncation } if mode == AuthMode::Explicit => {
+            let (answer, bmc) =
+                model_check(universe, policy, &alphabet, entity, target, truncation);
+            VerifyReport {
+                bmc: Some(bmc),
+                ..report(answer, EngineUsed::Bmc)
+            }
+        }
+        answer => report(answer, EngineUsed::Bfs),
     }
 }
 
@@ -226,7 +177,7 @@ pub fn verify_perm_reachable(
 pub(crate) fn escalate(
     universe: &Universe,
     root: &Policy,
-    alphabet: &[(Command, PrivId)],
+    alphabet: &[Toggle],
     config: SafetyConfig,
     entity: Entity,
     target: PrivId,
@@ -237,21 +188,36 @@ pub(crate) fn escalate(
             .answer;
     }
     if config.auth_mode == AuthMode::Explicit {
-        let report = bmc::check(
-            universe,
-            root,
-            alphabet,
-            entity,
-            target,
-            bmc::BmcConfig::default(),
-        );
-        match report.outcome {
-            bmc::BmcOutcome::Reachable { witness } => {
-                return ReachabilityAnswer::Reachable { witness };
-            }
-            bmc::BmcOutcome::Unreachable => return ReachabilityAnswer::Unreachable,
-            bmc::BmcOutcome::Inconclusive(_) => {}
-        }
+        return model_check(universe, root, alphabet, entity, target, truncation).0;
     }
     ReachabilityAnswer::Unknown { truncation }
+}
+
+/// The bounded model checker on the grounding of `alphabet`; an
+/// inconclusive check answers `Unknown { truncation }`.
+fn model_check(
+    universe: &Universe,
+    root: &Policy,
+    alphabet: &[Toggle],
+    entity: Entity,
+    target: PrivId,
+    truncation: Truncation,
+) -> (ReachabilityAnswer, bmc::BmcReport) {
+    let grounded = ground(universe, root, alphabet);
+    let report = bmc::check(
+        universe,
+        root,
+        &grounded,
+        entity,
+        target,
+        Default::default(),
+    );
+    let answer = match &report.outcome {
+        bmc::BmcOutcome::Reachable { witness } => ReachabilityAnswer::Reachable {
+            witness: witness.clone(),
+        },
+        bmc::BmcOutcome::Unreachable => ReachabilityAnswer::Unreachable,
+        bmc::BmcOutcome::Inconclusive(_) => ReachabilityAnswer::Unknown { truncation },
+    };
+    (answer, report)
 }

@@ -22,11 +22,10 @@
 
 use crate::command::{Command, CommandKind, CommandQueue};
 use crate::ids::{Entity, PrivId};
-use crate::ordering::PrivilegeOrder;
 use crate::policy::Policy;
 use crate::reach::ReachIndex;
-use crate::safety::ReachabilityAnswer;
-use crate::transition::{authorize_with_order, AuthMode};
+use crate::safety::{ReachabilityAnswer, Toggle};
+use crate::transition::{AnyUser, AuthMode};
 use crate::universe::Universe;
 
 /// One grant applied during saturation, with its justification.
@@ -59,15 +58,21 @@ pub struct SaturationOutcome {
 ///
 /// Precondition: the instance is monotone (the caller checked
 /// [`crate::verify::is_monotone`]); revoke commands in the alphabet are
-/// ignored — on a monotone instance none is ever authorized.
+/// ignored — on a monotone instance none is ever authorized. The
+/// alphabet may be the quotient or its grounding; each grant is applied
+/// once, issued by the least authorized user.
 pub fn saturate(
     universe: &Universe,
     root: &Policy,
-    alphabet: &[(Command, PrivId)],
+    alphabet: &[impl Copy + Into<Toggle>],
     auth_mode: AuthMode,
     entity: Entity,
     target: PrivId,
 ) -> SaturationOutcome {
+    let mut grants: Vec<Toggle> = alphabet.iter().map(|&entry| entry.into()).collect();
+    grants.retain(|t| t.kind == CommandKind::Grant);
+    grants.sort_unstable();
+    grants.dedup();
     let mut policy = root.clone();
     let mut derivation: Vec<DerivationStep> = Vec::new();
     let mut rounds = 0usize;
@@ -85,7 +90,7 @@ pub fn saturate(
         // index (and order) are for the round-start policy; authorization
         // is monotone in edges, so anything collected here stays
         // authorized while the round's earlier grants are applied.
-        let additions = authorized_absent_grants(universe, &policy, &idx, alphabet, auth_mode);
+        let additions = authorized_absent_grants(universe, &policy, &idx, &grants, auth_mode);
         if additions.is_empty() {
             // Fixpoint: no reachable policy extends this one, and the
             // goal fails here, so it fails everywhere. Definitive.
@@ -96,10 +101,7 @@ pub fn saturate(
             };
         }
         for step in additions {
-            if !policy.add_edge(step.command.edge) {
-                // Same edge collected under a second actor this round.
-                continue;
-            }
+            policy.add_edge(step.command.edge);
             derivation.push(step);
             // Split-lemma goal probe against the round-start index: when
             // it fires, the goal holds in the policy just produced, so
@@ -131,34 +133,21 @@ fn authorized_absent_grants(
     universe: &Universe,
     policy: &Policy,
     idx: &ReachIndex,
-    alphabet: &[(Command, PrivId)],
+    grants: &[Toggle],
     auth_mode: AuthMode,
 ) -> Vec<DerivationStep> {
-    let order = match auth_mode {
-        AuthMode::Explicit => None,
-        AuthMode::Ordered(mode) => Some(PrivilegeOrder::with_index(universe, policy, idx, mode)),
-    };
-    let mut additions = Vec::new();
-    for &(cmd, required) in alphabet {
-        if cmd.kind != CommandKind::Grant || policy.contains_edge(cmd.edge) {
-            continue;
-        }
-        let held = match &order {
-            Some(order) => match authorize_with_order(order, cmd.actor, required) {
-                Some(auth) => auth.held,
-                None => continue,
-            },
-            None => {
-                if idx.reach_priv(Entity::User(cmd.actor), required) {
-                    required
-                } else {
-                    continue;
-                }
-            }
-        };
-        additions.push(DerivationStep { command: cmd, held });
-    }
-    additions
+    let authority = AnyUser::new(universe, policy, idx, auth_mode);
+    grants
+        .iter()
+        .filter(|t| !policy.contains_edge(t.edge))
+        .filter_map(|t| {
+            let (actor, held) = authority.least(t.required)?;
+            Some(DerivationStep {
+                command: t.command(actor),
+                held,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]

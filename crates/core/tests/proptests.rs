@@ -88,7 +88,13 @@ fn build(spec: &PolicySpec) -> (Universe, Policy, Vec<UserId>, Vec<RoleId>) {
     let mut uni = Universe::new();
     let users: Vec<UserId> = (0..USERS).map(|i| uni.user(&format!("u{i}"))).collect();
     let roles: Vec<RoleId> = (0..ROLES).map(|i| uni.role(&format!("r{i}"))).collect();
-    let mut policy = Policy::new(&uni);
+    let policy = policy_in(&mut uni, &users, &roles, spec);
+    (uni, policy, users, roles)
+}
+
+/// The policy `spec` describes, over an existing vocabulary.
+fn policy_in(uni: &mut Universe, users: &[UserId], roles: &[RoleId], spec: &PolicySpec) -> Policy {
+    let mut policy = Policy::new(uni);
     for &(u, r) in &spec.ua {
         policy.add_edge(Edge::UserRole(users[u as usize], roles[r as usize]));
     }
@@ -96,10 +102,10 @@ fn build(spec: &PolicySpec) -> (Universe, Policy, Vec<UserId>, Vec<RoleId>) {
         policy.add_edge(Edge::RoleRole(roles[a as usize], roles[b as usize]));
     }
     for (r, ps) in &spec.pa {
-        let p = build_priv(&mut uni, &users, &roles, ps);
+        let p = build_priv(uni, users, roles, ps);
         policy.add_edge(Edge::RolePriv(roles[*r as usize], p));
     }
-    (uni, policy, users, roles)
+    policy
 }
 
 /// All policy-relevant terms: assigned vertices plus a few fresh ones.
@@ -480,6 +486,132 @@ proptest! {
                     &mut uni, &policy, w, entity, target, config.auth_mode,
                 ));
             }
+        }
+    }
+}
+
+/// Definition 6 by brute force: every `(v, p) ∈ (U ∪ R) × P`, users then
+/// roles and permissions in order, with `v →ψ p ∧ ¬ v →φ p` decided by
+/// graph search.
+fn naive_violations(uni: &Universe, phi: &Policy, psi: &Policy) -> Vec<RefinementViolation> {
+    let mut perms: Vec<(Perm, PrivId)> = uni
+        .priv_ids()
+        .filter_map(|p| match uni.term(p) {
+            PrivTerm::Perm(q) => Some((q, p)),
+            _ => None,
+        })
+        .collect();
+    perms.sort_unstable();
+    let entities = uni
+        .users()
+        .map(Entity::User)
+        .chain(uni.roles().map(Entity::Role));
+    let mut out = Vec::new();
+    for entity in entities {
+        for &(perm, p) in &perms {
+            let to = Node::Priv(p);
+            if reaches(psi, entity.into(), to) && !reaches(phi, entity.into(), to) {
+                out.push(RefinementViolation { entity, perm });
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The Definition-6 check scans only the entities that reach an edge
+    /// of `ψ ∖ φ`; it must still report exactly the brute-force
+    /// violations, in order, in both directions. Pairs are unrelated
+    /// (shape 0) or differ by one edge added (1), removed (2) or moved
+    /// (3).
+    #[test]
+    fn nonadmin_refinement_matches_naive_enumeration(
+        spec in policy_spec(),
+        other in policy_spec(),
+        shape in 0u8..4,
+        pick in 0usize..64,
+    ) {
+        let (mut uni, phi, users, roles) = build(&spec);
+        let other = policy_in(&mut uni, &users, &roles, &other);
+        let mut psi = phi.clone();
+        if shape == 0 {
+            psi = other;
+        } else {
+            let edges: Vec<Edge> = phi.edges().collect();
+            if shape >= 2 && !edges.is_empty() {
+                psi.remove_edge(edges[pick % edges.len()]);
+            }
+            if shape != 2 {
+                let fresh: Vec<Edge> = other.edges().filter(|&e| !phi.contains_edge(e)).collect();
+                if !fresh.is_empty() {
+                    psi.add_edge(fresh[pick % fresh.len()]);
+                }
+            }
+        }
+        for (a, b) in [(&phi, &psi), (&psi, &phi)] {
+            let expected = naive_violations(&uni, a, b);
+            prop_assert_eq!(&refinement_violations(&uni, a, b), &expected);
+            prop_assert_eq!(refines(&uni, a, b), expected.is_empty());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The search's alphabet is quotiented by actor: users who hold
+    /// nothing add no entries (idle ones none at all, assigned ones only
+    /// the toggles of their own assignment edges), and change neither
+    /// the answer nor the witness.
+    #[test]
+    fn extra_users_leave_the_quotient_and_the_answer_alone(
+        spec in policy_spec(),
+        ui in 0u8..USERS as u8,
+        pi in 0u8..3,
+        idle in 0usize..3,
+        assigned in 0usize..3,
+    ) {
+        let config = SafetyConfig {
+            max_steps: 2,
+            max_states: 300,
+            escalate: false,
+            slice: false,
+            ..SafetyConfig::default()
+        };
+        let ask = |uni: &mut Universe, policy: &Policy, entity: Entity| {
+            let perm = uni.perm(["read", "write", "prnt"][pi as usize], "obj");
+            let toggles = adminref_core::safety::prepare_toggles(uni, policy, config);
+            let toggles: Vec<(Edge, CommandKind)> = toggles.iter().map(|t| (t.edge, t.kind)).collect();
+            (toggles, perm_reachable(uni, policy, entity, perm, config))
+        };
+        let (mut uni, policy, users, _) = build(&spec);
+        let entity = Entity::User(users[ui as usize]);
+        let (before, answer) = ask(&mut uni, &policy, entity);
+
+        let (mut uni, mut policy, _, _) = build(&spec);
+        for i in 0..idle {
+            uni.user(&format!("idle{i}"));
+        }
+        let empty = uni.role("empty");
+        let mut added = Vec::new();
+        for i in 0..assigned {
+            let edge = Edge::UserRole(uni.user(&format!("extra{i}")), empty);
+            policy.add_edge(edge);
+            added.push(edge);
+        }
+        let (after, crowded) = ask(&mut uni, &policy, entity);
+        prop_assert_eq!(after.len(), before.len() + 2 * assigned);
+        let kept: Vec<(Edge, CommandKind)> =
+            after.into_iter().filter(|(e, _)| !added.contains(e)).collect();
+        prop_assert_eq!(kept, before);
+        prop_assert_eq!(answer_tag(&answer), answer_tag(&crowded));
+        if let (
+            ReachabilityAnswer::Reachable { witness: a },
+            ReachabilityAnswer::Reachable { witness: b },
+        ) = (&answer, &crowded) {
+            prop_assert_eq!(a.commands(), b.commands());
         }
     }
 }

@@ -1067,7 +1067,7 @@ mod tests {
     #[test]
     fn cone_slicing_prunes_to_one_department_with_the_same_answer() {
         use adminref_core::lint::slice_alphabet;
-        use adminref_core::safety::prepare_alphabet;
+        use adminref_core::safety::prepare_toggles;
         let mut w = cone(ConeSpec::default());
         let worker = w.workers[0];
         let config = SafetyConfig {
@@ -1076,7 +1076,7 @@ mod tests {
             ..SafetyConfig::default()
         };
         let target = w.universe.priv_perm(w.goal_perm);
-        let alphabet = prepare_alphabet(&mut w.universe, &w.policy, config);
+        let alphabet = prepare_toggles(&mut w.universe, &w.policy, config);
         let outcome = slice_alphabet(
             &w.universe,
             &w.policy,
