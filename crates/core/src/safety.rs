@@ -319,6 +319,8 @@ pub fn prepare_toggles(
             let weaker = enumerate_weaker(universe, policy, p, config).privileges;
             edges.extend(weaker.into_iter().filter_map(|q| universe.term(q).edge()));
         }
+        edges.sort_unstable();
+        edges.dedup();
     }
     let kinds = [CommandKind::Grant, CommandKind::Revoke];
     let mut toggles: Vec<(Edge, CommandKind)> = edges

@@ -45,10 +45,13 @@ pub struct EdgeTable {
 
 impl EdgeTable {
     /// Builds the table from the root policy and the alphabet's edges.
+    /// A policy lists its edges in order and the quotient emits its
+    /// toggles in edge order, so the stable sort merges sorted runs in
+    /// linear time rather than sorting again.
     pub fn build(root: &Policy, alphabet: impl IntoIterator<Item = Edge>) -> Self {
         let mut edges: Vec<Edge> = root.edges().collect();
         edges.extend(alphabet);
-        edges.sort_unstable();
+        edges.sort();
         edges.dedup();
         EdgeTable { edges }
     }
@@ -71,6 +74,24 @@ impl EdgeTable {
     /// The edge behind a bit.
     pub fn edge(&self, bit: u32) -> Edge {
         self.edges[bit as usize]
+    }
+
+    /// The bits of `edges`, each of which must be in the table. An edge
+    /// at or just past its predecessor's bit is found without a search,
+    /// so edges in table order cost a comparison or two each.
+    fn bits_of<'t>(
+        &'t self,
+        edges: impl IntoIterator<Item = Edge> + 't,
+    ) -> impl Iterator<Item = u32> + 't {
+        let mut last = 0;
+        edges.into_iter().map(move |edge| {
+            last = match self.edges.get(last..last + 2) {
+                Some([at, _]) if *at == edge => last,
+                Some([_, next]) if *next == edge => last + 1,
+                _ => self.bit(edge).expect("edge in table") as usize,
+            };
+            last as u32
+        })
     }
 }
 
@@ -122,13 +143,10 @@ impl<'a> PolicySearch<'a> {
     ) -> Self {
         root.check_universe(universe);
         let table = EdgeTable::build(root, alphabet.iter().map(|t| t.edge));
-        let alphabet = alphabet
-            .iter()
-            .map(|&t| (t, table.bit(t.edge).expect("alphabet edge in table")))
-            .collect();
+        let bits = table.bits_of(alphabet.iter().map(|t| t.edge));
+        let alphabet = alphabet.iter().copied().zip(bits).collect();
         let mut root_words = vec![0u64; words_for(table.len())];
-        for edge in root.edges() {
-            let bit = table.bit(edge).expect("root edge in table");
+        for bit in table.bits_of(root.edges()) {
             set_bit(&mut root_words, bit as usize);
         }
         PolicySearch {

@@ -124,13 +124,14 @@ pub fn command_alphabet(universe: &Universe, policies: &[&Policy]) -> Vec<Comman
 }
 
 /// The edges and the actors of [`command_alphabet`]: every edge of the
-/// policies or nested in one of their privilege terms, and every user
-/// assigned in a policy or named by one of those edges.
+/// policies or nested in one of their privilege terms, sorted and
+/// deduplicated, and every user assigned in a policy or named by one of
+/// those edges.
 pub(crate) fn alphabet_parts(
     universe: &Universe,
     policies: &[&Policy],
-) -> (BTreeSet<Edge>, BTreeSet<UserId>) {
-    let mut edges: BTreeSet<Edge> = BTreeSet::new();
+) -> (Vec<Edge>, BTreeSet<UserId>) {
+    let mut edges: Vec<Edge> = Vec::new();
     let mut actors: BTreeSet<UserId> = BTreeSet::new();
     for policy in policies {
         edges.extend(policy.edges());
@@ -139,6 +140,8 @@ pub(crate) fn alphabet_parts(
         }
         actors.extend(policy.users_mentioned());
     }
+    edges.sort_unstable();
+    edges.dedup();
     for edge in &edges {
         if let Edge::UserRole(u, _) = edge {
             actors.insert(*u);

@@ -4,15 +4,36 @@
 //!
 //! Every policy reachable from the root is a subset of the finite edge
 //! universe `E` (root edges ∪ alphabet edges), so a run of length `k`
-//! grounds to propositional variables `x[e][t]` ("edge `e` present at
-//! time `t`") plus one selector per (command ∪ skip, step). Explicit
-//! authorization — "the actor reaches the command's exact privilege
-//! vertex" — is unrolled as levelled role-reachability and Tseitin-encoded.
-//! The vendored DPLL ([`minisat`]) then answers:
+//! grounds to variables `x[t][e]` ("edge `e` present at time `t`") for
+//! the *mutable* edges (those a kept command toggles; the others are
+//! constants) plus, per step, one selector per **toggle** and one for
+//! the skip. A toggle is the actor quotient of the grounded commands
+//! sharing `(edge, kind, required term)`: it is authorized iff `∃r:
+//! reach[r] ∧ RolePriv(r, required)` on one reach row per (actor set,
+//! `t`) seeded by all its actors' `UserRole` edges, exact since `∃a∃r ≡
+//! ∃r∃a`. A step costs O(toggles + mutable edges + authorization terms)
+//! clauses:
+//!
+//! * **exactly one selector** — an at-least-one clause and Sinz's
+//!   sequential counter (CP 2005): `3n − 4` clauses and `n − 1`
+//!   auxiliaries, not `n²/2` pairwise clauses;
+//! * **explanatory frame axioms** (Kautz & Selman, AAAI 1996) — per
+//!   mutable edge, `x[t+1][e] ∧ ¬x[t][e] → ⋁ grant selectors on e` and
+//!   the dual for revokes. With one selector firing, an edge no fired
+//!   toggle names cannot change, as the per-selector frames `sel →
+//!   (x[t+1][e] ⇔ x[t][e])` said: both accept the same runs, with skips
+//!   (goal query) and without (diameter query);
+//! * **reach rows** unrolled to `min(roles, distinct targets of live
+//!   RoleRole edges)` levels, the most a simple inheritance path crosses.
+//!
+//! State variables are created before selectors and auxiliaries: the
+//! vendored DPLL ([`minisat`]) branches on the lowest index first. It
+//! then answers:
 //!
 //! * **SAT on the goal query at bound `k`** — a witness queue exists;
-//!   it is decoded from the model and *validated by replay* before
-//!   being reported.
+//!   it is decoded from the model and *validated by replay*, each step
+//!   named by the least actor of its toggle authorized in the replayed
+//!   pre-state (the convention of [`crate::safety::perm_reachable`]).
 //! * **UNSAT on the goal query** — the goal is unreachable within `k`
 //!   steps (skips make this cover every shorter bound too). That alone
 //!   is bounded; the **diameter query** asks whether any simple path of
@@ -26,14 +47,15 @@
 //! models explicit authorization only; ordered-mode instances stay with
 //! the bounded search.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use minisat::{Lit, SolveOutcome, Solver};
 
 use crate::command::{Command, CommandKind, CommandQueue};
-use crate::ids::{Entity, Node, PrivId};
+use crate::ids::{Entity, Node, PrivId, UserId};
 use crate::policy::Policy;
 use crate::reach::{reaches, ReachIndex};
+use crate::safety::Toggle;
 use crate::search::policy_space::EdgeTable;
 use crate::universe::{Edge, Universe};
 
@@ -105,17 +127,17 @@ pub struct BmcReport {
     pub clauses: usize,
 }
 
-/// One alphabet command the encoding keeps: its edge bit and the
-/// `RolePriv` assignment bits that can authorize it.
-struct GroundCommand {
-    cmd: Command,
-    /// Required privilege (explicit mode: the exact term), pre-interned.
-    required: PrivId,
-    /// Bit of the command's edge in the table.
+/// One toggle the encoding keeps: its edge bit, the actors that may
+/// issue it, and the `RolePriv` assignment bits that can authorize it.
+struct GroundToggle {
+    toggle: Toggle,
+    /// Bit of the toggle's edge in the table.
     edge_bit: usize,
+    /// Index into [`Ground::actor_sets`].
+    actors: usize,
     /// `(role, bit of RolePriv(role, required))` pairs in the universe:
-    /// the command is authorized iff the actor reaches one such `role`
-    /// while its assignment edge is present.
+    /// the toggle is authorized iff one of its actors reaches one such
+    /// `role` while its assignment edge is present.
     auth: Vec<(usize, usize)>,
 }
 
@@ -123,19 +145,25 @@ struct GroundCommand {
 struct Ground {
     table: EdgeTable,
     root_bits: Vec<bool>,
-    commands: Vec<GroundCommand>,
+    /// Sorted by `(edge, kind, required)`: toggles on one edge are adjacent.
+    toggles: Vec<GroundToggle>,
+    /// Distinct actor sets of the toggles, each ascending.
+    actor_sets: Vec<Vec<UserId>>,
     /// Per table bit: is the edge toggled by some kept command? Frozen
-    /// (immutable) bits keep their root value at every time step and
-    /// ground to constant literals — no per-step variables, no frame
-    /// axioms, no contribution to the pairwise-distinct constraints.
-    /// Alphabet slicing ([`crate::lint::slice_alphabet`]) makes this
-    /// partition bite: sliced-away commands freeze their edges.
+    /// bits keep their root value at every step as constant literals:
+    /// no variables, frames or pairwise-distinct terms. Slicing
+    /// ([`crate::lint::slice_alphabet`]) freezes the edges it drops.
     mutable_bits: Vec<bool>,
-    /// Role-to-role edges as `(from, to, bit)`.
-    rh: Vec<(usize, usize, usize)>,
-    /// `UserRole` bits keyed by `(user raw id, role index)`.
-    ua: HashMap<(u32, usize), usize>,
+    /// Live (present or mutable) role-to-role edges grouped by target:
+    /// `(to, [(from, bit)])`.
+    rh: Vec<(usize, Vec<(usize, usize)>)>,
+    /// `UserRole` `(role, bit)`s keyed by user raw id.
+    ua: HashMap<u32, Vec<(usize, usize)>>,
     role_count: usize,
+    /// Levels the reach rows unroll to.
+    levels: usize,
+    /// Estimated variables of one step (see [`estimate_variables`]).
+    step_variables: u64,
 }
 
 /// Decides `entity →φ target` under **explicit** authorization by
@@ -151,7 +179,7 @@ pub fn check(
     config: BmcConfig,
 ) -> BmcReport {
     let ground = prepare(universe, root, alphabet);
-    if ground.commands.is_empty() {
+    if ground.toggles.is_empty() {
         // No command is ever authorizable: the reachable space is just
         // the root, which fails the goal.
         return BmcReport {
@@ -184,7 +212,7 @@ pub fn check(
         match goal_instance.solver.solve_within(config.max_decisions) {
             SolveOutcome::Sat => {
                 let witness = goal_instance.decode_witness();
-                let outcome = match validate(universe, root, &ground, witness, entity, target) {
+                let outcome = match validate(universe, root, witness, entity, target) {
                     Some(queue) => BmcOutcome::Reachable { witness: queue },
                     // A model that fails replay would be an encoding bug;
                     // refuse to report it rather than hand out a bogus
@@ -249,83 +277,107 @@ fn prepare(universe: &Universe, root: &Policy, alphabet: &[(Command, PrivId)]) -
         .collect();
     let role_count = universe.role_count();
     let mut rh = Vec::new();
-    let mut ua = HashMap::new();
+    let mut ua: HashMap<u32, Vec<(usize, usize)>> = HashMap::new();
     let mut assignments: HashMap<PrivId, Vec<(usize, usize)>> = HashMap::new();
     for b in 0..table.len() {
         match table.edge(b as u32) {
-            Edge::RoleRole(r, s) => rh.push((r.0 as usize, s.0 as usize, b)),
-            Edge::UserRole(u, r) => {
-                ua.insert((u.0, r.0 as usize), b);
-            }
+            Edge::RoleRole(r, s) => rh.push((s.0 as usize, r.0 as usize, b)),
+            Edge::UserRole(u, r) => ua.entry(u.0).or_default().push((r.0 as usize, b)),
             Edge::RolePriv(r, p) => assignments.entry(p).or_default().push((r.0 as usize, b)),
         }
     }
     // Keep only commands that can ever be authorized: their exact
     // required vertex must be assignable somewhere in the universe, and
     // the actor needs at least one user→role edge to stand on.
-    let commands = alphabet
-        .iter()
-        .filter_map(|&(cmd, required)| {
-            let auth = assignments.get(&required)?.clone();
-            let grounded_actor = (0..role_count).any(|r| ua.contains_key(&(cmd.actor.0, r)));
-            if !grounded_actor {
-                return None;
-            }
-            let edge_bit = table.bit(cmd.edge).expect("alphabet edge in table") as usize;
-            Some(GroundCommand {
-                cmd,
-                required,
-                edge_bit,
-                auth,
-            })
-        })
-        .collect::<Vec<GroundCommand>>();
-    let mut mutable_bits = vec![false; table.len()];
-    for gc in &commands {
-        mutable_bits[gc.edge_bit] = true;
+    let mut quotient: BTreeMap<Toggle, Vec<UserId>> = BTreeMap::new();
+    for &(cmd, required) in alphabet {
+        if assignments.contains_key(&required) && ua.contains_key(&cmd.actor.0) {
+            quotient
+                .entry((cmd, required).into())
+                .or_default()
+                .push(cmd.actor);
+        }
     }
+    let mut actor_sets: Vec<Vec<UserId>> = Vec::new();
+    let mut mutable_bits = vec![false; table.len()];
+    let toggles: Vec<GroundToggle> = quotient
+        .into_iter()
+        .map(|(toggle, mut actors)| {
+            actors.sort_unstable();
+            actors.dedup();
+            let set = actor_sets.iter().position(|s| *s == actors);
+            let edge_bit = table.bit(toggle.edge).expect("alphabet edge in table") as usize;
+            mutable_bits[edge_bit] = true;
+            GroundToggle {
+                toggle,
+                edge_bit,
+                actors: set.unwrap_or_else(|| {
+                    actor_sets.push(actors);
+                    actor_sets.len() - 1
+                }),
+                auth: assignments[&toggle.required].clone(),
+            }
+        })
+        .collect();
+    // Edges absent at the root that nothing toggles never exist.
+    rh.retain(|&(_, _, b)| root_bits[b] || mutable_bits[b]);
+    rh.sort_unstable();
+    let mut grouped: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
+    for (to, from, b) in rh {
+        match grouped.last_mut() {
+            Some((last, froms)) if *last == to => froms.push((from, b)),
+            _ => grouped.push((to, vec![(from, b)])),
+        }
+    }
+    let levels = grouped.len().min(role_count);
+    let live_rh = grouped.iter().map(|(_, f)| f.len()).sum::<usize>();
+    // Per step: selectors and counter auxiliaries, one reach row per
+    // actor set (plus the goal's), one gate per authorization term.
+    let row = (levels * (role_count + live_rh) + role_count) as u64;
+    let auth_terms: usize = toggles.iter().map(|g| g.auth.len()).sum();
+    let step_variables =
+        2 * toggles.len() as u64 + 1 + (actor_sets.len() as u64 + 1) * row + auth_terms as u64;
     Ground {
         table,
         root_bits,
-        commands,
+        toggles,
+        actor_sets,
         mutable_bits,
-        rh,
+        rh: grouped,
         ua,
         role_count,
+        levels,
+        step_variables,
     }
 }
 
-/// Rough variable count for an instance at `steps` transitions — used
-/// only to refuse oversized groundings before building them.
+/// Rough variable count for an instance at `k` — used only to refuse
+/// oversized groundings before building them.
 fn estimate_variables(ground: &Ground, k: usize) -> u64 {
     let steps = (k + 1) as u64; // diameter query is the larger of the two
-                                // Only mutable edges get per-step variables; frozen edges are
-                                // constants (see [`Instance::new`]).
     let e = ground.mutable_bits.iter().filter(|&&m| m).count() as u64;
-    let c = ground.commands.len() as u64;
-    let r = ground.role_count as u64;
-    let rh = ground.rh.len() as u64;
-    let actors: std::collections::HashSet<u32> =
-        ground.commands.iter().map(|g| g.cmd.actor.0).collect();
-    let sources = actors.len() as u64 + 1;
-    let auth_pairs: u64 = ground.commands.iter().map(|g| g.auth.len() as u64).sum();
-    let states = (steps + 1) * e;
-    let selectors = steps * (c + 1);
-    let reach_rows = sources * steps * r * (r + rh + 1);
-    let auth_aux = steps * (auth_pairs + c);
     let distinct_aux = e * (steps + 1) * steps / 2;
-    states + selectors + reach_rows + auth_aux + distinct_aux
+    (steps + 1) * e + steps * ground.step_variables + distinct_aux
 }
 
 /// How steps are encoded.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum StepStyle {
-    /// Each step is one authorized command or a skip (frame axiom) —
-    /// the goal query, where shorter runs pad with skips.
+    /// Each step is one authorized toggle or a skip — the goal query,
+    /// where shorter runs pad with skips.
     WithSkip,
-    /// Each step is an authorized command that must actually change its
+    /// Each step is an authorized toggle that must actually change its
     /// edge; no skips — the diameter query's "real step" requirement.
     ForcedChange,
+}
+
+/// Whose reachability a reach row encodes.
+#[derive(Clone, Copy)]
+enum Source {
+    /// The goal entity.
+    Entity(Entity),
+    /// Any actor of [`Ground::actor_sets`]`[i]`.
+    Actors(usize),
 }
 
 /// One grounded CNF instance at a fixed number of steps.
@@ -334,13 +386,11 @@ struct Instance<'g> {
     solver: Solver,
     /// `x[t][e]`: edge `e` present at time `t`, for `t in 0..=steps`.
     state: Vec<Vec<Lit>>,
-    /// `sel[t][c]`: command `c` fires at step `t` (last slot is the
+    /// `sel[t][i]`: toggle `i` fires at step `t` (last slot is the
     /// skip under [`StepStyle::WithSkip`]).
     selectors: Vec<Vec<Lit>>,
     steps: usize,
     true_lit: Lit,
-    /// Levelled role-reachability rows, per `(source entity, time)`.
-    reach_cache: HashMap<(Entity, usize), Vec<Lit>>,
 }
 
 impl<'g> Instance<'g> {
@@ -383,7 +433,6 @@ impl<'g> Instance<'g> {
             selectors: Vec::new(),
             steps,
             true_lit,
-            reach_cache: HashMap::new(),
         };
         for t in 0..steps {
             instance.encode_step(t, style);
@@ -442,128 +491,117 @@ impl<'g> Instance<'g> {
     }
 
     /// One transition `t → t + 1`: exactly one selector fires; a fired
-    /// command must be authorized at `t` and writes its edge at `t + 1`;
-    /// all other edges are framed.
+    /// toggle must be authorized at `t` and writes its edge at `t + 1`;
+    /// an edge changes only under a fired toggle on it.
     fn encode_step(&mut self, t: usize, style: StepStyle) {
-        let command_count = self.ground.commands.len();
-        let slot_count = match style {
-            StepStyle::WithSkip => command_count + 1,
-            StepStyle::ForcedChange => command_count,
-        };
+        let ground = self.ground;
+        let slot_count = ground.toggles.len() + usize::from(style == StepStyle::WithSkip);
         let sels: Vec<Lit> = (0..slot_count)
             .map(|_| Lit::positive(self.solver.new_var()))
             .collect();
         self.solver.add_clause(&sels);
-        for i in 0..slot_count {
-            for j in (i + 1)..slot_count {
-                self.solver.add_clause(&[!sels[i], !sels[j]]);
+        // Sinz's sequential counter: `s[i]` ⇐ some of `sels[..=i]` fired.
+        let mut fired: Option<Lit> = None;
+        for (i, &sel) in sels.iter().enumerate() {
+            if let Some(prev) = fired {
+                self.solver.add_clause(&[!sel, !prev]);
             }
+            if i + 1 == slot_count {
+                break;
+            }
+            let s = Lit::positive(self.solver.new_var());
+            self.solver.add_clause(&[!sel, s]);
+            if let Some(prev) = fired {
+                self.solver.add_clause(&[!prev, s]);
+            }
+            fired = Some(s);
         }
-        for (ci, gc) in self.ground.commands.iter().enumerate() {
-            let s = sels[ci];
-            let auth = self.authorized_literal(ci, t);
-            self.solver.add_clause(&[!s, auth]);
-            let (next_effect, forced_pre) = match gc.cmd.kind {
-                CommandKind::Grant => (self.state[t + 1][gc.edge_bit], !self.state[t][gc.edge_bit]),
-                CommandKind::Revoke => {
-                    (!self.state[t + 1][gc.edge_bit], self.state[t][gc.edge_bit])
-                }
+        let rows: Vec<Vec<Lit>> = (0..ground.actor_sets.len())
+            .map(|set| self.reach_row(Source::Actors(set), t))
+            .collect();
+        for (gt, &sel) in ground.toggles.iter().zip(&sels) {
+            let mut clause = vec![!sel];
+            for &(role, pa_bit) in &gt.auth {
+                clause.push(self.and2(rows[gt.actors][role], self.state[t][pa_bit]));
+            }
+            if !clause.contains(&self.true_lit) {
+                let f = self.false_lit();
+                clause.retain(|&l| l != f);
+                self.solver.add_clause(&clause);
+            }
+            let (now, next) = (self.state[t][gt.edge_bit], self.state[t + 1][gt.edge_bit]);
+            let (effect, pre) = match gt.toggle.kind {
+                CommandKind::Grant => (next, !now),
+                CommandKind::Revoke => (!next, now),
             };
-            self.solver.add_clause(&[!s, next_effect]);
+            self.solver.add_clause(&[!sel, effect]);
             if style == StepStyle::ForcedChange {
-                self.solver.add_clause(&[!s, forced_pre]);
-            }
-            for e in 0..self.ground.table.len() {
-                if e == gc.edge_bit || !self.ground.mutable_bits[e] {
-                    continue;
-                }
-                self.frame_edge(s, t, e);
+                self.solver.add_clause(&[!sel, pre]);
             }
         }
-        if style == StepStyle::WithSkip {
-            let skip = sels[command_count];
-            for e in 0..self.ground.table.len() {
-                if self.ground.mutable_bits[e] {
-                    self.frame_edge(skip, t, e);
+        // Explanatory frames, one pair per mutable edge (toggles on an
+        // edge are adjacent).
+        let mut start = 0;
+        while start < ground.toggles.len() {
+            let e = ground.toggles[start].edge_bit;
+            let (now, next) = (self.state[t][e], self.state[t + 1][e]);
+            let (mut added, mut removed) = (vec![!next, now], vec![next, !now]);
+            while start < ground.toggles.len() && ground.toggles[start].edge_bit == e {
+                match ground.toggles[start].toggle.kind {
+                    CommandKind::Grant => added.push(sels[start]),
+                    CommandKind::Revoke => removed.push(sels[start]),
                 }
+                start += 1;
             }
+            self.solver.add_clause(&added);
+            self.solver.add_clause(&removed);
         }
         self.selectors.push(sels);
     }
 
-    /// `sel ⟹ x[t+1][e] ⇔ x[t][e]`.
-    fn frame_edge(&mut self, sel: Lit, t: usize, e: usize) {
-        let now = self.state[t][e];
-        let next = self.state[t + 1][e];
-        self.solver.add_clause(&[!sel, !next, now]);
-        self.solver.add_clause(&[!sel, next, !now]);
-    }
-
-    /// Literal for "command `ci` is authorized at time `t`": the actor
-    /// reaches some role holding the command's exact privilege vertex.
-    fn authorized_literal(&mut self, ci: usize, t: usize) -> Lit {
-        let actor = self.ground.commands[ci].cmd.actor;
-        let reach = self.reach_row(Entity::User(actor), t);
-        let auth_pairs = self.ground.commands[ci].auth.clone();
-        let mut terms = Vec::with_capacity(auth_pairs.len());
-        for (role, pa_bit) in auth_pairs {
-            let term = self.and2(reach[role], self.state[t][pa_bit]);
-            terms.push(term);
-        }
-        self.or(&terms)
-    }
-
     /// Levelled role-reachability of `source` at time `t`: one literal
     /// per role, true iff the source reaches that role through the
-    /// edges present at `t`. Unrolled to `role_count` levels — enough
-    /// for any simple inheritance path.
-    fn reach_row(&mut self, source: Entity, t: usize) -> Vec<Lit> {
-        if let Some(row) = self.reach_cache.get(&(source, t)) {
-            return row.clone();
+    /// edges present at `t`.
+    fn reach_row(&mut self, source: Source, t: usize) -> Vec<Lit> {
+        let ground = self.ground;
+        let mut seeds: Vec<Vec<Lit>> = vec![Vec::new(); ground.role_count];
+        match source {
+            Source::Entity(Entity::Role(r)) => seeds[r.0 as usize].push(self.true_lit),
+            Source::Entity(Entity::User(u)) => {
+                for &(r, bit) in ground.ua.get(&u.0).into_iter().flatten() {
+                    seeds[r].push(self.state[t][bit]);
+                }
+            }
+            Source::Actors(set) => {
+                for u in &ground.actor_sets[set] {
+                    for &(r, bit) in &ground.ua[&u.0] {
+                        seeds[r].push(self.state[t][bit]);
+                    }
+                }
+            }
         }
-        let role_count = self.ground.role_count;
-        let f = self.false_lit();
-        let mut current: Vec<Lit> = (0..role_count)
-            .map(|r| match source {
-                Entity::User(u) => self
-                    .ground
-                    .ua
-                    .get(&(u.0, r))
-                    .map(|&bit| self.state[t][bit])
-                    .unwrap_or(f),
-                Entity::Role(r0) => {
-                    if r0.0 as usize == r {
-                        self.true_lit
-                    } else {
-                        f
-                    }
-                }
-            })
-            .collect();
-        let rh = self.ground.rh.clone();
-        for _level in 0..role_count {
+        let mut current: Vec<Lit> = seeds.iter().map(|lits| self.or(lits)).collect();
+        for _level in 0..ground.levels {
             let mut next = current.clone();
-            for r in 0..role_count {
-                let mut terms = vec![current[r]];
-                for &(from, to, bit) in &rh {
-                    if to != r {
-                        continue;
-                    }
-                    let via = self.and2(current[from], self.state[t][bit]);
-                    terms.push(via);
+            for (to, froms) in &ground.rh {
+                let mut terms = vec![current[*to]];
+                for &(from, bit) in froms {
+                    terms.push(self.and2(current[from], self.state[t][bit]));
                 }
-                next[r] = self.or(&terms);
+                next[*to] = self.or(&terms);
+            }
+            if next == current {
+                break;
             }
             current = next;
         }
-        self.reach_cache.insert((source, t), current.clone());
         current
     }
 
     /// Literal for "`entity` reaches the `target` privilege vertex at
     /// time `t`".
     fn goal_literal(&mut self, entity: Entity, target: PrivId, t: usize) -> Lit {
-        let reach = self.reach_row(entity, t);
+        let reach = self.reach_row(Source::Entity(entity), t);
         let mut terms = Vec::new();
         for b in 0..self.ground.table.len() {
             if let Edge::RolePriv(r, p) = self.ground.table.edge(b as u32) {
@@ -603,48 +641,46 @@ impl<'g> Instance<'g> {
         }
     }
 
-    /// Reads the selected command (if any) at each step out of a model.
-    fn decode_witness(&self) -> Vec<(Command, PrivId)> {
-        let mut out = Vec::new();
-        for sels in &self.selectors {
-            for (ci, &sel) in sels.iter().enumerate() {
-                if !self.solver.value(sel.var()) {
-                    continue;
-                }
-                if let Some(gc) = self.ground.commands.get(ci) {
-                    out.push((gc.cmd, gc.required));
-                }
-                break;
-            }
-        }
-        out
+    /// Reads the fired toggle (if any) at each step out of a model, with
+    /// the actors that may issue it.
+    fn decode_witness(&self) -> Vec<(Toggle, &'g [UserId])> {
+        let ground = self.ground;
+        self.selectors
+            .iter()
+            .filter_map(|sels| {
+                let i = sels.iter().position(|sel| self.solver.value(sel.var()))?;
+                let gt = ground.toggles.get(i)?;
+                Some((gt.toggle, ground.actor_sets[gt.actors].as_slice()))
+            })
+            .collect()
     }
 }
 
-/// Replays a decoded model against the real semantics: every command
-/// must be explicitly authorized in its pre-state, and the final policy
-/// must satisfy the goal. Commands that do not change the policy are
-/// elided from the reported witness.
+/// Replays a decoded model against the real semantics: each toggle is
+/// issued by the least of its actors explicitly authorized in its
+/// pre-state (none: no witness), and the final policy must satisfy the
+/// goal. Toggles that do not change the policy are elided from the
+/// reported witness.
 fn validate(
     universe: &Universe,
     root: &Policy,
-    _ground: &Ground,
-    steps: Vec<(Command, PrivId)>,
+    steps: Vec<(Toggle, &[UserId])>,
     entity: Entity,
     target: PrivId,
 ) -> Option<CommandQueue> {
     let mut policy = root.clone();
     let mut queue = CommandQueue::new();
-    for (cmd, required) in steps {
-        if !reaches(&policy, Node::User(cmd.actor), Node::Priv(required)) {
-            return None;
-        }
-        let changed = match cmd.kind {
-            CommandKind::Grant => policy.add_edge(cmd.edge),
-            CommandKind::Revoke => policy.remove_edge(cmd.edge),
+    for (toggle, actors) in steps {
+        let required = Node::Priv(toggle.required);
+        let actor = *actors
+            .iter()
+            .find(|&&a| reaches(&policy, Node::User(a), required))?;
+        let changed = match toggle.kind {
+            CommandKind::Grant => policy.add_edge(toggle.edge),
+            CommandKind::Revoke => policy.remove_edge(toggle.edge),
         };
         if changed {
-            queue.push(cmd);
+            queue.push(toggle.command(actor));
         }
     }
     let idx = ReachIndex::build(universe, &policy);
@@ -655,14 +691,23 @@ fn validate(
 mod tests {
     use super::*;
     use crate::policy::PolicyBuilder;
-    use crate::safety::{prepare_alphabet, SafetyConfig};
+    use crate::safety::{perm_reachable, prepare_alphabet, ReachabilityAnswer, SafetyConfig};
     use crate::transition::{run_pure, AuthMode};
 
     /// jane∈hr holds ¤(bob, staff) and ♦(bob, staff); staff → dbusr2 →
     /// (write, t3). Non-monotone: the revoke rule is assignable.
     fn revocable_fixture() -> (Universe, Policy) {
-        let mut b = PolicyBuilder::new()
-            .assign("jane", "hr")
+        revocable_fixture_with(&[("jane", "hr")])
+    }
+
+    /// [`revocable_fixture`] with `members` (interned in order, before
+    /// bob) in place of jane∈hr.
+    fn revocable_fixture_with(members: &[(&str, &str)]) -> (Universe, Policy) {
+        let mut b = members
+            .iter()
+            .fold(PolicyBuilder::new(), |b, &(user, role)| {
+                b.assign(user, role)
+            })
             .declare_user("bob")
             .inherit("staff", "dbusr2")
             .permit("dbusr2", "write", "t3");
@@ -704,6 +749,33 @@ mod tests {
     }
 
     #[test]
+    fn one_step_fires_one_toggle() {
+        // jane∈hr may put bob into staff and staff under dbusr2: two
+        // grants, which no step may fire together.
+        let (mut uni, mut policy) = revocable_fixture();
+        let (hr, staff, dbusr2) = (uni.role("hr"), uni.role("staff"), uni.role("dbusr2"));
+        policy.remove_edge(Edge::RoleRole(staff, dbusr2));
+        let g = uni.grant_role_role(staff, dbusr2);
+        policy.add_edge(Edge::RolePriv(hr, g));
+        let bob = uni.find_user("bob").unwrap();
+        let write_t3 = uni.perm("write", "t3");
+        let target = uni.priv_perm(write_t3);
+        let alphabet = prepared(&mut uni, &policy);
+        let report = check(
+            &uni,
+            &policy,
+            &alphabet,
+            Entity::User(bob),
+            target,
+            BmcConfig::default(),
+        );
+        let BmcOutcome::Reachable { witness } = &report.outcome else {
+            panic!("{:?}", report.outcome);
+        };
+        assert_eq!((report.bound, witness.len()), (2, 2));
+    }
+
+    #[test]
     fn closes_unreachable_instances_via_the_diameter_check() {
         let (mut uni, policy) = revocable_fixture();
         let bob = uni.find_user("bob").unwrap();
@@ -726,6 +798,25 @@ mod tests {
         // The only real transitions toggle (bob, staff): the longest
         // simple path from the root is one step, so the instance closes
         // at the very first bound.
+        assert_eq!(report.bound, 1);
+    }
+
+    #[test]
+    fn a_fired_toggle_leaves_every_other_edge_alone() {
+        // bob∈aud holds at the root and jane may only grant it, so no
+        // run removes it: the simple paths are those of the (bob, staff)
+        // toggle alone, and the instance still closes at bound 1.
+        let (mut uni, mut policy) = revocable_fixture();
+        let (bob, aud, hr) = (uni.user("bob"), uni.role("aud"), uni.role("hr"));
+        policy.add_edge(Edge::UserRole(bob, aud));
+        let g = uni.grant_user_role(bob, aud);
+        policy.add_edge(Edge::RolePriv(hr, g));
+        let never = uni.perm("launch", "missiles");
+        let target = uni.priv_perm(never);
+        let alphabet = prepared(&mut uni, &policy);
+        let config = BmcConfig::default();
+        let report = check(&uni, &policy, &alphabet, Entity::User(bob), target, config);
+        assert!(matches!(report.outcome, BmcOutcome::Unreachable));
         assert_eq!(report.bound, 1);
     }
 
@@ -823,5 +914,105 @@ mod tests {
             BmcConfig::default(),
         );
         assert!(matches!(report.outcome, BmcOutcome::Reachable { .. }));
+    }
+
+    /// `adminref_workloads::deep_delegation` at its default shape (depth
+    /// 4, fanout 3): admins hold ¤(w, stage0), stage i holds
+    /// ¤(w, stage i+1), the last stage holds (open, vault).
+    fn delegation() -> (Universe, Policy, Entity, PrivId) {
+        let mut uni = Universe::new();
+        let admin = uni.user("admin0");
+        let admins = uni.role("admins");
+        let stages: Vec<_> = (0..4).map(|i| uni.role(&format!("stage{i}"))).collect();
+        let workers: Vec<_> = (0..3).map(|j| uni.user(&format!("worker{j}"))).collect();
+        let mut policy = Policy::new(&uni);
+        policy.add_edge(Edge::UserRole(admin, admins));
+        for (i, &stage) in stages.iter().enumerate() {
+            let holder = if i == 0 { admins } else { stages[i - 1] };
+            for &w in &workers {
+                let p = uni.grant_user_role(w, stage);
+                policy.add_edge(Edge::RolePriv(holder, p));
+            }
+        }
+        let vault = uni.perm("open", "vault");
+        let target = uni.priv_perm(vault);
+        policy.add_edge(Edge::RolePriv(stages[3], target));
+        (uni, policy, Entity::User(workers[0]), target)
+    }
+
+    #[test]
+    fn a_step_grounds_in_linear_size() {
+        let (mut uni, policy, worker, target) = delegation();
+        let alphabet = prepared(&mut uni, &policy);
+        let ground = prepare(&uni, &policy, &alphabet);
+        let clauses = |k| {
+            let mut instance = Instance::new(&ground, k, StepStyle::WithSkip);
+            let goal = instance.goal_literal(worker, target, k);
+            instance.solver.add_clause(&[goal]);
+            instance.size().1
+        };
+        let growth = clauses(2) - clauses(1);
+        let mutable = ground.mutable_bits.iter().filter(|&&m| m).count();
+        let auth_terms: usize = ground.toggles.iter().map(|g| g.auth.len()).sum();
+        let linear = ground.toggles.len() + 1 + mutable + auth_terms;
+        assert!(
+            growth <= 4 * linear,
+            "{growth} clauses per step, linear size {linear}"
+        );
+        // One selector per toggle: the 4 actors do not multiply them.
+        assert_eq!(ground.toggles.len(), 12);
+        assert_eq!(alphabet.iter().map(|(c, _)| c.actor).max().unwrap().0, 3);
+        let report = check(
+            &uni,
+            &policy,
+            &alphabet,
+            worker,
+            target,
+            BmcConfig::default(),
+        );
+        let BmcOutcome::Reachable { witness } = &report.outcome else {
+            panic!("{:?}", report.outcome);
+        };
+        assert_eq!((report.bound, witness.len()), (4, 4));
+    }
+
+    #[test]
+    fn a_second_administrator_adds_no_selector_and_the_least_authorized_issues() {
+        // al (in aud) is the least actor but holds no privilege; amy is
+        // the least authorized one.
+        let mut selectors = Vec::new();
+        for (members, least) in [
+            (&[("jane", "hr")][..], "jane"),
+            (&[("al", "aud"), ("amy", "hr"), ("jane", "hr")][..], "amy"),
+        ] {
+            let (mut uni, policy) = revocable_fixture_with(members);
+            let bob = uni.find_user("bob").unwrap();
+            let write_t3 = uni.perm("write", "t3");
+            let target = uni.priv_perm(write_t3);
+            let alphabet = prepared(&mut uni, &policy);
+            let ground = prepare(&uni, &policy, &alphabet);
+            selectors.push(Instance::new(&ground, 1, StepStyle::WithSkip).selectors[0].len());
+            let config = BmcConfig::default();
+            let report = check(&uni, &policy, &alphabet, Entity::User(bob), target, config);
+            let BmcOutcome::Reachable { witness } = report.outcome else {
+                panic!("{:?}", report.outcome);
+            };
+            let bfs = perm_reachable(
+                &mut uni,
+                &policy,
+                Entity::User(bob),
+                write_t3,
+                Default::default(),
+            );
+            let ReachabilityAnswer::Reachable { witness: expected } = bfs else {
+                panic!("{bfs:?}");
+            };
+            assert_eq!(witness.commands(), expected.commands());
+            assert_eq!(
+                witness.actor_signature(),
+                vec![uni.find_user(least).unwrap()]
+            );
+        }
+        assert_eq!(selectors[0], selectors[1]);
     }
 }

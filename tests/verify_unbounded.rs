@@ -70,6 +70,29 @@ fn policy_spec(with_revokes: bool) -> impl Strategy<Value = PolicySpec> {
         .prop_map(|(ua, rh, pa)| PolicySpec { ua, rh, pa })
 }
 
+/// Revocation-capable policies over 2 users, 3 roles and 2 permissions,
+/// each with a permission holder and several administrative
+/// privileges: small enough that many queries are reachable within a
+/// few steps.
+fn dense_policy_spec() -> impl Strategy<Value = PolicySpec> {
+    let (u, r) = (0u8..2, 0u8..3);
+    let admin = prop_oneof![
+        2 => (u.clone(), r.clone()).prop_map(|(u, r)| PrivSpec::GrantUserRole(u, r)),
+        1 => (r.clone(), r.clone()).prop_map(|(a, b)| PrivSpec::GrantRoleRole(a, b)),
+        1 => (u.clone(), r.clone()).prop_map(|(u, r)| PrivSpec::RevokeUserRole(u, r)),
+    ];
+    (
+        prop::collection::vec((u, r.clone()), 2..5),
+        prop::collection::vec((r.clone(), r.clone()), 0..2),
+        prop::collection::vec((r.clone(), (0u8..2).prop_map(PrivSpec::Perm)), 1..3),
+        prop::collection::vec((r, admin), 3..7),
+    )
+        .prop_map(|(ua, rh, mut pa, admin)| {
+            pa.extend(admin);
+            PolicySpec { ua, rh, pa }
+        })
+}
+
 fn build(spec: &PolicySpec) -> (Universe, Policy, Vec<UserId>) {
     let mut uni = Universe::new();
     let users: Vec<UserId> = (0..USERS).map(|i| uni.user(&format!("u{i}"))).collect();
@@ -203,51 +226,54 @@ proptest! {
 
     /// On general (revocation-capable) explicit-mode instances the
     /// model checker never contradicts a definite BFS answer: a BFS
-    /// witness within the bound forces SAT (with a valid witness), and
-    /// a BFS exhaustion refutation forbids SAT at any bound.
+    /// witness within the bound forces SAT (with a valid witness of the
+    /// same length), and a BFS exhaustion refutation forbids SAT at any
+    /// bound. Every user × permission of the policy is a query, so the
+    /// witness branch is exercised, not just the refutations.
     #[test]
-    fn bmc_never_contradicts_a_definite_bfs_answer(
-        spec in policy_spec(true),
-        ui in 0u8..USERS as u8,
-        pi in 0u8..3,
-    ) {
+    fn bmc_never_contradicts_a_definite_bfs_answer(spec in dense_policy_spec()) {
         let (mut uni, policy, users) = build(&spec);
-        let entity = Entity::User(users[ui as usize]);
-        let perm = uni.perm(["read", "write", "prnt"][pi as usize], "obj");
-        let target = uni.priv_perm(perm);
         let config = generous();
-        if ReachIndex::build(&uni, &policy).reach_priv(entity, target) {
-            // Root-reachable: nothing to check, both engines short-circuit.
-            return;
-        }
+        let perms = ["read", "write", "prnt"].map(|action| uni.perm(action, "obj"));
         let alphabet = prepare_alphabet(&mut uni, &policy, config);
-        let bfs = perm_reachable(&mut uni, &policy, entity, perm, config);
-        let report = bmc::check(&uni, &policy, &alphabet, entity, target, BmcConfig::default());
-        match (&bfs, &report.outcome) {
-            // max_steps = 3 ≤ the default BMC bound, so the model
-            // checker must find this (or a shorter) witness.
-            (ReachabilityAnswer::Reachable { witness }, BmcOutcome::Reachable { witness: w }) => {
-                prop_assert!(w.len() <= witness.len(), "BMC deepens iteratively");
-                prop_assert!(witness_is_valid(
-                    &mut uni, &policy, w, entity, target, config.auth_mode,
-                ));
+        for (&user, perm) in users.iter().flat_map(|u| perms.map(|p| (u, p))) {
+            let entity = Entity::User(user);
+            let target = uni.priv_perm(perm);
+            if ReachIndex::build(&uni, &policy).reach_priv(entity, target) {
+                // Root-reachable: nothing to check, both engines short-circuit.
+                continue;
             }
-            (ReachabilityAnswer::Reachable { witness }, outcome) => {
-                prop_assert!(
-                    false,
-                    "BFS witness of {} step(s) but BMC said {:?}",
-                    witness.len(),
-                    outcome
-                );
+            let bfs = perm_reachable(&mut uni, &policy, entity, perm, config);
+            let report = bmc::check(&uni, &policy, &alphabet, entity, target, BmcConfig::default());
+            match (&bfs, &report.outcome) {
+                // max_steps = 3 ≤ the default BMC bound, so the model
+                // checker must find a witness, and as short a one: its
+                // first satisfiable bound is the BFS depth, and a model
+                // with fewer real steps would have satisfied a smaller
+                // bound.
+                (ReachabilityAnswer::Reachable { witness }, BmcOutcome::Reachable { witness: w }) => {
+                    prop_assert_eq!(w.len(), witness.len(), "both engines return shortest runs");
+                    prop_assert!(witness_is_valid(
+                        &mut uni, &policy, w, entity, target, config.auth_mode,
+                    ));
+                }
+                (ReachabilityAnswer::Reachable { witness }, outcome) => {
+                    prop_assert!(
+                        false,
+                        "BFS witness of {} step(s) but BMC said {:?}",
+                        witness.len(),
+                        outcome
+                    );
+                }
+                (ReachabilityAnswer::Unreachable, BmcOutcome::Reachable { witness }) => {
+                    prop_assert!(false, "BFS exhausted the space but BMC found {:?}", witness);
+                }
+                // BMC `Unreachable` comes from the recurrence-diameter
+                // closure and so is definitive; it must not contradict a
+                // BFS witness (covered above). `Inconclusive` is always
+                // allowed against a definite refutation.
+                _ => {}
             }
-            (ReachabilityAnswer::Unreachable, BmcOutcome::Reachable { witness }) => {
-                prop_assert!(false, "BFS exhausted the space but BMC found {:?}", witness);
-            }
-            // BMC `Unreachable` comes from the recurrence-diameter
-            // closure and so is definitive; it must not contradict a
-            // BFS witness (covered above). `Inconclusive` is always
-            // allowed against a definite refutation.
-            _ => {}
         }
     }
 
