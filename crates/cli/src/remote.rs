@@ -142,9 +142,9 @@ fn run_daemon(
         (None, Some(path)) => WireListener::unix(path).map_err(|e| format!("binding {path}: {e}")),
         _ => Err("serve needs exactly one of --listen HOST:PORT or --unix PATH".into()),
     }?;
-    let mut config = DaemonConfig::default();
-    let workers = args.number("--workers", config.workers_per_connection)?;
-    config.workers_per_connection = workers.max(1);
+    let config = DaemonConfig {
+        workers: args.number("--workers", DaemonConfig::default().workers)?,
+    };
     let daemon = Daemon::spawn_replicated(service, universe, listener, config, hub)
         .map_err(|e| format!("starting daemon: {e}"))?;
     match (daemon.local_addr(), unix) {

@@ -140,7 +140,8 @@ macro_rules! prop_oneof {
 /// Defines `#[test]` functions whose arguments are drawn from strategies.
 ///
 /// Each test runs `config.cases` generated cases; the RNG seed is derived
-/// from the test's name, so runs are deterministic.
+/// from the test's name, so runs are deterministic. Each body runs as a
+/// closure, so a `return` ends its case and the next one runs.
 #[macro_export]
 macro_rules! proptest {
     (
@@ -169,7 +170,8 @@ macro_rules! proptest {
                             $(&$arg),+
                         ),
                     );
-                    $body
+                    // A closure per case: `return` ends this case only.
+                    (|| $body)();
                 }
             }
         )*

@@ -6,13 +6,15 @@
 //!
 //! One `WireClient` is safely shared by many threads, and concurrent
 //! calls are pipelined over the single connection: each call stamps a
-//! fresh request id, appends its frame under the writer lock, and
-//! parks until the matching reply arrives. Instead of a dedicated
-//! reader thread, the waiters share a **reader lease**: whichever
-//! waiter finds the lease free reads exactly one frame, deposits it in
-//! the matching waiter's slot by request id, releases the lease and
-//! wakes everyone. Replies may arrive out of order (the daemon answers
-//! slow requests from a worker pool, and submits from the
+//! fresh request id, appends its frame through the daemon's own
+//! coalescing writer (`ConnWriter`: the last of several concurrent
+//! callers flushes them all in one write, so their requests reach the
+//! daemon together), and parks until the matching reply arrives.
+//! Instead of a dedicated reader thread, the waiters share a **reader
+//! lease**: whichever waiter finds the lease free reads exactly one
+//! frame, deposits it in the matching waiter's slot by request id,
+//! releases the lease and wakes everyone. Replies may arrive out of order (the daemon answers
+//! slow requests from its worker pool, and submits from the
 //! [group-commit](crate::group_commit) committer thread); the id match
 //! makes that invisible.
 //!
@@ -66,16 +68,15 @@
 //! ```
 
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
 #[cfg(unix)]
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
-use crate::daemon::Stream;
+use crate::daemon::{ConnWriter, Stream};
 use crate::group_commit::lock_unpoisoned;
 use crate::protocol::{PolicyService, Request, Response, ServiceError};
 use crate::wire::{self, FrameKind};
@@ -84,11 +85,7 @@ use crate::wire::{self, FrameKind};
 /// TCP or Unix-socket connection. See the [module docs](self) for the
 /// sharing and failure model.
 pub struct WireClient {
-    writer: Mutex<BufWriter<Stream>>,
-    /// Callers between announcing a write and performing it; lets the
-    /// last writer in a contention burst flush the whole burst in one
-    /// syscall (see `call_remote`).
-    write_queue: AtomicUsize,
+    writer: ConnWriter,
     reader: Mutex<BufReader<Stream>>,
     state: Mutex<ClientState>,
     wakeup: Condvar,
@@ -124,8 +121,7 @@ impl WireClient {
     fn from_stream(stream: Stream) -> io::Result<WireClient> {
         let write_half = stream.try_clone()?;
         Ok(WireClient {
-            writer: Mutex::new(BufWriter::new(write_half)),
-            write_queue: AtomicUsize::new(0),
+            writer: ConnWriter::new(write_half),
             reader: Mutex::new(BufReader::new(stream)),
             state: Mutex::new(ClientState {
                 next_id: 1,
@@ -157,35 +153,12 @@ impl WireClient {
             st.pending.insert(id, None);
             id
         };
-        {
-            // Coalesced flushes: when several threads submit in the
-            // same instant (the common case right after a pipelined
-            // batch completes), only the last one through the writer
-            // lock pays the flush syscall — the burst leaves as one
-            // socket write, arrives at the daemon in one read, and its
-            // requests reach the group-commit combiner close enough
-            // together to coalesce into one batch. A skipped flush is
-            // always covered: the queued writer observed here must
-            // itself write afterwards and repeat the same check.
-            self.write_queue.fetch_add(1, Ordering::SeqCst);
-            let mut w = lock_unpoisoned(&self.writer);
-            self.write_queue.fetch_sub(1, Ordering::SeqCst);
-            let written =
-                wire::write_frame(&mut *w, FrameKind::Request, id, &payload).and_then(|()| {
-                    if self.write_queue.load(Ordering::SeqCst) == 0 {
-                        w.flush()
-                    } else {
-                        Ok(())
-                    }
-                });
-            if let Err(e) = written {
-                drop(w);
-                let mut st = lock_unpoisoned(&self.state);
-                st.pending.remove(&id);
-                st.dead.get_or_insert_with(|| e.to_string());
-                self.wakeup.notify_all();
-                return Err(Self::transport(e.to_string()));
-            }
+        if let Err(e) = self.writer.send_many(&[(FrameKind::Request, id, payload)]) {
+            let mut st = lock_unpoisoned(&self.state);
+            st.pending.remove(&id);
+            st.dead.get_or_insert_with(|| e.to_string());
+            self.wakeup.notify_all();
+            return Err(Self::transport(e.to_string()));
         }
         self.await_reply(id)
     }

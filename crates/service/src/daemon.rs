@@ -3,12 +3,12 @@
 //!
 //! ## Serving model
 //!
-//! One accept loop, one thread per connection, a small per-connection
-//! worker pool:
+//! One accept loop, one thread per connection, and one worker pool that
+//! every connection shares:
 //!
 //! * The **reader** thread of a connection decodes frames and answers
 //!   cheap requests inline (access checks, session lifecycle, audit
-//!   reads, version/stats, lint).
+//!   reads, version/stats, lint). It is the connection's only thread.
 //! * **Submits** go from the reader straight into the service's
 //!   [group-commit combiner](crate::group_commit)
 //!   ([`PolicyService::write_combiner`]), and the reader goes back to
@@ -19,8 +19,12 @@
 //!   disconnected.
 //! * **Other slow requests** (`AnalyzeReach`, `CheckRefinement`,
 //!   `Compact`, `Analyze`, `SetConstraints`, and submits to a server
-//!   without a combiner) each go to a worker, which writes the reply.
-//!   Responses are matched by request id, possibly out of order.
+//!   without a combiner) each go to the daemon's pool of
+//!   [`DaemonConfig::workers`] threads, one FIFO queue that is neither
+//!   bounded nor fair between connections (nor are connections capped
+//!   or analyses budgeted). A worker writes the reply, matched by
+//!   request id, possibly out of order; a panicking handler is answered
+//!   [`ServiceError::Aborted`], and the worker serves on.
 //! * **Per-connection sessions**: sessions created over a connection
 //!   are dropped when it closes, so a crashed client cannot leak live
 //!   sessions into the monitor.
@@ -46,11 +50,12 @@
 //! what a TCP peer sends after that, so each reader also checks the
 //! stop flag once per frame, and a peer that keeps sending cannot hold
 //! shutdown up. Either way the reader drains as if its peer had closed:
-//! its queued submits are answered and its sessions dropped. Shutdown
-//! joins those threads and removes a Unix socket file it bound. A
-//! connection closes once all of its submits are answered, and removes
-//! itself from the daemon's registry of live connections as its last
-//! act, so nothing has to reap closed ones.
+//! its queued submits and analyses are answered and its sessions
+//! dropped. Shutdown joins those threads, then the pool's workers, and
+//! removes a Unix socket file it bound. A connection closes once every
+//! request it handed off is answered, and removes itself from the
+//! daemon's registry of live connections as its last act, so nothing
+//! has to reap closed ones.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -59,6 +64,7 @@ use std::net::{
 };
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 #[cfg(unix)]
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -76,17 +82,16 @@ use crate::wire::{self, FrameError, FrameKind};
 /// Tuning for a [`Daemon`].
 #[derive(Clone, Copy, Debug)]
 pub struct DaemonConfig {
-    /// Worker threads per connection for slow requests other than
-    /// submits. Submits wait in the combiner without a thread, so this
-    /// does not bound how many are in flight.
-    pub workers_per_connection: usize,
+    /// Threads of the daemon's one worker pool, which every connection
+    /// shares, for slow requests other than submits (at least one).
+    /// Submits wait in the combiner without a thread, so this does not
+    /// bound how many are in flight.
+    pub workers: usize,
 }
 
 impl Default for DaemonConfig {
     fn default() -> Self {
-        DaemonConfig {
-            workers_per_connection: 8,
-        }
+        DaemonConfig { workers: 8 }
     }
 }
 
@@ -120,12 +125,13 @@ impl WireListener {
     }
 }
 
-/// A running `adminrefd` instance: accept loop plus per-connection
-/// threads, all joined on [`shutdown`](Daemon::shutdown).
+/// A running `adminrefd` instance: accept loop, per-connection threads
+/// and the worker pool, all joined on [`shutdown`](Daemon::shutdown).
 pub struct Daemon {
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
     conns: Arc<Registry>,
+    workers: Vec<JoinHandle<()>>,
     local_addr: Option<SocketAddr>,
     #[cfg(unix)]
     unix_path: Option<PathBuf>,
@@ -142,20 +148,10 @@ impl Daemon {
         universe: Universe,
         listener: WireListener,
     ) -> io::Result<Daemon> {
-        Daemon::spawn_with(service, universe, listener, DaemonConfig::default())
+        Daemon::spawn_replicated(service, universe, listener, DaemonConfig::default(), None)
     }
 
-    /// [`spawn`](Daemon::spawn) with explicit tuning.
-    pub fn spawn_with(
-        service: Arc<dyn PolicyService>,
-        universe: Universe,
-        listener: WireListener,
-        config: DaemonConfig,
-    ) -> io::Result<Daemon> {
-        Daemon::spawn_replicated(service, universe, listener, config, None)
-    }
-
-    /// [`spawn_with`](Daemon::spawn_with) plus a replication hub:
+    /// [`spawn`](Daemon::spawn) with explicit tuning and a replication hub:
     /// connections whose first frame is a
     /// [`FrameKind::ReplSubscribe`](crate::wire::FrameKind)
     /// are handed to the hub and stream delta frames instead of serving
@@ -178,18 +174,32 @@ impl Daemon {
             WireListener::Unix(_, path) => (None, Some(path.clone())),
         };
 
+        // The pool's workers exit once every job sender is gone: the
+        // accept loop's and each connection's.
+        let (jobs, queue) = mpsc::channel::<Job>();
+        let queue = Arc::new(Mutex::new(queue));
+        let workers = (0..config.workers.max(1))
+            .map(|_| {
+                let (queue, service) = (Arc::clone(&queue), Arc::clone(&service));
+                thread::Builder::new()
+                    .name("adminrefd-worker".into())
+                    .spawn(move || work(&queue, &*service))
+            })
+            .collect::<io::Result<_>>()?;
+
         let accept = {
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
             thread::Builder::new()
                 .name("adminrefd-accept".into())
-                .spawn(move || accept_loop(listener, service, universe, stop, conns, config, hub))?
+                .spawn(move || accept_loop(listener, service, universe, stop, conns, jobs, hub))?
         };
 
         Ok(Daemon {
             stop,
             accept: Some(accept),
             conns,
+            workers,
             local_addr,
             #[cfg(unix)]
             unix_path,
@@ -227,6 +237,10 @@ impl Daemon {
             stream.shutdown(Shutdown::Read);
         }
         for (_, handle) in live {
+            let _ = handle.join();
+        }
+        // Every job sender is gone with them, so the workers exit.
+        for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
         #[cfg(unix)]
@@ -340,7 +354,7 @@ fn accept_loop(
     universe: Arc<Universe>,
     stop: Arc<AtomicBool>,
     conns: Arc<Registry>,
-    config: DaemonConfig,
+    jobs: mpsc::Sender<Job>,
     hub: Option<Arc<crate::replication::ReplicationHub>>,
 ) {
     for id in 0u64.. {
@@ -374,14 +388,14 @@ fn accept_loop(
             continue;
         };
         let (service, universe, hub) = (Arc::clone(&service), Arc::clone(&universe), hub.clone());
-        let (stop, registry) = (Arc::clone(&stop), Arc::clone(&conns));
+        let (stop, registry, jobs) = (Arc::clone(&stop), Arc::clone(&conns), jobs.clone());
         // Registering under the lock the thread's last act takes means
         // the entry exists before the thread can remove it.
         let mut live = conns.lock();
         let spawned = thread::Builder::new()
             .name("adminrefd-conn".into())
             .spawn(move || {
-                handle_connection(stream, service, universe, &stop, config, hub);
+                handle_connection(stream, service, universe, &stop, jobs, hub);
                 registry.lock().remove(&id);
             });
         if let Ok(handle) = spawned {
@@ -393,7 +407,7 @@ fn accept_loop(
 // ----- one connection --------------------------------------------------
 
 /// Whether a request is answered inline by the reader or handed on (to
-/// the write combiner or a worker). Session-lifecycle requests must
+/// the write combiner or the worker pool). Session-lifecycle requests must
 /// stay inline: the reader owns the per-connection session set.
 fn is_slow(request: &Request) -> bool {
     matches!(
@@ -407,11 +421,31 @@ fn is_slow(request: &Request) -> bool {
     )
 }
 
-/// One connection as the write combiner sees it. Queued submits hold
-/// the job sender, so the workers outlive the last unanswered submit.
+/// One connection as the worker pool and the write combiner see it.
+/// Every request handed off holds it until answered, so the connection's
+/// reader, waiting on the other end of `_done`, sees the last one go.
 struct Conn {
     writer: Arc<ConnWriter>,
-    jobs: mpsc::Sender<(u64, Request)>,
+    _done: mpsc::Sender<()>,
+}
+
+/// A slow request for the worker pool: its connection, id and request.
+type Job = (Arc<Conn>, u64, Request);
+
+/// A worker of the pool: serves jobs until the last job sender is gone.
+/// A panicking handler is answered [`ServiceError::Aborted`]; the worker
+/// serves on, so the pool every connection shares never shrinks.
+fn work(queue: &Mutex<mpsc::Receiver<Job>>, service: &dyn PolicyService) {
+    loop {
+        // Hold the receiver lock only across the recv itself so idle
+        // workers queue up behind it, not behind a serve.
+        let Ok((conn, id, request)) = queue.lock().recv() else {
+            break;
+        };
+        let served = catch_unwind(AssertUnwindSafe(|| service.call(request)));
+        let result = served.unwrap_or(Err(ServiceError::Aborted));
+        send_result(&conn.writer, id, &result);
+    }
 }
 
 impl ReplyTo for Conn {
@@ -420,7 +454,7 @@ impl ReplyTo for Conn {
             .into_iter()
             .map(|(id, result)| frame(id, &result.map(Response::Outcomes)))
             .collect();
-        self.writer.send_many(&frames);
+        let _ = self.writer.send_many(&frames);
     }
 }
 
@@ -429,7 +463,7 @@ fn handle_connection(
     service: Arc<dyn PolicyService>,
     universe: Arc<Universe>,
     stop: &AtomicBool,
-    config: DaemonConfig,
+    jobs: mpsc::Sender<Job>,
     hub: Option<Arc<crate::replication::ReplicationHub>>,
 ) {
     // Reads block until a frame, a close or the daemon's shutdown
@@ -447,29 +481,10 @@ fn handle_connection(
     // kernel in one syscall, and `buffer()` tells the loop below when
     // more frames are already here (= keep accumulating the burst).
     let mut reader = BufReader::new(stream);
-
-    // Worker pool on one job channel; a send fails once no worker is left.
-    let (jobs, rx) = mpsc::channel::<(u64, Request)>();
-    let rx = Arc::new(Mutex::new(rx));
-    let mut workers = Vec::with_capacity(config.workers_per_connection);
-    for _ in 0..config.workers_per_connection.max(1) {
-        let (rx, service, writer) = (Arc::clone(&rx), Arc::clone(&service), Arc::clone(&writer));
-        let spawned = thread::Builder::new()
-            .name("adminrefd-worker".into())
-            .spawn(move || loop {
-                // Hold the receiver lock only across the recv itself so
-                // idle workers queue up behind it, not behind a serve.
-                let Ok((id, request)) = rx.lock().recv() else {
-                    break;
-                };
-                send_result(&writer, id, &service.call(request));
-            });
-        workers.extend(spawned);
-    }
-    drop(rx);
+    let (done, all_answered) = mpsc::channel::<()>();
     let conn = Arc::new(Conn {
         writer: Arc::clone(&writer),
-        jobs,
+        _done: done,
     });
 
     // Sessions created over this connection, dropped when it closes.
@@ -532,8 +547,8 @@ fn handle_connection(
         };
         if is_slow(&request) {
             burst.push((frame.request_id, request));
-            if reader.buffer().is_empty() && !dispatch_burst(&*service, &conn, &mut burst) {
-                break;
+            if reader.buffer().is_empty() {
+                dispatch_burst(&*service, &conn, &jobs, &mut burst);
             }
             continue;
         }
@@ -551,14 +566,13 @@ fn handle_connection(
         send_result(&writer, frame.request_id, &result);
     }
 
-    // Drain: dispatch any still-accumulating burst and drop the job
-    // sender; the workers exit once every slow request and every queued
-    // submit of this connection is answered. Then drop its sessions.
-    let _ = dispatch_burst(&*service, &conn, &mut burst);
+    // Drain: dispatch any still-accumulating burst and let go of `conn`;
+    // the wait ends once every job and every queued submit of this
+    // connection is answered and has dropped its hold. Then drop its
+    // sessions.
+    dispatch_burst(&*service, &conn, &jobs, &mut burst);
     drop(conn);
-    for handle in workers {
-        let _ = handle.join();
-    }
+    let _ = all_answered.recv();
     for raw in sessions {
         let _ = service.call(Request::DropSession {
             session: adminref_monitor::SessionId::from_raw(raw),
@@ -569,33 +583,36 @@ fn handle_connection(
 
 /// Hands an accumulated burst on: its `Submit`s enter the write combiner
 /// together (one drain); any other slow request (or a submit to a server
-/// without a combiner) gets a worker of its own, so it never queues behind
-/// the writes. Returns `false` when the workers are gone.
+/// without a combiner) goes to the worker pool, so it never queues behind
+/// the writes. The pool outlives every job sender, so a send never fails.
 fn dispatch_burst(
     service: &dyn PolicyService,
     conn: &Arc<Conn>,
+    jobs: &mpsc::Sender<Job>,
     burst: &mut Vec<(u64, Request)>,
-) -> bool {
+) {
     let combiner = service.write_combiner();
-    let (mut submits, mut sent) = (Vec::new(), true);
+    let mut submits = Vec::new();
     for (id, request) in burst.drain(..) {
         match request {
             Request::Submit { commands } if combiner.is_some() => submits.push((id, commands)),
-            request => sent &= conn.jobs.send((id, request)).is_ok(),
+            request => drop(jobs.send((Arc::clone(conn), id, request))),
         }
     }
     if let (Some(commit), false) = (combiner, submits.is_empty()) {
         commit.submit_replying(&(Arc::clone(conn) as Arc<dyn ReplyTo>), submits);
     }
-    sent
 }
 
-/// The shared write half of one connection, with **coalesced flushes**:
-/// a sender skips its flush when another sender is already queued on
-/// the writer lock — the last sender in any contention burst flushes
-/// everyone's frames in one syscall. The group-commit committer sends a
-/// connection's reply train at once, so it arrives in one client read.
-/// A failed write, or one stalled for [`WRITE_STALL`] (the peer stopped
+/// The shared write half of one connection, the daemon's or a
+/// [`WireClient`](crate::client::WireClient)'s, with **coalesced
+/// flushes**: a sender skips its flush when another sender is already
+/// queued on the writer lock — the last sender in any contention burst
+/// flushes everyone's frames in one syscall. The group-commit committer
+/// sends a connection's reply train at once, so it arrives in one client
+/// read; a client's concurrent requests leave as one write and reach the
+/// combiner together. A failed write, or one stalled past the socket's
+/// write timeout (the daemon's is [`WRITE_STALL`]: the peer stopped
 /// reading), closes the socket: later writes fail at once and the reader
 /// sees the close, so a stalled peer holds up the committer at most
 /// once.
@@ -609,7 +626,7 @@ pub(crate) struct ConnWriter {
 }
 
 impl ConnWriter {
-    fn new(stream: Stream) -> ConnWriter {
+    pub(crate) fn new(stream: Stream) -> ConnWriter {
         ConnWriter {
             writer: Mutex::new(BufWriter::new(stream)),
             queued: AtomicUsize::new(0),
@@ -617,11 +634,14 @@ impl ConnWriter {
     }
 
     pub(crate) fn send(&self, kind: FrameKind, id: u64, payload: &[u8]) {
-        self.send_many(&[(kind, id, payload)]);
+        let _ = self.send_many(&[(kind, id, payload)]);
     }
 
     /// Writes frames under one lock acquisition, with at most one flush.
-    fn send_many<P: AsRef<[u8]>>(&self, frames: &[(FrameKind, u64, P)]) {
+    pub(crate) fn send_many<P: AsRef<[u8]>>(
+        &self,
+        frames: &[(FrameKind, u64, P)],
+    ) -> io::Result<()> {
         self.queued.fetch_add(1, Ordering::SeqCst);
         let mut w = self.writer.lock();
         // Decrement before writing: a panicking write must not stall flushes.
@@ -635,6 +655,7 @@ impl ConnWriter {
         if written.is_err() {
             w.get_ref().shutdown(Shutdown::Both);
         }
+        written
     }
 }
 
@@ -650,7 +671,7 @@ fn frame(id: u64, result: &Result<Response, ServiceError>) -> (FrameKind, u64, V
 }
 
 fn send_result(writer: &ConnWriter, id: u64, result: &Result<Response, ServiceError>) {
-    writer.send_many(&[frame(id, result)]);
+    let _ = writer.send_many(&[frame(id, result)]);
 }
 
 pub(crate) fn send_error(writer: &ConnWriter, id: u64, err: &ServiceError) {
@@ -661,31 +682,81 @@ pub(crate) fn send_error(writer: &ConnWriter, id: u64, err: &ServiceError) {
 mod tests {
     use super::*;
     use crate::MonitorService;
+    use adminref_core::ids::Entity;
     use adminref_core::policy::Policy;
+    use adminref_core::safety::SafetyConfig;
     use adminref_monitor::MonitorConfig;
     use std::time::Instant;
+
+    /// A one-worker daemon on a loopback port over `service`, and the
+    /// universe its requests are built in.
+    fn serve(service: impl PolicyService + 'static) -> (Daemon, Universe) {
+        let universe = service_universe();
+        let listener = WireListener::tcp("127.0.0.1:0").unwrap();
+        let config = DaemonConfig { workers: 1 };
+        let service: Arc<dyn PolicyService> = Arc::new(service);
+        let daemon =
+            Daemon::spawn_replicated(service, universe.clone(), listener, config, None).unwrap();
+        (daemon, universe)
+    }
+
+    fn service_universe() -> Universe {
+        let mut universe = Universe::new();
+        universe.user("admin");
+        universe.perm("use", "obj");
+        universe
+    }
+
+    fn monitor() -> MonitorService {
+        let universe = service_universe();
+        let policy = Policy::new(&universe);
+        MonitorService::in_memory(universe, policy, MonitorConfig::default())
+    }
+
+    fn analysis(universe: &Universe) -> Vec<u8> {
+        wire::encode_request(&Request::AnalyzeReach {
+            entity: Entity::User(universe.find_user("admin").unwrap()),
+            // Interning an interned privilege returns its id.
+            perm: universe.clone().perm("use", "obj"),
+            config: SafetyConfig::default(),
+        })
+    }
+
+    /// Analyses take 100 ms, and the first one panics if `panics` is set.
+    struct Analyses {
+        inner: MonitorService,
+        panics: AtomicBool,
+    }
+
+    impl PolicyService for Analyses {
+        fn call(&self, request: Request) -> Result<Response, ServiceError> {
+            if matches!(request, Request::AnalyzeReach { .. }) {
+                assert!(
+                    !self.panics.swap(false, Ordering::SeqCst),
+                    "the handler panics"
+                );
+                thread::sleep(Duration::from_millis(100));
+            }
+            self.inner.call(request)
+        }
+    }
+
+    fn connect(daemon: &Daemon) -> TcpStream {
+        let stream = TcpStream::connect(daemon.local_addr().unwrap()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream
+    }
 
     /// A closed connection leaves the registry by itself: after 64
     /// connect/close cycles the daemon tracks only live connections,
     /// give or take the one still closing.
     #[test]
     fn closed_connections_are_joined_while_serving() {
-        let mut universe = Universe::new();
-        universe.user("admin");
-        let policy = Policy::new(&universe);
-        let service: Arc<dyn PolicyService> = Arc::new(MonitorService::in_memory(
-            universe.clone(),
-            policy,
-            MonitorConfig::default(),
-        ));
-        let config = DaemonConfig {
-            workers_per_connection: 1,
-        };
-        let listener = WireListener::tcp("127.0.0.1:0").unwrap();
-        let daemon = Daemon::spawn_with(service, universe, listener, config).unwrap();
-        let addr = daemon.local_addr().unwrap();
+        let (daemon, _) = serve(monitor());
         for id in 0..64 {
-            let mut stream = TcpStream::connect(addr).unwrap();
+            let mut stream = connect(&daemon);
             let version = wire::encode_request(&Request::Version);
             wire::write_frame(&mut stream, FrameKind::Request, id, &version).unwrap();
             assert!(wire::read_frame(&mut stream).unwrap().is_some());
@@ -699,6 +770,46 @@ mod tests {
             tracked <= 1,
             "{tracked} connection threads tracked after 64 closed"
         );
+        daemon.shutdown();
+    }
+
+    /// A panicking handler is answered `Aborted` and does not take the
+    /// daemon's only worker with it: another connection's analysis is
+    /// still served.
+    #[test]
+    fn a_panicking_handler_is_aborted_and_the_pool_serves_on() {
+        let (daemon, universe) = serve(Analyses {
+            inner: monitor(),
+            panics: AtomicBool::new(true),
+        });
+        for (id, expected) in [(1, FrameKind::Error), (2, FrameKind::Response)] {
+            let mut stream = connect(&daemon);
+            wire::write_frame(&mut stream, FrameKind::Request, id, &analysis(&universe)).unwrap();
+            let frame = wire::read_frame(&mut stream).unwrap().expect("a reply");
+            assert_eq!((frame.request_id, frame.kind), (id, expected));
+            if expected == FrameKind::Error {
+                let err = wire::decode_error(&frame.payload).unwrap();
+                assert!(matches!(err, ServiceError::Aborted), "{err:?}");
+            }
+        }
+        daemon.shutdown();
+    }
+
+    /// A peer that sends an analysis and shuts its write half still reads
+    /// the reply: the reader sees end-of-stream at once but closes the
+    /// socket only after the pool has answered.
+    #[test]
+    fn a_half_closed_connection_reads_its_reply_before_the_close() {
+        let (daemon, universe) = serve(Analyses {
+            inner: monitor(),
+            panics: AtomicBool::new(false),
+        });
+        let mut stream = connect(&daemon);
+        wire::write_frame(&mut stream, FrameKind::Request, 7, &analysis(&universe)).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let frame = wire::read_frame(&mut stream).unwrap().expect("the reply");
+        assert_eq!((frame.request_id, frame.kind), (7, FrameKind::Response));
+        assert!(wire::read_frame(&mut stream).unwrap().is_none());
         daemon.shutdown();
     }
 }

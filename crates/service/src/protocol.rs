@@ -380,8 +380,11 @@ pub enum ServiceError {
         /// The underlying store failure.
         error: StoreError,
     },
-    /// The request was not attempted: the drain that held it panicked.
-    /// No effect on the policy; safe to retry.
+    /// The handler of the request panicked: the group-commit drain that
+    /// held a submit, or the daemon worker serving an analysis,
+    /// `Compact` or `SetConstraints`. A batch applies whole or not at
+    /// all, so an aborted submit did one or the other; read the state
+    /// before retrying it.
     Aborted,
     /// A [`Request::CheckRefinement`] candidate was built against a
     /// different universe than the serving monitor's, or a
@@ -435,7 +438,7 @@ impl std::fmt::Display for ServiceError {
             ServiceError::UnknownSession(id) => write!(f, "unknown session {id:?}"),
             ServiceError::Session(e) => write!(f, "session error: {e}"),
             ServiceError::Backend { error, .. } => write!(f, "backend failure: {error}"),
-            ServiceError::Aborted => write!(f, "request aborted: its commit group failed"),
+            ServiceError::Aborted => write!(f, "request aborted: its handler panicked"),
             ServiceError::ForeignPolicy => {
                 write!(
                     f,

@@ -281,7 +281,7 @@ proptest! {
         chain in chain_spec(),
     ) {
         let Some(run) = GatedChain::new(&spec, &declared, &chain) else {
-            continue;
+            return;
         };
         let monitor = &run.monitor;
         run.for_each_batch(|commands| {
@@ -319,7 +319,7 @@ proptest! {
         chain in chain_spec(),
     ) {
         let Some(run) = GatedChain::new(&spec, &declared, &chain) else {
-            continue;
+            return;
         };
         run.for_each_batch(|commands| {
             let impact = run.monitor.analyze_batch(commands);

@@ -489,8 +489,8 @@ fn a_client_that_stops_reading_cannot_stall_the_others() {
 }
 
 /// A service whose reachability analyses take a second, so one pins a
-/// connection's worker; everything else, the write combiner included,
-/// is the wrapped service's.
+/// worker of the daemon's pool; everything else, the write combiner
+/// included, is the wrapped service's.
 struct SlowAnalyses(MonitorService);
 
 impl PolicyService for SlowAnalyses {
@@ -506,9 +506,9 @@ impl PolicyService for SlowAnalyses {
     }
 }
 
-/// The committer never waits behind a busy worker: connection A's only
-/// worker is pinned by slow analyses while A's submits queue behind B's
-/// drains, and B's round trips stay prompt throughout.
+/// The committer never waits behind a busy worker: the daemon's only
+/// worker is pinned by A's slow analyses while A's submits queue behind
+/// B's drains, and B's round trips stay prompt throughout.
 #[cfg(unix)]
 #[test]
 fn a_busy_worker_never_holds_up_the_committer() {
@@ -521,11 +521,11 @@ fn a_busy_worker_never_holds_up_the_committer() {
     let inner = MonitorService::in_memory(universe.clone(), policy, MonitorConfig::default());
     let service = SlowAnalyses(inner.with_write_gather(Duration::from_micros(50)));
     let path = dir.path().join("adminrefd.sock");
-    let config = DaemonConfig {
-        workers_per_connection: 1,
-    };
+    let config = DaemonConfig { workers: 1 };
     let listener = WireListener::unix(&path).unwrap();
-    let daemon = Daemon::spawn_with(Arc::new(service), universe.clone(), listener, config).unwrap();
+    let service = Arc::new(service);
+    let daemon =
+        Daemon::spawn_replicated(service, universe.clone(), listener, config, None).unwrap();
     let toggles = |edges: std::ops::Range<usize>, first_id: u64, kind: CommandKind| {
         edges
             .map(|k| {
@@ -659,15 +659,9 @@ fn daemon_config_is_tunable() {
         MonitorConfig::default(),
     ));
     let listener = WireListener::tcp("127.0.0.1:0").expect("bind");
-    let daemon = Daemon::spawn_with(
-        service,
-        universe,
-        listener,
-        DaemonConfig {
-            workers_per_connection: 1,
-        },
-    )
-    .expect("spawn");
+    let config = DaemonConfig { workers: 1 };
+    let daemon =
+        Daemon::spawn_replicated(service, universe, listener, config, None).expect("spawn");
     let client = WireClient::connect_tcp(daemon.local_addr().unwrap()).expect("connect");
     let session = client.create_session(admin).unwrap();
     assert!(client.drop_session(session).unwrap());
