@@ -11,11 +11,12 @@
 //! when anything at or above the `--deny` floor (default `error`)
 //! fires. `reach` and `verify` slice the command alphabet to the goal's
 //! cone of influence by default — sound, often dramatically smaller —
-//! and report the reduction; `--no-slice` searches the full alphabet. `verify` is the unbounded analysis front door: it dispatches
-//! to the saturation engine on grow-only instances, to bounded BFS with
-//! DPLL-based bounded model checking otherwise, and in `--oracle` mode
-//! replays a command queue through a reference monitor and checks the
-//! audit trace against the declarative invariant suite. `compact`
+//! and report the reduction; `--no-slice` searches the full alphabet.
+//! `verify` is the unbounded analysis front door: it decides every
+//! reachability query by grant-closure saturation, with no search
+//! bounds, and in `--oracle` mode replays a command queue through a
+//! reference monitor and checks the audit trace against the
+//! declarative invariant suite. `compact`
 //! folds a durable store's command log into a fresh
 //! snapshot (reporting what recovery replayed first), so reopening the
 //! store replays nothing. `serve` runs the `adminrefd` network daemon
@@ -63,7 +64,6 @@ use adminref_core::refinement::refinement_violations;
 use adminref_core::safety::{prepare_toggles, ReachabilityAnswer, SafetyConfig};
 use adminref_core::transition::AuthMode;
 use adminref_core::universe::Universe;
-use adminref_core::verify::bmc::{BmcOutcome, Inconclusive};
 use adminref_core::verify::{specs::InvariantSuite, verify_perm_reachable};
 use adminref_lang::{parse_priv_expr, print_policy};
 use adminref_monitor::{MonitorConfig, ReferenceMonitor};
@@ -119,8 +119,7 @@ const USAGE: &str = "usage:
   adminref reach    <policy.rbac> <user> <action> <object> [--ordered] [--steps N]
                     [--max-states N] [--jobs N] [--no-escalate] [--no-slice]
                     (--jobs 0 = all cores)
-  adminref verify   <policy.rbac> <user> <action> <object> [--ordered] [--steps N]
-                    [--max-states N] [--no-slice]
+  adminref verify   <policy.rbac> <user> <action> <object> [--ordered] [--no-slice]
   adminref verify   <policy.rbac> --oracle <queue.rbacq> [--ordered]
   adminref verify   --oracle-churn [--ordered]
   adminref serve    <store-dir> (--listen HOST:PORT | --unix PATH)
@@ -327,7 +326,7 @@ fn cmd_reach(rest: &[&String]) -> Run {
     let args = Args::parse(rest, 4, &[verbs::REACH_FLAGS, ORDERED])?;
     let (mut uni, policy) = read_policy(args.pos(0, "policy file")?)?;
     let goal = resolve_goal(&mut uni, &args)?;
-    let config = safety_config(&args, 3)?;
+    let config = safety_config(&args)?;
     report_slice(&mut uni, &policy, goal, config);
     let svc = in_memory(&uni, policy, ConstraintSet::default(), config.auth_mode)?;
     verbs::reach(&svc, &uni, goal, config)?;
@@ -501,13 +500,13 @@ fn report_slice(
 }
 
 /// `adminref verify` — the unbounded front door. Reachability mode
-/// picks the best engine per instance (saturation / BFS / DPLL-BMC) and
-/// reports which one decided; oracle mode replays a queue through a
+/// decides by saturation and reports which engine answered (the goal
+/// may already hold in the root); oracle mode replays a queue through a
 /// reference monitor and checks the audit trace against the declarative
-/// invariant suite. Scriptable exits: `UNKNOWN` and oracle violations
-/// are completed runs with a nonzero code, not usage errors.
+/// invariant suite. Scriptable exits: oracle violations are completed
+/// runs with a nonzero code, not usage errors.
 fn cmd_verify(rest: &[&String]) -> Run {
-    let flags = "--oracle= --oracle-churn --steps= --max-states= --no-slice";
+    let flags = "--oracle= --oracle-churn --no-slice";
     let args = Args::parse(rest, 4, &[ORDERED, flags])?;
     let mode = args.auth_mode();
     let oracle = |uni: &Universe, root: &Policy, steps: usize| {
@@ -546,49 +545,20 @@ fn cmd_verify(rest: &[&String]) -> Run {
     }
     let (mut uni, policy) = read_policy(args.pos(0, "policy file")?)?;
     let (user, perm) = resolve_goal(&mut uni, &args)?;
-    let config = safety_config(&args, SafetyConfig::default().max_steps)?;
+    let config = SafetyConfig {
+        auth_mode: mode,
+        slice: !args.has("--no-slice"),
+        ..SafetyConfig::default()
+    };
     report_slice(&mut uni, &policy, (user, perm), config);
     let report = verify_perm_reachable(&mut uni, &policy, Entity::User(user), perm, config);
-    let grow_only = if report.monotone {
-        " (instance is grow-only)"
-    } else {
-        ""
-    };
-    println!("engine: {}{grow_only}", report.engine.name());
-    if let Some(bmc) = &report.bmc {
-        println!(
-            "bmc: bound {}, {} variable(s), {} clause(s)",
-            bmc.bound, bmc.variables, bmc.clauses
-        );
-        if let BmcOutcome::Inconclusive(Inconclusive::GroundingTooLarge { estimated, budget }) =
-            bmc.outcome
-        {
-            println!(
-                "bmc: grounding bound {} needs ~{estimated} variable(s), over the {budget} budget",
-                bmc.bound
-            );
-            if config.slice {
-                println!("  the instance is too wide even sliced: reduce the policy or --steps");
-            } else {
-                println!("  drop --no-slice so the grounding only covers the goal's cone");
-            }
-        }
-    }
-    let (action, object) = (uni.action_name(perm.action), uni.object_name(perm.object));
+    println!("engine: {}", report.engine.name());
     match report.answer {
         ReachabilityAnswer::Reachable { witness } => {
             verbs::print_witness(&uni, user, perm, witness.commands())
         }
-        ReachabilityAnswer::Unreachable => {
-            println!("UNREACHABLE: no reachable policy grants ({action}, {object})")
-        }
-        ReachabilityAnswer::Unknown { truncation } => {
-            println!(
-                "UNKNOWN: {} state(s) to depth {}, no unbounded engine closed the instance",
-                truncation.states, truncation.depth
-            );
-            return Ok(ExitCode::FAILURE);
-        }
+        ReachabilityAnswer::Unreachable => verbs::print_unreachable(&uni, perm),
+        ReachabilityAnswer::Unknown { .. } => unreachable!("saturation is definitive"),
     }
     Ok(ExitCode::SUCCESS)
 }

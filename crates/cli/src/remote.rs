@@ -187,7 +187,7 @@ pub(crate) const CLIENT_VERBS: &[(&str, ClientVerb)] = &[
         let args = Args::parse(rest, 4, &[verbs::REACH_FLAGS])?;
         let (mut uni, _) = read_policy(args.pos(0, "policy file")?)?;
         let goal = resolve_goal(&mut uni, &args)?;
-        verbs::reach(svc, &uni, goal, safety_config(&args, 3)?)
+        verbs::reach(svc, &uni, goal, safety_config(&args)?)
     }),
     ("lint", |svc, rest| {
         let args = Args::parse(rest, 1, &[verbs::LINT_FLAGS])?;

@@ -32,7 +32,8 @@ use adminref_service::{PolicyService, ReplicationRole, ServiceError};
 use crate::args::Args;
 use crate::Run;
 
-/// `reach`'s search bounds (also `verify`'s, minus the two it lacks).
+/// `reach`'s search bounds; `verify`, which runs no search, takes only
+/// `--no-slice` of them.
 pub(crate) const REACH_FLAGS: &str = "--steps= --max-states= --jobs= --no-escalate --no-slice";
 pub(crate) const LINT_FLAGS: &str = "--json --deny= --sod=";
 pub(crate) const CONSTRAINT_FLAGS: &str = "--sod= --deny= --freeze=";
@@ -71,13 +72,12 @@ pub(crate) fn resolve_goal(uni: &mut Universe, args: &Args) -> Run<(UserId, Perm
     Ok((user, perm))
 }
 
-/// `--steps`, `--max-states`, `--jobs`, `--no-escalate`, `--no-slice`
-/// and `--ordered` as a [`SafetyConfig`]; a verb that does not accept
-/// one of them gets the default.
-pub(crate) fn safety_config(args: &Args, default_steps: usize) -> Run<SafetyConfig> {
+/// [`REACH_FLAGS`] and `--ordered` as a [`SafetyConfig`]; `--steps`
+/// defaults to 3.
+pub(crate) fn safety_config(args: &Args) -> Run<SafetyConfig> {
     let defaults = SafetyConfig::default();
     Ok(SafetyConfig {
-        max_steps: args.number("--steps", default_steps)?,
+        max_steps: args.number("--steps", 3)?,
         max_states: args.number("--max-states", defaults.max_states)?,
         jobs: args.number("--jobs", defaults.jobs)?,
         auth_mode: args.auth_mode(),
@@ -157,6 +157,13 @@ pub(crate) fn print_witness(uni: &Universe, user: UserId, perm: Perm, witness: &
     for cmd in witness {
         println!("  {}", print_command(uni, cmd));
     }
+}
+
+/// A refutation, whether the bounded search exhausted the space or
+/// saturation refuted the goal.
+pub(crate) fn print_unreachable(uni: &Universe, perm: Perm) {
+    let (action, object) = (uni.action_name(perm.action), uni.object_name(perm.object));
+    println!("UNREACHABLE: no reachable policy grants ({action}, {object})");
 }
 
 /// Renders an [`ImpactReport`] in triage order: simulation verdicts,
@@ -265,10 +272,7 @@ pub(crate) fn reach(
         ReachabilityAnswer::Reachable { witness } => {
             print_witness(uni, user, perm, witness.commands())
         }
-        ReachabilityAnswer::Unreachable => println!(
-            "UNREACHABLE: the whole reachable space was explored (within {} step(s))",
-            config.max_steps
-        ),
+        ReachabilityAnswer::Unreachable => print_unreachable(uni, perm),
         ReachabilityAnswer::Unknown { truncation } => {
             println!("UNKNOWN: a bound cut the search off before the space was exhausted");
             println!(

@@ -62,7 +62,6 @@ fn lint_is_clean_on_hospital_and_flags_the_demo() {
         "unauthorizable",
         "redundant-grant",
         "shadowed-grant",
-        "non-monotone-island",
         "sod-conflict",
     ] {
         assert!(text.contains(kind), "missing {kind}: {text}");
@@ -237,9 +236,9 @@ fn reach_parallel_jobs_and_bounds() {
     assert!(text.contains("slice: alphabet"), "{text}");
     assert!(text.contains("-> 0 command(s)"), "{text}");
     assert!(text.contains("UNREACHABLE"), "{text}");
-    // Without --no-escalate the starved unsliced bounds escalate: the
-    // hospital policy grants revoke privileges, so the refutation comes
-    // from the bounded model checker's diameter closure, not saturation.
+    // Without --no-escalate the starved unsliced bounds escalate to
+    // saturation, which refutes the goal although the hospital policy
+    // grants revoke privileges.
     let out = bin()
         .args([
             "reach",
@@ -266,13 +265,11 @@ fn verify_reports_engine_and_witness() {
         .unwrap();
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("engine: bfs"), "{text}");
+    assert!(text.contains("engine: saturation"), "{text}");
     assert!(text.contains("REACHABLE in 1 step(s)"), "{text}");
     assert!(text.contains("cmd(jane, grant, bob -> staff);"), "{text}");
-    // Starving the unsliced bounded search hands the instance to the
-    // bounded model checker, which still refutes it definitively — and
-    // the output accounts for the grounding it solved. (With slicing
-    // left on, the empty cone refutes before any engine is needed.)
+    // Saturation refutes over the full alphabet too: the hospital
+    // assigns revoke privileges, and revocations never help a goal.
     let out = bin()
         .args([
             "verify",
@@ -280,34 +277,45 @@ fn verify_reports_engine_and_witness() {
             "bob",
             "launch",
             "missiles",
-            "--max-states",
-            "1",
             "--no-slice",
         ])
         .output()
         .unwrap();
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("engine: bmc"), "{text}");
+    assert!(text.contains("engine: saturation"), "{text}");
     assert!(text.contains("UNREACHABLE"), "{text}");
-    assert!(text.contains("bmc: bound"), "{text}");
-    // Sliced, the same starved instance is refuted with no engine at all.
+    // Sliced, the same instance is refuted over an empty cone.
     let out = bin()
-        .args([
-            "verify",
-            &hospital(),
-            "bob",
-            "launch",
-            "missiles",
-            "--max-states",
-            "1",
-        ])
+        .args(["verify", &hospital(), "bob", "launch", "missiles"])
         .output()
         .unwrap();
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("slice: alphabet"), "{text}");
     assert!(text.contains("UNREACHABLE"), "{text}");
+    // Ordered authorization with revoke rules: the bounded search
+    // cannot exhaust this space at default bounds, saturation decides.
+    for slice in [None, Some("--no-slice")] {
+        let out = bin()
+            .args(["verify", &hospital(), "jane", "read", "t1", "--ordered"])
+            .args(slice)
+            .output()
+            .unwrap();
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{slice:?}: {text}");
+        assert!(text.contains("UNREACHABLE"), "{slice:?}: {text}");
+    }
+    // No search runs, so the search bounds are not `verify`'s flags.
+    for flag in ["--steps", "--max-states"] {
+        let out = bin()
+            .args(["verify", &hospital(), "bob", "write", "t3", flag, "1"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+    }
 }
 
 #[test]

@@ -307,7 +307,9 @@ pub struct ImpactReport {
     pub deltas: Vec<EdgeDelta>,
     /// `(user, perm)` verdicts that flip.
     pub flipped: Vec<PermFlip>,
-    /// Was the parent grow-only (monotone saturation applies)?
+    /// Was the parent grow-only (see [`is_grow_only`])? Informational:
+    /// no engine depends on it. Kept on the wire until its next
+    /// version bump.
     pub grow_only_before: bool,
     /// Is the candidate grow-only?
     pub grow_only_after: bool,
@@ -639,9 +641,11 @@ pub fn revoke_assigned(universe: &Universe, edge: Edge) -> Option<Edge> {
     }
 }
 
-/// Is `(universe, policy)` grow-only — no revoke-term assignment edge —
-/// so monotone saturation applies? The `non-monotone-island` lint
-/// classifies the root with it.
+/// Is `(universe, policy)` grow-only — no revoke-term assignment edge,
+/// so no revocation is authorized in the policy? Reported by
+/// [`ImpactReport`]'s `grow_only_*` fields. Safety analysis no longer
+/// depends on it: saturation decides revocation-capable instances too
+/// (see [`crate::verify`]).
 pub fn is_grow_only(universe: &Universe, policy: &Policy) -> bool {
     !policy
         .edges()

@@ -104,8 +104,7 @@ pub mod prelude {
         RefinementViolation,
     };
     pub use crate::safety::{
-        find_reachable, find_reachable_clone, perm_reachable, ReachabilityAnswer, SafetyConfig,
-        Truncation,
+        find_reachable_clone, perm_reachable, ReachabilityAnswer, SafetyConfig, Truncation,
     };
     pub use crate::search::{SearchLimits, SearchOutcome, SearchStats};
     pub use crate::session::{Session, SessionError};

@@ -9,7 +9,6 @@
 
 use std::collections::BTreeSet;
 
-use crate::admission::{is_grow_only, revoke_assigned};
 use crate::display::{priv_to_string, Notation};
 use crate::ids::{Entity, PrivId, RoleId, UserId};
 use crate::ordering::PrivilegeOrder;
@@ -38,7 +37,6 @@ pub(super) fn run_checks(
     unauthorizable(universe, potential, config.auth_mode, &sites, &mut findings);
     redundant_grants(universe, root, &root_index, &mut findings);
     shadowed_grants(universe, root, potential, &mut findings);
-    non_monotone_islands(universe, root, potential, &mut findings);
     sod_conflicts(
         universe,
         potential,
@@ -229,59 +227,6 @@ fn shadowed_grants(
             confirmation: Some(confirmation),
             message: message.to_string(),
         });
-    }
-}
-
-/// **Non-monotone islands**: the revoke-term assignments that keep (or
-/// would keep) the instance off the monotone saturation fast path (see
-/// [`crate::verify::is_monotone`]), pinpointed:
-///
-/// * *dead island* (warning) — a root assignment of a revoke term whose
-///   rule is dead: it blocks saturation and can never fire, so deleting
-///   it makes the instance grow-only for free;
-/// * *latent island* (note) — the root is grow-only, but an addable
-///   edge would assign a revoke term, ending saturation's applicability
-///   the moment it lands.
-fn non_monotone_islands(
-    universe: &Universe,
-    root: &Policy,
-    potential: &Potential,
-    findings: &mut Vec<Finding>,
-) {
-    let root_grow_only = is_grow_only(universe, root);
-    for edge in potential.policy.edges() {
-        let (Edge::RolePriv(r, p), Some(effect)) = (edge, revoke_assigned(universe, edge)) else {
-            continue;
-        };
-        if root.contains_edge(edge) {
-            if !potential.policy.contains_edge(effect) {
-                findings.push(Finding {
-                    kind: FindingKind::NonMonotoneIsland,
-                    severity: Severity::Warning,
-                    role: r,
-                    term: Some(p),
-                    edge: Some(edge),
-                    confirmation: None,
-                    message: "this revoke rule blocks monotone saturation but can never \
-                              fire (its edge is never present); deleting it makes the \
-                              instance grow-only"
-                        .to_string(),
-                });
-            }
-        } else if root_grow_only {
-            findings.push(Finding {
-                kind: FindingKind::NonMonotoneIsland,
-                severity: Severity::Note,
-                role: r,
-                term: Some(p),
-                edge: Some(edge),
-                confirmation: None,
-                message: "the root policy is grow-only, but this addable edge would \
-                          assign a revoke term and end monotone saturation's \
-                          applicability"
-                    .to_string(),
-            });
-        }
     }
 }
 

@@ -55,9 +55,6 @@ pub enum FindingKind {
     RedundantGrant,
     /// A revoke rule in the may-add closure can strip this assignment.
     ShadowedGrant,
-    /// A revoke-term assignment that keeps (or would keep) the instance
-    /// off the monotone saturation fast path.
-    NonMonotoneIsland,
     /// Some user can statically reach both roles of a declared
     /// separation-of-duty pair.
     SodConflict,
@@ -75,7 +72,6 @@ impl FindingKind {
             FindingKind::Unauthorizable => "unauthorizable",
             FindingKind::RedundantGrant => "redundant-grant",
             FindingKind::ShadowedGrant => "shadowed-grant",
-            FindingKind::NonMonotoneIsland => "non-monotone-island",
             FindingKind::SodConflict => "sod-conflict",
             FindingKind::FrozenEdgeViolation => "frozen-edge-violation",
         }

@@ -14,7 +14,6 @@
 //!    | `unauthorizable` | warning | no `⊑`-compatible authorizing term is ever assigned in `Φ⁺` |
 //!    | `redundant-grant` | note | the role already reaches the term through the hierarchy |
 //!    | `shadowed-grant` | warning | a reachable revocation can strip the grant rule |
-//!    | `non-monotone-island` | warning/note | a revoke assignment blocks (or would block) [`crate::verify`]'s saturation fast path |
 //!    | `sod-conflict` | error/warning | a user statically reaches both roles of a declared separation-of-duty pair (error when the root itself witnesses the co-holding, warning when only `Φ⁺` does) |
 //!    | `frozen-edge-violation` | error | an admission constraint asserts an edge frozen that the candidate policy drops or leaves revocable (see [`crate::admission`]) |
 //!
@@ -26,8 +25,8 @@
 //!    reduction of the command alphabet that preserves the answer of
 //!    `perm_reachable` exactly — the soundness argument lives in the
 //!    `slice` module docs. [`crate::safety::SafetyConfig::slice`]
-//!    turns it on (the default) for the bounded search, the saturation
-//!    engine and the BMC grounding alike.
+//!    turns it on (the default) for the bounded search and the
+//!    saturation engine alike.
 //!
 //! Both halves share the same foundation: the goal predicate and the
 //! authorization relation are *monotone* in the policy's edge set, so a
@@ -137,11 +136,6 @@ mod tests {
         assert_eq!(dead.len(), 2, "{:?}", report.findings);
         assert!(dead.iter().any(|f| f.term == Some(dead_grant)));
         assert!(dead.iter().any(|f| f.term == Some(dead_revoke)));
-        // The dead revoke assignment is also a dead non-monotone island.
-        assert!(report
-            .findings
-            .iter()
-            .any(|f| f.kind == FindingKind::NonMonotoneIsland && f.severity == Severity::Warning));
     }
 
     #[test]
@@ -219,36 +213,6 @@ mod tests {
             .findings
             .iter()
             .any(|f| f.kind == FindingKind::RedundantGrant && f.term == Some(read_logs)));
-    }
-
-    #[test]
-    fn latent_island_fires_only_on_grow_only_roots() {
-        // The root is grow-only, but hr can grant aud a revoke rule:
-        // latent island (note).
-        let mut b = PolicyBuilder::new()
-            .assign("jane", "hr")
-            .assign("bob", "staff");
-        let (bob, staff, aud) = {
-            let u = b.universe_mut();
-            (
-                u.find_user("bob").unwrap(),
-                u.find_role("staff").unwrap(),
-                u.role("aud"),
-            )
-        };
-        let strip = b.universe_mut().priv_revoke(Edge::UserRole(bob, staff));
-        let handout = b.universe_mut().priv_grant(Edge::RolePriv(aud, strip));
-        b = b.assign_priv("hr", handout);
-        let (uni, policy) = b.finish();
-        let report = lint_policy(&uni, &policy, &LintConfig::default());
-        let islands: Vec<&Finding> = report
-            .findings
-            .iter()
-            .filter(|f| f.kind == FindingKind::NonMonotoneIsland)
-            .collect();
-        assert_eq!(islands.len(), 1, "{:?}", report.findings);
-        assert_eq!(islands[0].severity, Severity::Note);
-        assert_eq!(islands[0].term, Some(strip));
     }
 
     #[test]

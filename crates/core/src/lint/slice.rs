@@ -1,8 +1,8 @@
 //! Goal-directed cone-of-influence slicing of the command alphabet.
 //!
 //! [`slice_alphabet`] shrinks a prepared alphabet to the commands that
-//! can transitively influence a [`crate::search::SearchGoal::Priv`]
-//! goal `entity →φ target`, so the bounded search and the BMC grounding
+//! can transitively influence a [`crate::search::SearchGoal`]
+//! `entity →φ target`, so the bounded search and the saturation engine
 //! explore a (often dramatically) smaller space with the **same
 //! answer**.
 //!
@@ -47,10 +47,9 @@
 //! applies steps 1–2 only (both justified purely by monotonicity and
 //! the closure over-approximation, which hold in every mode).
 //!
-//! A pleasant corollary of step 1: the sliced alphabet never contains a
-//! revoke command, so instances that were non-monotone only because of
-//! revoke rules become grow-only after slicing and take the saturation
-//! fast path in [`crate::verify`].
+//! Step 1 is the search-side face of the grant-closure lemma in
+//! [`crate::verify`]: the sliced alphabet never contains a revoke
+//! command, since no reachable goal needs one.
 
 use crate::bitset::BitSet;
 use crate::command::CommandKind;

@@ -30,37 +30,34 @@
 //! enters only through authorization. So a state's successors are the
 //! edge toggles *some* user is authorized for, each named in the witness
 //! by the least such user. [`prepare_alphabet`] grounds the quotient per
-//! actor for the bounded model checker.
+//! actor, for Definition 7 and the reference search.
 //!
 //! # Answer semantics
 //!
 //! * [`ReachabilityAnswer::Reachable`] — a witness queue was found. When
 //!   the bounded search finds it, the witness is shortest; an escalated
-//!   engine (below) may return a longer but still replayable witness.
-//! * [`ReachabilityAnswer::Unreachable`] — exhaustively refuted, either
-//!   by exploring the whole reachable space or by an unbounded engine.
-//! * [`ReachabilityAnswer::Unknown`] — an unseen successor was actually
-//!   cut off by `max_steps` or `max_states` before exhaustion, and no
-//!   escalation engine could close the instance. The carried
-//!   [`Truncation`] says exactly which bound bit and how far the search
-//!   got, so the caller knows which knob to raise.
+//!   answer (below) may carry a longer but still replayable witness.
+//! * [`ReachabilityAnswer::Unreachable`] — refuted, either by exploring
+//!   the whole reachable space or by saturation.
+//! * [`ReachabilityAnswer::Unknown`] — escalation was off, and an unseen
+//!   successor was actually cut off by `max_steps` or `max_states`
+//!   before exhaustion. The carried [`Truncation`] says exactly which
+//!   bound bit and how far the search got, so the caller knows which
+//!   knob to raise.
 //!
 //! # Escalation
 //!
 //! With [`SafetyConfig::escalate`] (the default), an inconclusive
-//! bounded search hands the instance to [`crate::verify`]:
-//!
-//! * **grow-only instances** (no revoke rule anywhere in the edge
-//!   universe) are decided *definitively* by the saturation engine,
-//!   independent of `max_states` — even `max_states = 0` gets a real
-//!   answer;
-//! * general explicit-mode instances within the grounding budget go to
-//!   the DPLL-backed bounded model checker, which closes many of them
-//!   unboundedly via a recurrence-diameter check.
+//! bounded search hands the instance to the saturation engine
+//! ([`crate::verify::saturation`]), which decides every instance
+//! definitively by the grant-closure lemma in [`crate::verify`],
+//! independent of `max_states` — even `max_states = 0` gets a real
+//! answer.
 //!
 //! The clone-based breadth-first search the engine replaced is kept as
 //! [`find_reachable_clone`] — same answers, same witnesses, no
-//! escalation — as the differential-testing baseline.
+//! escalation, any goal predicate — as the differential-testing
+//! baseline.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -73,6 +70,7 @@ use crate::search::{search, PolicySearch, SearchGoal, SearchLimits, SearchOutcom
 use crate::simulation::alphabet_parts;
 use crate::transition::{step, AuthMode};
 use crate::universe::{Edge, Universe};
+use crate::verify::saturation::saturate;
 
 /// Bounds for the reachability search.
 #[derive(Clone, Copy, Debug)]
@@ -90,11 +88,10 @@ pub struct SafetyConfig {
     /// Worker threads for frontier expansion: `1` is sequential, `0`
     /// uses all available cores. Answers are identical either way.
     pub jobs: usize,
-    /// Escalate an inconclusive bounded search to the unbounded engines
-    /// in [`crate::verify`] (saturation for grow-only instances, DPLL
-    /// bounded model checking in the general explicit-mode case). A
-    /// definitive escalated answer replaces `Unknown`; its witness may
-    /// be longer than `max_steps` (still replayable, not necessarily
+    /// Escalate an inconclusive bounded search to saturation
+    /// ([`crate::verify::saturation`]), which decides every instance:
+    /// its definitive answer replaces `Unknown`, and its witness may be
+    /// longer than `max_steps` (still replayable, not necessarily
     /// shortest). `false` reports the raw bounded answer.
     pub escalate: bool,
     /// Slice the command alphabet to the goal's cone of influence
@@ -102,9 +99,9 @@ pub struct SafetyConfig {
     /// the answer is unchanged — and on wide instances dramatically
     /// faster; `false` searches the full alphabet (the `--no-slice`
     /// escape hatch, and what differential tests compare against).
-    /// Applies only to the goal-directed entry points
-    /// ([`perm_reachable`], [`crate::verify::verify_perm_reachable`]);
-    /// custom-goal searches always use the full alphabet.
+    /// Applies to [`perm_reachable`] and
+    /// [`crate::verify::verify_perm_reachable`]; the reference search
+    /// [`find_reachable_clone`] always uses the full alphabet.
     pub slice: bool,
 }
 
@@ -177,7 +174,7 @@ pub fn perm_reachable(
         };
     }
     let alphabet = goal_alphabet(universe, policy, config, entity, target);
-    let goal = SearchGoal::Priv { entity, target };
+    let goal = SearchGoal { entity, target };
     let space = PolicySearch::new(
         universe,
         policy,
@@ -186,11 +183,28 @@ pub fn perm_reachable(
         goal,
         root_index,
     );
-    match run_engine(&space, config) {
-        ReachabilityAnswer::Unknown { truncation } if config.escalate => crate::verify::escalate(
-            universe, policy, &alphabet, config, entity, target, truncation,
-        ),
-        other => other,
+    let limits = SearchLimits {
+        max_depth: config.max_steps,
+        max_states: config.max_states,
+        jobs: config.jobs,
+    };
+    let (outcome, stats) = search(&space, limits);
+    match outcome {
+        SearchOutcome::Found { witness } => ReachabilityAnswer::Reachable {
+            witness: CommandQueue::from_commands(witness),
+        },
+        SearchOutcome::Exhausted => ReachabilityAnswer::Unreachable,
+        SearchOutcome::Truncated if config.escalate => {
+            let mode = config.auth_mode;
+            saturate(universe, policy, &alphabet, mode, entity, target).answer
+        }
+        SearchOutcome::Truncated => ReachabilityAnswer::Unknown {
+            truncation: Truncation {
+                states: stats.states,
+                depth: stats.depth,
+                cap_hit: stats.cap_hit,
+            },
+        },
     }
 }
 
@@ -209,54 +223,6 @@ pub(crate) fn goal_alphabet(
     }
     let mode = config.auth_mode;
     crate::lint::slice_alphabet(universe, policy, &alphabet, entity, target, mode).alphabet
-}
-
-/// Breadth-first search for a reachable policy satisfying `goal`, over
-/// the alphabet of [`prepare_toggles`].
-pub fn find_reachable(
-    universe: &mut Universe,
-    policy: &Policy,
-    config: SafetyConfig,
-    goal: impl Fn(&Universe, &Policy) -> bool + Sync,
-) -> ReachabilityAnswer {
-    if goal(universe, policy) {
-        return ReachabilityAnswer::Reachable {
-            witness: CommandQueue::new(),
-        };
-    }
-    let alphabet = prepare_toggles(universe, policy, config);
-    let root_index = ReachIndex::build(universe, policy);
-    let space = PolicySearch::new(
-        universe,
-        policy,
-        &alphabet,
-        config.auth_mode,
-        SearchGoal::Custom(&goal),
-        root_index,
-    );
-    run_engine(&space, config)
-}
-
-pub(crate) fn run_engine(space: &PolicySearch<'_>, config: SafetyConfig) -> ReachabilityAnswer {
-    let limits = SearchLimits {
-        max_depth: config.max_steps,
-        max_states: config.max_states,
-        jobs: config.jobs,
-    };
-    let (outcome, stats) = search(space, limits);
-    match outcome {
-        SearchOutcome::Found { witness } => ReachabilityAnswer::Reachable {
-            witness: CommandQueue::from_commands(witness),
-        },
-        SearchOutcome::Exhausted => ReachabilityAnswer::Unreachable,
-        SearchOutcome::Truncated => ReachabilityAnswer::Unknown {
-            truncation: Truncation {
-                states: stats.states,
-                depth: stats.depth,
-                cap_hit: stats.cap_hit,
-            },
-        },
-    }
 }
 
 /// One entry of the actor-quotiented alphabet (see the module docs): an
@@ -343,7 +309,7 @@ pub fn prepare_toggles(
 
 /// [`prepare_toggles`] issued by every actor of
 /// [`crate::simulation::command_alphabet`], actor-major: the alphabet
-/// the bounded model checker ([`crate::verify::bmc`]) encodes.
+/// [`find_reachable_clone`] searches.
 pub fn prepare_alphabet(
     universe: &mut Universe,
     policy: &Policy,
@@ -535,16 +501,14 @@ mod tests {
     #[test]
     fn already_satisfied_goal_returns_empty_witness() {
         let (mut uni, policy) = fixture();
-        let jane = uni.find_user("jane").unwrap();
-        // Jane reaches nothing perm-wise; use a goal that's true at start.
-        let answer = find_reachable(&mut uni, &policy, SafetyConfig::default(), |_, p| {
+        // A goal that holds in the root policy itself.
+        let answer = find_reachable_clone(&mut uni, &policy, SafetyConfig::default(), |_, p| {
             p.edge_count() > 0
         });
         let ReachabilityAnswer::Reachable { witness } = answer else {
             panic!();
         };
         assert!(witness.is_empty());
-        let _ = jane;
     }
 
     #[test]
@@ -738,7 +702,7 @@ mod tests {
             p.contains_edge(Edge::UserRole(bob, dbusr2))
                 && !p.contains_edge(Edge::UserRole(bob, staff))
         };
-        let explicit = find_reachable(
+        let explicit = find_reachable_clone(
             &mut uni,
             &policy,
             SafetyConfig {
@@ -751,7 +715,7 @@ mod tests {
             matches!(explicit, ReachabilityAnswer::Unreachable),
             "{explicit:?}"
         );
-        let ordered = find_reachable(
+        let ordered = find_reachable_clone(
             &mut uni,
             &policy,
             SafetyConfig {

@@ -95,19 +95,15 @@ impl EdgeTable {
     }
 }
 
-/// The reachability goal of a search.
-pub enum SearchGoal<'g> {
-    /// `entity →φ target` for a privilege vertex `target` — the
-    /// [`crate::safety::perm_reachable`] shape, evaluated incrementally.
-    Priv {
-        /// The source entity.
-        entity: Entity,
-        /// The privilege vertex to reach.
-        target: PrivId,
-    },
-    /// An arbitrary predicate over candidate policies; evaluated by
-    /// materialising each changed successor.
-    Custom(&'g (dyn Fn(&Universe, &Policy) -> bool + Sync)),
+/// The reachability goal of a search: `entity →φ target` for a
+/// privilege vertex `target` — the [`crate::safety::perm_reachable`]
+/// shape, evaluated incrementally.
+#[derive(Clone, Copy, Debug)]
+pub struct SearchGoal {
+    /// The source entity.
+    pub entity: Entity,
+    /// The privilege vertex to reach.
+    pub target: PrivId,
 }
 
 /// [`StateSpace`] implementation over administrative policies.
@@ -117,7 +113,7 @@ pub struct PolicySearch<'a> {
     /// Each toggle with the bit of its edge in the [`EdgeTable`].
     alphabet: Vec<(Toggle, u32)>,
     auth_mode: AuthMode,
-    goal: SearchGoal<'a>,
+    goal: SearchGoal,
     /// The root's encoded state and prebuilt index: the root is both
     /// goal-checked by the caller and expanded once by the engine, so
     /// its index is built a single time and shared.
@@ -138,7 +134,7 @@ impl<'a> PolicySearch<'a> {
         root: &'a Policy,
         alphabet: &[Toggle],
         auth_mode: AuthMode,
-        goal: SearchGoal<'a>,
+        goal: SearchGoal,
         root_index: ReachIndex,
     ) -> Self {
         root.check_universe(universe);
@@ -172,23 +168,14 @@ impl<'a> PolicySearch<'a> {
     /// Incremental goal check for one candidate delta, using the
     /// *parent's* reachability index. Relies on the engine's invariant
     /// that the parent itself fails the goal.
-    fn goal_on_delta(&self, idx: &ReachIndex, parent: &Policy, toggle: Toggle) -> bool {
-        match &self.goal {
-            SearchGoal::Priv { entity, target } => match toggle.kind {
-                // Removing an edge only shrinks reachability; the
-                // parent already fails the goal.
-                CommandKind::Revoke => false,
-                // One added edge: the split lemma on the parent's index.
-                CommandKind::Grant => idx.reach_priv_via_added_edge(*entity, *target, toggle.edge),
-            },
-            SearchGoal::Custom(f) => {
-                let mut succ = parent.clone();
-                match toggle.kind {
-                    CommandKind::Grant => succ.add_edge(toggle.edge),
-                    CommandKind::Revoke => succ.remove_edge(toggle.edge),
-                };
-                f(self.universe, &succ)
-            }
+    fn goal_on_delta(&self, idx: &ReachIndex, toggle: Toggle) -> bool {
+        let SearchGoal { entity, target } = self.goal;
+        match toggle.kind {
+            // Removing an edge only shrinks reachability; the parent
+            // already fails the goal.
+            CommandKind::Revoke => false,
+            // One added edge: the split lemma on the parent's index.
+            CommandKind::Grant => idx.reach_priv_via_added_edge(entity, target, toggle.edge),
         }
     }
 }
@@ -231,7 +218,7 @@ impl StateSpace for PolicySearch<'_> {
                 continue;
             };
             toggle_bit(&mut scratch, bit as usize);
-            let goal = self.goal_on_delta(idx, &policy, toggle);
+            let goal = self.goal_on_delta(idx, toggle);
             out.push(toggle.command(actor), goal, &scratch);
             toggle_bit(&mut scratch, bit as usize);
         }
@@ -269,7 +256,7 @@ mod tests {
             &policy,
             &prepared,
             AuthMode::Explicit,
-            SearchGoal::Priv {
+            SearchGoal {
                 entity: Entity::User(jane),
                 target: PrivId(0),
             },
@@ -312,13 +299,18 @@ mod tests {
         }
         let jane = uni.find_user("jane").unwrap();
         assert!(!expected.is_empty() && expected.iter().all(|(c, _)| c.actor == jane));
-        let goal = |_: &Universe, _: &Policy| false;
+        // A goal no candidate satisfies, so every flag reads `false`.
+        let never = uni.perm("launch", "missiles");
+        let goal = SearchGoal {
+            entity: Entity::User(jane),
+            target: uni.priv_perm(never),
+        };
         let space = PolicySearch::new(
             &uni,
             &policy,
             &prepared,
             AuthMode::Explicit,
-            SearchGoal::Custom(&goal),
+            goal,
             ReachIndex::build(&uni, &policy),
         );
         let words = super::super::words_for(space.state_bits());
@@ -328,7 +320,10 @@ mod tests {
         space.expand(&root, &mut out);
         let got: Vec<(Command, Policy)> = out
             .iter()
-            .map(|(cmd, _, ws)| (cmd, space.decode(ws)))
+            .map(|(cmd, goal, ws)| {
+                assert!(!goal, "{cmd:?} cannot reach an unheld permission");
+                (cmd, space.decode(ws))
+            })
             .collect();
         assert_eq!(got.len(), expected.len());
         for ((ca, pa), (cb, pb)) in got.iter().zip(expected.iter()) {

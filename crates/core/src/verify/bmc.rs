@@ -2,6 +2,11 @@
 //! case: bounded model checking over the edge universe, with a
 //! recurrence-diameter check that closes many instances unboundedly.
 //!
+//! No product path calls this module: saturation decides every
+//! instance (the grant-closure lemma in [`crate::verify`]). It is kept
+//! only for the benchmark's model-checking job and the differential
+//! test in `tests/verify_unbounded.rs`.
+//!
 //! Every policy reachable from the root is a subset of the finite edge
 //! universe `E` (root edges ∪ alphabet edges), so a run of length `k`
 //! grounds to variables `x[t][e]` ("edge `e` present at time `t`") for
@@ -44,8 +49,7 @@
 //!
 //! Bounds deepen from 1 until an answer lands, the grounding budget is
 //! exceeded, or [`BmcConfig::max_bound`] is reached. The encoding
-//! models explicit authorization only; ordered-mode instances stay with
-//! the bounded search.
+//! models explicit authorization only.
 
 use std::collections::{BTreeMap, HashMap};
 

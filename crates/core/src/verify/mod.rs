@@ -4,79 +4,60 @@
 //! The bounded breadth-first search answers the paper's safety question
 //! ("can `entity` ever reach permission `p` under this administrative
 //! policy?") exactly when the reachable space fits its bounds, and
-//! `Unknown` otherwise. This module turns many of those `Unknown`s into
-//! definitive answers with three engines:
+//! `Unknown` otherwise. This module decides it on every instance with
+//! one engine, and keeps a conformance oracle beside it:
 //!
-//! * [`saturation`] — when the instance is **grow-only** (no revoke rule
-//!   anywhere in the edge universe, see [`is_monotone`]), reachability
-//!   needs no frontier at all: the set of grantable edges only ever
-//!   grows, so the least fixpoint of the add-edge split lemma decides
-//!   the question outright, with a replayable derivation as witness.
-//! * [`bmc`] — in the general (revocation-capable) explicit-mode case,
-//!   the step relation and goal are grounded to CNF over the finite
-//!   edge universe and solved with the vendored DPLL
-//!   ([`minisat`]); a recurrence-diameter check closes many instances
-//!   unboundedly.
+//! * [`saturation`] — the least fixpoint of the grant closure (below),
+//!   a polynomial computation with a replayable derivation as witness.
+//!   It decides every instance, revoke rules included, in every
+//!   [`crate::transition::AuthMode`].
 //! * [`specs`] — a declarative invariant suite (TLA-style predicates as
 //!   Rust combinators) replayed against recorded monitor traces as a
 //!   conformance oracle for the executable semantics.
 //!
-//! [`crate::safety::perm_reachable`] dispatches here automatically when
-//! a bounded search comes back inconclusive (see
-//! [`SafetyConfig::escalate`]); [`verify_perm_reachable`] is the
-//! front door for callers that want the engine report as well — it runs
-//! saturation *first* on monotone instances instead of paying for a
-//! doomed bounded search.
+//! [`bmc`], the DPLL-grounded bounded model checker, has no caller in
+//! the product: the lemma below leaves it nothing to decide. It is kept
+//! for the benchmark's model-checking job and the differential test in
+//! `tests/verify_unbounded.rs`.
+//!
+//! # The grant-closure lemma
+//!
+//! Let `Γ(φ)` be the least fixpoint, from `φ`, of "add every edge some
+//! user is authorized to grant". Authorization and `→φ` use edges only
+//! positively (the `⊑φ` rules too), so a command authorized in a policy
+//! stays authorized in every superset of it.
+//!
+//! **Every policy reachable from `φ` is a subset of `Γ(φ)`.** By
+//! induction over a run: a grant authorized in `φ′ ⊆ Γ(φ)` is
+//! authorized in `Γ(φ)`, so its edge is in `Γ(φ)`; a revoke only
+//! shrinks the policy.
+//!
+//! Conversely, `Γ(φ)` is itself reachable, by its own grants in
+//! derivation order. So a goal that stays true when edges are added —
+//! `entity →φ p` is one — holds in some reachable policy iff it holds
+//! in `Γ(φ)`, with or without revoke rules. That is why
+//! [`verify_perm_reachable`] runs no search, and why
+//! [`crate::safety::perm_reachable`] hands every inconclusive bounded
+//! search to [`saturation::saturate`] (see [`SafetyConfig::escalate`]).
 
 pub mod bmc;
 pub mod saturation;
 pub mod specs;
 
-use crate::admission::{is_grow_only, revoke_assigned};
 use crate::command::CommandQueue;
-use crate::ids::{Entity, Perm, PrivId};
+use crate::ids::{Entity, Perm};
 use crate::policy::Policy;
 use crate::reach::ReachIndex;
-use crate::safety::{goal_alphabet, ground, ReachabilityAnswer, SafetyConfig, Toggle, Truncation};
-use crate::search::{PolicySearch, SearchGoal};
-use crate::transition::AuthMode;
+use crate::safety::{goal_alphabet, ReachabilityAnswer, SafetyConfig};
 use crate::universe::Universe;
-
-/// Is this reachability instance **grow-only**?
-///
-/// Every reachable policy is a subset of the finite edge universe (root
-/// edges plus alphabet command edges). A revoke command executes only
-/// when its actor reaches a `♦` privilege *vertex*, and `♦` terms are
-/// `⊑`-comparable only to themselves (Strict/Extended ordering) or to
-/// other `♦` terms (ExtendedWithRevocation) — a grant vertex never
-/// authorizes a revocation in any mode. So if no edge in the universe
-/// assigns a revoke term to a role, no revocation is ever authorized in
-/// any reachable policy, and the system can only grow. The check is
-/// sound in every [`AuthMode`]; nested `♦` terms are covered because
-/// the alphabet expands nested privileges into their own edges. The
-/// alphabet may be the quotient or its grounding.
-pub fn is_monotone(
-    universe: &Universe,
-    root: &Policy,
-    alphabet: &[impl Copy + Into<Toggle>],
-) -> bool {
-    is_grow_only(universe, root)
-        && !alphabet
-            .iter()
-            .any(|&entry| revoke_assigned(universe, entry.into().edge).is_some())
-}
 
 /// Which engine produced a [`VerifyReport`]'s answer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EngineUsed {
     /// The goal already holds in the root policy.
     Immediate,
-    /// Monotone saturation (definitive, unbounded).
+    /// Grant-closure saturation (definitive, unbounded).
     Saturation,
-    /// The bounded breadth-first search.
-    Bfs,
-    /// DPLL-grounded bounded model checking.
-    Bmc,
 }
 
 impl EngineUsed {
@@ -85,38 +66,30 @@ impl EngineUsed {
         match self {
             EngineUsed::Immediate => "immediate",
             EngineUsed::Saturation => "saturation",
-            EngineUsed::Bfs => "bfs",
-            EngineUsed::Bmc => "bmc",
         }
     }
 }
 
 /// The full result of [`verify_perm_reachable`]: the answer plus which
-/// engine decided it and the engine's own accounting.
+/// engine decided it and the saturation's derivation.
 #[derive(Clone, Debug)]
 pub struct VerifyReport {
-    /// The reachability answer.
+    /// The reachability answer: never `Unknown`.
     pub answer: ReachabilityAnswer,
     /// The engine that produced `answer`.
     pub engine: EngineUsed,
-    /// Whether the instance was detected as grow-only.
-    pub monotone: bool,
     /// Saturation's applied grants with their justifying vertices
-    /// (empty unless the saturation engine ran).
+    /// (empty when the goal already holds in the root).
     pub derivation: Vec<saturation::DerivationStep>,
-    /// The model checker's accounting, when it ran.
-    pub bmc: Option<bmc::BmcReport>,
 }
 
-/// Answers the safety question with the best engine for the instance,
-/// reporting which one ran.
+/// Decides the safety question by saturation (see the module docs),
+/// reporting which engine answered.
 ///
-/// Monotone instances go straight to saturation — definitive regardless
-/// of `config.max_steps` / `config.max_states`. General instances run
-/// the bounded search first (shortest witnesses, exhaustive refutation
-/// when the space fits the bounds) and escalate an inconclusive answer
-/// to the model checker under explicit authorization.
-/// `config.escalate` is ignored: this *is* the escalation front door.
+/// The answer is definitive on every instance. `config.auth_mode`,
+/// `config.weaker_depth` and `config.slice` shape the alphabet; the
+/// search bounds, `config.jobs` and `config.escalate` are ignored,
+/// since no search runs.
 pub fn verify_perm_reachable(
     universe: &mut Universe,
     policy: &Policy,
@@ -125,99 +98,27 @@ pub fn verify_perm_reachable(
     config: SafetyConfig,
 ) -> VerifyReport {
     let target = universe.priv_perm(perm);
-    let root_index = ReachIndex::build(universe, policy);
-    let report = |answer, engine| VerifyReport {
-        answer,
-        engine,
-        monotone: false,
-        derivation: Vec::new(),
-        bmc: None,
-    };
-    if root_index.reach_priv(entity, target) {
-        let witness = CommandQueue::new();
-        return report(
-            ReachabilityAnswer::Reachable { witness },
-            EngineUsed::Immediate,
-        );
-    }
-    // Slicing before the monotonicity check is deliberate: sliced
-    // alphabets contain no revoke commands, so instances that were
-    // non-monotone only through revoke rules take the saturation fast
-    // path below.
-    let alphabet = goal_alphabet(universe, policy, config, entity, target);
-    let mode = config.auth_mode;
-    if is_monotone(universe, policy, &alphabet) {
-        let outcome = saturation::saturate(universe, policy, &alphabet, mode, entity, target);
+    if ReachIndex::build(universe, policy).reach_priv(entity, target) {
         return VerifyReport {
-            monotone: true,
-            derivation: outcome.derivation,
-            ..report(outcome.answer, EngineUsed::Saturation)
+            answer: ReachabilityAnswer::Reachable {
+                witness: CommandQueue::new(),
+            },
+            engine: EngineUsed::Immediate,
+            derivation: Vec::new(),
         };
     }
-    let goal = SearchGoal::Priv { entity, target };
-    let space = PolicySearch::new(universe, policy, &alphabet, mode, goal, root_index);
-    match crate::safety::run_engine(&space, config) {
-        // The CNF grounding encodes explicit authorization only.
-        ReachabilityAnswer::Unknown { truncation } if mode == AuthMode::Explicit => {
-            let (answer, bmc) =
-                model_check(universe, policy, &alphabet, entity, target, truncation);
-            VerifyReport {
-                bmc: Some(bmc),
-                ..report(answer, EngineUsed::Bmc)
-            }
-        }
-        answer => report(answer, EngineUsed::Bfs),
-    }
-}
-
-/// Escalation hook for [`crate::safety::perm_reachable`]: called after
-/// the bounded search answered `Unknown`, with the already-prepared
-/// alphabet. Returns a definitive answer when an unbounded engine
-/// closes the instance, and `Unknown { truncation }` otherwise.
-pub(crate) fn escalate(
-    universe: &Universe,
-    root: &Policy,
-    alphabet: &[Toggle],
-    config: SafetyConfig,
-    entity: Entity,
-    target: PrivId,
-    truncation: Truncation,
-) -> ReachabilityAnswer {
-    if is_monotone(universe, root, alphabet) {
-        return saturation::saturate(universe, root, alphabet, config.auth_mode, entity, target)
-            .answer;
-    }
-    if config.auth_mode == AuthMode::Explicit {
-        return model_check(universe, root, alphabet, entity, target, truncation).0;
-    }
-    ReachabilityAnswer::Unknown { truncation }
-}
-
-/// The bounded model checker on the grounding of `alphabet`; an
-/// inconclusive check answers `Unknown { truncation }`.
-fn model_check(
-    universe: &Universe,
-    root: &Policy,
-    alphabet: &[Toggle],
-    entity: Entity,
-    target: PrivId,
-    truncation: Truncation,
-) -> (ReachabilityAnswer, bmc::BmcReport) {
-    let grounded = ground(universe, root, alphabet);
-    let report = bmc::check(
+    let alphabet = goal_alphabet(universe, policy, config, entity, target);
+    let outcome = saturation::saturate(
         universe,
-        root,
-        &grounded,
+        policy,
+        &alphabet,
+        config.auth_mode,
         entity,
         target,
-        Default::default(),
     );
-    let answer = match &report.outcome {
-        bmc::BmcOutcome::Reachable { witness } => ReachabilityAnswer::Reachable {
-            witness: witness.clone(),
-        },
-        bmc::BmcOutcome::Unreachable => ReachabilityAnswer::Unreachable,
-        bmc::BmcOutcome::Inconclusive(_) => ReachabilityAnswer::Unknown { truncation },
-    };
-    (answer, report)
+    VerifyReport {
+        answer: outcome.answer,
+        engine: EngineUsed::Saturation,
+        derivation: outcome.derivation,
+    }
 }

@@ -1,16 +1,14 @@
-//! Least-fixpoint saturation for grow-only instances.
+//! Least-fixpoint saturation of the grant closure `Γ(φ)`.
 //!
-//! When no revoke rule exists anywhere in the edge universe (see
-//! [`crate::verify::is_monotone`]), the administrative transition
-//! system can only add edges, and authorization is *monotone* in the
-//! edge set: both `→φ` reachability and the `⊑φ` derivation rules use
-//! edges positively, so a command authorized under a policy stays
-//! authorized under every superset. Two consequences:
+//! Authorization is *monotone* in the edge set: both `→φ` reachability
+//! and the `⊑φ` derivation rules use edges positively, so a command
+//! authorized under a policy stays authorized under every superset. By
+//! the grant-closure lemma ([`crate::verify`]), every reachable policy
+//! is a subset of `Γ(φ)`, the least fixpoint of "apply every authorized
+//! absent grant". Two consequences:
 //!
-//! * The union of all reachable policies is itself reachable, and it is
-//!   the least fixpoint of "apply every authorized absent grant". The
-//!   goal holds in *some* reachable policy iff it holds at the fixpoint
-//!   — no frontier, no state cap, no depth bound.
+//! * The goal holds in *some* reachable policy iff it holds at the
+//!   fixpoint — no frontier, no state cap, no depth bound.
 //! * The grants applied on the way to the fixpoint, **in application
 //!   order**, form a genuine command queue: each was authorized against
 //!   a subset of its replay pre-state. Positive answers therefore come
@@ -54,13 +52,13 @@ pub struct SaturationOutcome {
     pub derivation: Vec<DerivationStep>,
 }
 
-/// Saturates the grow-only instance and decides `entity →φ target`.
+/// Saturates the grant closure and decides `entity →φ target`.
 ///
-/// Precondition: the instance is monotone (the caller checked
-/// [`crate::verify::is_monotone`]); revoke commands in the alphabet are
-/// ignored — on a monotone instance none is ever authorized. The
-/// alphabet may be the quotient or its grounding; each grant is applied
-/// once, issued by the least authorized user.
+/// Any instance qualifies. Revoke commands in the alphabet are ignored
+/// because of the grant-closure lemma: no reachable policy lies outside
+/// `Γ(φ)`, and a revocation never helps reach a goal. The alphabet may
+/// be the quotient or its grounding; each grant is applied once, issued
+/// by the least authorized user.
 pub fn saturate(
     universe: &Universe,
     root: &Policy,
@@ -100,22 +98,25 @@ pub fn saturate(
                 derivation,
             };
         }
+        // Split-lemma goal probe against the round-start index: a grant
+        // that completes the goal on its own ends the run, without the
+        // round's other grants. (A miss here is caught by the fresh
+        // index next round — the probe only under-approximates, it
+        // never lies.)
+        let finisher = additions
+            .iter()
+            .find(|step| idx.reach_priv_via_added_edge(entity, target, step.command.edge));
+        if let Some(&step) = finisher {
+            derivation.push(step);
+            return SaturationOutcome {
+                answer: reachable(&derivation),
+                rounds,
+                derivation,
+            };
+        }
         for step in additions {
             policy.add_edge(step.command.edge);
             derivation.push(step);
-            // Split-lemma goal probe against the round-start index: when
-            // it fires, the goal holds in the policy just produced, so
-            // the derivation so far is a complete witness. The positive
-            // direction stays sound mid-round because reachability only
-            // grows. (A miss here is caught by the fresh index next
-            // round — the probe only under-approximates, it never lies.)
-            if idx.reach_priv_via_added_edge(entity, target, step.command.edge) {
-                return SaturationOutcome {
-                    answer: reachable(&derivation),
-                    rounds,
-                    derivation,
-                };
-            }
         }
     }
 }

@@ -350,8 +350,8 @@ pub struct ReferenceMonitor {
     autocompact_failures: AtomicU64,
     /// Safety analyses served ([`analyze_perm_reachable`](Self::analyze_perm_reachable)).
     analyses_run: AtomicU64,
-    /// Of those, how many came back `Unknown` — truncated with no
-    /// unbounded engine able to close the instance.
+    /// Of those, how many came back `Unknown` — truncated with
+    /// escalation off (with it on, saturation decides every instance).
     analyses_indefinite: AtomicU64,
     /// Lint passes served ([`lint_policy`](Self::lint_policy)).
     lints_run: AtomicU64,
@@ -984,9 +984,10 @@ impl ReferenceMonitor {
     }
 
     /// Safety analyses served so far: `(total, indefinite)`, where
-    /// `indefinite` counts `Unknown` answers — truncated searches no
-    /// unbounded engine could close. A growing indefinite share means
-    /// the configured analysis bounds are too small for the live policy.
+    /// `indefinite` counts `Unknown` answers — truncated searches run
+    /// with `escalate: false`. Escalated analyses are always definite,
+    /// so a growing indefinite share means unescalated callers' bounds
+    /// are too small for the live policy.
     pub fn analysis_counts(&self) -> (u64, u64) {
         (
             self.analyses_run.load(Ordering::Relaxed),
@@ -997,7 +998,7 @@ impl ReferenceMonitor {
     /// Static lint pass over the live policy
     /// (`adminref_core::lint::lint_policy`): search-free diagnostics —
     /// dead rules, unauthorizable rules, shadowed or redundant grants,
-    /// non-monotone islands, and separation-of-duty conflicts for the
+    /// and separation-of-duty conflicts for the
     /// given role pairs. The pass is overridden to the monitor's own
     /// authorization mode and runs lock-free against the published
     /// snapshot.

@@ -263,9 +263,10 @@ pub struct ServiceStats {
     pub forced_deactivations: u64,
     /// Safety analyses served so far.
     pub analyses_run: u64,
-    /// Of those, how many ended `Unknown` — truncated with no unbounded
-    /// engine able to close the instance. A growing share means the
-    /// analysis bounds are too small for the live policy.
+    /// Of those, how many ended `Unknown` — truncated with escalation
+    /// off (an escalated analysis is always definite). A growing share
+    /// means unescalated callers' bounds are too small for the live
+    /// policy.
     pub analyses_indefinite: u64,
     /// Static lint passes served so far (the monitor's
     /// `lint_policy` entry point).

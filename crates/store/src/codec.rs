@@ -571,7 +571,7 @@ wire_enum!(FindingKind: u8 as "finding kind" {
     1 => Unauthorizable,
     2 => RedundantGrant,
     3 => ShadowedGrant,
-    4 => NonMonotoneIsland,
+    // 4 (non-monotone-island) is retired, never reused.
     5 => SodConflict,
     6 => FrozenEdgeViolation,
 });

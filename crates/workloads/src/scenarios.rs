@@ -317,8 +317,7 @@ pub struct SeededDefectsWorkload {
 ///
 /// * a **dead grant** — `hr` re-grants an edge already in the root that
 ///   nothing can remove;
-/// * a **dead revoke** — `hr` revokes an edge that is never present
-///   (also a *dead non-monotone island*);
+/// * a **dead revoke** — `hr` revokes an edge that is never present;
 /// * an **unauthorizable** nested rule — a grant reachable only through
 ///   a revoke term, which the may-add closure never assigns;
 /// * a **shadowed grant** — `sec` can strip `hr`'s working grant rule;
@@ -360,7 +359,7 @@ pub fn seeded_defects() -> SeededDefectsWorkload {
     // Dead grant: (bob, staff) is a root edge and nothing revokes it.
     let dead_grant = universe.grant_user_role(bob, staff);
     policy.add_edge(Edge::RolePriv(hr, dead_grant));
-    // Dead revoke (and dead island): (bob, temps) is never present.
+    // Dead revoke: (bob, temps) is never present.
     let dead_revoke = universe.revoke_user_role(bob, temps);
     policy.add_edge(Edge::RolePriv(hr, dead_revoke));
     // Unauthorizable nested rule: the inner grant sits inside a revoke
@@ -892,7 +891,6 @@ mod tests {
                 ..SafetyConfig::default()
             },
         );
-        assert!(report.monotone);
         assert_eq!(report.engine, EngineUsed::Saturation);
         assert!(matches!(report.answer, ReachabilityAnswer::Unreachable));
         // The derivation is the whole saturated closure: every grant any
@@ -1126,7 +1124,6 @@ mod tests {
             FindingKind::Unauthorizable,
             FindingKind::RedundantGrant,
             FindingKind::ShadowedGrant,
-            FindingKind::NonMonotoneIsland,
             FindingKind::SodConflict,
         ] {
             assert!(

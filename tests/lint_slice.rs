@@ -220,7 +220,6 @@ fn seeded_defects_trip_every_finding_kind() {
         FindingKind::Unauthorizable,
         FindingKind::RedundantGrant,
         FindingKind::ShadowedGrant,
-        FindingKind::NonMonotoneIsland,
         FindingKind::SodConflict,
     ] {
         assert!(

@@ -5,19 +5,23 @@
 //! after exhausting the whole reachable space). These properties pin
 //! the unbounded engines to it:
 //!
-//! * monotone saturation agrees with bounded BFS on grow-only instances
-//!   and is *always* definitive there, independent of the bounds;
+//! * the grant-closure lemma (`adminref_core::verify`): saturation over
+//!   an alphabet with revokes is always definitive and agrees with
+//!   unsliced, unescalated BFS, in all four authorization modes, with
+//!   `♦` terms of both UA and RH edges assigned;
 //! * the DPLL-grounded bounded model checker never contradicts a
 //!   definite BFS answer on general (revocation-capable) instances, and
 //!   matches it whenever the BFS finds a witness within the BMC bound;
-//! * the `perm_reachable` escalation path gives the same answers as the
-//!   engines invoked directly;
+//! * the `perm_reachable` escalation path gives the same answers as
+//!   `verify_perm_reachable`, and neither is ever `Unknown`;
 //! * grow-only workloads are never `Unknown`, no matter how starved the
 //!   bounded search is (`max_states = 0` included).
+//!
+//! Every returned witness replays through `run_pure` to the goal.
 
 use adminref_core::prelude::*;
-use adminref_core::safety::prepare_alphabet;
-use adminref_core::verify::{bmc, is_monotone, saturation::saturate};
+use adminref_core::safety::{prepare_alphabet, prepare_toggles};
+use adminref_core::verify::bmc;
 use adminref_workloads::{grow_only, GrowOnlySpec};
 use proptest::prelude::*;
 
@@ -39,33 +43,27 @@ enum PrivSpec {
     GrantUserRole(u8, u8),
     GrantRoleRole(u8, u8),
     RevokeUserRole(u8, u8),
+    RevokeRoleRole(u8, u8),
 }
 
-/// `with_revokes: false` generates only grow-only instances (no `♦`
-/// privilege anywhere in the edge universe).
-fn priv_spec(with_revokes: bool) -> BoxedStrategy<PrivSpec> {
-    let grants = prop_oneof![
-        (0u8..3).prop_map(PrivSpec::Perm),
-        ((0u8..USERS as u8), (0u8..ROLES as u8)).prop_map(|(u, r)| PrivSpec::GrantUserRole(u, r)),
-        ((0u8..ROLES as u8), (0u8..ROLES as u8)).prop_map(|(a, b)| PrivSpec::GrantRoleRole(a, b)),
-    ];
-    if with_revokes {
-        prop_oneof![
-            3 => grants,
-            1 => ((0u8..USERS as u8), (0u8..ROLES as u8))
-                .prop_map(|(u, r)| PrivSpec::RevokeUserRole(u, r)),
-        ]
-        .boxed()
-    } else {
-        grants.boxed()
-    }
+/// Any privilege: a permission, or a grant or revoke of a UA or RH edge.
+fn priv_spec() -> impl Strategy<Value = PrivSpec> {
+    let (u, r) = (0u8..USERS as u8, 0u8..ROLES as u8);
+    prop_oneof![
+        2 => (0u8..3).prop_map(PrivSpec::Perm),
+        2 => (u.clone(), r.clone()).prop_map(|(u, r)| PrivSpec::GrantUserRole(u, r)),
+        2 => (r.clone(), r.clone()).prop_map(|(a, b)| PrivSpec::GrantRoleRole(a, b)),
+        1 => (u, r.clone()).prop_map(|(u, r)| PrivSpec::RevokeUserRole(u, r)),
+        1 => (r.clone(), r).prop_map(|(a, b)| PrivSpec::RevokeRoleRole(a, b)),
+    ]
 }
 
-fn policy_spec(with_revokes: bool) -> impl Strategy<Value = PolicySpec> {
+/// Revocation-capable policies over 4 users and 5 roles.
+fn policy_spec() -> impl Strategy<Value = PolicySpec> {
     (
         prop::collection::vec(((0u8..USERS as u8), (0u8..ROLES as u8)), 0..4),
         prop::collection::vec(((0u8..ROLES as u8), (0u8..ROLES as u8)), 0..5),
-        prop::collection::vec(((0u8..ROLES as u8), priv_spec(with_revokes)), 0..5),
+        prop::collection::vec(((0u8..ROLES as u8), priv_spec()), 0..5),
     )
         .prop_map(|(ua, rh, pa)| PolicySpec { ua, rh, pa })
 }
@@ -80,6 +78,7 @@ fn dense_policy_spec() -> impl Strategy<Value = PolicySpec> {
         2 => (u.clone(), r.clone()).prop_map(|(u, r)| PrivSpec::GrantUserRole(u, r)),
         1 => (r.clone(), r.clone()).prop_map(|(a, b)| PrivSpec::GrantRoleRole(a, b)),
         1 => (u.clone(), r.clone()).prop_map(|(u, r)| PrivSpec::RevokeUserRole(u, r)),
+        1 => (r.clone(), r.clone()).prop_map(|(a, b)| PrivSpec::RevokeRoleRole(a, b)),
     ];
     (
         prop::collection::vec((u, r.clone()), 2..5),
@@ -118,6 +117,10 @@ fn build(spec: &PolicySpec) -> (Universe, Policy, Vec<UserId>) {
             }
             PrivSpec::RevokeUserRole(u, r) => {
                 uni.revoke_user_role(users[*u as usize], roles[*r as usize])
+            }
+            PrivSpec::RevokeRoleRole(a, b) => {
+                let edge = Edge::RoleRole(roles[*a as usize], roles[*b as usize]);
+                uni.priv_revoke(edge)
             }
         };
         policy.add_edge(Edge::RolePriv(roles[*r as usize], p));
@@ -159,68 +162,89 @@ fn generous() -> SafetyConfig {
     }
 }
 
+/// Every authorization mode.
+const MODES: [AuthMode; 4] = [
+    AuthMode::Explicit,
+    AuthMode::Ordered(OrderingMode::Strict),
+    AuthMode::Ordered(OrderingMode::Extended),
+    AuthMode::Ordered(OrderingMode::ExtendedWithRevocation),
+];
+
+/// The grant-closure lemma on one query. Saturation over the full
+/// quotient (revokes included) is definitive; wherever unsliced,
+/// unescalated BFS is definite, the two agree; `verify_perm_reachable`
+/// (sliced) agrees with both; and every witness replays to the goal.
+fn saturation_agrees_with_bfs(
+    uni: &mut Universe,
+    policy: &Policy,
+    entity: Entity,
+    perm: Perm,
+    auth_mode: AuthMode,
+) {
+    let target = uni.priv_perm(perm);
+    let config = SafetyConfig {
+        auth_mode,
+        weaker_depth: Some(1),
+        slice: false,
+        ..generous()
+    };
+    let alphabet = prepare_toggles(uni, policy, config);
+    let outcome = saturate(uni, policy, &alphabet, auth_mode, entity, target);
+    let tag = answer_tag(&outcome.answer);
+    assert_ne!(tag, "unknown", "saturation is definitive");
+    let bfs = perm_reachable(uni, policy, entity, perm, config);
+    if answer_tag(&bfs) != "unknown" {
+        assert_eq!(answer_tag(&bfs), tag, "{auth_mode:?}: BFS {bfs:?}");
+    }
+    let sliced = SafetyConfig {
+        slice: true,
+        ..config
+    };
+    let report = verify_perm_reachable(uni, policy, entity, perm, sliced);
+    assert_eq!(answer_tag(&report.answer), tag, "{auth_mode:?}: verify");
+    for answer in [&outcome.answer, &report.answer] {
+        if let ReachabilityAnswer::Reachable { witness } = answer {
+            assert!(
+                witness_is_valid(uni, policy, witness, entity, target, auth_mode),
+                "{auth_mode:?}: {witness:?} does not replay to the goal"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// On grow-only instances saturation is always definitive and,
-    /// wherever the bounded BFS is definite too, the two agree. Every
-    /// saturation witness replays to a policy reaching the target.
+    /// The grant-closure lemma on random revocation-capable instances:
+    /// in every authorization mode, saturation over the full alphabet
+    /// (revokes included) is definitive and agrees with BFS wherever
+    /// BFS is definite.
     #[test]
-    fn saturation_agrees_with_bfs_on_monotone_instances(
-        spec in policy_spec(false),
+    fn saturation_agrees_with_bfs_on_revocation_capable_instances(
+        spec in policy_spec(),
         ui in 0u8..USERS as u8,
         pi in 0u8..3,
     ) {
         let (mut uni, policy, users) = build(&spec);
-        let entity = Entity::User(users[ui as usize]);
         let perm = uni.perm(["read", "write", "prnt"][pi as usize], "obj");
-        let target = uni.priv_perm(perm);
-        let config = generous();
-        let alphabet = prepare_alphabet(&mut uni, &policy, config);
-        prop_assert!(is_monotone(&uni, &policy, &alphabet), "generator must be grow-only");
-        let outcome = saturate(&uni, &policy, &alphabet, config.auth_mode, entity, target);
-        prop_assert_ne!(answer_tag(&outcome.answer), "unknown", "saturation is definitive");
-        let bfs = perm_reachable(&mut uni, &policy, entity, perm, config);
-        if answer_tag(&bfs) != "unknown" {
-            prop_assert_eq!(answer_tag(&bfs), answer_tag(&outcome.answer));
-        }
-        if let ReachabilityAnswer::Reachable { witness } = &outcome.answer {
-            prop_assert!(witness_is_valid(
-                &mut uni, &policy, witness, entity, target, config.auth_mode,
-            ));
+        for mode in MODES {
+            let entity = Entity::User(users[ui as usize]);
+            saturation_agrees_with_bfs(&mut uni, &policy, entity, perm, mode);
         }
     }
 
-    /// Same agreement under ordered authorization, where the alphabet
-    /// is expanded with ⊑-weaker commands: the monotonicity check and
-    /// the saturation fixpoint are sound in every mode.
+    /// The same lemma on dense instances, where many queries are
+    /// reachable, so witnesses are exercised: every user × permission,
+    /// in every authorization mode, the three ordered ones expanding
+    /// the alphabet with ⊑-weaker commands.
     #[test]
-    fn saturation_agrees_with_bfs_under_ordered_mode(
-        spec in policy_spec(false),
-        ui in 0u8..USERS as u8,
-    ) {
+    fn saturation_agrees_with_bfs_under_ordered_mode(spec in dense_policy_spec()) {
         let (mut uni, policy, users) = build(&spec);
-        let entity = Entity::User(users[ui as usize]);
-        let perm = uni.perm("write", "obj");
-        let target = uni.priv_perm(perm);
-        let config = SafetyConfig {
-            auth_mode: AuthMode::Ordered(OrderingMode::Extended),
-            weaker_depth: Some(1),
-            max_states: 1_500,
-            ..generous()
-        };
-        let alphabet = prepare_alphabet(&mut uni, &policy, config);
-        prop_assert!(is_monotone(&uni, &policy, &alphabet));
-        let outcome = saturate(&uni, &policy, &alphabet, config.auth_mode, entity, target);
-        prop_assert_ne!(answer_tag(&outcome.answer), "unknown");
-        let bfs = perm_reachable(&mut uni, &policy, entity, perm, config);
-        if answer_tag(&bfs) != "unknown" {
-            prop_assert_eq!(answer_tag(&bfs), answer_tag(&outcome.answer));
-        }
-        if let ReachabilityAnswer::Reachable { witness } = &outcome.answer {
-            prop_assert!(witness_is_valid(
-                &mut uni, &policy, witness, entity, target, config.auth_mode,
-            ));
+        let perms = ["read", "write"].map(|action| uni.perm(action, "obj"));
+        for (&user, perm) in users.iter().take(2).flat_map(|u| perms.map(|p| (u, p))) {
+            for mode in MODES {
+                saturation_agrees_with_bfs(&mut uni, &policy, Entity::User(user), perm, mode);
+            }
         }
     }
 
@@ -278,12 +302,12 @@ proptest! {
     }
 
     /// The `perm_reachable` escalation path (bounded search starved to
-    /// `max_states = 2`, then the unbounded engines) agrees with a
-    /// generously-bounded definite BFS, and `verify_perm_reachable`
-    /// reports the same answer as the escalating search.
+    /// `max_states = 2`, then saturation) is always definitive, agrees
+    /// with a generously-bounded definite BFS, and
+    /// `verify_perm_reachable` reports the same answer.
     #[test]
     fn escalation_agrees_with_generous_bfs(
-        spec in policy_spec(true),
+        spec in policy_spec(),
         ui in 0u8..USERS as u8,
         pi in 0u8..3,
     ) {
@@ -299,12 +323,11 @@ proptest! {
         };
         let escalated = perm_reachable(&mut uni, &policy, entity, perm, starved);
         let report = verify_perm_reachable(&mut uni, &policy, entity, perm, starved);
-        if answer_tag(&reference) != "unknown" && answer_tag(&escalated) != "unknown" {
+        prop_assert_ne!(answer_tag(&escalated), "unknown", "escalation is definitive");
+        if answer_tag(&reference) != "unknown" {
             prop_assert_eq!(answer_tag(&reference), answer_tag(&escalated));
         }
-        if answer_tag(&escalated) != "unknown" && answer_tag(&report.answer) != "unknown" {
-            prop_assert_eq!(answer_tag(&escalated), answer_tag(&report.answer));
-        }
+        prop_assert_eq!(answer_tag(&escalated), answer_tag(&report.answer));
         for answer in [&escalated, &report.answer] {
             if let ReachabilityAnswer::Reachable { witness } = answer {
                 prop_assert!(witness_is_valid(
