@@ -10,8 +10,7 @@
 //!   reachability in polynomial time;
 //! * [`role_reachable_bounded`] — the general case, explored on the
 //!   shared compact-state engine ([`adminref_core::search`]): membership
-//!   states are role bitsets interned in the state arena, frontier
-//!   expansion optionally fans out over worker threads, so a
+//!   states are role bitsets interned in the state arena, so a
 //!   paper-vs-ARBAC comparison runs the same machinery on both sides.
 //!
 //! Both make ARBAC's *separate administration* assumption: administrative
@@ -194,8 +193,7 @@ impl StateSpace for ArbacSpace<'_> {
 ///
 /// Runs on the same compact-state engine as the paper-side safety
 /// analysis ([`adminref_core::safety`]): membership states are interned
-/// bitsets, and `limits.jobs` fans frontier expansion out over worker
-/// threads without changing the answer.
+/// bitsets, bounded by `limits`' depth and state cap.
 pub fn role_reachable_bounded(
     closure: &RoleClosure,
     can_assign: &[CanAssign],
@@ -221,29 +219,6 @@ pub fn role_reachable_bounded(
         SearchOutcome::Exhausted => BoundedAnswer::Unreachable,
         SearchOutcome::Truncated => BoundedAnswer::Unknown,
     }
-}
-
-/// [`role_reachable_bounded`] with the historical signature: a state cap
-/// only, sequential, unbounded depth.
-pub fn role_reachable_capped(
-    closure: &RoleClosure,
-    can_assign: &[CanAssign],
-    can_revoke: &[CanRevoke],
-    initial: &BTreeSet<RoleId>,
-    goal: RoleId,
-    max_states: usize,
-) -> BoundedAnswer {
-    role_reachable_bounded(
-        closure,
-        can_assign,
-        can_revoke,
-        initial,
-        goal,
-        SearchLimits {
-            max_states,
-            ..SearchLimits::default()
-        },
-    )
 }
 
 #[cfg(test)]
@@ -392,50 +367,6 @@ mod tests {
         let ans =
             role_reachable_bounded(&closure, &can_assign, &can_revoke, &initial, e1, states(1));
         assert_eq!(ans, BoundedAnswer::Unknown);
-        // The historical-signature wrapper behaves identically.
-        let ans2 = role_reachable_capped(&closure, &can_assign, &can_revoke, &initial, e1, 1);
-        assert_eq!(ans2, BoundedAnswer::Unknown);
-    }
-
-    #[test]
-    fn parallel_jobs_agree_with_sequential() {
-        let (uni, closure) = setup();
-        let e1 = role(&uni, "e1");
-        let q = role(&uni, "q");
-        let ed = role(&uni, "ed");
-        let can_assign = vec![CanAssign {
-            admin_role: role(&uni, "pl"),
-            prereq: Prereq::and_not(ed, q),
-            range: RoleRange::closed(e1, e1),
-        }];
-        let can_revoke = vec![CanRevoke {
-            admin_role: role(&uni, "pl"),
-            range: RoleRange::closed(q, q),
-        }];
-        let initial: BTreeSet<RoleId> = [ed, q].into_iter().collect();
-        let seq = role_reachable_bounded(
-            &closure,
-            &can_assign,
-            &can_revoke,
-            &initial,
-            e1,
-            states(10_000),
-        );
-        for jobs in [2usize, 4] {
-            let par = role_reachable_bounded(
-                &closure,
-                &can_assign,
-                &can_revoke,
-                &initial,
-                e1,
-                SearchLimits {
-                    max_states: 10_000,
-                    jobs,
-                    ..SearchLimits::default()
-                },
-            );
-            assert_eq!(seq, par, "jobs={jobs}");
-        }
     }
 
     #[test]

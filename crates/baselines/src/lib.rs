@@ -24,9 +24,7 @@ pub mod role_graph;
 pub mod scope;
 
 pub use arbac::{Arbac97, CanAssign, CanAssignPerm, CanRevoke, CanRevokePerm, Prereq, RoleRange};
-pub use arbac_reach::{
-    reachable_roles_monotone, role_reachable_bounded, role_reachable_capped, BoundedAnswer,
-};
+pub use arbac_reach::{reachable_roles_monotone, role_reachable_bounded, BoundedAnswer};
 pub use hru::{Matrix as HruMatrix, SafetyAnswer, System as HruSystem};
 pub use role_graph::{AdminDomains, DomainError, DomainId};
 pub use scope::AdminScope;

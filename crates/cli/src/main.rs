@@ -117,8 +117,7 @@ const USAGE: &str = "usage:
   adminref compact  <store-dir> [--ordered]
   adminref refines  <policy-a.rbac> <policy-b.rbac> [--witnesses N]
   adminref reach    <policy.rbac> <user> <action> <object> [--ordered] [--steps N]
-                    [--max-states N] [--jobs N] [--no-escalate] [--no-slice]
-                    (--jobs 0 = all cores)
+                    [--max-states N] [--no-escalate] [--no-slice]
   adminref verify   <policy.rbac> <user> <action> <object> [--ordered] [--no-slice]
   adminref verify   <policy.rbac> --oracle <queue.rbacq> [--ordered]
   adminref verify   --oracle-churn [--ordered]
@@ -130,7 +129,7 @@ const USAGE: &str = "usage:
   adminref client   (<host:port> | --unix PATH) <verb> ...
                     check  <policy.rbac> <user> <action> <object> --roles r1[,r2...]
                     reach  <policy.rbac> <user> <action> <object> [--steps N]
-                           [--max-states N] [--jobs N] [--no-escalate] [--no-slice]
+                           [--max-states N] [--no-escalate] [--no-slice]
                     lint   <policy.rbac> [--json] [--deny note|warning|error] [--sod ...]
                     submit <policy.rbac> <queue.rbacq>
                     analyze <policy.rbac> <queue.rbacq>

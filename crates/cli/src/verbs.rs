@@ -34,7 +34,7 @@ use crate::Run;
 
 /// `reach`'s search bounds; `verify`, which runs no search, takes only
 /// `--no-slice` of them.
-pub(crate) const REACH_FLAGS: &str = "--steps= --max-states= --jobs= --no-escalate --no-slice";
+pub(crate) const REACH_FLAGS: &str = "--steps= --max-states= --no-escalate --no-slice";
 pub(crate) const LINT_FLAGS: &str = "--json --deny= --sod=";
 pub(crate) const CONSTRAINT_FLAGS: &str = "--sod= --deny= --freeze=";
 
@@ -79,7 +79,6 @@ pub(crate) fn safety_config(args: &Args) -> Run<SafetyConfig> {
     Ok(SafetyConfig {
         max_steps: args.number("--steps", 3)?,
         max_states: args.number("--max-states", defaults.max_states)?,
-        jobs: args.number("--jobs", defaults.jobs)?,
         auth_mode: args.auth_mode(),
         escalate: !args.has("--no-escalate"),
         slice: !args.has("--no-slice"),
@@ -256,7 +255,7 @@ pub(crate) fn check(
 }
 
 /// `reach <policy.rbac> <user> <action> <object> [--steps N]
-/// [--max-states N] [--jobs N] [--no-escalate] [--no-slice]`
+/// [--max-states N] [--no-escalate] [--no-slice]`
 ///
 /// Bounded safety analysis of the serving monitor's *live* policy,
 /// under its own auth mode. `UNKNOWN` is the nonzero exit (the local

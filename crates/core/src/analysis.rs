@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 use crate::ids::{Entity, PrivId};
 use crate::policy::Policy;
 use crate::reach::ReachIndex;
-use crate::universe::{Edge, Universe};
+use crate::universe::{Edge, OutOfRange, Universe};
 
 /// Summary statistics for a policy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -116,52 +116,31 @@ pub fn validate(universe: &Universe, policy: &Policy) -> Result<(), ValidationEr
     if policy.universe_tag() != universe.tag() {
         return Err(ValidationError::UniverseMismatch);
     }
-    let users = universe.user_count() as u32;
-    let roles = universe.role_count() as u32;
-    let terms = universe.term_count() as u32;
-    let check_edge = |edge: Edge| -> Result<(), ValidationError> {
-        match edge {
-            Edge::UserRole(u, r) => {
-                if u.0 >= users {
-                    return Err(ValidationError::UnknownUser(u.0));
-                }
-                if r.0 >= roles {
-                    return Err(ValidationError::UnknownRole(r.0));
-                }
-            }
-            Edge::RoleRole(r, s) => {
-                if r.0 >= roles {
-                    return Err(ValidationError::UnknownRole(r.0));
-                }
-                if s.0 >= roles {
-                    return Err(ValidationError::UnknownRole(s.0));
-                }
-            }
-            Edge::RolePriv(r, p) => {
-                if r.0 >= roles {
-                    return Err(ValidationError::UnknownRole(r.0));
-                }
-                if p.0 >= terms {
-                    return Err(ValidationError::UnknownPriv(p.0));
-                }
-            }
-        }
-        Ok(())
-    };
+    let check_edge = |edge: Edge| universe.check_edge(edge).map_err(unknown_id);
     for edge in policy.edges() {
         check_edge(edge)?;
         // Nested edges of assigned privileges are valid by construction of
         // the interner, but check them anyway — validation guards against
         // corrupted deserialized input.
         if let Edge::RolePriv(_, p) = edge {
-            if p.0 < terms {
-                for nested in universe.edges_within(p) {
-                    check_edge(nested)?;
-                }
+            for nested in universe.edges_within(p) {
+                check_edge(nested)?;
             }
         }
     }
     Ok(())
+}
+
+/// [`Universe::check_edge`]'s complaint as a [`ValidationError`].
+fn unknown_id(e: OutOfRange) -> ValidationError {
+    // Ids are `u32` indices, so the raw id fits.
+    let id = e.id as u32;
+    match e.what {
+        "user" => ValidationError::UnknownUser(id),
+        "role" => ValidationError::UnknownRole(id),
+        "term" => ValidationError::UnknownPriv(id),
+        what => unreachable!("an edge has no {what} ids"),
+    }
 }
 
 /// The entity/perm authorization matrix, sorted — a canonical form of the
@@ -268,15 +247,27 @@ mod tests {
 
     #[test]
     fn validate_rejects_out_of_range_ids() {
-        let (uni, mut policy) = sample();
-        policy.add_edge(Edge::UserRole(
-            crate::ids::UserId(999),
-            uni.find_role("nurse").unwrap(),
-        ));
-        assert_eq!(
-            validate(&uni, &policy),
-            Err(ValidationError::UnknownUser(999))
-        );
+        use crate::ids::{RoleId, UserId};
+        let (uni, policy) = sample();
+        let nurse = uni.find_role("nurse").unwrap();
+        for (edge, error) in [
+            (
+                Edge::UserRole(UserId(999), nurse),
+                ValidationError::UnknownUser(999),
+            ),
+            (
+                Edge::RoleRole(nurse, RoleId(998)),
+                ValidationError::UnknownRole(998),
+            ),
+            (
+                Edge::RolePriv(nurse, PrivId(997)),
+                ValidationError::UnknownPriv(997),
+            ),
+        ] {
+            let mut bad = policy.clone();
+            bad.add_edge(edge);
+            assert_eq!(validate(&uni, &bad), Err(error), "{edge:?}");
+        }
     }
 
     #[test]

@@ -47,9 +47,10 @@
 //! ```
 //!
 //! Every substrate (interning, bitsets, SCC/closure, reachability, the
-//! compact-state search engine) is implemented here; the only
-//! dependencies are the workspace's vendored `crossbeam`/`parking_lot`
-//! shims used for the parallel frontier expansion in [`search`].
+//! compact-state search engine) is implemented here, and every analysis
+//! runs on the caller's thread. The only dependency in use is the
+//! vendored `minisat` solver; the manifest's other two entries are
+//! unused and leave with the benchmark's lockfile refresh.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

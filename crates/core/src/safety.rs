@@ -21,9 +21,9 @@
 //! privilege order under ordered authorization) answers authorization
 //! for the whole alphabet, and the `perm_reachable` goal is evaluated
 //! incrementally from the parent's index instead of rebuilding an index
-//! per candidate. Frontier expansion fans out over scoped worker
-//! threads ([`SafetyConfig::jobs`]); answers and witnesses are
-//! identical for every `jobs` setting.
+//! per candidate. The search is one sequential loop on the caller's
+//! thread: it expands and commits one frontier policy at a time and
+//! stops at the first goal.
 //!
 //! The alphabet is **actor-quotiented** ([`Toggle`]): in Definition 5 a
 //! command's effect depends only on its edge and kind, and the actor
@@ -85,8 +85,9 @@ pub struct SafetyConfig {
     /// in ordered mode (ignored under explicit authorization). `None`
     /// uses the Remark 2 bound (longest `RH` chain).
     pub weaker_depth: Option<u32>,
-    /// Worker threads for frontier expansion: `1` is sequential, `0`
-    /// uses all available cores. Answers are identical either way.
+    /// Carried and ignored: the search is sequential. Wire v3's
+    /// safety-config still encodes this field (`specs/wire_protocol.md`
+    /// §5), so it stays until the next wire version drops it.
     pub jobs: usize,
     /// Escalate an inconclusive bounded search to saturation
     /// ([`crate::verify::saturation`]), which decides every instance:
@@ -186,7 +187,6 @@ pub fn perm_reachable(
     let limits = SearchLimits {
         max_depth: config.max_steps,
         max_states: config.max_states,
-        jobs: config.jobs,
     };
     let (outcome, stats) = search(&space, limits);
     match outcome {
@@ -657,6 +657,8 @@ mod tests {
 
     #[test]
     fn parallel_jobs_do_not_change_answers() {
+        // `jobs` still travels in wire v3's safety-config, but the
+        // search is sequential: every value answers alike.
         let (mut uni, policy) = fixture();
         let bob = uni.find_user("bob").unwrap();
         let write_t3 = uni.perm("write", "t3");

@@ -1,4 +1,4 @@
-//! A compact-state, parallel breadth-first search engine.
+//! A compact-state, sequential breadth-first search engine.
 //!
 //! The bounded analyses in this workspace — policy reachability
 //! ([`crate::safety`]) and ARBAC user-role reachability
@@ -11,11 +11,12 @@
 //! * **Compact canonical states** — a state is a fixed-width bitset over
 //!   the finite universe, interned once in a [`StateArena`]; the `seen`
 //!   set and parent links hold `u32` indices instead of cloned states.
-//! * **Deterministic, depth-synchronous frontier expansion** — each
-//!   round expands the whole frontier (optionally fanned out over
-//!   scoped worker threads) and then commits candidates sequentially in
-//!   frontier order, so the answer — including the witness — is
-//!   identical for every `jobs` setting.
+//! * **One sequential loop** — frontier states are expanded one at a
+//!   time, in frontier order, into a single reused [`CandidateSet`],
+//!   whose candidates are committed before the next state is expanded.
+//!   The search returns at the first goal candidate, so its witness is
+//!   shortest and nothing past it is expanded. It runs on the caller's
+//!   thread and starts none of its own.
 //! * **Exact truncation accounting** — [`SearchOutcome::Truncated`] is
 //!   reported only when an *unseen* successor was actually cut off by
 //!   the state cap or the depth bound, so an exhaustively explored
@@ -36,10 +37,7 @@ pub mod policy_space;
 pub use arena::{words_for, InternOutcome, StateArena};
 pub use policy_space::{PolicySearch, SearchGoal};
 
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Bounds and parallelism for one search.
+/// Bounds for one search.
 #[derive(Clone, Copy, Debug)]
 pub struct SearchLimits {
     /// Maximum depth (number of labels in a witness) to explore.
@@ -47,9 +45,6 @@ pub struct SearchLimits {
     pub max_depth: usize,
     /// Maximum number of distinct states to retain (the root counts).
     pub max_states: usize,
-    /// Worker threads for frontier expansion: `1` is fully sequential,
-    /// `0` uses [`std::thread::available_parallelism`].
-    pub jobs: usize,
 }
 
 impl Default for SearchLimits {
@@ -57,20 +52,7 @@ impl Default for SearchLimits {
         SearchLimits {
             max_depth: usize::MAX,
             max_states: 50_000,
-            jobs: 1,
         }
-    }
-}
-
-/// Resolves a `jobs` knob: `0` becomes the machine's available
-/// parallelism.
-pub fn effective_jobs(jobs: usize) -> usize {
-    if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        jobs
     }
 }
 
@@ -105,8 +87,9 @@ pub struct SearchStats {
 
 /// Successor candidates emitted by expanding one state.
 ///
-/// Labels, goal flags, and state words live in flat arrays so a large
-/// expansion performs three allocations, not one per candidate.
+/// Labels, goal flags, and state words live in flat arrays. A search
+/// clears and reuses one set for every expansion, so the arrays grow to
+/// the widest expansion once instead of being allocated per candidate.
 #[derive(Debug)]
 pub struct CandidateSet<L> {
     words_per_state: usize,
@@ -121,6 +104,11 @@ impl<L: Copy> CandidateSet<L> {
             words: Vec::new(),
             meta: Vec::new(),
         }
+    }
+
+    fn clear(&mut self) {
+        self.words.clear();
+        self.meta.clear();
     }
 
     /// Appends a candidate successor with its label and goal flag.
@@ -157,12 +145,9 @@ impl<L: Copy> CandidateSet<L> {
 }
 
 /// One searchable state space.
-///
-/// Implementations must be [`Sync`]: `expand` runs concurrently on
-/// worker threads during parallel frontier expansion.
-pub trait StateSpace: Sync {
+pub trait StateSpace {
     /// Label attached to each transition (the witness element).
-    type Label: Copy + Send;
+    type Label: Copy;
 
     /// Number of bits in a state.
     fn state_bits(&self) -> usize;
@@ -179,7 +164,10 @@ pub trait StateSpace: Sync {
     fn expand(&self, state: &[u64], out: &mut CandidateSet<Self::Label>);
 }
 
-/// Runs the depth-synchronous BFS over `space` under `limits`.
+/// Runs the breadth-first search over `space` under `limits`.
+///
+/// Frontier states are expanded and committed one at a time, in
+/// frontier order; the first goal candidate ends the search.
 ///
 /// The root state must already have been checked against the goal by
 /// the caller — the engine only evaluates goals on successors.
@@ -187,15 +175,14 @@ pub fn search<S: StateSpace>(
     space: &S,
     limits: SearchLimits,
 ) -> (SearchOutcome<S::Label>, SearchStats) {
-    let words_per_state = words_for(space.state_bits());
     let mut arena = StateArena::new(space.state_bits());
-    let mut root = vec![0u64; words_per_state];
+    let mut set = CandidateSet::new(arena.words_per_state());
+    let mut root = vec![0u64; arena.words_per_state()];
     space.write_root(&mut root);
     arena.intern(&root);
     // Parent link of state `i` (i ≥ 1) lives at `parents[i - 1]`; the
     // root has none.
     let mut parents: Vec<(u32, S::Label)> = Vec::new();
-    let jobs = effective_jobs(limits.jobs);
     let mut frontier: Vec<u32> = vec![0];
     let mut truncated = false;
     let mut cap_hit = false;
@@ -206,15 +193,19 @@ pub fn search<S: StateSpace>(
             // Depth bound reached: the frontier is not expanded, but a
             // genuinely exhausted space must still answer `Exhausted` —
             // probe whether any unseen successor is being cut off.
-            if !truncated {
-                truncated = frontier_truncates(space, &arena, &frontier, jobs);
-            }
+            truncated = truncated
+                || frontier.iter().any(|&ix| {
+                    set.clear();
+                    space.expand(arena.get(ix), &mut set);
+                    set.iter()
+                        .any(|(_, _, words)| arena.lookup(words).is_none())
+                });
             break;
         }
-        let sets = expand_frontier(space, &arena, &frontier, jobs);
         let mut next: Vec<u32> = Vec::new();
-        for (pos, set) in sets.iter().enumerate() {
-            let parent = frontier[pos];
+        for &parent in &frontier {
+            set.clear();
+            space.expand(arena.get(parent), &mut set);
             for (label, goal, words) in set.iter() {
                 if goal {
                     let stats = SearchStats {
@@ -261,93 +252,6 @@ pub fn search<S: StateSpace>(
     }
 }
 
-/// Expands every frontier state, returning candidate sets in frontier
-/// order. With `jobs > 1` the frontier is chunked over scoped worker
-/// threads; results are reassembled in order, so commit order — and
-/// therefore every answer — is independent of `jobs`.
-fn expand_frontier<S: StateSpace>(
-    space: &S,
-    arena: &StateArena,
-    frontier: &[u32],
-    jobs: usize,
-) -> Vec<CandidateSet<S::Label>> {
-    let words_per_state = arena.words_per_state();
-    let expand_one = |ix: u32| {
-        let mut set = CandidateSet::new(words_per_state);
-        space.expand(arena.get(ix), &mut set);
-        set
-    };
-    if jobs <= 1 || frontier.len() <= 1 {
-        return frontier.iter().map(|&ix| expand_one(ix)).collect();
-    }
-    let chunk = frontier.len().div_ceil(jobs);
-    type ChunkResults<L> = Vec<(usize, Vec<CandidateSet<L>>)>;
-    let collected: Mutex<ChunkResults<S::Label>> = Mutex::new(Vec::new());
-    crossbeam::scope(|scope| {
-        for (ci, states) in frontier.chunks(chunk).enumerate() {
-            let collected = &collected;
-            let expand_one = &expand_one;
-            scope.spawn(move |_| {
-                let sets: Vec<CandidateSet<S::Label>> =
-                    states.iter().map(|&ix| expand_one(ix)).collect();
-                collected.lock().push((ci, sets));
-            });
-        }
-    })
-    .expect("scoped expansion worker panicked");
-    let mut parts = collected.into_inner();
-    parts.sort_unstable_by_key(|&(ci, _)| ci);
-    parts.into_iter().flat_map(|(_, sets)| sets).collect()
-}
-
-/// Does any frontier state have a successor the arena has never seen?
-/// Used only at the depth bound, to distinguish a genuinely exhausted
-/// search from a truncated one.
-fn frontier_truncates<S: StateSpace>(
-    space: &S,
-    arena: &StateArena,
-    frontier: &[u32],
-    jobs: usize,
-) -> bool {
-    let words_per_state = arena.words_per_state();
-    let found = AtomicBool::new(false);
-    let probe = |ix: u32| {
-        if found.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut set = CandidateSet::new(words_per_state);
-        space.expand(arena.get(ix), &mut set);
-        if set
-            .iter()
-            .any(|(_, _, words)| arena.lookup(words).is_none())
-        {
-            found.store(true, Ordering::Relaxed);
-        }
-    };
-    if jobs <= 1 || frontier.len() <= 1 {
-        for &ix in frontier {
-            probe(ix);
-            if found.load(Ordering::Relaxed) {
-                break;
-            }
-        }
-    } else {
-        let chunk = frontier.len().div_ceil(jobs);
-        crossbeam::scope(|scope| {
-            for states in frontier.chunks(chunk) {
-                let probe = &probe;
-                scope.spawn(move |_| {
-                    for &ix in states {
-                        probe(ix);
-                    }
-                });
-            }
-        })
-        .expect("scoped truncation probe panicked");
-    }
-    found.load(Ordering::Relaxed)
-}
-
 /// Walks parent links from the state *preceding* the goal hit back to
 /// the root, then appends the final label.
 fn rebuild_witness<L: Copy>(parents: &[(u32, L)], mut state: u32, last: L) -> Vec<L> {
@@ -364,6 +268,7 @@ fn rebuild_witness<L: Copy>(parents: &[(u32, L)], mut state: u32, last: L) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     /// Toy space: states are subsets of `0..n`; from any state every
     /// absent element can be added (label = element). Goal: `goal_bit`
@@ -415,35 +320,48 @@ mod tests {
         assert!(stats.states >= 2);
     }
 
-    #[test]
-    fn parallel_matches_sequential_exactly() {
-        let space = ToySpace {
-            n: 10,
-            prereq: 7,
-            goal_bit: 9,
-        };
-        let (seq, _) = search(
-            &space,
-            SearchLimits {
-                jobs: 1,
-                ..SearchLimits::default()
-            },
-        );
-        for jobs in [2, 4, 0] {
-            let (par, _) = search(
-                &space,
-                SearchLimits {
-                    jobs,
-                    ..SearchLimits::default()
-                },
-            );
-            match (&seq, &par) {
-                (SearchOutcome::Found { witness: a }, SearchOutcome::Found { witness: b }) => {
-                    assert_eq!(a, b, "jobs={jobs}")
-                }
-                other => panic!("{other:?}"),
-            }
+    /// Counts the states a search asks `inner` to expand.
+    struct Counting<S> {
+        inner: S,
+        expands: Cell<usize>,
+    }
+
+    impl<S: StateSpace> StateSpace for Counting<S> {
+        type Label = S::Label;
+
+        fn state_bits(&self) -> usize {
+            self.inner.state_bits()
         }
+
+        fn write_root(&self, out: &mut [u64]) {
+            self.inner.write_root(out)
+        }
+
+        fn expand(&self, state: &[u64], out: &mut CandidateSet<S::Label>) {
+            self.expands.set(self.expands.get() + 1);
+            self.inner.expand(state, out)
+        }
+    }
+
+    #[test]
+    fn stops_expanding_at_the_first_goal() {
+        // The goal is one toggle away from `{0}`, the first state of
+        // depth 1: the root and `{0}` are expanded, `{1}`..`{8}` never.
+        let space = Counting {
+            inner: ToySpace {
+                n: 10,
+                prereq: 0,
+                goal_bit: 9,
+            },
+            expands: Cell::new(0),
+        };
+        let (out, stats) = search(&space, SearchLimits::default());
+        let SearchOutcome::Found { witness } = out else {
+            panic!("{out:?}");
+        };
+        assert_eq!(witness, vec![0, 9]);
+        assert_eq!(stats.depth, 2);
+        assert_eq!(space.expands.get(), 2, "the root and {{0}} only");
     }
 
     #[test]

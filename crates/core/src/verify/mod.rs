@@ -88,8 +88,8 @@ pub struct VerifyReport {
 ///
 /// The answer is definitive on every instance. `config.auth_mode`,
 /// `config.weaker_depth` and `config.slice` shape the alphabet; the
-/// search bounds, `config.jobs` and `config.escalate` are ignored,
-/// since no search runs.
+/// search bounds and `config.escalate` are ignored, since no search
+/// runs, and `config.jobs` is ignored everywhere.
 pub fn verify_perm_reachable(
     universe: &mut Universe,
     policy: &Policy,

@@ -959,8 +959,8 @@ impl ReferenceMonitor {
     /// authorization semantics?
     ///
     /// The analysis runs on the compact-state search engine
-    /// (`adminref_core::search`); `config.jobs` fans frontier expansion
-    /// out over worker threads, and `config.auth_mode` is overridden
+    /// (`adminref_core::search`), sequentially on the calling thread —
+    /// `config.jobs` is ignored — and `config.auth_mode` is overridden
     /// with the monitor's configured mode so the answer reflects what
     /// this monitor would actually authorize. Runs on a snapshot, so
     /// the monitor stays live while the (possibly long) search runs.
@@ -1418,8 +1418,7 @@ mod tests {
     fn analysis_entry_point_finds_witness() {
         // The caller's auth_mode is overridden with the monitor's own
         // mode (the answer must reflect what this monitor would
-        // authorize); the witness is minimal and identical under
-        // parallel expansion.
+        // authorize); the witness is minimal.
         let (m_explicit, mut uni) = monitor(AuthMode::Explicit);
         let bob = uni.find_user("bob").unwrap();
         let write_t3 = uni.perm("write", "t3");
@@ -1433,19 +1432,6 @@ mod tests {
             panic!("bob can reach (write, t3) via staff");
         };
         assert_eq!(witness.len(), 1);
-        // Parallel expansion returns the identical witness.
-        let par = m_explicit.analyze_perm_reachable(
-            Entity::User(bob),
-            write_t3,
-            SafetyConfig { jobs: 4, ..config },
-        );
-        let ReachabilityAnswer::Reachable {
-            witness: par_witness,
-        } = par
-        else {
-            panic!("parallel analysis changed the variant");
-        };
-        assert_eq!(witness.commands(), par_witness.commands());
     }
 
     #[test]

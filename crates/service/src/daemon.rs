@@ -8,7 +8,7 @@
 //!
 //! * The **reader** thread of a connection decodes frames and answers
 //!   cheap requests inline (access checks, session lifecycle, audit
-//!   reads, version/stats, lint). It is the connection's only thread.
+//!   reads, version/stats). It is the connection's only thread.
 //! * **Submits** go from the reader straight into the service's
 //!   [group-commit combiner](crate::group_commit)
 //!   ([`PolicyService::write_combiner`]), and the reader goes back to
@@ -18,13 +18,14 @@
 //!   drain. A peer whose replies stall a write for a second is
 //!   disconnected.
 //! * **Other slow requests** (`AnalyzeReach`, `CheckRefinement`,
-//!   `Compact`, `Analyze`, `SetConstraints`, and submits to a server
-//!   without a combiner) each go to the daemon's pool of
+//!   `Compact`, `Lint`, `Analyze`, `SetConstraints`, and submits to a
+//!   server without a combiner) each go to the daemon's pool of
 //!   [`DaemonConfig::workers`] threads, one FIFO queue that is neither
 //!   bounded nor fair between connections (nor are connections capped
-//!   or analyses budgeted). A worker writes the reply, matched by
-//!   request id, possibly out of order; a panicking handler is answered
-//!   [`ServiceError::Aborted`], and the worker serves on.
+//!   or analyses budgeted). Every analysis runs on the worker that took
+//!   it and starts no threads of its own. A worker writes the reply,
+//!   matched by request id, possibly out of order; a panicking handler
+//!   is answered [`ServiceError::Aborted`], and the worker serves on.
 //! * **Per-connection sessions**: sessions created over a connection
 //!   are dropped when it closes, so a crashed client cannot leak live
 //!   sessions into the monitor.
@@ -416,6 +417,7 @@ fn is_slow(request: &Request) -> bool {
             | Request::AnalyzeReach { .. }
             | Request::CheckRefinement { .. }
             | Request::Compact
+            | Request::Lint { .. }
             | Request::Analyze { .. }
             | Request::SetConstraints { .. }
     )
@@ -747,6 +749,59 @@ mod tests {
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
         stream
+    }
+
+    /// Every request is routed as documented: checks and session
+    /// lifecycle inline on the reader, submits and analyses onward.
+    #[test]
+    fn slow_requests_leave_the_reader() {
+        let mut universe = service_universe();
+        let user = universe.find_user("admin").unwrap();
+        let perm = universe.perm("use", "obj");
+        let role = universe.role("staff");
+        let session = adminref_monitor::SessionId::from_raw(1);
+        let table = [
+            (Request::CheckAccess { session, perm }, false),
+            (Request::CreateSession { user }, false),
+            (Request::ActivateRole { session, role }, false),
+            (Request::DeactivateRole { session, role }, false),
+            (Request::DropSession { session }, false),
+            (Request::AuditTail { max: 1 }, false),
+            (Request::AuditSince { after: 0, max: 1 }, false),
+            (Request::Version, false),
+            (Request::Stats, false),
+            (Request::Promote, false),
+            (Request::GetConstraints, false),
+            (Request::Submit { commands: vec![] }, true),
+            (
+                Request::AnalyzeReach {
+                    entity: Entity::User(user),
+                    perm,
+                    config: SafetyConfig::default(),
+                },
+                true,
+            ),
+            (
+                Request::CheckRefinement {
+                    candidate: Policy::new(&universe),
+                    direction: crate::RefinementDirection::CandidateRefinesLive,
+                    max_witnesses: 1,
+                },
+                true,
+            ),
+            (Request::Compact, true),
+            (Request::Lint { sod_pairs: vec![] }, true),
+            (Request::Analyze { commands: vec![] }, true),
+            (
+                Request::SetConstraints {
+                    constraints: Default::default(),
+                },
+                true,
+            ),
+        ];
+        for (request, slow) in table {
+            assert_eq!(is_slow(&request), slow, "{request:?}");
+        }
     }
 
     /// A closed connection leaves the registry by itself: after 64

@@ -1151,39 +1151,4 @@ mod tests {
             assert!(report.findings.is_empty(), "{:?}", report.findings);
         }
     }
-
-    #[test]
-    fn parallel_and_sequential_agree_on_the_chain() {
-        let mut w = deep_delegation(DelegationSpec {
-            depth: 3,
-            fanout: 2,
-        });
-        let worker = w.workers[1];
-        let config = SafetyConfig {
-            max_steps: 3,
-            max_states: 100_000,
-            ..SafetyConfig::default()
-        };
-        let seq = perm_reachable(
-            &mut w.universe,
-            &w.policy,
-            Entity::User(worker),
-            w.vault_perm,
-            config,
-        );
-        let par = perm_reachable(
-            &mut w.universe,
-            &w.policy,
-            Entity::User(worker),
-            w.vault_perm,
-            SafetyConfig { jobs: 4, ..config },
-        );
-        match (&seq, &par) {
-            (
-                ReachabilityAnswer::Reachable { witness: a },
-                ReachabilityAnswer::Reachable { witness: b },
-            ) => assert_eq!(a.commands(), b.commands()),
-            other => panic!("{other:?}"),
-        }
-    }
 }

@@ -117,7 +117,6 @@ fn generous(slice: bool) -> SafetyConfig {
     SafetyConfig {
         max_steps: 3,
         max_states: 4_000,
-        jobs: 1,
         escalate: false,
         slice,
         ..SafetyConfig::default()

@@ -156,7 +156,6 @@ fn generous() -> SafetyConfig {
     SafetyConfig {
         max_steps: 3,
         max_states: 4_000,
-        jobs: 1,
         escalate: false,
         ..SafetyConfig::default()
     }
