@@ -36,7 +36,7 @@ pub(super) fn run_checks(
     dead_commands(universe, root, potential, &sites, &mut findings);
     unauthorizable(universe, potential, config.auth_mode, &sites, &mut findings);
     redundant_grants(universe, root, &root_index, &mut findings);
-    shadowed_grants(universe, root, potential, &mut findings);
+    shadowed_grants(universe, root, &root_index, potential, &mut findings);
     sod_conflicts(
         universe,
         potential,
@@ -146,19 +146,20 @@ fn unauthorizable(
 /// A privilege assignment `(r, t)` is **redundant** when another role
 /// `r′ ≠ r` holds the same term and `r` already reaches `r′` through
 /// the root role hierarchy: removing the direct assignment changes no
-/// authorization decision.
+/// authorization decision. The junior named is the lowest-id such `r′`
+/// (the root index's holder lists are ascending).
 fn redundant_grants(
     universe: &Universe,
     root: &Policy,
     root_index: &ReachIndex,
     findings: &mut Vec<Finding>,
 ) {
-    let pa: Vec<(RoleId, PrivId)> = root.pa().collect();
-    for &(r, t) in &pa {
-        let via = pa.iter().find(|&&(r2, t2)| {
-            t2 == t && r2 != r && root_index.reach_entity(Entity::Role(r), Entity::Role(r2))
-        });
-        if let Some(&(r2, _)) = via {
+    for (r, t) in root.pa() {
+        let via = root_index
+            .holders_of(t)
+            .iter()
+            .find(|&&r2| r2 != r && root_index.reach_entity(Entity::Role(r), Entity::Role(r2)));
+        if let Some(&r2) = via {
             findings.push(Finding {
                 kind: FindingKind::RedundantGrant,
                 severity: Severity::Note,
@@ -190,6 +191,7 @@ fn redundant_grants(
 fn shadowed_grants(
     universe: &Universe,
     root: &Policy,
+    root_index: &ReachIndex,
     potential: &Potential,
     findings: &mut Vec<Finding>,
 ) {
@@ -204,7 +206,7 @@ fn shadowed_grants(
         if !potential.is_assigned(rev) {
             continue;
         }
-        let in_root = root.pa().any(|(_, t2)| t2 == rev);
+        let in_root = !root_index.holders_of(rev).is_empty();
         let (confirmation, message) = if in_root {
             (
                 Confirmation::Confirmed,
@@ -241,6 +243,8 @@ fn shadowed_grants(
 /// violates the constraint); a co-holding that only exists somewhere in
 /// the may-add closure is `Potential` and a **warning** (some
 /// authorized command sequence could introduce it).
+///
+/// The `Φ⁺` reachability index is built only when pairs are declared.
 fn sod_conflicts(
     universe: &Universe,
     potential: &Potential,
@@ -249,13 +253,17 @@ fn sod_conflicts(
     config: &LintConfig,
     findings: &mut Vec<Finding>,
 ) {
+    if config.sod_pairs.is_empty() {
+        return;
+    }
+    let potential_index = ReachIndex::build(universe, &potential.policy);
     for &(a, b) in &config.sod_pairs {
         for u in universe.users() {
             let reaches = |idx: &ReachIndex| {
                 idx.reach_entity(Entity::User(u), Entity::Role(a))
                     && idx.reach_entity(Entity::User(u), Entity::Role(b))
             };
-            if !reaches(&potential.index) {
+            if !reaches(&potential_index) {
                 continue;
             }
             let confirmed = reaches(root_index);
@@ -267,7 +275,7 @@ fn sod_conflicts(
                     universe.role_name(b)
                 )
             } else {
-                let enablers = enabling_rules(universe, potential, graph, u, a, b);
+                let enablers = enabling_rules(potential, &potential_index, graph, u, a, b);
                 format!(
                     "user '{}' can statically reach both '{}' and '{}' via grantable \
                      edges{}",
@@ -299,17 +307,16 @@ fn sod_conflicts(
 }
 
 /// The rule terms whose may-add summaries contain an addable edge that
-/// advances `u` toward `a` or `b` in `Φ⁺` — the rules to look at first
-/// when breaking the conflict.
+/// advances `u` toward `a` or `b` in `Φ⁺` (indexed by `idx`) — the
+/// rules to look at first when breaking the conflict.
 fn enabling_rules(
-    universe: &Universe,
     potential: &Potential,
+    idx: &ReachIndex,
     graph: &DependencyGraph,
     u: UserId,
     a: RoleId,
     b: RoleId,
 ) -> BTreeSet<PrivId> {
-    let idx = &potential.index;
     let toward = |x: RoleId| {
         idx.reach_entity(Entity::Role(x), Entity::Role(a))
             || idx.reach_entity(Entity::Role(x), Entity::Role(b))
@@ -319,7 +326,6 @@ fn enabling_rules(
         Edge::RoleRole(x, y) => idx.reach_entity(Entity::User(u), Entity::Role(x)) && toward(y),
         Edge::RolePriv(..) => false,
     };
-    let _ = universe;
     graph
         .may_add
         .iter()

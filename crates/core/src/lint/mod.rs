@@ -216,6 +216,39 @@ mod tests {
     }
 
     #[test]
+    fn redundant_grant_names_the_lowest_reached_junior() {
+        // (read, logs) is held by four roles. `lone` has the lowest id
+        // but senior does not reach it; of the two juniors senior does
+        // reach, `j_low` has the lower id although its hierarchy edge
+        // was added second.
+        let (uni, policy) = PolicyBuilder::new()
+            .declare_role("lone")
+            .declare_role("senior")
+            .declare_role("j_low")
+            .declare_role("j_high")
+            .inherit("senior", "j_high")
+            .inherit("senior", "j_low")
+            .permit("lone", "read", "logs")
+            .permit("j_low", "read", "logs")
+            .permit("j_high", "read", "logs")
+            .permit("senior", "read", "logs")
+            .finish();
+        let report = lint_policy(&uni, &policy, &LintConfig::default());
+        let redundant: Vec<&Finding> = report
+            .findings
+            .iter()
+            .filter(|f| f.kind == FindingKind::RedundantGrant)
+            .collect();
+        assert_eq!(redundant.len(), 1, "{:?}", report.findings);
+        assert_eq!(redundant[0].role, uni.find_role("senior").unwrap());
+        assert!(
+            redundant[0].message.contains("junior role 'j_low'"),
+            "{}",
+            redundant[0].message
+        );
+    }
+
+    #[test]
     fn sod_conflicts_report_root_and_grantable_paths() {
         let mut b = PolicyBuilder::new()
             .assign("jane", "pay")

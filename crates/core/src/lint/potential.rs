@@ -19,9 +19,13 @@
 //! candidate edge): `⊑φ` is monotone in the edge set, so that too only
 //! over-approximates.
 //!
-//! [`Potential::index`] is a [`ReachIndex`] over `Φ⁺`, giving
-//! conservative reachability for every reachable policy at once: if
-//! `v →φ v′` in some reachable `φ`, then `v → v′` in `Φ⁺`.
+//! A [`crate::reach::ReachIndex`] built over [`Potential::policy`]
+//! gives conservative reachability for every reachable policy at once:
+//! if `v →φ v′` in some reachable `φ`, then `v → v′` in `Φ⁺`. The
+//! closure does not build one itself; its readers (the explicit-mode
+//! slicing cone and the lint's separation-of-duty check) build it when
+//! they need it, so an [`crate::admission::Interval`] or a pair-free
+//! lint pass builds none.
 
 use std::collections::BTreeSet;
 
@@ -29,18 +33,15 @@ use crate::command::CommandKind;
 use crate::ids::PrivId;
 use crate::ordering::PrivilegeOrder;
 use crate::policy::Policy;
-use crate::reach::ReachIndex;
 use crate::safety::Toggle;
 use crate::transition::AuthMode;
 use crate::universe::{Edge, PrivTerm, Universe};
 
-/// The may-add closure of a root policy, with its reachability index.
+/// The may-add closure of a root policy.
 #[derive(Clone, Debug)]
 pub struct Potential {
     /// `Φ⁺` itself: root edges plus every addable edge.
     pub policy: Policy,
-    /// Reachability over `Φ⁺` (conservative for every reachable policy).
-    pub index: ReachIndex,
     /// Terms assigned somewhere in `Φ⁺` (targets of `RolePriv` edges).
     pub assigned: BTreeSet<PrivId>,
     /// Edges in `Φ⁺` that are not in the root.
@@ -139,10 +140,8 @@ impl Potential {
                 break;
             }
         }
-        let index = ReachIndex::build(universe, &policy);
         Potential {
             policy,
-            index,
             assigned,
             addable,
         }
@@ -164,6 +163,7 @@ mod tests {
     use super::*;
     use crate::ids::Entity;
     use crate::policy::PolicyBuilder;
+    use crate::reach::ReachIndex;
 
     /// jane∈hr holds ¤(bob, staff); staff → dbusr2 → (write, t3).
     fn fixture() -> (Universe, Policy) {
@@ -195,7 +195,7 @@ mod tests {
         // though he reaches nothing in the root.
         let write_t3 = uni.perm("write", "t3");
         let target = uni.find_term(PrivTerm::Perm(write_t3)).unwrap();
-        assert!(p.index.reach_priv(Entity::User(bob), target));
+        assert!(ReachIndex::build(&uni, &p.policy).reach_priv(Entity::User(bob), target));
         assert!(!ReachIndex::build(&uni, &policy).reach_priv(Entity::User(bob), target));
     }
 

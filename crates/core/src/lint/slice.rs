@@ -51,10 +51,12 @@
 //! [`crate::verify`]: the sliced alphabet never contains a revoke
 //! command, since no reachable goal needs one.
 
-use crate::bitset::BitSet;
+use std::collections::{BTreeMap, BTreeSet};
+
 use crate::command::CommandKind;
 use crate::ids::{Entity, PrivId, RoleId};
 use crate::policy::Policy;
+use crate::reach::ReachIndex;
 use crate::safety::Toggle;
 use crate::transition::AuthMode;
 use crate::universe::{Edge, Universe};
@@ -93,7 +95,7 @@ pub fn slice_alphabet(
 ) -> SliceOutcome {
     let potential = Potential::from_alphabet(universe, root, alphabet, auth_mode);
     let keep: Vec<bool> = match auth_mode {
-        AuthMode::Explicit => explicit_cone(alphabet, &potential, entity, target),
+        AuthMode::Explicit => explicit_cone(universe, alphabet, &potential, entity, target),
         AuthMode::Ordered(_) => alphabet
             .iter()
             .map(|t| t.kind == CommandKind::Grant && potential.addable.contains(&t.edge))
@@ -116,15 +118,16 @@ pub fn slice_alphabet(
 /// close under authorization support per kept grant. Returns the keep
 /// mask over `alphabet`.
 fn explicit_cone(
+    universe: &Universe,
     alphabet: &[Toggle],
     potential: &Potential,
     entity: Entity,
     target: PrivId,
 ) -> Vec<bool> {
-    let idx = &potential.index;
+    let idx = ReachIndex::build(universe, &potential.policy);
     // The add-edge split lemma over Φ⁺: can adding `edge` complete an
     // `entity → target` path in some reachable policy?
-    let mut in_cone: std::collections::BTreeSet<Edge> = potential
+    let mut in_cone: BTreeSet<Edge> = potential
         .addable
         .iter()
         .copied()
@@ -132,18 +135,42 @@ fn explicit_cone(
         .collect();
     // The addable grants' required terms, by edge, for worklist
     // propagation.
-    let grants: std::collections::BTreeMap<Edge, PrivId> = alphabet
+    let grants: BTreeMap<Edge, PrivId> = alphabet
         .iter()
         .filter(|t| t.kind == CommandKind::Grant && potential.addable.contains(&t.edge))
         .map(|t| (t.edge, t.required))
         .collect();
     let users_reach = idx.roles_reached_by_users();
+    let reached = |r: RoleId| users_reach.contains(r.index());
+    // Holder lists whose path support is already in the cone: many
+    // grant rules share their holders, and the support depends on the
+    // holders alone.
+    let mut supported: BTreeSet<Vec<RoleId>> = BTreeSet::new();
     let mut worklist: Vec<Edge> = in_cone.iter().copied().collect();
     while let Some(edge) = worklist.pop() {
         let Some(&required) = grants.get(&edge) else {
             continue;
         };
-        for e in support_edges(potential, &users_reach, required) {
+        // Roles whose assignment of `required` some user reaches in Φ⁺.
+        let holders: Vec<RoleId> = idx
+            .holders_of(required)
+            .iter()
+            .copied()
+            .filter(|&r| reached(r))
+            .collect();
+        if holders.is_empty() {
+            continue;
+        }
+        let assignments = holders
+            .iter()
+            .map(|&r| Edge::RolePriv(r, required))
+            .filter(|e| potential.addable.contains(e));
+        let mut support: Vec<Edge> = assignments.collect();
+        if !supported.contains(&holders) {
+            support.extend(path_support(potential, &idx, &reached, &holders));
+            supported.insert(holders);
+        }
+        for e in support {
             if in_cone.insert(e) {
                 worklist.push(e);
             }
@@ -155,24 +182,18 @@ fn explicit_cone(
         .collect()
 }
 
-/// Every addable edge that can lie on some user's authorization path
-/// for a grant requiring `required`, over-approximated in `Φ⁺`: the
-/// assignments of `required` a user can reach (`users_reach` is every
-/// role some user reaches in `Φ⁺`), the user-role edges leading toward
-/// one, and the hierarchy links between.
-fn support_edges(potential: &Potential, users_reach: &BitSet, required: PrivId) -> Vec<Edge> {
-    let idx = &potential.index;
-    let reached = |r: RoleId| users_reach.contains(r.index());
-    // Roles whose assignment of `required` some user reaches in Φ⁺.
-    let holders: Vec<RoleId> = potential
-        .policy
-        .pa()
-        .filter(|&(r, p)| p == required && reached(r))
-        .map(|(r, _)| r)
-        .collect();
-    if holders.is_empty() {
-        return Vec::new();
-    }
+/// Every addable user-role or hierarchy edge that can lie on some
+/// user's path to one of `holders` (roles holding a required term that
+/// some user reaches in `Φ⁺`): the user-role edges leading toward a
+/// holder and the hierarchy links between. With the holders'
+/// assignments of the term itself, this is the authorization support of
+/// a grant, over-approximated in `Φ⁺`.
+fn path_support(
+    potential: &Potential,
+    idx: &ReachIndex,
+    reached: &impl Fn(RoleId) -> bool,
+    holders: &[RoleId],
+) -> Vec<Edge> {
     let toward_holder = |x: RoleId| {
         holders
             .iter()
@@ -187,7 +208,7 @@ fn support_edges(potential: &Potential, users_reach: &BitSet, required: PrivId) 
         .filter(|&edge| match edge {
             Edge::UserRole(_, x) => toward_holder(x),
             Edge::RoleRole(x, y) => reached(x) && toward_holder(y),
-            Edge::RolePriv(r, p) => p == required && reached(r),
+            Edge::RolePriv(..) => false,
         })
         .collect()
 }
@@ -196,7 +217,6 @@ fn support_edges(potential: &Potential, users_reach: &BitSet, required: PrivId) 
 mod tests {
     use super::*;
     use crate::policy::PolicyBuilder;
-    use crate::reach::ReachIndex;
     use crate::safety::{perm_reachable, prepare_toggles, ReachabilityAnswer, SafetyConfig};
 
     /// Two independent wings: jane can put bob into staff (reaching the

@@ -59,8 +59,11 @@
 //! Every recursive call descends into a strict subterm of `q` (the witness
 //! `w` ranges over the finite vertex set and is paired with a smaller
 //! target), so the procedure terminates — this is Lemma 1, sharpened to the
-//! extended semantics. With memoisation the cost is
-//! `O(|q| · |vertices(φ)| · reach)`.
+//! extended semantics. The decider memoises only at its branch points
+//! (the query itself and each witness `w` the (2ext∘3*) loop tries), so
+//! at most `|vertices(φ)| · |q|` pairs are memoised, and each walks at
+//! most `|q|` rule-(3) levels and one vertex loop before the next memo:
+//! `O(|vertices(φ)| · |q| · (|q| + |vertices(φ)| · reach))`.
 //!
 //! # Revocation privileges
 //!
@@ -224,9 +227,12 @@ impl ReachRef<'_> {
 
 /// Decision procedure for `⊑φ` against one policy snapshot.
 ///
-/// Decisions are memoised on `(p, q)` id pairs, so repeated queries against
-/// the same snapshot are cheap. Rebuild the order after mutating the
-/// policy.
+/// Decisions are memoised on `(p, q)` id pairs at the procedure's branch
+/// points only: each top-level [`is_weaker`](Self::is_weaker) query and
+/// each witness tried by rule (2ext∘3*)'s vertex loop. A rule-(3) chain
+/// has one way forward per level, so it recurses without a memo entry
+/// per level. Repeated queries against the same snapshot are cheap.
+/// Rebuild the order after mutating the policy.
 pub struct PrivilegeOrder<'a> {
     universe: &'a Universe,
     reach: ReachRef<'a>,
@@ -318,8 +324,9 @@ impl<'a> PrivilegeOrder<'a> {
         match (ep.target(), eq.target()) {
             // Rule (2).
             (EdgeTarget::Entity(b3), EdgeTarget::Entity(b4)) => self.reach_entity(b3, b4),
-            // Rule (3).
-            (EdgeTarget::Priv(p1), EdgeTarget::Priv(q2)) => self.is_weaker(p1, q2),
+            // Rule (3), past the memo: the nested terms strictly shrink
+            // and a chain has no alternatives to share.
+            (EdgeTarget::Priv(p1), EdgeTarget::Priv(q2)) => p1 == q2 || self.decide(p1, q2),
             // Rule (2ext∘3*) — extended modes only.
             (EdgeTarget::Entity(b3), EdgeTarget::Priv(q2)) => {
                 self.mode.allows_ext()

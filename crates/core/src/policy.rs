@@ -189,6 +189,36 @@ impl Policy {
             .chain(self.pa.iter().map(|&(r, p)| Edge::RolePriv(r, p)))
     }
 
+    /// `true` iff every edge of this policy is an edge of `other`. A
+    /// relation `other` shares (the same [`Arc`]) is skipped; the others
+    /// are compared in order by [`BTreeSet::is_subset`].
+    pub fn is_subset_of(&self, other: &Policy) -> bool {
+        fn subset<T: Ord>(a: &Arc<BTreeSet<T>>, b: &Arc<BTreeSet<T>>) -> bool {
+            Arc::ptr_eq(a, b) || a.is_subset(b)
+        }
+        subset(&self.ua, &other.ua) && subset(&self.rh, &other.rh) && subset(&self.pa, &other.pa)
+    }
+
+    /// The edges of this policy that `other` lacks, in
+    /// [`edges`](Self::edges) order. A relation `other` shares is
+    /// skipped; the others are walked in order by
+    /// [`BTreeSet::difference`].
+    pub fn edges_not_in<'a>(&'a self, other: &'a Policy) -> impl Iterator<Item = Edge> + 'a {
+        fn minus<'a, T: Ord>(
+            a: &'a Arc<BTreeSet<T>>,
+            b: &'a Arc<BTreeSet<T>>,
+        ) -> impl Iterator<Item = &'a T> + 'a {
+            (!Arc::ptr_eq(a, b))
+                .then(|| a.difference(b))
+                .into_iter()
+                .flatten()
+        }
+        minus(&self.ua, &other.ua)
+            .map(|&(u, r)| Edge::UserRole(u, r))
+            .chain(minus(&self.rh, &other.rh).map(|&(r, s)| Edge::RoleRole(r, s)))
+            .chain(minus(&self.pa, &other.pa).map(|&(r, p)| Edge::RolePriv(r, p)))
+    }
+
     /// Roles a user is directly assigned to.
     pub fn roles_of(&self, u: UserId) -> impl Iterator<Item = RoleId> + '_ {
         self.ua

@@ -249,10 +249,9 @@ impl ReachIndex {
 
     /// `true` iff `from →φ p` where `p` is a privilege vertex.
     pub fn reach_priv(&self, from: Entity, p: PrivId) -> bool {
-        let Some(holders) = self.holders.get(&p) else {
-            return false;
-        };
-        holders.iter().any(|&h| self.reach_entity(from, h.into()))
+        self.holders_of(p)
+            .iter()
+            .any(|&h| self.reach_entity(from, h.into()))
     }
 
     /// The add-edge split lemma: in a policy that fails
@@ -321,11 +320,18 @@ impl ReachIndex {
         out
     }
 
-    /// `true` iff a role of `roles` directly holds the vertex `p`.
-    pub fn held_within(&self, roles: &BitSet, p: PrivId) -> bool {
+    /// The roles directly holding the vertex `p`, ascending (empty when
+    /// no role does).
+    pub fn holders_of(&self, p: PrivId) -> &[RoleId] {
         self.holders
             .get(&p)
-            .is_some_and(|holders| holders.iter().any(|h| roles.contains(h.index())))
+            .map(|row| row.as_slice())
+            .unwrap_or(&[])
+    }
+
+    /// `true` iff a role of `roles` directly holds the vertex `p`.
+    pub fn held_within(&self, roles: &BitSet, p: PrivId) -> bool {
+        self.holders_of(p).iter().any(|h| roles.contains(h.index()))
     }
 
     /// Every user privilege (perm) reachable from `e` — the authorization
@@ -507,6 +513,16 @@ mod tests {
             for p in policy.priv_vertices() {
                 assert_eq!(a.reach_priv(e, p), b.reach_priv(e, p), "{e:?} -> {p:?}");
             }
+        }
+        // Holder lists are the policy's holders, ascending, built or derived.
+        for p in policy.priv_vertices() {
+            let holders: Vec<RoleId> = policy
+                .pa()
+                .filter(|&(_, q)| q == p)
+                .map(|(r, _)| r)
+                .collect();
+            assert_eq!(a.holders_of(p), holders.as_slice(), "{p:?}");
+            assert_eq!(b.holders_of(p), holders.as_slice(), "{p:?}");
         }
         assert_eq!(
             a.role_closure().longest_chain_roles(),

@@ -45,7 +45,7 @@ fn violations_impl(
 ) -> Vec<RefinementViolation> {
     phi.check_universe(universe);
     psi.check_universe(universe);
-    if psi.edges().all(|e| phi.contains_edge(e)) {
+    if psi.is_subset_of(phi) {
         return Vec::new(); // every ψ-path is a φ-path
     }
     let phi_idx = ReachIndex::build(universe, phi);
@@ -74,7 +74,7 @@ pub fn violations_between(
     let mut out = Vec::new();
     let mut users = BitSet::new(universe.user_count());
     let mut roles = BitSet::new(universe.role_count());
-    for edge in psi.edges().filter(|&e| !phi.contains_edge(e)) {
+    for edge in psi.edges_not_in(phi) {
         match edge.source() {
             Entity::User(u) => users.insert(u.index()),
             Entity::Role(r) => roles.insert(r.index()),

@@ -150,17 +150,22 @@ pub(crate) fn alphabet_parts(
     (edges, actors)
 }
 
-/// Applies one command under explicit (Definition 5) semantics, returning
-/// the successor policy. Unauthorized commands return the policy unchanged.
-fn apply(universe: &Universe, policy: &Policy, cmd: &Command) -> Policy {
-    let mut next = policy.clone();
-    if authorize_explicit(universe, policy, cmd).is_some() {
-        match cmd.kind {
-            CommandKind::Grant => next.add_edge(cmd.edge),
-            CommandKind::Revoke => next.remove_edge(cmd.edge),
-        };
+/// The successor of `policy` under `cmd` with explicit (Definition 5)
+/// semantics, or `None` when the command leaves the policy unchanged: a
+/// grant of a present edge, a revoke of an absent one, or an
+/// unauthorized command.
+fn successor(universe: &Universe, policy: &Policy, cmd: &Command) -> Option<Policy> {
+    let present = policy.contains_edge(cmd.edge);
+    if present == (cmd.kind == CommandKind::Grant) {
+        return None;
     }
-    next
+    authorize_explicit(universe, policy, cmd)?;
+    let mut next = policy.clone();
+    match cmd.kind {
+        CommandKind::Grant => next.add_edge(cmd.edge),
+        CommandKind::Revoke => next.remove_edge(cmd.edge),
+    };
+    Some(next)
 }
 
 /// Checks `φ ⊒† ψ` up to the configured queue length.
@@ -218,8 +223,19 @@ pub fn check_admin_refinement(
         let mut next_frontier: Vec<(Policy, CommandQueue)> = Vec::new();
         let mut seen: HashSet<(Vec<UserId>, Policy)> = HashSet::new();
         for (driver, queue) in &driver_frontier {
+            // Every command that leaves this state unchanged yields the
+            // key (signature, state): an actor's first such command
+            // stands for all of its later ones.
+            let mut idle: Vec<UserId> = Vec::new();
             for cmd in &alphabet {
-                let next = apply(universe, driver, cmd);
+                let next = match successor(universe, driver, cmd) {
+                    Some(next) => next,
+                    None if idle.contains(&cmd.actor) => continue,
+                    None => {
+                        idle.push(cmd.actor);
+                        driver.clone()
+                    }
+                };
                 let mut next_queue = queue.clone();
                 next_queue.push(*cmd);
                 let sig = next_queue.actor_signature();
@@ -245,11 +261,22 @@ pub fn check_admin_refinement(
                 let empty = Vec::new();
                 let actor_cmds = by_actor.get(&actor).unwrap_or(&empty);
                 for state in &prefix_states {
-                    if config.allow_noop && state_seen.insert(state.clone()) {
+                    // The no-op answer, or else the first command that
+                    // changes nothing, keeps the state itself; later
+                    // commands that change nothing add nothing new.
+                    let mut kept = config.allow_noop;
+                    if kept && state_seen.insert(state.clone()) {
                         states.push(state.clone());
                     }
                     for cmd in actor_cmds {
-                        let next = apply(universe, state, cmd);
+                        let next = match successor(universe, state, cmd) {
+                            Some(next) => next,
+                            None if kept => continue,
+                            None => {
+                                kept = true;
+                                state.clone()
+                            }
+                        };
                         if state_seen.insert(next.clone()) {
                             states.push(next);
                         }

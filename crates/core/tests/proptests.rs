@@ -594,3 +594,45 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `is_subset_of` and `edges_not_in` agree with their per-edge
+    /// definitions, whichever relations the two policies still share:
+    /// `ψ` starts as a clone of `φ` (all three relations shared) and a
+    /// random edit sequence touches either side, so a relation may be
+    /// shared, copied but equal (an edge added and then removed), or
+    /// different.
+    #[test]
+    fn subset_and_difference_match_the_per_edge_definitions(
+        spec in policy_spec(),
+        other in policy_spec(),
+        edits in prop::collection::vec((any::<bool>(), any::<bool>(), 0usize..64), 0..8),
+    ) {
+        let (mut uni, mut phi, users, roles) = build(&spec);
+        let other = policy_in(&mut uni, &users, &roles, &other);
+        let mut pool: Vec<Edge> = phi.edges().chain(other.edges()).collect();
+        pool.sort_unstable();
+        pool.dedup();
+        let mut psi = phi.clone();
+        for &(on_psi, add, pick) in &edits {
+            if pool.is_empty() {
+                break;
+            }
+            let target = if on_psi { &mut psi } else { &mut phi };
+            let edge = pool[pick % pool.len()];
+            if add {
+                target.add_edge(edge);
+            } else {
+                target.remove_edge(edge);
+            }
+        }
+        for (a, b) in [(&phi, &psi), (&psi, &phi)] {
+            let missing: Vec<Edge> = a.edges().filter(|&e| !b.contains_edge(e)).collect();
+            prop_assert_eq!(a.edges_not_in(b).collect::<Vec<Edge>>(), missing.clone());
+            prop_assert_eq!(a.is_subset_of(b), missing.is_empty());
+        }
+        prop_assert!(phi.is_subset_of(&phi) && phi.edges_not_in(&phi).next().is_none());
+    }
+}
