@@ -237,8 +237,6 @@ pub struct PrivilegeOrder<'a> {
     universe: &'a Universe,
     reach: ReachRef<'a>,
     mode: OrderingMode,
-    /// The privilege vertices of `φ` — candidate witnesses for rule (2ext∘3*).
-    vertices: Vec<PrivId>,
     memo: RefCell<HashMap<(PrivId, PrivId), bool>>,
 }
 
@@ -267,12 +265,10 @@ impl<'a> PrivilegeOrder<'a> {
         mode: OrderingMode,
     ) -> Self {
         policy.check_universe(universe);
-        let vertices: Vec<PrivId> = policy.priv_vertices().into_iter().collect();
         PrivilegeOrder {
             universe,
             reach,
             mode,
-            vertices,
             memo: RefCell::new(HashMap::new()),
         }
     }
@@ -329,11 +325,7 @@ impl<'a> PrivilegeOrder<'a> {
             (EdgeTarget::Priv(p1), EdgeTarget::Priv(q2)) => p1 == q2 || self.decide(p1, q2),
             // Rule (2ext∘3*) — extended modes only.
             (EdgeTarget::Entity(b3), EdgeTarget::Priv(q2)) => {
-                self.mode.allows_ext()
-                    && self
-                        .vertices
-                        .iter()
-                        .any(|&w| self.reach.get().reach_priv(b3, w) && self.is_weaker(w, q2))
+                self.mode.allows_ext() && self.witnesses(b3).any(|w| self.is_weaker(w, q2))
             }
             // A privilege-target grant is never below an entity-target one.
             (EdgeTarget::Priv(_), EdgeTarget::Entity(_)) => false,
@@ -374,14 +366,8 @@ impl<'a> PrivilegeOrder<'a> {
                 })
             }
             (EdgeTarget::Entity(b3), EdgeTarget::Priv(q2)) if self.mode.allows_ext() => self
-                .vertices
-                .iter()
-                .find_map(|&w| {
-                    if !self.reach.get().reach_priv(b3, w) {
-                        return None;
-                    }
-                    self.derive(w, q2).map(|premise| (w, premise))
-                })
+                .witnesses(b3)
+                .find_map(|w| self.derive(w, q2).map(|premise| (w, premise)))
                 .map(|(via, premise)| Derivation::Rule2Ext {
                     p,
                     q,
@@ -406,11 +392,19 @@ impl<'a> PrivilegeOrder<'a> {
     /// authorize* `target` (the paper's practical use of the ordering,
     /// Example 4).
     pub fn authorizing_vertices(&self, entity: Entity, target: PrivId) -> Vec<PrivId> {
-        self.vertices
-            .iter()
-            .copied()
-            .filter(|&w| self.reach.get().reach_priv(entity, w) && self.is_weaker(w, target))
+        self.witnesses(entity)
+            .filter(|&w| self.is_weaker(w, target))
             .collect()
+    }
+
+    /// The privilege vertices of `φ` that `entity` reaches, ascending —
+    /// the candidate witnesses of rule (2ext∘3*), read from the index's
+    /// holder table.
+    fn witnesses(&self, entity: Entity) -> impl Iterator<Item = PrivId> + '_ {
+        let reach = self.reach.get();
+        reach
+            .priv_vertices()
+            .filter(move |&w| reach.reach_priv(entity, w))
     }
 }
 
@@ -578,6 +572,47 @@ mod tests {
         assert!(ext.is_weaker(q1, q2), "rule (3) link between the steps");
         let d = ext.derive(g, q1).unwrap();
         assert!(matches!(d, Derivation::Rule2Ext { via, .. } if via == g));
+    }
+
+    #[test]
+    fn rule2ext_witness_is_the_lowest_reached_vertex() {
+        // ¤(so, hr) ⊑ ¤(so, ¤(bob, dbusr2)) via the vertex ¤(bob, staff)
+        // hr holds, since staff →φ dbusr2.
+        let (mut uni, mut policy) = hospital();
+        let so = uni.find_role("so").unwrap();
+        let hr = uni.find_role("hr").unwrap();
+        let bob = uni.find_user("bob").unwrap();
+        let staff = uni.find_role("staff").unwrap();
+        let nurse = uni.find_role("nurse").unwrap();
+        let dbusr1 = uni.find_role("dbusr1").unwrap();
+        let dbusr2 = uni.find_role("dbusr2").unwrap();
+        let held = uni.grant_user_role(bob, staff);
+        let p = uni.grant_role_role(so, hr);
+        let inner = uni.grant_user_role(bob, dbusr2);
+        let q = uni.grant_role_priv(so, inner);
+        let order = PrivilegeOrder::new(&uni, &policy, OrderingMode::Extended);
+        let d = order.derive(p, q).expect("rule (2ext∘3*) applies");
+        assert!(matches!(d, Derivation::Rule2Ext { via, .. } if via == held));
+        assert_eq!(
+            d.render(&uni),
+            "rule2ext[grant(so, hr) <= grant(so, grant(bob, dbusr2)) \
+             via grant(bob, staff); rule2[grant(bob, staff) <= grant(bob, dbusr2)]]"
+        );
+        // With a second qualifying vertex interned later, the witness is
+        // still the lowest id, and both authorize.
+        let later = uni.grant_user_role(bob, nurse);
+        assert!(later > held);
+        policy.add_edge(Edge::RolePriv(hr, later));
+        let inner = uni.grant_user_role(bob, dbusr1);
+        let q = uni.grant_role_priv(so, inner);
+        let order = PrivilegeOrder::new(&uni, &policy, OrderingMode::Extended);
+        let d = order.derive(p, q).expect("rule (2ext∘3*) applies");
+        assert!(matches!(d, Derivation::Rule2Ext { via, .. } if via == held));
+        let jane = uni.find_user("jane").unwrap();
+        assert_eq!(
+            order.authorizing_vertices(Entity::User(jane), inner),
+            vec![held, later]
+        );
     }
 
     #[test]

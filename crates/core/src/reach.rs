@@ -7,13 +7,14 @@
 //!
 //! * [`reaches`] — an allocation-light on-the-fly BFS, right for the tiny,
 //!   rapidly-mutating policies inside the bounded refinement search;
-//! * [`ReachIndex`] — a bitset closure over the role hierarchy with
-//!   per-privilege holder lists, right for repeated queries against a fixed
-//!   policy (ordering decisions, the monitor, benchmarks).
+//! * [`ReachIndex`] — a bitset closure over the role hierarchy with a
+//!   dense per-privilege holder table, right for repeated queries against
+//!   a fixed policy (ordering decisions, the monitor, benchmarks).
 //!
 //! Both agree everywhere; a property test in this module checks that.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::bitset::BitSet;
@@ -82,9 +83,11 @@ pub fn reaches_entity(policy: &Policy, from: Entity, to: Entity) -> bool {
 
 /// Bitset-backed reachability index for one policy snapshot.
 ///
-/// Build cost is `O(|R|²/64 + |E|)`; queries are `O(1)` for role/role,
+/// Build cost is `O(|R|²/64 + |E|)`, plus one pass over the privilege ids
+/// up to the largest held one; the holder table is two flat buffers
+/// whatever the vertex count. Queries are `O(1)` for role/role,
 /// `O(roles_of(u))` for user sources, and `O(holders(p))` for privilege
-/// targets.
+/// targets, whose holder row is an array read.
 #[derive(Debug, Clone)]
 pub struct ReachIndex {
     closure: RoleClosure,
@@ -93,10 +96,111 @@ pub struct ReachIndex {
     /// when one does copy the table, the inner `Arc`s still share every
     /// untouched user's row across epochs.
     user_roles: Arc<Vec<Arc<Vec<RoleId>>>>,
-    /// Roles directly holding each privilege vertex (`Arc`-shared like
-    /// the membership table).
-    holders: Arc<HashMap<PrivId, Arc<Vec<RoleId>>>>,
+    /// Roles directly holding each privilege vertex, shared across epochs
+    /// until a batch changes `PA†`.
+    holders: Arc<HolderTable>,
     role_count: usize,
+}
+
+/// The holders of every privilege vertex in compressed sparse rows,
+/// indexed by [`PrivId`]: row `p` is `roles[start[p]..start[p + 1]]`,
+/// ascending. The table ends at the largest held id; an id past it (a
+/// term never held, or interned after the table was laid out) reads as
+/// an empty row.
+#[derive(Debug, Clone)]
+struct HolderTable {
+    /// `rows + 1` offsets into `roles`, starting at 0.
+    start: Vec<u32>,
+    roles: Vec<RoleId>,
+}
+
+impl HolderTable {
+    /// Lays out the holders of `policy`'s `PA†`: one pass finds the
+    /// largest held id, one counts the row sizes and one fills the rows.
+    /// `PA†` iterates in role order, so every row comes out sorted.
+    fn build(policy: &Policy) -> Self {
+        let rows = policy.pa().map(|(_, p)| p.index() + 1).max().unwrap_or(0);
+        // Row `p`'s size is counted at `start[p + 2]`; the prefix sums
+        // then leave its first slot at `start[p + 1]`, which the fill
+        // advances to the row's end — that is, to row `p + 1`'s start.
+        let mut start = vec![0u32; rows + 2];
+        for (_, p) in policy.pa() {
+            start[p.index() + 2] += 1;
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut roles = vec![RoleId(0); start[rows + 1] as usize];
+        for (r, p) in policy.pa() {
+            let slot = &mut start[p.index() + 1];
+            roles[*slot as usize] = r;
+            *slot += 1;
+        }
+        start.pop();
+        HolderTable { start, roles }
+    }
+
+    fn rows(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn row(&self, p: PrivId) -> &[RoleId] {
+        match self.start.get(p.index()..p.index() + 2) {
+            Some(&[from, to]) => &self.roles[from as usize..to as usize],
+            _ => &[],
+        }
+    }
+
+    /// This table with the rows in `changed` replaced, laid out again in
+    /// one pass: the untouched rows between two changed ones are copied
+    /// as one block.
+    fn with_rows(&self, changed: &BTreeMap<PrivId, Vec<RoleId>>) -> Self {
+        let rows = changed
+            .keys()
+            .next_back()
+            .map_or(0, |p| p.index() + 1)
+            .max(self.rows());
+        let mut out = HolderTable {
+            start: Vec::with_capacity(rows + 1),
+            roles: Vec::with_capacity(self.roles.len() + changed.len()),
+        };
+        out.start.push(0);
+        let mut next = 0;
+        for (&p, row) in changed {
+            out.copy_rows(self, next..p.index());
+            out.roles.extend_from_slice(row);
+            out.start.push(offset(out.roles.len()));
+            next = p.index() + 1;
+        }
+        out.copy_rows(self, next..rows);
+        // End at the largest held id, as `build` does.
+        while out.start.len() > 1 && out.start[out.start.len() - 2] == out.roles.len() as u32 {
+            out.start.pop();
+        }
+        out
+    }
+
+    /// Appends `from`'s rows `range` (empty past its end).
+    fn copy_rows(&mut self, from: &HolderTable, range: Range<usize>) {
+        let end = range.end.min(from.rows());
+        if range.start < end {
+            let (first, base) = (from.start[range.start], offset(self.roles.len()));
+            self.roles
+                .extend_from_slice(&from.roles[first as usize..from.start[end] as usize]);
+            self.start.extend(
+                from.start[range.start + 1..=end]
+                    .iter()
+                    .map(|&s| s - first + base),
+            );
+        }
+        let empty = offset(self.roles.len());
+        let len = self.start.len() + range.end - end.max(range.start);
+        self.start.resize(len, empty);
+    }
+}
+
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("holder table overflow")
 }
 
 /// One applied edge change, in execution order — the unit the
@@ -120,14 +224,10 @@ impl ReachIndex {
         for (u, r) in policy.ua() {
             user_roles[u.index()].push(r);
         }
-        let mut holders: HashMap<PrivId, Vec<RoleId>> = HashMap::new();
-        for (r, p) in policy.pa() {
-            holders.entry(p).or_default().push(r);
-        }
         ReachIndex {
             closure,
             user_roles: Arc::new(user_roles.into_iter().map(Arc::new).collect()),
-            holders: Arc::new(holders.into_iter().map(|(p, v)| (p, Arc::new(v))).collect()),
+            holders: Arc::new(HolderTable::build(policy)),
             role_count,
         }
     }
@@ -161,6 +261,9 @@ impl ReachIndex {
         // The batch's RH deltas so far, net: edge → present after them.
         // A removal's successors are `policy_before`'s juniors under it.
         let mut rh_after: BTreeMap<(u32, u32), bool> = BTreeMap::new();
+        // The holder rows the batch's PA deltas touch, each copied from
+        // the table on first touch; the table is laid out again once.
+        let mut holder_rows: BTreeMap<PrivId, Vec<RoleId>> = BTreeMap::new();
         for delta in deltas {
             match (delta.edge, delta.added) {
                 (Edge::UserRole(u, r), added) => {
@@ -177,28 +280,16 @@ impl ReachIndex {
                         _ => return None,
                     }
                 }
-                (Edge::RolePriv(r, p), true) => {
-                    let table = Arc::make_mut(&mut next.holders);
-                    let row = Arc::make_mut(table.entry(p).or_default());
-                    match row.binary_search(&r) {
-                        Err(at) => row.insert(at, r),
-                        Ok(_) => return None,
-                    }
-                }
-                (Edge::RolePriv(r, p), false) => {
-                    let table = Arc::make_mut(&mut next.holders);
-                    let entry = table.get_mut(&p)?;
-                    let row = Arc::make_mut(entry);
-                    match row.binary_search(&r) {
-                        Ok(at) => {
+                (Edge::RolePriv(r, p), added) => {
+                    let row = holder_rows
+                        .entry(p)
+                        .or_insert_with(|| self.holders.row(p).to_vec());
+                    match (row.binary_search(&r), added) {
+                        (Err(at), true) => row.insert(at, r),
+                        (Ok(at), false) => {
                             row.remove(at);
                         }
-                        Err(_) => return None,
-                    }
-                    if entry.is_empty() {
-                        // Parity with `build`, which never materializes
-                        // holderless vertices.
-                        table.remove(&p);
+                        _ => return None,
                     }
                 }
                 (Edge::RoleRole(a, b), added) => {
@@ -225,6 +316,9 @@ impl ReachIndex {
                     }
                 }
             }
+        }
+        if !holder_rows.is_empty() {
+            next.holders = Arc::new(self.holders.with_rows(&holder_rows));
         }
         Some(next)
     }
@@ -323,10 +417,18 @@ impl ReachIndex {
     /// The roles directly holding the vertex `p`, ascending (empty when
     /// no role does).
     pub fn holders_of(&self, p: PrivId) -> &[RoleId] {
+        self.holders.row(p)
+    }
+
+    /// The privilege vertices some role holds, ascending — the order of
+    /// [`Policy::priv_vertices`].
+    pub fn priv_vertices(&self) -> impl Iterator<Item = PrivId> + '_ {
         self.holders
-            .get(&p)
-            .map(|row| row.as_slice())
-            .unwrap_or(&[])
+            .start
+            .windows(2)
+            .enumerate()
+            .filter(|(_, row)| row[0] < row[1])
+            .map(|(p, _)| PrivId::from_index(p))
     }
 
     /// `true` iff a role of `roles` directly holds the vertex `p`.
@@ -514,6 +616,10 @@ mod tests {
                 assert_eq!(a.reach_priv(e, p), b.reach_priv(e, p), "{e:?} -> {p:?}");
             }
         }
+        // The held vertices, ascending, built or derived.
+        let vertices: Vec<PrivId> = policy.priv_vertices().into_iter().collect();
+        assert_eq!(a.priv_vertices().collect::<Vec<_>>(), vertices);
+        assert_eq!(b.priv_vertices().collect::<Vec<_>>(), vertices);
         // Holder lists are the policy's holders, ascending, built or derived.
         for p in policy.priv_vertices() {
             let holders: Vec<RoleId> = policy
@@ -565,6 +671,127 @@ mod tests {
                 .expect("acyclic deltas apply incrementally");
             assert_equiv(&uni, &policy, &idx, &ReachIndex::build(&uni, &policy));
         }
+    }
+
+    /// Applies `batch` to `policy` and to `idx` as one delta batch, and
+    /// checks the derived index against a fresh build.
+    fn apply_batch(
+        uni: &Universe,
+        policy: &mut Policy,
+        idx: &ReachIndex,
+        batch: &[(Edge, bool)],
+    ) -> ReachIndex {
+        let before = policy.clone();
+        let mut deltas = Vec::new();
+        for &(edge, added) in batch {
+            let changed = if added {
+                policy.add_edge(edge)
+            } else {
+                policy.remove_edge(edge)
+            };
+            assert!(changed, "batch edges flip state: {edge:?}");
+            deltas.push(EdgeDelta { edge, added });
+        }
+        let next = idx
+            .apply_delta(uni, &before, &deltas)
+            .expect("acyclic deltas apply incrementally");
+        assert_equiv(uni, policy, &next, &ReachIndex::build(uni, policy));
+        next
+    }
+
+    #[test]
+    fn never_held_and_later_interned_terms_read_as_empty_rows() {
+        let (mut uni, mut policy) = figure1();
+        let nurse = uni.find_role("nurse").unwrap();
+        let staff = uni.find_role("staff").unwrap();
+        let idx = ReachIndex::build(&uni, &policy);
+        let diana = uni.find_user("diana").unwrap();
+        let unheld = uni.grant_user_role(diana, nurse);
+        assert!(idx.holders_of(unheld).is_empty());
+        assert!(!idx.reach_priv(Entity::Role(staff), unheld));
+        assert!(idx.priv_vertices().all(|p| p != unheld));
+        // A term interned after the build lies past the table.
+        let later = uni.perm("audit", "t9");
+        let later = uni.priv_perm(later);
+        assert!(idx.holders_of(later).is_empty());
+        let next = apply_batch(
+            &uni,
+            &mut policy,
+            &idx,
+            &[(Edge::RolePriv(nurse, later), true)],
+        );
+        assert_eq!(next.holders_of(later), &[nurse]);
+        assert!(next.reach_priv(Entity::User(diana), later));
+        // The parent's table is untouched.
+        assert!(idx.holders_of(later).is_empty());
+    }
+
+    #[test]
+    fn pa_batches_empty_rows_and_revisit_vertices() {
+        let (mut uni, mut policy) = figure1();
+        let diana = uni.find_user("diana").unwrap();
+        let nurse = uni.find_role("nurse").unwrap();
+        let staff = uni.find_role("staff").unwrap();
+        let dbusr1 = uni.find_role("dbusr1").unwrap();
+        let dbusr2 = uni.find_role("dbusr2").unwrap();
+        let prntusr = uni.find_role("prntusr").unwrap();
+        let black = uni.perm("prnt", "black");
+        let black = uni.priv_perm(black);
+        let color = uni.perm("prnt", "color");
+        let color = uni.priv_perm(color);
+        let idx = ReachIndex::build(&uni, &policy);
+        // A removal that empties a row, at the table's end or inside it.
+        let emptied = apply_batch(
+            &uni,
+            &mut policy,
+            &idx,
+            &[(Edge::RolePriv(prntusr, black), false)],
+        );
+        assert!(emptied.holders_of(black).is_empty());
+        let emptied = apply_batch(
+            &uni,
+            &mut policy,
+            &emptied,
+            &[(Edge::RolePriv(staff, color), false)],
+        );
+        assert!(emptied.holders_of(color).is_empty());
+        // Add, remove and add again on one vertex in one batch.
+        let again = apply_batch(
+            &uni,
+            &mut policy,
+            &emptied,
+            &[
+                (Edge::RolePriv(dbusr2, black), true),
+                (Edge::RolePriv(dbusr2, black), false),
+                (Edge::RolePriv(dbusr2, black), true),
+                (Edge::RolePriv(nurse, black), true),
+            ],
+        );
+        let mut holders = vec![nurse, dbusr2];
+        holders.sort();
+        assert_eq!(again.holders_of(black), holders.as_slice());
+        // A holder delta that disagrees with its row asks for a rebuild.
+        for added in [true, false] {
+            let edge = Edge::RolePriv(if added { nurse } else { staff }, black);
+            assert!(again
+                .apply_delta(&uni, &policy, &[EdgeDelta { edge, added }])
+                .is_none());
+        }
+        // One batch that mixes membership, hierarchy and holder deltas.
+        apply_batch(
+            &uni,
+            &mut policy,
+            &again,
+            &[
+                (Edge::UserRole(diana, dbusr1), true),
+                (Edge::RolePriv(dbusr1, color), true),
+                (Edge::RoleRole(prntusr, dbusr2), true),
+                (Edge::RolePriv(nurse, black), false),
+                (Edge::UserRole(diana, staff), false),
+                (Edge::RoleRole(staff, dbusr2), false),
+                (Edge::RolePriv(staff, color), true),
+            ],
+        );
     }
 
     #[test]

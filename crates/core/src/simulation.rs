@@ -189,13 +189,14 @@ pub fn check_admin_refinement(
         by_actor.entry(cmd.actor).or_default().push(*cmd);
     }
 
-    // Frontier of driver states: (policy, witness queue), deduplicated by
-    // policy *and* actor signature (the responder's options depend only on
-    // the signature, the obligation only on the final policy — but two
-    // queues with different signatures must be checked separately).
-    let mut driver_frontier: Vec<(Policy, CommandQueue)> = vec![(driver0, CommandQueue::new())];
-    // Responder state sets per actor signature, grown lazily. Signatures
-    // are encoded as the Vec of actors.
+    // Frontier of driver states: (policy, witness queue, the queue's actor
+    // signature), deduplicated by policy *and* signature (the responder's
+    // options depend only on the signature, the obligation only on the
+    // final policy — but two queues with different signatures must be
+    // checked separately).
+    let mut driver_frontier: Vec<(Policy, CommandQueue, Vec<UserId>)> =
+        vec![(driver0, CommandQueue::new(), Vec::new())];
+    // Responder state sets per actor signature, grown lazily.
     let mut responder_sets: HashMap<Vec<UserId>, Vec<Policy>> = HashMap::new();
     responder_sets.insert(Vec::new(), vec![responder0]);
 
@@ -210,7 +211,7 @@ pub fn check_admin_refinement(
     };
     {
         let responders = &responder_sets[&Vec::new()];
-        let (driver, queue) = &driver_frontier[0];
+        let (driver, queue, _) = &driver_frontier[0];
         if !responders.iter().any(|r| check_pair(r, driver)) {
             return SimulationOutcome::Fails(Box::new(SimulationCounterexample {
                 queue: queue.clone(),
@@ -220,9 +221,12 @@ pub fn check_admin_refinement(
     }
 
     for _len in 1..=config.max_queue_len {
-        let mut next_frontier: Vec<(Policy, CommandQueue)> = Vec::new();
-        let mut seen: HashSet<(Vec<UserId>, Policy)> = HashSet::new();
-        for (driver, queue) in &driver_frontier {
+        let mut next_frontier: Vec<(Policy, CommandQueue, Vec<UserId>)> = Vec::new();
+        // A successor's signature is its state's plus the command's actor,
+        // so the key borrows the state's signature: a successor the set
+        // turns away costs no queue or signature copy.
+        let mut seen: HashSet<(&[UserId], UserId, Policy)> = HashSet::new();
+        for (driver, queue, sig) in &driver_frontier {
             // Every command that leaves this state unchanged yields the
             // key (signature, state): an actor's first such command
             // stands for all of its later ones.
@@ -236,31 +240,29 @@ pub fn check_admin_refinement(
                         driver.clone()
                     }
                 };
-                let mut next_queue = queue.clone();
-                next_queue.push(*cmd);
-                let sig = next_queue.actor_signature();
-                if !seen.insert((sig, next.clone())) {
+                if !seen.insert((sig, cmd.actor, next.clone())) {
                     continue;
                 }
-                next_frontier.push((next, next_queue));
+                let mut next_queue = queue.clone();
+                next_queue.push(*cmd);
+                let next_sig = [sig.as_slice(), &[cmd.actor]].concat();
+                next_frontier.push((next, next_queue, next_sig));
             }
         }
 
         // Grow responder sets for every signature present in the frontier.
-        for (driver, queue) in &next_frontier {
-            let sig = queue.actor_signature();
-            if !responder_sets.contains_key(&sig) {
+        for (driver, queue, sig) in &next_frontier {
+            if !responder_sets.contains_key(sig) {
                 let (prefix, last) = sig.split_at(sig.len() - 1);
                 let prefix_states = responder_sets
                     .get(prefix)
-                    .expect("prefix signature explored first")
-                    .clone();
+                    .expect("prefix signature explored first");
                 let actor = last[0];
                 let mut states: Vec<Policy> = Vec::new();
                 let mut state_seen: HashSet<Policy> = HashSet::new();
                 let empty = Vec::new();
                 let actor_cmds = by_actor.get(&actor).unwrap_or(&empty);
-                for state in &prefix_states {
+                for state in prefix_states {
                     // The no-op answer, or else the first command that
                     // changes nothing, keeps the state itself; later
                     // commands that change nothing add nothing new.
@@ -284,7 +286,7 @@ pub fn check_admin_refinement(
                 }
                 responder_sets.insert(sig.clone(), states);
             }
-            let responders = &responder_sets[&sig];
+            let responders = &responder_sets[sig];
             if !responders.iter().any(|r| check_pair(r, driver)) {
                 return SimulationOutcome::Fails(Box::new(SimulationCounterexample {
                     queue: queue.clone(),

@@ -28,7 +28,10 @@
 //! * the **policy** clone is three `Arc` bumps (the writer's next
 //!   mutation copies only the relation it touches);
 //! * the **index** is delta-maintained by [`ReachIndex::apply_delta`]:
-//!   membership and holder rows update in place, and an added role edge
+//!   membership rows update in place; the dense holder table is shared
+//!   with the parent unless the batch changes `PA†`, and then only the
+//!   rows it touches are copied before the table is laid out again
+//!   once. An added role edge
 //!   fans its target's closure row out along the reverse-reachability
 //!   frontier of its source (the add-edge split lemma — see
 //!   [`RoleClosure::add_edge_incremental`](crate::closure::RoleClosure::add_edge_incremental)).
