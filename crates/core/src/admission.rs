@@ -13,6 +13,13 @@
 //!    every policy `φ` reachable from the root,
 //!    `Φ⁻ ⊆ edges(φ) ⊆ Φ⁺` — the *interval invariant* (proptested
 //!    differentially against the BFS engine in `tests/admission_gate.rs`).
+//!    In explicit mode that is every reachable policy. In ordered modes
+//!    `Φ⁺` can miss a `⊑`-weaker grant edge that no term names (see the
+//!    [`crate::lint`] `potential` module docs), so there the invariant
+//!    is proved, and tested, only for the reachable policies whose edges
+//!    the policy's terms name — the BFS alphabet of that test.
+//!    Lint's `dead-command` and `shadowed-grant` ask the same
+//!    `Potential::authority` as `Φ⁻`, so lint never contradicts it.
 //!
 //! 2. **Impact analysis** ([`Candidate::impact`]). A candidate batch is
 //!    simulated against the parent epoch ([`Candidate::derive`]) and the
@@ -47,7 +54,11 @@
 //! `edges(φ) ⊆ Φ⁺` and both "assigned" and `⊑` are monotone in the edge
 //! set, it suffices to ask the question once against `Φ⁺`: if no
 //! `⊑Φ⁺`-compatible revocation term is assigned in `Φ⁺`, none is in any
-//! reachable policy, and `e` is permanent — *frozen*.
+//! reachable policy, and `e` is permanent — *frozen*. The question is
+//! decided on `e` itself (every `⊑` rule reads only the weaker term's
+//! edge), so `♦(e)` need not be interned and nothing is copied to ask
+//! it. The argument leans on `edges(φ) ⊆ Φ⁺`, so in ordered modes it
+//! carries that bound's qualification above.
 //!
 //! ## Why `Φ⁻` is inherited
 //!
@@ -81,7 +92,6 @@ use std::sync::Arc;
 use crate::command::Command;
 use crate::ids::{Entity, PrivId, RoleId, UserId};
 use crate::lint::{lint_policy, Confirmation, Finding, FindingKind, LintConfig, Potential};
-use crate::ordering::PrivilegeOrder;
 use crate::policy::Policy;
 use crate::reach::{EdgeDelta, ReachIndex};
 use crate::snapshot::{batch_deltas, PolicySnapshot, PublishMode, PublishPath};
@@ -124,55 +134,18 @@ pub struct Interval {
 }
 
 impl Interval {
-    /// Computes the interval of `(universe, root)` under `auth_mode`.
+    /// Computes the interval of `(universe, root)` under `auth_mode`:
+    /// `Φ⁻` is the root edges whose `♦` nothing in `Φ⁺` authorizes,
+    /// asked of the closure's own `Potential::authority` (decided on
+    /// the edge, so a `♦` the universe never interned needs no copy of
+    /// it).
     pub fn from_policy(universe: &Universe, root: &Policy, auth_mode: AuthMode) -> Interval {
         let potential = Potential::from_policy(universe, root, auth_mode);
-        Interval::from_potential(universe, root, potential, auth_mode)
-    }
-
-    /// Computes `Φ⁻` against an already-built `Φ⁺`.
-    ///
-    /// Explicit mode asks whether `♦(e)` is interned and assigned in
-    /// `Φ⁺`. Ordered mode interns `♦(e)` for every root edge into a
-    /// probe clone of the universe (interning is append-only, so every
-    /// existing id stays valid) and asks whether any assigned
-    /// administrative term is `⊑`-stronger than it under `Φ⁺`.
-    pub fn from_potential(
-        universe: &Universe,
-        root: &Policy,
-        potential: Potential,
-        auth_mode: AuthMode,
-    ) -> Interval {
-        let root_edges: Vec<Edge> = root.edges().collect();
-        let frozen: BTreeSet<Edge> = match auth_mode {
-            AuthMode::Explicit => root_edges
-                .into_iter()
-                .filter(|&e| {
-                    !universe
-                        .find_term(PrivTerm::Revoke(e))
-                        .is_some_and(|t| potential.is_assigned(t))
-                })
-                .collect(),
-            AuthMode::Ordered(mode) => {
-                // Intern every ♦(e) into a probe so ⊑ can be asked even
-                // for revocation terms the policy never wrote down.
-                let mut probe = universe.clone();
-                let revokers: Vec<(Edge, PrivId)> = root_edges
-                    .iter()
-                    .map(|&e| (e, probe.priv_revoke(e)))
-                    .collect();
-                let order = PrivilegeOrder::new(&probe, &potential.policy, mode);
-                revokers
-                    .into_iter()
-                    .filter(|&(_, t)| {
-                        !potential
-                            .assigned
-                            .iter()
-                            .any(|&w| probe.term(w).is_administrative() && order.is_weaker(w, t))
-                    })
-                    .map(|(e, _)| e)
-                    .collect()
-            }
+        let frozen = {
+            let authority = potential.authority(universe);
+            root.edges()
+                .filter(|&e| !authority.authorizes(PrivTerm::Revoke(e)))
+                .collect()
         };
         Interval { potential, frozen }
     }

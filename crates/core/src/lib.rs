@@ -94,8 +94,8 @@ pub mod prelude {
     pub use crate::enumerate::{enumerate_weaker, remark2_depth, EnumerationConfig, WeakerSet};
     pub use crate::ids::{ActionId, Entity, Node, ObjectId, Perm, PrivId, RoleId, UserId};
     pub use crate::lint::{
-        lint_policy, rule_sites, slice_alphabet, Confirmation, DependencyGraph, Finding,
-        FindingKind, LintConfig, LintReport, Potential, RuleSite, Severity, SliceOutcome,
+        lint_policy, rule_sites, slice_alphabet, Confirmation, Finding, FindingKind, LintConfig,
+        LintReport, Potential, RuleSite, Severity, SliceOutcome,
     };
     pub use crate::ordering::{Derivation, OrderingMode, PrivilegeOrder};
     pub use crate::policy::{Policy, PolicyBuilder};

@@ -1,25 +1,27 @@
 //! The lint checks: search-free diagnostics over `(root, Φ⁺)`.
 //!
-//! Every check is a pure function of the root policy, the may-add
-//! closure [`Potential`], and the [`DependencyGraph`] — no state-space
-//! search anywhere. Each check documents the exact (conservative)
-//! condition it fires on; all of them are vacuously quiet on policies
-//! whose rules are all live, authorized and non-overlapping, which is
-//! what keeps `fixtures/hospital.rbac` finding-free.
+//! Every check is a pure function of the root policy, its rule sites
+//! and the may-add closure [`Potential`] — no state-space search
+//! anywhere. Every authorization question a check asks (`dead-command`'s
+//! grant side, `unauthorizable`, `shadowed-grant`) goes to the closure's
+//! one [`Authority`], the same one the admission interval's `Φ⁻` asks,
+//! so a finding never contradicts the interval. Each check documents the
+//! exact (conservative) condition it fires on; all of them are vacuously
+//! quiet on policies whose rules are all live, authorized and
+//! non-overlapping, which is what keeps `fixtures/hospital.rbac`
+//! finding-free.
 
 use std::collections::BTreeSet;
 
 use crate::display::{priv_to_string, Notation};
 use crate::ids::{Entity, PrivId, RoleId, UserId};
-use crate::ordering::PrivilegeOrder;
 use crate::policy::Policy;
 use crate::reach::ReachIndex;
-use crate::transition::AuthMode;
 use crate::universe::{Edge, PrivTerm, Universe};
 
-use super::deps::{rule_sites, DependencyGraph, RuleSite};
+use super::deps::RuleSite;
 use super::findings::{Confirmation, Finding, FindingKind, Severity};
-use super::potential::Potential;
+use super::potential::{Authority, Potential};
 use super::LintConfig;
 
 /// Runs every check and returns the (unsorted) findings.
@@ -27,20 +29,20 @@ pub(super) fn run_checks(
     universe: &Universe,
     root: &Policy,
     potential: &Potential,
-    graph: &DependencyGraph,
+    sites: &[RuleSite],
     config: &LintConfig,
 ) -> Vec<Finding> {
-    let sites = rule_sites(universe, root);
+    let authority = potential.authority(universe);
     let root_index = ReachIndex::build(universe, root);
     let mut findings = Vec::new();
-    dead_commands(universe, root, potential, &sites, &mut findings);
-    unauthorizable(universe, potential, config.auth_mode, &sites, &mut findings);
+    dead_commands(universe, root, potential, &authority, sites, &mut findings);
+    unauthorizable(universe, &authority, sites, &mut findings);
     redundant_grants(universe, root, &root_index, &mut findings);
-    shadowed_grants(universe, root, &root_index, potential, &mut findings);
+    shadowed_grants(universe, root, &root_index, &authority, &mut findings);
     sod_conflicts(
         universe,
         potential,
-        graph,
+        sites,
         &root_index,
         config,
         &mut findings,
@@ -51,14 +53,15 @@ pub(super) fn run_checks(
 /// A rule is **dead** when no reachable policy changes under it:
 ///
 /// * a grant of an edge already in the root that no reachable policy
-///   can remove (no `♦` of it is assigned anywhere in `Φ⁺`) is a
-///   permanent no-op;
+///   can remove (nothing in `Φ⁺` authorizes its `♦`: the edge is
+///   frozen, in `Φ⁻`) is a permanent no-op;
 /// * a revoke of an edge that is neither in the root nor addable can
 ///   never find its edge present.
 fn dead_commands(
     universe: &Universe,
     root: &Policy,
     potential: &Potential,
+    authority: &Authority<'_>,
     sites: &[RuleSite],
     findings: &mut Vec<Finding>,
 ) {
@@ -66,10 +69,7 @@ fn dead_commands(
         match universe.term(site.term) {
             PrivTerm::Perm(_) => {}
             PrivTerm::Grant(edge) => {
-                let removable = universe
-                    .find_term(PrivTerm::Revoke(edge))
-                    .is_some_and(|t| potential.is_assigned(t));
-                if root.contains_edge(edge) && !removable {
+                if root.contains_edge(edge) && !authority.authorizes(PrivTerm::Revoke(edge)) {
                     findings.push(Finding {
                         kind: FindingKind::DeadCommand,
                         severity: Severity::Warning,
@@ -110,24 +110,12 @@ fn dead_commands(
 /// a revoke term.
 fn unauthorizable(
     universe: &Universe,
-    potential: &Potential,
-    auth_mode: AuthMode,
+    authority: &Authority<'_>,
     sites: &[RuleSite],
     findings: &mut Vec<Finding>,
 ) {
-    let order = match auth_mode {
-        AuthMode::Explicit => None,
-        AuthMode::Ordered(mode) => Some(PrivilegeOrder::new(universe, &potential.policy, mode)),
-    };
     for site in sites {
-        let authorized = match &order {
-            None => potential.is_assigned(site.term),
-            Some(order) => potential
-                .assigned
-                .iter()
-                .any(|&w| universe.term(w).is_administrative() && order.is_weaker(w, site.term)),
-        };
-        if !authorized {
+        if !authority.authorizes(universe.term(site.term)) {
             findings.push(Finding {
                 kind: FindingKind::Unauthorizable,
                 severity: Severity::Warning,
@@ -178,21 +166,20 @@ fn redundant_grants(
     }
 }
 
-/// A grant rule is **revoke-shadowed** when `Φ⁺` assigns a revoke of
-/// the rule's own assignment edge: a reachable revocation can strip the
-/// rule before it is ever used, so nothing it promises is stable.
+/// A grant rule is **revoke-shadowed** when `Φ⁺` authorizes a revoke
+/// of the rule's own assignment edge: a reachable revocation can strip
+/// the rule before it is ever used, so nothing it promises is stable.
 ///
-/// The must/may interval sharpens the verdict: when the stripping
-/// assignment already sits in the **root** policy the shadow is
-/// `Confirmed` (one command strips the rule today); when it is merely
-/// addable somewhere in `Φ⁺` it is `Potential`. A rule whose revoke is
-/// never authorizable does not fire at all — the grant is frozen and
-/// shadowing is impossible.
+/// The must/may interval sharpens the verdict: when that very revoke
+/// term is already assigned in the **root** policy the shadow is
+/// `Confirmed` (one command strips the rule today); otherwise it is
+/// `Potential`. A rule whose revoke is never authorizable does not fire
+/// at all — its assignment edge is frozen and shadowing is impossible.
 fn shadowed_grants(
     universe: &Universe,
     root: &Policy,
     root_index: &ReachIndex,
-    potential: &Potential,
+    authority: &Authority<'_>,
     findings: &mut Vec<Finding>,
 ) {
     for (r, t) in root.pa() {
@@ -200,13 +187,12 @@ fn shadowed_grants(
             continue;
         }
         let rule_edge = Edge::RolePriv(r, t);
-        let Some(rev) = universe.find_term(PrivTerm::Revoke(rule_edge)) else {
-            continue;
-        };
-        if !potential.is_assigned(rev) {
+        if !authority.authorizes(PrivTerm::Revoke(rule_edge)) {
             continue;
         }
-        let in_root = !root_index.holders_of(rev).is_empty();
+        let in_root = universe
+            .find_term(PrivTerm::Revoke(rule_edge))
+            .is_some_and(|rev| !root_index.holders_of(rev).is_empty());
         let (confirmation, message) = if in_root {
             (
                 Confirmation::Confirmed,
@@ -248,7 +234,7 @@ fn shadowed_grants(
 fn sod_conflicts(
     universe: &Universe,
     potential: &Potential,
-    graph: &DependencyGraph,
+    sites: &[RuleSite],
     root_index: &ReachIndex,
     config: &LintConfig,
     findings: &mut Vec<Finding>,
@@ -275,7 +261,8 @@ fn sod_conflicts(
                     universe.role_name(b)
                 )
             } else {
-                let enablers = enabling_rules(potential, &potential_index, graph, u, a, b);
+                let enablers =
+                    enabling_rules(universe, potential, &potential_index, sites, u, a, b);
                 format!(
                     "user '{}' can statically reach both '{}' and '{}' via grantable \
                      edges{}",
@@ -306,13 +293,14 @@ fn sod_conflicts(
     }
 }
 
-/// The rule terms whose may-add summaries contain an addable edge that
+/// The rule terms whose grant chains contain an addable edge that
 /// advances `u` toward `a` or `b` in `Φ⁺` (indexed by `idx`) — the
 /// rules to look at first when breaking the conflict.
 fn enabling_rules(
+    universe: &Universe,
     potential: &Potential,
     idx: &ReachIndex,
-    graph: &DependencyGraph,
+    sites: &[RuleSite],
     u: UserId,
     a: RoleId,
     b: RoleId,
@@ -326,14 +314,13 @@ fn enabling_rules(
         Edge::RoleRole(x, y) => idx.reach_entity(Entity::User(u), Entity::Role(x)) && toward(y),
         Edge::RolePriv(..) => false,
     };
-    graph
-        .may_add
+    sites
         .iter()
-        .filter(|(_, adds)| {
-            adds.iter()
-                .any(|&e| potential.addable.contains(&e) && relevant(e))
+        .filter(|site| {
+            site.may_add(universe)
+                .any(|e| potential.addable.contains(&e) && relevant(e))
         })
-        .map(|(&t, _)| t)
+        .map(|site| site.term)
         .collect()
 }
 

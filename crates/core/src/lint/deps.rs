@@ -1,5 +1,4 @@
-//! Rule sites, per-rule may-add/may-remove summaries, and the static
-//! privilege-dependency graph.
+//! Rule sites and what each may add.
 //!
 //! A *rule site* is one occurrence of an administrative term in the
 //! policy: either a `(role, term)` privilege assignment, or a term
@@ -7,17 +6,11 @@
 //! Each site denotes a family of commands (one per actor) with a fixed
 //! effect edge, so edge-level diagnostics attach naturally to sites.
 //!
-//! The dependency graph records, per administrative term:
-//!
-//! * `may_add` / `may_remove` — the effect edges executing the term (and
-//!   the rules it transitively introduces) can add or remove;
-//! * `enables` — the administrative terms whose *assignment* the term
-//!   can create, i.e. `t enables u` iff some may-add edge of `t` is
-//!   `RolePriv(_, u)` with `u` administrative.
-//!
-//! Both are purely syntactic over the finite edge universe — no search.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! A site's *grant chain* ([`RuleSite::may_add`]) is the edges executing
+//! its rule, and the rules it assigns, may add: `¤(e)` adds `e`; when
+//! `e` assigns a grant term, add what that term adds; a `♦` adds
+//! nothing. It is purely syntactic over the finite edge universe — no
+//! search.
 
 use crate::ids::{PrivId, RoleId};
 use crate::policy::Policy;
@@ -34,6 +27,21 @@ pub struct RuleSite {
     pub term: PrivId,
     /// Nesting depth: 0 for the assignment itself.
     pub depth: u32,
+}
+
+impl RuleSite {
+    /// The site's grant chain: the edges its rule may add, directly or
+    /// through the grant terms it assigns, outermost first.
+    pub(crate) fn may_add(self, universe: &Universe) -> impl Iterator<Item = Edge> + '_ {
+        let nested = move |&t: &PrivId| match universe.term(t) {
+            PrivTerm::Grant(Edge::RolePriv(_, inner)) => Some(inner),
+            _ => None,
+        };
+        std::iter::successors(Some(self.term), nested).map_while(move |t| match universe.term(t) {
+            PrivTerm::Grant(edge) => Some(edge),
+            _ => None,
+        })
+    }
 }
 
 /// Enumerates every rule site of `root`, outermost first, in the
@@ -62,83 +70,6 @@ pub fn rule_sites(universe: &Universe, root: &Policy) -> Vec<RuleSite> {
     sites
 }
 
-/// The static privilege-dependency graph over the policy's rules.
-#[derive(Clone, Debug, Default)]
-pub struct DependencyGraph {
-    /// Per administrative term: edges it may (transitively) add.
-    pub may_add: BTreeMap<PrivId, BTreeSet<Edge>>,
-    /// Per administrative term: edges it may (transitively) remove.
-    pub may_remove: BTreeMap<PrivId, BTreeSet<Edge>>,
-    /// `t → {u}`: executing `t`'s rules can make `u` assigned.
-    pub enables: BTreeMap<PrivId, BTreeSet<PrivId>>,
-}
-
-impl DependencyGraph {
-    /// Builds the graph for every administrative term occurring in
-    /// `root` (at any nesting depth).
-    pub fn build(universe: &Universe, root: &Policy) -> DependencyGraph {
-        let mut graph = DependencyGraph::default();
-        for site in rule_sites(universe, root) {
-            graph.close_term(universe, site.term);
-        }
-        graph
-    }
-
-    /// The terms that can (transitively) introduce an assignment of
-    /// `target` — the reverse of `enables`, plus `target`'s own sites.
-    pub fn enablers_of(&self, target: PrivId) -> BTreeSet<PrivId> {
-        self.enables
-            .iter()
-            .filter(|(_, enabled)| enabled.contains(&target))
-            .map(|(&t, _)| t)
-            .collect()
-    }
-
-    /// Computes (and memoizes) the summaries for `term` and everything
-    /// it transitively introduces.
-    fn close_term(&mut self, universe: &Universe, term: PrivId) {
-        if self.may_add.contains_key(&term) {
-            return;
-        }
-        // Seed the entry first so nested cycles terminate (term ids are
-        // hash-consed; a term cannot strictly contain itself, but two
-        // mutually nesting grants are representable through the stack).
-        self.may_add.insert(term, BTreeSet::new());
-        self.may_remove.insert(term, BTreeSet::new());
-        self.enables.insert(term, BTreeSet::new());
-        let mut adds = BTreeSet::new();
-        let mut removes = BTreeSet::new();
-        let mut enables = BTreeSet::new();
-        match universe.term(term) {
-            PrivTerm::Perm(_) => {}
-            PrivTerm::Grant(edge) => {
-                adds.insert(edge);
-                if let Edge::RolePriv(_, inner) = edge {
-                    if universe.term(inner).is_administrative() {
-                        enables.insert(inner);
-                        self.close_term(universe, inner);
-                        if let Some(inner_adds) = self.may_add.get(&inner) {
-                            adds.extend(inner_adds.iter().copied());
-                        }
-                        if let Some(inner_removes) = self.may_remove.get(&inner) {
-                            removes.extend(inner_removes.iter().copied());
-                        }
-                        if let Some(inner_enables) = self.enables.get(&inner) {
-                            enables.extend(inner_enables.iter().copied());
-                        }
-                    }
-                }
-            }
-            PrivTerm::Revoke(edge) => {
-                removes.insert(edge);
-            }
-        }
-        self.may_add.insert(term, adds);
-        self.may_remove.insert(term, removes);
-        self.enables.insert(term, enables);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,9 +77,10 @@ mod tests {
 
     #[test]
     fn nested_grant_summaries_are_transitive() {
-        // ops holds ¤(aud → ¤(erin, temps)): executing it may add the
-        // assignment edge and, transitively, (erin, temps); it enables
-        // the inner grant term.
+        // ops holds ¤(aud → ¤(erin, temps)) and ¤(aud → ♦(erin, temps)):
+        // the first may add the assignment edge and, transitively,
+        // (erin, temps); the second only its assignment edge, since a
+        // nested ♦ adds nothing.
         let mut b = PolicyBuilder::new()
             .assign("olga", "ops")
             .declare_user("erin");
@@ -158,21 +90,25 @@ mod tests {
         };
         let inner = b.universe_mut().grant_user_role(erin, temps);
         let outer = b.universe_mut().priv_grant(Edge::RolePriv(aud, inner));
-        b = b.assign_priv("ops", outer);
+        let strip = b.universe_mut().revoke_user_role(erin, temps);
+        let outer_strip = b.universe_mut().priv_grant(Edge::RolePriv(aud, strip));
+        b = b.assign_priv("ops", outer).assign_priv("ops", outer_strip);
         let (uni, policy) = b.finish();
 
         let sites = rule_sites(&uni, &policy);
-        assert_eq!(sites.len(), 2, "{sites:?}");
-        assert_eq!(sites[0].depth, 0);
-        assert_eq!(sites[1].depth, 1);
-        assert_eq!(sites[1].term, inner);
+        assert_eq!(sites.len(), 4, "{sites:?}");
+        let site = |term: PrivId| *sites.iter().find(|s| s.term == term).unwrap();
+        assert_eq!(site(outer).depth, 0);
+        assert_eq!(site(inner).depth, 1);
+        assert_eq!(site(strip).depth, 1);
 
-        let graph = DependencyGraph::build(&uni, &policy);
-        let adds = &graph.may_add[&outer];
-        assert!(adds.contains(&Edge::RolePriv(aud, inner)));
-        assert!(adds.contains(&Edge::UserRole(erin, temps)));
-        assert!(graph.enables[&outer].contains(&inner));
-        assert_eq!(graph.enablers_of(inner).len(), 1);
-        assert!(graph.may_remove[&outer].is_empty());
+        let adds = |term: PrivId| site(term).may_add(&uni).collect::<Vec<Edge>>();
+        assert_eq!(
+            adds(outer),
+            vec![Edge::RolePriv(aud, inner), Edge::UserRole(erin, temps)]
+        );
+        assert_eq!(adds(inner), vec![Edge::UserRole(erin, temps)]);
+        assert_eq!(adds(outer_strip), vec![Edge::RolePriv(aud, strip)]);
+        assert!(adds(strip).is_empty());
     }
 }

@@ -4,22 +4,29 @@
 //! This module looks at an administrative policy *statically* — no
 //! state-space exploration — and produces two things:
 //!
-//! 1. **Diagnostics** ([`lint_policy`]): per-command may-add/may-remove
-//!    summaries and a privilege-dependency graph ([`DependencyGraph`]),
-//!    from which a lint pass derives typed [`Finding`]s. The catalog:
+//! 1. **Diagnostics** ([`lint_policy`]): the policy's rule sites
+//!    ([`rule_sites`]) judged against the may-add closure `Φ⁺`
+//!    ([`Potential`]), as typed [`Finding`]s. Every "is this rule
+//!    authorized somewhere?" question goes to the closure's one
+//!    authority (`Potential::authority`), which the admission
+//!    interval's `Φ⁻` asks too, so `dead-command` fires on a grant
+//!    exactly when the interval freezes its edge and on a revoke
+//!    exactly when it rules its edge out. The catalog:
 //!
 //!    | kind | severity | fires when |
 //!    |------|----------|------------|
-//!    | `dead-command` | warning | a rule can never change any reachable policy |
+//!    | `dead-command` | warning | a rule can never change any reachable policy: a grant of a frozen root edge, or a revoke of an edge outside `Φ⁺` |
 //!    | `unauthorizable` | warning | no `⊑`-compatible authorizing term is ever assigned in `Φ⁺` |
 //!    | `redundant-grant` | note | the role already reaches the term through the hierarchy |
-//!    | `shadowed-grant` | warning | a reachable revocation can strip the grant rule |
-//!    | `sod-conflict` | error/warning | a user statically reaches both roles of a declared separation-of-duty pair (error when the root itself witnesses the co-holding, warning when only `Φ⁺` does) |
+//!    | `shadowed-grant` | warning | a revocation authorized in `Φ⁺` can strip the grant rule |
+//!    | `sod-conflict` | error/warning | a user statically reaches both roles of a declared separation-of-duty pair (error when the root itself witnesses the co-holding, warning when only `Φ⁺` does; the warning names the rules whose grant chains add an edge on the way) |
 //!    | `frozen-edge-violation` | error | an admission constraint asserts an edge frozen that the candidate policy drops or leaves revocable (see [`crate::admission`]) |
 //!
 //!    Every check is conservative over the may-add closure `Φ⁺`
-//!    ([`Potential`]), which contains every reachable policy; see the
-//!    check docs in the `checks` module for the exact conditions.
+//!    ([`Potential`]), which contains every reachable policy (in ordered
+//!    modes, every one built from edges the policy's terms name; see the
+//!    `potential` module docs); see the check docs in the `checks` module
+//!    for the exact conditions.
 //!
 //! 2. **Slicing** ([`slice_alphabet`]): a goal-directed cone-of-influence
 //!    reduction of the command alphabet that preserves the answer of
@@ -39,7 +46,7 @@ mod findings;
 mod potential;
 mod slice;
 
-pub use deps::{rule_sites, DependencyGraph, RuleSite};
+pub use deps::{rule_sites, RuleSite};
 pub use findings::{Confirmation, Finding, FindingKind, LintReport, Severity};
 pub use potential::Potential;
 pub use slice::{slice_alphabet, SliceOutcome};
@@ -64,12 +71,12 @@ pub struct LintConfig {
 /// canonically ordered report.
 pub fn lint_policy(universe: &Universe, root: &Policy, config: &LintConfig) -> LintReport {
     let potential = Potential::from_policy(universe, root, config.auth_mode);
-    let graph = DependencyGraph::build(universe, root);
-    let findings = checks::run_checks(universe, root, &potential, &graph, config);
+    let sites = rule_sites(universe, root);
+    let findings = checks::run_checks(universe, root, &potential, &sites, config);
     let mut report = LintReport {
         findings,
-        rules_checked: rule_sites(universe, root).len(),
-        closure_edges: potential.edge_count(),
+        rules_checked: sites.len(),
+        closure_edges: potential.policy.edge_count(),
     };
     report.canonicalize();
     report

@@ -11,21 +11,40 @@
 //!   ordered mode) is assigned in the closure and `e` is in `Φ⁺`;
 //! * revokes only remove edges.
 //!
+//! That argument needs `e` to be a candidate. Explicit mode's candidates
+//! cover every edge a grant can add; **ordered modes' do not, yet**: a
+//! `⊑`-weaker grant edge no interned `¤` names is missed. With jane ∈ hr,
+//! hr holding `¤(bob, staff)` and `♦(bob, nurse)`, and staff → nurse,
+//! jane may grant `(bob, nurse)` under `Ordered(Extended)`, yet
+//! [`Potential::from_policy`] leaves it out ([`Potential::from_alphabet`]
+//! over the ordered alphabet has it). So in ordered modes `Φ⁺` contains
+//! every reachable policy built from edges the policy's terms name.
+//!
 //! The closure deliberately ignores *actor reachability* — it asks
 //! whether an authorizing term is assigned at all, not whether some
 //! user reaches it — which keeps it a pure term-level over-approximation
-//! computable without search. In ordered mode the `⊑` queries are
-//! evaluated against the maximal syntactic policy (root plus every
-//! candidate edge): `⊑φ` is monotone in the edge set, so that too only
-//! over-approximates.
+//! computable without search.
+//!
+//! ## One authorization question
+//!
+//! "Does some administrative term assigned in `Φ⁺` authorize `t`?" is
+//! answered in one place, `authorized`: in explicit mode `t` must be
+//! interned and assigned; in ordered modes some assigned term `w` must
+//! be `⊑`-stronger, decided on `t`'s edge, so `t` need not be interned.
+//! The fixpoint step asks it with `⊑` over the maximal syntactic policy
+//! (root plus every candidate edge; `⊑φ` is monotone in the edge set,
+//! so that only over-approximates). Readers of a built closure — lint's
+//! `dead-command`, `unauthorizable` and `shadowed-grant`, and the
+//! admission interval's `Φ⁻` — ask [`Potential::authority`], with `⊑`
+//! over `Φ⁺` itself.
 //!
 //! A [`crate::reach::ReachIndex`] built over [`Potential::policy`]
 //! gives conservative reachability for every reachable policy at once:
 //! if `v →φ v′` in some reachable `φ`, then `v → v′` in `Φ⁺`. The
 //! closure does not build one itself; its readers (the explicit-mode
-//! slicing cone and the lint's separation-of-duty check) build it when
-//! they need it, so an [`crate::admission::Interval`] or a pair-free
-//! lint pass builds none.
+//! slicing cone, the lint's separation-of-duty check and an ordered
+//! [`Authority`]) build it when they need it, so an explicit-mode
+//! [`crate::admission::Interval`] or pair-free lint pass builds none.
 
 use std::collections::BTreeSet;
 
@@ -46,6 +65,9 @@ pub struct Potential {
     pub assigned: BTreeSet<PrivId>,
     /// Edges in `Φ⁺` that are not in the root.
     pub addable: BTreeSet<Edge>,
+    /// The authorization semantics the closure was built under; its
+    /// [`Authority`] answers in the same mode.
+    auth_mode: AuthMode,
 }
 
 impl Potential {
@@ -87,7 +109,9 @@ impl Potential {
 
     /// The least-fixpoint closure over `(edge, required ¤-term)`
     /// candidates. A `None` term means the grant term was never interned
-    /// and so cannot be assigned anywhere — the edge is not addable.
+    /// and so cannot be assigned anywhere — the edge is not addable, even
+    /// where ordered mode would find a `⊑`-stronger term for it (a known
+    /// gap of the syntactic candidate set; see the module docs).
     fn close(
         universe: &Universe,
         root: &Policy,
@@ -114,19 +138,11 @@ impl Potential {
         loop {
             let mut grew = false;
             for &(edge, required) in grants {
-                if policy.contains_edge(edge) {
+                if policy.contains_edge(edge) || required.is_none() {
                     continue;
                 }
-                let authorized = match required {
-                    None => false,
-                    Some(t) => match &order {
-                        None => assigned.contains(&t),
-                        Some(order) => assigned.iter().any(|&w| {
-                            universe.term(w).is_administrative() && order.is_weaker(w, t)
-                        }),
-                    },
-                };
-                if !authorized {
+                let term = PrivTerm::Grant(edge);
+                if !authorized(universe, order.as_ref(), &assigned, term, required) {
                     continue;
                 }
                 policy.add_edge(edge);
@@ -144,18 +160,64 @@ impl Potential {
             policy,
             assigned,
             addable,
+            auth_mode,
         }
     }
 
-    /// Is `term` assigned anywhere in `Φ⁺`?
-    pub fn is_assigned(&self, term: PrivId) -> bool {
-        self.assigned.contains(&term)
+    /// The authorization query over `Φ⁺`, in the closure's own mode
+    /// (ordered modes build their one [`PrivilegeOrder`] here).
+    pub(crate) fn authority<'a>(&'a self, universe: &'a Universe) -> Authority<'a> {
+        let order = match self.auth_mode {
+            AuthMode::Explicit => None,
+            AuthMode::Ordered(mode) => Some(PrivilegeOrder::new(universe, &self.policy, mode)),
+        };
+        Authority {
+            universe,
+            assigned: &self.assigned,
+            order,
+        }
     }
+}
 
-    /// Total edges in `Φ⁺`.
-    pub fn edge_count(&self) -> usize {
-        self.policy.edge_count()
+/// [`Potential::authority`]: Definition 5's authorization, asked of
+/// every reachable policy at once.
+pub(crate) struct Authority<'a> {
+    universe: &'a Universe,
+    assigned: &'a BTreeSet<PrivId>,
+    order: Option<PrivilegeOrder<'a>>,
+}
+
+impl Authority<'_> {
+    /// Does some term assigned in `Φ⁺` authorize `term` (a `¤` or `♦`
+    /// term, interned or not)? See the module docs.
+    pub(crate) fn authorizes(&self, term: PrivTerm) -> bool {
+        let id = self.universe.find_term(term);
+        authorized(self.universe, self.order.as_ref(), self.assigned, term, id)
     }
+}
+
+/// Is `term` (interned as `id`, if at all) assigned, or — when `order`
+/// is given — `⊑`-weaker than some assigned administrative term?
+fn authorized(
+    universe: &Universe,
+    order: Option<&PrivilegeOrder<'_>>,
+    assigned: &BTreeSet<PrivId>,
+    term: PrivTerm,
+    id: Option<PrivId>,
+) -> bool {
+    if id.is_some_and(|t| assigned.contains(&t)) {
+        return true;
+    }
+    let Some(order) = order else {
+        return false;
+    };
+    assigned.iter().any(|&w| {
+        universe.term(w).is_administrative()
+            && match id {
+                Some(t) => order.is_weaker(w, t),
+                None => order.is_weaker_term(w, term),
+            }
+    })
 }
 
 #[cfg(test)]
@@ -222,6 +284,6 @@ mod tests {
         let (uni, policy) = b.finish();
         let p = Potential::from_policy(&uni, &policy, AuthMode::Explicit);
         assert!(p.addable.is_empty(), "{:?}", p.addable);
-        assert!(!p.is_assigned(inner));
+        assert!(!p.assigned.contains(&inner));
     }
 }

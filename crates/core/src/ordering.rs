@@ -286,7 +286,7 @@ impl<'a> PrivilegeOrder<'a> {
         if let Some(&hit) = self.memo.borrow().get(&(p, q)) {
             return hit;
         }
-        let result = self.decide(p, q);
+        let result = self.decide(self.universe.term(p), self.universe.term(q));
         self.memo.borrow_mut().insert((p, q), result);
         result
     }
@@ -295,9 +295,15 @@ impl<'a> PrivilegeOrder<'a> {
         self.reach.get().reach_entity(from, to)
     }
 
-    fn decide(&self, p: PrivId, q: PrivId) -> bool {
+    /// Decides `p ⊑φ q` for a term `q` given by value: every rule reads
+    /// only `q`'s edge, so `q` need not be interned. Not memoised at the
+    /// top (the memo is keyed on ids).
+    pub(crate) fn is_weaker_term(&self, p: PrivId, q: PrivTerm) -> bool {
         let tp = self.universe.term(p);
-        let tq = self.universe.term(q);
+        tp == q || self.decide(tp, q)
+    }
+
+    fn decide(&self, tp: PrivTerm, tq: PrivTerm) -> bool {
         match (tp, tq) {
             (PrivTerm::Grant(ep), PrivTerm::Grant(eq)) => self.decide_connective(ep, eq),
             (PrivTerm::Revoke(ep), PrivTerm::Revoke(eq)) if self.mode.allows_revocation() => {
@@ -322,7 +328,9 @@ impl<'a> PrivilegeOrder<'a> {
             (EdgeTarget::Entity(b3), EdgeTarget::Entity(b4)) => self.reach_entity(b3, b4),
             // Rule (3), past the memo: the nested terms strictly shrink
             // and a chain has no alternatives to share.
-            (EdgeTarget::Priv(p1), EdgeTarget::Priv(q2)) => p1 == q2 || self.decide(p1, q2),
+            (EdgeTarget::Priv(p1), EdgeTarget::Priv(q2)) => {
+                self.is_weaker_term(p1, self.universe.term(q2))
+            }
             // Rule (2ext∘3*) — extended modes only.
             (EdgeTarget::Entity(b3), EdgeTarget::Priv(q2)) => {
                 self.mode.allows_ext() && self.witnesses(b3).any(|w| self.is_weaker(w, q2))

@@ -14,6 +14,9 @@
 //!   untouched.
 //! * **`Φ⁻` inheritance**: one authorized, non-interning step never
 //!   grows `Φ⁺` nor shrinks `Φ⁻`, in both authorization modes.
+//! * **Lint agrees with the interval**: `dead-command` fires on a rule
+//!   exactly when the interval freezes its granted edge or rules out its
+//!   revoked one, in all four authorization modes.
 //! * **Durable edges**: a gated batch whose WAL append fails publishes
 //!   nothing, a log torn anywhere inside a gated batch's record reopens
 //!   to the state before or after the batch, never to a prefix the gate
@@ -215,6 +218,53 @@ proptest! {
                         "reachable edge {e:?} outside the may-closure ({mode:?})"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// Every authorization semantics the interval and lint run under.
+const ALL_MODES: [AuthMode; 4] = [
+    AuthMode::Explicit,
+    AuthMode::Ordered(OrderingMode::Strict),
+    AuthMode::Ordered(OrderingMode::Extended),
+    AuthMode::Ordered(OrderingMode::ExtendedWithRevocation),
+];
+
+proptest! {
+    // No search: a lint pass and an interval per mode and case.
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Lint's `dead-command` says what the interval says, in all four
+    /// authorization modes: a grant site is dead iff its edge is in the
+    /// root and frozen (nothing reachable removes it), and a revoke site
+    /// is dead iff its edge is unreachable (never present).
+    #[test]
+    fn dead_commands_are_exactly_what_the_interval_rules_out(
+        spec in policy_spec_of(2..6, 4..10),
+    ) {
+        for mode in ALL_MODES {
+            let (uni, policy, _, _) = build(&spec);
+            let interval = Interval::from_policy(&uni, &policy, mode);
+            let config = LintConfig { auth_mode: mode, ..LintConfig::default() };
+            let report = lint_policy(&uni, &policy, &config);
+            for site in rule_sites(&uni, &policy) {
+                let dead = report.findings.iter().any(|f| {
+                    f.kind == FindingKind::DeadCommand
+                        && f.role == site.role
+                        && f.term == Some(site.term)
+                });
+                let ruled_out = match uni.term(site.term) {
+                    PrivTerm::Grant(e) => {
+                        policy.contains_edge(e) && interval.status(e) == EdgeStatus::Frozen
+                    }
+                    PrivTerm::Revoke(e) => interval.status(e) == EdgeStatus::Unreachable,
+                    PrivTerm::Perm(_) => false,
+                };
+                prop_assert_eq!(
+                    dead, ruled_out,
+                    "{:?} held by {:?} ({:?})", uni.term(site.term), site.role, mode
+                );
             }
         }
     }

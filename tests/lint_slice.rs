@@ -256,6 +256,64 @@ fn pinned_lint_demo_json_is_current() {
     );
 }
 
+/// Lint and the admission interval ask one authority. jane ∈ hr,
+/// bob ∈ nurse, staff → nurse; hr holds `¤(bob, nurse)` and
+/// `♦(bob, staff)`. Under `ExtendedWithRevocation`, `♦(bob, staff)` is
+/// `⊑`-stronger than `♦(bob, nurse)`: jane's revoke of (bob, nurse)
+/// executes, the edge is volatile, and hr's `¤(bob, nurse)` is no
+/// dead command. The modes that order no revocation refuse the revoke,
+/// freeze the edge and keep the finding.
+#[test]
+fn a_revoke_only_the_order_authorizes_keeps_lint_and_interval_agreed() {
+    let mut b = PolicyBuilder::new()
+        .assign("jane", "hr")
+        .assign("bob", "nurse")
+        .inherit("staff", "nurse");
+    let (jane, bob, nurse, staff) = {
+        let u = b.universe_mut();
+        (
+            u.find_user("jane").unwrap(),
+            u.find_user("bob").unwrap(),
+            u.find_role("nurse").unwrap(),
+            u.find_role("staff").unwrap(),
+        )
+    };
+    let grant = b.universe_mut().grant_user_role(bob, nurse);
+    let strip = b.universe_mut().revoke_user_role(bob, staff);
+    let (uni, policy) = b.assign_priv("hr", grant).assign_priv("hr", strip).finish();
+    let edge = Edge::UserRole(bob, nurse);
+    for (mode, revocable) in [
+        (AuthMode::Explicit, false),
+        (AuthMode::Ordered(OrderingMode::Extended), false),
+        (
+            AuthMode::Ordered(OrderingMode::ExtendedWithRevocation),
+            true,
+        ),
+    ] {
+        let (mut stepped_uni, mut stepped) = (uni.clone(), policy.clone());
+        let revoke = Command::revoke(jane, edge);
+        let outcome = step(&mut stepped_uni, &mut stepped, &revoke, mode);
+        assert_eq!(outcome.executed(), revocable, "{mode:?}");
+        let status = Interval::from_policy(&uni, &policy, mode).status(edge);
+        let expected = if revocable {
+            EdgeStatus::Volatile
+        } else {
+            EdgeStatus::Frozen
+        };
+        assert_eq!(status, expected, "{mode:?}");
+        let config = LintConfig {
+            auth_mode: mode,
+            ..LintConfig::default()
+        };
+        let report = lint_policy(&uni, &policy, &config);
+        let dead = report
+            .findings
+            .iter()
+            .any(|f| f.kind == FindingKind::DeadCommand && f.term == Some(grant));
+        assert_eq!(dead, !revocable, "{mode:?}: {:?}", report.findings);
+    }
+}
+
 /// The canonical hospital fixture is lint-clean — the analyzer does not
 /// cry wolf on the paper's own policy.
 #[test]
